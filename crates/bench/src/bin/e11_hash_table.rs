@@ -53,7 +53,7 @@ fn main() {
             cluster.submit(ProcId((i % n_procs as u64) as u32), key, HKind::Insert(key));
             expected.insert(key, key);
         }
-        let stats = cluster.run_to_quiescence();
+        let stats = cluster.try_run_to_quiescence().expect("run quiesces");
 
         let splits: u64 = cluster.sim.procs().map(|(_, p)| p.metrics.splits).sum();
         let blocked: u64 = cluster.sim.procs().map(|(_, p)| p.metrics.blocked).sum();
@@ -75,8 +75,8 @@ fn main() {
             splits.to_string(),
             f2(dir_msgs as f64 / splits.max(1) as f64),
             blocked.to_string(),
-            stats.recoveries().to_string(),
-            stats.lost().to_string(),
+            stats.total_chases().to_string(),
+            stats.lost_count().to_string(),
             f1(stats.mean_latency()),
             violations.to_string(),
         ]);

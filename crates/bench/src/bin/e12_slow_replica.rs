@@ -36,7 +36,9 @@ fn run(protocol: ProtocolKind, factor: u64) -> (f64, u64, usize) {
     // Healthy processors only submit (P3 is the straggler replica).
     let mut gen = WorkloadGen::new(KeyDist::Uniform { n: 5000 }, Mix::INSERT_ONLY, 3, 7);
     let ops: Vec<ClientOp> = gen.batch(900).iter().map(to_client).collect();
-    let stats = cluster.run_closed_loop(&ops, 3);
+    let stats = cluster
+        .try_run_closed_loop(&ops, 3)
+        .expect("workload drains");
     let mean = stats.mean_latency();
     let p99 = stats.latency_quantile(0.99);
     // Correctness is identical in both cases.

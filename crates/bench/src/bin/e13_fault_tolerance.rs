@@ -80,7 +80,9 @@ fn drop_sweep() {
         let plan = FaultPlan::lossy(drop_pct as f64 / 100.0).with_dup(0.05);
         let mut cluster = DbCluster::build(&spec(), sim_cfg(plan));
         let ops = workload(None);
-        let stats = cluster.run_closed_loop(&ops, 3);
+        let stats = cluster
+            .try_run_closed_loop(&ops, 3)
+            .expect("workload drains");
         assert_eq!(stats.records.len(), ops.len(), "an op never completed");
 
         let mut expected = bench::preload_keys(0);
@@ -120,7 +122,7 @@ fn without_session() {
         for op in &ops {
             cluster.submit(*op);
         }
-        let records = cluster.run_to_quiescence();
+        let records = cluster.try_run_to_quiescence().expect("run quiesces");
         let violations = cluster.log().lock().check().len();
         table.row(&[
             format!("{drop_pct}%"),
@@ -152,7 +154,9 @@ fn crash_recovery() {
         });
         let mut cluster = DbCluster::build(&spec(), sim_cfg(plan));
         let ops = workload(Some(crashed));
-        let stats = cluster.run_closed_loop(&ops, 3);
+        let stats = cluster
+            .try_run_closed_loop(&ops, 3)
+            .expect("workload drains");
         assert_eq!(stats.records.len(), ops.len(), "an op never completed");
 
         let mut expected: std::collections::BTreeSet<u64> = (0..100).map(|k| k * 20).collect();
@@ -184,7 +188,9 @@ fn zero_overhead() {
     let run = |faults: FaultPlan| {
         let mut cluster = DbCluster::build(&spec(), sim_cfg(faults));
         let ops = workload(None);
-        let stats = cluster.run_closed_loop(&ops, 3);
+        let stats = cluster
+            .try_run_closed_loop(&ops, 3)
+            .expect("workload drains");
         (
             cluster.sim.events_delivered(),
             cluster.sim.stats().total_messages(),

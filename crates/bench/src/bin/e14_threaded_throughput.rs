@@ -38,7 +38,9 @@ fn run(protocol: ProtocolKind, n_procs: u32) -> (f64, f64, u64, usize) {
     let ops: Vec<ClientOp> = gen.batch(N_OPS).iter().map(to_client).collect();
 
     let t0 = Instant::now();
-    let stats = cluster.run_closed_loop(&ops, CONCURRENCY);
+    let stats = cluster
+        .try_run_closed_loop(&ops, CONCURRENCY)
+        .expect("workload drains");
     let wall = t0.elapsed();
 
     let done = stats.records.len();

@@ -159,7 +159,9 @@ fn main() {
         15,
     );
     let ops: Vec<ClientOp> = gen.batch(400).iter().map(to_client).collect();
-    let stats = cluster.run_closed_loop(&ops, 4);
+    let stats = cluster
+        .try_run_closed_loop(&ops, 4)
+        .expect("workload drains");
     let obs = cluster.take_obs();
 
     // Everything below reads only the exports.

@@ -138,7 +138,9 @@ fn detection_sweep() {
     for (label, detector) in configs {
         let mut cluster = build(crash_plan(), detector);
         let ops = workload();
-        let stats = cluster.run_closed_loop(&ops, 3);
+        let stats = cluster
+            .try_run_closed_loop(&ops, 3)
+            .expect("workload drains");
         assert_eq!(stats.records.len(), ops.len(), "an op never completed");
         let (first, truthy, falsy) = suspect_stats(&mut cluster, Some((CRASH_AT, RESTART_AT)));
         table.row(&[
@@ -175,7 +177,9 @@ fn false_suspect_control() {
         for loss in [0.05, 0.15, 0.25] {
             let mut cluster = build(FaultPlan::lossy(loss), Some(d));
             let ops = workload();
-            let stats = cluster.run_closed_loop(&ops, 3);
+            let stats = cluster
+                .try_run_closed_loop(&ops, 3)
+                .expect("workload drains");
             assert_eq!(stats.records.len(), ops.len());
             let (_, truthy, falsy) = suspect_stats(&mut cluster, None);
             assert_eq!(truthy, 0, "nothing crashed");
@@ -218,15 +222,20 @@ fn threaded() {
         let (before, rest) = ops.split_at(40);
         let (during, after) = rest.split_at(80);
 
-        let mut records = cluster.run_closed_loop(before, 3).records;
+        let mut records = cluster
+            .try_run_closed_loop(before, 3)
+            .expect("workload drains")
+            .records;
         cluster.sim.crash(CRASHED);
         for op in during {
             cluster.submit(*op);
         }
         std::thread::sleep(std::time::Duration::from_millis(30));
         cluster.sim.restart(CRASHED);
-        records.extend(cluster.run_to_quiescence());
-        let stats = cluster.run_closed_loop(after, 3);
+        records.extend(cluster.try_run_to_quiescence().expect("run quiesces"));
+        let stats = cluster
+            .try_run_closed_loop(after, 3)
+            .expect("workload drains");
         records.extend(stats.records.iter().cloned());
 
         let mean = records

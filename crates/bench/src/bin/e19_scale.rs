@@ -145,7 +145,9 @@ fn main() {
         let before = cluster.sim.stats().clone();
         let events_before = cluster.sim.events_delivered();
         let wall = std::time::Instant::now();
-        let stats = cluster.run_closed_loop(&ops, cell.concurrency);
+        let stats = cluster
+            .try_run_closed_loop(&ops, cell.concurrency)
+            .expect("workload drains");
         let wall = wall.elapsed();
 
         let delta = cluster.sim.stats().delta_since(&before);

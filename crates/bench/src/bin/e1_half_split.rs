@@ -43,7 +43,9 @@ fn main() {
                 intent: Intent::Insert(k),
             })
             .collect();
-        cluster.run_closed_loop(&settle, 2);
+        cluster
+            .try_run_closed_loop(&settle, 2)
+            .expect("workload drains");
         // Phase 2: a split storm on the right edge (ascending inserts),
         // interleaved with searches for settled keys — every search runs
         // while splits are in flight and must still succeed.
@@ -60,7 +62,9 @@ fn main() {
                 intent: Intent::Search,
             });
         }
-        let stats = cluster.run_closed_loop(&ops, 1);
+        let stats = cluster
+            .try_run_closed_loop(&ops, 1)
+            .expect("workload drains");
         let searches: Vec<_> = stats
             .records
             .iter()

@@ -65,7 +65,9 @@ fn run(faulted: bool, n_ops: usize) -> (dbtree::DriverStats, Obs) {
         SEED,
     );
     let ops: Vec<ClientOp> = gen.batch(n_ops).iter().map(to_client).collect();
-    let stats = cluster.run_closed_loop(&ops, 8);
+    let stats = cluster
+        .try_run_closed_loop(&ops, 8)
+        .expect("workload drains");
     (stats, cluster.take_obs())
 }
 

@@ -58,7 +58,7 @@ fn main() {
             key: 115,
             intent: Intent::Insert(115),
         });
-        cluster.run_to_quiescence();
+        cluster.try_run_to_quiescence().expect("run quiesces");
 
         // Find the parent (level 1) and compare copies.
         let (copies, converged) = {

@@ -52,7 +52,7 @@ fn run(join_version_relay: bool, seed: u64) -> (usize, usize, u64) {
             }
         }
     }
-    cluster.run_to_quiescence();
+    cluster.try_run_to_quiescence().expect("run quiesces");
     cluster.record_final_digests();
     let history = cluster.log().lock().check().len();
     let diverged = checker::check_convergence(&cluster.sim).len();

@@ -47,7 +47,9 @@ fn main() {
             23,
         );
         let ops: Vec<_> = gen.batch(2500).iter().map(to_client).collect();
-        cluster.run_closed_loop(&ops, 4);
+        cluster
+            .try_run_closed_loop(&ops, 4)
+            .expect("workload drains");
 
         let before = imbalance(&leaf_loads(&cluster.sim));
         let plan = plan_rebalance(&cluster.sim, 2);
@@ -55,7 +57,7 @@ fn main() {
         for m in &plan {
             cluster.migrate(m.leaf, m.from, m.to);
         }
-        cluster.run_to_quiescence();
+        cluster.try_run_to_quiescence().expect("run quiesces");
         let migration_msgs = cluster.sim.stats().remote_messages() - msgs_before;
         let after = imbalance(&leaf_loads(&cluster.sim));
 

@@ -16,7 +16,7 @@ use std::collections::BTreeSet;
 use dbtree::{
     BuildSpec, ClientOp, DbCluster, DbSubmission, DriverStats, Intent, Key, ScanSpec, TreeConfig,
 };
-use simnet::{ProcId, SimConfig};
+use simnet::{ProcId, Release, SimConfig};
 use workload::{KeyDist, Mix, Op, OpKind, WorkloadGen};
 
 /// Entries a generated scan asks for (small: scans ride along in mixed
@@ -64,7 +64,8 @@ pub fn preload_keys(preload: u64) -> BTreeSet<Key> {
 }
 
 /// Drive a generated workload closed-loop; returns driver stats and the set
-/// of keys expected to be findable afterwards.
+/// of keys expected to be findable afterwards. Scans in the mix open window
+/// slots like any op and complete through [`DbCluster::take_scans`].
 pub fn drive(
     cluster: &mut DbCluster,
     preload: u64,
@@ -80,8 +81,10 @@ pub fn drive(
         cluster.n_procs(),
         seed ^ 0x9E37,
     );
-    let ops: Vec<ClientOp> = gen.batch(n_ops).iter().map(to_client).collect();
-    let stats = cluster.run_closed_loop(&ops, concurrency);
+    let items: Vec<DbSubmission> = gen.batch(n_ops).iter().map(to_submission).collect();
+    let stats = cluster
+        .try_run_mixed(&items, Release::Window(concurrency))
+        .expect("workload failed to quiesce");
     let mut expected = preload_keys(preload);
     for r in &stats.records {
         match r.op.intent {
@@ -95,27 +98,6 @@ pub fn drive(
         }
     }
     (stats, expected)
-}
-
-/// Drive a generated mixed workload (point ops *and* scans) closed-loop;
-/// scans complete through the driver's scan channel
-/// ([`DbCluster::take_scans`]) and open window slots like any op.
-pub fn drive_mixed(
-    cluster: &mut DbCluster,
-    n_ops: usize,
-    mix: Mix,
-    key_space: u64,
-    seed: u64,
-    concurrency: usize,
-) -> DriverStats {
-    let mut gen = WorkloadGen::new(
-        KeyDist::Uniform { n: key_space },
-        mix,
-        cluster.n_procs(),
-        seed ^ 0x9E37,
-    );
-    let items: Vec<DbSubmission> = gen.batch(n_ops).iter().map(to_submission).collect();
-    cluster.run_closed_loop_mixed(&items, concurrency)
 }
 
 /// Sum a per-processor metric over the cluster.

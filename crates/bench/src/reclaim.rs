@@ -130,7 +130,9 @@ pub fn run_wrapping(phases: u64) -> Vec<Row> {
             .map(|op| to_client(&op))
             .collect();
         ops_total += ops.len();
-        cluster.run_closed_loop(&ops, 8);
+        cluster
+            .try_run_closed_loop(&ops, 8)
+            .expect("workload drains");
         rows.push(measure(&cluster, ops_total));
     }
     rows
@@ -153,7 +155,9 @@ pub fn run_sliding(merge: bool, phases: u64) -> Vec<Row> {
             .map(|op| to_client(&op))
             .collect();
         ops_total += ops.len();
-        cluster.run_closed_loop(&ops, 8);
+        cluster
+            .try_run_closed_loop(&ops, 8)
+            .expect("workload drains");
         rows.push(measure(&cluster, ops_total));
     }
     rows

@@ -16,16 +16,18 @@
 //! the golden-file test in `tests/suite.rs` — extending the schema is fine,
 //! but do it deliberately and update the golden file in the same commit.
 
-use dbtree::{BuildSpec, ClientOp, DbCluster, DbSubmission, Key, ThreadedDbCluster, TreeConfig};
-use dhash::{DirProtocol, HKind, HashCluster, HashConfig, HashOp, HashSpec, ThreadedHashCluster};
-use simnet::driver::{DriverStats, OpOutcome};
+use dbtree::{BuildSpec, DbCluster, DbSubmission, Key, ScanRecord, ThreadedDbCluster, TreeConfig};
+use dhash::{
+    DirProtocol, HKind, HashCluster, HashConfig, HashOp, HashSpec, HashStats, ThreadedHashCluster,
+};
+use simnet::driver::{DriverStats, OpOutcome, OpRecord};
 use simnet::{
     folded_waits, CrashEvent, DetectorConfig, FaultPlan, OpenLoopCfg, ProcId, Profiler,
-    RetryPolicy, ServiceTimes, SessionConfig, SimConfig, SimTime,
+    QuiesceError, Release, RetryPolicy, ServiceTimes, SessionConfig, SimConfig, SimTime,
 };
 use workload::{KeyDist, Mix, Op, OpKind, WorkloadGen};
 
-use crate::{to_client, to_submission};
+use crate::to_submission;
 
 /// Which search structure a cell exercises.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -77,6 +79,13 @@ impl DriveMode {
         match self {
             DriveMode::Closed(_) => "closed",
             DriveMode::Open(_) => "open",
+        }
+    }
+
+    fn release(self) -> Release {
+        match self {
+            DriveMode::Closed(c) => Release::Window(c),
+            DriveMode::Open(p) => Release::Schedule(OpenLoopCfg::fixed(p)),
         }
     }
 }
@@ -586,6 +595,55 @@ fn timing<Op, O: OpOutcome>(s: &DriverStats<Op, O>) -> Timing {
     }
 }
 
+/// Hop count of a completed item: the one outcome field [`timing`] reads.
+struct Hops(u32);
+
+impl OpOutcome for Hops {
+    fn hops(&self) -> u32 {
+        self.0
+    }
+}
+
+/// The run's point-op and scan records as one stats object, so a scan
+/// counts toward `completed`, the latency quantiles and the hop mean like
+/// any other op.
+fn with_scans(stats: &dbtree::DriverStats, scans: &[ScanRecord]) -> DriverStats<(), Hops> {
+    let rec = |id, submitted, completed, hops| OpRecord {
+        id,
+        op: (),
+        submitted,
+        completed,
+        outcome: Hops(hops),
+    };
+    let ops = stats
+        .records
+        .iter()
+        .map(|r| rec(r.id, r.submitted, r.completed, r.outcome.hops));
+    let scans = scans
+        .iter()
+        .map(|s| rec(s.id, s.submitted, s.completed, s.outcome.hops));
+    DriverStats {
+        records: ops.chain(scans).collect(),
+        makespan: stats.makespan,
+        ..DriverStats::default()
+    }
+}
+
+/// Drive a dhash cell (the hash table has no scans, hence no mixed entry).
+fn drive_hash<R>(
+    cluster: &mut HashCluster<R>,
+    spec: &CellSpec,
+    ops: &[HashOp],
+) -> Result<HashStats, QuiesceError>
+where
+    R: simnet::Runtime<Proc = simnet::SessionProc<dhash::HashProc>>,
+{
+    match spec.drive {
+        DriveMode::Closed(c) => cluster.try_run_closed_loop(ops, c),
+        DriveMode::Open(p) => cluster.try_run_open_loop(ops, &OpenLoopCfg::fixed(p)),
+    }
+}
+
 fn base_result(spec: &CellSpec, t: &Timing) -> CellResult {
     CellResult {
         id: spec.id.to_string(),
@@ -646,29 +704,17 @@ fn run_blink_sim(spec: &CellSpec) -> CellOutput {
     let before = cluster.sim.stats().clone();
     let events_before = cluster.sim.events_delivered();
     let wall = std::time::Instant::now();
-    // Scan-bearing mixes go through the mixed submission path (scans are a
-    // different submission type); pure point mixes keep the original
-    // closed/open entry points so their pinned measurements don't move.
-    let wl = workload_ops(spec);
-    let stats = if spec.mix.scan_fraction > 0.0 {
-        let items: Vec<DbSubmission> = wl.iter().map(to_submission).collect();
-        match spec.drive {
-            DriveMode::Closed(c) => cluster.run_closed_loop_mixed(&items, c),
-            DriveMode::Open(_) => panic!("open-loop scan cells are not wired up"),
-        }
-    } else {
-        let ops: Vec<ClientOp> = wl.iter().map(to_client).collect();
-        match spec.drive {
-            DriveMode::Closed(c) => cluster.run_closed_loop(&ops, c),
-            DriveMode::Open(p) => cluster.run_open_loop(&ops, &OpenLoopCfg::fixed(p)),
-        }
-    };
+    let items: Vec<DbSubmission> = workload_ops(spec).iter().map(to_submission).collect();
+    let stats = cluster
+        .try_run_mixed(&items, spec.drive.release())
+        .expect("blink cell failed to quiesce");
     let wall = wall.elapsed();
     let delta = cluster.sim.stats().delta_since(&before);
     let splits = crate::sum_metric(&cluster, |m| m.splits_initiated);
     let split_msgs = delta.remote_matching(|k| k.starts_with("split."));
 
-    let mut r = base_result(spec, &timing(&stats));
+    let scans = cluster.take_scans();
+    let mut r = base_result(spec, &timing(&with_scans(&stats, &scans)));
     r.events_total = cluster.sim.events_delivered() - events_before;
     r.events_per_sec = r.events_total as f64 / wall.as_secs_f64().max(1e-9);
     r.msgs_total = delta.total_messages();
@@ -711,12 +757,12 @@ fn run_blink_threaded(spec: &CellSpec) -> CellOutput {
     let keys: Vec<Key> = (0..spec.preload).map(|k| k * 10).collect();
     let bspec = BuildSpec::new(keys, spec.n_procs, cfg);
     let mut cluster = ThreadedDbCluster::build_threaded(&bspec);
-    let ops: Vec<ClientOp> = workload_ops(spec).iter().map(to_client).collect();
-    let stats = match spec.drive {
-        DriveMode::Closed(c) => cluster.run_closed_loop(&ops, c),
-        DriveMode::Open(p) => cluster.run_open_loop(&ops, &OpenLoopCfg::fixed(p)),
-    };
-    let mut r = base_result(spec, &timing(&stats));
+    let items: Vec<DbSubmission> = workload_ops(spec).iter().map(to_submission).collect();
+    let stats = cluster
+        .try_run_mixed(&items, spec.drive.release())
+        .expect("blink cell failed to quiesce");
+    let scans = cluster.take_scans();
+    let mut r = base_result(spec, &timing(&with_scans(&stats, &scans)));
     r.copies = spec.copies as u64;
     r.paper_msgs_per_split = (spec.copies as u64).saturating_sub(1);
     // The thread substrate counts no messages; splits are still visible in
@@ -754,14 +800,7 @@ fn run_dhash_sim(spec: &CellSpec) -> CellOutput {
     let events_before = cluster.sim.events_delivered();
     let wall = std::time::Instant::now();
     let ops: Vec<HashOp> = workload_ops(spec).iter().map(to_hash).collect();
-    let stats = match spec.drive {
-        DriveMode::Closed(c) => cluster
-            .try_run_closed_loop_stats(&ops, c)
-            .expect("dhash cell failed to quiesce"),
-        DriveMode::Open(p) => cluster
-            .try_run_open_loop_stats(&ops, &OpenLoopCfg::fixed(p))
-            .expect("dhash cell failed to quiesce"),
-    };
+    let stats = drive_hash(&mut cluster, spec, &ops).expect("dhash cell failed to quiesce");
     let wall = wall.elapsed();
     let delta = cluster.sim.stats().delta_since(&before);
     let splits: u64 = cluster.sim.procs().map(|(_, p)| p.metrics.splits).sum();
@@ -809,14 +848,7 @@ fn run_dhash_threaded(spec: &CellSpec) -> CellOutput {
     };
     let mut cluster = ThreadedHashCluster::build_threaded(&hspec);
     let ops: Vec<HashOp> = workload_ops(spec).iter().map(to_hash).collect();
-    let stats = match spec.drive {
-        DriveMode::Closed(c) => cluster
-            .try_run_closed_loop_stats(&ops, c)
-            .expect("dhash cell failed to quiesce"),
-        DriveMode::Open(p) => cluster
-            .try_run_open_loop_stats(&ops, &OpenLoopCfg::fixed(p))
-            .expect("dhash cell failed to quiesce"),
-    };
+    let stats = drive_hash(&mut cluster, spec, &ops).expect("dhash cell failed to quiesce");
     let mut r = base_result(spec, &timing(&stats));
     r.copies = spec.n_procs as u64;
     r.paper_msgs_per_split = (spec.n_procs as u64).saturating_sub(1);

@@ -35,10 +35,10 @@
 //!
 //! // Insert a key from processor 3...
 //! cluster.submit(ClientOp { origin: ProcId(3), key: 33, intent: Intent::Insert(330) });
-//! cluster.run_to_quiescence();
+//! cluster.try_run_to_quiescence().unwrap();
 //! // ...then search it from processor 0.
 //! cluster.submit(ClientOp { origin: ProcId(0), key: 33, intent: Intent::Search });
-//! let records = cluster.run_to_quiescence();
+//! let records = cluster.try_run_to_quiescence().unwrap();
 //! assert_eq!(records[0].outcome.found, Some(330));
 //! ```
 
@@ -71,7 +71,7 @@ pub use simnet::{OpenLoopCfg, QuiesceError, Runtime};
 pub use store::NodeStore;
 pub use tree::{
     record_final_digests_from, ClientOp, DbCluster, DbProtocol, DbSim, DbSubmission, DriverStats,
-    OpRecord, ScanRecord, ScanSpec, ThreadedDbCluster, ThreadedDbRuntime,
+    OpRecord, ScanRecord, ScanResult, ScanSpec, ThreadedDbCluster, ThreadedDbRuntime,
 };
 pub use types::{
     ChildRef, Entry, Intent, Key, KeyRange, Link, NodeId, OpId, Outcome, Stamp, Value,

@@ -1,21 +1,21 @@
 //! `DbCluster` — the public facade: a dB-tree deployment plus a client
 //! driver, generic over the execution substrate.
 //!
-//! All driver mechanics (op ids, pending tracking, closed/open-loop
-//! windowing, statistics) live in the shared `simnet::driver::Driver`; this
-//! module only teaches it the dB-tree's wire protocol via [`DbProtocol`]
-//! and re-exposes the typed convenience surface. The same facade runs on
-//! the deterministic simulator ([`DbSim`]) and on real OS threads
-//! ([`ThreadedDbCluster`]).
+//! All driver mechanics (op ids, pending tracking, the drive loop and its
+//! release policies, statistics) live in the shared
+//! `simnet::driver::Driver`; this module only teaches it the dB-tree's wire
+//! protocol via [`DbProtocol`] and re-exposes the typed convenience surface.
+//! The same facade runs on the deterministic simulator ([`DbSim`]) and on
+//! real OS threads ([`ThreadedDbCluster`]).
 
 use std::sync::Arc;
 
 use history::HistoryLog;
 use parking_lot::Mutex;
-use simnet::driver::{ClientProtocol, Completion, Driver, OpOutcome, Submission};
+use simnet::driver::{ClientProtocol, Completion, Driver, OpOutcome, Release, Submission};
 use simnet::{
     threaded, Obs, ObsConfig, OpenLoopCfg, ProcId, QuiesceError, Runtime, SessionConfig,
-    SessionMsg, SessionProc, SimConfig, SimTime, Simulation,
+    SessionMsg, SessionProc, SimConfig, Simulation,
 };
 
 use crate::build::{build_procs, BuildSpec};
@@ -60,6 +60,15 @@ pub struct ScanSpec {
     pub limit: u32,
 }
 
+/// What a completed range scan collected.
+#[derive(Clone, Debug)]
+pub struct ScanResult {
+    /// The live `(key, value)` pairs, in key order.
+    pub items: Vec<(Key, Value)>,
+    /// Nodes visited.
+    pub hops: u32,
+}
+
 /// The dB-tree's client wire protocol, as the generic driver sees it:
 /// requests are `Msg::Client`/`Msg::ClientScan` wrapped in the (possibly
 /// pass-through) session layer, completions are `Msg::Done` and
@@ -71,7 +80,7 @@ impl ClientProtocol for DbProtocol {
     type Op = ClientOp;
     type Outcome = Outcome;
     type Scan = ScanSpec;
-    type ScanResult = (Vec<(Key, Value)>, u32);
+    type ScanResult = ScanResult;
 
     fn origin(op: &ClientOp) -> ProcId {
         op.origin
@@ -104,7 +113,7 @@ impl ClientProtocol for DbProtocol {
         })
     }
 
-    fn parse(msg: Self::Msg) -> Option<Completion<Outcome, Self::ScanResult>> {
+    fn parse(msg: Self::Msg) -> Option<Completion<Outcome, ScanResult>> {
         // Client replies leave the system unsessioned.
         let SessionMsg::Raw(msg) = msg else {
             return None;
@@ -116,7 +125,7 @@ impl ClientProtocol for DbProtocol {
             }),
             Msg::ScanResult { op, items, hops } => Some(Completion::Scan {
                 id: op.0,
-                result: (items, hops),
+                result: ScanResult { items, hops },
             }),
             _ => None,
         }
@@ -132,8 +141,8 @@ impl OpOutcome for Outcome {
     }
 }
 
-/// One mixed-workload item: a point op or a range scan (typed for the
-/// dB-tree; see [`DbCluster::run_closed_loop_mixed`]).
+/// One workload item: a point op or a range scan (typed for the dB-tree;
+/// see [`DbCluster::try_run_mixed`]).
 pub type DbSubmission = Submission<ClientOp, ScanSpec>;
 
 /// A completed operation with its timing (shared driver record, typed for
@@ -144,24 +153,9 @@ pub type OpRecord = simnet::driver::OpRecord<ClientOp, Outcome>;
 /// the dB-tree).
 pub type DriverStats = simnet::driver::DriverStats<ClientOp, Outcome>;
 
-/// A completed range scan.
-#[derive(Clone, Debug)]
-pub struct ScanRecord {
-    /// The operation id.
-    pub op: OpId,
-    /// Inclusive start key requested.
-    pub from: Key,
-    /// Limit requested.
-    pub limit: u32,
-    /// The collected `(key, value)` pairs, in key order.
-    pub items: Vec<(Key, Value)>,
-    /// Nodes visited.
-    pub hops: u32,
-    /// Submission time.
-    pub submitted: SimTime,
-    /// Completion time.
-    pub completed: SimTime,
-}
+/// A completed range scan with its timing (shared driver record: the
+/// request is `op`, the collected [`ScanResult`] is `outcome`).
+pub type ScanRecord = simnet::driver::OpRecord<ScanSpec, ScanResult>;
 
 /// A dB-tree deployment: N processors over a message-passing runtime, plus
 /// client bookkeeping. `R` is the substrate — [`DbSim`] (the default) or
@@ -306,19 +300,7 @@ where
 
     /// Completed scans (drained).
     pub fn take_scans(&mut self) -> Vec<ScanRecord> {
-        self.driver
-            .take_scans()
-            .into_iter()
-            .map(|s| ScanRecord {
-                op: OpId(s.id),
-                from: s.scan.from,
-                limit: s.scan.limit,
-                items: s.result.0,
-                hops: s.result.1,
-                submitted: s.submitted,
-                completed: s.completed,
-            })
-            .collect()
+        self.driver.take_scans()
     }
 
     /// Inject a migration command (data balancing, §4.2).
@@ -327,42 +309,14 @@ where
             .inject(owner, SessionMsg::Raw(Msg::Migrate { node, dest }));
     }
 
-    /// Run until the network is silent; returns completed-op records drained
-    /// along the way.
-    ///
-    /// Panics if a limit trips first — a silent early return here used to
-    /// masquerade as quiescence and let livelocked runs "pass". Use
-    /// [`DbCluster::try_run_to_quiescence`] to handle limits as values.
-    pub fn run_to_quiescence(&mut self) -> Vec<OpRecord> {
-        self.driver.run_to_quiescence(&mut self.sim)
-    }
-
-    /// Run until the network is silent, or fail with the limit that tripped.
+    /// Run until the network is silent and return the records drained on the
+    /// way; a tripped limit (a livelock, say) is an error, not an early return.
     pub fn try_run_to_quiescence(&mut self) -> Result<Vec<OpRecord>, QuiesceError> {
         self.driver.try_run_to_quiescence(&mut self.sim)
     }
 
     /// Drive `ops` closed-loop with `concurrency` outstanding operations per
-    /// origin processor, then run to quiescence. Panics if a limit trips
-    /// (see [`DbCluster::try_run_closed_loop`]).
-    pub fn run_closed_loop(&mut self, ops: &[ClientOp], concurrency: usize) -> DriverStats {
-        self.driver.run_closed_loop(&mut self.sim, ops, concurrency)
-    }
-
-    /// Drive a mixed stream of point ops and range scans closed-loop (scan
-    /// completions open window slots like op completions; results come back
-    /// via [`DbCluster::take_scans`]), then run to quiescence.
-    pub fn run_closed_loop_mixed(
-        &mut self,
-        items: &[DbSubmission],
-        concurrency: usize,
-    ) -> DriverStats {
-        self.driver
-            .run_closed_loop_mixed(&mut self.sim, items, concurrency)
-    }
-
-    /// Closed-loop driving with limits reported as values instead of
-    /// panics.
+    /// origin processor, then run to quiescence.
     pub fn try_run_closed_loop(
         &mut self,
         ops: &[ClientOp],
@@ -374,17 +328,23 @@ where
 
     /// Drive `ops` open-loop at the fixed arrival schedule of `cfg`
     /// (arrivals do not wait for completions), then run to quiescence.
-    pub fn run_open_loop(&mut self, ops: &[ClientOp], cfg: &OpenLoopCfg) -> DriverStats {
-        self.driver.run_open_loop(&mut self.sim, ops, cfg)
-    }
-
-    /// Open-loop driving with limits reported as values instead of panics.
     pub fn try_run_open_loop(
         &mut self,
         ops: &[ClientOp],
         cfg: &OpenLoopCfg,
     ) -> Result<DriverStats, QuiesceError> {
         self.driver.try_run_open_loop(&mut self.sim, ops, cfg)
+    }
+
+    /// Drive a stream of point ops and range scans under either release
+    /// policy, then run to quiescence. Scans occupy window slots like ops;
+    /// their results come back via [`DbCluster::take_scans`].
+    pub fn try_run_mixed(
+        &mut self,
+        items: &[DbSubmission],
+        release: Release,
+    ) -> Result<DriverStats, QuiesceError> {
+        self.driver.try_run_mixed(&mut self.sim, items, release)
     }
 
     /// Operations submitted but not yet completed (scans included).

@@ -45,7 +45,9 @@ pub fn run_workload(
         seed ^ 0xABCD,
     );
     let ops: Vec<ClientOp> = gen.batch(n_ops).iter().map(to_client).collect();
-    let stats = cluster.run_closed_loop(&ops, 4);
+    let stats = cluster
+        .try_run_closed_loop(&ops, 4)
+        .expect("workload drains");
     assert_eq!(stats.records.len(), n_ops, "every op completes");
 
     let mut expected: BTreeSet<Key> = preload_keys.into_iter().collect();

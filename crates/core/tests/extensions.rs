@@ -40,7 +40,7 @@ fn delete_shadows_then_reinsert_revives() {
             key,
             intent,
         });
-        let recs = cluster.run_to_quiescence();
+        let recs = cluster.try_run_to_quiescence().expect("run quiesces");
         assert_eq!(recs[0].outcome.found, expect, "step {i}");
     }
 }
@@ -61,7 +61,7 @@ fn deletes_converge_across_replicated_leaves() {
             });
             deleted.insert(k * 10);
         }
-        cluster.run_to_quiescence();
+        cluster.try_run_to_quiescence().expect("run quiesces");
 
         let view = GlobalView::new(&cluster.sim);
         for k in (0..60u64).map(|k| k * 10) {
@@ -97,7 +97,7 @@ fn delete_insert_race_resolves_by_stamp_order_everywhere() {
             key: 200,
             intent: Intent::Insert(999),
         });
-        cluster.run_to_quiescence();
+        cluster.try_run_to_quiescence().expect("run quiesces");
         cluster.record_final_digests();
         let diverged = checker::check_convergence(&cluster.sim);
         assert!(diverged.is_empty(), "seed {seed}: {diverged:?}");
@@ -132,7 +132,7 @@ fn conflicting_same_key_writes_converge() {
                 });
             }
         }
-        cluster.run_to_quiescence();
+        cluster.try_run_to_quiescence().expect("run quiesces");
         cluster.record_final_digests();
         let diverged = checker::check_convergence(&cluster.sim);
         assert!(diverged.is_empty(), "seed {seed}: {diverged:?}");
@@ -150,17 +150,17 @@ fn scan_matches_oracle_across_processors() {
 
     for (from, limit) in [(0u64, 50u32), (995, 20), (1500, 1000), (2990, 10)] {
         cluster.scan(ProcId(1), from, limit);
-        cluster.run_to_quiescence();
+        cluster.try_run_to_quiescence().expect("run quiesces");
         let scans = cluster.take_scans();
         assert_eq!(scans.len(), 1);
-        let got = &scans[0].items;
+        let got = &scans[0].outcome.items;
         let want: Vec<(u64, u64)> = oracle
             .range(from..)
             .take(limit as usize)
             .map(|(&k, &v)| (k, v))
             .collect();
         assert_eq!(got, &want, "scan from {from} limit {limit}");
-        assert!(scans[0].hops > 0);
+        assert!(scans[0].outcome.hops > 0);
     }
 }
 
@@ -174,11 +174,11 @@ fn scan_skips_tombstones() {
             intent: Intent::Delete,
         });
     }
-    cluster.run_to_quiescence();
+    cluster.try_run_to_quiescence().expect("run quiesces");
     cluster.scan(ProcId(3), 90, 6);
-    cluster.run_to_quiescence();
+    cluster.try_run_to_quiescence().expect("run quiesces");
     let scans = cluster.take_scans();
-    let keys: Vec<u64> = scans[0].items.iter().map(|e| e.0).collect();
+    let keys: Vec<u64> = scans[0].outcome.items.iter().map(|e| e.0).collect();
     assert_eq!(keys, vec![90, 110, 130, 150, 160, 170]);
 }
 
@@ -210,14 +210,14 @@ fn scans_complete_during_split_storms() {
             }
         }
     }
-    cluster.run_to_quiescence();
+    cluster.try_run_to_quiescence().expect("run quiesces");
     let scans = cluster.take_scans();
     assert_eq!(scans.len(), scan_count);
     for s in &scans {
-        assert_eq!(s.items.len(), 30, "scan filled its limit");
+        assert_eq!(s.outcome.items.len(), 30, "scan filled its limit");
         // The first 30 preloaded keys are immutable during the storm.
         let want: Vec<u64> = (0..30u64).map(|k| k * 100).collect();
-        let got: Vec<u64> = s.items.iter().map(|e| e.0).collect();
+        let got: Vec<u64> = s.outcome.items.iter().map(|e| e.0).collect();
         assert_eq!(got, want);
     }
 }
@@ -226,9 +226,9 @@ fn scans_complete_during_split_storms() {
 fn scan_with_limit_beyond_data_returns_all() {
     let mut cluster = build(TreeConfig::default(), 25, 3);
     cluster.scan(ProcId(0), 0, 10_000);
-    cluster.run_to_quiescence();
+    cluster.try_run_to_quiescence().expect("run quiesces");
     let scans = cluster.take_scans();
-    assert_eq!(scans[0].items.len(), 25);
+    assert_eq!(scans[0].outcome.items.len(), 25);
 }
 
 #[test]
@@ -253,12 +253,15 @@ fn scans_survive_racing_migrations() {
         for (i, (leaf, owner)) in leaves.iter().enumerate().take(10) {
             cluster.migrate(*leaf, *owner, ProcId((owner.0 + 1 + i as u32) % 4));
         }
-        cluster.run_to_quiescence();
+        cluster.try_run_to_quiescence().expect("run quiesces");
         let scans = cluster.take_scans();
         assert_eq!(scans.len(), 4, "seed {seed}: every scan completed");
         for s in &scans {
-            assert_eq!(s.items.len(), 150, "seed {seed}: scan filled");
-            assert!(s.items.windows(2).all(|w| w[0].0 < w[1].0), "ordered");
+            assert_eq!(s.outcome.items.len(), 150, "seed {seed}: scan filled");
+            assert!(
+                s.outcome.items.windows(2).all(|w| w[0].0 < w[1].0),
+                "ordered"
+            );
         }
     }
 }

@@ -55,7 +55,9 @@ fn mass_delete_collapses_leaf_level() {
         let slots_before = total_slots(&cluster);
         assert!(leaves_before > 10, "preload must spread over many leaves");
 
-        let stats = cluster.run_closed_loop(&delete_ops(&keys), 4);
+        let stats = cluster
+            .try_run_closed_loop(&delete_ops(&keys), 4)
+            .expect("workload drains");
         assert_eq!(stats.records.len(), keys.len(), "every delete completes");
 
         let merges = total_metric(&cluster, |m| m.merges_completed);
@@ -90,7 +92,9 @@ fn mass_delete_collapses_leaf_level() {
 #[test]
 fn reinsert_into_merged_range_lands() {
     let (mut cluster, keys) = build(ProtocolKind::SemiSync, 120, 11);
-    cluster.run_closed_loop(&delete_ops(&keys), 4);
+    cluster
+        .try_run_closed_loop(&delete_ops(&keys), 4)
+        .expect("workload drains");
     assert!(total_metric(&cluster, |m| m.merges_completed) > 0);
 
     // Re-insert across the whole (now mostly merged-away) key space, at
@@ -102,7 +106,9 @@ fn reinsert_into_merged_range_lands() {
             intent: Intent::Insert(i + 1),
         })
         .collect();
-    let stats = cluster.run_closed_loop(&reinserts, 4);
+    let stats = cluster
+        .try_run_closed_loop(&reinserts, 4)
+        .expect("workload drains");
     assert_eq!(stats.records.len(), reinserts.len());
 
     let expected: BTreeSet<Key> = reinserts.iter().map(|o| o.key).collect();
@@ -133,7 +139,9 @@ fn merge_races_concurrent_inserts_safely() {
                 });
             }
         }
-        let stats = cluster.run_closed_loop(&ops, 6);
+        let stats = cluster
+            .try_run_closed_loop(&ops, 6)
+            .expect("workload drains");
         assert_eq!(stats.records.len(), ops.len(), "seed {seed}");
 
         let expected: BTreeSet<Key> = ops
@@ -159,7 +167,9 @@ fn scan_crosses_merged_boundary_and_skips_tombstones() {
         .copied()
         .filter(|&k| (400..=900).contains(&k))
         .collect();
-    cluster.run_closed_loop(&delete_ops(&band), 4);
+    cluster
+        .try_run_closed_loop(&delete_ops(&band), 4)
+        .expect("workload drains");
     assert!(
         total_metric(&cluster, |m| m.merges_completed) > 0,
         "deleting a 50-key band must merge at least one leaf"
@@ -168,10 +178,10 @@ fn scan_crosses_merged_boundary_and_skips_tombstones() {
     // Scan from inside the live prefix, across the deleted band, into the
     // live suffix.
     cluster.scan(ProcId(0), 350, 20);
-    cluster.run_to_quiescence();
+    cluster.try_run_to_quiescence().expect("run quiesces");
     let scans = cluster.take_scans();
     assert_eq!(scans.len(), 1);
-    let got: Vec<Key> = scans[0].items.iter().map(|(k, _)| *k).collect();
+    let got: Vec<Key> = scans[0].outcome.items.iter().map(|(k, _)| *k).collect();
     let want: Vec<Key> = keys
         .iter()
         .copied()
@@ -188,34 +198,40 @@ fn scan_crosses_merged_boundary_and_skips_tombstones() {
     common::assert_clean(&mut cluster, &expected);
 }
 
-/// The mixed closed loop drives deletes and scans through the same windows
-/// as point ops (the driver's scan completions refill slots), with merges
-/// enabled and the oracle stack green afterwards.
+/// One loop drives deletes and scans alike under either release policy —
+/// per-origin windows (scan completions refill slots like op completions)
+/// or an arrival schedule — with merges enabled and the oracle stack green
+/// afterwards.
 #[test]
-fn mixed_closed_loop_with_deletes_and_scans() {
+fn mixed_stream_with_deletes_and_scans_under_both_release_policies() {
     use dbtree::{DbSubmission, ScanSpec};
-    let (mut cluster, keys) = build(ProtocolKind::SemiSync, 80, 17);
-    let mut items: Vec<DbSubmission> = Vec::new();
-    for (i, &key) in keys.iter().enumerate() {
-        items.push(DbSubmission::Op(ClientOp {
-            origin: ProcId(i as u32 % N_PROCS),
-            key,
-            intent: Intent::Delete,
-        }));
-        if i % 10 == 0 {
-            items.push(DbSubmission::Scan(ScanSpec {
-                origin: ProcId((i as u32 + 2) % N_PROCS),
-                from: key,
-                limit: 8,
+    use simnet::{OpenLoopCfg, Release};
+    for release in [Release::Window(4), Release::Schedule(OpenLoopCfg::fixed(5))] {
+        let (mut cluster, keys) = build(ProtocolKind::SemiSync, 80, 17);
+        let mut items: Vec<DbSubmission> = Vec::new();
+        for (i, &key) in keys.iter().enumerate() {
+            items.push(DbSubmission::Op(ClientOp {
+                origin: ProcId(i as u32 % N_PROCS),
+                key,
+                intent: Intent::Delete,
             }));
+            if i % 10 == 0 {
+                items.push(DbSubmission::Scan(ScanSpec {
+                    origin: ProcId((i as u32 + 2) % N_PROCS),
+                    from: key,
+                    limit: 8,
+                }));
+            }
         }
+        let stats = cluster
+            .try_run_mixed(&items, release)
+            .expect("workload drains");
+        let n_scans = items
+            .iter()
+            .filter(|i| matches!(i, DbSubmission::Scan(_)))
+            .count();
+        assert_eq!(stats.records.len(), items.len() - n_scans, "{release:?}");
+        assert_eq!(cluster.take_scans().len(), n_scans, "{release:?}");
+        common::assert_clean(&mut cluster, &BTreeSet::new());
     }
-    let stats = cluster.run_closed_loop_mixed(&items, 4);
-    let n_scans = items
-        .iter()
-        .filter(|i| matches!(i, DbSubmission::Scan(_)))
-        .count();
-    assert_eq!(stats.records.len(), items.len() - n_scans);
-    assert_eq!(cluster.take_scans().len(), n_scans, "every scan completes");
-    common::assert_clean(&mut cluster, &BTreeSet::new());
 }

@@ -67,7 +67,7 @@ fn run_with_migrations(
             }
         }
     }
-    cluster.run_to_quiescence();
+    cluster.try_run_to_quiescence().expect("run quiesces");
     (cluster, expected)
 }
 
@@ -160,7 +160,7 @@ fn migration_is_a_noop_to_self_or_unknown_nodes() {
     // Migration command to the wrong owner: ignored.
     let not_owner = ProcId(1 - owner.0);
     cluster.migrate(leaf, not_owner, owner);
-    cluster.run_to_quiescence();
+    cluster.try_run_to_quiescence().expect("run quiesces");
     let expected: BTreeSet<u64> = (0..50).map(|k| k * 2).collect();
     assert_clean(&mut cluster, &expected);
 }
@@ -215,7 +215,7 @@ fn unjoin_happens_when_a_processor_loses_its_last_leaf_under_a_parent() {
             cluster.migrate(*leaf, *owner, ProcId(1));
         }
     }
-    cluster.run_to_quiescence();
+    cluster.try_run_to_quiescence().expect("run quiesces");
     // Phase 2: move the same leaves onward to P2 — P1, a non-PC member, has
     // now lost its last child under those parents and must unjoin.
     for (leaf, owner) in &leaves {
@@ -223,7 +223,7 @@ fn unjoin_happens_when_a_processor_loses_its_last_leaf_under_a_parent() {
             cluster.migrate(*leaf, ProcId(1), ProcId(2));
         }
     }
-    cluster.run_to_quiescence();
+    cluster.try_run_to_quiescence().expect("run quiesces");
     let unjoins: u64 = cluster.sim.procs().map(|(_, p)| p.metrics.unjoins).sum();
     assert!(unjoins > 0, "P1 left some interior replications");
     let expected: BTreeSet<u64> = preload.into_iter().collect();
@@ -234,7 +234,7 @@ fn unjoin_happens_when_a_processor_loses_its_last_leaf_under_a_parent() {
         key: 25,
         intent: Intent::Search,
     });
-    let records = cluster.run_to_quiescence();
+    let records = cluster.try_run_to_quiescence().expect("run quiesces");
     assert_eq!(records[0].outcome.found, Some(25));
 }
 

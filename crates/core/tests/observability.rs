@@ -42,7 +42,9 @@ fn run(sim_cfg: SimConfig, suppress: Option<u32>) -> (u64, u64, u64, Vec<String>
         SEED,
     );
     let ops: Vec<ClientOp> = gen.batch(400).iter().map(to_client).collect();
-    let stats = cluster.run_closed_loop(&ops, 6);
+    let stats = cluster
+        .try_run_closed_loop(&ops, 6)
+        .expect("workload drains");
     let completions: Vec<String> = stats
         .records
         .iter()

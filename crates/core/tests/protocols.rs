@@ -63,7 +63,9 @@ fn semisync_sequential_insert_storm() {
             intent: Intent::Insert(k),
         })
         .collect();
-    let stats = cluster.run_closed_loop(&ops, 2);
+    let stats = cluster
+        .try_run_closed_loop(&ops, 2)
+        .expect("workload drains");
     assert_eq!(stats.records.len(), 499);
     let expected: BTreeSet<u64> = (0..500).collect();
     assert_clean(&mut cluster, &expected);
@@ -84,7 +86,9 @@ fn semisync_grows_multiple_levels() {
             intent: Intent::Insert(k),
         })
         .collect();
-    cluster.run_closed_loop(&ops, 3);
+    cluster
+        .try_run_closed_loop(&ops, 3)
+        .expect("workload drains");
     let expected: BTreeSet<u64> = (0..300u64).map(|k| k * 7 % 1000).collect();
     assert_clean(&mut cluster, &expected);
     // The tree actually grew: a root at level >= 2 exists somewhere.

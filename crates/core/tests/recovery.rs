@@ -113,7 +113,9 @@ fn sum_metric(cluster: &DbCluster, f: impl Fn(&dbtree::ProcMetrics) -> u64) -> u
 fn sim_chaos(detector: bool) {
     let mut cluster = build_chaos(SEED, detector);
     let ops = workload(160);
-    let stats = cluster.run_closed_loop(&ops, 3);
+    let stats = cluster
+        .try_run_closed_loop(&ops, 3)
+        .expect("workload drains");
 
     // Every accepted operation completes, crash or no crash.
     assert_eq!(
@@ -199,7 +201,9 @@ fn chaos_run_is_deterministic() {
     let fingerprint = |seed: u64| {
         let mut cluster = build_chaos(seed, true);
         let ops = workload(160);
-        let stats = cluster.run_closed_loop(&ops, 3);
+        let stats = cluster
+            .try_run_closed_loop(&ops, 3)
+            .expect("workload drains");
         let records: Vec<(u64, u64, u64, u64)> = stats
             .records
             .iter()
@@ -264,7 +268,12 @@ fn threaded_chaos(detector: bool) {
     let (during, after) = during_and_after.split_at(80);
 
     let mut records = Vec::new();
-    records.extend(cluster.run_closed_loop(before, 3).records);
+    records.extend(
+        cluster
+            .try_run_closed_loop(before, 3)
+            .expect("workload drains")
+            .records,
+    );
 
     // Crash, then submit straight into the outage. Injections into the dead
     // processor are its lost volatile queue; only the retry layer gets them
@@ -276,9 +285,11 @@ fn threaded_chaos(detector: bool) {
     }
     std::thread::sleep(std::time::Duration::from_millis(30));
     cluster.sim.restart(CRASHED);
-    records.extend(cluster.run_to_quiescence());
+    records.extend(cluster.try_run_to_quiescence().expect("run quiesces"));
 
-    let stats = cluster.run_closed_loop(after, 3);
+    let stats = cluster
+        .try_run_closed_loop(after, 3)
+        .expect("workload drains");
     // Driver counters are cumulative, so this snapshot covers the outage.
     assert!(
         stats.timeouts > 0,

@@ -40,7 +40,7 @@ fn sync_split_runs_the_full_aas_round() {
         key: 15,
         intent: Intent::Insert(15),
     });
-    cluster.run_to_quiescence();
+    cluster.try_run_to_quiescence().expect("run quiesces");
 
     // The trace shows the AAS protocol in order on the wire:
     // split.start → split.ack → split.end.
@@ -79,7 +79,7 @@ fn sync_blocked_insert_lands_after_the_split() {
             key: 35,
             intent: Intent::Insert(35),
         });
-        cluster.run_to_quiescence();
+        cluster.try_run_to_quiescence().expect("run quiesces");
         let expected: BTreeSet<u64> = [10, 20, 30, 40, 110, 120, 130, 140, 15, 35]
             .into_iter()
             .collect();
@@ -99,7 +99,7 @@ fn semisync_split_is_one_message_per_copy() {
         key: 15,
         intent: Intent::Insert(15),
     });
-    cluster.run_to_quiescence();
+    cluster.try_run_to_quiescence().expect("run quiesces");
     let s = cluster.sim.stats();
     assert_eq!(s.kind("split.relay").remote, 1, "|copies|-1 messages");
     assert_eq!(s.kind("split.start").remote, 0);
@@ -128,7 +128,7 @@ fn semisync_rewrites_history_for_late_relays() {
             key: 35,
             intent: Intent::Insert(35),
         });
-        cluster.run_to_quiescence();
+        cluster.try_run_to_quiescence().expect("run quiesces");
         let forwarded: u64 = cluster
             .sim
             .procs()
@@ -161,7 +161,7 @@ fn avail_copies_serializes_same_node_writes_through_the_pc() {
             intent: Intent::Insert(key),
         });
     }
-    cluster.run_to_quiescence();
+    cluster.try_run_to_quiescence().expect("run quiesces");
     let s = cluster.sim.stats();
     assert!(
         s.kind("lock.req").remote >= 5,
@@ -192,7 +192,7 @@ fn avail_copies_search_waits_for_unlock_but_completes() {
             key: 10,
             intent: Intent::Search,
         });
-        let records = cluster.run_to_quiescence();
+        let records = cluster.try_run_to_quiescence().expect("run quiesces");
         let search = records
             .iter()
             .find(|r| matches!(r.op.intent, Intent::Search))
@@ -229,7 +229,7 @@ fn root_split_broadcasts_the_new_root_to_every_processor() {
                 }
             }
         }
-        cluster.run_to_quiescence();
+        cluster.try_run_to_quiescence().expect("run quiesces");
 
         // All processors agree on a root of height ≥ 2.
         let roots: BTreeSet<_> = cluster
@@ -254,7 +254,7 @@ fn root_split_broadcasts_the_new_root_to_every_processor() {
                 intent: Intent::Search,
             });
         }
-        let records = cluster.run_to_quiescence();
+        let records = cluster.try_run_to_quiescence().expect("run quiesces");
         assert!(records.iter().all(|r| r.outcome.found == Some(30)));
 
         let expected: BTreeSet<u64> = (0..60).collect();
@@ -282,7 +282,7 @@ fn piggyback_timer_flushes_a_lone_relay() {
         key: 55,
         intent: Intent::Insert(55),
     });
-    cluster.run_to_quiescence();
+    cluster.try_run_to_quiescence().expect("run quiesces");
     let s = cluster.sim.stats();
     assert_eq!(s.kind("insert.relay").remote, 0, "no eager relay");
     assert_eq!(s.kind("insert.relay-batch").remote, 1, "timer flushed it");
@@ -322,7 +322,7 @@ fn interior_node_migration_reparents_children() {
         .expect("interior node exists");
     let dest = ProcId((owner.0 + 1) % 3);
     cluster.migrate(node, owner, dest);
-    cluster.run_to_quiescence();
+    cluster.try_run_to_quiescence().expect("run quiesces");
 
     assert!(
         cluster.sim.proc(dest).store.contains(node),
@@ -335,7 +335,7 @@ fn interior_node_migration_reparents_children() {
             intent: Intent::Search,
         });
     }
-    let records = cluster.run_to_quiescence();
+    let records = cluster.try_run_to_quiescence().expect("run quiesces");
     assert!(records.iter().all(|r| r.outcome.found == Some(550)));
     let expected: BTreeSet<u64> = (0..120).map(|k| k * 10).collect();
     assert_clean(&mut cluster, &expected);

@@ -32,7 +32,7 @@ fn main() {
                 cluster.submit(origin, key, HKind::Search);
             }
         }
-        let stats = cluster.run_to_quiescence();
+        let stats = cluster.try_run_to_quiescence().expect("run quiesces");
         for rec in &stats.records {
             if rec.outcome.lost {
                 println!(

@@ -2,8 +2,8 @@
 //! distributed hash table.
 //!
 //! Driver mechanics are the shared `simnet::driver::Driver`; this module
-//! teaches it the hash table's wire protocol via [`HashProtocol`] and keeps
-//! the legacy typed statistics. Like the dB-tree facade, [`HashCluster`] is
+//! teaches it the hash table's wire protocol via [`HashProtocol`] and types
+//! its statistics ([`HashStats`]). Like the dB-tree facade, [`HashCluster`] is
 //! generic over the runtime: [`HashSim`] (the default, deterministic) or
 //! [`ThreadedHashRuntime`] (real threads).
 
@@ -15,7 +15,7 @@ use parking_lot::Mutex;
 use simnet::driver::{ClientProtocol, Completion, Driver, NoScan, OpOutcome};
 use simnet::{
     threaded, ProcId, QuiesceError, Runtime, SessionConfig, SessionMsg, SessionProc, SimConfig,
-    SimTime, Simulation,
+    Simulation,
 };
 
 use crate::bucket::{Bucket, BucketId, BucketRef};
@@ -108,86 +108,9 @@ impl OpOutcome for HOutcome {
     }
 }
 
-/// A completed operation.
-#[derive(Clone, Copy, Debug)]
-pub struct HashOpRecord {
-    /// The outcome reported by the owning bucket.
-    pub outcome: HOutcome,
-    /// Submission time.
-    pub submitted: SimTime,
-    /// Completion time.
-    pub completed: SimTime,
-}
-
-/// Aggregate statistics of a driven workload.
-#[derive(Clone, Debug, Default)]
-pub struct HashClusterStats {
-    /// Completed operations.
-    pub records: Vec<HashOpRecord>,
-    /// Attempts that hit their per-attempt deadline (retry layer only;
-    /// cumulative over the driver's lifetime, like the other three).
-    pub timeouts: u64,
-    /// Resubmissions made after a timeout.
-    pub retries: u64,
-    /// Resubmissions redirected off a suspected origin.
-    pub redirects: u64,
-    /// Operations given up after exhausting their attempts.
-    pub abandoned: u64,
-}
-
-impl HashClusterStats {
-    fn from_driver(records: Vec<simnet::driver::OpRecord<HashOp, HOutcome>>) -> Self {
-        HashClusterStats {
-            records: records
-                .into_iter()
-                .map(|r| HashOpRecord {
-                    outcome: r.outcome,
-                    submitted: r.submitted,
-                    completed: r.completed,
-                })
-                .collect(),
-            timeouts: 0,
-            retries: 0,
-            redirects: 0,
-            abandoned: 0,
-        }
-    }
-
-    fn from_stats(stats: simnet::driver::DriverStats<HashOp, HOutcome>) -> Self {
-        HashClusterStats {
-            timeouts: stats.timeouts,
-            retries: stats.retries,
-            redirects: stats.redirects,
-            abandoned: stats.abandoned,
-            ..Self::from_driver(stats.records)
-        }
-    }
-
-    /// Operations reported lost (NaiveNoLinks drops).
-    pub fn lost(&self) -> usize {
-        self.records.iter().filter(|r| r.outcome.lost).count()
-    }
-
-    /// Total misnavigation recoveries.
-    pub fn recoveries(&self) -> u64 {
-        self.records
-            .iter()
-            .map(|r| r.outcome.recoveries as u64)
-            .sum()
-    }
-
-    /// Mean latency in virtual ticks.
-    pub fn mean_latency(&self) -> f64 {
-        if self.records.is_empty() {
-            return 0.0;
-        }
-        self.records
-            .iter()
-            .map(|r| r.completed - r.submitted)
-            .sum::<u64>() as f64
-            / self.records.len() as f64
-    }
-}
+/// Shared driver stats, typed for the hash table: `lost_count()` counts
+/// NaiveNoLinks drops, `total_chases()` the misnavigation recoveries.
+pub type HashStats = simnet::driver::DriverStats<HashOp, HOutcome>;
 
 /// The simulation type driving a [`HashCluster`]: every processor runs
 /// behind a reliable-delivery session endpoint, which is a transparent
@@ -363,73 +286,45 @@ where
             .submit(&mut self.sim, HashOp { origin, key, kind })
     }
 
-    /// Run to quiescence, collecting completions. Panics if a run limit
-    /// trips first (see [`HashCluster::try_run_to_quiescence`]).
-    pub fn run_to_quiescence(&mut self) -> HashClusterStats {
-        HashClusterStats::from_driver(self.driver.run_to_quiescence(&mut self.sim))
-    }
-
-    /// Run to quiescence, or fail with the limit that tripped.
-    pub fn try_run_to_quiescence(&mut self) -> Result<HashClusterStats, QuiesceError> {
-        self.driver
-            .try_run_to_quiescence(&mut self.sim)
-            .map(HashClusterStats::from_driver)
+    /// Run to quiescence and return the completions drained on the way (no
+    /// makespan or retry counters: nothing was driven).
+    pub fn try_run_to_quiescence(&mut self) -> Result<HashStats, QuiesceError> {
+        let records = self.driver.try_run_to_quiescence(&mut self.sim)?;
+        Ok(HashStats {
+            records,
+            ..HashStats::default()
+        })
     }
 
     /// Drive `ops` closed-loop with `concurrency` outstanding operations
-    /// per origin, then run to quiescence. Panics on a limit (see
-    /// [`HashCluster::try_run_closed_loop`]).
-    pub fn run_closed_loop(&mut self, ops: &[HashOp], concurrency: usize) -> HashClusterStats {
-        HashClusterStats::from_stats(self.driver.run_closed_loop(&mut self.sim, ops, concurrency))
-    }
-
-    /// Closed-loop driving with limits reported as values.
+    /// per origin, then run to quiescence.
     pub fn try_run_closed_loop(
         &mut self,
         ops: &[HashOp],
         concurrency: usize,
-    ) -> Result<HashClusterStats, QuiesceError> {
+    ) -> Result<HashStats, QuiesceError> {
         self.driver
             .try_run_closed_loop(&mut self.sim, ops, concurrency)
-            .map(HashClusterStats::from_stats)
     }
 
-    /// Drive `ops` open-loop on the deterministic arrival schedule of
-    /// [`simnet::driver::arrival_offsets`], then run to quiescence. Panics
-    /// on a limit (see [`HashCluster::try_run_open_loop`]).
-    pub fn run_open_loop(&mut self, ops: &[HashOp], cfg: &simnet::OpenLoopCfg) -> HashClusterStats {
-        HashClusterStats::from_stats(self.driver.run_open_loop(&mut self.sim, ops, cfg))
-    }
-
-    /// Open-loop driving with limits reported as values.
-    pub fn try_run_open_loop(
-        &mut self,
-        ops: &[HashOp],
-        cfg: &simnet::OpenLoopCfg,
-    ) -> Result<HashClusterStats, QuiesceError> {
-        self.driver
-            .try_run_open_loop(&mut self.sim, ops, cfg)
-            .map(HashClusterStats::from_stats)
-    }
-
-    /// Closed-loop driving returning the *generic* driver statistics
-    /// (op ids = trace spans, makespan) — what the benchmark suite and the
-    /// critical-path profiler consume.
+    /// The name the frozen `perf/` benchmark calls
+    /// [`HashCluster::try_run_closed_loop`] by.
+    #[doc(hidden)]
     pub fn try_run_closed_loop_stats(
         &mut self,
         ops: &[HashOp],
         concurrency: usize,
-    ) -> Result<simnet::driver::DriverStats<HashOp, HOutcome>, QuiesceError> {
-        self.driver
-            .try_run_closed_loop(&mut self.sim, ops, concurrency)
+    ) -> Result<HashStats, QuiesceError> {
+        self.try_run_closed_loop(ops, concurrency)
     }
 
-    /// Open-loop driving returning the generic driver statistics.
-    pub fn try_run_open_loop_stats(
+    /// Drive `ops` open-loop on the deterministic arrival schedule of
+    /// [`simnet::driver::arrival_offsets`], then run to quiescence.
+    pub fn try_run_open_loop(
         &mut self,
         ops: &[HashOp],
         cfg: &simnet::OpenLoopCfg,
-    ) -> Result<simnet::driver::DriverStats<HashOp, HOutcome>, QuiesceError> {
+    ) -> Result<HashStats, QuiesceError> {
         self.driver.try_run_open_loop(&mut self.sim, ops, cfg)
     }
 

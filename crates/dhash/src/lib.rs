@@ -39,8 +39,8 @@ mod proc;
 
 pub use bucket::{Bucket, BucketId, BucketRef};
 pub use cluster::{
-    check_hash_cluster, check_hash_procs, record_final_digests_from, HashCluster, HashClusterStats,
-    HashOp, HashOpRecord, HashProtocol, HashSim, HashSpec, HashViolation, ThreadedHashCluster,
+    check_hash_cluster, check_hash_procs, record_final_digests_from, HashCluster, HashOp,
+    HashProtocol, HashSim, HashSpec, HashStats, HashViolation, ThreadedHashCluster,
     ThreadedHashRuntime,
 };
 pub use dir::{DirPatch, Directory, PatchOutcome};

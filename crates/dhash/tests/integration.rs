@@ -26,10 +26,10 @@ fn drive(
     preload: u64,
     n_ops: u64,
     seed: u64,
-) -> (BTreeMap<u64, u64>, dhash::HashClusterStats) {
+) -> (BTreeMap<u64, u64>, dhash::HashStats) {
     let mut expected: BTreeMap<u64, u64> = (0..preload).map(|k| (k * 3, k * 3)).collect();
     let n_procs = cluster.sim.num_procs() as u64;
-    let mut all = dhash::HashClusterStats::default();
+    let mut all = dhash::HashStats::default();
     for i in 0..n_ops {
         // Deterministic pseudo-random ops (keys beyond the preload range so
         // value expectations stay exact under concurrency).
@@ -52,7 +52,7 @@ fn drive(
         // Sequential submission: each op completes before the next starts,
         // so `expected` is exact. Concurrency is exercised by the batch
         // tests below.
-        let stats = cluster.run_to_quiescence();
+        let stats = cluster.try_run_to_quiescence().expect("run quiesces");
         all.records.extend(stats.records);
     }
     (expected, all)
@@ -65,7 +65,7 @@ fn lazy_protocol_sequential_ops_exact() {
         SimConfig::jittery(1, 2, 25),
     );
     let (expected, stats) = drive(&mut cluster, 100, 300, 1);
-    assert_eq!(stats.lost(), 0);
+    assert_eq!(stats.lost_count(), 0);
     let violations = check_hash_cluster(&mut cluster, &expected);
     assert!(violations.is_empty(), "{violations:?}");
 }
@@ -85,9 +85,9 @@ fn lazy_protocol_concurrent_inserts_converge() {
             cluster.submit(ProcId((i % 4) as u32), key, HKind::Insert(key * 2));
             expected.insert(key, key * 2);
         }
-        let stats = cluster.run_to_quiescence();
+        let stats = cluster.try_run_to_quiescence().expect("run quiesces");
         assert_eq!(stats.records.len(), 600);
-        assert_eq!(stats.lost(), 0, "seed {seed}");
+        assert_eq!(stats.lost_count(), 0, "seed {seed}");
         let violations = check_hash_cluster(&mut cluster, &expected);
         assert!(violations.is_empty(), "seed {seed}: {violations:?}");
         // Splits happened and some operations needed link recovery.
@@ -111,9 +111,9 @@ fn stale_directories_recover_through_image_links() {
             let key = 30_000 + i;
             cluster.submit(ProcId((i % 6) as u32), key, HKind::Insert(key));
         }
-        let stats = cluster.run_to_quiescence();
-        assert_eq!(stats.lost(), 0);
-        total_recoveries += stats.recoveries();
+        let stats = cluster.try_run_to_quiescence().expect("run quiesces");
+        assert_eq!(stats.lost_count(), 0);
+        total_recoveries += stats.total_chases();
     }
     assert!(
         total_recoveries > 0,
@@ -131,8 +131,8 @@ fn sync_protocol_correct_but_blocks_and_costs_more() {
             cluster.submit(ProcId((i % 4) as u32), key, HKind::Insert(key));
             expected.insert(key, key);
         }
-        let stats = cluster.run_to_quiescence();
-        assert_eq!(stats.lost(), 0);
+        let stats = cluster.try_run_to_quiescence().expect("run quiesces");
+        assert_eq!(stats.lost_count(), 0);
         let violations = check_hash_cluster(&mut cluster, &expected);
         assert!(violations.is_empty(), "{violations:?}");
         let blocked: u64 = cluster.sim.procs().map(|(_, p)| p.metrics.blocked).sum();
@@ -164,8 +164,8 @@ fn naive_no_links_drops_operations() {
             let key = 50_000 + i;
             cluster.submit(ProcId((i % 4) as u32), key, HKind::Insert(key));
         }
-        let stats = cluster.run_to_quiescence();
-        total_dropped += stats.lost();
+        let stats = cluster.try_run_to_quiescence().expect("run quiesces");
+        total_dropped += stats.lost_count();
     }
     assert!(
         total_dropped > 0,
@@ -183,7 +183,7 @@ fn deterministic_given_seed() {
         for i in 0..200u64 {
             cluster.submit(ProcId((i % 4) as u32), 60_000 + i, HKind::Insert(i));
         }
-        cluster.run_to_quiescence();
+        cluster.try_run_to_quiescence().expect("run quiesces");
         (cluster.sim.stats().total_messages(), cluster.sim.now())
     };
     assert_eq!(run(), run());
@@ -193,12 +193,12 @@ fn deterministic_given_seed() {
 fn delete_then_search_misses() {
     let mut cluster = HashCluster::build(&spec(DirProtocol::Lazy, 10, 2), SimConfig::seeded(4));
     cluster.submit(ProcId(0), 3, HKind::Search);
-    let s = cluster.run_to_quiescence();
+    let s = cluster.try_run_to_quiescence().expect("run quiesces");
     assert_eq!(s.records[0].outcome.found, Some(3), "preloaded");
     cluster.submit(ProcId(1), 3, HKind::Delete);
-    let s = cluster.run_to_quiescence();
+    let s = cluster.try_run_to_quiescence().expect("run quiesces");
     assert_eq!(s.records[0].outcome.found, Some(3), "delete returns old");
     cluster.submit(ProcId(0), 3, HKind::Search);
-    let s = cluster.run_to_quiescence();
+    let s = cluster.try_run_to_quiescence().expect("run quiesces");
     assert_eq!(s.records[0].outcome.found, None, "gone");
 }

@@ -39,9 +39,9 @@ proptest! {
             cluster.submit(ProcId(i as u32 % n_procs), key, HKind::Insert(key ^ 0xABCD));
             expected.insert(key, key ^ 0xABCD);
         }
-        let stats = cluster.run_to_quiescence();
+        let stats = cluster.try_run_to_quiescence().expect("run quiesces");
         prop_assert_eq!(stats.records.len(), keys.len());
-        prop_assert_eq!(stats.lost(), 0);
+        prop_assert_eq!(stats.lost_count(), 0);
         let violations = check_hash_cluster(&mut cluster, &expected);
         prop_assert!(violations.is_empty(), "{:?}", violations);
     }
@@ -67,7 +67,7 @@ proptest! {
         for (i, &key) in keys.iter().enumerate() {
             cluster.submit(ProcId(i as u32 % 3), key, HKind::Insert(key));
         }
-        cluster.run_to_quiescence();
+        cluster.try_run_to_quiescence().expect("run quiesces");
         for (_, proc) in cluster.sim.procs() {
             for (id, b) in &proc.buckets {
                 prop_assert!(b.invariant_ok(), "{:?} broke its pattern", id);

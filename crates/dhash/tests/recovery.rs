@@ -90,14 +90,20 @@ fn expected_map(ops: &[HashOp]) -> BTreeMap<u64, u64> {
 fn sim_chaos(detector: bool) {
     let mut cluster = build_chaos(SEED, detector);
     let ops = workload(160);
-    let stats = cluster.run_closed_loop(&ops, 3);
+    let stats = cluster
+        .try_run_closed_loop(&ops, 3)
+        .expect("workload drains");
 
     assert_eq!(
         stats.records.len(),
         ops.len(),
         "an operation never completed"
     );
-    assert_eq!(stats.lost(), 0, "the lazy protocol dropped operations");
+    assert_eq!(
+        stats.lost_count(),
+        0,
+        "the lazy protocol dropped operations"
+    );
     assert!(stats.timeouts > 0, "no attempt ever timed out");
     assert!(stats.retries > 0, "no operation was ever retried");
     assert_eq!(stats.abandoned, 0, "an operation ran out of attempts");
@@ -134,7 +140,9 @@ fn crash_recovers_without_detector() {
 fn chaos_run_is_deterministic() {
     let fingerprint = |seed: u64| {
         let mut cluster = build_chaos(seed, true);
-        let stats = cluster.run_closed_loop(&workload(160), 3);
+        let stats = cluster
+            .try_run_closed_loop(&workload(160), 3)
+            .expect("workload drains");
         let records: Vec<(u64, u64)> = stats
             .records
             .iter()
@@ -171,7 +179,11 @@ fn threaded_chaos(detector: bool) {
     let (before, during_and_after) = ops.split_at(40);
     let (during, after) = during_and_after.split_at(80);
 
-    let mut completed = cluster.run_closed_loop(before, 3).records.len();
+    let mut completed = cluster
+        .try_run_closed_loop(before, 3)
+        .expect("workload drains")
+        .records
+        .len();
 
     cluster.sim.crash(CRASHED);
     for op in during {
@@ -179,9 +191,15 @@ fn threaded_chaos(detector: bool) {
     }
     std::thread::sleep(std::time::Duration::from_millis(30));
     cluster.sim.restart(CRASHED);
-    completed += cluster.run_to_quiescence().records.len();
+    completed += cluster
+        .try_run_to_quiescence()
+        .expect("run quiesces")
+        .records
+        .len();
 
-    let stats = cluster.run_closed_loop(after, 3);
+    let stats = cluster
+        .try_run_closed_loop(after, 3)
+        .expect("workload drains");
     // Driver counters are cumulative, so this snapshot covers the outage.
     assert!(
         stats.timeouts > 0,

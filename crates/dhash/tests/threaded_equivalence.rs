@@ -22,10 +22,10 @@ fn lazy_equivalent_across_runtimes() {
 
         // Simulator run under jittery service times.
         let mut sim = HashCluster::build(&spec, SimConfig::jittery(seed, 2, 20));
-        let stats = sim.run_closed_loop(&ops, 4);
+        let stats = sim.try_run_closed_loop(&ops, 4).expect("workload drains");
         assert_eq!(stats.records.len(), ops.len(), "sim seed {seed}: ops lost");
         assert_eq!(
-            stats.lost(),
+            stats.lost_count(),
             0,
             "sim seed {seed}: lazy protocol dropped ops"
         );
@@ -34,14 +34,14 @@ fn lazy_equivalent_across_runtimes() {
 
         // Threaded run: same processes, same driver, real interleavings.
         let mut thr = ThreadedHashCluster::build_threaded(&spec);
-        let stats = thr.run_closed_loop(&ops, 4);
+        let stats = thr.try_run_closed_loop(&ops, 4).expect("workload drains");
         assert_eq!(
             stats.records.len(),
             ops.len(),
             "threaded seed {seed}: ops lost"
         );
         assert_eq!(
-            stats.lost(),
+            stats.lost_count(),
             0,
             "threaded seed {seed}: lazy protocol dropped ops"
         );

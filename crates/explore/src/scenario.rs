@@ -379,8 +379,8 @@ fn run_hash(scenario: &Scenario, capacity: usize, scheduler: Box<dyn Scheduler>)
     let completed = match cluster.try_run_to_quiescence() {
         Ok(stats) => {
             check_completion(scenario, stats.records.len(), &mut violations);
-            if stats.lost() > 0 {
-                violations.push(format!("{} operations reported lost", stats.lost()));
+            if stats.lost_count() > 0 {
+                violations.push(format!("{} operations reported lost", stats.lost_count()));
             }
             let mut expected: BTreeMap<u64, u64> =
                 scenario.preload.iter().map(|&k| (k, k)).collect();

@@ -96,7 +96,11 @@ fn hash_equivalence_holds_under_perturbed_schedules() {
                 "seed {seed} {}: operations lost acknowledgement",
                 strategy.name()
             );
-            assert_eq!(stats.lost(), 0, "seed {seed}: lazy protocol dropped ops");
+            assert_eq!(
+                stats.lost_count(),
+                0,
+                "seed {seed}: lazy protocol dropped ops"
+            );
             let violations = check_hash_cluster(&mut cluster, &expected);
             assert!(
                 violations.is_empty(),

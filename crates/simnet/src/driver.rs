@@ -1,13 +1,18 @@
 //! The generic workload driver: one implementation of op-id allocation,
-//! pending-op tracking, closed- and open-loop driving, and latency
-//! statistics, shared by every search structure and both runtimes.
+//! pending-op tracking, workload driving, and latency statistics, shared by
+//! every search structure and both runtimes.
+//!
+//! There is one drive loop, for point ops and range scans alike
+//! ([`Submission`]); closed- and open-loop driving differ only in *when the
+//! next item is released* ([`Release`]). A tripped run limit comes back as a
+//! [`QuiesceError`] from every entry point, never as a panic.
 //!
 //! A structure plugs in by implementing [`ClientProtocol`] — how to turn an
 //! operation into a request message and recognize its completion — and gets
-//! the whole driver surface (`submit`, `run_closed_loop`, `run_open_loop`,
-//! quiescence draining, [`DriverStats`]) on any [`Runtime`]. The dB-tree's
-//! `DbCluster` and the hash table's `HashCluster` are thin typed wrappers
-//! over [`Driver`].
+//! the whole driver surface (`submit`, `try_run_mixed` and its op-only
+//! adapters, quiescence draining, [`DriverStats`]) on any [`Runtime`]. The
+//! dB-tree's `DbCluster` and the hash table's `HashCluster` are thin typed
+//! wrappers over [`Driver`].
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
@@ -59,6 +64,13 @@ pub trait ClientProtocol {
     }
 }
 
+/// A runtime whose processes speak protocol `C`'s wire messages: the bound
+/// every driver entry point puts on its runtime. Implemented for every such
+/// [`Runtime`]; nothing implements it by hand.
+pub trait RuntimeFor<C: ClientProtocol>: Runtime<Proc: Process<Msg = C::Msg>> {}
+
+impl<C: ClientProtocol, R: Runtime<Proc: Process<Msg = C::Msg>>> RuntimeFor<C> for R {}
+
 /// A parsed completion message.
 pub enum Completion<O, S> {
     /// A point operation finished.
@@ -82,9 +94,8 @@ pub enum Completion<O, S> {
 #[derive(Clone, Copy, Debug)]
 pub enum NoScan {}
 
-/// One item of a mixed closed-loop workload: a point operation or a range
-/// scan, driven through the same per-origin windows (see
-/// [`Driver::run_closed_loop_mixed`]).
+/// One item of a workload: a point operation or a range scan, driven
+/// through the same loop (see [`Driver::try_run_mixed`]).
 #[derive(Clone, Copy, Debug)]
 pub enum Submission<Op, Scan> {
     /// A point operation.
@@ -93,9 +104,24 @@ pub enum Submission<Op, Scan> {
     Scan(Scan),
 }
 
-/// Per-origin submission queues of a mixed closed-loop run.
-type SubmissionQueues<C> =
-    BTreeMap<ProcId, VecDeque<Submission<<C as ClientProtocol>::Op, <C as ClientProtocol>::Scan>>>;
+/// A workload item of protocol `C`.
+type Item<C> = Submission<<C as ClientProtocol>::Op, <C as ClientProtocol>::Scan>;
+
+/// Completed point-op records of protocol `C`, in completion order.
+pub type Records<C> = Vec<OpRecord<<C as ClientProtocol>::Op, <C as ClientProtocol>::Outcome>>;
+
+/// When the drive loop releases the next workload item — the only thing
+/// that separates closed- from open-loop driving.
+#[derive(Clone, Copy, Debug)]
+pub enum Release {
+    /// Closed loop: this many items outstanding per origin processor
+    /// (clamped to ≥ 1); a completion releases the next item queued at the
+    /// same origin.
+    Window(usize),
+    /// Open loop: arrivals follow the deterministic [`arrival_offsets`]
+    /// schedule regardless of completions (the paper's fixed λ regime).
+    Schedule(OpenLoopCfg),
+}
 
 /// Uniform accessors over protocol-specific outcomes, so [`DriverStats`]
 /// can aggregate hops/chases/losses without knowing the structure.
@@ -118,7 +144,8 @@ pub trait OpOutcome {
 
 impl OpOutcome for () {}
 
-/// A completed operation with its timing.
+/// A completed operation with its timing. Scans use the same record, with
+/// the scan request as `op` and the collected result as `outcome`.
 #[derive(Clone, Copy, Debug)]
 pub struct OpRecord<Op, O> {
     /// The driver-assigned operation id — also the op's trace *span*, which
@@ -139,21 +166,6 @@ impl<Op, O> OpRecord<Op, O> {
     pub fn latency(&self) -> u64 {
         self.completed - self.submitted
     }
-}
-
-/// A completed range scan with its timing.
-#[derive(Clone, Debug)]
-pub struct ScanRecord<S, R> {
-    /// The driver-assigned operation id.
-    pub id: u64,
-    /// The request as submitted.
-    pub scan: S,
-    /// The collected result.
-    pub result: R,
-    /// Submission time.
-    pub submitted: SimTime,
-    /// Completion time.
-    pub completed: SimTime,
 }
 
 /// Client-side robustness policy: per-attempt deadlines, bounded
@@ -246,9 +258,6 @@ pub struct DriverStats<Op, O> {
     /// Operations given up after `max_attempts`.
     pub abandoned: u64,
 }
-
-/// Completed records of a quiescence run, or the limit that tripped.
-pub type QuiesceResult<Op, O> = Result<Vec<OpRecord<Op, O>>, QuiesceError>;
 
 impl<Op, O> Default for DriverStats<Op, O> {
     fn default() -> Self {
@@ -416,7 +425,7 @@ pub struct Driver<C: ClientProtocol> {
     next_op: u64,
     pending: HashMap<u64, (C::Op, SimTime)>,
     pending_scans: HashMap<u64, (C::Scan, SimTime)>,
-    scans: Vec<ScanRecord<C::Scan, C::ScanResult>>,
+    scans: Vec<OpRecord<C::Scan, C::ScanResult>>,
     retry: RetryPolicy,
     retry_rng: SmallRng,
     /// Per-attempt deadlines of retry-tracked live ids (⊆ `pending` keys).
@@ -484,16 +493,12 @@ impl<C: ClientProtocol> Driver<C> {
     }
 
     /// Completed scans (drained).
-    pub fn take_scans(&mut self) -> Vec<ScanRecord<C::Scan, C::ScanResult>> {
+    pub fn take_scans(&mut self) -> Vec<OpRecord<C::Scan, C::ScanResult>> {
         std::mem::take(&mut self.scans)
     }
 
     /// Submit one operation; returns the driver-assigned id.
-    pub fn submit<R>(&mut self, rt: &mut R, op: C::Op) -> u64
-    where
-        R: Runtime,
-        R::Proc: Process<Msg = C::Msg>,
-    {
+    pub fn submit<R: RuntimeFor<C>>(&mut self, rt: &mut R, op: C::Op) -> u64 {
         let now = rt.now();
         self.submit_attempt(rt, op, now, 1)
     }
@@ -504,11 +509,13 @@ impl<C: ClientProtocol> Driver<C> {
     /// closed-loop refill see original origins); if that origin is
     /// currently suspect, the attempt itself is redirected to the nearest
     /// non-suspect processor on the wire.
-    fn submit_attempt<R>(&mut self, rt: &mut R, op: C::Op, submitted: SimTime, attempts: u32) -> u64
-    where
-        R: Runtime,
-        R::Proc: Process<Msg = C::Msg>,
-    {
+    fn submit_attempt<R: RuntimeFor<C>>(
+        &mut self,
+        rt: &mut R,
+        op: C::Op,
+        submitted: SimTime,
+        attempts: u32,
+    ) -> u64 {
         let id = self.next_op;
         self.next_op += 1;
         let mut wire = op.clone();
@@ -548,22 +555,14 @@ impl<C: ClientProtocol> Driver<C> {
         }
         let d = self.inflight.values().map(|a| a.deadline_at).min();
         let b = self.backlog.keys().next().map(|(at, _)| *at);
-        match (d, b) {
-            (Some(d), Some(b)) => Some(d.min(b)),
-            (x, None) => x,
-            (None, y) => y,
-        }
+        [d, b].into_iter().flatten().min()
     }
 
     /// Time out overdue attempts and resubmit ops whose backoff expired.
     /// Timed-out attempts suspect their origin; resubmissions against a
     /// suspected origin are redirected to the nearest non-suspect
     /// processor. No-op while the retry layer is off.
-    fn service_retries<R>(&mut self, rt: &mut R)
-    where
-        R: Runtime,
-        R::Proc: Process<Msg = C::Msg>,
-    {
+    fn service_retries<R: RuntimeFor<C>>(&mut self, rt: &mut R) {
         if !self.retry.enabled {
             return;
         }
@@ -614,11 +613,7 @@ impl<C: ClientProtocol> Driver<C> {
     }
 
     /// Submit one scan; returns the driver-assigned id.
-    pub fn submit_scan<R>(&mut self, rt: &mut R, scan: C::Scan) -> u64
-    where
-        R: Runtime,
-        R::Proc: Process<Msg = C::Msg>,
-    {
+    pub fn submit_scan<R: RuntimeFor<C>>(&mut self, rt: &mut R, scan: C::Scan) -> u64 {
         let id = self.next_op;
         self.next_op += 1;
         self.pending_scans.insert(id, (scan.clone(), rt.now()));
@@ -627,13 +622,9 @@ impl<C: ClientProtocol> Driver<C> {
     }
 
     /// Parse everything the runtime has emitted, matching completions to
-    /// pending operations. Returns how many point ops completed.
-    fn drain_into<R>(&mut self, rt: &mut R, records: &mut Vec<OpRecord<C::Op, C::Outcome>>) -> usize
-    where
-        R: Runtime,
-        R::Proc: Process<Msg = C::Msg>,
-    {
-        let before = records.len();
+    /// pending operations. Returns how many ops and scans completed.
+    fn drain_into<R: RuntimeFor<C>>(&mut self, rt: &mut R, records: &mut Records<C>) -> usize {
+        let before = records.len() + self.scans.len();
         for (at, _from, msg) in rt.drain_outputs() {
             match C::parse(msg) {
                 Some(Completion::Op { id, outcome }) => {
@@ -657,40 +648,20 @@ impl<C: ClientProtocol> Driver<C> {
                     }
                 }
                 Some(Completion::Scan { id, result }) => {
-                    if let Some((scan, submitted)) = self.pending_scans.remove(&id) {
-                        self.scans.push(ScanRecord {
+                    if let Some((op, submitted)) = self.pending_scans.remove(&id) {
+                        self.scans.push(OpRecord {
                             id,
-                            scan,
-                            result,
+                            op,
                             submitted,
                             completed: at,
+                            outcome: result,
                         });
                     }
                 }
                 None => {}
             }
         }
-        records.len() - before
-    }
-
-    /// Closed-loop windowing: for every record completed since `from`,
-    /// submit the next queued op from the same origin (one in, one out).
-    fn refill<R>(
-        &mut self,
-        rt: &mut R,
-        queues: &mut BTreeMap<ProcId, VecDeque<C::Op>>,
-        records: &[OpRecord<C::Op, C::Outcome>],
-        from: usize,
-    ) where
-        R: Runtime,
-        R::Proc: Process<Msg = C::Msg>,
-    {
-        let origins: Vec<ProcId> = records[from..].iter().map(|r| C::origin(&r.op)).collect();
-        for origin in origins {
-            if let Some(op) = queues.get_mut(&origin).and_then(|q| q.pop_front()) {
-                self.submit(rt, op);
-            }
-        }
+        records.len() + self.scans.len() - before
     }
 
     /// Replace a stall's placeholder pending count with the real one.
@@ -703,125 +674,140 @@ impl<C: ClientProtocol> Driver<C> {
         }
     }
 
-    /// Run until the network is silent, or fail with the limit that
-    /// tripped. Completions drained on the way are returned either way
-    /// (on error, through the records accumulated so far being dropped —
-    /// matching the panicking wrapper's contract that partial results are
-    /// unusable).
-    pub fn try_run_to_quiescence<R>(&mut self, rt: &mut R) -> QuiesceResult<C::Op, C::Outcome>
-    where
-        R: Runtime,
-        R::Proc: Process<Msg = C::Msg>,
-    {
+    /// Run until the network is silent and return the completions drained
+    /// on the way, or fail with the limit that tripped. On error the
+    /// completions drained so far are dropped with the run: partial results
+    /// of an aborted run are not usable.
+    pub fn try_run_to_quiescence<R: RuntimeFor<C>>(
+        &mut self,
+        rt: &mut R,
+    ) -> Result<Records<C>, QuiesceError> {
         let mut records = Vec::new();
         let settled = rt.settle();
         self.drain_into(rt, &mut records);
-        match settled {
-            Ok(()) => Ok(records),
-            Err(e) => Err(self.stamp(e)),
-        }
-    }
-
-    /// Run until the network is silent; panics if a limit trips first (see
-    /// [`Driver::try_run_to_quiescence`] for the non-panicking form).
-    pub fn run_to_quiescence<R>(&mut self, rt: &mut R) -> Vec<OpRecord<C::Op, C::Outcome>>
-    where
-        R: Runtime,
-        R::Proc: Process<Msg = C::Msg>,
-    {
-        match self.try_run_to_quiescence(rt) {
-            Ok(records) => records,
-            Err(e) => panic!(
-                "run_to_quiescence: {e} before the network went silent \
-                 ({} ops still pending)",
-                self.pending_ops()
-            ),
-        }
+        settled.map(|()| records).map_err(|e| self.stamp(e))
     }
 
     /// Drive `ops` closed-loop with `concurrency` outstanding operations
-    /// per origin processor, then run to quiescence.
-    ///
-    /// If the structure loses operations (the naive strawmen do, by
-    /// design), the run still terminates — at quiescence the lost ops'
-    /// windows simply never refilled — and the partial records are
-    /// returned, so loss shows up as `records.len() < ops.len()`.
-    pub fn try_run_closed_loop<R>(
+    /// per origin processor, then run to quiescence: [`Driver::try_run_mixed`]
+    /// over point ops only, under [`Release::Window`].
+    pub fn try_run_closed_loop<R: RuntimeFor<C>>(
         &mut self,
         rt: &mut R,
         ops: &[C::Op],
         concurrency: usize,
+    ) -> Result<DriverStats<C::Op, C::Outcome>, QuiesceError> {
+        let items = ops.iter().cloned().map(Submission::Op);
+        self.drive(rt, items, Release::Window(concurrency))
+    }
+
+    /// Drive `ops` open-loop on the arrival schedule of `cfg`, then run to
+    /// quiescence: [`Driver::try_run_mixed`] over point ops only, under
+    /// [`Release::Schedule`].
+    pub fn try_run_open_loop<R: RuntimeFor<C>>(
+        &mut self,
+        rt: &mut R,
+        ops: &[C::Op],
+        cfg: &OpenLoopCfg,
+    ) -> Result<DriverStats<C::Op, C::Outcome>, QuiesceError> {
+        let items = ops.iter().cloned().map(Submission::Op);
+        self.drive(rt, items, Release::Schedule(*cfg))
+    }
+
+    /// Drive a stream of point ops and range scans, releasing items as
+    /// `release` says, then run to quiescence.
+    ///
+    /// Point-op results land in the returned stats; scan results accumulate
+    /// for [`Driver::take_scans`]. Scans are not retried by the retry layer
+    /// (they are idempotent reads — the caller can resubmit).
+    ///
+    /// If the structure loses items (the naive strawmen do, by design), the
+    /// run still terminates — at quiescence the lost items' windows simply
+    /// never refilled — and the partial records are returned, so loss shows
+    /// up as fewer records than items.
+    pub fn try_run_mixed<R: RuntimeFor<C>>(
+        &mut self,
+        rt: &mut R,
+        items: &[Submission<C::Op, C::Scan>],
+        release: Release,
+    ) -> Result<DriverStats<C::Op, C::Outcome>, QuiesceError> {
+        self.drive(rt, items.iter().cloned(), release)
+    }
+
+    /// The one drive loop behind every `try_run_*` entry.
+    fn drive<R: RuntimeFor<C>, I>(
+        &mut self,
+        rt: &mut R,
+        items: I,
+        release: Release,
     ) -> Result<DriverStats<C::Op, C::Outcome>, QuiesceError>
     where
-        R: Runtime,
-        R::Proc: Process<Msg = C::Msg>,
+        I: ExactSizeIterator<Item = Item<C>>,
     {
-        let concurrency = concurrency.max(1);
-        let mut queues: BTreeMap<ProcId, VecDeque<C::Op>> = BTreeMap::new();
-        for op in ops {
-            queues
-                .entry(C::origin(op))
-                .or_default()
-                .push_back(op.clone());
-        }
         let start = rt.now();
-        // Prime each origin's window.
-        for q in queues.values_mut() {
-            for _ in 0..concurrency {
-                if let Some(op) = q.pop_front() {
-                    self.submit(rt, op);
+        let mut records: Records<C> = Vec::with_capacity(items.len());
+        let mut queued = Queued::<C>::new(rt.num_procs(), start, items, release);
+        if let Release::Window(concurrency) = release {
+            // Prime each origin's window.
+            for origin in (0..rt.num_procs() as u32).map(ProcId) {
+                for _ in 0..concurrency.max(1) {
+                    let Some(item) = queued.pop_for(origin) else {
+                        break;
+                    };
+                    self.submit_item(rt, item);
                 }
             }
         }
-        let mut records: Vec<OpRecord<C::Op, C::Outcome>> = Vec::with_capacity(ops.len());
         let mut idle = 0u32;
         loop {
-            if self.pending.is_empty()
+            while let Some(item) = queued.pop_due(rt.now()) {
+                self.submit_item(rt, item);
+            }
+            if queued.left == 0
+                && self.pending.is_empty()
+                && self.pending_scans.is_empty()
                 && self.backlog.is_empty()
-                && queues.values().all(|q| q.is_empty())
             {
                 // Workload drained; let stragglers (relays, acks) finish.
                 rt.settle().map_err(|e| self.stamp(e))?;
                 self.drain_into(rt, &mut records);
                 break;
             }
-            // With the retry layer on, poll only as far as the next attempt
-            // deadline or backoff expiry: ops against a crashed processor
-            // then time out and retry instead of hanging the run.
-            match rt.poll(self.next_wake()) {
+            // Poll only as far as the next scheduled arrival and, with the
+            // retry layer on, the next attempt deadline or backoff expiry:
+            // ops against a crashed processor then time out and retry
+            // instead of hanging the run.
+            let arrival = queued.next_arrival();
+            let wake = [self.next_wake(), arrival].into_iter().flatten().min();
+            match rt.poll(wake) {
                 Poll::Outputs => {
                     idle = 0;
-                    let before = records.len();
-                    self.drain_into(rt, &mut records);
-                    self.refill(rt, &mut queues, &records, before);
+                    self.drain_and_refill(rt, &mut queued, &mut records);
                     self.service_retries(rt);
                 }
-                Poll::Deadline => {
-                    self.service_retries(rt);
-                }
+                Poll::Deadline => self.service_retries(rt),
                 Poll::Quiescent => {
-                    // Simulator: queue empty with ops still pending — they
+                    // Simulator: queue empty with items still pending — they
                     // were lost. Retry what the retry layer still owns;
-                    // break only once it has nothing left to do.
-                    self.drain_into(rt, &mut records);
+                    // break only once it has nothing left to do and no
+                    // arrival is still scheduled.
+                    self.drain_and_refill(rt, &mut queued, &mut records);
                     self.service_retries(rt);
-                    if self.next_wake().is_none() {
+                    if arrival.is_none() && self.next_wake().is_none() {
                         break;
                     }
                 }
                 Poll::Idle => {
                     // Threads: no outputs for a grace period. Probe: if the
                     // cluster is genuinely quiescent and nothing new
-                    // completed, the pending ops are lost.
+                    // completed, the pending items are lost.
                     idle += 1;
                     if idle <= IDLE_PROBE_AFTER {
                         continue;
                     }
                     rt.settle().map_err(|e| self.stamp(e))?;
-                    let before = records.len();
-                    let completed = self.drain_into(rt, &mut records);
-                    self.refill(rt, &mut queues, &records, before);
-                    if completed == 0 {
+                    let done = self.drain_and_refill(rt, &mut queued, &mut records);
+                    if done == 0 && arrival.is_none() {
                         break;
                     }
                     idle = 0;
@@ -832,327 +818,118 @@ impl<C: ClientProtocol> Driver<C> {
                 }
             }
         }
-        let mut last = start;
-        for r in &records {
-            last = last.max(r.completed);
-        }
-        Ok(self.stats_from(records, last - start))
-    }
-
-    /// Assemble run stats, folding in the retry layer's counters.
-    fn stats_from(
-        &self,
-        records: Vec<OpRecord<C::Op, C::Outcome>>,
-        makespan: u64,
-    ) -> DriverStats<C::Op, C::Outcome> {
-        DriverStats {
+        let last = records
+            .iter()
+            .map(|r| r.completed)
+            .chain(self.scans.iter().map(|s| s.completed))
+            .fold(start, SimTime::max);
+        Ok(DriverStats {
             records,
-            makespan,
+            makespan: last - start,
             timeouts: self.timeouts,
             retries: self.retries,
             redirects: self.redirects,
             abandoned: self.abandoned,
-        }
+        })
     }
 
-    /// Closed-loop driving; panics if a limit trips (see
-    /// [`Driver::try_run_closed_loop`]).
-    pub fn run_closed_loop<R>(
-        &mut self,
-        rt: &mut R,
-        ops: &[C::Op],
-        concurrency: usize,
-    ) -> DriverStats<C::Op, C::Outcome>
-    where
-        R: Runtime,
-        R::Proc: Process<Msg = C::Msg>,
-    {
-        match self.try_run_closed_loop(rt, ops, concurrency) {
-            Ok(stats) => stats,
-            Err(e) => panic!(
-                "run_closed_loop: {e} before the workload drained \
-                 ({} ops still pending)",
-                self.pending_ops()
-            ),
-        }
-    }
-
-    /// Submit one mixed-workload item.
-    fn submit_item<R>(&mut self, rt: &mut R, item: Submission<C::Op, C::Scan>)
-    where
-        R: Runtime,
-        R::Proc: Process<Msg = C::Msg>,
-    {
+    /// Submit one workload item.
+    fn submit_item<R: RuntimeFor<C>>(&mut self, rt: &mut R, item: Item<C>) {
         match item {
-            Submission::Op(op) => {
-                self.submit(rt, op);
-            }
-            Submission::Scan(scan) => {
-                self.submit_scan(rt, scan);
-            }
-        }
+            Submission::Op(op) => self.submit(rt, op),
+            Submission::Scan(scan) => self.submit_scan(rt, scan),
+        };
     }
 
-    /// Mixed-workload refill: scan completions open window slots exactly as
-    /// point-op completions do. Without this a scan-bearing closed loop
-    /// starves — scans complete into `self.scans`, not `records`, so the
-    /// op-only refill never sees them.
-    fn refill_mixed<R>(
+    /// Drain completions and, for each, release the next item queued at the
+    /// same origin — closed-loop windowing: one out, one in, scans and point
+    /// ops alike. (Scheduled items ignore completions; they wait for their
+    /// arrival time.) Returns how many items completed.
+    fn drain_and_refill<R: RuntimeFor<C>>(
         &mut self,
         rt: &mut R,
-        queues: &mut SubmissionQueues<C>,
-        records: &[OpRecord<C::Op, C::Outcome>],
-        ops_from: usize,
-        scans_from: usize,
-    ) where
-        R: Runtime,
-        R::Proc: Process<Msg = C::Msg>,
-    {
-        let mut origins: Vec<ProcId> = records[ops_from..]
-            .iter()
-            .map(|r| C::origin(&r.op))
-            .collect();
-        origins.extend(
-            self.scans[scans_from..]
-                .iter()
-                .map(|s| C::scan_origin(&s.scan)),
-        );
-        for origin in origins {
-            if let Some(item) = queues.get_mut(&origin).and_then(|q| q.pop_front()) {
+        queued: &mut Queued<C>,
+        records: &mut Records<C>,
+    ) -> usize {
+        let (ops_from, scans_from) = (records.len(), self.scans.len());
+        let done = self.drain_into(rt, records);
+        for r in &records[ops_from..] {
+            if let Some(item) = queued.pop_for(C::origin(&r.op)) {
                 self.submit_item(rt, item);
             }
         }
+        let scans = std::mem::take(&mut self.scans);
+        for s in &scans[scans_from..] {
+            if let Some(item) = queued.pop_for(C::scan_origin(&s.op)) {
+                self.submit_item(rt, item);
+            }
+        }
+        self.scans = scans;
+        done
+    }
+}
+
+/// The items of one run not yet released to the runtime: in `windows` for
+/// a closed loop, in `arrivals` for an open one. The other container stays
+/// empty, so each accessor is a no-op under the policy it does not serve.
+struct Queued<C: ClientProtocol> {
+    /// Per-origin FIFO queues, indexed by processor.
+    windows: Vec<VecDeque<Item<C>>>,
+    /// Items in arrival order, each with its arrival time.
+    arrivals: VecDeque<(SimTime, Item<C>)>,
+    /// Items held in either container: the loop's stop check reads this
+    /// instead of scanning every origin's queue.
+    left: usize,
+}
+
+impl<C: ClientProtocol> Queued<C> {
+    fn new<I>(n_procs: usize, start: SimTime, items: I, release: Release) -> Self
+    where
+        I: ExactSizeIterator<Item = Item<C>>,
+    {
+        let mut queued = Queued {
+            windows: Vec::new(),
+            arrivals: VecDeque::new(),
+            left: items.len(),
+        };
+        match release {
+            Release::Window(_) => {
+                queued.windows.resize_with(n_procs, VecDeque::new);
+                for item in items {
+                    let origin = match &item {
+                        Submission::Op(op) => C::origin(op),
+                        Submission::Scan(scan) => C::scan_origin(scan),
+                    };
+                    queued.windows[origin.index()].push_back(item);
+                }
+            }
+            Release::Schedule(cfg) => {
+                let offsets = arrival_offsets(items.len(), &cfg);
+                queued.arrivals = offsets.into_iter().map(|o| start + o).zip(items).collect();
+            }
+        }
+        queued
     }
 
-    /// Drive a mixed stream of point ops and range scans closed-loop with
-    /// `concurrency` outstanding items per origin, then run to quiescence.
-    ///
-    /// Point-op results land in the returned stats; scan results accumulate
-    /// for [`Driver::take_scans`]. Scans are not retried by the retry layer
-    /// (they are idempotent reads — the caller can resubmit), and a lost
-    /// scan behaves like a lost op: its window slot never refills and the
-    /// run still terminates.
-    pub fn try_run_closed_loop_mixed<R>(
-        &mut self,
-        rt: &mut R,
-        items: &[Submission<C::Op, C::Scan>],
-        concurrency: usize,
-    ) -> Result<DriverStats<C::Op, C::Outcome>, QuiesceError>
-    where
-        R: Runtime,
-        R::Proc: Process<Msg = C::Msg>,
-    {
-        let concurrency = concurrency.max(1);
-        let mut queues: SubmissionQueues<C> = BTreeMap::new();
-        for item in items {
-            let origin = match item {
-                Submission::Op(op) => C::origin(op),
-                Submission::Scan(scan) => C::scan_origin(scan),
-            };
-            queues.entry(origin).or_default().push_back(item.clone());
-        }
-        let start = rt.now();
-        for q in queues.values_mut() {
-            for _ in 0..concurrency {
-                if let Some(item) = q.pop_front() {
-                    self.submit_item(rt, item);
-                }
-            }
-        }
-        let mut records: Vec<OpRecord<C::Op, C::Outcome>> = Vec::new();
-        let mut idle = 0u32;
-        loop {
-            if self.pending.is_empty()
-                && self.pending_scans.is_empty()
-                && self.backlog.is_empty()
-                && queues.values().all(|q| q.is_empty())
-            {
-                rt.settle().map_err(|e| self.stamp(e))?;
-                self.drain_into(rt, &mut records);
-                break;
-            }
-            match rt.poll(self.next_wake()) {
-                Poll::Outputs => {
-                    idle = 0;
-                    let ops_before = records.len();
-                    let scans_before = self.scans.len();
-                    self.drain_into(rt, &mut records);
-                    self.refill_mixed(rt, &mut queues, &records, ops_before, scans_before);
-                    self.service_retries(rt);
-                }
-                Poll::Deadline => {
-                    self.service_retries(rt);
-                }
-                Poll::Quiescent => {
-                    let ops_before = records.len();
-                    let scans_before = self.scans.len();
-                    self.drain_into(rt, &mut records);
-                    self.refill_mixed(rt, &mut queues, &records, ops_before, scans_before);
-                    self.service_retries(rt);
-                    if self.next_wake().is_none() {
-                        break;
-                    }
-                }
-                Poll::Idle => {
-                    idle += 1;
-                    if idle <= IDLE_PROBE_AFTER {
-                        continue;
-                    }
-                    rt.settle().map_err(|e| self.stamp(e))?;
-                    let ops_before = records.len();
-                    let scans_before = self.scans.len();
-                    self.drain_into(rt, &mut records);
-                    let done = records.len() - ops_before + (self.scans.len() - scans_before);
-                    self.refill_mixed(rt, &mut queues, &records, ops_before, scans_before);
-                    if done == 0 {
-                        break;
-                    }
-                    idle = 0;
-                }
-                Poll::Limit(e) => {
-                    self.drain_into(rt, &mut records);
-                    return Err(self.stamp(e));
-                }
-            }
-        }
-        let mut last = start;
-        for r in &records {
-            last = last.max(r.completed);
-        }
-        for s in &self.scans {
-            last = last.max(s.completed);
-        }
-        Ok(self.stats_from(records, last - start))
+    /// The next item queued at `origin`, if any.
+    fn pop_for(&mut self, origin: ProcId) -> Option<Item<C>> {
+        let item = self.windows.get_mut(origin.index())?.pop_front()?;
+        self.left -= 1;
+        Some(item)
     }
 
-    /// Mixed closed-loop driving; panics if a limit trips (see
-    /// [`Driver::try_run_closed_loop_mixed`]).
-    pub fn run_closed_loop_mixed<R>(
-        &mut self,
-        rt: &mut R,
-        items: &[Submission<C::Op, C::Scan>],
-        concurrency: usize,
-    ) -> DriverStats<C::Op, C::Outcome>
-    where
-        R: Runtime,
-        R::Proc: Process<Msg = C::Msg>,
-    {
-        match self.try_run_closed_loop_mixed(rt, items, concurrency) {
-            Ok(stats) => stats,
-            Err(e) => panic!(
-                "run_closed_loop_mixed: {e} before the workload drained \
-                 ({} ops still pending)",
-                self.pending_ops()
-            ),
+    /// The next scheduled item, if its arrival time has come.
+    fn pop_due(&mut self, now: SimTime) -> Option<Item<C>> {
+        if self.next_arrival()? > now {
+            return None;
         }
+        self.left -= 1;
+        self.arrivals.pop_front().map(|(_, item)| item)
     }
 
-    /// Drive `ops` open-loop: arrivals follow the deterministic schedule of
-    /// [`arrival_offsets`] regardless of completions (the paper's fixed
-    /// λ regime), then run to quiescence.
-    pub fn try_run_open_loop<R>(
-        &mut self,
-        rt: &mut R,
-        ops: &[C::Op],
-        cfg: &OpenLoopCfg,
-    ) -> Result<DriverStats<C::Op, C::Outcome>, QuiesceError>
-    where
-        R: Runtime,
-        R::Proc: Process<Msg = C::Msg>,
-    {
-        let offsets = arrival_offsets(ops.len(), cfg);
-        let start = rt.now();
-        let mut next = 0usize;
-        let mut records: Vec<OpRecord<C::Op, C::Outcome>> = Vec::with_capacity(ops.len());
-        let mut idle = 0u32;
-        loop {
-            while next < ops.len() && rt.now() >= start + offsets[next] {
-                self.submit(rt, ops[next].clone());
-                next += 1;
-            }
-            if next >= ops.len() {
-                if self.pending.is_empty() && self.backlog.is_empty() {
-                    rt.settle().map_err(|e| self.stamp(e))?;
-                    self.drain_into(rt, &mut records);
-                    break;
-                }
-                match rt.poll(self.next_wake()) {
-                    Poll::Outputs => {
-                        idle = 0;
-                        self.drain_into(rt, &mut records);
-                        self.service_retries(rt);
-                    }
-                    Poll::Deadline => {
-                        self.service_retries(rt);
-                    }
-                    Poll::Quiescent => {
-                        self.drain_into(rt, &mut records);
-                        self.service_retries(rt);
-                        if self.next_wake().is_none() {
-                            break;
-                        }
-                    }
-                    Poll::Idle => {
-                        idle += 1;
-                        if idle <= IDLE_PROBE_AFTER {
-                            continue;
-                        }
-                        rt.settle().map_err(|e| self.stamp(e))?;
-                        if self.drain_into(rt, &mut records) == 0 {
-                            break;
-                        }
-                        idle = 0;
-                    }
-                    Poll::Limit(e) => {
-                        self.drain_into(rt, &mut records);
-                        return Err(self.stamp(e));
-                    }
-                }
-            } else {
-                let arrival = start + offsets[next];
-                let wake = self.next_wake().map_or(arrival, |w| w.min(arrival));
-                match rt.poll(Some(wake)) {
-                    Poll::Outputs => {
-                        self.drain_into(rt, &mut records);
-                        self.service_retries(rt);
-                    }
-                    Poll::Deadline | Poll::Quiescent | Poll::Idle => {
-                        self.service_retries(rt);
-                    }
-                    Poll::Limit(e) => {
-                        self.drain_into(rt, &mut records);
-                        return Err(self.stamp(e));
-                    }
-                }
-            }
-        }
-        let mut last = start;
-        for r in &records {
-            last = last.max(r.completed);
-        }
-        Ok(self.stats_from(records, last - start))
-    }
-
-    /// Open-loop driving; panics if a limit trips (see
-    /// [`Driver::try_run_open_loop`]).
-    pub fn run_open_loop<R>(
-        &mut self,
-        rt: &mut R,
-        ops: &[C::Op],
-        cfg: &OpenLoopCfg,
-    ) -> DriverStats<C::Op, C::Outcome>
-    where
-        R: Runtime,
-        R::Proc: Process<Msg = C::Msg>,
-    {
-        match self.try_run_open_loop(rt, ops, cfg) {
-            Ok(stats) => stats,
-            Err(e) => panic!(
-                "run_open_loop: {e} before the workload drained \
-                 ({} ops still pending)",
-                self.pending_ops()
-            ),
-        }
+    /// When the next scheduled item arrives.
+    fn next_arrival(&self) -> Option<SimTime> {
+        self.arrivals.front().map(|(at, _)| *at)
     }
 }
 
@@ -1165,6 +942,8 @@ mod tests {
     enum TMsg {
         Req { id: u64 },
         Done { id: u64 },
+        Scan { id: u64 },
+        ScanDone { id: u64 },
     }
     impl Payload for TMsg {}
 
@@ -1180,19 +959,26 @@ mod tests {
                     let peer = ProcId((ctx.me().0 + 1) % self.n);
                     ctx.send(peer, TMsg::Req { id });
                 }
+                TMsg::Scan { id } if from.is_external() => {
+                    let peer = ProcId((ctx.me().0 + 1) % self.n);
+                    ctx.send(peer, TMsg::Scan { id });
+                }
                 TMsg::Req { id } => ctx.send(from, TMsg::Done { id }),
-                TMsg::Done { id } => ctx.send(ProcId::EXTERNAL, TMsg::Done { id }),
+                TMsg::Scan { id } => ctx.send(from, TMsg::ScanDone { id }),
+                done @ (TMsg::Done { .. } | TMsg::ScanDone { .. }) => {
+                    ctx.send(ProcId::EXTERNAL, done)
+                }
             }
         }
     }
 
-    /// Op = origin processor; outcome = ().
+    /// Op = scan = origin processor; outcome = ().
     enum EchoProtocol {}
     impl ClientProtocol for EchoProtocol {
         type Msg = TMsg;
         type Op = ProcId;
         type Outcome = ();
-        type Scan = NoScan;
+        type Scan = ProcId;
         type ScanResult = ();
         fn origin(op: &ProcId) -> ProcId {
             *op
@@ -1200,15 +986,16 @@ mod tests {
         fn request(id: u64, _op: &ProcId) -> TMsg {
             TMsg::Req { id }
         }
-        fn scan_origin(scan: &NoScan) -> ProcId {
-            match *scan {}
+        fn scan_origin(scan: &ProcId) -> ProcId {
+            *scan
         }
-        fn scan_request(_id: u64, scan: &NoScan) -> TMsg {
-            match *scan {}
+        fn scan_request(id: u64, _scan: &ProcId) -> TMsg {
+            TMsg::Scan { id }
         }
         fn parse(msg: TMsg) -> Option<Completion<(), ()>> {
             match msg {
                 TMsg::Done { id } => Some(Completion::Op { id, outcome: () }),
+                TMsg::ScanDone { id } => Some(Completion::Scan { id, result: () }),
                 _ => None,
             }
         }
@@ -1233,7 +1020,7 @@ mod tests {
         let mut rt = sim(3, 7);
         let mut driver: Driver<EchoProtocol> = Driver::new();
         let work = ops(3, 50);
-        let stats = driver.run_closed_loop(&mut rt, &work, 4);
+        let stats = driver.try_run_closed_loop(&mut rt, &work, 4).unwrap();
         assert_eq!(stats.records.len(), 50);
         assert_eq!(driver.pending_ops(), 0);
         assert!(stats.makespan > 0);
@@ -1356,8 +1143,7 @@ mod tests {
     /// processor hang a closed-loop run (the driver waits forever). With it
     /// they time out, suspect the dead processor, redirect to a live one,
     /// and the whole workload completes.
-    #[test]
-    fn retry_redirects_around_a_crashed_processor() {
+    fn crash_retry_run() -> (DriverStats<ProcId, ()>, Driver<EchoProtocol>) {
         use crate::{CrashEvent, FaultPlan};
         let mut cfg = SimConfig::jittery(13, 1, 20);
         cfg.faults = FaultPlan::none().with_crash(CrashEvent {
@@ -1374,8 +1160,15 @@ mod tests {
             max_attempts: 8,
             seed: 1,
         });
-        let work = ops(3, 30);
-        let stats = driver.run_closed_loop(&mut rt, &work, 2);
+        let stats = driver
+            .try_run_closed_loop(&mut rt, &ops(3, 30), 2)
+            .expect("retries route around the dead processor");
+        (stats, driver)
+    }
+
+    #[test]
+    fn retry_redirects_around_a_crashed_processor() {
+        let (stats, driver) = crash_retry_run();
         assert_eq!(stats.records.len(), 30, "every op completed");
         assert_eq!(driver.pending_ops(), 0);
         assert!(stats.timeouts > 0, "dead-processor attempts timed out");
@@ -1394,7 +1187,7 @@ mod tests {
         let run = |retry: RetryPolicy| {
             let mut rt = sim(3, 7);
             let mut driver: Driver<EchoProtocol> = Driver::with_retry(retry);
-            let stats = driver.run_closed_loop(&mut rt, &ops(3, 50), 4);
+            let stats = driver.try_run_closed_loop(&mut rt, &ops(3, 50), 4).unwrap();
             let lat: Vec<u64> = stats.records.iter().map(|r| r.latency()).collect();
             (lat, stats.makespan, stats.timeouts, stats.retries)
         };
@@ -1505,7 +1298,7 @@ mod tests {
         });
         // Window of 2: the two in-flight ops exhaust their attempts; the
         // queued remainder never gets a slot (no completions ever open one).
-        let stats = driver.run_closed_loop(&mut rt, &ops(1, 5), 2);
+        let stats = driver.try_run_closed_loop(&mut rt, &ops(1, 5), 2).unwrap();
         assert_eq!(stats.records.len(), 0, "nothing can complete");
         assert_eq!(stats.abandoned, 2, "both windowed ops were given up");
         assert_eq!(stats.timeouts, 6, "3 attempts each, all timed out");
@@ -1567,7 +1360,9 @@ mod tests {
             let mut rt = sim(3, 5);
             let mut driver: Driver<EchoProtocol> = Driver::new();
             let work = ops(3, 80);
-            let stats = driver.run_open_loop(&mut rt, &work, &OpenLoopCfg::jittered(8, 21));
+            let stats = driver
+                .try_run_open_loop(&mut rt, &work, &OpenLoopCfg::jittered(8, 21))
+                .unwrap();
             assert_eq!(stats.records.len(), 80);
             let lat: Vec<u64> = stats.records.iter().map(|r| r.latency()).collect();
             (lat, stats.makespan)
@@ -1581,11 +1376,139 @@ mod tests {
         let mut driver: Driver<EchoProtocol> = Driver::new();
         let work = ops(2, 20);
         let cfg = OpenLoopCfg::fixed(50);
-        let stats = driver.run_open_loop(&mut rt, &work, &cfg);
+        let stats = driver.try_run_open_loop(&mut rt, &work, &cfg).unwrap();
         let offsets = arrival_offsets(20, &cfg);
         // Records are in completion order; compare submission times sorted.
         let mut submitted: Vec<u64> = stats.records.iter().map(|r| r.submitted.ticks()).collect();
         submitted.sort_unstable();
         assert_eq!(submitted, offsets, "paced by the schedule");
+    }
+    /// Every third item is a scan from the same origin rotation.
+    fn mixed(n: u32, count: usize) -> Vec<Submission<ProcId, ProcId>> {
+        (0..count)
+            .map(|i| {
+                let origin = ProcId(i as u32 % n);
+                if i % 3 == 2 {
+                    Submission::Scan(origin)
+                } else {
+                    Submission::Op(origin)
+                }
+            })
+            .collect()
+    }
+
+    /// FNV-1a over `(id, origin, submitted, completed)` of every point-op
+    /// record, then every scan record: the whole client-visible schedule of
+    /// a run in one number.
+    fn digest(stats: &DriverStats<ProcId, ()>, scans: &[OpRecord<ProcId, ()>]) -> u64 {
+        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        for r in stats.records.iter().chain(scans) {
+            for x in [
+                r.id,
+                r.op.0 as u64,
+                r.submitted.ticks(),
+                r.completed.ticks(),
+            ] {
+                h = (h ^ x).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+        h
+    }
+
+    /// The digests below were captured from the three separate loops
+    /// (closed, closed-mixed, open) the single drive loop replaced: the
+    /// unification moved no submission and no completion by a tick.
+    #[test]
+    fn unified_loop_reproduces_the_three_loops_it_replaced() {
+        for (window, want) in [(1, 0x17c5_23a6_2b6d_725d), (4, 0x633e_84a1_5cbd_bdbb)] {
+            let mut rt = sim(3, 7);
+            let mut driver: Driver<EchoProtocol> = Driver::new();
+            let stats = driver
+                .try_run_closed_loop(&mut rt, &ops(3, 50), window)
+                .unwrap();
+            assert_eq!(digest(&stats, &[]), want, "closed loop, window {window}");
+        }
+
+        let mut rt = sim(3, 7);
+        let mut driver: Driver<EchoProtocol> = Driver::new();
+        let stats = driver
+            .try_run_mixed(&mut rt, &mixed(3, 60), Release::Window(2))
+            .unwrap();
+        let scans = driver.take_scans();
+        assert_eq!((stats.records.len(), scans.len()), (40, 20));
+        assert_eq!(stats.makespan, 258, "makespan covers ops and scans");
+        assert_eq!(
+            digest(&stats, &scans),
+            0x2ae6_dbfe_1690_d695,
+            "closed mixed"
+        );
+
+        for (cfg, want, makespan) in [
+            (OpenLoopCfg::fixed(50), 0x728c_2bb2_43c7_55dc, 4021),
+            (OpenLoopCfg::jittered(8, 21), 0x2dec_c135_0095_116f, 681),
+        ] {
+            let mut rt = sim(3, 5);
+            let mut driver: Driver<EchoProtocol> = Driver::new();
+            let stats = driver
+                .try_run_open_loop(&mut rt, &ops(3, 80), &cfg)
+                .unwrap();
+            assert_eq!(stats.makespan, makespan, "{cfg:?}");
+            assert_eq!(digest(&stats, &[]), want, "{cfg:?}");
+        }
+
+        let (stats, _) = crash_retry_run();
+        assert_eq!(stats.makespan, 690);
+        assert_eq!(
+            digest(&stats, &[]),
+            0xd747_6767_8e39_4667,
+            "crash with retry"
+        );
+    }
+
+    /// Scans ride the arrival schedule like point ops: nothing about the
+    /// open loop is op-specific any more.
+    #[test]
+    fn open_loop_drives_scans_too() {
+        let items = mixed(3, 60);
+        let cfg = OpenLoopCfg::jittered(8, 21);
+        let mut rt = sim(3, 5);
+        let mut driver: Driver<EchoProtocol> = Driver::new();
+        let stats = driver
+            .try_run_mixed(&mut rt, &items, Release::Schedule(cfg))
+            .unwrap();
+        let scans = driver.take_scans();
+        assert_eq!((stats.records.len(), scans.len()), (40, 20));
+        assert_eq!(driver.pending_ops(), 0);
+        // Every item, scan or op, was submitted at its scheduled offset.
+        let mut submitted: Vec<u64> = stats
+            .records
+            .iter()
+            .chain(&scans)
+            .map(|r| r.submitted.ticks())
+            .collect();
+        submitted.sort_unstable();
+        assert_eq!(submitted, arrival_offsets(60, &cfg));
+        let last = scans.iter().map(|s| s.completed.ticks()).max().unwrap();
+        assert!(stats.makespan >= last, "makespan covers scan completions");
+    }
+
+    /// The same mixed stream on real threads, under both release policies
+    /// (wall-clock timing, so counts only).
+    #[test]
+    fn mixed_stream_completes_on_threads() {
+        use crate::threaded::Cluster;
+        let items = mixed(3, 60);
+        for release in [
+            Release::Window(2),
+            Release::Schedule(OpenLoopCfg::fixed(20)),
+        ] {
+            let mut rt = Cluster::spawn((0..3).map(|_| Echo { n: 3 }).collect());
+            let mut driver: Driver<EchoProtocol> = Driver::new();
+            let stats = driver.try_run_mixed(&mut rt, &items, release).unwrap();
+            assert_eq!(stats.records.len(), 40, "{release:?}");
+            assert_eq!(driver.take_scans().len(), 20, "{release:?}");
+            assert_eq!(driver.pending_ops(), 0, "{release:?}");
+            Runtime::into_procs(rt);
+        }
     }
 }

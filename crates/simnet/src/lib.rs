@@ -70,7 +70,7 @@ mod time;
 mod trace;
 
 pub use context::Context;
-pub use driver::{Driver, OpenLoopCfg, RetryPolicy};
+pub use driver::{Driver, OpenLoopCfg, Release, RetryPolicy};
 pub use fault::{CrashEvent, FaultPlan, FaultStats, Partition};
 pub use fx::{FxHashMap, FxHashSet, FxHasher};
 pub use health::{Alert, HealthConfig, HealthMonitor, HealthReport};

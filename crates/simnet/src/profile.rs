@@ -685,7 +685,7 @@ mod tests {
         let mut sim = Simulation::new(cfg, (0..4).map(|_| Relay { n: 4, hops: 6 }).collect());
         let mut driver: Driver<RelayProtocol> = Driver::new();
         let ops: Vec<ProcId> = (0..120).map(|i| ProcId(i % 4)).collect();
-        let stats = driver.run_closed_loop(&mut sim, &ops, 3);
+        let stats = driver.try_run_closed_loop(&mut sim, &ops, 3).unwrap();
         assert_eq!(stats.records.len(), 120);
 
         let svc = ServiceTimes::uniform(4).with_override(ProcId(2), 11);

@@ -487,20 +487,13 @@ impl<P: Process> Simulation<P> {
                 self.stats.faults_mut().timer_dropped += 1;
             } else {
                 self.stats.faults_mut().crash_dropped += 1;
-                if self.trace.enabled() {
-                    self.trace.record(TraceEntry {
-                        seq: 0,
-                        at: self.now,
-                        from,
-                        to: event.to,
-                        event: TraceEvent::Drop,
-                        kind,
-                        span,
-                        redelivery,
-                        wait: event.wait,
-                        detail: "crash".into(),
-                        deltas: Vec::new(),
-                    });
+                if let Some(e) =
+                    self.trace
+                        .note(self.now, from, event.to, TraceEvent::Drop, kind, span)
+                {
+                    e.redelivery = redelivery;
+                    e.wait = event.wait;
+                    e.detail = "crash".into();
                 }
             }
             self.stats.observe_inflight(self.queue.len());
@@ -523,20 +516,17 @@ impl<P: Process> Simulation<P> {
                 match &event.kind {
                     EventKind::Deliver { from, msg, span } => {
                         self.stats.faults_mut().crash_dropped += 1;
-                        if self.trace.enabled() {
-                            self.trace.record(TraceEntry {
-                                seq: 0,
-                                at: self.now,
-                                from: *from,
-                                to: event.to,
-                                event: TraceEvent::Drop,
-                                kind: msg.kind(),
-                                span: *span,
-                                redelivery: msg.redelivery(),
-                                wait: event.wait,
-                                detail: "crash".into(),
-                                deltas: Vec::new(),
-                            });
+                        if let Some(e) = self.trace.note(
+                            self.now,
+                            *from,
+                            event.to,
+                            TraceEvent::Drop,
+                            msg.kind(),
+                            *span,
+                        ) {
+                            e.redelivery = msg.redelivery();
+                            e.wait = event.wait;
+                            e.detail = "crash".into();
                         }
                     }
                     EventKind::Timer { .. } => self.stats.faults_mut().timer_dropped += 1,
@@ -605,21 +595,8 @@ impl<P: Process> Simulation<P> {
                 // at the crash, drops still fire at the original times).
                 self.queue.cancel_for(to);
                 self.stats.faults_mut().crashes += 1;
-                if self.trace.enabled() {
-                    self.trace.record(TraceEntry {
-                        seq: 0,
-                        at: self.now,
-                        from: to,
-                        to,
-                        event: TraceEvent::Crash,
-                        kind: "fault.crash",
-                        span: None,
-                        redelivery: false,
-                        wait: 0,
-                        detail: String::new(),
-                        deltas: Vec::new(),
-                    });
-                }
+                self.trace
+                    .note(self.now, to, to, TraceEvent::Crash, "fault.crash", None);
             }
             EventKind::Restart => {
                 self.down[to.index()] = false;
@@ -860,20 +837,11 @@ impl<P: Process> Simulation<P> {
             gauges.push(("rt.event_queue_depth", self.queue.len() as u64));
             if let Some(mon) = &mut self.health {
                 for alert in mon.observe(self.now, id, &pairs, &gauges) {
-                    if self.trace.enabled() {
-                        self.trace.record(TraceEntry {
-                            seq: 0,
-                            at: self.now,
-                            from: id,
-                            to: id,
-                            event: TraceEvent::Alert,
-                            kind: alert.rule,
-                            span: None,
-                            redelivery: false,
-                            wait: 0,
-                            detail: alert.detail(),
-                            deltas: Vec::new(),
-                        });
+                    if let Some(e) =
+                        self.trace
+                            .note(self.now, id, id, TraceEvent::Alert, alert.rule, None)
+                    {
+                        e.detail = alert.detail();
                     }
                     self.alerts.push(alert);
                 }
@@ -908,20 +876,11 @@ impl<P: Process> Simulation<P> {
                 if to.is_external() {
                     self.stats
                         .record_send(msg.kind(), src.index(), None, msg.size_hint(), false);
-                    if self.trace.enabled() {
-                        self.trace.record(TraceEntry {
-                            seq: 0,
-                            at: depart,
-                            from: src,
-                            to: ProcId::EXTERNAL,
-                            event: TraceEvent::Output,
-                            kind: msg.kind(),
-                            span,
-                            redelivery: false,
-                            wait: 0,
-                            detail: format!("{msg:?}"),
-                            deltas: Vec::new(),
-                        });
+                    if let Some(e) =
+                        self.trace
+                            .note(depart, src, to, TraceEvent::Output, msg.kind(), span)
+                    {
+                        e.detail = format!("{msg:?}");
                     }
                     self.outputs.push((depart, src, msg));
                     return;
@@ -1018,20 +977,8 @@ impl<P: Process> Simulation<P> {
                 kind,
                 detail,
             } => {
-                if self.trace.enabled() {
-                    self.trace.record(TraceEntry {
-                        seq: 0,
-                        at: depart,
-                        from: src,
-                        to: src,
-                        event,
-                        kind,
-                        span: action_span,
-                        redelivery: false,
-                        wait: 0,
-                        detail,
-                        deltas: Vec::new(),
-                    });
+                if let Some(e) = self.trace.note(depart, src, src, event, kind, action_span) {
+                    e.detail = detail;
                 }
             }
         }
@@ -1049,20 +996,9 @@ impl<P: Process> Simulation<P> {
         event: TraceEvent,
         flavor: &str,
     ) {
-        if self.trace.enabled() {
-            self.trace.record(TraceEntry {
-                seq: 0,
-                at,
-                from,
-                to,
-                event,
-                kind: msg.kind(),
-                span,
-                redelivery: msg.redelivery(),
-                wait: 0,
-                detail: flavor.to_string(),
-                deltas: Vec::new(),
-            });
+        if let Some(e) = self.trace.note(at, from, to, event, msg.kind(), span) {
+            e.redelivery = msg.redelivery();
+            e.detail = flavor.to_string();
         }
     }
 }

@@ -288,20 +288,16 @@ where
                                 if down {
                                     if let Some(o) = obs.as_ref() {
                                         let mut st = o.lock().expect("obs lock");
-                                        if st.trace.enabled() {
-                                            st.trace.record(TraceEntry {
-                                                seq: 0,
-                                                at,
-                                                from,
-                                                to: me,
-                                                event: TraceEvent::Drop,
-                                                kind: msg.kind(),
-                                                span,
-                                                redelivery: msg.redelivery(),
-                                                wait: 0,
-                                                detail: "crash".into(),
-                                                deltas: Vec::new(),
-                                            });
+                                        if let Some(e) = st.trace.note(
+                                            at,
+                                            from,
+                                            me,
+                                            TraceEvent::Drop,
+                                            msg.kind(),
+                                            span,
+                                        ) {
+                                            e.redelivery = msg.redelivery();
+                                            e.detail = "crash".into();
                                         }
                                     }
                                     continue;
@@ -410,21 +406,14 @@ where
                                 down = true;
                                 if let Some(o) = obs.as_ref() {
                                     let mut st = o.lock().expect("obs lock");
-                                    if st.trace.enabled() {
-                                        st.trace.record(TraceEntry {
-                                            seq: 0,
-                                            at: now(epoch),
-                                            from: me,
-                                            to: me,
-                                            event: TraceEvent::Crash,
-                                            kind: "fault.crash",
-                                            span: None,
-                                            redelivery: false,
-                                            wait: 0,
-                                            detail: String::new(),
-                                            deltas: Vec::new(),
-                                        });
-                                    }
+                                    st.trace.note(
+                                        now(epoch),
+                                        me,
+                                        me,
+                                        TraceEvent::Crash,
+                                        "fault.crash",
+                                        None,
+                                    );
                                 }
                             }
                             Envelope::Restart => {
@@ -771,20 +760,11 @@ fn record_action<P: Process>(
         if let Some(mon) = &mut st.health {
             let fired = mon.observe(at, me, &after, &gauges);
             for alert in fired {
-                if st.trace.enabled() {
-                    st.trace.record(TraceEntry {
-                        seq: 0,
-                        at,
-                        from: me,
-                        to: me,
-                        event: TraceEvent::Alert,
-                        kind: alert.rule,
-                        span: None,
-                        redelivery: false,
-                        wait: 0,
-                        detail: alert.detail(),
-                        deltas: Vec::new(),
-                    });
+                if let Some(e) = st
+                    .trace
+                    .note(at, me, me, TraceEvent::Alert, alert.rule, None)
+                {
+                    e.detail = alert.detail();
                 }
                 st.alerts.push(alert);
             }
@@ -819,20 +799,11 @@ fn flush<M: Payload>(
                 if to.is_external() {
                     if let Some(o) = obs {
                         let mut st = o.lock().expect("obs lock");
-                        if st.trace.enabled() {
-                            st.trace.record(TraceEntry {
-                                seq: 0,
-                                at,
-                                from: me,
-                                to: ProcId::EXTERNAL,
-                                event: TraceEvent::Output,
-                                kind: msg.kind(),
-                                span,
-                                redelivery: false,
-                                wait: 0,
-                                detail: format!("{msg:?}"),
-                                deltas: Vec::new(),
-                            });
+                        if let Some(e) =
+                            st.trace
+                                .note(at, me, to, TraceEvent::Output, msg.kind(), span)
+                        {
+                            e.detail = format!("{msg:?}");
                         }
                     }
                     let _ = out.send(Output::At(at, me, msg));
@@ -864,20 +835,8 @@ fn flush<M: Payload>(
             } => {
                 if let Some(o) = obs {
                     let mut st = o.lock().expect("obs lock");
-                    if st.trace.enabled() {
-                        st.trace.record(TraceEntry {
-                            seq: 0,
-                            at,
-                            from: me,
-                            to: me,
-                            event,
-                            kind,
-                            span: action_span,
-                            redelivery: false,
-                            wait: 0,
-                            detail,
-                            deltas: Vec::new(),
-                        });
+                    if let Some(e) = st.trace.note(at, me, me, event, kind, action_span) {
+                        e.detail = detail;
                     }
                 }
             }

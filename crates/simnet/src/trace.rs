@@ -238,6 +238,40 @@ impl Trace {
         self.entries.push_back(entry);
     }
 
+    /// Record an event that is not a process action — a fault drop or
+    /// duplicate, a crash marker, an external output, a mark, an alert —
+    /// and therefore changed no process metrics. Returns the recorded entry
+    /// (`None` while tracing is off) so the caller can set the rarer fields
+    /// (`detail`, `redelivery`, `wait`): formatting a payload is paid only
+    /// when there is a trace to put it in.
+    pub fn note(
+        &mut self,
+        at: SimTime,
+        from: ProcId,
+        to: ProcId,
+        event: TraceEvent,
+        kind: &'static str,
+        span: Option<u64>,
+    ) -> Option<&mut TraceEntry> {
+        if !self.enabled() {
+            return None;
+        }
+        self.record(TraceEntry {
+            seq: 0,
+            at,
+            from,
+            to,
+            event,
+            kind,
+            span,
+            redelivery: false,
+            wait: 0,
+            detail: String::new(),
+            deltas: Vec::new(),
+        });
+        self.entries.back_mut()
+    }
+
     /// Recorded entries, oldest retained first.
     pub fn iter(&self) -> impl Iterator<Item = &TraceEntry> {
         self.entries.iter()

@@ -62,7 +62,7 @@ fn main() {
                         key,
                         intent: Intent::Insert(value),
                     });
-                    let r = cluster.run_to_quiescence();
+                    let r = cluster.try_run_to_quiescence().expect("run quiesces");
                     expected.insert(key);
                     println!(
                         "ok (from {from}, {} hops, prev = {:?})",
@@ -78,7 +78,7 @@ fn main() {
                         key,
                         intent: Intent::Search,
                     });
-                    let r = cluster.run_to_quiescence();
+                    let r = cluster.try_run_to_quiescence().expect("run quiesces");
                     match r[0].outcome.found {
                         Some(v) => println!("{key} => {v} ({} hops)", r[0].outcome.hops),
                         None => println!("{key} not found"),
@@ -93,7 +93,7 @@ fn main() {
                         key,
                         intent: Intent::Delete,
                     });
-                    let r = cluster.run_to_quiescence();
+                    let r = cluster.try_run_to_quiescence().expect("run quiesces");
                     expected.remove(&key);
                     println!("deleted (prev = {:?})", r[0].outcome.found);
                 }
@@ -102,14 +102,18 @@ fn main() {
             ["scan", f, n] => match (f.parse(), n.parse()) {
                 (Ok(from_key), Ok(limit)) => {
                     cluster.scan(from, from_key, limit);
-                    cluster.run_to_quiescence();
+                    cluster.try_run_to_quiescence().expect("run quiesces");
                     for s in cluster.take_scans() {
-                        println!("{} entries ({} hops):", s.items.len(), s.hops);
-                        for (k, v) in s.items.iter().take(20) {
+                        println!(
+                            "{} entries ({} hops):",
+                            s.outcome.items.len(),
+                            s.outcome.hops
+                        );
+                        for (k, v) in s.outcome.items.iter().take(20) {
                             println!("  {k} => {v}");
                         }
-                        if s.items.len() > 20 {
-                            println!("  ... ({} more)", s.items.len() - 20);
+                        if s.outcome.items.len() > 20 {
+                            println!("  ... ({} more)", s.outcome.items.len() - 20);
                         }
                     }
                 }
@@ -123,7 +127,7 @@ fn main() {
                     for m in &plan {
                         cluster.migrate(m.leaf, m.from, m.to);
                     }
-                    cluster.run_to_quiescence();
+                    cluster.try_run_to_quiescence().expect("run quiesces");
                     println!(
                         "moved {} leaves; loads now {:?}",
                         plan.len(),

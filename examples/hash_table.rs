@@ -13,9 +13,9 @@
 use std::collections::BTreeMap;
 
 use dhash::{check_hash_cluster, DirProtocol, HKind, HashCluster, HashConfig, HashSpec};
-use simnet::{ProcId, SimConfig};
+use simnet::{ProcId, QuiesceError, SimConfig};
 
-fn main() {
+fn main() -> Result<(), QuiesceError> {
     let spec = HashSpec {
         preload: (0..200).map(|k| k * 5).collect(),
         n_procs: 8,
@@ -37,12 +37,12 @@ fn main() {
         cluster.submit(ProcId((i % 8) as u32), key, HKind::Insert(key * 2));
         expected.insert(key, key * 2);
     }
-    let stats = cluster.run_to_quiescence();
+    let stats = cluster.try_run_to_quiescence()?;
     println!(
         "{} inserts completed; {} misnavigations recovered via split-image links; {} lost",
         stats.records.len(),
-        stats.recoveries(),
-        stats.lost()
+        stats.total_chases(),
+        stats.lost_count()
     );
 
     let splits: u64 = cluster.sim.procs().map(|(_, p)| p.metrics.splits).sum();
@@ -57,7 +57,7 @@ fn main() {
     for p in 0..8u32 {
         cluster.submit(ProcId(p), 10_000 + p as u64 * 7, HKind::Search);
     }
-    let stats = cluster.run_to_quiescence();
+    let stats = cluster.try_run_to_quiescence()?;
     assert!(stats.records.iter().all(|r| r.outcome.found.is_some()));
     println!("spot searches from all 8 processors hit");
 
@@ -67,4 +67,5 @@ fn main() {
         violations.len()
     );
     assert!(violations.is_empty());
+    Ok(())
 }

@@ -42,7 +42,7 @@ fn run(protocol: ProtocolKind, seed: u64) {
         key: 115,
         intent: Intent::Insert(115),
     });
-    cluster.run_to_quiescence();
+    cluster.try_run_to_quiescence().expect("run quiesces");
 
     println!("update deliveries, in order:");
     for e in cluster.sim.trace().iter() {
@@ -101,7 +101,7 @@ fn main() {
                 intent: Intent::Insert(k),
             });
         }
-        cluster.run_to_quiescence();
+        cluster.try_run_to_quiescence().expect("run quiesces");
         let expected: BTreeSet<u64> = [10, 20, 30, 40, 15, 25, 35, 5, 17, 27]
             .into_iter()
             .collect();

@@ -6,9 +6,9 @@
 //! ```
 
 use dbtree::{BuildSpec, ClientOp, DbCluster, GlobalView, Intent, TreeConfig};
-use simnet::{ProcId, SimConfig};
+use simnet::{ProcId, QuiesceError, SimConfig};
 
-fn main() {
+fn main() -> Result<(), QuiesceError> {
     // A dB-tree preloaded with 1000 keys, spread over 4 processors with the
     // paper's path-replication policy and the semisync lazy-update protocol.
     let keys: Vec<u64> = (0..1000).map(|k| k * 2).collect();
@@ -34,7 +34,7 @@ fn main() {
         key: 501,
         intent: Intent::Insert(0xBEEF),
     });
-    let records = cluster.run_to_quiescence();
+    let records = cluster.try_run_to_quiescence()?;
     println!(
         "\ninsert of key 501 from P2: done in {} virtual ticks, {} node hops",
         records[0].latency(),
@@ -46,7 +46,7 @@ fn main() {
         key: 501,
         intent: Intent::Search,
     });
-    let records = cluster.run_to_quiescence();
+    let records = cluster.try_run_to_quiescence()?;
     println!(
         "search for key 501 from P0: found value {:#x} in {} hops",
         records[0].outcome.found.expect("the insert is visible"),
@@ -63,4 +63,5 @@ fn main() {
         "history check: {} violations — complete, compatible, ordered ✓",
         violations.len()
     );
+    Ok(())
 }

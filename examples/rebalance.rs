@@ -53,7 +53,9 @@ fn main() {
             intent: Intent::Insert(op.value),
         })
         .collect();
-    cluster.run_closed_loop(&ops, 4);
+    cluster
+        .try_run_closed_loop(&ops, 4)
+        .expect("workload drains");
 
     let before = leaf_loads(&cluster.sim);
     println!(
@@ -81,7 +83,9 @@ fn main() {
             intent: Intent::Search,
         })
         .collect();
-    let stats = cluster.run_closed_loop(&searches, 2);
+    let stats = cluster
+        .try_run_closed_loop(&searches, 2)
+        .expect("workload drains");
     println!(
         "  {} searches completed during the migration wave (mean latency {:.1} ticks)",
         stats.records.len(),

@@ -64,7 +64,9 @@ fn main() {
         .collect();
 
     let t0 = Instant::now();
-    let stats = cluster.run_closed_loop(&ops, 8);
+    let stats = cluster
+        .try_run_closed_loop(&ops, 8)
+        .expect("workload drains");
     let elapsed = t0.elapsed();
 
     let done = stats.records.len();

@@ -40,7 +40,9 @@ fn storm(cfg: TreeConfig, sim_cfg: SimConfig, n_ops: u64) {
             intent: Intent::Insert(key + 1),
         })
         .collect();
-    let stats = cluster.run_closed_loop(&ops, 3);
+    let stats = cluster
+        .try_run_closed_loop(&ops, 3)
+        .expect("workload drains");
     assert_eq!(
         stats.records.len(),
         ops.len(),
@@ -123,7 +125,9 @@ fn crash_and_rejoin_mid_storm_converges() {
                 intent: Intent::Insert(key + 1),
             })
             .collect();
-        let stats = cluster.run_closed_loop(&ops, 3);
+        let stats = cluster
+            .try_run_closed_loop(&ops, 3)
+            .expect("workload drains");
         assert_eq!(stats.records.len(), ops.len(), "seed {seed}");
 
         let faults = *cluster.sim.stats().faults();
@@ -180,7 +184,9 @@ fn crash_recovery_under_variable_copies() {
                 intent: Intent::Insert(key + 1),
             })
             .collect();
-        let stats = cluster.run_closed_loop(&ops, 3);
+        let stats = cluster
+            .try_run_closed_loop(&ops, 3)
+            .expect("workload drains");
         assert_eq!(stats.records.len(), ops.len(), "seed {seed}");
 
         let mut expected: BTreeSet<u64> = preload.into_iter().collect();
@@ -219,7 +225,9 @@ fn fault_trace_matches_injected_fault_stats() {
             intent: Intent::Insert(i),
         })
         .collect();
-    let stats = cluster.run_closed_loop(&ops, 3);
+    let stats = cluster
+        .try_run_closed_loop(&ops, 3)
+        .expect("workload drains");
     assert_eq!(stats.records.len(), ops.len());
 
     let faults = *cluster.sim.stats().faults();
@@ -295,7 +303,9 @@ fn crash_invalidation_matches_lazy_skip_fingerprint() {
             intent: Intent::Insert(i),
         })
         .collect();
-    let stats = cluster.run_closed_loop(&ops, 8);
+    let stats = cluster
+        .try_run_closed_loop(&ops, 8)
+        .expect("workload drains");
     assert_eq!(stats.records.len(), ops.len());
 
     let faults = *cluster.sim.stats().faults();
@@ -356,7 +366,9 @@ fn fault_plans_replay_deterministically() {
                     intent: Intent::Insert(i),
                 })
                 .collect();
-            let stats = cluster.run_closed_loop(&ops, 2);
+            let stats = cluster
+                .try_run_closed_loop(&ops, 2)
+                .expect("workload drains");
             let timings: Vec<(u64, u64, u64)> = stats
                 .records
                 .iter()
@@ -576,7 +588,7 @@ proptest! {
                 intent: Intent::Insert(key),
             })
             .collect();
-        let stats = cluster.run_closed_loop(&ops, 3);
+        let stats = cluster.try_run_closed_loop(&ops, 3).expect("workload drains");
         prop_assert_eq!(stats.records.len(), ops.len(), "every op completes");
 
         let mut expected: BTreeSet<u64> = preload.into_iter().collect();

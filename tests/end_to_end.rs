@@ -67,7 +67,9 @@ fn dbtree_agrees_with_sequential_oracle() {
                 }
             })
             .collect();
-        cluster.run_closed_loop(&ops, 4);
+        cluster
+            .try_run_closed_loop(&ops, 4)
+            .expect("workload drains");
 
         // NOTE: concurrent inserts to the same key may overwrite each other
         // in either order; restrict the value check to keys written once.
@@ -138,7 +140,7 @@ fn searches_linearize_with_completed_inserts() {
             key,
             intent: Intent::Insert(round),
         });
-        let recs = cluster.run_to_quiescence();
+        let recs = cluster.try_run_to_quiescence().expect("run quiesces");
         assert!(recs.iter().any(|r| r.op.key == key));
         // Search from a different processor, after the ack.
         cluster.submit(ClientOp {
@@ -146,7 +148,7 @@ fn searches_linearize_with_completed_inserts() {
             key,
             intent: Intent::Search,
         });
-        let recs = cluster.run_to_quiescence();
+        let recs = cluster.try_run_to_quiescence().expect("run quiesces");
         let found = recs
             .iter()
             .find(|r| matches!(r.op.intent, Intent::Search))
@@ -187,7 +189,9 @@ fn workload_trace_replay_is_reproducible() {
                 },
             })
             .collect();
-        let stats = cluster.run_closed_loop(&ops, 2);
+        let stats = cluster
+            .try_run_closed_loop(&ops, 2)
+            .expect("workload drains");
         (
             stats.makespan,
             stats.records.len(),

@@ -62,7 +62,7 @@ proptest! {
                 intent: Intent::Insert(key + 1),
             })
             .collect();
-        let stats = cluster.run_closed_loop(&ops, 3);
+        let stats = cluster.try_run_closed_loop(&ops, 3).expect("workload drains");
         prop_assert_eq!(stats.records.len(), ops.len(), "every op completes");
 
         let mut expected: BTreeSet<u64> = preload.into_iter().collect();
@@ -111,7 +111,7 @@ proptest! {
                 }
             }
         }
-        cluster.run_to_quiescence();
+        cluster.try_run_to_quiescence().expect("run quiesces");
 
         let mut expected: BTreeSet<u64> = preload.into_iter().collect();
         expected.extend(keys.iter().copied());
@@ -157,7 +157,7 @@ proptest! {
                 }
             }
         }
-        cluster.run_to_quiescence();
+        cluster.try_run_to_quiescence().expect("run quiesces");
 
         let mut expected: BTreeSet<u64> = preload.into_iter().collect();
         expected.extend(keys.iter().copied());

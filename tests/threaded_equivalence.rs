@@ -55,7 +55,7 @@ fn check_equivalence(cfg: TreeConfig, n_inserts: u64) {
 
         // Simulator run (jittery service times: adversarial interleavings).
         let mut sim = DbCluster::build(&spec, SimConfig::jittery(seed, 2, 20));
-        let stats = sim.run_closed_loop(&ops, 4);
+        let stats = sim.try_run_closed_loop(&ops, 4).expect("workload drains");
         let log = sim.log();
         let procs: Vec<(ProcId, &DbProc)> = sim.sim.procs().map(|(pid, p)| (pid, &**p)).collect();
         assert_run(
@@ -69,7 +69,7 @@ fn check_equivalence(cfg: TreeConfig, n_inserts: u64) {
 
         // Threaded run: same processes, same driver, real interleavings.
         let mut thr = ThreadedDbCluster::build_threaded(&spec);
-        let stats = thr.run_closed_loop(&ops, 4);
+        let stats = thr.try_run_closed_loop(&ops, 4).expect("workload drains");
         let log = thr.log();
         let final_procs: Vec<SessionProc<DbProc>> = thr.into_procs();
         let procs: Vec<(ProcId, &DbProc)> = final_procs

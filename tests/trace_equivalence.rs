@@ -63,7 +63,7 @@ where
 {
     for op in ops() {
         cluster.submit(op);
-        cluster.run_to_quiescence();
+        cluster.try_run_to_quiescence().expect("run quiesces");
     }
     let obs = cluster.take_obs();
     assert_eq!(obs.trace.dropped(), 0, "capacity must hold the run");
