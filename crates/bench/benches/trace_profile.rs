@@ -12,19 +12,14 @@ fn synthetic(spans: u64, per_span: u64) -> Trace {
     let mut t = Trace::with_capacity((spans * per_span) as usize);
     for step in 0..per_span {
         for span in 0..spans {
-            t.record(TraceEntry {
-                seq: 0,
-                at: SimTime(step * spans + span),
-                from: ProcId((span % 4) as u32),
-                to: ProcId(((span + 1) % 4) as u32),
-                event: TraceEvent::Deliver,
-                kind: "descend",
-                span: Some(span),
-                redelivery: false,
-                wait: 0,
-                detail: String::new(),
-                deltas: Vec::new(),
-            });
+            t.record(TraceEntry::new(
+                SimTime(step * spans + span),
+                ProcId((span % 4) as u32),
+                ProcId(((span + 1) % 4) as u32),
+                TraceEvent::Deliver,
+                "descend",
+                Some(span),
+            ));
         }
     }
     t

@@ -96,7 +96,7 @@ fn suspect_stats(cluster: &mut DbCluster, outage: Option<(u64, u64)>) -> (Option
             continue;
         }
         let of_crashed = outage
-            .map(|(from, to)| e.detail.starts_with(&tag) && e.at.0 >= from && e.at.0 <= to)
+            .map(|(from, to)| e.detail().starts_with(&tag) && e.at.0 >= from && e.at.0 <= to)
             .unwrap_or(false);
         if of_crashed {
             truthy += 1;

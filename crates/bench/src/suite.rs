@@ -218,9 +218,11 @@ pub struct CellSpec {
     /// Node fanout (dB-tree only). The delete-churn cell shrinks it so
     /// leaves hold few live keys and uniform deletes actually empty them.
     pub fanout: usize,
-    /// Record a causal trace and run the critical-path profiler. Scale
-    /// cells turn this off: tracing every delivery of a 256-processor run
-    /// would measure the trace buffer, not the simulator.
+    /// Record a causal trace and run the critical-path profiler. The scale
+    /// cells still run with this off — not for its cost any more (recording
+    /// keeps raw values and renders only at export: DESIGN, "Observability")
+    /// but because switching it on moves their baseline rows, which is its
+    /// own change (ROADMAP item 5).
     pub profile: bool,
 }
 

@@ -79,7 +79,15 @@ impl ProcMetrics {
     /// is what the trace layer diffs to attribute counter movement to a
     /// single action ([`simnet::Process::metrics`]).
     pub fn named(&self) -> Vec<(&'static str, u64)> {
-        vec![
+        let mut out = Vec::new();
+        self.named_into(&mut out);
+        out
+    }
+
+    /// Append [`ProcMetrics::named`] to `out` (the trace snapshots once per
+    /// action into a buffer it reuses: [`simnet::Process::metrics_into`]).
+    pub fn named_into(&self, out: &mut Vec<(&'static str, u64)>) {
+        out.extend_from_slice(&[
             ("blocked_initial", self.blocked_initial),
             ("blocked_ticks", self.blocked_ticks),
             ("lock_queued", self.lock_queued),
@@ -108,7 +116,7 @@ impl ProcMetrics {
             ("retires_applied", self.retires_applied),
             ("absorbs_applied", self.absorbs_applied),
             ("relays_rerouted", self.relays_rerouted),
-        ]
+        ]);
     }
 
     /// Element-wise sum, for cluster-level aggregation.

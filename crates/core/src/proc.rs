@@ -15,7 +15,7 @@ use simnet::{Context, ProcId, Process};
 use crate::config::TreeConfig;
 use crate::metrics::ProcMetrics;
 use crate::msg::{InstallReason, Msg, RelayedItem};
-
+use crate::node::NodeCopy;
 use crate::store::NodeStore;
 use crate::types::{Key, NodeId, OpId, Outcome};
 
@@ -123,7 +123,9 @@ pub struct DbProc {
     /// Feeds `proc.parked_dwell`.
     pub(crate) parked_since: Vec<u64>,
     /// Tick at which each resident copy last applied a relayed update —
-    /// the per-copy staleness stamp. Feeds `store.staleness_max`.
+    /// the per-copy staleness stamp. Feeds `store.staleness_max`. Keyed by
+    /// resident copies only: [`DbProc::drop_copy`] removes the stamp with
+    /// the copy.
     pub(crate) copy_stamp: BTreeMap<NodeId, u64>,
 
     // -- available-copies coordinator state ---------------------------------
@@ -242,6 +244,16 @@ impl DbProc {
         queues.sort_unstable();
         queues.hash(h);
         self.log.lock().tag_watermark().hash(h);
+    }
+
+    /// The local copy of `node` leaves this processor (merge retirement,
+    /// migration out, unjoin, crash rejoin): out of the store, its staleness
+    /// stamp with it, and the history log hears of the deletion.
+    pub(crate) fn drop_copy(&mut self, node: NodeId) -> Option<NodeCopy> {
+        let copy = self.store.remove(node)?;
+        self.copy_stamp.remove(&node);
+        self.log.lock().copy_deleted(node.raw(), self.me.0);
+        Some(copy)
     }
 
     /// Every other processor in the cluster.
@@ -587,8 +599,7 @@ impl Process for DbProc {
             ),
         );
         for (node, pc) in victims {
-            self.store.remove(node);
-            self.log.lock().copy_deleted(node.raw(), me.0);
+            self.drop_copy(node);
             if self.pending_joins.insert(node) {
                 self.metrics.recovery_rejoins += 1;
                 // Relays may race ahead of the re-grant; they must stash
@@ -613,6 +624,10 @@ impl Process for DbProc {
         self.metrics.named()
     }
 
+    fn metrics_into(&self, out: &mut Vec<(&'static str, u64)>) {
+        self.metrics.named_into(out);
+    }
+
     /// Lazy-lag level gauges, snapshotted by the sampler (never by the
     /// trace). Ages are computed against the sample time from the
     /// timestamps kept in the observability-bookkeeping fields, so an idle
@@ -624,15 +639,7 @@ impl Process for DbProc {
         let backlog_age = self.relay_buf_since.values().copied().min().map_or(0, age);
         let deferred: u64 = self.missed.values().map(|s| s.len() as u64).sum();
         let dwell = self.parked_since.iter().copied().min().map_or(0, age);
-        // Copies can be removed (merge retire, migration, crash rejoin)
-        // without scrubbing their stamp; only resident copies count.
-        let staleness = self
-            .copy_stamp
-            .iter()
-            .filter(|(n, _)| self.store.contains(**n))
-            .map(|(_, &s)| age(s))
-            .max()
-            .unwrap_or(0);
+        let staleness = self.copy_stamp.values().copied().min().map_or(0, age);
         vec![
             ("proc.merge_pending", self.merge_pending.len() as u64),
             ("proc.parked_dwell", dwell),
@@ -662,5 +669,49 @@ mod tests {
         let p = DbProc::new(ProcId(1), 4, TreeConfig::default(), log);
         let others: Vec<u32> = p.all_other_procs().map(|p| p.0).collect();
         assert_eq!(others, vec![0, 2, 3]);
+    }
+
+    /// Delete churn on replicated leaves: every write relays to two copies
+    /// and stamps them, then the emptied leaves retire at all three. A stamp
+    /// must leave with its copy, or `copy_stamp` grows with every node the
+    /// processor has ever held.
+    #[test]
+    fn staleness_stamps_leave_with_their_copies() {
+        use crate::{BuildSpec, ClientOp, DbCluster, Intent, ProtocolKind};
+        let cfg = TreeConfig {
+            merge_at_empty: true,
+            ..TreeConfig::fixed_copies(ProtocolKind::SemiSync, 3)
+        };
+        let keys: Vec<Key> = (0..200).map(|k| k * 10).collect();
+        let spec = BuildSpec::new(keys.clone(), 4, cfg);
+        let mut cluster = DbCluster::build(&spec, simnet::SimConfig::jittery(7, 2, 25));
+        let ops: Vec<ClientOp> = [Intent::Insert(1), Intent::Delete]
+            .into_iter()
+            .flat_map(|intent| keys.iter().map(move |&key| (key, intent)))
+            .enumerate()
+            .map(|(i, (key, intent))| ClientOp {
+                origin: ProcId(i as u32 % 4),
+                key,
+                intent,
+            })
+            .collect();
+        cluster.try_run_closed_loop(&ops, 4).expect("churn drains");
+
+        let mut retired = 0;
+        for (id, p) in cluster.sim.procs() {
+            assert!(p.metrics.relays_applied > 0, "{id}: relays stamped copies");
+            retired += p.metrics.retires_applied;
+            let stray: Vec<&NodeId> = p
+                .copy_stamp
+                .keys()
+                .filter(|n| !p.store.contains(**n))
+                .collect();
+            assert!(
+                stray.is_empty(),
+                "{id}: stamps of departed copies {stray:?}"
+            );
+            assert!(p.copy_stamp.len() <= p.store.len());
+        }
+        assert!(retired > 0, "the churn retired stamped copies");
     }
 }

@@ -263,8 +263,7 @@ impl DbProc {
         // the retirement and its forwarding address go to stable storage
         // (they survive restarts — a zombie chain must never re-tile the
         // leaf chain).
-        self.store.remove(child);
-        self.log.lock().copy_deleted(child.raw(), me.0);
+        self.drop_copy(child);
         self.retired.insert(child, left);
         self.unjoined.insert(child);
         self.store.set_forward(
@@ -325,8 +324,7 @@ impl DbProc {
         self.retired.insert(node, left);
         self.unjoined.insert(node);
         self.pending_joins.remove(&node);
-        if self.store.remove(node).is_some() {
-            self.log.lock().copy_deleted(node.raw(), self.me.0);
+        if self.drop_copy(node).is_some() {
             self.metrics.retires_applied += 1;
         }
         self.store.set_forward(

@@ -35,13 +35,12 @@ impl DbProc {
         if copy.copies.len() != 1 {
             return;
         }
-        let mut copy = self.store.remove(node).expect("checked above");
+        let covered = self.log.lock().copy_coverage(node.raw(), self.me.0);
+        let mut copy = self.drop_copy(node).expect("checked above");
         copy.version += 1;
         copy.pc = dest;
         copy.copies = vec![dest];
         copy.join_versions = vec![0];
-        let covered = self.log.lock().copy_coverage(node.raw(), self.me.0);
-        self.log.lock().copy_deleted(node.raw(), self.me.0);
 
         if self.cfg.forwarding {
             self.store.set_forward(

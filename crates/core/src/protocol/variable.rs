@@ -212,9 +212,8 @@ impl DbProc {
         if !should_leave {
             return;
         }
-        self.store.remove(node);
+        self.drop_copy(node);
         self.unjoined.insert(node);
-        self.log.lock().copy_deleted(node.raw(), me.0);
         ctx.send(pc, Msg::Unjoin { node, leaver: me });
         // Losing this copy may strand the level above, too.
         if let Some(parent) = parent {

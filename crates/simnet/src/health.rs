@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::trace::json_escape_into;
+use crate::json::escape_into;
 use crate::{ProcId, SimTime};
 
 /// Watchdog thresholds, identical for both runtimes. The default is fully
@@ -92,7 +92,7 @@ impl Alert {
             self.at.ticks(),
             self.proc.0
         );
-        json_escape_into(&mut s, self.rule);
+        escape_into(&mut s, self.rule);
         s.push_str(&format!(
             "\",\"value\":{},\"threshold\":{},\"windows\":{}}}",
             self.value, self.threshold, self.windows
@@ -335,7 +335,7 @@ impl HealthReport {
                 s.push(',');
             }
             s.push('"');
-            json_escape_into(&mut s, rule);
+            escape_into(&mut s, rule);
             s.push_str(&format!("\":{n}"));
         }
         s.push_str("},\"procs\":{");

@@ -57,6 +57,7 @@ pub mod event;
 mod fault;
 pub mod fx;
 mod health;
+mod json;
 mod latency;
 mod obs;
 pub mod profile;
@@ -136,8 +137,10 @@ impl fmt::Display for ProcId {
 /// Message payloads carried by the network.
 ///
 /// `kind` buckets the per-kind statistics; `size_hint` feeds the byte
-/// counters (a logical size — the simulator never serializes).
-pub trait Payload: Clone + fmt::Debug {
+/// counters (a logical size — the simulator never serializes). `Send + Sync
+/// + 'static` because the trace keeps a clone of a delivered payload as it
+/// is and renders its `{:?}` only at export.
+pub trait Payload: Clone + fmt::Debug + Send + Sync + 'static {
     /// A short static label used to bucket message statistics.
     fn kind(&self) -> &'static str {
         "msg"
@@ -208,6 +211,16 @@ pub trait Process {
     /// per-processor time series. The default (no counters) disables both.
     fn metrics(&self) -> Vec<(&'static str, u64)> {
         Vec::new()
+    }
+
+    /// Append [`Process::metrics`] to `out` — what the trace calls, once per
+    /// action, with a buffer it reuses. Same names in the same order on
+    /// every call is the fast case (deltas are then taken positionally).
+    /// Override it to write the counters without building a `Vec`; a
+    /// wrapper that forwards only `metrics` stays correct through this
+    /// default.
+    fn metrics_into(&self, out: &mut Vec<(&'static str, u64)>) {
+        out.extend(self.metrics());
     }
 
     /// Named point-in-time *level* gauges (queue depths, backlog ages,

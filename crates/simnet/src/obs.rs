@@ -10,10 +10,12 @@
 //! serialization is explicit and pinned by a golden-file test).
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use crate::health::{Alert, HealthConfig, HealthReport};
-use crate::trace::{json_escape_into, Trace};
-use crate::{ProcId, SimTime};
+use crate::json::pairs_into;
+use crate::trace::Trace;
+use crate::{ProcId, Process, SimTime};
 
 /// Observability knobs, identical for both runtimes.
 #[derive(Clone, Copy, Debug, Default)]
@@ -61,30 +63,24 @@ pub struct ProcSample {
 impl ProcSample {
     /// One line of the series JSONL schema (no trailing newline).
     pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"at\":{},\"proc\":{},\"counters\":{{",
+        let mut s = String::new();
+        self.write_json(&mut s);
+        s
+    }
+
+    /// Append [`ProcSample::to_json`] to `out`.
+    fn write_json(&self, out: &mut String) {
+        // Writing to a `String` cannot fail.
+        let _ = write!(
+            out,
+            "{{\"at\":{},\"proc\":{},\"counters\":",
             self.at.ticks(),
             self.proc.0
         );
-        for (i, (name, v)) in self.pairs.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('"');
-            json_escape_into(&mut s, name);
-            s.push_str(&format!("\":{v}"));
-        }
-        s.push_str("},\"gauges\":{");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('"');
-            json_escape_into(&mut s, name);
-            s.push_str(&format!("\":{v}"));
-        }
-        s.push_str("}}");
-        s
+        pairs_into(out, &self.pairs);
+        out.push_str(",\"gauges\":");
+        pairs_into(out, &self.gauges);
+        out.push('}');
     }
 }
 
@@ -112,7 +108,7 @@ impl Obs {
     pub fn series_jsonl(&self) -> String {
         let mut out = String::new();
         for s in &self.series {
-            out.push_str(&s.to_json());
+            s.write_json(&mut out);
             out.push('\n');
         }
         out
@@ -320,10 +316,83 @@ impl MetricsRegistry {
     }
 }
 
+/// One processor's counters as of its last traced action, and the per-action
+/// deltas taken against them: **one** [`Process::metrics_into`] snapshot per
+/// action into a reused buffer, compared position by position with the
+/// previous one.
+#[derive(Debug, Default)]
+pub(crate) struct CounterTrack {
+    prev: Vec<(&'static str, u64)>,
+    cur: Vec<(&'static str, u64)>,
+    /// `prev` is the process's current state. False until the first
+    /// [`CounterTrack::arm`] and after [`CounterTrack::invalidate`].
+    valid: bool,
+}
+
+impl CounterTrack {
+    /// Call before an action that will be traced: snapshots `p` if the
+    /// counters could have moved since the last [`CounterTrack::diff_into`]
+    /// (nothing traced yet — `on_start` ran — or the process was handed out
+    /// mutably), so the action's deltas are the action's alone.
+    pub(crate) fn arm<P: Process>(&mut self, p: &P) {
+        if !self.valid {
+            self.refresh(p);
+        }
+    }
+
+    /// Snapshot `p` without taking deltas.
+    pub(crate) fn refresh<P: Process>(&mut self, p: &P) {
+        self.prev.clear();
+        p.metrics_into(&mut self.prev);
+        self.valid = true;
+    }
+
+    /// The counters may move outside a traced action from here on.
+    pub(crate) fn invalidate(&mut self) {
+        self.valid = false;
+    }
+
+    /// Call after the action: snapshot `p` once and leave in `out` the
+    /// `(name, increase)` of every counter the action raised. The snapshot
+    /// stays behind as [`CounterTrack::last`].
+    pub(crate) fn diff_into<P: Process>(&mut self, p: &P, out: &mut Vec<(&'static str, u64)>) {
+        self.cur.clear();
+        p.metrics_into(&mut self.cur);
+        out.clear();
+        // Same names in the same order (pointer-equal in practice: they are
+        // literals) is the only case a run normally sees.
+        let mut aligned = self.cur.len() == self.prev.len();
+        if aligned {
+            for (&(name, now), &(was_name, was)) in self.cur.iter().zip(&self.prev) {
+                if !(std::ptr::eq(name, was_name) || name == was_name) {
+                    aligned = false;
+                    break;
+                }
+                if now > was {
+                    out.push((name, now - was));
+                }
+            }
+        }
+        if !aligned {
+            // The name set changed under us: match by name.
+            out.clear();
+            out.extend(metric_deltas(&self.prev, &self.cur));
+        }
+        std::mem::swap(&mut self.prev, &mut self.cur);
+    }
+
+    /// The latest snapshot.
+    pub(crate) fn last(&self) -> &[(&'static str, u64)] {
+        &self.prev
+    }
+}
+
 /// Compute `(name, increase)` pairs between two `Process::metrics`
-/// snapshots taken around one action. Names present only in `after` are
-/// treated as rising from 0; decreases are skipped (counters are expected
-/// to be monotone within an action).
+/// snapshots taken around one action, matching by name. Names present only
+/// in `after` are treated as rising from 0; decreases are skipped (counters
+/// are expected to be monotone within an action). [`CounterTrack`]'s
+/// fallback when the name set changes, and the oracle its positional path is
+/// tested against.
 pub(crate) fn metric_deltas(
     before: &[(&'static str, u64)],
     after: &[(&'static str, u64)],
@@ -415,6 +484,81 @@ mod tests {
         let before = vec![("a", 1u64), ("b", 5)];
         let after = vec![("a", 3u64), ("b", 5), ("c", 2)];
         assert_eq!(metric_deltas(&before, &after), vec![("a", 2), ("c", 2)]);
+    }
+
+    /// A process that is nothing but its counters: the first `shown` of
+    /// `NAMES`, so the name set can grow (session counters appear only when
+    /// the layer is enabled) or shrink between actions.
+    struct Counters {
+        values: [u64; NAMES.len()],
+        shown: usize,
+    }
+
+    const NAMES: [&str; 5] = ["a", "b", "c", "d", "e"];
+
+    #[derive(Clone, Debug)]
+    struct Nil;
+    impl crate::Payload for Nil {}
+
+    impl Process for Counters {
+        type Msg = Nil;
+        fn on_message(&mut self, _: &mut crate::Context<'_, Nil>, _: ProcId, _: Nil) {}
+        fn metrics(&self) -> Vec<(&'static str, u64)> {
+            NAMES
+                .into_iter()
+                .zip(self.values)
+                .take(self.shown)
+                .collect()
+        }
+    }
+
+    proptest::proptest! {
+        /// One snapshot per action, diffed positionally against the last,
+        /// reports what two snapshots matched by name report — over
+        /// arbitrary counter movements (decreases included) and a name set
+        /// that changes mid-run.
+        #[test]
+        fn counter_track_equals_metric_deltas(
+            steps in proptest::collection::vec(
+                (proptest::collection::vec(0u64..4, 5..6), 0usize..6),
+                1..24,
+            ),
+        ) {
+            let mut p = Counters { values: [0; NAMES.len()], shown: 3 };
+            let mut track = CounterTrack::default();
+            let mut deltas = Vec::new();
+            for (values, shown) in steps {
+                track.arm(&p);
+                let before = p.metrics();
+                p.values.copy_from_slice(&values);
+                p.shown = shown.min(NAMES.len());
+                track.diff_into(&p, &mut deltas);
+                proptest::prop_assert_eq!(&deltas, &metric_deltas(&before, &p.metrics()));
+                proptest::prop_assert_eq!(track.last(), &p.metrics()[..]);
+            }
+        }
+    }
+
+    #[test]
+    fn counter_track_rearms_after_invalidate() {
+        let mut p = Counters {
+            values: [1, 0, 0, 0, 0],
+            shown: 2,
+        };
+        let mut track = CounterTrack::default();
+        let mut deltas = Vec::new();
+        track.arm(&p);
+        p.values[0] = 3;
+        track.diff_into(&p, &mut deltas);
+        assert_eq!(deltas, vec![("a", 2)]);
+        // Counters moved outside an action (the process was handed out
+        // mutably): not the next action's doing.
+        p.values[1] = 10;
+        track.invalidate();
+        track.arm(&p);
+        p.values[1] = 11;
+        track.diff_into(&p, &mut deltas);
+        assert_eq!(deltas, vec![("b", 1)]);
     }
 
     #[test]

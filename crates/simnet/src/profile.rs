@@ -462,19 +462,9 @@ mod tests {
         kind: &'static str,
         wait: u64,
     ) -> TraceEntry {
-        TraceEntry {
-            seq: 0,
-            at: SimTime(at),
-            from,
-            to,
-            event,
-            kind,
-            span: Some(1),
-            redelivery: false,
-            wait,
-            detail: String::new(),
-            deltas: Vec::new(),
-        }
+        let mut e = TraceEntry::new(SimTime(at), from, to, event, kind, Some(1));
+        e.wait = wait;
+        e
     }
 
     /// Hand-built three-hop chain with known arithmetic:

@@ -612,6 +612,24 @@ impl<P: Process> SessionProc<P> {
         }
         self.stats.retransmissions += st.outbox.len() as u64;
     }
+
+    /// The session's and detector's counters, appended after the inner
+    /// process's (only the enabled layers report, so a pass-through wrapper
+    /// is invisible in the metrics too).
+    fn own_metrics(&self, m: &mut Vec<(&'static str, u64)>) {
+        if self.cfg.enabled {
+            m.push(("session.data_sent", self.stats.data_sent));
+            m.push(("session.retransmissions", self.stats.retransmissions));
+            m.push(("session.acks_sent", self.stats.acks_sent));
+            m.push(("session.dup_suppressed", self.stats.dup_suppressed));
+            m.push(("session.out_of_order", self.stats.out_of_order));
+            m.push(("session.aborted", self.stats.aborted));
+        }
+        if self.cfg.detector.enabled {
+            m.push(("detector.suspects", self.stats.suspects));
+            m.push(("detector.alives", self.stats.alives));
+        }
+    }
 }
 
 impl<P: Process> Deref for SessionProc<P> {
@@ -739,19 +757,13 @@ impl<P: Process> Process for SessionProc<P> {
 
     fn metrics(&self) -> Vec<(&'static str, u64)> {
         let mut m = self.inner.metrics();
-        if self.cfg.enabled {
-            m.push(("session.data_sent", self.stats.data_sent));
-            m.push(("session.retransmissions", self.stats.retransmissions));
-            m.push(("session.acks_sent", self.stats.acks_sent));
-            m.push(("session.dup_suppressed", self.stats.dup_suppressed));
-            m.push(("session.out_of_order", self.stats.out_of_order));
-            m.push(("session.aborted", self.stats.aborted));
-        }
-        if self.cfg.detector.enabled {
-            m.push(("detector.suspects", self.stats.suspects));
-            m.push(("detector.alives", self.stats.alives));
-        }
+        self.own_metrics(&mut m);
         m
+    }
+
+    fn metrics_into(&self, out: &mut Vec<(&'static str, u64)>) {
+        self.inner.metrics_into(out);
+        self.own_metrics(out);
     }
 
     fn gauges(&self, now: crate::SimTime) -> Vec<(&'static str, u64)> {

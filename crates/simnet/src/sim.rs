@@ -7,7 +7,7 @@ use crate::context::{Context, Effect};
 use crate::event::{Event, EventKind, EventQueue};
 use crate::fault::FaultPlan;
 use crate::health::{Alert, HealthConfig, HealthMonitor};
-use crate::obs::{metric_deltas, Sampler};
+use crate::obs::{CounterTrack, Sampler};
 use crate::runtime::{Poll, QuiesceError, Runtime};
 use crate::schedule::Scheduler;
 use crate::trace::{TraceEntry, TraceEvent};
@@ -22,7 +22,8 @@ pub struct SimConfig {
     /// identical event-for-event.
     pub seed: u64,
     /// Retain a causal trace of at most this many runtime events — a ring
-    /// buffer keeping the most recent (0 = no tracing).
+    /// buffer keeping the most recent (0 = no tracing). Recording keeps raw
+    /// values; only what is still retained at export is ever rendered.
     pub trace_capacity: usize,
     /// Snapshot each processor's [`Process::metrics`] counters at most every
     /// this many virtual ticks, building the per-proc time series exported
@@ -160,7 +161,9 @@ pub struct Simulation<P: Process> {
     service: Vec<u64>,
     stats: NetStats,
     trace: Trace,
-    trace_cap: usize,
+    /// Per-processor counter snapshots the trace takes action deltas
+    /// against (untouched while tracing is off).
+    counters: Vec<CounterTrack>,
     sampler: Sampler,
     series: Vec<ProcSample>,
     /// Online watchdogs (`None` unless `config.health.enabled`) and the
@@ -211,7 +214,7 @@ impl<P: Process> Simulation<P> {
             service,
             stats: NetStats::new(n),
             trace: Trace::with_capacity(config.trace_capacity),
-            trace_cap: config.trace_capacity,
+            counters: (0..n).map(|_| CounterTrack::default()).collect(),
             sampler: Sampler::new(config.sample_interval, n),
             series: Vec::new(),
             health: config
@@ -279,7 +282,7 @@ impl<P: Process> Simulation<P> {
     /// buffers with the same configuration.
     pub fn take_obs(&mut self) -> Obs {
         Obs {
-            trace: std::mem::replace(&mut self.trace, Trace::with_capacity(self.trace_cap)),
+            trace: self.trace.take(),
             series: std::mem::take(&mut self.series),
             alerts: std::mem::take(&mut self.alerts),
         }
@@ -315,6 +318,8 @@ impl<P: Process> Simulation<P> {
 
     /// Mutable access to a process (e.g. to install checkers between phases).
     pub fn proc_mut(&mut self, id: ProcId) -> &mut P {
+        // The caller may move counters outside any action.
+        self.counters[id.index()].invalidate();
         self.procs[id.index()]
             .as_deref_mut()
             .expect("process is resident between events")
@@ -470,72 +475,55 @@ impl<P: Process> Simulation<P> {
     /// fault drops, the service-time model, and the action dispatch.
     fn deliver_event(&mut self, event: Event<P::Msg>) {
         debug_assert!(event.at >= self.now, "time runs forward");
-        // A tombstone is a delivery or timer invalidated *eagerly* at its
-        // target's crash (see [`EventQueue::cancel_for`]): the payload is
-        // gone, but the victim still fires at its original time as a drop,
-        // exactly as the older lazy epoch-check-at-pop produced.
-        if let EventKind::Tombstone {
-            from,
-            kind,
-            redelivery,
-            span,
-            is_timer,
-        } = event.kind
-        {
+        let to = event.to;
+        let is_control = matches!(event.kind, EventKind::Crash | EventKind::Restart);
+        let down = self.faults_active && !is_control && self.down[to.index()];
+        // A delivery or timer that never runs, as `(is_timer, from, kind,
+        // redelivery, span)`. Either a tombstone — invalidated *eagerly* at
+        // its target's crash (see [`EventQueue::cancel_for`]): the payload
+        // is gone, but the victim still fires at its original time as a
+        // drop, exactly as the older lazy epoch-check-at-pop produced — or a
+        // message sent to a processor *after* its crash: it carries the
+        // current epoch (so it was not tombstoned) and is lost only if it
+        // arrives while the target is still down.
+        let lost = match &event.kind {
+            EventKind::Tombstone {
+                from,
+                kind,
+                redelivery,
+                span,
+                is_timer,
+            } => Some((*is_timer, *from, *kind, *redelivery, *span)),
+            EventKind::Deliver { from, msg, span } if down => {
+                Some((false, *from, msg.kind(), msg.redelivery(), *span))
+            }
+            EventKind::Timer { .. } if down => Some((true, to, "timer", false, None)),
+            _ => None,
+        };
+        if let Some((is_timer, from, kind, redelivery, span)) = lost {
             self.now = event.at;
             if is_timer {
                 self.stats.faults_mut().timer_dropped += 1;
             } else {
                 self.stats.faults_mut().crash_dropped += 1;
-                if let Some(e) =
-                    self.trace
-                        .note(self.now, from, event.to, TraceEvent::Drop, kind, span)
+                if let Some(e) = self
+                    .trace
+                    .note(self.now, from, to, TraceEvent::Drop, kind, span)
                 {
                     e.redelivery = redelivery;
                     e.wait = event.wait;
-                    e.detail = "crash".into();
+                    e.set_detail("crash");
                 }
             }
             self.stats.observe_inflight(self.queue.len());
             return;
         }
-        let is_control = matches!(event.kind, EventKind::Crash | EventKind::Restart);
-        // Fault model: a message sent to a processor *after* its crash
-        // carries the current epoch (so it was not tombstoned) and is lost
-        // only if it arrives while the target is still down. Stale epochs
-        // cannot reach here — the crash already tombstoned them — which is
-        // what the epoch field's backstop assert checks.
-        if self.faults_active && !is_control {
-            let idx = event.to.index();
-            debug_assert_eq!(
-                event.epoch, self.crash_epoch[idx],
-                "stale-epoch events are tombstoned at the crash"
-            );
-            if self.down[idx] {
-                self.now = event.at;
-                match &event.kind {
-                    EventKind::Deliver { from, msg, span } => {
-                        self.stats.faults_mut().crash_dropped += 1;
-                        if let Some(e) = self.trace.note(
-                            self.now,
-                            *from,
-                            event.to,
-                            TraceEvent::Drop,
-                            msg.kind(),
-                            *span,
-                        ) {
-                            e.redelivery = msg.redelivery();
-                            e.wait = event.wait;
-                            e.detail = "crash".into();
-                        }
-                    }
-                    EventKind::Timer { .. } => self.stats.faults_mut().timer_dropped += 1,
-                    _ => unreachable!(),
-                }
-                self.stats.observe_inflight(self.queue.len());
-                return;
-            }
-        }
+        // Stale epochs cannot reach here — the crash already tombstoned
+        // them — which is what the epoch field's backstop assert checks.
+        debug_assert!(
+            !self.faults_active || is_control || event.epoch == self.crash_epoch[to.index()],
+            "stale-epoch events are tombstoned at the crash"
+        );
         // Service-time model: a processor executes one action at a time.
         // If the target is still busy, requeue the event at its free time
         // (requeue order follows pop order, so per-channel FIFO holds).
@@ -544,10 +532,10 @@ impl<P: Process> Simulation<P> {
         let svc = if is_control {
             0
         } else {
-            self.service[event.to.index()]
+            self.service[to.index()]
         };
         if svc > 0 {
-            let busy = self.proc_busy[event.to.index()];
+            let busy = self.proc_busy[to.index()];
             if busy > event.at {
                 // Keep the original sequence number: a requeued event must
                 // not be overtaken by same-channel events sent after it.
@@ -557,35 +545,17 @@ impl<P: Process> Simulation<P> {
                 self.queue.requeue(busy, event);
                 return;
             }
-            self.proc_busy[event.to.index()] = event.at + svc;
+            self.proc_busy[to.index()] = event.at + svc;
         }
         self.now = event.at;
         self.delivered += 1;
-        let to = event.to;
         match event.kind {
-            EventKind::Deliver { from, msg, span } => {
-                let pending = self.trace.enabled().then(|| PendingTrace {
-                    event: TraceEvent::Deliver,
-                    from,
-                    kind: msg.kind(),
-                    redelivery: msg.redelivery(),
-                    wait: event.wait,
-                    detail: format!("{msg:?}"),
-                });
-                self.run_action(to, span, svc, pending, |p, ctx| {
-                    p.on_message(ctx, from, msg)
-                });
-            }
-            EventKind::Timer { token } => {
-                let pending = self.trace.enabled().then(|| PendingTrace {
-                    event: TraceEvent::Timer,
-                    from: to,
-                    kind: "timer",
-                    redelivery: false,
-                    wait: event.wait,
-                    detail: format!("token={token}"),
-                });
-                self.run_action(to, None, svc, pending, |p, ctx| p.on_timer(ctx, token));
+            kind @ (EventKind::Deliver { .. } | EventKind::Timer { .. }) => {
+                let mut p = self.procs[to.index()]
+                    .take()
+                    .expect("process is resident between events");
+                self.fire(&mut p, to, svc, kind, event.wait);
+                self.procs[to.index()] = Some(p);
             }
             EventKind::Crash => {
                 self.down[to.index()] = true;
@@ -603,14 +573,10 @@ impl<P: Process> Simulation<P> {
                 // The new incarnation's node manager starts idle.
                 self.proc_busy[to.index()] = self.now;
                 self.stats.faults_mut().restarts += 1;
-                let pending = self.trace.enabled().then(|| PendingTrace {
-                    event: TraceEvent::Restart,
-                    from: to,
-                    kind: "fault.restart",
-                    redelivery: false,
-                    wait: 0,
-                    detail: String::new(),
-                });
+                let pending = self
+                    .trace
+                    .enabled()
+                    .then(|| TraceEntry::restart(self.trace.recycle(), self.now, to));
                 self.run_action(to, None, 0, pending, |p, ctx| p.on_restart(ctx));
             }
             EventKind::Tombstone { .. } => unreachable!("handled above"),
@@ -668,33 +634,7 @@ impl<P: Process> Simulation<P> {
             self.now = event.at;
             self.delivered += 1;
             let (_, p) = held.as_mut().expect("held above");
-            match event.kind {
-                EventKind::Deliver { from, msg, span } => {
-                    let pending = self.trace.enabled().then(|| PendingTrace {
-                        event: TraceEvent::Deliver,
-                        from,
-                        kind: msg.kind(),
-                        redelivery: msg.redelivery(),
-                        wait: event.wait,
-                        detail: format!("{msg:?}"),
-                    });
-                    self.run_action_on(p, to, span, 0, pending, |p, ctx| {
-                        p.on_message(ctx, from, msg)
-                    });
-                }
-                EventKind::Timer { token } => {
-                    let pending = self.trace.enabled().then(|| PendingTrace {
-                        event: TraceEvent::Timer,
-                        from: to,
-                        kind: "timer",
-                        redelivery: false,
-                        wait: event.wait,
-                        detail: format!("token={token}"),
-                    });
-                    self.run_action_on(p, to, None, 0, pending, |p, ctx| p.on_timer(ctx, token));
-                }
-                _ => unreachable!("peek_plain_at only yields deliveries and timers"),
-            }
+            self.fire(p, to, 0, event.kind, event.wait);
             self.stats.observe_inflight(self.queue.len());
         }
         if let Some((h, p)) = held.take() {
@@ -759,9 +699,33 @@ impl<P: Process> Simulation<P> {
         self.service[id.index()]
     }
 
+    /// Run the action of a popped delivery or timer on `p` (held out of its
+    /// slot by the caller). Its trace entry is opened first — the handler
+    /// consumes the payload — and recorded by [`Simulation::run_action_on`].
+    #[inline]
+    fn fire(&mut self, p: &mut P, to: ProcId, svc: u64, kind: EventKind<P::Msg>, wait: u64) {
+        let (now, tracing) = (self.now, self.trace.enabled());
+        match kind {
+            EventKind::Deliver { from, msg, span } => {
+                let pending = tracing.then(|| {
+                    TraceEntry::delivery(self.trace.recycle(), now, from, to, span, &msg, wait)
+                });
+                self.run_action_on(p, to, span, svc, pending, |p, ctx| {
+                    p.on_message(ctx, from, msg)
+                });
+            }
+            EventKind::Timer { token } => {
+                let pending =
+                    tracing.then(|| TraceEntry::timer(self.trace.recycle(), now, to, token, wait));
+                self.run_action_on(p, to, None, svc, pending, |p, ctx| p.on_timer(ctx, token));
+            }
+            _ => unreachable!("only deliveries and timers are fired"),
+        }
+    }
+
     /// Execute one atomic action on `id`: run `f` with a [`Context`] whose
-    /// span is `span`, record the trace entry described by `pending` (with
-    /// the action's `Process::metrics` deltas), emit a time-series sample if
+    /// span is `span`, record the opened trace entry `pending` (with the
+    /// action's `Process::metrics` deltas), emit a time-series sample if
     /// one is due, then apply the buffered effects — so the action's entry
     /// lands in the trace *before* the entries its sends generate, keeping
     /// the trace causally ordered. Effects depart at `now + service` (the
@@ -773,7 +737,7 @@ impl<P: Process> Simulation<P> {
         id: ProcId,
         span: Option<u64>,
         service: u64,
-        pending: Option<PendingTrace>,
+        pending: Option<TraceEntry>,
         f: impl FnOnce(&mut P, &mut Context<'_, P::Msg>),
     ) {
         let mut p = self.procs[id.index()]
@@ -794,14 +758,12 @@ impl<P: Process> Simulation<P> {
         id: ProcId,
         span: Option<u64>,
         service: u64,
-        pending: Option<PendingTrace>,
+        pending: Option<TraceEntry>,
         f: impl FnOnce(&mut P, &mut Context<'_, P::Msg>),
     ) {
-        let before = if pending.is_some() {
-            p.metrics()
-        } else {
-            Vec::new()
-        };
+        if pending.is_some() {
+            self.counters[id.index()].arm(p);
+        }
         debug_assert!(self.effects_buf.is_empty());
         let mut effects = std::mem::take(&mut self.effects_buf);
         {
@@ -814,20 +776,9 @@ impl<P: Process> Simulation<P> {
             };
             f(p, &mut ctx);
         }
-        if let Some(pt) = pending {
-            self.trace.record(TraceEntry {
-                seq: 0,
-                at: self.now,
-                from: pt.from,
-                to: id,
-                event: pt.event,
-                kind: pt.kind,
-                span,
-                redelivery: pt.redelivery,
-                wait: pt.wait,
-                detail: pt.detail,
-                deltas: metric_deltas(&before, &p.metrics()),
-            });
+        if let Some(mut entry) = pending {
+            self.counters[id.index()].diff_into(p, &mut entry.deltas);
+            self.trace.record(entry);
         }
         if self.sampler.due(id, self.now) {
             let pairs = p.metrics();
@@ -841,7 +792,7 @@ impl<P: Process> Simulation<P> {
                         self.trace
                             .note(self.now, id, id, TraceEvent::Alert, alert.rule, None)
                     {
-                        e.detail = alert.detail();
+                        e.set_detail(alert.detail());
                     }
                     self.alerts.push(alert);
                 }
@@ -876,12 +827,7 @@ impl<P: Process> Simulation<P> {
                 if to.is_external() {
                     self.stats
                         .record_send(msg.kind(), src.index(), None, msg.size_hint(), false);
-                    if let Some(e) =
-                        self.trace
-                            .note(depart, src, to, TraceEvent::Output, msg.kind(), span)
-                    {
-                        e.detail = format!("{msg:?}");
-                    }
+                    self.trace.output(depart, src, span, &msg);
                     self.outputs.push((depart, src, msg));
                     return;
                 }
@@ -978,7 +924,7 @@ impl<P: Process> Simulation<P> {
                 detail,
             } => {
                 if let Some(e) = self.trace.note(depart, src, src, event, kind, action_span) {
-                    e.detail = detail;
+                    e.set_detail(detail);
                 }
             }
         }
@@ -994,24 +940,13 @@ impl<P: Process> Simulation<P> {
         span: Option<u64>,
         at: SimTime,
         event: TraceEvent,
-        flavor: &str,
+        flavor: &'static str,
     ) {
         if let Some(e) = self.trace.note(at, from, to, event, msg.kind(), span) {
             e.redelivery = msg.redelivery();
-            e.detail = flavor.to_string();
+            e.set_detail(flavor);
         }
     }
-}
-
-/// Trace-entry ingredients captured before an action runs (the entry itself
-/// is completed with the action's metric deltas afterwards).
-struct PendingTrace {
-    event: TraceEvent,
-    from: ProcId,
-    kind: &'static str,
-    redelivery: bool,
-    wait: u64,
-    detail: String,
 }
 
 /// Arrival time of a duplicated delivery: its own latency draw, clamped so
@@ -1429,6 +1364,53 @@ mod tests {
         sim.inject_at(SimTime(1), ProcId(0), Msg::Ping(0));
         sim.run();
         assert_eq!(sim.outputs()[0].0, SimTime(63));
+    }
+
+    #[test]
+    fn trace_renders_on_read_and_deltas_are_per_action() {
+        struct Counting {
+            seen: u64,
+        }
+        impl Process for Counting {
+            type Msg = Msg;
+            fn on_start(&mut self, _: &mut Context<'_, Msg>) {
+                self.seen = 100; // before anything is traced
+            }
+            fn on_message(&mut self, ctx: &mut Context<'_, Msg>, _: ProcId, msg: Msg) {
+                self.seen += 1;
+                ctx.set_timer(5, 9);
+                ctx.send(ProcId::EXTERNAL, msg);
+            }
+            fn metrics(&self) -> Vec<(&'static str, u64)> {
+                vec![("seen", self.seen)]
+            }
+        }
+        let mut cfg = SimConfig::seeded(1);
+        cfg.trace_capacity = 16;
+        let mut sim = Simulation::new(cfg, vec![Counting { seen: 0 }]);
+        sim.inject(ProcId(0), Msg::Ping(7));
+        sim.run();
+        // Counters moved from outside an action are nobody's delta.
+        sim.proc_mut(ProcId(0)).seen += 10;
+        sim.inject(ProcId(0), Msg::Pong(8));
+        sim.run();
+        let lines: Vec<(String, Vec<(&str, u64)>)> = sim
+            .trace()
+            .iter()
+            .map(|e| (e.detail().into_owned(), e.deltas.clone()))
+            .collect();
+        let seen = |n| vec![("seen", n)];
+        assert_eq!(
+            lines,
+            vec![
+                ("Ping(7)".to_string(), seen(1)), // deliver: not on_start's 100
+                ("Ping(7)".to_string(), vec![]),  // output
+                ("token=9".to_string(), vec![]),  // timer
+                ("Pong(8)".to_string(), seen(1)), // deliver: not proc_mut's 10
+                ("Pong(8)".to_string(), vec![]),
+                ("token=9".to_string(), vec![]),
+            ]
+        );
     }
 
     #[test]

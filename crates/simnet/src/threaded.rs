@@ -30,7 +30,7 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use crate::context::Effect;
 use crate::health::{Alert, HealthMonitor};
-use crate::obs::Sampler;
+use crate::obs::{CounterTrack, Sampler};
 use crate::runtime::{Poll, QuiesceError, Runtime};
 use crate::trace::{TraceEntry, TraceEvent};
 use crate::{Context, Obs, ObsConfig, Payload, ProcId, ProcSample, Process, SimTime, Trace};
@@ -190,7 +190,6 @@ pub struct Cluster<P: Process> {
     /// Shared trace + series, `None` when observability is off (the workers
     /// then skip every recording branch — zero overhead).
     obs: SharedObs,
-    obs_cfg: ObsConfig,
 }
 
 impl<P> Cluster<P>
@@ -238,236 +237,26 @@ where
             .expect("spawn simnet timer thread");
 
         let mut handles = Vec::with_capacity(n);
-        for (i, (mut proc, (_, rx))) in procs.into_iter().zip(channels).enumerate() {
-            let me = ProcId(i as u32);
-            let peer_senders = senders.clone();
-            let out = out_tx.clone();
-            let timers = timer_tx.clone();
-            let actions = Arc::clone(&actions);
-            let pending_timers = Arc::clone(&pending_timers);
-            let obs = obs.clone();
+        for (i, (proc, (_, rx))) in procs.into_iter().zip(channels).enumerate() {
+            let worker = Worker {
+                me: ProcId(i as u32),
+                proc,
+                rng: SmallRng::seed_from_u64(0x5EED ^ i as u64),
+                effects: Vec::new(),
+                epoch,
+                peers: senders.clone(),
+                out: out_tx.clone(),
+                timers: timer_tx.clone(),
+                actions: Arc::clone(&actions),
+                pending_timers: Arc::clone(&pending_timers),
+                obs: obs.clone(),
+                tracing: obs_cfg.trace_capacity > 0,
+                counters: CounterTrack::default(),
+                spare: None,
+            };
             let handle = thread::Builder::new()
                 .name(format!("simnet-p{i}"))
-                .spawn(move || {
-                    let mut rng = SmallRng::seed_from_u64(0x5EED ^ i as u64);
-                    let mut effects: Vec<Effect<P::Msg>> = Vec::new();
-                    let now = |epoch: Instant| SimTime(epoch.elapsed().as_micros() as u64);
-
-                    // Run on_start.
-                    {
-                        let mut ctx = Context {
-                            me,
-                            now: now(epoch),
-                            effects: &mut effects,
-                            rng: &mut rng,
-                            span: None,
-                        };
-                        proc.on_start(&mut ctx);
-                    }
-                    flush(
-                        &mut effects,
-                        me,
-                        now(epoch),
-                        None,
-                        &peer_senders,
-                        &out,
-                        &timers,
-                        &pending_timers,
-                        &obs,
-                    );
-
-                    // Crash mode: envelopes addressed to a crashed worker are
-                    // the dead incarnation's volatile queue — dropped without
-                    // running the process or bumping the action counter
-                    // (dropping is not an action, so settle stays sound).
-                    let mut down = false;
-                    while let Ok(env) = rx.recv() {
-                        match env {
-                            Envelope::Msg { from, msg, span } => {
-                                let at = now(epoch);
-                                if down {
-                                    if let Some(o) = obs.as_ref() {
-                                        let mut st = o.lock().expect("obs lock");
-                                        if let Some(e) = st.trace.note(
-                                            at,
-                                            from,
-                                            me,
-                                            TraceEvent::Drop,
-                                            msg.kind(),
-                                            span,
-                                        ) {
-                                            e.redelivery = msg.redelivery();
-                                            e.detail = "crash".into();
-                                        }
-                                    }
-                                    continue;
-                                }
-                                // Capture what the trace needs before the
-                                // payload moves into the handler.
-                                let pending = obs
-                                    .as_ref()
-                                    .map(|_| (msg.kind(), msg.redelivery(), format!("{msg:?}")));
-                                let before = if obs.is_some() {
-                                    proc.metrics()
-                                } else {
-                                    Vec::new()
-                                };
-                                let mut ctx = Context {
-                                    me,
-                                    now: at,
-                                    effects: &mut effects,
-                                    rng: &mut rng,
-                                    span,
-                                };
-                                proc.on_message(&mut ctx, from, msg);
-                                if let (Some(o), Some((kind, redelivery, detail))) =
-                                    (obs.as_ref(), pending)
-                                {
-                                    record_action(
-                                        o,
-                                        at,
-                                        from,
-                                        me,
-                                        TraceEvent::Deliver,
-                                        kind,
-                                        span,
-                                        redelivery,
-                                        detail,
-                                        &before,
-                                        &proc,
-                                    );
-                                }
-                                flush(
-                                    &mut effects,
-                                    me,
-                                    at,
-                                    span,
-                                    &peer_senders,
-                                    &out,
-                                    &timers,
-                                    &pending_timers,
-                                    &obs,
-                                );
-                                // Count the action only after its sends are
-                                // enqueued: the probe barrier relies on
-                                // "counted implies visible".
-                                actions.fetch_add(1, Ordering::SeqCst);
-                            }
-                            Envelope::Timer { token } => {
-                                if down {
-                                    continue;
-                                }
-                                let at = now(epoch);
-                                let before = if obs.is_some() {
-                                    proc.metrics()
-                                } else {
-                                    Vec::new()
-                                };
-                                let mut ctx = Context {
-                                    me,
-                                    now: at,
-                                    effects: &mut effects,
-                                    rng: &mut rng,
-                                    span: None,
-                                };
-                                proc.on_timer(&mut ctx, token);
-                                if let Some(o) = obs.as_ref() {
-                                    record_action(
-                                        o,
-                                        at,
-                                        me,
-                                        me,
-                                        TraceEvent::Timer,
-                                        "timer",
-                                        None,
-                                        false,
-                                        format!("token={token}"),
-                                        &before,
-                                        &proc,
-                                    );
-                                }
-                                flush(
-                                    &mut effects,
-                                    me,
-                                    at,
-                                    None,
-                                    &peer_senders,
-                                    &out,
-                                    &timers,
-                                    &pending_timers,
-                                    &obs,
-                                );
-                                actions.fetch_add(1, Ordering::SeqCst);
-                            }
-                            Envelope::Probe { token } => {
-                                let _ = out.send(Output::Probe(token));
-                            }
-                            Envelope::Crash => {
-                                down = true;
-                                if let Some(o) = obs.as_ref() {
-                                    let mut st = o.lock().expect("obs lock");
-                                    st.trace.note(
-                                        now(epoch),
-                                        me,
-                                        me,
-                                        TraceEvent::Crash,
-                                        "fault.crash",
-                                        None,
-                                    );
-                                }
-                            }
-                            Envelope::Restart => {
-                                if !down {
-                                    continue;
-                                }
-                                down = false;
-                                let at = now(epoch);
-                                let before = if obs.is_some() {
-                                    proc.metrics()
-                                } else {
-                                    Vec::new()
-                                };
-                                let mut ctx = Context {
-                                    me,
-                                    now: at,
-                                    effects: &mut effects,
-                                    rng: &mut rng,
-                                    span: None,
-                                };
-                                proc.on_restart(&mut ctx);
-                                if let Some(o) = obs.as_ref() {
-                                    record_action(
-                                        o,
-                                        at,
-                                        me,
-                                        me,
-                                        TraceEvent::Restart,
-                                        "fault.restart",
-                                        None,
-                                        false,
-                                        String::new(),
-                                        &before,
-                                        &proc,
-                                    );
-                                }
-                                flush(
-                                    &mut effects,
-                                    me,
-                                    at,
-                                    None,
-                                    &peer_senders,
-                                    &out,
-                                    &timers,
-                                    &pending_timers,
-                                    &obs,
-                                );
-                                actions.fetch_add(1, Ordering::SeqCst);
-                            }
-                            Envelope::Shutdown => break,
-                        }
-                    }
-                    proc
-                })
+                .spawn(move || worker.run(rx))
                 .expect("spawn simnet thread");
             handles.push(handle);
         }
@@ -484,7 +273,6 @@ where
             pending_timers,
             next_probe: 0,
             obs,
-            obs_cfg,
         }
     }
 
@@ -538,10 +326,7 @@ where
             Some(o) => {
                 let mut st = o.lock().expect("obs lock");
                 Obs {
-                    trace: std::mem::replace(
-                        &mut st.trace,
-                        Trace::with_capacity(self.obs_cfg.trace_capacity),
-                    ),
+                    trace: st.trace.take(),
                     series: std::mem::take(&mut st.series),
                     alerts: std::mem::take(&mut st.alerts),
                 }
@@ -718,125 +503,237 @@ where
     }
 }
 
-/// Record one executed action into the shared trace (with its metric
-/// deltas) and emit a time-series sample if one is due. One lock
-/// acquisition covers both, so entry `seq` and sample order agree.
-#[allow(clippy::too_many_arguments)]
-fn record_action<P: Process>(
-    obs: &Arc<Mutex<ObsState>>,
-    at: SimTime,
-    from: ProcId,
+/// One process on its own thread: its queue manager's loop and everything
+/// an action needs.
+struct Worker<P: Process> {
     me: ProcId,
-    event: TraceEvent,
-    kind: &'static str,
-    span: Option<u64>,
-    redelivery: bool,
-    detail: String,
-    before: &[(&'static str, u64)],
-    proc: &P,
-) {
-    let after = proc.metrics();
-    let mut st = obs.lock().expect("obs lock");
-    // Reborrow through the guard so the health/trace/alerts fields can be
-    // borrowed disjointly below.
-    let st = &mut *st;
-    if st.trace.enabled() {
-        st.trace.record(TraceEntry {
-            seq: 0,
-            at,
-            from,
-            to: me,
-            event,
-            kind,
-            span,
-            redelivery,
-            wait: 0,
-            detail,
-            deltas: crate::obs::metric_deltas(before, &after),
-        });
-    }
-    if st.sampler.due(me, at) {
-        let gauges = proc.gauges(at);
-        if let Some(mon) = &mut st.health {
-            let fired = mon.observe(at, me, &after, &gauges);
-            for alert in fired {
-                if let Some(e) = st
-                    .trace
-                    .note(at, me, me, TraceEvent::Alert, alert.rule, None)
-                {
-                    e.detail = alert.detail();
-                }
-                st.alerts.push(alert);
-            }
-        }
-        st.series.push(ProcSample {
-            at,
-            proc: me,
-            pairs: after,
-            gauges,
-        });
-    }
+    proc: P,
+    rng: SmallRng,
+    effects: Vec<Effect<P::Msg>>,
+    epoch: Instant,
+    peers: Vec<Sender<Envelope<P::Msg>>>,
+    out: Sender<Output<P::Msg>>,
+    timers: Sender<TimerCmd>,
+    actions: Arc<AtomicU64>,
+    pending_timers: Arc<AtomicU64>,
+    obs: SharedObs,
+    /// `obs` holds a trace, so actions open entries.
+    tracing: bool,
+    /// Counter snapshots behind action deltas and samples (while `obs` is
+    /// on). Taken on this thread, never under the obs lock.
+    counters: CounterTrack,
+    /// The trace's last evicted entry, picked up while the lock was held:
+    /// the next entry is built on its allocations, outside the lock.
+    spare: Option<TraceEntry>,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn flush<M: Payload>(
-    effects: &mut Vec<Effect<M>>,
-    me: ProcId,
-    at: SimTime,
-    action_span: Option<u64>,
-    peers: &[Sender<Envelope<M>>],
-    out: &Sender<Output<M>>,
-    timers: &Sender<TimerCmd>,
-    pending_timers: &AtomicU64,
-    obs: &SharedObs,
-) {
-    for effect in effects.drain(..) {
-        match effect {
-            Effect::Send { to, msg } => {
-                // Same span-inheritance rule as the simulator: the payload's
-                // own span wins, else the sending action's.
-                let span = msg.span().or(action_span);
-                if to.is_external() {
-                    if let Some(o) = obs {
-                        let mut st = o.lock().expect("obs lock");
-                        if let Some(e) =
-                            st.trace
-                                .note(at, me, to, TraceEvent::Output, msg.kind(), span)
-                        {
-                            e.detail = format!("{msg:?}");
+impl<P: Process> Worker<P> {
+    fn now(&self) -> SimTime {
+        SimTime(self.epoch.elapsed().as_micros() as u64)
+    }
+
+    /// Drain the inbox until shutdown; returns the final process state.
+    fn run(mut self, rx: Receiver<Envelope<P::Msg>>) -> P {
+        let at = self.now();
+        self.dispatch(at, None, |p, ctx| p.on_start(ctx));
+        self.flush(at, None);
+
+        // Crash mode: envelopes addressed to a crashed worker are the dead
+        // incarnation's volatile queue — dropped without running the
+        // process or bumping the action counter (dropping is not an action,
+        // so settle stays sound).
+        let mut down = false;
+        while let Ok(env) = rx.recv() {
+            match env {
+                Envelope::Msg { from, msg, span } => {
+                    let at = self.now();
+                    if down {
+                        if let Some(o) = &self.obs {
+                            let mut st = o.lock().expect("obs lock");
+                            if let Some(e) =
+                                st.trace
+                                    .note(at, from, self.me, TraceEvent::Drop, msg.kind(), span)
+                            {
+                                e.redelivery = msg.redelivery();
+                                e.set_detail("crash");
+                            }
                         }
+                        continue;
                     }
-                    let _ = out.send(Output::At(at, me, msg));
-                } else {
-                    let _ = peers[to.index()].send(Envelope::Msg {
-                        from: me,
-                        msg,
-                        span,
+                    // Open the entry before the payload moves into the
+                    // handler.
+                    let pending = self.tracing.then(|| {
+                        TraceEntry::delivery(self.spare.take(), at, from, self.me, span, &msg, 0)
                     });
+                    self.act(at, span, pending, |p, ctx| p.on_message(ctx, from, msg));
+                }
+                Envelope::Timer { token } => {
+                    if down {
+                        continue;
+                    }
+                    let at = self.now();
+                    let pending = self
+                        .tracing
+                        .then(|| TraceEntry::timer(self.spare.take(), at, self.me, token, 0));
+                    self.act(at, None, pending, |p, ctx| p.on_timer(ctx, token));
+                }
+                Envelope::Probe { token } => {
+                    let _ = self.out.send(Output::Probe(token));
+                }
+                Envelope::Crash => {
+                    down = true;
+                    if let Some(o) = &self.obs {
+                        let mut st = o.lock().expect("obs lock");
+                        let (at, me) = (self.now(), self.me);
+                        st.trace
+                            .note(at, me, me, TraceEvent::Crash, "fault.crash", None);
+                    }
+                }
+                Envelope::Restart => {
+                    if !down {
+                        continue;
+                    }
+                    down = false;
+                    let at = self.now();
+                    let pending = self
+                        .tracing
+                        .then(|| TraceEntry::restart(self.spare.take(), at, self.me));
+                    self.act(at, None, pending, |p, ctx| p.on_restart(ctx));
+                }
+                Envelope::Shutdown => break,
+            }
+        }
+        self.proc
+    }
+
+    /// Run one handler against the process with a fresh [`Context`].
+    fn dispatch(
+        &mut self,
+        at: SimTime,
+        span: Option<u64>,
+        f: impl FnOnce(&mut P, &mut Context<'_, P::Msg>),
+    ) {
+        let mut ctx = Context {
+            me: self.me,
+            now: at,
+            effects: &mut self.effects,
+            rng: &mut self.rng,
+            span,
+        };
+        f(&mut self.proc, &mut ctx);
+    }
+
+    /// One atomic action: run the handler, record it (its opened trace
+    /// entry `pending`, a sample if due), send what it sent, count it.
+    fn act(
+        &mut self,
+        at: SimTime,
+        span: Option<u64>,
+        pending: Option<TraceEntry>,
+        f: impl FnOnce(&mut P, &mut Context<'_, P::Msg>),
+    ) {
+        if self.obs.is_some() {
+            self.counters.arm(&self.proc);
+        }
+        self.dispatch(at, span, f);
+        self.observe(at, pending);
+        self.flush(at, span);
+        // Count the action only after its sends are enqueued: the probe
+        // barrier relies on "counted implies visible".
+        self.actions.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Record one executed action into the shared trace (with its counter
+    /// deltas) and emit a time-series sample if one is due. The counters are
+    /// read before the lock is taken; one acquisition covers entry and
+    /// sample, so entry `seq` and sample order agree.
+    fn observe(&mut self, at: SimTime, mut pending: Option<TraceEntry>) {
+        let Some(obs) = &self.obs else {
+            return;
+        };
+        match &mut pending {
+            Some(entry) => self.counters.diff_into(&self.proc, &mut entry.deltas),
+            None => self.counters.refresh(&self.proc),
+        }
+        let me = self.me;
+        let mut st = obs.lock().expect("obs lock");
+        // Reborrow through the guard so the health/trace/alerts fields can
+        // be borrowed disjointly below.
+        let st = &mut *st;
+        if let Some(entry) = pending {
+            st.trace.record(entry);
+        }
+        if st.sampler.due(me, at) {
+            let pairs = self.counters.last();
+            let gauges = self.proc.gauges(at);
+            if let Some(mon) = &mut st.health {
+                for alert in mon.observe(at, me, pairs, &gauges) {
+                    if let Some(e) = st
+                        .trace
+                        .note(at, me, me, TraceEvent::Alert, alert.rule, None)
+                    {
+                        e.set_detail(alert.detail());
+                    }
+                    st.alerts.push(alert);
                 }
             }
-            Effect::Timer { delay, token } => {
-                // One virtual tick = one microsecond, the granularity of the
-                // `now()` clock the worker reports to its process. Count the
-                // timer as pending before the command is visible to the
-                // timer thread, so quiescence probes never miss it.
-                pending_timers.fetch_add(1, Ordering::SeqCst);
-                let deadline = Instant::now() + Duration::from_micros(delay);
-                let _ = timers.send(TimerCmd::At {
-                    deadline,
-                    proc: me,
-                    token,
-                });
-            }
-            Effect::Mark {
-                event,
-                kind,
-                detail,
-            } => {
-                if let Some(o) = obs {
-                    let mut st = o.lock().expect("obs lock");
-                    if let Some(e) = st.trace.note(at, me, me, event, kind, action_span) {
-                        e.detail = detail;
+            st.series.push(ProcSample {
+                at,
+                proc: me,
+                pairs: pairs.to_vec(),
+                gauges,
+            });
+        }
+        self.spare = st.trace.recycle();
+    }
+
+    /// Apply the effects the last handler buffered.
+    fn flush(&mut self, at: SimTime, action_span: Option<u64>) {
+        let me = self.me;
+        for effect in self.effects.drain(..) {
+            match effect {
+                Effect::Send { to, msg } => {
+                    // Same span-inheritance rule as the simulator: the
+                    // payload's own span wins, else the sending action's.
+                    let span = msg.span().or(action_span);
+                    if to.is_external() {
+                        if let Some(o) = &self.obs {
+                            let mut st = o.lock().expect("obs lock");
+                            st.trace.output(at, me, span, &msg);
+                        }
+                        let _ = self.out.send(Output::At(at, me, msg));
+                    } else {
+                        let _ = self.peers[to.index()].send(Envelope::Msg {
+                            from: me,
+                            msg,
+                            span,
+                        });
+                    }
+                }
+                Effect::Timer { delay, token } => {
+                    // One virtual tick = one microsecond, the granularity of
+                    // the `now()` clock the worker reports to its process.
+                    // Count the timer as pending before the command is
+                    // visible to the timer thread, so quiescence probes
+                    // never miss it.
+                    self.pending_timers.fetch_add(1, Ordering::SeqCst);
+                    let deadline = Instant::now() + Duration::from_micros(delay);
+                    let _ = self.timers.send(TimerCmd::At {
+                        deadline,
+                        proc: me,
+                        token,
+                    });
+                }
+                Effect::Mark {
+                    event,
+                    kind,
+                    detail,
+                } => {
+                    if let Some(o) = &self.obs {
+                        let mut st = o.lock().expect("obs lock");
+                        if let Some(e) = st.trace.note(at, me, me, event, kind, action_span) {
+                            e.set_detail(detail);
+                        }
                     }
                 }
             }

@@ -11,10 +11,22 @@
 //!
 //! The buffer retains the **most recent** `cap` entries: debugging a failed
 //! run needs the tail, not the head. `dropped` counts evicted entries.
+//!
+//! It is a *flight recorder*: recording keeps what happened in the cheapest
+//! form the runtime has — a delivery keeps a clone of the payload itself, a
+//! timer its token — and text is produced only when someone reads it
+//! ([`TraceEntry::detail`], [`TraceEntry::to_json`]). A long run records
+//! many times what the ring retains, so an entry that is evicted is never
+//! formatted, and the evicted entry's allocations are handed to the next
+//! one recorded (`Trace::recycle`).
 
+use std::any::Any;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt::{self, Write as _};
 
-use crate::{ProcId, SimTime};
+use crate::json::{pairs_into, Escaped};
+use crate::{Payload, ProcId, SimTime};
 
 /// What a trace entry records.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -71,8 +83,42 @@ impl TraceEvent {
     }
 }
 
+/// A payload kept in the trace as itself (any [`Payload`]), type-erased so
+/// [`Trace`] stays non-generic.
+trait Recorded: Any + fmt::Debug + Send + Sync {}
+
+impl<M: Payload> Recorded for M {}
+
+/// What an entry says beyond its fixed fields, in the form it was recorded.
+enum Detail {
+    /// A fault flavor or a process-written annotation (empty for none).
+    Text(Cow<'static, str>),
+    /// A timer's token; reads `token=N`.
+    Token(u64),
+    /// The delivered or emitted payload; reads as its `{:?}`.
+    Payload(Box<dyn Recorded>),
+}
+
+impl fmt::Display for Detail {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Detail::Text(t) => f.write_str(t),
+            Detail::Token(token) => write!(f, "token={token}"),
+            Detail::Payload(p) => write!(f, "{p:?}"),
+        }
+    }
+}
+
+/// Debug-prints as the rendered text: an entry's `{:?}` does not depend on
+/// how its detail was recorded.
+impl fmt::Debug for Detail {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.to_string(), f)
+    }
+}
+
 /// One recorded runtime event.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct TraceEntry {
     /// Global record number (assigned by [`Trace::record`]; causal order
     /// within a processor and within a channel).
@@ -97,21 +143,141 @@ pub struct TraceEntry {
     /// Ticks the delivery waited for a busy node manager (simulator
     /// service-time model; always 0 on the threaded runtime).
     pub wait: u64,
-    /// `format!("{:?}")` of the payload (or a fault annotation), captured
-    /// only while tracing.
-    pub detail: String,
+    /// Recorded raw, rendered on demand by [`TraceEntry::detail`]: the
+    /// payload's `{:?}`, a timer's `token=N`, or a fault annotation.
+    detail: Detail,
     /// Named `Process::metrics` counters this action changed, as
     /// `(name, increase)` pairs.
     pub deltas: Vec<(&'static str, u64)>,
 }
 
 impl TraceEntry {
+    /// An entry with no detail and no deltas. `seq` is stamped by
+    /// [`Trace::record`].
+    pub fn new(
+        at: SimTime,
+        from: ProcId,
+        to: ProcId,
+        event: TraceEvent,
+        kind: &'static str,
+        span: Option<u64>,
+    ) -> Self {
+        Self::reusing(None, at, from, to, event, kind, span)
+    }
+
+    /// [`TraceEntry::new`] built on the allocations of `old`, an evicted
+    /// entry from [`Trace::recycle`]: the `deltas` capacity, and the payload
+    /// box — `old`'s detail is left in place for [`TraceEntry::set_payload`]
+    /// to overwrite, so every caller sets the detail.
+    fn reusing(
+        old: Option<TraceEntry>,
+        at: SimTime,
+        from: ProcId,
+        to: ProcId,
+        event: TraceEvent,
+        kind: &'static str,
+        span: Option<u64>,
+    ) -> Self {
+        let (detail, mut deltas) = match old {
+            Some(old) => (old.detail, old.deltas),
+            None => (Detail::Text(Cow::Borrowed("")), Vec::new()),
+        };
+        deltas.clear();
+        TraceEntry {
+            seq: 0,
+            at,
+            from,
+            to,
+            event,
+            kind,
+            span,
+            redelivery: false,
+            wait: 0,
+            detail,
+            deltas,
+        }
+    }
+
+    /// The entry of `msg`'s delivery to `to`, opened before the action runs
+    /// (the handler consumes the payload) and recorded after it, with the
+    /// action's counter deltas. Both runtimes build action entries here.
+    pub(crate) fn delivery<M: Payload>(
+        old: Option<TraceEntry>,
+        at: SimTime,
+        from: ProcId,
+        to: ProcId,
+        span: Option<u64>,
+        msg: &M,
+        wait: u64,
+    ) -> Self {
+        let mut e = Self::reusing(old, at, from, to, TraceEvent::Deliver, msg.kind(), span);
+        e.redelivery = msg.redelivery();
+        e.wait = wait;
+        e.set_payload(msg);
+        e
+    }
+
+    /// The entry of a timer firing on `to`.
+    pub(crate) fn timer(
+        old: Option<TraceEntry>,
+        at: SimTime,
+        to: ProcId,
+        token: u64,
+        wait: u64,
+    ) -> Self {
+        let mut e = Self::reusing(old, at, to, to, TraceEvent::Timer, "timer", None);
+        e.wait = wait;
+        e.detail = Detail::Token(token);
+        e
+    }
+
+    /// The entry of `to`'s restart action.
+    pub(crate) fn restart(old: Option<TraceEntry>, at: SimTime, to: ProcId) -> Self {
+        let mut e = Self::reusing(old, at, to, to, TraceEvent::Restart, "fault.restart", None);
+        e.set_detail("");
+        e
+    }
+
+    /// What the entry says beyond its fixed fields, rendered now: the
+    /// `{:?}` of the payload (or `token=N`, or a fault annotation).
+    pub fn detail(&self) -> Cow<'_, str> {
+        match &self.detail {
+            Detail::Text(t) => Cow::Borrowed(t),
+            other => Cow::Owned(other.to_string()),
+        }
+    }
+
+    /// Annotate the entry with fixed or process-written text.
+    pub fn set_detail(&mut self, text: impl Into<Cow<'static, str>>) {
+        self.detail = Detail::Text(text.into());
+    }
+
+    /// Keep a clone of `msg` as the detail (into the box already here, when
+    /// this entry was built on an evicted one that held the same type).
+    fn set_payload<M: Payload>(&mut self, msg: &M) {
+        if let Detail::Payload(held) = &mut self.detail {
+            if let Some(slot) = (&mut **held as &mut dyn Any).downcast_mut::<M>() {
+                slot.clone_from(msg);
+                return;
+            }
+        }
+        self.detail = Detail::Payload(Box::new(msg.clone()));
+    }
+
     /// One line of the JSONL schema (no trailing newline). Field set and
     /// order are pinned by a golden-file test; extend, don't reorder.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(96 + self.detail.len());
-        s.push_str(&format!(
-            "{{\"seq\":{},\"at\":{},\"from\":{},\"to\":{},\"event\":\"{}\",\"kind\":\"{}\"",
+        let mut s = String::new();
+        self.write_json(&mut s);
+        s
+    }
+
+    /// Append [`TraceEntry::to_json`] to `out`.
+    fn write_json(&self, out: &mut String) {
+        // Writing to a `String` cannot fail.
+        let _ = write!(
+            out,
+            "{{\"seq\":{},\"at\":{},\"from\":{},\"to\":{},\"event\":\"{}\",\"kind\":\"{}\",\"span\":",
             self.seq,
             self.at.ticks(),
             // External is serialized as -1 so consumers get a plain integer.
@@ -119,28 +285,20 @@ impl TraceEntry {
             proc_json(self.to),
             self.event.as_str(),
             self.kind,
-        ));
-        match self.span {
-            Some(sp) => s.push_str(&format!(",\"span\":{sp}")),
-            None => s.push_str(",\"span\":null"),
-        }
-        s.push_str(&format!(
-            ",\"redelivery\":{},\"wait\":{}",
+        );
+        let _ = match self.span {
+            Some(sp) => write!(out, "{sp}"),
+            None => out.write_str("null"),
+        };
+        let _ = write!(
+            out,
+            ",\"redelivery\":{},\"wait\":{},\"detail\":\"",
             self.redelivery, self.wait
-        ));
-        s.push_str(",\"detail\":\"");
-        json_escape_into(&mut s, &self.detail);
-        s.push_str("\",\"deltas\":{");
-        for (i, (name, inc)) in self.deltas.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('"');
-            json_escape_into(&mut s, name);
-            s.push_str(&format!("\":{inc}"));
-        }
-        s.push_str("}}");
-        s
+        );
+        let _ = write!(Escaped(out), "{}", self.detail);
+        out.push_str("\",\"deltas\":");
+        pairs_into(out, &self.deltas);
+        out.push('}');
     }
 }
 
@@ -149,21 +307,6 @@ fn proc_json(p: ProcId) -> i64 {
         -1
     } else {
         p.0 as i64
-    }
-}
-
-/// Escape `src` for inclusion inside a JSON string literal.
-pub(crate) fn json_escape_into(out: &mut String, src: &str) {
-    for c in src.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
     }
 }
 
@@ -182,6 +325,8 @@ pub struct Trace {
     /// Retained [`TraceEvent::Alert`] entries — the eviction policy below
     /// skips them while anything else can be evicted instead.
     retained_alerts: usize,
+    /// The entry evicted last, kept for its allocations ([`Trace::recycle`]).
+    spare: Option<TraceEntry>,
 }
 
 impl Trace {
@@ -193,7 +338,14 @@ impl Trace {
             dropped: 0,
             next_seq: 0,
             retained_alerts: 0,
+            spare: None,
         }
+    }
+
+    /// Hand over what was recorded, leaving an empty trace of the same
+    /// capacity (numbering restarts at 0).
+    pub(crate) fn take(&mut self) -> Trace {
+        std::mem::replace(self, Trace::with_capacity(self.cap))
     }
 
     /// Is recording enabled at all? (`cap > 0`.)
@@ -218,18 +370,18 @@ impl Trace {
         entry.seq = self.next_seq;
         self.next_seq += 1;
         if self.entries.len() == self.cap {
-            if self.retained_alerts == 0 {
-                self.entries.pop_front();
+            self.spare = if self.retained_alerts == 0 {
+                self.entries.pop_front()
             } else if let Some(idx) = self
                 .entries
                 .iter()
                 .position(|e| e.event != TraceEvent::Alert)
             {
-                self.entries.remove(idx);
+                self.entries.remove(idx)
             } else {
-                self.entries.pop_front();
                 self.retained_alerts -= 1;
-            }
+                self.entries.pop_front()
+            };
             self.dropped += 1;
         }
         if entry.event == TraceEvent::Alert {
@@ -239,11 +391,10 @@ impl Trace {
     }
 
     /// Record an event that is not a process action — a fault drop or
-    /// duplicate, a crash marker, an external output, a mark, an alert —
-    /// and therefore changed no process metrics. Returns the recorded entry
+    /// duplicate, a crash marker, a mark, an alert — and therefore changed
+    /// no process metrics. Returns the recorded entry
     /// (`None` while tracing is off) so the caller can set the rarer fields
-    /// (`detail`, `redelivery`, `wait`): formatting a payload is paid only
-    /// when there is a trace to put it in.
+    /// (`redelivery`, `wait`, [`TraceEntry::set_detail`]).
     pub fn note(
         &mut self,
         at: SimTime,
@@ -256,20 +407,33 @@ impl Trace {
         if !self.enabled() {
             return None;
         }
-        self.record(TraceEntry {
-            seq: 0,
-            at,
-            from,
-            to,
-            event,
-            kind,
-            span,
-            redelivery: false,
-            wait: 0,
-            detail: String::new(),
-            deltas: Vec::new(),
-        });
+        self.record(TraceEntry::new(at, from, to, event, kind, span));
         self.entries.back_mut()
+    }
+
+    /// Record `msg` leaving the system toward [`ProcId::EXTERNAL`] (a no-op
+    /// while tracing is off); like a delivery, it keeps the payload itself.
+    pub(crate) fn output<M: Payload>(
+        &mut self,
+        at: SimTime,
+        from: ProcId,
+        span: Option<u64>,
+        msg: &M,
+    ) {
+        if self.enabled() {
+            let to = ProcId::EXTERNAL;
+            let event = TraceEvent::Output;
+            let mut e = TraceEntry::reusing(self.recycle(), at, from, to, event, msg.kind(), span);
+            e.set_payload(msg);
+            self.record(e);
+        }
+    }
+
+    /// Take the entry evicted last, to build the next one on its
+    /// allocations (`TraceEntry::delivery` and friends): with the ring full,
+    /// recording a flat payload allocates nothing.
+    pub(crate) fn recycle(&mut self) -> Option<TraceEntry> {
+        self.spare.take()
     }
 
     /// Recorded entries, oldest retained first.
@@ -330,7 +494,7 @@ impl Trace {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for e in &self.entries {
-            out.push_str(&e.to_json());
+            e.write_json(&mut out);
             out.push('\n');
         }
         out
@@ -371,19 +535,14 @@ mod tests {
     use super::*;
 
     fn entry(kind: &'static str) -> TraceEntry {
-        TraceEntry {
-            seq: 0,
-            at: SimTime(0),
-            from: ProcId(0),
-            to: ProcId(1),
-            event: TraceEvent::Deliver,
+        TraceEntry::new(
+            SimTime(0),
+            ProcId(0),
+            ProcId(1),
+            TraceEvent::Deliver,
             kind,
-            span: None,
-            redelivery: false,
-            wait: 0,
-            detail: String::new(),
-            deltas: Vec::new(),
-        }
+            None,
+        )
     }
 
     #[test]
@@ -492,7 +651,7 @@ mod tests {
     #[test]
     fn json_escapes_details() {
         let mut e = entry("x");
-        e.detail = "say \"hi\"\nback\\slash".into();
+        e.set_detail("say \"hi\"\nback\\slash");
         let line = e.to_json();
         assert!(line.contains(r#"say \"hi\"\nback\\slash"#));
         assert!(!line.contains('\n'), "one line per entry");

@@ -20,19 +20,10 @@ fn entry(
     span: Option<u64>,
     detail: &str,
 ) -> TraceEntry {
-    TraceEntry {
-        seq: 0, // stamped by Trace::record
-        at: SimTime(at),
-        from,
-        to,
-        event,
-        kind,
-        span,
-        redelivery: false,
-        wait: 0,
-        detail: detail.to_string(),
-        deltas: Vec::new(),
-    }
+    // `seq` is stamped by Trace::record.
+    let mut e = TraceEntry::new(SimTime(at), from, to, event, kind, span);
+    e.set_detail(detail.to_string());
+    e
 }
 
 /// One entry of every event type, exercising every field: spans present and

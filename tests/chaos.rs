@@ -235,7 +235,7 @@ fn fault_trace_matches_injected_fault_stats() {
     assert_eq!(trace.dropped(), 0, "capacity must hold the full run");
 
     let count = |ev: TraceEvent, flavor: &str| {
-        trace.of_event(ev).filter(|e| e.detail == flavor).count() as u64
+        trace.of_event(ev).filter(|e| e.detail() == flavor).count() as u64
     };
     assert!(faults.dropped > 0 && faults.duplicated > 0, "{faults:?}");
     assert_eq!(count(TraceEvent::Drop, "loss"), faults.dropped);
