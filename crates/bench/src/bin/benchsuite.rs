@@ -97,7 +97,7 @@ fn main() -> ExitCode {
         "lat mean",
         "p99",
         "hops",
-        "msgs/op",
+        "msgs/op (remote+local)",
         "msgs/split (paper)",
         "Mev/s",
         "queue/transit/serve/stall",
@@ -113,7 +113,12 @@ fn main() -> ExitCode {
             f1(r.lat_mean),
             r.lat_p99.to_string(),
             f2(r.hops_mean),
-            f2(r.msgs_per_op),
+            format!(
+                "{} ({}+{})",
+                f2(r.msgs_per_op),
+                f2(r.remote_msgs_per_op),
+                f2(r.local_msgs_per_op)
+            ),
             format!("{} ({})", f2(r.msgs_per_split), r.paper_msgs_per_split),
             if r.events_per_sec > 0.0 {
                 f2(r.events_per_sec / 1e6)

@@ -77,8 +77,11 @@ fn main() {
             99,
             4,
         );
-        let descend = cluster.sim.stats().kind("descend");
-        let local_pct = 100.0 * descend.local as f64 / descend.total().max(1) as f64;
+        // A descent step whose next node is resident runs in-process and
+        // is counted by the processor; only the others are messages.
+        let local = bench::sum_metric(&cluster, |m| m.local_steps);
+        let remote = cluster.sim.stats().kind("descend").remote;
+        let local_pct = 100.0 * local as f64 / (local + remote).max(1) as f64;
         let remote_per_op =
             cluster.sim.stats().remote_messages() as f64 / stats.records.len() as f64;
         summary.row(&[

@@ -286,6 +286,12 @@ pub struct CellResult {
     pub msgs_total: u64,
     /// Messages per completed op.
     pub msgs_per_op: f64,
+    /// Inter-processor messages per completed op — the cost the paper
+    /// states. Gated on its own, so it cannot hide behind hand-offs.
+    pub remote_msgs_per_op: f64,
+    /// Hand-offs to self per completed op (`msgs_per_op` minus the remote
+    /// share): sends a processor addressed to itself through the queue.
+    pub local_msgs_per_op: f64,
     /// Splits performed during the drive.
     pub splits: u64,
     /// Remote split-protocol (or directory-patch) messages.
@@ -719,8 +725,7 @@ fn run_blink_sim(spec: &CellSpec) -> CellOutput {
     let mut r = base_result(spec, &timing(&with_scans(&stats, &scans)));
     r.events_total = cluster.sim.events_delivered() - events_before;
     r.events_per_sec = r.events_total as f64 / wall.as_secs_f64().max(1e-9);
-    r.msgs_total = delta.total_messages();
-    r.msgs_per_op = r.msgs_total as f64 / r.completed.max(1) as f64;
+    r.record_msgs(&delta);
     r.splits = splits;
     r.split_msgs = split_msgs;
     r.msgs_per_split = split_msgs as f64 / splits.max(1) as f64;
@@ -811,8 +816,7 @@ fn run_dhash_sim(spec: &CellSpec) -> CellOutput {
     let mut r = base_result(spec, &timing(&stats));
     r.events_total = cluster.sim.events_delivered() - events_before;
     r.events_per_sec = r.events_total as f64 / wall.as_secs_f64().max(1e-9);
-    r.msgs_total = delta.total_messages();
-    r.msgs_per_op = r.msgs_total as f64 / r.completed.max(1) as f64;
+    r.record_msgs(&delta);
     r.splits = splits;
     r.split_msgs = split_msgs;
     r.msgs_per_split = split_msgs as f64 / splits.max(1) as f64;
@@ -886,6 +890,17 @@ fn f(x: f64) -> String {
 }
 
 impl CellResult {
+    /// Fill the message counts of a drive from its `NetStats` delta, split
+    /// by locality. Call after `completed` is set.
+    fn record_msgs(&mut self, delta: &simnet::NetStats) {
+        let ops = self.completed.max(1) as f64;
+        let remote = delta.remote_messages();
+        self.msgs_total = delta.total_messages();
+        self.msgs_per_op = self.msgs_total as f64 / ops;
+        self.remote_msgs_per_op = remote as f64 / ops;
+        self.local_msgs_per_op = (self.msgs_total - remote) as f64 / ops;
+    }
+
     /// One flat JSON object (no trailing newline). Field order is frozen
     /// by the golden-file test.
     pub fn to_json(&self) -> String {
@@ -894,7 +909,8 @@ impl CellResult {
              \"network\":\"{}\",\"protocol\":\"{}\",\"deterministic\":{},\"n_procs\":{},\
              \"ops\":{},\"completed\":{},\"makespan\":{},\"throughput_kops\":{},\
              \"lat_mean\":{},\"lat_p50\":{},\"lat_p95\":{},\"lat_p99\":{},\"lat_max\":{},\
-             \"hops_mean\":{},\"msgs_total\":{},\"msgs_per_op\":{},\"splits\":{},\
+             \"hops_mean\":{},\"msgs_total\":{},\"msgs_per_op\":{},\
+             \"remote_msgs_per_op\":{},\"local_msgs_per_op\":{},\"splits\":{},\
              \"split_msgs\":{},\"msgs_per_split\":{},\"copies\":{},\"paper_msgs_per_split\":{},\
              \"merges\":{},\"live_nodes\":{},\
              \"seg_queueing\":{},\"seg_transit\":{},\"seg_service\":{},\"seg_stall\":{},\
@@ -920,6 +936,8 @@ impl CellResult {
             f(self.hops_mean),
             self.msgs_total,
             f(self.msgs_per_op),
+            f(self.remote_msgs_per_op),
+            f(self.local_msgs_per_op),
             self.splits,
             self.split_msgs,
             f(self.msgs_per_split),
@@ -980,6 +998,8 @@ impl CellResult {
             hops_mean: num(s, "hops_mean")?,
             msgs_total: num(s, "msgs_total")?,
             msgs_per_op: num(s, "msgs_per_op")?,
+            remote_msgs_per_op: num(s, "remote_msgs_per_op")?,
+            local_msgs_per_op: num(s, "local_msgs_per_op")?,
             splits: num(s, "splits")?,
             split_msgs: num(s, "split_msgs")?,
             msgs_per_split: num(s, "msgs_per_split")?,
@@ -1157,6 +1177,20 @@ pub fn compare(current: &BenchReport, baseline: &BenchReport, gate: &GateCfg) ->
         check("lat_p99", cur.lat_p99 as f64, base.lat_p99 as f64, true);
         check("hops_mean", cur.hops_mean, base.hops_mean, true);
         check("msgs_per_op", cur.msgs_per_op, base.msgs_per_op, true);
+        // The paper's cost is the inter-processor share; hand-offs to self
+        // are the runtime's. Each is pinned on its own.
+        check(
+            "remote_msgs_per_op",
+            cur.remote_msgs_per_op,
+            base.remote_msgs_per_op,
+            true,
+        );
+        check(
+            "local_msgs_per_op",
+            cur.local_msgs_per_op,
+            base.local_msgs_per_op,
+            true,
+        );
         // The reclamation bound: node copies live at quiesce may not grow
         // past tolerance (retired leaves must actually free their slots),
         // and merge commits may not quietly stop happening.

@@ -36,6 +36,8 @@ fn golden_cell() -> CellResult {
         hops_mean: 2.5,
         msgs_total: 4000,
         msgs_per_op: 10.0,
+        remote_msgs_per_op: 7.5,
+        local_msgs_per_op: 2.5,
         splits: 12,
         split_msgs: 24,
         msgs_per_split: 2.0,

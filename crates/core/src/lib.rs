@@ -66,7 +66,7 @@ pub use config::{PiggybackCfg, Placement, ProtocolKind, TreeConfig};
 pub use metrics::ProcMetrics;
 pub use msg::{InstallReason, LinkDir, Msg, SplitInfo};
 pub use node::{NodeCopy, NodeSnapshot};
-pub use proc::DbProc;
+pub use proc::{DbProc, LOCAL_STEP_CAP};
 pub use simnet::{OpenLoopCfg, QuiesceError, Runtime};
 pub use store::NodeStore;
 pub use tree::{

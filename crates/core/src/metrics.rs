@@ -72,6 +72,11 @@ pub struct ProcMetrics {
     /// initial inserts toward the absorbing sibling (never dropped: the
     /// client already saw the ack).
     pub relays_rerouted: u64,
+    /// Node visits made in-process: steps of a navigable action whose next
+    /// node was resident, so the step ran inside the delivering action
+    /// instead of as a message to self. A trace entry's delta is the number
+    /// of extra nodes that delivery visited.
+    pub local_steps: u64,
 }
 
 impl ProcMetrics {
@@ -116,6 +121,7 @@ impl ProcMetrics {
             ("retires_applied", self.retires_applied),
             ("absorbs_applied", self.absorbs_applied),
             ("relays_rerouted", self.relays_rerouted),
+            ("nav.local_steps", self.local_steps),
         ]);
     }
 
@@ -149,6 +155,7 @@ impl ProcMetrics {
         self.retires_applied += other.retires_applied;
         self.absorbs_applied += other.absorbs_applied;
         self.relays_rerouted += other.relays_rerouted;
+        self.local_steps += other.local_steps;
     }
 }
 

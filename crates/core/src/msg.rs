@@ -175,6 +175,11 @@ pub enum Msg {
         /// so the relay stays attributable after it leaves the initial
         /// action's context (piggyback buffers outlive their action).
         span: Option<u64>,
+        /// The sender copy's absorb epoch (`absorb_count`) when it applied
+        /// the insert. A receiver whose range does not (yet) cover the key
+        /// and whose epoch is behind holds the relay until it has caught up
+        /// — the §4.3 version idea applied to range *widening*.
+        epoch: u64,
     },
     /// A batch of relayed inserts (piggybacking, §1.1).
     RelayBatch(Vec<RelayedItem>),
@@ -447,6 +452,32 @@ pub struct RelayedItem {
     /// Span of the originating client operation (see
     /// [`Msg::RelayedInsert::span`]).
     pub span: Option<u64>,
+    /// The sender copy's absorb epoch (see [`Msg::RelayedInsert::epoch`]).
+    pub epoch: u64,
+}
+
+impl From<RelayedItem> for Msg {
+    /// The item as a stand-alone relay (unbatched send, or a stash entry).
+    fn from(item: RelayedItem) -> Msg {
+        let RelayedItem {
+            node,
+            key,
+            entry,
+            tag,
+            version,
+            span,
+            epoch,
+        } = item;
+        Msg::RelayedInsert {
+            node,
+            key,
+            entry,
+            tag,
+            version,
+            span,
+            epoch,
+        }
+    }
 }
 
 /// Why a copy is being installed.
@@ -487,6 +518,19 @@ pub enum LockedUpdate {
     /// Nothing to apply — pure unlock (the coordinated update was re-routed
     /// or had already been satisfied).
     Noop,
+}
+
+impl Msg {
+    /// The kinds that are fully addressed by key (+ level) and tolerate an
+    /// arbitrarily stale `node` hint: a step of one of these whose next
+    /// node is resident continues in-process instead of becoming a message
+    /// ([`crate::DbProc::send_to_node`]).
+    pub fn is_navigable(&self) -> bool {
+        matches!(
+            self,
+            Msg::Descend { .. } | Msg::Scan { .. } | Msg::InsertAt { .. } | Msg::Absorb { .. }
+        )
+    }
 }
 
 impl Payload for Msg {
@@ -579,6 +623,7 @@ mod tests {
             tag: 0,
             version: 0,
             span: None,
+            epoch: 0,
         }
         .kind()
         .starts_with("insert."));
@@ -599,6 +644,7 @@ mod tests {
             tag: 0,
             version: 0,
             span: Some(9),
+            epoch: 0,
         };
         assert_eq!(r.span(), Some(9));
         assert_eq!(Msg::SplitStart { node: NodeId(1) }.span(), None);

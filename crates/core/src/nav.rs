@@ -332,7 +332,7 @@ impl DbProc {
                         entry,
                         tag,
                     };
-                    self.send_to_node(ctx, root, home, msg);
+                    self.restart_to_node(ctx, root, home, msg);
                     return;
                 }
             }
@@ -545,8 +545,8 @@ impl DbProc {
                         hops,
                         chases,
                         ..
-                    } => ctx.send(
-                        self.me,
+                    } => self.requeue(
+                        ctx,
                         Msg::Descend {
                             op,
                             key,
@@ -563,8 +563,8 @@ impl DbProc {
                         acc,
                         hops,
                         ..
-                    } => ctx.send(
-                        self.me,
+                    } => self.requeue(
+                        ctx,
                         Msg::Scan {
                             op,
                             key,
@@ -577,7 +577,7 @@ impl DbProc {
                     // An absorb is fully addressed by `info.low` (it targets
                     // the leaf owning `low - 1`); restart it locally too.
                     Msg::Absorb { info, .. } => {
-                        ctx.send(self.me, Msg::Absorb { node: local, info })
+                        self.requeue(ctx, Msg::Absorb { node: local, info })
                     }
                     other => {
                         let home = self.store.root_home().unwrap_or(self.me);
@@ -605,8 +605,9 @@ impl DbProc {
 
     /// Defensive restart for a navigable action whose local copy is too
     /// stale to route it (a zombie surviving a retirement it has not heard
-    /// about): re-address it to the root. Drops the action only when there
-    /// is no root at all (pre-bootstrap).
+    /// about): re-address it to the root, through the queue even when the
+    /// root is resident ([`DbProc::requeue`]). Drops the action only when
+    /// there is no root at all (pre-bootstrap).
     pub(crate) fn restart_at_root(
         &mut self,
         ctx: &mut Context<'_, Msg>,
@@ -618,7 +619,7 @@ impl DbProc {
         };
         let home = self.store.root_home().unwrap_or(self.me);
         let msg = rewrite(root);
-        self.send_to_node(ctx, root, home, msg);
+        self.restart_to_node(ctx, root, home, msg);
     }
 }
 

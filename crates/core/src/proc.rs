@@ -24,6 +24,15 @@ pub(crate) const TIMER_PIGGYBACK: u64 = 1;
 /// Timer token: garbage-collect forwarding addresses.
 pub(crate) const TIMER_FORWARD_GC: u64 = 2;
 
+/// Node visits one delivered action may make in-process before its next
+/// local step goes back through the queue ([`DbProc::requeue`]). A constant,
+/// not a knob: it only bounds how long a stale-link cycle confined to this
+/// processor can hold the action, so the run still ends in the runtime's
+/// event budget instead of spinning here, and timers, crashes and other
+/// processors' messages still interleave. Real chains are a tree height
+/// plus a handful of link chases.
+pub const LOCAL_STEP_CAP: u32 = 256;
+
 /// A queued coordinator operation for the available-copies baseline.
 #[derive(Clone, Debug)]
 pub(crate) enum CoordOp {
@@ -70,6 +79,16 @@ pub struct DbProc {
     /// Protocol counters.
     pub metrics: ProcMetrics,
 
+    // -- run-to-remote navigation --------------------------------------------
+    /// Navigable steps ([`Msg::is_navigable`]) of the current action whose
+    /// next node is resident: drained in-process, in order, before the
+    /// action ends ([`DbProc::send_to_node`]). Empty between actions, so it
+    /// is no part of the fingerprint.
+    pub(crate) local: VecDeque<Msg>,
+    /// In-process steps the current action has taken (capped at
+    /// [`LOCAL_STEP_CAP`]).
+    pub(crate) local_steps: u32,
+
     // -- update stamping -----------------------------------------------------
     /// Per-processor counter feeding leaf-update stamps (LWW merge order).
     pub(crate) stamp_counter: u64,
@@ -85,8 +104,11 @@ pub struct DbProc {
     /// Nodes this processor deliberately left (§4.3): relays are discarded,
     /// not stashed.
     pub(crate) unjoined: HashSet<NodeId>,
-    /// Joins requested but not yet granted (dedupes Join messages).
-    pub(crate) pending_joins: HashSet<NodeId>,
+    /// Joins requested but not yet granted (dedupes Join messages), each
+    /// with the leaf low keys whose root path the join is for: the grant is
+    /// checked against them, because the hint that named the node may
+    /// predate its split ([`DbProc::continue_path`]).
+    pub(crate) pending_joins: HashMap<NodeId, Vec<Key>>,
 
     // -- lazy merge-at-empty -------------------------------------------------
     /// Leaves this PC has asked to merge away (dedupes MergeReq until the
@@ -145,12 +167,14 @@ impl DbProc {
             store: NodeStore::new(),
             log,
             metrics: ProcMetrics::default(),
+            local: VecDeque::new(),
+            local_steps: 0,
             stamp_counter: 0,
             relay_buf: BTreeMap::new(),
             relay_timer_armed: false,
             stash: HashMap::new(),
             unjoined: HashSet::new(),
-            pending_joins: HashSet::new(),
+            pending_joins: HashMap::new(),
             merge_pending: HashSet::new(),
             parked_writes: Vec::new(),
             retired: HashMap::new(),
@@ -203,11 +227,18 @@ impl DbProc {
             n.raw().hash(h);
             format!("{msgs:?}").hash(h);
         }
-        for set in [&self.unjoined, &self.pending_joins, &self.merge_pending] {
+        for set in [&self.unjoined, &self.merge_pending] {
             let mut ids: Vec<u64> = set.iter().map(|n| n.raw()).collect();
             ids.sort_unstable();
             ids.hash(h);
         }
+        let mut joins: Vec<(u64, &Vec<Key>)> = self
+            .pending_joins
+            .iter()
+            .map(|(n, keys)| (n.raw(), keys))
+            .collect();
+        joins.sort_unstable();
+        joins.hash(h);
         format!("{:?}", self.parked_writes).hash(h);
         let mut retired: Vec<(u64, u64, u32)> = self
             .retired
@@ -256,6 +287,19 @@ impl DbProc {
         Some(copy)
     }
 
+    /// Record that a join of `node` is wanted for the path of `key`.
+    /// Returns `true` when no join for the node is in flight yet — the
+    /// caller sends the `Join`; otherwise the pending grant will carry the
+    /// key onward as well.
+    pub(crate) fn note_pending_join(&mut self, node: NodeId, key: Key) -> bool {
+        let keys = self.pending_joins.entry(node).or_default();
+        let first = keys.is_empty();
+        if !keys.contains(&key) {
+            keys.push(key);
+        }
+        first
+    }
+
     /// Every other processor in the cluster.
     pub(crate) fn all_other_procs(&self) -> impl Iterator<Item = ProcId> + '_ {
         let me = self.me;
@@ -279,8 +323,44 @@ impl DbProc {
         self.log.lock().issue(class)
     }
 
-    /// Send `msg` toward a node: locally if we store a copy, else to `home`.
+    /// Take `msg` toward a node — the one place that decides *message or
+    /// continue*. A node stored elsewhere gets a message to `home`. A
+    /// resident node gets the action's next step in-process when the kind is
+    /// navigable (the paper's processing model, §1.1: a step whose next node
+    /// is on this processor never touches the network), up to
+    /// [`LOCAL_STEP_CAP`] steps per delivered action; everything else — the
+    /// non-navigable kinds and the cap fall-back — is a hand-off to self
+    /// through the queue.
     pub(crate) fn send_to_node(
+        &mut self,
+        ctx: &mut Context<'_, Msg>,
+        node: NodeId,
+        home: ProcId,
+        msg: Msg,
+    ) {
+        if !self.store.contains(node) {
+            ctx.send(home, msg);
+        } else if msg.is_navigable() && self.local_steps < LOCAL_STEP_CAP {
+            self.local_steps += 1;
+            self.metrics.local_steps += 1;
+            self.local.push_back(msg);
+        } else {
+            self.requeue(ctx, msg);
+        }
+    }
+
+    /// Hand `msg` to this processor through the queue: a real send to self,
+    /// ending the current action's part in it. Misnavigation restarts always
+    /// yield this way — a restart waits for state that another message must
+    /// deliver, so it must let that message in — and so does a chain that
+    /// used up its step budget.
+    pub(crate) fn requeue(&self, ctx: &mut Context<'_, Msg>, msg: Msg) {
+        ctx.send(self.me, msg);
+    }
+
+    /// Like [`DbProc::send_to_node`] for a restart: never continues
+    /// in-process.
+    pub(crate) fn restart_to_node(
         &self,
         ctx: &mut Context<'_, Msg>,
         node: NodeId,
@@ -288,10 +368,20 @@ impl DbProc {
         msg: Msg,
     ) {
         if self.store.contains(node) {
-            ctx.send(self.me, msg);
+            self.requeue(ctx, msg);
         } else {
             ctx.send(home, msg);
         }
+    }
+
+    /// Run the current action's in-process steps to completion: each one is
+    /// an atomic per-node action like a delivered one, and may queue the
+    /// next. Iterative — a chain never grows the stack.
+    fn run_local(&mut self, ctx: &mut Context<'_, Msg>) {
+        while let Some(msg) = self.local.pop_front() {
+            self.dispatch(ctx, self.me, msg);
+        }
+        self.local_steps = 0;
     }
 
     /// Reply to the external client.
@@ -316,18 +406,21 @@ impl DbProc {
             self.pending_joins.remove(&id);
             return;
         }
+        let mut join_keys = Vec::new();
         if reason == InstallReason::JoinGrant {
-            self.pending_joins.remove(&id);
+            join_keys = self.pending_joins.remove(&id).unwrap_or_default();
             if self.store.contains(id) {
                 // A duplicate grant (re-joins race): the resident copy is
                 // already receiving relays and may have applied updates the
                 // stale snapshot predates — never overwrite it.
                 self.unjoined.remove(&id);
+                self.continue_path(ctx, id, &join_keys);
                 return;
             }
         }
         let copy = snapshot.into_copy();
         let parent = copy.parent;
+        let low = copy.range.low;
         let is_leaf = copy.is_leaf();
         self.store.install(copy);
         self.unjoined.remove(&id);
@@ -344,27 +437,36 @@ impl DbProc {
         ) {
             self.log.lock().copy_created(id.raw(), self.me.0, covered);
         }
-        // Apply protocol events that raced ahead of the install, in arrival
-        // order (inline, so they stay ordered ahead of future arrivals).
-        if let Some(items) = self.stash.remove(&id) {
-            for m in items {
-                self.replay_stashed(ctx, m);
-            }
-        }
+        // Apply protocol events that raced ahead of the install.
+        self.replay_stash(ctx, id);
         match reason {
             InstallReason::Migration { from } => {
                 self.metrics.migrations_in += 1;
                 self.after_migration_in(ctx, id, from);
                 if self.cfg.variable_copies && is_leaf {
-                    self.ensure_path_replication(ctx, parent);
+                    self.ensure_path_replication(ctx, parent, low);
                 }
             }
             InstallReason::JoinGrant => {
                 self.metrics.joins += 1;
-                // Continue joining upward until we hold the whole path.
-                self.ensure_path_replication(ctx, parent);
+                // Continue joining until we hold the whole path.
+                self.continue_path(ctx, id, &join_keys);
             }
             InstallReason::SiblingCopy | InstallReason::Bootstrap => {}
+        }
+    }
+
+    /// Re-execute everything stashed for `node` against the resident copy,
+    /// in arrival order (inline, so it stays ordered ahead of future
+    /// arrivals). Called when what the events waited for has happened: the
+    /// copy's install, or — for relays held on the absorb epoch — an absorb
+    /// or snapshot that advanced it. An event that must keep waiting
+    /// stashes itself again.
+    pub(crate) fn replay_stash(&mut self, ctx: &mut Context<'_, Msg>, node: NodeId) {
+        if let Some(items) = self.stash.remove(&node) {
+            for m in items {
+                self.replay_stashed(ctx, m);
+            }
         }
     }
 
@@ -378,6 +480,7 @@ impl DbProc {
                 tag,
                 version,
                 span,
+                epoch,
             } => self.apply_relayed_insert(
                 ctx,
                 RelayedItem {
@@ -387,12 +490,13 @@ impl DbProc {
                     tag,
                     version,
                     span,
+                    epoch,
                 },
             ),
             Msg::RelayedSplit { node, info, tag } => {
                 self.handle_relayed_split(ctx, node, info, tag)
             }
-            other => self.on_message(ctx, self.me, other),
+            other => self.dispatch(ctx, self.me, other),
         }
     }
 
@@ -406,10 +510,9 @@ impl DbProc {
     }
 }
 
-impl Process for DbProc {
-    type Msg = Msg;
-
-    fn on_message(&mut self, ctx: &mut Context<'_, Msg>, from: ProcId, msg: Msg) {
+impl DbProc {
+    /// One atomic per-node action: route `msg` to its handler.
+    fn dispatch(&mut self, ctx: &mut Context<'_, Msg>, from: ProcId, msg: Msg) {
         match msg {
             Msg::Client { op, key, intent } => self.handle_client(ctx, op, key, intent),
             Msg::Descend {
@@ -446,6 +549,7 @@ impl Process for DbProc {
                 tag,
                 version,
                 span,
+                epoch,
             } => self.handle_relayed_insert(
                 ctx,
                 RelayedItem {
@@ -455,6 +559,7 @@ impl Process for DbProc {
                     tag,
                     version,
                     span,
+                    epoch,
                 },
             ),
             Msg::RelayBatch(items) => {
@@ -545,6 +650,17 @@ impl Process for DbProc {
             }
         }
     }
+}
+
+impl Process for DbProc {
+    type Msg = Msg;
+
+    fn on_message(&mut self, ctx: &mut Context<'_, Msg>, from: ProcId, msg: Msg) {
+        // Only message handlers take navigable steps, so only they drain.
+        debug_assert!(self.local.is_empty(), "a step outlived its action");
+        self.dispatch(ctx, from, msg);
+        self.run_local(ctx);
+    }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, token: u64) {
         match token {
@@ -576,11 +692,11 @@ impl Process for DbProc {
         self.relay_timer_armed = false;
         self.flush_relays(ctx);
         let me = self.me;
-        let mut victims: Vec<(NodeId, ProcId)> = self
+        let mut victims: Vec<(NodeId, ProcId, Key)> = self
             .store
             .iter()
             .filter(|c| !c.is_leaf() && c.pc != me)
-            .map(|c| (c.id, c.pc))
+            .map(|c| (c.id, c.pc, c.range.low))
             .collect();
         // The store iterates in hash order; the join messages must go out
         // in a replayable order or identical seeds diverge.
@@ -598,9 +714,11 @@ impl Process for DbProc {
                 },
             ),
         );
-        for (node, pc) in victims {
+        for (node, pc, low) in victims {
             self.drop_copy(node);
-            if self.pending_joins.insert(node) {
+            // A rejoin is for the node itself: its own low key never leaves
+            // its range, so the grant always covers it.
+            if self.note_pending_join(node, low) {
                 self.metrics.recovery_rejoins += 1;
                 // Relays may race ahead of the re-grant; they must stash
                 // for replay, not be discarded as post-unjoin strays.
@@ -613,6 +731,25 @@ impl Process for DbProc {
         // retained ones (leaves, own-PC nodes) back up to date.
         if self.cfg.sync_on_restart {
             self.sync_pull_all(ctx);
+        }
+        // `merge_pending` is stable, but the request it guards may have been
+        // a hand-off to a resident parent copy, which the crash destroyed —
+        // and then nothing would ever clear the bit or reclaim the leaf.
+        // Ask again for every leaf that is still empty; a request that did
+        // survive (in the session outbox) only earns a second grant, which
+        // the commit-time re-verify declines once the leaf is gone.
+        if self.cfg.merge_at_empty {
+            self.merge_pending.clear();
+            let mut leaves: Vec<NodeId> = self
+                .store
+                .iter()
+                .filter(|c| c.is_leaf() && c.pc == me)
+                .map(|c| c.id)
+                .collect();
+            leaves.sort_unstable();
+            for leaf in leaves {
+                self.maybe_merge(ctx, leaf);
+            }
         }
     }
 

@@ -159,8 +159,8 @@ impl DbProc {
                     }
                     match (reply, entry) {
                         (Some(r), crate::types::Entry::Val { value, .. }) => {
-                            ctx.send(
-                                self.me,
+                            self.requeue(
+                                ctx,
                                 Msg::Descend {
                                     op: r.op,
                                     key,
@@ -172,8 +172,8 @@ impl DbProc {
                             );
                         }
                         (Some(r), crate::types::Entry::Tomb { .. }) => {
-                            ctx.send(
-                                self.me,
+                            self.requeue(
+                                ctx,
                                 Msg::Descend {
                                     op: r.op,
                                     key,

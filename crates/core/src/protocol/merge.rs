@@ -546,9 +546,13 @@ impl DbProc {
         if copy.absorb_count == count - 1 && copy.range.high == Some(info.low) {
             copy.apply_absorb(&info, count);
             self.metrics.absorbs_applied += 1;
-            let mut log = self.log.lock();
-            log.observe(node.raw(), me.0, info.tag, ObserveKind::Applied);
-            log.ordered_applied(node.raw(), me.0, "absorb", count);
+            {
+                let mut log = self.log.lock();
+                log.observe(node.raw(), me.0, info.tag, ObserveKind::Applied);
+                log.ordered_applied(node.raw(), me.0, "absorb", count);
+            }
+            // Relays sent under this epoch may have overtaken the absorb.
+            self.replay_stash(ctx, node);
             return;
         }
         // An epoch gap (an earlier relay was suppressed, or this copy was

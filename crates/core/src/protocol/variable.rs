@@ -12,23 +12,35 @@ use simnet::{Context, ProcId};
 
 use crate::msg::{InstallReason, Msg};
 use crate::proc::DbProc;
-use crate::types::{Link, NodeId};
+use crate::types::{Key, Link, NodeId};
 
 impl DbProc {
     /// After acquiring a leaf (or joining a node), make sure we replicate
-    /// the rest of the path to the root: join `parent` if we don't hold it.
+    /// the rest of the path to the root — the path of `key`, the acquired
+    /// leaf's low key. `parent` is only a hint: once the parent has split
+    /// it names the left half, so the join is addressed by key like every
+    /// navigable action. Resident copies are walked along their right links
+    /// here; a copy that has to be fetched is checked against the key when
+    /// its grant lands ([`Self::continue_path`]).
     pub(crate) fn ensure_path_replication(
         &mut self,
         ctx: &mut Context<'_, Msg>,
         parent: Option<Link>,
+        key: Key,
     ) {
-        let Some(parent) = parent else {
+        let Some(mut parent) = parent else {
             return; // reached the root
         };
-        if self.store.contains(parent.node) {
-            return; // path already held from here up (dB-tree invariant)
+        while let Some(copy) = self.store.get(parent.node) {
+            if !copy.range.is_right_of(key) {
+                return; // path already held from here up (dB-tree invariant)
+            }
+            let Some(right) = copy.right else {
+                return; // a stale zombie: nothing to join through it
+            };
+            parent = right;
         }
-        if !self.pending_joins.insert(parent.node) {
+        if !self.note_pending_join(parent.node, key) {
             return; // a join for this node is already in flight
         }
         // Clear the departed flag *now*: once the PC registers the join,
@@ -42,6 +54,30 @@ impl DbProc {
                 joiner: self.me,
             },
         );
+    }
+
+    /// A join grant for `node` landed: carry each leaf key the join was
+    /// made for onward — up through the parent when the copy covers the
+    /// key, sideways to the right neighbour when the node had split before
+    /// the PC registered the join. A copy joined only on the strength of a
+    /// stale hint holds none of our children and is left again.
+    pub(crate) fn continue_path(&mut self, ctx: &mut Context<'_, Msg>, node: NodeId, keys: &[Key]) {
+        let Some(copy) = self.store.get(node) else {
+            return;
+        };
+        let (range, right, parent) = (copy.range, copy.right, copy.parent);
+        let mut misjoined = false;
+        for &key in keys {
+            if range.is_right_of(key) {
+                misjoined = true;
+                self.ensure_path_replication(ctx, right, key);
+            } else {
+                self.ensure_path_replication(ctx, parent, key);
+            }
+        }
+        if misjoined && self.cfg.variable_copies {
+            self.maybe_unjoin(ctx, node);
+        }
     }
 
     /// PC: admit `joiner` to the replication of `node`.
@@ -202,10 +238,14 @@ impl DbProc {
             if copy.pc == me || copy.is_leaf() {
                 return; // the PC never leaves; leaves are owned, not joined
             }
+            // A child whose join is in flight counts: its grant is about to
+            // make this copy part of a held path.
             let holds_child = copy.entries.values().any(|e| {
-                e.child()
-                    .map(|c| c.home == me || self.store.contains(c.node))
-                    .unwrap_or(false)
+                e.child().is_some_and(|c| {
+                    c.home == me
+                        || self.store.contains(c.node)
+                        || self.pending_joins.contains_key(&c.node)
+                })
             });
             (!holds_child, copy.pc, copy.parent)
         };

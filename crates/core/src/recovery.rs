@@ -115,6 +115,8 @@ impl DbProc {
         // The snapshot's coverage becomes part of this copy's backwards
         // extension, exactly as a join grant's would.
         self.log.lock().copy_created(node.raw(), self.me.0, covered);
+        // The merge may have advanced the absorb epoch relays were held on.
+        self.replay_stash(ctx, node);
         let is_pc = self.store.get(node).map(|c| c.pc) == Some(self.me);
         if is_pc {
             // Merged-in entries may have pushed the copy over the fanout —

@@ -24,11 +24,11 @@ impl DbProc {
         tag: u64,
         version: u64,
     ) {
-        let peers: Vec<_> = {
+        let (peers, epoch): (Vec<_>, u64) = {
             let Some(copy) = self.store.get(node) else {
                 return;
             };
-            copy.peers(self.me).collect()
+            (copy.peers(self.me).collect(), copy.absorb_count)
         };
         // Quarantined peers get no relays — the session layer would only
         // retransmit them into the void. Record the node instead; one state
@@ -51,6 +51,7 @@ impl DbProc {
             tag,
             version,
             span,
+            epoch,
         };
         if self.cfg.relay_suppress_proc == Some(self.me.0) {
             // Seeded E21 fault: buffer the relays per destination exactly as
@@ -71,17 +72,7 @@ impl DbProc {
         match self.cfg.piggyback {
             None => {
                 for peer in peers {
-                    ctx.send(
-                        peer,
-                        Msg::RelayedInsert {
-                            node,
-                            key,
-                            entry,
-                            tag,
-                            version,
-                            span,
-                        },
-                    );
+                    ctx.send(peer, item.clone().into());
                 }
             }
             Some(pb) => {
@@ -176,33 +167,32 @@ impl DbProc {
                 // The copy's install is still in flight (sibling creation or
                 // join grant racing the relay on another channel): stash and
                 // replay on install.
-                let RelayedItem {
-                    node,
-                    key,
-                    entry,
-                    tag,
-                    version,
-                    span,
-                } = item;
-                self.stash
-                    .entry(node)
-                    .or_default()
-                    .push(Msg::RelayedInsert {
-                        node,
-                        key,
-                        entry,
-                        tag,
-                        version,
-                        span,
-                    });
+                self.stash_relayed_insert(item);
             }
             return;
         }
         self.apply_relayed_insert(ctx, item);
     }
 
+    /// Park a relayed insert in the node's stash until what it waits for
+    /// (the copy's install, or the absorb epoch it was sent under) arrives.
+    fn stash_relayed_insert(&mut self, item: RelayedItem) {
+        self.stash.entry(item.node).or_default().push(item.into());
+    }
+
     /// Apply a relayed insert at a resident copy.
     pub(crate) fn apply_relayed_insert(&mut self, ctx: &mut Context<'_, Msg>, item: RelayedItem) {
+        let copy = self.store.get(item.node).expect("caller ensured resident");
+        if !copy.range.contains(item.key) && item.epoch > copy.absorb_count {
+            // The sender applied this write in a range it had *absorbed*,
+            // and the absorb relay (another channel) has not reached this
+            // copy yet: out of range here only because the range is about
+            // to widen. Discarding would lose an acknowledged write at this
+            // copy; hold it until the absorb, or a snapshot carrying its
+            // epoch, brings the copy level.
+            self.stash_relayed_insert(item);
+            return;
+        }
         let RelayedItem {
             node,
             key,
@@ -210,6 +200,7 @@ impl DbProc {
             tag,
             version,
             span,
+            epoch: _,
         } = item;
         let copy = self.store.get_mut(node).expect("caller ensured resident");
         let is_pc = copy.pc == self.me;
@@ -218,6 +209,7 @@ impl DbProc {
         if in_range {
             copy.upsert(key, entry);
             let my_version = copy.version;
+            let my_epoch = copy.absorb_count;
             // §4.3: the PC re-relays to members that joined after the
             // initial copy applied the insert — they were not in the initial
             // copy's membership list and would otherwise miss it (Fig 6).
@@ -244,6 +236,7 @@ impl DbProc {
                             tag,
                             version: my_version,
                             span,
+                            epoch: my_epoch,
                         },
                     );
                 }

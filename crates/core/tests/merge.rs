@@ -235,3 +235,132 @@ fn mixed_stream_with_deletes_and_scans_under_both_release_policies() {
         common::assert_clean(&mut cluster, &BTreeSet::new());
     }
 }
+
+// ---------------------------------------------------------------------------
+// Crash liveness: a merge request must not die with the processor
+// ---------------------------------------------------------------------------
+
+/// A leaf that is not the leftmost, its owner (= PC), and its keys.
+fn victim_leaf(cluster: &DbCluster) -> (dbtree::NodeId, ProcId, Vec<Key>) {
+    let (leaf, owner) = cluster.leaves()[2];
+    let copy = cluster
+        .sim
+        .proc(owner)
+        .store
+        .get(leaf)
+        .expect("owner holds it");
+    let keys = copy.entries.keys().copied().collect();
+    (leaf, owner, keys)
+}
+
+fn crash_cluster(crash: Option<(ProcId, u64)>) -> DbCluster {
+    let keys: Vec<Key> = (0..60).map(|k| k * 10).collect();
+    let spec = BuildSpec::new(keys, N_PROCS, merge_cfg(ProtocolKind::SemiSync));
+    let mut faults = simnet::FaultPlan::none();
+    if let Some((proc, at)) = crash {
+        faults = faults.with_crash(simnet::CrashEvent {
+            proc,
+            at: simnet::SimTime(at),
+            restart_at: Some(simnet::SimTime(at + 300)),
+        });
+    }
+    let sim_cfg = SimConfig {
+        faults,
+        ..SimConfig::seeded(29)
+    };
+    // Reliable sessions in both arms, so the crash is the only difference.
+    DbCluster::build_with_session(&spec, sim_cfg, simnet::SessionConfig::reliable())
+}
+
+/// `merge_pending` is stable state, but the `MergeReq` it guards is a
+/// hand-off to self whenever the parent copy is resident — and a crash
+/// destroys the queue. Whatever instant the leaf's owner crashes at, the
+/// emptied leaf must still be reclaimed and no request may stay pending:
+/// the restart asks again. The sweep covers the one-hand-off window between
+/// the emptying write and the request's delivery — and, one tick on, the
+/// window in which the committed retirement's `Absorb` used to be a
+/// hand-off to self as well (lost there, the leaf chain kept a hole; it now
+/// runs inside the committing action when the absorber is resident).
+#[test]
+fn a_crash_at_any_instant_leaves_no_merge_request_pending() {
+    let (leaf, owner, keys) = victim_leaf(&crash_cluster(None));
+    let origin = ProcId((owner.0 + 1) % N_PROCS);
+    let deletes: Vec<ClientOp> = keys
+        .iter()
+        .map(|&key| ClientOp {
+            origin,
+            key,
+            intent: Intent::Delete,
+        })
+        .collect();
+    let clean_end = {
+        let mut cluster = crash_cluster(None);
+        cluster.try_run_closed_loop(&deletes, 1).expect("drains");
+        assert!(!cluster.leaves().iter().any(|(l, _)| *l == leaf));
+        cluster.sim.now().ticks()
+    };
+
+    let mut rearmed = 0;
+    for at in 1..=clean_end {
+        let mut cluster = crash_cluster(Some((owner, at)));
+        let stats = cluster.try_run_closed_loop(&deletes, 1).expect("drains");
+        assert_eq!(stats.records.len(), deletes.len(), "crash at {at}");
+        for (id, p) in cluster.sim.procs() {
+            assert_eq!(p.merge_pending_count(), 0, "crash at {at}: {id} wedged");
+        }
+        assert!(
+            !cluster.leaves().iter().any(|(l, _)| *l == leaf),
+            "crash at {at}: the emptied leaf was never reclaimed"
+        );
+        let m = cluster.sim.proc(owner).metrics;
+        assert_eq!(m.merges_completed, 1, "crash at {at}");
+        rearmed += (m.merges_requested > 1) as u32;
+        common::assert_clean(&mut cluster, &BTreeSet::new());
+    }
+    assert!(rearmed > 0, "no crash instant exercised the restart re-arm");
+}
+
+/// The restart's request can be a duplicate: the original may have left for
+/// a remote parent before the crash and survived in the session outbox. A
+/// second request for an already-retired leaf is declined at the parent
+/// (its edge is a tombstone), and a second grant finds no leaf to commit —
+/// either way nothing changes.
+#[test]
+fn a_duplicate_merge_request_or_grant_changes_nothing() {
+    use dbtree::Msg;
+    use simnet::SessionMsg;
+    let mut cluster = crash_cluster(None);
+    let (leaf, owner, keys) = victim_leaf(&cluster);
+    let (low, parent, left) = {
+        let copy = cluster.sim.proc(owner).store.get(leaf).unwrap();
+        (copy.range.low, copy.parent.unwrap(), copy.left.unwrap())
+    };
+    cluster
+        .try_run_closed_loop(&delete_ops(&keys), 1)
+        .expect("drains");
+    assert_eq!(total_metric(&cluster, |m| m.merges_completed), 1);
+    let leaves = cluster.leaves();
+    let before = cluster.sim.fingerprint();
+
+    cluster.sim.inject(
+        parent.home,
+        SessionMsg::Raw(Msg::MergeReq {
+            node: parent.node,
+            child: leaf,
+            low,
+            reply_to: owner,
+        }),
+    );
+    cluster.sim.inject(
+        owner,
+        SessionMsg::Raw(Msg::MergeGrant { child: leaf, left }),
+    );
+    cluster.try_run_to_quiescence().expect("quiesces");
+
+    assert_eq!(total_metric(&cluster, |m| m.merges_completed), 1);
+    assert_eq!(total_metric(&cluster, |m| m.merges_declined), 2);
+    assert_eq!(cluster.sim.proc(owner).merge_pending_count(), 0);
+    assert_eq!(cluster.leaves(), leaves);
+    assert_eq!(cluster.sim.fingerprint(), before, "protocol state moved");
+    common::assert_clean(&mut cluster, &BTreeSet::new());
+}

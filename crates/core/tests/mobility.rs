@@ -192,7 +192,10 @@ fn leaf_migration_joins_the_path() {
 
 #[test]
 fn variable_copies_many_seeds_clean() {
-    for seed in 0..4 {
+    // 80 seeds, not a handful: joining by the leaf's stale parent hint
+    // (instead of by key) passed 0..4 and broke the path property at seeds
+    // 8, 47, 57 and 79.
+    for seed in 0..80 {
         let (mut cluster, expected) = run_with_migrations(variable_cfg(), seed, 250, 12);
         assert_clean(&mut cluster, &expected);
         let violations = checker::check_path_property(&cluster.sim);

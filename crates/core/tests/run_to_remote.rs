@@ -1,0 +1,351 @@
+//! Run-to-remote navigation: a navigable action (`Descend`, `Scan`,
+//! `InsertAt`) keeps going inside the delivering action while its next node
+//! is resident, and becomes a message only when it leaves the processor.
+//!
+//! What must not change: every outcome a client sees (node visits and
+//! chases included). What must: hand-offs to self for those kinds are gone
+//! from the message counts — except where a step *yields* on purpose
+//! (misnavigation restarts, and the per-action step cap).
+
+use std::collections::{BTreeMap, BTreeSet};
+
+use dbtree::{
+    BuildSpec, ClientOp, DbCluster, DbSubmission, Intent, Key, Link, Msg, OpId, ProtocolKind,
+    ScanSpec, TreeConfig, LOCAL_STEP_CAP,
+};
+use simnet::{ProcId, QuiesceError, Release, SessionMsg, SimConfig};
+
+/// splitmix64 — the tests' own generator, so the pinned values below depend
+/// on nothing but this file.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// (a) Read-only differential against the per-hop implementation. On a
+/// fixed tree a search's outcome is a function of the tree alone, so the
+/// digest and totals below — captured at the parent commit, where every
+/// local step was an event — must hold bit for bit; what differs is that no
+/// `descend` is handed to self any more.
+#[test]
+fn searches_match_the_per_hop_outcomes_with_no_handoffs_to_self() {
+    const P: u32 = 8;
+    let keys: Vec<Key> = (0..3000).map(|k| k * 10).collect();
+    let cfg = TreeConfig::fixed_copies(ProtocolKind::SemiSync, 3);
+    let spec = BuildSpec::new(keys, P, cfg);
+    let mut cluster = DbCluster::build(&spec, SimConfig::jittery(41, 2, 25));
+
+    let mut rng = 7u64;
+    let ops: Vec<ClientOp> = (0..1200)
+        .map(|i| ClientOp {
+            origin: ProcId(i % P),
+            // Half the draws hit preloaded keys, half fall between them.
+            key: splitmix(&mut rng) % 30_000 / 5 * 5,
+            intent: Intent::Search,
+        })
+        .collect();
+    let stats = cluster.try_run_closed_loop(&ops, 4).expect("drains");
+    assert_eq!(stats.records.len(), ops.len());
+
+    // Completion order (and with it the id an op is released under) moves
+    // with the schedule; the multiset of outcomes does not.
+    let mut records = stats.records.clone();
+    records.sort_by_key(|r| (r.op.key, r.op.origin, r.outcome.hops, r.outcome.chases));
+    for r in &records {
+        assert_eq!(r.outcome.found, (r.op.key % 10 == 0).then_some(r.op.key));
+    }
+    let digest = history::fnv1a(records.iter().flat_map(|r| {
+        let o = r.outcome;
+        [
+            r.op.key,
+            o.found.unwrap_or(u64::MAX),
+            o.hops as u64,
+            o.chases as u64,
+        ]
+    }));
+    let hops: u64 = records.iter().map(|r| r.outcome.hops as u64).sum();
+    let chases: u64 = records.iter().map(|r| r.outcome.chases as u64).sum();
+    let found = records.iter().filter(|r| r.outcome.found.is_some()).count() as u64;
+    assert_eq!(
+        (digest, hops, chases, found),
+        PARENT_SEARCH_OUTCOMES,
+        "search outcomes moved against the per-hop implementation"
+    );
+
+    let descend = cluster.sim.stats().kind("descend");
+    assert_eq!(descend.local, 0, "a descend was handed to self");
+    assert!(descend.remote > 0, "uniform-3 searches do leave the origin");
+    let local_steps: u64 = cluster
+        .sim
+        .procs()
+        .map(|(_, p)| p.metrics.local_steps)
+        .sum();
+    assert_eq!(
+        local_steps + descend.remote,
+        hops,
+        "every node visit is an in-process step or a message"
+    );
+}
+
+/// `(digest, Σhops, Σchases, found)` of the search stream above at commit
+/// 11004fe (per-hop self-sends).
+const PARENT_SEARCH_OUTCOMES: (u64, u64, u64, u64) = (15272748166987068213, 6000, 0, 598);
+
+/// The sequential reference: `blink::BLinkTree` for inserts, lookups and
+/// range scans, with the deleted keys shadowed beside it (the reference
+/// tree has no delete; the dB-tree's is a tombstone).
+struct Model {
+    tree: blink::BLinkTree,
+    dead: BTreeSet<Key>,
+}
+
+impl Model {
+    fn get(&mut self, key: Key) -> Option<u64> {
+        if self.dead.contains(&key) {
+            return None;
+        }
+        self.tree.get(key)
+    }
+
+    /// Apply a point op; returns what the dB-tree must have acknowledged
+    /// (the previous live value — for a search, the current one).
+    fn apply(&mut self, op: &ClientOp) -> Option<u64> {
+        let prev = self.get(op.key);
+        match op.intent {
+            Intent::Search => {}
+            Intent::Insert(v) => {
+                self.tree.insert(op.key, v);
+                self.dead.remove(&op.key);
+            }
+            Intent::Delete => {
+                self.dead.insert(op.key);
+            }
+        }
+        prev
+    }
+
+    /// Live entries of `owner`'s keys in `[from, to]`.
+    fn owned(&self, owner: u32, n: u32, from: Key, to: Option<Key>) -> Vec<(Key, u64)> {
+        self.tree
+            .range_scan(from, to.map(|t| t + 1))
+            .into_iter()
+            .filter(|(k, _)| k % n as u64 == owner as u64 && !self.dead.contains(k))
+            .collect()
+    }
+}
+
+/// (b) Mixed insert/delete/search/scan streams, all four protocol kinds.
+/// Each origin works its own residue class of the key space with one op
+/// outstanding, so per key the acknowledged results have exactly one legal
+/// sequential explanation — while the origins race each other through
+/// splits, relays and merges. A scan is checked on its origin's keys (the
+/// other origins' are in flux): every one live in the window it covered,
+/// nothing else.
+#[test]
+fn mixed_streams_agree_with_the_sequential_reference() {
+    const P: u32 = 4;
+    for (protocol, merge) in [
+        (ProtocolKind::SemiSync, true),
+        (ProtocolKind::Sync, true),
+        (ProtocolKind::AvailableCopies, false),
+        (ProtocolKind::Naive, false),
+    ] {
+        let cfg = TreeConfig {
+            merge_at_empty: merge,
+            ..TreeConfig::with_protocol(protocol)
+        };
+        let preload: Vec<Key> = (0..240).map(|k| k * 4).collect();
+        let spec = BuildSpec::new(preload.clone(), P, cfg);
+        let mut cluster = DbCluster::build(&spec, SimConfig::jittery(23, 2, 25));
+        let mut model = Model {
+            tree: blink::BLinkTree::new(8),
+            dead: BTreeSet::new(),
+        };
+        for &k in &preload {
+            model.tree.insert(k, k);
+        }
+
+        let mut rng = 0xD1CE ^ protocol.label().len() as u64;
+        let items: Vec<DbSubmission> = (0..1600u32)
+            .map(|i| {
+                let origin = ProcId(i % P);
+                let r = splitmix(&mut rng);
+                // Keys of this origin's residue class, in and past the
+                // preloaded span (appends grow the tree's right edge).
+                let key = (r >> 8) % 300 * P as u64 + origin.0 as u64;
+                match r % 16 {
+                    0..=5 => DbSubmission::Op(ClientOp {
+                        origin,
+                        key,
+                        intent: Intent::Insert(1 + (r >> 40)),
+                    }),
+                    6..=10 => DbSubmission::Op(ClientOp {
+                        origin,
+                        key,
+                        intent: Intent::Delete,
+                    }),
+                    11..=14 => DbSubmission::Op(ClientOp {
+                        origin,
+                        key,
+                        intent: Intent::Search,
+                    }),
+                    _ => DbSubmission::Scan(ScanSpec {
+                        origin,
+                        from: key,
+                        limit: 12,
+                    }),
+                }
+            })
+            .collect();
+        let stats = cluster
+            .try_run_mixed(&items, Release::Window(1))
+            .expect("stream drains");
+        let scans = cluster.take_scans();
+        assert_eq!(
+            stats.records.len() + scans.len(),
+            items.len(),
+            "{protocol:?}"
+        );
+
+        // Driver ids are minted at submission, and an origin's next item is
+        // released by its previous completion: id order is a legal
+        // sequential order for every residue class.
+        enum Done<'a> {
+            Op(&'a dbtree::OpRecord),
+            Scan(&'a dbtree::ScanRecord),
+        }
+        let mut by_id: BTreeMap<u64, Done> = BTreeMap::new();
+        by_id.extend(stats.records.iter().map(|r| (r.id, Done::Op(r))));
+        by_id.extend(scans.iter().map(|r| (r.id, Done::Scan(r))));
+        for (id, done) in by_id {
+            match done {
+                Done::Op(r) => {
+                    let want = model.apply(&r.op);
+                    assert_eq!(r.outcome.found, want, "{protocol:?} op {id}: {:?}", r.op);
+                }
+                Done::Scan(r) => {
+                    let items = &r.outcome.items;
+                    assert!(items.windows(2).all(|w| w[0].0 < w[1].0), "key order");
+                    assert!(items.len() <= r.op.limit as usize);
+                    // A full result stopped at its last key; a short one
+                    // ran off the end of the tree.
+                    let to = (items.len() == r.op.limit as usize).then(|| items[items.len() - 1].0);
+                    let got: Vec<(Key, u64)> = items
+                        .iter()
+                        .copied()
+                        .filter(|(k, _)| k % P as u64 == r.op.origin.0 as u64)
+                        .collect();
+                    let want = model.owned(r.op.origin.0, P, r.op.from, to);
+                    assert_eq!(got, want, "{protocol:?} scan {id}: {:?}", r.op);
+                }
+            }
+        }
+        let steps: u64 = cluster
+            .sim
+            .procs()
+            .map(|(_, p)| p.metrics.local_steps)
+            .sum();
+        assert!(steps > 0, "{protocol:?}: no step ever ran in-process");
+    }
+}
+
+/// One processor, two leaves whose right links point at each other and
+/// whose ranges both end below the searched key.
+fn right_link_cycle(max_events: u64) -> (DbCluster, Key) {
+    let keys: Vec<Key> = (0..40).map(|k| k * 10).collect();
+    let spec = BuildSpec::new(keys, 1, TreeConfig::default());
+    let sim_cfg = SimConfig {
+        max_events,
+        ..SimConfig::seeded(3)
+    };
+    let mut cluster = DbCluster::build(&spec, sim_cfg);
+    let me = ProcId(0);
+    let (last, before) = {
+        let store = &cluster.sim.proc(me).store;
+        let last = store
+            .iter()
+            .find(|c| c.is_leaf() && c.range.high.is_none())
+            .expect("a rightmost leaf");
+        (last.id, last.left.expect("it has a left neighbour").node)
+    };
+    let copy = cluster.sim.proc_mut(me).store.get_mut(last).unwrap();
+    let low = copy.range.low;
+    copy.range.high = Some(low + 1);
+    copy.right = Some(Link::new(before, me));
+    (cluster, low + 5)
+}
+
+/// (c) A stale-link cycle confined to one processor must end in the
+/// runtime's event budget, not spin inside one action: after
+/// `LOCAL_STEP_CAP` in-process steps the chain goes back through the queue.
+#[test]
+fn a_local_right_link_cycle_ends_in_the_event_budget() {
+    const BUDGET: u64 = 400;
+    let (mut cluster, key) = right_link_cycle(BUDGET);
+    cluster.submit(ClientOp {
+        origin: ProcId(0),
+        key,
+        intent: Intent::Search,
+    });
+    let err = cluster
+        .try_run_to_quiescence()
+        .expect_err("the search can never complete");
+    assert!(matches!(err, QuiesceError::EventLimit { .. }), "{err}");
+    assert_eq!(cluster.pending_ops(), 1);
+
+    // The cap is what stopped each action: every delivery but the client's
+    // own ran exactly `LOCAL_STEP_CAP` steps and then yielded one descend
+    // to the queue.
+    let yields = cluster.sim.stats().kind("descend").local;
+    assert!(
+        yields >= BUDGET - 2,
+        "only {yields} fall-backs in {BUDGET} events"
+    );
+    let p = cluster.sim.proc(ProcId(0));
+    assert_eq!(p.metrics.local_steps, yields * LOCAL_STEP_CAP as u64);
+    assert!(p.metrics.link_chases >= p.metrics.local_steps - 8);
+}
+
+/// (d) A misnavigation restart waits for state another message must
+/// deliver, so it yields through the queue even though the node it restarts
+/// at is resident — exactly one hand-off to self, then the action completes
+/// in-process.
+#[test]
+fn a_missing_node_restart_goes_through_the_queue() {
+    let keys: Vec<Key> = (0..40).map(|k| k * 10).collect();
+    let spec = BuildSpec::new(keys, 1, TreeConfig::default());
+    let mut cluster = DbCluster::build(&spec, SimConfig::seeded(5));
+    let me = ProcId(0);
+    cluster.sim.inject(
+        me,
+        SessionMsg::Raw(Msg::Descend {
+            op: OpId(77),
+            key: 120,
+            intent: Intent::Search,
+            node: dbtree::NodeId(u64::MAX), // stored nowhere
+            hops: 0,
+            chases: 0,
+        }),
+    );
+    cluster.sim.run();
+
+    let p = cluster.sim.proc(me);
+    assert_eq!(p.metrics.missing_node_recoveries, 1);
+    assert_eq!(cluster.sim.stats().kind("descend").local, 1, "the restart");
+    let done: Vec<_> = cluster
+        .sim
+        .outputs()
+        .iter()
+        .filter_map(|(_, _, m)| match m {
+            SessionMsg::Raw(Msg::Done(o)) => Some(*o),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(done.len(), 1, "the restarted search completes");
+    assert_eq!((done[0].op, done[0].found), (OpId(77), Some(120)));
+    // The missing node, then the closest local node — the leaf itself.
+    assert_eq!((done[0].hops, done[0].chases), (2, 1));
+}

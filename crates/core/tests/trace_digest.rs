@@ -88,7 +88,7 @@ fn clean_run_exports_are_pinned() {
     assert!(!obs.series.is_empty());
     assert_eq!(
         digest(&obs),
-        0xeb49_9f10_ebb5_d367,
+        0x291d_ffc5_6e4c_e558,
         "clean-run export digest"
     );
 }
@@ -108,7 +108,7 @@ fn lossy_run_exports_are_pinned() {
     }
     assert_eq!(
         digest(&obs),
-        0xb8a7_6315_8642_3f43,
+        0x4eca_2518_86fb_3624,
         "lossy-run export digest"
     );
 }

@@ -112,6 +112,36 @@ pub fn slowest_spans(trace: &[TraceRec], n: usize) -> Vec<HopChain> {
     chains
 }
 
+/// Deliveries and node visits of one message kind.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct KindVisits {
+    /// Delivered actions of this kind.
+    pub deliveries: u64,
+    /// Nodes those actions visited: one each, plus the steps they went on
+    /// to take in-process (the `nav.local_steps` delta of each entry).
+    pub visits: u64,
+}
+
+/// Per message kind, how many actions were delivered and how many nodes
+/// they visited. A navigation step whose next node is resident runs inside
+/// the delivering action, so one delivery can stand for a whole chain;
+/// `visits / deliveries` is the chain length the per-hop entries used to
+/// spell out.
+pub fn kind_visits(trace: &[TraceRec]) -> BTreeMap<String, KindVisits> {
+    let mut out: BTreeMap<String, KindVisits> = BTreeMap::new();
+    for r in trace.iter().filter(|r| r.event == "deliver") {
+        let steps = r
+            .deltas
+            .iter()
+            .find(|(name, _)| name == "nav.local_steps")
+            .map_or(0, |(_, v)| *v);
+        let k = out.entry(r.kind.clone()).or_default();
+        k.deliveries += 1;
+        k.visits += 1 + steps;
+    }
+    out
+}
+
 /// One metric's movement across a time window on one processor.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WindowDelta {
@@ -435,5 +465,32 @@ mod tests {
             d.to_json(),
             "{\"alerts\":{\"a\":0,\"b\":0},\"rules\":{},\"lag_p99\":{\"0\":{\"a\":5,\"b\":500}}}"
         );
+    }
+
+    #[test]
+    fn visits_count_the_in_process_steps_of_each_delivery() {
+        let rec = |seq: u32, event: &str, kind: &str, deltas: &str| {
+            format!(
+                r#"{{"seq":{seq},"at":1,"from":0,"to":1,"event":"{event}","kind":"{kind}","span":null,"redelivery":false,"wait":0,"detail":"","deltas":{deltas}}}"#
+            )
+        };
+        let text = [
+            rec(0, "deliver", "client", r#"{"nav.local_steps":3}"#),
+            rec(1, "deliver", "client", r#"{"link_chases":1}"#),
+            rec(2, "deliver", "insert.relay", "{}"),
+            rec(3, "output", "done", r#"{"nav.local_steps":9}"#),
+        ]
+        .join("\n");
+        let trace = crate::model::parse_trace_jsonl(&text).unwrap();
+        let by_kind = kind_visits(&trace);
+        assert_eq!(by_kind.len(), 2, "outputs are not deliveries");
+        assert_eq!(
+            by_kind["client"],
+            KindVisits {
+                deliveries: 2,
+                visits: 5
+            }
+        );
+        assert_eq!(by_kind["insert.relay"].visits, 1);
     }
 }

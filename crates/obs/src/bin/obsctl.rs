@@ -113,6 +113,22 @@ fn print_report(report: &Report, trace: &[TraceRec], window: u64) {
             );
         }
     }
+    let by_kind = obs::kind_visits(trace);
+    if !by_kind.is_empty() {
+        println!(
+            "\ndeliveries by kind (an action keeps going in-process while its next node is local):"
+        );
+        println!("  kind                   deliveries   visits  visits/delivery");
+        for (kind, k) in &by_kind {
+            println!(
+                "  {:<22} {:>10} {:>8} {:>16.2}",
+                kind,
+                k.deliveries,
+                k.visits,
+                k.visits as f64 / k.deliveries as f64
+            );
+        }
+    }
     if !report.slowest.is_empty() {
         println!("\nslowest op chains:");
         for c in &report.slowest {

@@ -18,8 +18,8 @@ pub mod json;
 pub mod model;
 
 pub use analyze::{
-    gauge_quantiles, slowest_spans, timeline, window_deltas, Diff, HopChain, Quantiles, Report,
-    WindowDelta,
+    gauge_quantiles, kind_visits, slowest_spans, timeline, window_deltas, Diff, HopChain,
+    KindVisits, Quantiles, Report, WindowDelta,
 };
 pub use json::Json;
 pub use model::{parse_samples_jsonl, parse_trace_jsonl, AlertRec, SampleRec, TraceRec};

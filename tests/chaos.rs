@@ -286,7 +286,10 @@ fn crash_invalidation_matches_lazy_skip_fingerprint() {
         .with_dup(0.10)
         .with_crash(CrashEvent {
             proc: ProcId(2),
-            at: SimTime(500),
+            // Mid-workload: with navigation chains running in-process the
+            // 120 inserts are done by tick ~440, so a crash at 500 (where
+            // this pin used to sit) would find nothing in flight.
+            at: SimTime(300),
             restart_at: Some(SimTime(2200)),
         });
     let mut sim_cfg = faulty_cfg(7, plan);
@@ -323,16 +326,16 @@ fn crash_invalidation_matches_lazy_skip_fingerprint() {
             faults.crashes,
             faults.restarts,
         ),
-        (51, 41, 0, 12, 0, 1, 1),
+        (47, 36, 0, 15, 0, 1, 1),
         "FaultStats drifted from the pinned lazy-skip run"
     );
-    assert_eq!(cluster.sim.events_delivered(), 966);
+    assert_eq!(cluster.sim.events_delivered(), 559);
     // Hash the retained entries, not the Trace struct's Debug output: the
     // pin is about what was observed, not the ring's bookkeeping fields.
     let entries: Vec<_> = cluster.sim.trace().iter().collect();
     let trace_hash = fnv1a(format!("{entries:?}").as_bytes());
     assert_eq!(
-        trace_hash, 0x2F38A0EEA9751E57,
+        trace_hash, 0xCB172CFED8C4AC0E,
         "trace (drop order/times included) drifted from the pinned run"
     );
 }
