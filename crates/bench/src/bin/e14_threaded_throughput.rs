@@ -2,14 +2,17 @@
 //!
 //! The simulator experiments (E1–E13) measure virtual-tick costs; this one
 //! runs the *same* protocol state machines on `simnet::threaded::Cluster` —
-//! one OS thread per processor, crossbeam channels, a wall-clock timer
+//! one OS thread per processor, one inbox each, a wall-clock timer
 //! thread — through the same `DbCluster` facade and closed-loop driver, and
-//! reports real operations per second. The point is not the absolute
+//! reports real operations per second, with the wake-ups and parks the
+//! inboxes paid per operation (`Cluster::inbox_stats`). The point is not the absolute
 //! numbers (this is a message-passing toy, not a tuned server) but that
 //! the protocol ranking survives the move to real concurrency: lazy
 //! protocols never block operations on replica maintenance, so semisync
 //! keeps its lead over sync splits and available-copies locking when the
 //! nondeterminism is real.
+//!
+//! `--smoke` cuts a cell from 100 000 ops (about a second) to 2 000, for CI.
 
 use std::time::Instant;
 
@@ -18,10 +21,20 @@ use bench::{f1, to_client};
 use dbtree::{BuildSpec, ClientOp, ProtocolKind, ThreadedDbCluster, TreeConfig};
 use workload::{KeyDist, Mix, WorkloadGen};
 
-const N_OPS: usize = 2_000;
+const N_OPS: usize = 100_000;
+const SMOKE_OPS: usize = 2_000;
 const CONCURRENCY: usize = 8;
 
-fn run(protocol: ProtocolKind, n_procs: u32) -> (f64, f64, u64, usize) {
+struct Cell {
+    ops_per_sec: f64,
+    mean_us: f64,
+    p99_us: u64,
+    done: usize,
+    wakes_per_op: f64,
+    parks_per_op: f64,
+}
+
+fn run(protocol: ProtocolKind, n_procs: u32, n_ops: usize) -> Cell {
     let cfg = TreeConfig::fixed_copies(protocol, (n_procs as usize).min(3));
     let spec = BuildSpec::new((0..500u64).map(|k| k * 10).collect(), n_procs, cfg);
     let mut cluster = ThreadedDbCluster::build_threaded(&spec);
@@ -35,7 +48,7 @@ fn run(protocol: ProtocolKind, n_procs: u32) -> (f64, f64, u64, usize) {
         n_procs,
         41 + n_procs as u64,
     );
-    let ops: Vec<ClientOp> = gen.batch(N_OPS).iter().map(to_client).collect();
+    let ops: Vec<ClientOp> = gen.batch(n_ops).iter().map(to_client).collect();
 
     let t0 = Instant::now();
     let stats = cluster
@@ -44,15 +57,22 @@ fn run(protocol: ProtocolKind, n_procs: u32) -> (f64, f64, u64, usize) {
     let wall = t0.elapsed();
 
     let done = stats.records.len();
-    let ops_per_sec = done as f64 / wall.as_secs_f64();
-    // Threaded ticks are wall-clock microseconds, so latencies read as µs.
-    let mean_us = stats.mean_latency();
-    let p99_us = stats.latency_quantile(0.99);
+    let inbox = cluster.sim.inbox_stats();
     cluster.into_procs(); // join every thread before the next run
-    (ops_per_sec, mean_us, p99_us, done)
+    Cell {
+        ops_per_sec: done as f64 / wall.as_secs_f64(),
+        // Threaded ticks are wall-clock microseconds, so latencies read as µs.
+        mean_us: stats.mean_latency(),
+        p99_us: stats.latency_quantile(0.99),
+        done,
+        wakes_per_op: inbox.wakes as f64 / done as f64,
+        parks_per_op: inbox.parks as f64 / done as f64,
+    }
 }
 
 fn main() {
+    let smoke = std::env::args().any(|a| a == "--smoke");
+    let n_ops = if smoke { SMOKE_OPS } else { N_OPS };
     section(
         "E14",
         "threaded throughput — the same protocols on real OS threads",
@@ -63,6 +83,8 @@ fn main() {
         "ops/s (wall clock)",
         "mean latency (µs)",
         "p99 (µs)",
+        "wakes/op",
+        "parks/op",
         "completed",
     ]);
     for &n_procs in &[2u32, 4, 8] {
@@ -72,14 +94,16 @@ fn main() {
             ProtocolKind::AvailableCopies,
             ProtocolKind::Naive,
         ] {
-            let (ops_per_sec, mean_us, p99_us, done) = run(protocol, n_procs);
+            let c = run(protocol, n_procs, n_ops);
             table.row(&[
                 n_procs.to_string(),
                 protocol.label().to_string(),
-                format!("{ops_per_sec:.0}"),
-                f1(mean_us),
-                p99_us.to_string(),
-                format!("{done}/{N_OPS}"),
+                format!("{:.0}", c.ops_per_sec),
+                f1(c.mean_us),
+                c.p99_us.to_string(),
+                format!("{:.3}", c.wakes_per_op),
+                format!("{:.3}", c.parks_per_op),
+                format!("{}/{n_ops}", c.done),
             ]);
         }
     }

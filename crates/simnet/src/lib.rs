@@ -8,8 +8,8 @@
 //!   (exactly the network model assumed by the paper, §4), message latencies
 //!   are configurable, and every run is a pure function of its inputs and RNG
 //!   seed, so protocol races are reproducible and property-testable.
-//! * [`threaded::Cluster`] — the same processes driven by real OS threads and
-//!   crossbeam channels, for wall-clock parallelism.
+//! * [`threaded::Cluster`] — the same processes driven by real OS threads,
+//!   each behind its own inbox, for wall-clock parallelism.
 //!
 //! Both implement the [`Runtime`] trait, and the generic workload driver in
 //! [`driver`] (op-id allocation, pending-op tracking, closed- and open-loop
@@ -57,6 +57,7 @@ pub mod event;
 mod fault;
 pub mod fx;
 mod health;
+mod inbox;
 mod json;
 mod latency;
 mod obs;

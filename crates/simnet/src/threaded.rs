@@ -1,9 +1,11 @@
 //! A threaded runtime for the same [`Process`] trait.
 //!
-//! Each process runs on its own OS thread with a crossbeam channel as its
-//! message queue (the paper's queue manager). Channels are reliable and FIFO,
-//! matching the §4 network model; cross-channel interleaving comes from real
-//! scheduler nondeterminism instead of a latency model.
+//! Each process runs on its own OS thread with an inbox (`inbox.rs`: batch
+//! drain, bounded spin, wake only a parked receiver — DESIGN.md, "The
+//! threaded runtime's inbox") as its message queue, the paper's queue
+//! manager. Inboxes are reliable and FIFO, matching the §4 network model;
+//! cross-channel interleaving comes from real scheduler nondeterminism
+//! instead of a latency model.
 //!
 //! The cluster implements [`Runtime`], so the generic workload driver
 //! (`simnet::driver`) and every facade built on it run here unchanged.
@@ -20,16 +22,20 @@
 //! scheduler interleavings.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
+// The timer thread's command queue is low-rate (one item per armed timer);
+// everything hot goes through `Inbox`.
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use crate::context::Effect;
 use crate::health::{Alert, HealthMonitor};
+use crate::inbox::Inbox;
+pub use crate::inbox::InboxStats;
 use crate::obs::{CounterTrack, Sampler};
 use crate::runtime::{Poll, QuiesceError, Runtime};
 use crate::trace::{TraceEntry, TraceEvent};
@@ -45,6 +51,10 @@ enum Envelope<M> {
         /// Causal span, resolved at send time exactly as the simulator does:
         /// the payload's own span, else the sending action's.
         span: Option<u64>,
+        /// When the message was queued (traced runs only — an untraced run
+        /// reads no clock for it): the delivery's `wait` is measured from
+        /// here.
+        queued: Option<SimTime>,
     },
     Timer {
         token: u64,
@@ -98,7 +108,9 @@ enum TimerCmd {
     Shutdown,
 }
 
-type Channel<M> = (Sender<Envelope<M>>, Receiver<Envelope<M>>);
+/// Every worker's queue, in `ProcId` order: what a worker, the timer thread
+/// and the cluster handle each hold to reach any processor.
+type Peers<M> = Arc<[Inbox<Envelope<M>>]>;
 
 /// How long a deadline-free [`Runtime::poll`] waits before reporting
 /// [`Poll::Idle`].
@@ -111,6 +123,11 @@ const PROBE_TIMEOUT: Duration = Duration::from_secs(10);
 /// action count must stabilize long before this.
 const MAX_SETTLE_ROUNDS: u64 = 1_000_000;
 
+/// The cluster clock: microseconds since `epoch` (the spawn instant).
+fn micros_since(epoch: Instant) -> SimTime {
+    SimTime(epoch.elapsed().as_micros() as u64)
+}
+
 /// Min-heap timer wheel: sleeps until the earliest deadline (or a new
 /// command), then delivers `Envelope::Timer` to the owning process. One
 /// tick of `Context::set_timer` is one microsecond, matching the `now()`
@@ -119,7 +136,7 @@ const MAX_SETTLE_ROUNDS: u64 = 1_000_000;
 /// while a timer is in flight.
 fn run_timers<M: Payload + Send + 'static>(
     cmds: Receiver<TimerCmd>,
-    senders: Vec<Sender<Envelope<M>>>,
+    peers: Peers<M>,
     pending: Arc<AtomicU64>,
 ) {
     // (deadline, seq, proc, token); seq keeps same-deadline timers FIFO.
@@ -132,7 +149,7 @@ fn run_timers<M: Payload + Send + 'static>(
                 break;
             }
             heap.pop();
-            let _ = senders[proc as usize].send(Envelope::Timer { token });
+            peers[proc as usize].send(Envelope::Timer { token });
             // Decrement only after the timer event is in the worker's queue:
             // between arming and this point the probe must not see silence.
             pending.fetch_sub(1, Ordering::SeqCst);
@@ -172,10 +189,14 @@ fn run_timers<M: Payload + Send + 'static>(
 /// [`Cluster::shutdown`] to join the threads and recover the final process
 /// states.
 pub struct Cluster<P: Process> {
-    senders: Vec<Sender<Envelope<P::Msg>>>,
-    outputs: Receiver<Output<P::Msg>>,
-    /// Outputs received but not yet drained (poll/settle buffer here).
-    out_buf: Vec<(SimTime, ProcId, P::Msg)>,
+    peers: Peers<P::Msg>,
+    outputs: Arc<Inbox<Output<P::Msg>>>,
+    /// The batch last taken from `outputs`; empty between calls (its
+    /// allocation trades places with the inbox's).
+    out_batch: VecDeque<Output<P::Msg>>,
+    /// Outputs received but not yet handed out, oldest first: `recv_output*`
+    /// pops the front, `drain_outputs` takes the lot.
+    out_buf: VecDeque<(SimTime, ProcId, P::Msg)>,
     handles: Vec<thread::JoinHandle<P>>,
     timer_cmds: Sender<TimerCmd>,
     timer_handle: Option<thread::JoinHandle<()>>,
@@ -190,6 +211,8 @@ pub struct Cluster<P: Process> {
     /// Shared trace + series, `None` when observability is off (the workers
     /// then skip every recording branch — zero overhead).
     obs: SharedObs,
+    /// `obs` holds a trace, so injected messages carry their queueing time.
+    tracing: bool,
 }
 
 impl<P> Cluster<P>
@@ -221,50 +244,50 @@ where
                     alerts: Vec::new(),
                 }))
             });
-        let (out_tx, out_rx) = unbounded::<Output<P::Msg>>();
-        let channels: Vec<Channel<P::Msg>> = (0..n).map(|_| unbounded()).collect();
-        let senders: Vec<Sender<Envelope<P::Msg>>> =
-            channels.iter().map(|(tx, _)| tx.clone()).collect();
+        let tracing = obs_cfg.trace_capacity > 0;
+        let outputs = Arc::new(Inbox::new());
+        let peers: Peers<P::Msg> = (0..n).map(|_| Inbox::new()).collect();
         let actions = Arc::new(AtomicU64::new(0));
         let pending_timers = Arc::new(AtomicU64::new(0));
 
         let (timer_tx, timer_rx) = unbounded::<TimerCmd>();
-        let timer_senders = senders.clone();
+        let timer_peers = Arc::clone(&peers);
         let timer_pending = Arc::clone(&pending_timers);
         let timer_handle = thread::Builder::new()
             .name("simnet-timers".into())
-            .spawn(move || run_timers(timer_rx, timer_senders, timer_pending))
+            .spawn(move || run_timers(timer_rx, timer_peers, timer_pending))
             .expect("spawn simnet timer thread");
 
         let mut handles = Vec::with_capacity(n);
-        for (i, (proc, (_, rx))) in procs.into_iter().zip(channels).enumerate() {
+        for (i, proc) in procs.into_iter().enumerate() {
             let worker = Worker {
                 me: ProcId(i as u32),
                 proc,
                 rng: SmallRng::seed_from_u64(0x5EED ^ i as u64),
                 effects: Vec::new(),
                 epoch,
-                peers: senders.clone(),
-                out: out_tx.clone(),
+                peers: Arc::clone(&peers),
+                out: Arc::clone(&outputs),
                 timers: timer_tx.clone(),
                 actions: Arc::clone(&actions),
                 pending_timers: Arc::clone(&pending_timers),
                 obs: obs.clone(),
-                tracing: obs_cfg.trace_capacity > 0,
+                tracing,
                 counters: CounterTrack::default(),
                 spare: None,
             };
             let handle = thread::Builder::new()
                 .name(format!("simnet-p{i}"))
-                .spawn(move || worker.run(rx))
+                .spawn(move || worker.run())
                 .expect("spawn simnet thread");
             handles.push(handle);
         }
 
         Cluster {
-            senders,
-            outputs: out_rx,
-            out_buf: Vec::new(),
+            peers,
+            outputs,
+            out_batch: VecDeque::new(),
+            out_buf: VecDeque::new(),
             handles,
             timer_cmds: timer_tx,
             timer_handle: Some(timer_handle),
@@ -273,32 +296,34 @@ where
             pending_timers,
             next_probe: 0,
             obs,
+            tracing,
         }
     }
 
     /// Number of processes in the cluster.
     pub fn len(&self) -> usize {
-        self.senders.len()
+        self.peers.len()
     }
 
     /// True if the cluster has no processes.
     pub fn is_empty(&self) -> bool {
-        self.senders.is_empty()
+        self.peers.is_empty()
     }
 
     /// Microseconds since the cluster was spawned — the same clock the
     /// worker threads stamp their contexts and outputs with.
     pub fn now(&self) -> SimTime {
-        SimTime(self.epoch.elapsed().as_micros() as u64)
+        micros_since(self.epoch)
     }
 
     /// Send `msg` to `to` from the external endpoint.
     pub fn inject(&self, to: ProcId, msg: P::Msg) {
         let span = msg.span();
-        let _ = self.senders[to.index()].send(Envelope::Msg {
+        self.peers[to.index()].send(Envelope::Msg {
             from: ProcId::EXTERNAL,
             msg,
             span,
+            queued: self.tracing.then(|| self.now()),
         });
     }
 
@@ -308,14 +333,14 @@ where
     /// survives, playing the paper's stable store. Mirrors the simulator's
     /// [`crate::CrashEvent`] fault injection.
     pub fn crash(&self, p: ProcId) {
-        let _ = self.senders[p.index()].send(Envelope::Crash);
+        self.peers[p.index()].send(Envelope::Crash);
     }
 
     /// Restart a crashed processor: the worker leaves crash mode and runs
     /// [`Process::on_restart`]. A restart for a processor that is not down
     /// is ignored.
     pub fn restart(&self, p: ProcId) {
-        let _ = self.senders[p.index()].send(Envelope::Restart);
+        self.peers[p.index()].send(Envelope::Restart);
     }
 
     /// Take the observability data recorded so far (empty when the cluster
@@ -334,31 +359,49 @@ where
         }
     }
 
-    /// Pull one output from the channel into the buffer; `false` on timeout
-    /// or disconnection. Probe echoes (from an abandoned settle) are
-    /// skipped without consuming the timeout budget meaningfully.
-    fn pump_one(&mut self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let wait = deadline.saturating_duration_since(Instant::now());
-            match self.outputs.recv_timeout(wait) {
-                Ok(Output::At(at, from, msg)) => {
-                    self.out_buf.push((at, from, msg));
-                    return true;
-                }
-                Ok(Output::Probe(_)) => continue,
-                Err(_) => return false,
-            }
+    /// How often the cluster's queues — every worker's inbox and the shared
+    /// output queue — were sent to, woke a parked receiver, parked, and were
+    /// drained, since spawn.
+    pub fn inbox_stats(&self) -> InboxStats {
+        let mut total = self.outputs.stats();
+        for inbox in self.peers.iter() {
+            total += inbox.stats();
         }
+        total
     }
 
-    /// Move everything already sitting in the output channel into the
-    /// buffer without blocking.
-    fn pump_ready(&mut self) {
-        while let Ok(out) = self.outputs.try_recv() {
-            if let Output::At(at, from, msg) = out {
-                self.out_buf.push((at, from, msg));
+    /// Move the batch just taken from the output queue into the buffer;
+    /// returns how many echoes of probe `token` it held (echoes of an
+    /// abandoned settle's probes are dropped).
+    fn sift(&mut self, token: Option<u64>) -> usize {
+        let mut echoes = 0;
+        for out in self.out_batch.drain(..) {
+            match out {
+                Output::At(at, from, msg) => self.out_buf.push_back((at, from, msg)),
+                Output::Probe(t) => echoes += usize::from(Some(t) == token),
             }
+        }
+        echoes
+    }
+
+    /// Wait up to `timeout` for an output to reach the buffer; `false` on
+    /// timeout.
+    fn pump_one(&mut self, timeout: Duration) -> bool {
+        let deadline = Instant::now() + timeout;
+        while self.out_buf.is_empty() {
+            if !self.outputs.drain(&mut self.out_batch, Some(deadline)) {
+                return false;
+            }
+            self.sift(None);
+        }
+        true
+    }
+
+    /// Move everything already sitting in the output queue into the buffer
+    /// without blocking.
+    fn pump_ready(&mut self) {
+        if self.outputs.try_drain(&mut self.out_batch) {
+            self.sift(None);
         }
     }
 
@@ -370,10 +413,10 @@ where
 
     /// Receive with a timeout; `None` on timeout or disconnection.
     pub fn recv_output_timeout(&mut self, timeout: Duration) -> Option<(ProcId, P::Msg)> {
-        if self.out_buf.is_empty() && !self.pump_one(timeout) {
+        if !self.pump_one(timeout) {
             return None;
         }
-        let (_, from, msg) = self.out_buf.remove(0);
+        let (_, from, msg) = self.out_buf.pop_front()?;
         Some((from, msg))
     }
 
@@ -383,19 +426,16 @@ where
     fn probe_barrier(&mut self) -> bool {
         let token = self.next_probe;
         self.next_probe += 1;
-        for tx in &self.senders {
-            let _ = tx.send(Envelope::Probe { token });
+        for inbox in self.peers.iter() {
+            inbox.send(Envelope::Probe { token });
         }
         let mut echoes = 0;
         let deadline = Instant::now() + PROBE_TIMEOUT;
-        while echoes < self.senders.len() {
-            let wait = deadline.saturating_duration_since(Instant::now());
-            match self.outputs.recv_timeout(wait) {
-                Ok(Output::At(at, from, msg)) => self.out_buf.push((at, from, msg)),
-                Ok(Output::Probe(t)) if t == token => echoes += 1,
-                Ok(Output::Probe(_)) => {}
-                Err(_) => return false,
+        while echoes < self.peers.len() {
+            if !self.outputs.drain(&mut self.out_batch, Some(deadline)) {
+                return false;
             }
+            echoes += self.sift(Some(token));
         }
         true
     }
@@ -403,8 +443,8 @@ where
     /// Stop all threads (after their queues drain to the shutdown marker),
     /// join them, and return the final process states in `ProcId` order.
     pub fn shutdown(mut self) -> Vec<P> {
-        for tx in &self.senders {
-            let _ = tx.send(Envelope::Shutdown);
+        for inbox in self.peers.iter() {
+            inbox.send(Envelope::Shutdown);
         }
         let mut procs = Vec::with_capacity(self.handles.len());
         for h in self.handles.drain(..) {
@@ -453,7 +493,6 @@ where
             None => IDLE_GRACE,
         };
         if self.pump_one(wait) {
-            self.pump_ready();
             Poll::Outputs
         } else if deadline.is_some() {
             Poll::Deadline
@@ -466,7 +505,8 @@ where
     /// round with no armed timers outstanding. Sound because a worker
     /// enqueues all of an action's sends *before* counting it, and FIFO
     /// queues deliver those sends before a later probe: an unchanged count
-    /// across a completed barrier means every queue was empty when probed.
+    /// across a completed barrier means every queue was empty when probed
+    /// (`inbox.rs` has the argument for queues drained a batch at a time).
     fn settle(&mut self) -> Result<(), QuiesceError> {
         for _ in 0..MAX_SETTLE_ROUNDS {
             // A timer in flight (armed, not yet delivered) is pending work
@@ -491,7 +531,7 @@ where
 
     fn drain_outputs(&mut self) -> Vec<(SimTime, ProcId, P::Msg)> {
         self.pump_ready();
-        std::mem::take(&mut self.out_buf)
+        std::mem::take(&mut self.out_buf).into()
     }
 
     fn take_obs(&mut self) -> Obs {
@@ -511,8 +551,8 @@ struct Worker<P: Process> {
     rng: SmallRng,
     effects: Vec<Effect<P::Msg>>,
     epoch: Instant,
-    peers: Vec<Sender<Envelope<P::Msg>>>,
-    out: Sender<Output<P::Msg>>,
+    peers: Peers<P::Msg>,
+    out: Arc<Inbox<Output<P::Msg>>>,
     timers: Sender<TimerCmd>,
     actions: Arc<AtomicU64>,
     pending_timers: Arc<AtomicU64>,
@@ -529,11 +569,12 @@ struct Worker<P: Process> {
 
 impl<P: Process> Worker<P> {
     fn now(&self) -> SimTime {
-        SimTime(self.epoch.elapsed().as_micros() as u64)
+        micros_since(self.epoch)
     }
 
-    /// Drain the inbox until shutdown; returns the final process state.
-    fn run(mut self, rx: Receiver<Envelope<P::Msg>>) -> P {
+    /// Drain the inbox, a batch at a time, until shutdown; returns the final
+    /// process state.
+    fn run(mut self) -> P {
         let at = self.now();
         self.dispatch(at, None, |p, ctx| p.on_start(ctx));
         self.flush(at, None);
@@ -543,64 +584,88 @@ impl<P: Process> Worker<P> {
         // process or bumping the action counter (dropping is not an action,
         // so settle stays sound).
         let mut down = false;
-        while let Ok(env) = rx.recv() {
-            match env {
-                Envelope::Msg { from, msg, span } => {
-                    let at = self.now();
-                    if down {
+        let mut batch = VecDeque::new();
+        'run: loop {
+            self.peers[self.me.index()].drain(&mut batch, None);
+            for env in batch.drain(..) {
+                match env {
+                    Envelope::Msg {
+                        from,
+                        msg,
+                        span,
+                        queued,
+                    } => {
+                        let at = self.now();
+                        if down {
+                            if let Some(o) = &self.obs {
+                                let mut st = o.lock().expect("obs lock");
+                                if let Some(e) = st.trace.note(
+                                    at,
+                                    from,
+                                    self.me,
+                                    TraceEvent::Drop,
+                                    msg.kind(),
+                                    span,
+                                ) {
+                                    e.redelivery = msg.redelivery();
+                                    e.set_detail("crash");
+                                }
+                            }
+                            continue;
+                        }
+                        // Open the entry before the payload moves into the
+                        // handler.
+                        let pending = self.tracing.then(|| {
+                            // Time spent queued, in the inbox and then in the
+                            // batch behind the actions ahead of it.
+                            let wait = queued.map_or(0, |q| at - q);
+                            TraceEntry::delivery(
+                                self.spare.take(),
+                                at,
+                                from,
+                                self.me,
+                                span,
+                                &msg,
+                                wait,
+                            )
+                        });
+                        self.act(at, span, pending, |p, ctx| p.on_message(ctx, from, msg));
+                    }
+                    Envelope::Timer { token } => {
+                        if down {
+                            continue;
+                        }
+                        let at = self.now();
+                        let pending = self
+                            .tracing
+                            .then(|| TraceEntry::timer(self.spare.take(), at, self.me, token, 0));
+                        self.act(at, None, pending, |p, ctx| p.on_timer(ctx, token));
+                    }
+                    Envelope::Probe { token } => {
+                        self.out.send(Output::Probe(token));
+                    }
+                    Envelope::Crash => {
+                        down = true;
                         if let Some(o) = &self.obs {
                             let mut st = o.lock().expect("obs lock");
-                            if let Some(e) =
-                                st.trace
-                                    .note(at, from, self.me, TraceEvent::Drop, msg.kind(), span)
-                            {
-                                e.redelivery = msg.redelivery();
-                                e.set_detail("crash");
-                            }
+                            let (at, me) = (self.now(), self.me);
+                            st.trace
+                                .note(at, me, me, TraceEvent::Crash, "fault.crash", None);
                         }
-                        continue;
                     }
-                    // Open the entry before the payload moves into the
-                    // handler.
-                    let pending = self.tracing.then(|| {
-                        TraceEntry::delivery(self.spare.take(), at, from, self.me, span, &msg, 0)
-                    });
-                    self.act(at, span, pending, |p, ctx| p.on_message(ctx, from, msg));
-                }
-                Envelope::Timer { token } => {
-                    if down {
-                        continue;
+                    Envelope::Restart => {
+                        if !down {
+                            continue;
+                        }
+                        down = false;
+                        let at = self.now();
+                        let pending = self
+                            .tracing
+                            .then(|| TraceEntry::restart(self.spare.take(), at, self.me));
+                        self.act(at, None, pending, |p, ctx| p.on_restart(ctx));
                     }
-                    let at = self.now();
-                    let pending = self
-                        .tracing
-                        .then(|| TraceEntry::timer(self.spare.take(), at, self.me, token, 0));
-                    self.act(at, None, pending, |p, ctx| p.on_timer(ctx, token));
+                    Envelope::Shutdown => break 'run,
                 }
-                Envelope::Probe { token } => {
-                    let _ = self.out.send(Output::Probe(token));
-                }
-                Envelope::Crash => {
-                    down = true;
-                    if let Some(o) = &self.obs {
-                        let mut st = o.lock().expect("obs lock");
-                        let (at, me) = (self.now(), self.me);
-                        st.trace
-                            .note(at, me, me, TraceEvent::Crash, "fault.crash", None);
-                    }
-                }
-                Envelope::Restart => {
-                    if !down {
-                        continue;
-                    }
-                    down = false;
-                    let at = self.now();
-                    let pending = self
-                        .tracing
-                        .then(|| TraceEntry::restart(self.spare.take(), at, self.me));
-                    self.act(at, None, pending, |p, ctx| p.on_restart(ctx));
-                }
-                Envelope::Shutdown => break,
             }
         }
         self.proc
@@ -689,7 +754,7 @@ impl<P: Process> Worker<P> {
 
     /// Apply the effects the last handler buffered.
     fn flush(&mut self, at: SimTime, action_span: Option<u64>) {
-        let me = self.me;
+        let (me, epoch, tracing) = (self.me, self.epoch, self.tracing);
         for effect in self.effects.drain(..) {
             match effect {
                 Effect::Send { to, msg } => {
@@ -701,12 +766,13 @@ impl<P: Process> Worker<P> {
                             let mut st = o.lock().expect("obs lock");
                             st.trace.output(at, me, span, &msg);
                         }
-                        let _ = self.out.send(Output::At(at, me, msg));
+                        self.out.send(Output::At(at, me, msg));
                     } else {
-                        let _ = self.peers[to.index()].send(Envelope::Msg {
+                        self.peers[to.index()].send(Envelope::Msg {
                             from: me,
                             msg,
                             span,
+                            queued: tracing.then(|| micros_since(epoch)),
                         });
                     }
                 }
@@ -744,6 +810,7 @@ impl<P: Process> Worker<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
     use std::time::Duration;
 
     #[derive(Clone, Debug)]
@@ -858,10 +925,10 @@ mod tests {
         assert_eq!(procs[1].seen, 1);
     }
 
-    #[test]
-    fn settle_waits_for_cascades_and_timers() {
-        // A chain: external -> P0 arms a timer; the timer forwards through
-        // the ring; settle must not report quiescence until the final hop.
+    /// `tokens` chains, each: external -> P0 arms a timer; the timer forwards
+    /// `depth` hops through the ring; settle must not report quiescence
+    /// until every chain's final hop.
+    fn settle_after_cascades(tokens: usize, depth: u64) {
         struct Delayed {
             n: u32,
         }
@@ -881,10 +948,125 @@ mod tests {
             }
         }
         let mut cluster = Cluster::spawn((0..3).map(|_| Delayed { n: 3 }).collect());
-        cluster.inject(ProcId(0), Num(7));
+        for _ in 0..tokens {
+            cluster.inject(ProcId(0), Num(depth));
+        }
         cluster.settle().expect("settles");
         let outs = Runtime::drain_outputs(&mut cluster);
-        assert_eq!(outs.len(), 1, "the cascade finished before settle returned");
+        assert_eq!(
+            outs.len(),
+            tokens,
+            "every cascade finished before settle returned"
+        );
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn settle_waits_for_cascades_and_timers() {
+        settle_after_cascades(1, 7);
+    }
+
+    #[test]
+    fn settle_waits_for_deep_cascades_in_partly_processed_batches() {
+        // Eight chains of 1 000 hops share three inboxes, so a probe lands
+        // in the middle of a batch whose items each send one hop further.
+        settle_after_cascades(8, 1_000);
+    }
+
+    #[test]
+    fn shutdown_is_honoured_after_everything_queued_ahead_of_it() {
+        let (proc, begun, go) = Gated::new(Duration::ZERO);
+        let cluster = Cluster::spawn(vec![proc]);
+        // 999 messages pile up behind the first one's action; the shutdown
+        // marker lands behind them or behind what is left of them.
+        for _ in 0..1_000 {
+            cluster.inject(ProcId(0), Num(0));
+        }
+        begun.recv().expect("first action begins");
+        go.send(()).expect("worker is waiting");
+        assert_eq!(cluster.shutdown()[0].seen, 1_000);
+    }
+
+    /// Counts its messages; the first one's action tells the test it has
+    /// begun, waits for the test's go-ahead and then sleeps `nap` — a worker
+    /// that is provably busy while the test fills its inbox.
+    struct Gated {
+        gate: Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>,
+        nap: Duration,
+        seen: u64,
+    }
+    impl Gated {
+        /// The process, plus the test's ends: "the first action has begun"
+        /// and "let it go on".
+        fn new(nap: Duration) -> (Self, mpsc::Receiver<()>, mpsc::Sender<()>) {
+            let (begun_tx, begun_rx) = mpsc::channel();
+            let (go_tx, go_rx) = mpsc::channel();
+            let gate = Some((begun_tx, go_rx));
+            (Gated { gate, nap, seen: 0 }, begun_rx, go_tx)
+        }
+    }
+    impl Process for Gated {
+        type Msg = Num;
+        fn on_message(&mut self, _: &mut Context<'_, Num>, _: ProcId, _: Num) {
+            self.seen += 1;
+            if let Some((begun, go)) = self.gate.take() {
+                begun.send(()).expect("test is listening");
+                go.recv().expect("test lets the action go on");
+                thread::sleep(self.nap);
+            }
+        }
+    }
+
+    #[test]
+    fn a_busy_worker_costs_its_senders_no_wakeup() {
+        let (proc, begun, go) = Gated::new(Duration::ZERO);
+        let mut cluster = Cluster::spawn(vec![proc]);
+        cluster.inject(ProcId(0), Num(0));
+        begun.recv().expect("first action begins");
+        let before = cluster.inbox_stats();
+        for _ in 0..10_000 {
+            cluster.inject(ProcId(0), Num(0));
+        }
+        let flooded = cluster.inbox_stats();
+        assert_eq!(flooded.sends - before.sends, 10_000);
+        assert_eq!(
+            flooded.wakes, before.wakes,
+            "the worker is inside an action, not parked"
+        );
+        go.send(()).expect("worker is waiting");
+        cluster.settle().expect("settles");
+        let stats = cluster.inbox_stats();
+        assert!(stats.wakes <= stats.parks + 1, "{stats:?}");
+        assert!(
+            stats.batches < 5_000,
+            "the flood was drained in batches: {stats:?}"
+        );
+        assert_eq!(cluster.shutdown()[0].seen, 10_001);
+    }
+
+    #[test]
+    fn traced_deliveries_record_their_queueing_wait() {
+        let (proc, begun, go) = Gated::new(Duration::from_millis(2));
+        let mut cluster = Cluster::spawn_with(vec![proc], ObsConfig::traced(64));
+        cluster.inject(ProcId(0), Num(0));
+        begun.recv().expect("first action begins");
+        for _ in 0..3 {
+            cluster.inject(ProcId(0), Num(0));
+        }
+        go.send(()).expect("worker is waiting");
+        cluster.settle().expect("settles");
+        let obs = cluster.take_obs();
+        let waits: Vec<u64> = obs
+            .trace
+            .iter()
+            .filter(|e| e.event == TraceEvent::Deliver)
+            .map(|e| e.wait)
+            .collect();
+        assert_eq!(waits.len(), 4);
+        assert!(
+            waits[1..].iter().all(|&w| w >= 2_000),
+            "queued behind a 2 ms action: {waits:?}"
+        );
         cluster.shutdown();
     }
 }

@@ -140,8 +140,10 @@ pub struct TraceEntry {
     /// `true` when the payload is a session-layer retransmission rather
     /// than a first transmission.
     pub redelivery: bool,
-    /// Ticks the delivery waited for a busy node manager (simulator
-    /// service-time model; always 0 on the threaded runtime).
+    /// Ticks the delivery waited for a busy node manager: the service-time
+    /// model's queueing on the simulator; on the threaded runtime, the
+    /// microseconds between a message entering the inbox and its action
+    /// starting (timers and restarts record 0 there).
     pub wait: u64,
     /// Recorded raw, rendered on demand by [`TraceEntry::detail`]: the
     /// payload's `{:?}`, a timer's `token=N`, or a fault annotation.
