@@ -48,6 +48,7 @@ pub mod balance;
 mod build;
 pub mod checker;
 mod config;
+mod entries;
 mod metrics;
 mod msg;
 mod nav;
@@ -63,6 +64,7 @@ mod types;
 pub use build::{build_procs, BuildSpec};
 pub use checker::{check_history_sequences, db_class_conflicts, GlobalView, TreeViolation};
 pub use config::{PiggybackCfg, Placement, ProtocolKind, TreeConfig};
+pub use entries::Entries;
 pub use metrics::ProcMetrics;
 pub use msg::{InstallReason, LinkDir, Msg, SplitInfo};
 pub use node::{NodeCopy, NodeSnapshot};

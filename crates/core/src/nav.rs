@@ -284,7 +284,7 @@ impl DbProc {
         let version = copy.version;
         let prev = copy.upsert(key, entry);
         let tag = self.issue_tag("leaf-write");
-        self.log.lock().observe_initial(node.raw(), self.me.0, tag);
+        self.observe_initial(node, tag);
         self.relay_update(ctx, node, key, entry, tag, version);
         self.reply(
             ctx,
@@ -422,7 +422,7 @@ impl DbProc {
         let copy = self.store.get_mut(node).expect("checked above");
         let version = copy.version;
         copy.upsert(key, entry);
-        self.log.lock().observe_initial(node.raw(), self.me.0, tag);
+        self.observe_initial(node, tag);
         self.relay_update(ctx, node, key, entry, tag, version);
         self.maybe_split(ctx, node);
         // Rerouted deletes land here as initial inserts; a tombstone may

@@ -1,10 +1,9 @@
 //! A replicated node copy and its local (atomic) mutations.
 
-use std::collections::BTreeMap;
-
 use history::fnv1a;
 use simnet::ProcId;
 
+use crate::entries::Entries;
 use crate::msg::{AbsorbInfo, Msg, SplitInfo};
 use crate::types::{ChildRef, Entry, Key, KeyRange, Link, NodeId};
 
@@ -58,8 +57,8 @@ pub struct NodeCopy {
     pub range: KeyRange,
     /// §4.2/§4.3 version number (incremented by migrations, joins, unjoins).
     pub version: u64,
-    /// Sorted entries.
-    pub entries: BTreeMap<Key, Entry>,
+    /// Sorted entries, held inline (see [`Entries`]).
+    pub entries: Entries,
     /// Right sibling.
     pub right: Option<Link>,
     /// Left sibling (needed so splits/migrations can notify the left
@@ -92,6 +91,13 @@ pub struct NodeCopy {
     pub split_pending: bool,
     /// Available-copies lock, if held.
     pub lock: Option<LockState>,
+    /// Tick at which this resident copy last applied a relayed update — the
+    /// staleness stamp behind the `store.staleness_max` gauge. Observability
+    /// bookkeeping, not protocol state: it stays out of [`NodeCopy::digest`],
+    /// [`NodeCopy::fingerprint_into`], [`NodeCopy::merge_from`] and
+    /// [`NodeCopy::snapshot`], so a copy that arrives on the wire starts
+    /// unstamped and the stamp leaves with the copy.
+    pub relayed_at: Option<u64>,
 }
 
 impl NodeCopy {
@@ -102,7 +108,7 @@ impl NodeCopy {
             level,
             range,
             version: 0,
-            entries: BTreeMap::new(),
+            entries: Entries::new(),
             right: None,
             left: None,
             parent: None,
@@ -116,6 +122,7 @@ impl NodeCopy {
             aas: None,
             split_pending: false,
             lock: None,
+            relayed_at: None,
         }
     }
 
@@ -181,7 +188,7 @@ impl NodeCopy {
     /// Perform the local half of a half-split: keep `[low, sep)`, return the
     /// sibling's range and entries. `right`/`version` bookkeeping is the
     /// caller's (protocol-specific).
-    pub fn half_split(&mut self) -> (Key, KeyRange, BTreeMap<Key, Entry>) {
+    pub fn half_split(&mut self) -> (Key, KeyRange, Entries) {
         debug_assert!(self.entries.len() >= 2);
         // Leaves may split at any key; an interior separator must be a
         // *live* child key (a tombstoned edge cannot route the sibling's
@@ -527,7 +534,7 @@ impl NodeCopy {
             level: self.level,
             range: self.range,
             version: self.version,
-            entries: self.entries.iter().map(|(k, e)| (*k, *e)).collect(),
+            entries: self.entries.as_slice().to_vec(),
             right: self.right,
             left: self.left,
             parent: self.parent,
@@ -627,6 +634,7 @@ impl NodeSnapshot {
             aas: None,
             split_pending: false,
             lock: None,
+            relayed_at: None,
         }
     }
 }
@@ -641,6 +649,21 @@ mod tests {
 
     fn val(v: u64, stamp: u64) -> Entry {
         Entry::Val { value: v, stamp }
+    }
+
+    /// The two values the hot path moves and visits, pinned so that the next
+    /// field added to either is a decision somebody made: a [`NodeCopy`] is
+    /// one slab slot (its entries inline — 11 cache lines, and the slot's
+    /// `Option` must stay free), a [`Msg`] is copied once per in-process
+    /// step and once per send. (Field *order* is left to the compiler: a
+    /// `repr(C)` hot-fields-first order was tried and measured nothing once
+    /// the entries were searched by counting — CHANGES, PR 17.)
+    #[test]
+    fn hot_path_layouts_stay_within_their_budgets() {
+        use std::mem::size_of;
+        assert!(size_of::<NodeCopy>() <= 704, "{}", size_of::<NodeCopy>());
+        assert_eq!(size_of::<Option<NodeCopy>>(), size_of::<NodeCopy>());
+        assert!(size_of::<Msg>() <= 112, "{}", size_of::<Msg>());
     }
 
     #[test]

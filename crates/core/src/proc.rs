@@ -8,7 +8,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
-use history::HistoryLog;
+use history::{HistoryLog, ObserveKind};
 use parking_lot::Mutex;
 use simnet::{Context, ProcId, Process};
 
@@ -142,13 +142,9 @@ pub struct DbProc {
     /// (cleared when the buffer drains). Feeds `relay.backlog_age`.
     pub(crate) relay_buf_since: BTreeMap<ProcId, u64>,
     /// Park tick of each entry in `parked_writes` (lockstep with it).
-    /// Feeds `proc.parked_dwell`.
+    /// Feeds `proc.parked_dwell`. (The third lazy-lag timestamp, the
+    /// per-copy staleness stamp, lives in the copy: [`NodeCopy::relayed_at`].)
     pub(crate) parked_since: Vec<u64>,
-    /// Tick at which each resident copy last applied a relayed update —
-    /// the per-copy staleness stamp. Feeds `store.staleness_max`. Keyed by
-    /// resident copies only: [`DbProc::drop_copy`] removes the stamp with
-    /// the copy.
-    pub(crate) copy_stamp: BTreeMap<NodeId, u64>,
 
     // -- available-copies coordinator state ---------------------------------
     pub(crate) next_ticket: u64,
@@ -182,7 +178,6 @@ impl DbProc {
             missed: BTreeMap::new(),
             relay_buf_since: BTreeMap::new(),
             parked_since: Vec::new(),
-            copy_stamp: BTreeMap::new(),
             next_ticket: 0,
             pending_locks: HashMap::new(),
             coord_busy: HashSet::new(),
@@ -278,12 +273,13 @@ impl DbProc {
     }
 
     /// The local copy of `node` leaves this processor (merge retirement,
-    /// migration out, unjoin, crash rejoin): out of the store, its staleness
-    /// stamp with it, and the history log hears of the deletion.
+    /// migration out, unjoin, crash rejoin): out of the store, and the
+    /// history log hears of the deletion.
     pub(crate) fn drop_copy(&mut self, node: NodeId) -> Option<NodeCopy> {
         let copy = self.store.remove(node)?;
-        self.copy_stamp.remove(&node);
-        self.log.lock().copy_deleted(node.raw(), self.me.0);
+        if let Some(mut log) = self.history() {
+            log.copy_deleted(node.raw(), self.me.0);
+        }
         Some(copy)
     }
 
@@ -318,9 +314,49 @@ impl DbProc {
         crate::types::Stamp::new(self.stamp_counter, self.me)
     }
 
-    /// Issue a history tag for a new initial update of `class`.
+    /// The shared history recorder, locked — or `None` when history is off
+    /// ([`TreeConfig::record_history`]), *without touching the mutex*: every
+    /// processor shares that one lock, a disabled log ignores every call
+    /// anyway, and on threads the lock's cache line would otherwise bounce
+    /// between the workers several times per write. Every recording site in
+    /// the node manager goes through here or the helpers below.
+    pub(crate) fn history(&self) -> Option<impl std::ops::DerefMut<Target = HistoryLog> + '_> {
+        self.cfg.record_history.then(|| self.log.lock())
+    }
+
+    /// Issue a history tag for a new initial update of `class` (0, the
+    /// "untracked" tag, when history is off).
     pub(crate) fn issue_tag(&self, class: &'static str) -> u64 {
-        self.log.lock().issue(class)
+        self.history().map_or(0, |mut log| log.issue(class))
+    }
+
+    /// Record that the local copy of `node` observed update `tag`.
+    pub(crate) fn observe(&self, node: NodeId, tag: u64, kind: ObserveKind) {
+        if let Some(mut log) = self.history() {
+            log.observe(node.raw(), self.me.0, tag, kind);
+        }
+    }
+
+    /// Record that `tag` was performed as an initial action on the local
+    /// copy of `node`.
+    pub(crate) fn observe_initial(&self, node: NodeId, tag: u64) {
+        if let Some(mut log) = self.history() {
+            log.observe_initial(node.raw(), self.me.0, tag);
+        }
+    }
+
+    /// Record that `tag` was consumed without any copy observing it.
+    pub(crate) fn observe_global(&self, tag: u64) {
+        if let Some(mut log) = self.history() {
+            log.observe_global(tag);
+        }
+    }
+
+    /// The tags the local copy of `node` has observed (seeds the snapshot
+    /// coverage of a copy it spawns).
+    pub(crate) fn copy_coverage(&self, node: NodeId) -> Vec<u64> {
+        self.history()
+            .map_or_else(Vec::new, |log| log.copy_coverage(node.raw(), self.me.0))
     }
 
     /// Take `msg` toward a node — the one place that decides *message or
@@ -435,7 +471,9 @@ impl DbProc {
             reason,
             InstallReason::Migration { .. } | InstallReason::JoinGrant
         ) {
-            self.log.lock().copy_created(id.raw(), self.me.0, covered);
+            if let Some(mut log) = self.history() {
+                log.copy_created(id.raw(), self.me.0, covered);
+            }
         }
         // Apply protocol events that raced ahead of the install.
         self.replay_stash(ctx, id);
@@ -776,7 +814,11 @@ impl Process for DbProc {
         let backlog_age = self.relay_buf_since.values().copied().min().map_or(0, age);
         let deferred: u64 = self.missed.values().map(|s| s.len() as u64).sum();
         let dwell = self.parked_since.iter().copied().min().map_or(0, age);
-        let staleness = self.copy_stamp.values().copied().min().map_or(0, age);
+        // The oldest stamp among resident copies that have applied a relay;
+        // read off the store at sample time, so nothing is kept in step
+        // with it on the write path.
+        let stamps = self.store.iter().filter_map(|c| c.relayed_at);
+        let staleness = stamps.min().map_or(0, age);
         vec![
             ("proc.merge_pending", self.merge_pending.len() as u64),
             ("proc.parked_dwell", dwell),
@@ -809,9 +851,11 @@ mod tests {
     }
 
     /// Delete churn on replicated leaves: every write relays to two copies
-    /// and stamps them, then the emptied leaves retire at all three. A stamp
-    /// must leave with its copy, or `copy_stamp` grows with every node the
-    /// processor has ever held.
+    /// and stamps them, then the emptied leaves retire at all three. The
+    /// stamp lives in the copy, so `store.staleness_max` can only speak for
+    /// resident copies: it follows the oldest stamp in the store, lets go of
+    /// it when that copy leaves, and a copy coming back off the wire starts
+    /// unstamped.
     #[test]
     fn staleness_stamps_leave_with_their_copies() {
         use crate::{BuildSpec, ClientOp, DbCluster, Intent, ProtocolKind};
@@ -834,21 +878,44 @@ mod tests {
             .collect();
         cluster.try_run_closed_loop(&ops, 4).expect("churn drains");
 
+        let now = cluster.sim.now();
+        let staleness = |p: &DbProc| {
+            let gauges = p.gauges(now);
+            let (_, v) = gauges
+                .iter()
+                .find(|(name, _)| *name == "store.staleness_max")
+                .expect("gauge exported");
+            *v
+        };
+        // What the gauge may reflect: the oldest stamp among resident copies.
+        let oldest = |p: &DbProc| {
+            let stamped = p.store.iter().filter(|c| c.relayed_at.is_some());
+            stamped
+                .min_by_key(|c| c.relayed_at)
+                .map(|c| (c.id, now.ticks() - c.relayed_at.expect("filtered")))
+        };
+
         let mut retired = 0;
         for (id, p) in cluster.sim.procs() {
             assert!(p.metrics.relays_applied > 0, "{id}: relays stamped copies");
             retired += p.metrics.retires_applied;
-            let stray: Vec<&NodeId> = p
-                .copy_stamp
-                .keys()
-                .filter(|n| !p.store.contains(**n))
-                .collect();
-            assert!(
-                stray.is_empty(),
-                "{id}: stamps of departed copies {stray:?}"
-            );
-            assert!(p.copy_stamp.len() <= p.store.len());
+            assert_eq!(staleness(p), oldest(p).map_or(0, |(_, age)| age), "{id}");
         }
         assert!(retired > 0, "the churn retired stamped copies");
+
+        // The stalest copy leaves: the gauge moves on to the next resident
+        // stamp instead of remembering the departed one.
+        let p = cluster.sim.proc_mut(ProcId(0));
+        let (node, age) = oldest(p).expect("relays stamped a resident copy");
+        assert_eq!(staleness(p), age);
+        let gone = p.drop_copy(node).expect("resident");
+        let next = oldest(p).map_or(0, |(_, age)| age);
+        assert!(next <= age);
+        assert_eq!(staleness(p), next);
+        // ... and comes back as a snapshot (a migration or join grant):
+        // unstamped, so it says nothing until a relay reaches it again.
+        p.store.install(gone.snapshot().into_copy());
+        assert_eq!(p.store.get(node).expect("installed").relayed_at, None);
+        assert_eq!(staleness(p), next);
     }
 }

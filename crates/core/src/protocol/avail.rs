@@ -122,7 +122,7 @@ impl DbProc {
                     .map(|c| c.range.contains(key))
                     .unwrap_or(false);
                 if in_range {
-                    self.log.lock().observe_initial(node.raw(), me.0, tag);
+                    self.observe_initial(node, tag);
                     for &p in &peers {
                         ctx.send(
                             p,
@@ -155,7 +155,7 @@ impl DbProc {
                     // restarted descent issues a fresh tag, so close out the
                     // original one.
                     if reply.is_some() && entry.child().is_none() {
-                        self.log.lock().observe_global(tag);
+                        self.observe_global(tag);
                     }
                     match (reply, entry) {
                         (Some(r), crate::types::Entry::Val { value, .. }) => {
@@ -230,7 +230,7 @@ impl DbProc {
                 if still_overfull {
                     let out = self.half_split_local(ctx, node);
                     let tag = self.issue_tag("split");
-                    self.log.lock().observe_initial(node.raw(), me.0, tag);
+                    self.observe_initial(node, tag);
                     for &p in &out.peers {
                         ctx.send(
                             p,
@@ -277,24 +277,19 @@ impl DbProc {
         _ticket: u64,
         update: LockedUpdate,
     ) {
-        let me = self.me;
         if let Some(copy) = self.store.get_mut(node) {
             match update {
                 LockedUpdate::Insert { key, entry, tag } => {
                     if copy.range.contains(key) {
                         copy.upsert(key, entry);
                         if tag != 0 {
-                            self.log
-                                .lock()
-                                .observe(node.raw(), me.0, tag, ObserveKind::Applied);
+                            self.observe(node, tag, ObserveKind::Applied);
                         }
                     }
                 }
                 LockedUpdate::Split { info, tag } => {
                     copy.apply_split(&info);
-                    self.log
-                        .lock()
-                        .observe(node.raw(), me.0, tag, ObserveKind::Applied);
+                    self.observe(node, tag, ObserveKind::Applied);
                 }
                 LockedUpdate::Noop => {}
             }

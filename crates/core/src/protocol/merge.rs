@@ -472,8 +472,7 @@ impl DbProc {
             (count, copy.peers(me).collect::<Vec<_>>())
         };
         self.metrics.absorbs_applied += 1;
-        {
-            let mut log = self.log.lock();
+        if let Some(mut log) = self.history() {
             log.observe_initial(node.raw(), me.0, info.tag);
             log.ordered_applied(node.raw(), me.0, "absorb", count);
         }
@@ -538,16 +537,13 @@ impl DbProc {
             // Duplicate: an anti-entropy snapshot already carried this
             // epoch.
             self.metrics.relays_discarded += 1;
-            self.log
-                .lock()
-                .observe(node.raw(), me.0, info.tag, ObserveKind::Discarded);
+            self.observe(node, info.tag, ObserveKind::Discarded);
             return;
         }
         if copy.absorb_count == count - 1 && copy.range.high == Some(info.low) {
             copy.apply_absorb(&info, count);
             self.metrics.absorbs_applied += 1;
-            {
-                let mut log = self.log.lock();
+            if let Some(mut log) = self.history() {
                 log.observe(node.raw(), me.0, info.tag, ObserveKind::Applied);
                 log.ordered_applied(node.raw(), me.0, "absorb", count);
             }
@@ -560,9 +556,7 @@ impl DbProc {
         // heals it: the snapshot's merge is ordered by the same epoch.
         let pc = copy.pc;
         self.metrics.relays_discarded += 1;
-        self.log
-            .lock()
-            .observe(node.raw(), me.0, info.tag, ObserveKind::Discarded);
+        self.observe(node, info.tag, ObserveKind::Discarded);
         if pc != me {
             ctx.send(pc, Msg::SyncReq { node });
         }

@@ -35,7 +35,7 @@ impl DbProc {
         if copy.copies.len() != 1 {
             return;
         }
-        let covered = self.log.lock().copy_coverage(node.raw(), self.me.0);
+        let covered = self.copy_coverage(node);
         let mut copy = self.drop_copy(node).expect("checked above");
         copy.version += 1;
         copy.pc = dest;
@@ -192,7 +192,7 @@ impl DbProc {
                     self.metrics.forwards_followed += 1;
                     ctx.send(fwd.to, remake(relayed));
                 }
-                _ => self.log.lock().observe_global(tag),
+                _ => self.observe_global(tag),
             }
             return;
         }
@@ -226,8 +226,7 @@ impl DbProc {
             let peers: Vec<ProcId> = copy.peers(me).collect();
             (applied, peers)
         };
-        {
-            let mut log = self.log.lock();
+        if let Some(mut log) = self.history() {
             log.observe(node.raw(), me.0, tag, ObserveKind::Applied);
             if !relayed {
                 log.observe_initial(node.raw(), me.0, tag);
@@ -274,7 +273,7 @@ impl DbProc {
             // change), drop it — stale hints are recovered by
             // misnavigation handling.
             let _ = remake;
-            self.log.lock().observe_global(tag);
+            self.observe_global(tag);
             return;
         };
         // The child's range may have been split away from this parent node.
@@ -313,8 +312,7 @@ impl DbProc {
                 }
             }
         }
-        {
-            let mut log = self.log.lock();
+        if let Some(mut log) = self.history() {
             log.observe(node.raw(), me.0, tag, ObserveKind::Applied);
             if !relayed {
                 log.observe_initial(node.raw(), me.0, tag);

@@ -19,7 +19,7 @@ impl DbProc {
     pub(crate) fn semisync_split(&mut self, ctx: &mut Context<'_, Msg>, node: NodeId) {
         let out = self.half_split_local(ctx, node);
         let tag = self.issue_tag("split");
-        self.log.lock().observe_initial(node.raw(), self.me.0, tag);
+        self.observe_initial(node, tag);
         for &p in &out.peers {
             ctx.send(
                 p,
@@ -57,9 +57,7 @@ impl DbProc {
         if discarded > 0 {
             self.metrics.relays_discarded += discarded as u64;
         }
-        self.log
-            .lock()
-            .observe(node.raw(), self.me.0, tag, history::ObserveKind::Applied);
+        self.observe(node, tag, history::ObserveKind::Applied);
         let _ = ctx;
     }
 }

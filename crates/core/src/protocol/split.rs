@@ -77,8 +77,7 @@ impl DbProc {
         };
 
         // Install the sibling locally and ship its other copies.
-        {
-            let mut log = self.log.lock();
+        if let Some(mut log) = self.history() {
             for &p in &sib.copies {
                 log.copy_created(sib_id.raw(), p.0, []);
             }
@@ -178,8 +177,7 @@ impl DbProc {
         );
         root.upsert(sep, Entry::Child(sib));
 
-        {
-            let mut log = self.log.lock();
+        if let Some(mut log) = self.history() {
             for &p in &root.copies {
                 log.copy_created(root_id.raw(), p.0, []);
             }

@@ -84,7 +84,7 @@ impl DbProc {
     pub(crate) fn finish_sync_split(&mut self, ctx: &mut Context<'_, Msg>, node: NodeId) {
         let out = self.half_split_local(ctx, node);
         let tag = self.issue_tag("split");
-        self.log.lock().observe_initial(node.raw(), self.me.0, tag);
+        self.observe_initial(node, tag);
         for &p in &out.peers {
             ctx.send(
                 p,
@@ -121,9 +121,7 @@ impl DbProc {
     ) {
         if let Some(copy) = self.store.get_mut(node) {
             copy.apply_split(&info);
-            self.log
-                .lock()
-                .observe(node.raw(), self.me.0, tag, history::ObserveKind::Applied);
+            self.observe(node, tag, history::ObserveKind::Applied);
         }
         self.end_aas(ctx, node);
     }

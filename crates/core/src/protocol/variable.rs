@@ -91,7 +91,7 @@ impl DbProc {
             // Already a member (duplicate join from racing migrations):
             // resend the snapshot so the joiner converges.
             let snapshot = Box::new(copy.snapshot());
-            let covered = self.log.lock().copy_coverage(node.raw(), me.0);
+            let covered = self.copy_coverage(node);
             ctx.send(
                 joiner,
                 Msg::InstallCopy {
@@ -109,13 +109,12 @@ impl DbProc {
         let peers: Vec<ProcId> = copy.peers(me).filter(|&p| p != joiner).collect();
 
         let tag = self.issue_tag("join");
-        let covered = {
-            let mut log = self.log.lock();
+        let covered = self.history().map_or_else(Vec::new, |mut log| {
             log.observe_initial(node.raw(), me.0, tag);
             let covered = log.copy_coverage(node.raw(), me.0);
             log.copy_created(node.raw(), joiner.0, covered.clone());
             covered
-        };
+        });
         ctx.send(
             joiner,
             Msg::InstallCopy {
@@ -158,9 +157,7 @@ impl DbProc {
         };
         copy.add_member(member, version);
         copy.version = copy.version.max(version);
-        self.log
-            .lock()
-            .observe(node.raw(), self.me.0, tag, ObserveKind::Applied);
+        self.observe(node, tag, ObserveKind::Applied);
     }
 
     /// A member deletes its copy and leaves.
@@ -183,7 +180,7 @@ impl DbProc {
         copy.remove_member(leaver);
         let peers: Vec<ProcId> = copy.peers(me).collect();
         let tag = self.issue_tag("unjoin");
-        self.log.lock().observe_initial(node.raw(), me.0, tag);
+        self.observe_initial(node, tag);
         self.metrics.unjoins += 1;
         for p in peers {
             ctx.send(
@@ -222,9 +219,7 @@ impl DbProc {
         };
         copy.remove_member(member);
         copy.version = copy.version.max(version);
-        self.log
-            .lock()
-            .observe(node.raw(), self.me.0, tag, ObserveKind::Applied);
+        self.observe(node, tag, ObserveKind::Applied);
     }
 
     /// Leave `node`'s replication if this processor no longer holds any of

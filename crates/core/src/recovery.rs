@@ -70,7 +70,7 @@ impl DbProc {
             return;
         };
         let snapshot = Box::new(copy.snapshot());
-        let covered = self.log.lock().copy_coverage(node.raw(), self.me.0);
+        let covered = self.copy_coverage(node);
         self.metrics.sync_pushes += 1;
         ctx.send(
             peer,
@@ -114,7 +114,9 @@ impl DbProc {
         }
         // The snapshot's coverage becomes part of this copy's backwards
         // extension, exactly as a join grant's would.
-        self.log.lock().copy_created(node.raw(), self.me.0, covered);
+        if let Some(mut log) = self.history() {
+            log.copy_created(node.raw(), self.me.0, covered);
+        }
         // The merge may have advanced the absorb epoch relays were held on.
         self.replay_stash(ctx, node);
         let is_pc = self.store.get(node).map(|c| c.pc) == Some(self.me);

@@ -1,13 +1,33 @@
 //! Lazy relays: propagating applied updates to the other copies, with
 //! optional piggyback batching (§1.1).
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use history::ObserveKind;
-use simnet::Context;
+use simnet::{Context, ProcId};
 
 use crate::config::ProtocolKind;
+use crate::metrics::ProcMetrics;
 use crate::msg::{Msg, RelayedItem};
 use crate::proc::{DbProc, TIMER_PIGGYBACK};
 use crate::types::{Entry, Key, NodeId};
+
+/// [`DbProc::suppress_if_quarantined`] on the fields it touches, for
+/// [`DbProc::relay_update`], which holds the store borrowed meanwhile.
+fn missed_if_quarantined(
+    quarantined: &BTreeSet<ProcId>,
+    missed: &mut BTreeMap<ProcId, BTreeSet<NodeId>>,
+    metrics: &mut ProcMetrics,
+    peer: ProcId,
+    node: NodeId,
+) -> bool {
+    if !quarantined.contains(&peer) {
+        return false;
+    }
+    metrics.relays_suppressed += 1;
+    missed.entry(peer).or_default().insert(node);
+    true
+}
 
 impl DbProc {
     /// Relay an applied update to every other copy of `node`.
@@ -24,80 +44,73 @@ impl DbProc {
         tag: u64,
         version: u64,
     ) {
-        let (peers, epoch): (Vec<_>, u64) = {
-            let Some(copy) = self.store.get(node) else {
-                return;
-            };
-            (copy.peers(self.me).collect(), copy.absorb_count)
-        };
-        // Quarantined peers get no relays — the session layer would only
-        // retransmit them into the void. Record the node instead; one state
-        // sync at rehabilitation subsumes everything it missed.
-        let peers: Vec<_> = peers
-            .into_iter()
-            .filter(|p| !self.suppress_if_quarantined(*p, node))
-            .collect();
-        if peers.is_empty() {
+        // Field by field: the membership list is walked where it lives, in
+        // the store, while the relay bookkeeping beside it is updated — no
+        // peer list is collected on the way (this runs once per write).
+        let DbProc {
+            me,
+            cfg,
+            store,
+            metrics,
+            quarantined,
+            missed,
+            relay_buf,
+            relay_buf_since,
+            relay_timer_armed,
+            ..
+        } = self;
+        let Some(copy) = store.get(node) else {
             return;
-        }
+        };
         // Stamp the relay with the current action's span: piggybacked items
         // sit in the buffer past the end of this action, so the payload must
         // carry the attribution itself.
-        let span = ctx.span();
         let item = RelayedItem {
             node,
             key,
             entry,
             tag,
             version,
-            span,
-            epoch,
+            span: ctx.span(),
+            epoch: copy.absorb_count,
         };
-        if self.cfg.relay_suppress_proc == Some(self.me.0) {
-            // Seeded E21 fault: buffer the relays per destination exactly as
-            // piggybacking would, but never send a batch and never arm the
-            // flush timer — the backlog depth and oldest-entry age grow for
-            // the rest of the run, and the `backlog_growth` watchdog is
-            // expected to name this processor.
-            let now = ctx.now().ticks();
-            for peer in peers {
-                let buf = self.relay_buf.entry(peer).or_default();
-                if buf.is_empty() {
-                    self.relay_buf_since.insert(peer, now);
-                }
-                buf.push(item.clone());
+        // Seeded E21 fault: buffer the relays per destination exactly as
+        // piggybacking would, but never send a batch and never arm the
+        // flush timer — the backlog depth and oldest-entry age grow for the
+        // rest of the run, and the `backlog_growth` watchdog is expected to
+        // name this processor.
+        let wedged = cfg.relay_suppress_proc == Some(me.0);
+        let now = ctx.now().ticks();
+        let mut buffered = false;
+        for peer in copy.peers(*me) {
+            // Quarantined peers get no relays — the session layer would only
+            // retransmit them into the void. Record the node instead; one
+            // state sync at rehabilitation subsumes everything it missed.
+            if missed_if_quarantined(quarantined, missed, metrics, peer, node) {
+                continue;
             }
-            return;
+            if cfg.piggyback.is_none() && !wedged {
+                ctx.send(peer, item.clone().into());
+                continue;
+            }
+            buffered = true;
+            let buf = relay_buf.entry(peer).or_default();
+            if buf.is_empty() {
+                relay_buf_since.insert(peer, now);
+            }
+            buf.push(item.clone());
+            let full = cfg.piggyback.is_some_and(|pb| buf.len() >= pb.max_batch);
+            if full && !wedged {
+                if let Some(batch) = relay_buf.remove(&peer) {
+                    relay_buf_since.remove(&peer);
+                    ctx.send(peer, Msg::RelayBatch(batch));
+                }
+            }
         }
-        match self.cfg.piggyback {
-            None => {
-                for peer in peers {
-                    ctx.send(peer, item.clone().into());
-                }
-            }
-            Some(pb) => {
-                let now = ctx.now().ticks();
-                let mut full: Vec<simnet::ProcId> = Vec::new();
-                for peer in peers {
-                    let buf = self.relay_buf.entry(peer).or_default();
-                    if buf.is_empty() {
-                        self.relay_buf_since.insert(peer, now);
-                    }
-                    buf.push(item.clone());
-                    if buf.len() >= pb.max_batch {
-                        full.push(peer);
-                    }
-                }
-                for peer in full {
-                    if let Some(batch) = self.relay_buf.remove(&peer) {
-                        self.relay_buf_since.remove(&peer);
-                        ctx.send(peer, Msg::RelayBatch(batch));
-                    }
-                }
-                if !self.relay_buf.is_empty() && !self.relay_timer_armed {
-                    self.relay_timer_armed = true;
-                    ctx.set_timer(pb.flush_interval, TIMER_PIGGYBACK);
-                }
+        if let Some(pb) = cfg.piggyback {
+            if buffered && !wedged && !relay_buf.is_empty() && !*relay_timer_armed {
+                *relay_timer_armed = true;
+                ctx.set_timer(pb.flush_interval, TIMER_PIGGYBACK);
             }
         }
     }
@@ -128,13 +141,14 @@ impl DbProc {
 
     /// If `peer` is quarantined, record that it missed an update to `node`
     /// and return `true` (the caller drops the relay).
-    pub(crate) fn suppress_if_quarantined(&mut self, peer: simnet::ProcId, node: NodeId) -> bool {
-        if !self.quarantined.contains(&peer) {
-            return false;
-        }
-        self.metrics.relays_suppressed += 1;
-        self.missed.entry(peer).or_default().insert(node);
-        true
+    pub(crate) fn suppress_if_quarantined(&mut self, peer: ProcId, node: NodeId) -> bool {
+        missed_if_quarantined(
+            &self.quarantined,
+            &mut self.missed,
+            &mut self.metrics,
+            peer,
+            node,
+        )
     }
 
     /// A relayed insert arrives at this processor.
@@ -208,6 +222,9 @@ impl DbProc {
 
         if in_range {
             copy.upsert(key, entry);
+            // Staleness stamp: this copy is up to date with the relay
+            // stream as of now.
+            copy.relayed_at = Some(ctx.now().ticks());
             let my_version = copy.version;
             let my_epoch = copy.absorb_count;
             // §4.3: the PC re-relays to members that joined after the
@@ -219,12 +236,7 @@ impl DbProc {
                 Vec::new()
             };
             self.metrics.relays_applied += 1;
-            // Per-copy staleness stamp: this copy is up to date with the
-            // relay stream as of now.
-            self.copy_stamp.insert(node, ctx.now().ticks());
-            self.log
-                .lock()
-                .observe(node.raw(), self.me.0, tag, ObserveKind::Applied);
+            self.observe(node, tag, ObserveKind::Applied);
             for member in late {
                 if member != self.me && !self.suppress_if_quarantined(member, node) {
                     ctx.send(
@@ -263,9 +275,7 @@ impl DbProc {
                     };
                     let right = right.expect("out-of-range key implies a right sibling");
                     self.metrics.relays_forwarded += 1;
-                    self.log
-                        .lock()
-                        .observe(node.raw(), self.me.0, tag, ObserveKind::Forwarded);
+                    self.observe(node, tag, ObserveKind::Forwarded);
                     let msg = Msg::InsertAt {
                         node: right.node,
                         level,
@@ -279,9 +289,7 @@ impl DbProc {
                     // Fig 4's bug, preserved on purpose: the PC ignores the
                     // out-of-range relayed insert and the update is lost.
                     self.metrics.relays_discarded += 1;
-                    self.log
-                        .lock()
-                        .observe(node.raw(), self.me.0, tag, ObserveKind::Discarded);
+                    self.observe(node, tag, ObserveKind::Discarded);
                 }
                 ProtocolKind::Sync | ProtocolKind::AvailableCopies => {
                     // The synchronizing protocols order inserts before
@@ -289,18 +297,14 @@ impl DbProc {
                     // key was already re-homed by the split that the initial
                     // copy observed before relaying. Discarding is safe.
                     self.metrics.relays_discarded += 1;
-                    self.log
-                        .lock()
-                        .observe(node.raw(), self.me.0, tag, ObserveKind::Discarded);
+                    self.observe(node, tag, ObserveKind::Discarded);
                 }
             }
         } else {
             // Non-PC copies always discard out-of-range relays: the split
             // that shrank the range carried the key's fate (§4.1 rule 3).
             self.metrics.relays_discarded += 1;
-            self.log
-                .lock()
-                .observe(node.raw(), self.me.0, tag, ObserveKind::Discarded);
+            self.observe(node, tag, ObserveKind::Discarded);
         }
     }
 }

@@ -2,13 +2,20 @@
 //!
 //! The store is the node manager's hottest data structure: every descent hop
 //! does one `get` by [`NodeId`], and every leaf write does a `get_mut`. It
-//! is laid out as a slab arena — copies live in a dense `Vec` of slots with
-//! a free list, and a hashed side index maps `NodeId -> slot`. Compared to
-//! a plain `HashMap<NodeId, NodeCopy>` this keeps the (large) `NodeCopy`
-//! values in stable, reusable storage, makes iteration allocation-free and
+//! is laid out as a slab arena — copies live in slots with a free list, and
+//! a hashed side index maps `NodeId -> slot`. Compared to a plain
+//! `HashMap<NodeId, NodeCopy>` this keeps the (large) `NodeCopy` values in
+//! stable, reusable storage and makes iteration allocation-free and
 //! **deterministic** (slot order is a pure function of the install/remove
-//! history, never of hash seeds or capacity), and shrinks the per-lookup
-//! cost to one FxHash probe plus one bounds-checked index.
+//! history, never of hash seeds or capacity).
+//!
+//! A copy carries its entries inline ([`crate::Entries`]), so it is ≈ 700
+//! bytes and a slot must never move: the slab is a list of fixed-size pages
+//! ([`PAGE`] slots each), and growing it allocates one more page instead of
+//! re-copying every resident node into a doubled `Vec`. One lookup is one
+//! FxHash probe, one load of the page pointer and the copy itself — the
+//! entries a visit goes on to read lie in the same slot, not behind another
+//! pointer.
 //!
 //! Forwarding addresses are rare and small, so they live in a compact
 //! sorted vector probed by binary search rather than a second hash table.
@@ -31,12 +38,19 @@ pub struct ForwardAddr {
     pub created_at: u64,
 }
 
+/// Slots per slab page (≈ 22 KB of copies): small enough that a sparse
+/// processor wastes little, large enough that pages are rarely allocated.
+const PAGE: usize = 32;
+
 /// The node manager's local store: every copy this processor maintains, its
 /// current root pointer, and (optionally) forwarding addresses.
 #[derive(Debug, Default)]
 pub struct NodeStore {
-    /// Slab of node copies. `None` slots are free and listed in `free`.
-    slots: Vec<Option<NodeCopy>>,
+    /// Slab of node copies: slot `s` is `pages[s / PAGE][s % PAGE]`. `None`
+    /// slots below `n_slots` are free and listed in `free`.
+    pages: Vec<Box<[Option<NodeCopy>; PAGE]>>,
+    /// Slots handed out so far, live and free.
+    n_slots: u32,
     /// Free slot indices, reused LIFO.
     free: Vec<u32>,
     /// `NodeId -> slot` index. Lookup-only: iteration always goes through
@@ -63,32 +77,48 @@ impl NodeStore {
         id
     }
 
+    #[inline]
+    fn slot(&self, slot: u32) -> &Option<NodeCopy> {
+        &self.pages[slot as usize / PAGE][slot as usize % PAGE]
+    }
+
+    #[inline]
+    fn slot_mut(&mut self, slot: u32) -> &mut Option<NodeCopy> {
+        &mut self.pages[slot as usize / PAGE][slot as usize % PAGE]
+    }
+
     /// Install (or replace) a copy.
     pub fn install(&mut self, copy: NodeCopy) {
         self.drop_forward(copy.id);
-        match self.index.get(&copy.id) {
-            Some(&slot) => self.slots[slot as usize] = Some(copy),
+        let slot = match self.index.get(&copy.id) {
+            Some(&slot) => slot,
             None => {
                 let slot = match self.free.pop() {
-                    Some(s) => {
-                        debug_assert!(self.slots[s as usize].is_none());
-                        s
-                    }
+                    Some(s) => s,
                     None => {
-                        self.slots.push(None);
-                        (self.slots.len() - 1) as u32
+                        if self.n_slots as usize == self.pages.len() * PAGE {
+                            // Built in place on the heap: collecting writes
+                            // 32 `None` tags, where `Box::new([None; PAGE])`
+                            // copied 22 KB of empty slots into the page.
+                            let page: Box<[_]> = (0..PAGE).map(|_| None).collect();
+                            self.pages.push(page.try_into().expect("PAGE slots"));
+                        }
+                        self.n_slots += 1;
+                        self.n_slots - 1
                     }
                 };
+                debug_assert!(self.slot(slot).is_none());
                 self.index.insert(copy.id, slot);
-                self.slots[slot as usize] = Some(copy);
+                slot
             }
-        }
+        };
+        *self.slot_mut(slot) = Some(copy);
     }
 
     /// Remove a copy, returning it.
     pub fn remove(&mut self, id: NodeId) -> Option<NodeCopy> {
         let slot = self.index.remove(&id)?;
-        let copy = self.slots[slot as usize].take();
+        let copy = self.slot_mut(slot).take();
         debug_assert!(copy.is_some(), "index pointed at an empty slot");
         self.free.push(slot);
         copy
@@ -98,14 +128,14 @@ impl NodeStore {
     #[inline]
     pub fn get(&self, id: NodeId) -> Option<&NodeCopy> {
         let &slot = self.index.get(&id)?;
-        self.slots[slot as usize].as_ref()
+        self.slot(slot).as_ref()
     }
 
     /// Mutably borrow a copy.
     #[inline]
     pub fn get_mut(&mut self, id: NodeId) -> Option<&mut NodeCopy> {
         let &slot = self.index.get(&id)?;
-        self.slots[slot as usize].as_mut()
+        self.slot_mut(slot).as_mut()
     }
 
     /// Does the store hold a copy of `id`?
@@ -117,7 +147,7 @@ impl NodeStore {
     /// All local copies, in slot order — a deterministic order that depends
     /// only on the sequence of installs and removes, never on hashing.
     pub fn iter(&self) -> impl Iterator<Item = &NodeCopy> {
-        self.slots.iter().filter_map(|s| s.as_ref())
+        self.pages.iter().flat_map(|p| p.iter()).flatten()
     }
 
     /// Number of local copies.
@@ -129,7 +159,7 @@ impl NodeStore {
     /// When churn reuses freed slots this stays near the live-set peak
     /// instead of growing with cumulative installs.
     pub fn slot_capacity(&self) -> usize {
-        self.slots.len()
+        self.n_slots as usize
     }
 
     /// True when no copies are stored.

@@ -262,3 +262,77 @@ fn runs_are_deterministic_given_seed() {
     };
     assert_eq!(run(), run());
 }
+
+// ---------------------------------------------------------------------------
+// History off
+// ---------------------------------------------------------------------------
+
+/// With `record_history: false` the node manager never touches the shared
+/// history lock: the test thread holds it for the whole run while a second
+/// thread drives splits, relays and a merge-at-empty delete churn to
+/// quiescence. A handler that still locked would park the driving thread for
+/// good (and, on the threaded runtime, every write would bounce the lock's
+/// cache line between the workers). The `record_history: true` suites above
+/// are the other side of the switch.
+#[test]
+fn history_off_means_no_shared_lock() {
+    let cfg = TreeConfig {
+        record_history: false,
+        merge_at_empty: true,
+        ..TreeConfig::fixed_copies(ProtocolKind::SemiSync, 3)
+    };
+    // Inserts densely fill [0, 2000) (splits, relays to two peers each); the
+    // deletes empty every preloaded leaf above it (retirements, absorbs).
+    let preload: Vec<u64> = (0..400).map(|k| k * 10).collect();
+    let inserts = (0..2_000u64).map(|key| (key, Intent::Insert(key + 1)));
+    let deletes = preload
+        .iter()
+        .filter(|&&key| key >= 2_000)
+        .map(|&key| (key, Intent::Delete));
+    let ops: Vec<ClientOp> = inserts
+        .chain(deletes)
+        .enumerate()
+        .map(|(i, (key, intent))| ClientOp {
+            origin: ProcId(i as u32 % 4),
+            key,
+            intent,
+        })
+        .collect();
+
+    // The simulator is not `Send`, so the driving thread builds the cluster
+    // (the build records into the log: the lock must still be free), hands
+    // the log over, and drives once the test thread holds the lock.
+    let (log_tx, log_rx) = std::sync::mpsc::channel();
+    let (held_tx, held_rx) = std::sync::mpsc::channel();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let driver = std::thread::spawn(move || {
+        let mut cluster = DbCluster::build(
+            &BuildSpec::new(preload, 4, cfg),
+            SimConfig::jittery(3, 2, 25),
+        );
+        log_tx.send(cluster.log()).expect("test thread waits");
+        held_rx.recv().expect("test thread holds the lock");
+        let stats = cluster.try_run_closed_loop(&ops, 4).expect("run drains");
+        done_tx.send(()).expect("test thread waits");
+
+        assert_eq!(stats.records.len(), 2_200, "every op completes");
+        let total = |f: fn(&dbtree::ProcMetrics) -> u64| -> u64 {
+            cluster.sim.procs().map(|(_, p)| f(&p.metrics)).sum()
+        };
+        assert!(total(|m| m.splits_initiated) > 0, "inserts split leaves");
+        assert!(total(|m| m.relays_applied) > 0, "writes were relayed");
+        assert!(total(|m| m.retires_applied) > 0, "the churn merged leaves");
+        let view = checker::GlobalView::new(&cluster.sim);
+        for key in 0..2_000 {
+            assert_eq!(view.find(key), Some(key + 1), "key {key}");
+        }
+    });
+    let log = log_rx.recv().expect("cluster built");
+    let held = log.lock();
+    held_tx.send(()).expect("driver waits");
+    done_rx
+        .recv_timeout(std::time::Duration::from_secs(120))
+        .expect("the run never finished: an action is waiting for the history lock");
+    drop(held);
+    driver.join().expect("the run checks out");
+}
