@@ -9,10 +9,9 @@
 //! non-PC copy) and comes back inline when a split or merge shrinks it.
 //!
 //! The API is the slice of the `BTreeMap` API the node manager used, with
-//! the same signatures, and `Debug` renders as that map did — the model
-//! checker's fingerprints hash the text
-//! ([`NodeCopy::fingerprint_into`](crate::NodeCopy::fingerprint_into)).
-//! `crates/core/tests/entries_model.rs` checks all of it against the map.
+//! the same signatures; `crates/core/tests/entries_model.rs` checks it
+//! against the map. Identity is the content (`Hash` goes through
+//! [`Entries::as_slice`]), never the representation.
 //!
 //! [`NodeCopy`]: crate::NodeCopy
 
@@ -230,8 +229,18 @@ impl Entries {
     }
 }
 
+impl std::hash::Hash for Entries {
+    /// By content: inline and spilled representations of the same entries
+    /// hash alike, which is what makes a copy's state fingerprint
+    /// ([`NodeCopy::fingerprint_into`](crate::NodeCopy::fingerprint_into))
+    /// independent of how the copy got there.
+    fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
+        self.as_slice().hash(h);
+    }
+}
+
 impl fmt::Debug for Entries {
-    /// `{k: v, …}`, exactly as the `BTreeMap` it replaced renders.
+    /// `{k: v, …}`, as a map renders.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_map().entries(self.iter()).finish()
     }

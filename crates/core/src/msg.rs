@@ -11,7 +11,7 @@ use crate::node::NodeSnapshot;
 use crate::types::{Entry, Intent, Key, Link, NodeId, OpId, Outcome, Value};
 
 /// The split description a PC relays to the other copies.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Hash, Debug)]
 pub struct SplitInfo {
     /// Split point: the node's new exclusive upper bound.
     pub sep: Key,
@@ -28,7 +28,7 @@ pub struct SplitInfo {
 /// the reverse of a [`SplitInfo`]. Produced once at the merge commit and
 /// carried unchanged by the initial [`Msg::Absorb`] and every
 /// [`Msg::RelayedAbsorb`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Hash, Debug)]
 pub struct AbsorbInfo {
     /// The retired node's low key — must equal the absorber's exclusive
     /// upper bound (the absorb is routed to the leaf owning `low - 1`).
@@ -51,7 +51,7 @@ pub struct AbsorbInfo {
 }
 
 /// Which link a link-change action targets.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum LinkDir {
     /// The left-sibling link.
     Left,
@@ -73,7 +73,7 @@ impl LinkDir {
 }
 
 /// All dB-tree protocol messages.
-#[derive(Clone, Debug)]
+#[derive(Clone, Hash, Debug)]
 pub enum Msg {
     // ---- client plane -------------------------------------------------
     /// A client submits an operation to its local processor.
@@ -437,7 +437,7 @@ pub enum Msg {
 }
 
 /// One relayed insert inside a piggyback batch.
-#[derive(Clone, Debug)]
+#[derive(Clone, Hash, Debug)]
 pub struct RelayedItem {
     /// The node.
     pub node: NodeId,
@@ -481,7 +481,7 @@ impl From<RelayedItem> for Msg {
 }
 
 /// Why a copy is being installed.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum InstallReason {
     /// A new sibling created by a split.
     SiblingCopy,
@@ -497,7 +497,7 @@ pub enum InstallReason {
 }
 
 /// The update applied under an available-copies lock.
-#[derive(Clone, Debug)]
+#[derive(Clone, Hash, Debug)]
 pub enum LockedUpdate {
     /// Insert an entry.
     Insert {
@@ -588,6 +588,10 @@ impl Payload for Msg {
             Msg::RelayedInsert { span, .. } => *span,
             _ => None,
         }
+    }
+
+    fn fingerprint_into<H: std::hash::Hasher>(&self, h: &mut H) {
+        std::hash::Hash::hash(self, h);
     }
 
     fn size_hint(&self) -> usize {

@@ -326,20 +326,14 @@ impl NodeCopy {
     /// the arrival order of joins does not leak in.
     pub fn fingerprint_into(&self, h: &mut impl std::hash::Hasher) {
         use std::hash::Hash;
-        self.id.raw().hash(h);
-        self.level.hash(h);
-        self.range.low.hash(h);
-        self.range.high.hash(h);
-        self.version.hash(h);
-        format!("{:?}", self.entries).hash(h);
-        for link in [self.right, self.left, self.parent] {
-            link_rank(link).hash(h);
-        }
-        self.pc.0.hash(h);
-        let mut members: Vec<(u32, u64)> = self
+        (self.id, self.level, self.range, self.version).hash(h);
+        self.entries.hash(h);
+        [self.right, self.left, self.parent].hash(h);
+        self.pc.hash(h);
+        let mut members: Vec<(ProcId, u64)> = self
             .copies
             .iter()
-            .map(|p| p.0)
+            .copied()
             .zip(self.join_versions.iter().copied())
             .collect();
         members.sort_unstable();
@@ -349,25 +343,13 @@ impl NodeCopy {
         self.parent_link_version.hash(h);
         self.absorb_count.hash(h);
         self.split_pending.hash(h);
-        match &self.aas {
-            None => 0u8.hash(h),
-            Some(aas) => {
-                1u8.hash(h);
-                aas.acks_pending.hash(h);
-                for (_tick, msg) in &aas.blocked {
-                    format!("{msg:?}").hash(h);
-                }
-            }
+        // Parked messages without the ticks they were parked at.
+        fn msgs(held: &[(u64, Msg)]) -> Vec<&Msg> {
+            held.iter().map(|(_tick, m)| m).collect()
         }
-        match &self.lock {
-            None => 0u8.hash(h),
-            Some(lock) => {
-                1u8.hash(h);
-                for (_tick, msg) in &lock.queued {
-                    format!("{msg:?}").hash(h);
-                }
-            }
-        }
+        let aas = self.aas.as_ref();
+        aas.map(|a| (a.acks_pending, msgs(&a.blocked))).hash(h);
+        self.lock.as_ref().map(|l| msgs(&l.queued)).hash(h);
     }
 
     /// State-based anti-entropy (crash catch-up): merge another copy's
@@ -551,7 +533,7 @@ impl NodeCopy {
 
 /// Wire representation of a full node copy (sibling creation, join grants,
 /// migrations, bootstrap).
-#[derive(Clone)]
+#[derive(Clone, Hash)]
 pub struct NodeSnapshot {
     /// Node id.
     pub id: NodeId,

@@ -6,6 +6,7 @@
 //! blocks.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use history::{HistoryLog, ObserveKind};
@@ -34,7 +35,7 @@ pub(crate) const TIMER_FORWARD_GC: u64 = 2;
 pub const LOCAL_STEP_CAP: u32 = 256;
 
 /// A queued coordinator operation for the available-copies baseline.
-#[derive(Clone, Debug)]
+#[derive(Clone, Hash, Debug)]
 pub(crate) enum CoordOp {
     /// Insert `key → entry` under a write-all lock.
     Insert {
@@ -49,7 +50,7 @@ pub(crate) enum CoordOp {
 }
 
 /// Enough to emit a `Done` once a coordinated insert applies.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Hash, Debug)]
 pub(crate) struct ReplyInfo {
     pub op: OpId,
     pub hops: u32,
@@ -57,11 +58,22 @@ pub(crate) struct ReplyInfo {
 }
 
 /// An in-flight write-all lock this processor coordinates.
-#[derive(Clone, Debug)]
+#[derive(Clone, Hash, Debug)]
 pub(crate) struct PendingLock {
     pub node: NodeId,
     pub grants_needed: usize,
     pub op: CoordOp,
+}
+
+/// Hash a hash-ordered map's entries (a set's members, paired with `()`) in
+/// key order, so iteration order never reaches a fingerprint.
+fn hash_in_key_order<K: Ord + Hash, V: Hash>(
+    entries: impl IntoIterator<Item = (K, V)>,
+    h: &mut impl Hasher,
+) {
+    let mut entries: Vec<(K, V)> = entries.into_iter().collect();
+    entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    entries.hash(h);
 }
 
 /// One simulated dB-tree processor.
@@ -200,75 +212,31 @@ impl DbProc {
     }
 
     /// Hash this processor's full protocol-visible state into `h` — the
-    /// model checker's per-processor state fingerprint. Every collection is
-    /// hashed in key order (never hash-map iteration order), and no virtual
-    /// time ever enters the hash, so two schedules that produced the same
-    /// state by different routes collide. The shared history log's tag
-    /// watermark is folded in: it is global minting state, and merging two
-    /// branches that issued different action counts would be unsound.
-    pub fn fingerprint_into(&self, h: &mut impl std::hash::Hasher) {
-        use std::hash::Hash;
-        self.me.0.hash(h);
+    /// model checker's per-processor state fingerprint. Identity is
+    /// structural (`Hash` on the state itself, never its `Debug` text), every
+    /// hash-ordered collection goes in key order ([`hash_in_key_order`]), and
+    /// no virtual time ever enters the hash, so two schedules that produced
+    /// the same state by different routes collide. The shared history log's
+    /// tag watermark is folded in: it is global minting state, and merging
+    /// two branches that issued different action counts would be unsound.
+    pub fn fingerprint_into(&self, h: &mut impl Hasher) {
+        self.me.hash(h);
         self.stamp_counter.hash(h);
         self.store.fingerprint_into(h);
-        for (dst, items) in &self.relay_buf {
-            dst.0.hash(h);
-            format!("{items:?}").hash(h);
-        }
+        self.relay_buf.hash(h);
         self.relay_timer_armed.hash(h);
-        let mut stash: Vec<(&NodeId, &Vec<Msg>)> = self.stash.iter().collect();
-        stash.sort_unstable_by_key(|(n, _)| **n);
-        for (n, msgs) in stash {
-            n.raw().hash(h);
-            format!("{msgs:?}").hash(h);
-        }
-        for set in [&self.unjoined, &self.merge_pending] {
-            let mut ids: Vec<u64> = set.iter().map(|n| n.raw()).collect();
-            ids.sort_unstable();
-            ids.hash(h);
-        }
-        let mut joins: Vec<(u64, &Vec<Key>)> = self
-            .pending_joins
-            .iter()
-            .map(|(n, keys)| (n.raw(), keys))
-            .collect();
-        joins.sort_unstable();
-        joins.hash(h);
-        format!("{:?}", self.parked_writes).hash(h);
-        let mut retired: Vec<(u64, u64, u32)> = self
-            .retired
-            .iter()
-            .map(|(n, l)| (n.raw(), l.node.raw(), l.home.0))
-            .collect();
-        retired.sort_unstable();
-        retired.hash(h);
-        for p in &self.quarantined {
-            p.0.hash(h);
-        }
-        for (p, nodes) in &self.missed {
-            p.0.hash(h);
-            for n in nodes {
-                n.raw().hash(h);
-            }
-        }
+        hash_in_key_order(&self.stash, h);
+        hash_in_key_order(self.unjoined.iter().map(|n| (n, ())), h);
+        hash_in_key_order(self.merge_pending.iter().map(|n| (n, ())), h);
+        hash_in_key_order(&self.pending_joins, h);
+        self.parked_writes.hash(h);
+        hash_in_key_order(&self.retired, h);
+        self.quarantined.hash(h);
+        self.missed.hash(h);
         self.next_ticket.hash(h);
-        let mut locks: Vec<(u64, String)> = self
-            .pending_locks
-            .iter()
-            .map(|(t, l)| (*t, format!("{l:?}")))
-            .collect();
-        locks.sort_unstable();
-        locks.hash(h);
-        let mut busy: Vec<u64> = self.coord_busy.iter().map(|n| n.raw()).collect();
-        busy.sort_unstable();
-        busy.hash(h);
-        let mut queues: Vec<(u64, String)> = self
-            .coord_q
-            .iter()
-            .map(|(n, q)| (n.raw(), format!("{q:?}")))
-            .collect();
-        queues.sort_unstable();
-        queues.hash(h);
+        hash_in_key_order(&self.pending_locks, h);
+        hash_in_key_order(self.coord_busy.iter().map(|n| (n, ())), h);
+        hash_in_key_order(&self.coord_q, h);
         self.log.lock().tag_watermark().hash(h);
     }
 
@@ -833,7 +801,7 @@ impl Process for DbProc {
     fn fingerprint(&self) -> Option<u64> {
         let mut h = simnet::FxHasher::default();
         self.fingerprint_into(&mut h);
-        Some(std::hash::Hasher::finish(&h))
+        Some(h.finish())
     }
 }
 

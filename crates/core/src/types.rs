@@ -50,7 +50,7 @@ pub struct OpId(pub u64);
 
 /// A routable reference to another node: its id plus a processor known to
 /// hold a copy (the copy's primary, kept fresh by link-change actions).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
 pub struct Link {
     /// The target node.
     pub node: NodeId,
@@ -66,7 +66,7 @@ impl Link {
 }
 
 /// An interior node's routing entry for one child.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
 pub struct ChildRef {
     /// The child node.
     pub node: NodeId,
@@ -91,7 +91,7 @@ pub struct ChildRef {
 /// [`TreeConfig::merge_at_empty`](crate::TreeConfig::merge_at_empty) an
 /// all-tombstone leaf is lazily retired and its range absorbed by the left
 /// sibling (the `protocol::merge` action family).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
 pub enum Entry {
     /// Leaf payload with its update stamp.
     Val {
@@ -161,7 +161,7 @@ impl Entry {
 }
 
 /// The purpose of a descent through the index.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
 pub enum Intent {
     /// Point lookup; report the value found.
     Search,
@@ -173,7 +173,7 @@ pub enum Intent {
 }
 
 /// Outcome of a completed client operation.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
 pub struct Outcome {
     /// The operation.
     pub op: OpId,

@@ -633,10 +633,10 @@ impl<M> EventQueue<M> {
     /// first. Virtual times and sequence numbers are deliberately excluded
     /// — the model checker's state fingerprint must identify two states
     /// that differ only in when their events were minted. Payloads hash
-    /// via their `Debug` rendering (every [`crate::Payload`] is `Debug`).
+    /// through [`crate::Payload::fingerprint_into`].
     pub fn pending_fingerprint(&self, h: &mut impl std::hash::Hasher)
     where
-        M: std::fmt::Debug,
+        M: crate::Payload,
     {
         use std::hash::Hash;
         let mut pending: Vec<(ClassKey, u64, u32)> = self
@@ -650,7 +650,7 @@ impl<M> EventQueue<M> {
             let event = self.slots[slot as usize].as_ref().expect("slot is live");
             (key.0, key.1 .0, key.2 .0).hash(h);
             match &event.kind {
-                EventKind::Deliver { msg, .. } => format!("{msg:?}").hash(h),
+                EventKind::Deliver { msg, .. } => msg.fingerprint_into(h),
                 EventKind::Timer { token } => ("timer", token).hash(h),
                 EventKind::Crash => "crash".hash(h),
                 EventKind::Restart => "restart".hash(h),

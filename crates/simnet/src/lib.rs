@@ -166,6 +166,16 @@ pub trait Payload: Clone + fmt::Debug + Send + Sync + 'static {
     fn redelivery(&self) -> bool {
         false
     }
+
+    /// Fold the payload's content into `h`: its share of the model checker's
+    /// state fingerprint ([`Simulation::fingerprint`]), so payloads hash
+    /// equal exactly when they are equal. A `#[derive(Hash)]` payload
+    /// overrides this with `self.hash(h)` — identity is then the structure,
+    /// not how `Debug` happens to print it. The default hashes the `{:?}`
+    /// text and exists for payloads that are never model-checked.
+    fn fingerprint_into<H: std::hash::Hasher>(&self, h: &mut H) {
+        std::hash::Hash::hash(&format!("{self:?}"), h);
+    }
 }
 
 /// A state machine that runs on one simulated processor.

@@ -222,6 +222,20 @@ impl<M: Payload> Payload for SessionMsg<M> {
             SessionMsg::Data { retx, .. } => *retx,
         }
     }
+
+    fn fingerprint_into<H: std::hash::Hasher>(&self, h: &mut H) {
+        use std::hash::Hash;
+        std::mem::discriminant(self).hash(h);
+        match self {
+            SessionMsg::Raw(m) => m.fingerprint_into(h),
+            SessionMsg::Data { seq, retx, msg } => {
+                (seq, retx).hash(h);
+                msg.fingerprint_into(h);
+            }
+            SessionMsg::Ack { upto } => upto.hash(h),
+            SessionMsg::Ping | SessionMsg::Pong => {}
+        }
+    }
 }
 
 /// Sender half of one directed channel (stable across crashes).

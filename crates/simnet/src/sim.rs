@@ -429,7 +429,8 @@ impl<P: Process> Simulation<P> {
         self.down.hash(&mut h);
         self.queue.pending_fingerprint(&mut h);
         for (_, from, msg) in &self.outputs {
-            (from.0, format!("{msg:?}")).hash(&mut h);
+            from.hash(&mut h);
+            msg.fingerprint_into(&mut h);
         }
         Some(h.finish())
     }
