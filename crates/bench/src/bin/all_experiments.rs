@@ -1,35 +1,37 @@
-//! Run every experiment binary's logic in sequence (convenience wrapper for
-//! regenerating EXPERIMENTS.md: `cargo run --release -p bench --bin
-//! all_experiments`).
+//! Run every experiment binary, E1 to the last, in numeric order — what
+//! regenerates EXPERIMENTS.md's data:
+//! `cargo build --release -p bench --bins && cargo run --release -p bench
+//! --bin all_experiments` (`cargo run --bin` alone builds only this wrapper,
+//! not its siblings).
+//!
+//! The registry is the source directory, as it is for cargo's own target
+//! autodiscovery: every `src/bin/e<N>_*.rs` must have a built sibling next
+//! to this executable. One that is missing, or fails, ends the run with a
+//! non-zero exit.
 
-use std::process::Command;
+use std::process::{Command, ExitCode};
 
-fn main() {
-    let bins = [
-        "e1_half_split",
-        "e2_replication_policy",
-        "e3_lazy_convergence",
-        "e4_lost_insert",
-        "e5_split_cost",
-        "e6_join_race",
-        "e7_root_bottleneck",
-        "e8_mobility",
-        "e9_lazy_vs_vigorous",
-        "e10_piggyback",
-        "e11_hash_table",
-        "e12_slow_replica",
-        "e13_fault_tolerance",
-        "e14_threaded_throughput",
-        "e15_trace_anatomy",
-        "e16_explore",
-    ];
+fn main() -> ExitCode {
+    let src = concat!(env!("CARGO_MANIFEST_DIR"), "/src/bin");
+    let mut bins: Vec<(u32, String)> = std::fs::read_dir(src)
+        .unwrap_or_else(|e| panic!("cannot list {src}: {e}"))
+        .filter_map(|entry| {
+            let name = entry.ok()?.file_name().into_string().ok()?;
+            let bin = name.strip_suffix(".rs")?;
+            let number = bin.strip_prefix('e')?.split('_').next()?.parse().ok()?;
+            Some((number, bin.to_string()))
+        })
+        .collect();
+    bins.sort();
     let exe = std::env::current_exe().expect("own path");
     let dir = exe.parent().expect("bin dir");
-    for bin in bins {
-        let path = dir.join(bin);
-        let status = Command::new(&path)
-            .status()
-            .unwrap_or_else(|e| panic!("failed to run {}: {e}", path.display()));
-        assert!(status.success(), "{bin} failed");
+    for (_, bin) in bins {
+        let path = dir.join(&bin);
+        let ran = Command::new(&path).status();
+        if !matches!(&ran, Ok(status) if status.success()) {
+            eprintln!("{}: {ran:?}", path.display());
+            return ExitCode::FAILURE;
+        }
     }
+    ExitCode::SUCCESS
 }

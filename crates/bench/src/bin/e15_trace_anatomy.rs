@@ -25,68 +25,13 @@ use std::collections::BTreeMap;
 use bench::report::{note, section, Table};
 use bench::{f1, to_client};
 use dbtree::{BuildSpec, ClientOp, DbCluster, ProtocolKind, TreeConfig};
+use obs::model::{parse_trace_jsonl, TraceRec as Rec};
 use simnet::{SimConfig, SimTime};
 use workload::{KeyDist, Mix, WorkloadGen};
 
 const N_PROCS: u32 = 4;
 const SERVICE_TIME: u64 = 4;
 const SAMPLE_INTERVAL: u64 = 250;
-
-/// One trace record, re-parsed from its JSONL line (the export is
-/// hand-rolled, so the consumer is too).
-struct Rec {
-    at: u64,
-    from: i64,
-    to: i64,
-    event: String,
-    kind: String,
-    span: Option<u64>,
-    wait: u64,
-    deltas: Vec<(String, u64)>,
-}
-
-fn field<'a>(line: &'a str, name: &str) -> &'a str {
-    let tag = format!("\"{name}\":");
-    let start = line.find(&tag).expect("field present") + tag.len();
-    let rest = &line[start..];
-    if let Some(r) = rest.strip_prefix('"') {
-        &r[..r.find('"').expect("closing quote")]
-    } else {
-        let end = rest.find([',', '}']).expect("value terminator");
-        &rest[..end]
-    }
-}
-
-fn parse(line: &str) -> Rec {
-    let span = match field(line, "span") {
-        "null" => None,
-        s => Some(s.parse().expect("span")),
-    };
-    // The deltas object is the final field: `"deltas":{"name":n,...}}`.
-    let deltas_src = &line[line.find("\"deltas\":{").expect("deltas") + 10..];
-    let deltas = deltas_src
-        .trim_end_matches(['}'])
-        .split(',')
-        .filter(|p| !p.is_empty())
-        .map(|pair| {
-            let (name, v) = pair.split_once(':').expect("name:value");
-            (
-                name.trim_matches('"').to_string(),
-                v.parse().expect("delta value"),
-            )
-        })
-        .collect();
-    Rec {
-        at: field(line, "at").parse().expect("at"),
-        from: field(line, "from").parse().expect("from"),
-        to: field(line, "to").parse().expect("to"),
-        event: field(line, "event").to_string(),
-        kind: field(line, "kind").to_string(),
-        span,
-        wait: field(line, "wait").parse().expect("wait"),
-        deltas,
-    }
-}
 
 /// Message kinds on an operation's critical path: the request injection and
 /// the navigation hops that carry it to its reply. Everything else a span
@@ -167,7 +112,7 @@ fn main() {
     // Everything below reads only the exports.
     let trace_jsonl = obs.trace_jsonl();
     let series_jsonl = obs.series_jsonl();
-    let recs: Vec<Rec> = trace_jsonl.lines().map(parse).collect();
+    let recs = parse_trace_jsonl(&trace_jsonl).expect("the export parses under its own schema");
     let mut by_span: BTreeMap<u64, Vec<&Rec>> = BTreeMap::new();
     for r in &recs {
         if let Some(sp) = r.span {

@@ -11,8 +11,8 @@
 //!   `relay.backlog_age` gauge (oldest buffered relay's age at each sample)
 //!   stays bounded by the flush interval on every processor, and **zero**
 //!   alerts fire.
-//! * **Faulted run** — identical except `relay_suppress_proc` injects the
-//!   seeded E21 fault on one processor: it keeps buffering relays but never
+//! * **Faulted run** — identical except `SeededBug::RelaySuppress` injects
+//!   the seeded E21 fault on one processor: it keeps buffering relays but never
 //!   sends a batch and never arms the flush timer. Its backlog depth and
 //!   age grow monotonically, the `backlog_growth` watchdog fires on exactly
 //!   that processor, and no other rule (and no other processor) alerts.
@@ -27,7 +27,9 @@
 
 use bench::report::{note, section, Table};
 use bench::to_client;
-use dbtree::{BuildSpec, ClientOp, DbCluster, Intent, PiggybackCfg, ProtocolKind, TreeConfig};
+use dbtree::{
+    BuildSpec, ClientOp, DbCluster, Intent, PiggybackCfg, ProtocolKind, SeededBug, TreeConfig,
+};
 use simnet::{HealthConfig, Obs, SimConfig};
 use workload::{KeyDist, Mix, WorkloadGen};
 
@@ -40,7 +42,7 @@ const SEED: u64 = 21;
 fn config(faulted: bool) -> TreeConfig {
     TreeConfig {
         piggyback: Some(PiggybackCfg::default()),
-        relay_suppress_proc: faulted.then_some(FAULT_PROC),
+        seeded: faulted.then_some(SeededBug::RelaySuppress(FAULT_PROC)),
         ..TreeConfig::fixed_copies(ProtocolKind::SemiSync, 3)
     }
 }

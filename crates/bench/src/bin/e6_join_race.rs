@@ -9,7 +9,7 @@
 
 use bench::report::{note, section, Table};
 use bench::to_client;
-use dbtree::{checker, BuildSpec, DbCluster, Placement, TreeConfig};
+use dbtree::{checker, BuildSpec, DbCluster, Placement, SeededBug, TreeConfig};
 use simnet::{ProcId, SimConfig};
 use workload::{KeyDist, Mix, OpKind, WorkloadGen};
 
@@ -17,7 +17,7 @@ fn run(join_version_relay: bool, seed: u64) -> (usize, usize, u64) {
     let cfg = TreeConfig {
         placement: Placement::PathReplication,
         variable_copies: true,
-        join_version_relay,
+        seeded: (!join_version_relay).then_some(SeededBug::NoJoinVersionRelay),
         ..Default::default()
     };
     let preload: Vec<u64> = (0..200).map(|k| k * 10).collect();

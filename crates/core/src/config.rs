@@ -81,6 +81,38 @@ impl Default for PiggybackCfg {
     }
 }
 
+/// A deliberately broken variant of the protocol, seeded so that a checker
+/// can be *seen* to fail: the paper's own (Fig 6; Fig 4's lost insert is
+/// [`ProtocolKind::Naive`]) and the repo's later ones. At most one per run
+/// ([`TreeConfig::seeded`]); the node manager consults it through the one
+/// seam `DbProc::seeded`. Never set it outside the experiment that catches
+/// it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum SeededBug {
+    /// Fig 6's incomplete history: the PC does **not** re-relay an update to
+    /// copies that joined after the update's version (§4.3's rule, off), so
+    /// a late joiner misses it. Caught by the history checker.
+    NoJoinVersionRelay,
+    /// The `Naive` analogue for the merge family: the grant-commit skips
+    /// the re-verification that the leaf is still empty of live values, so
+    /// an insert that raced the grant is silently dropped with the retired
+    /// node. Caught (and shrunk) by the explorer.
+    MergeNoReverify,
+    /// A *liveness* bug, the counterpart of `MergeNoReverify`'s safety bug:
+    /// the parent's PC silently drops every `MergeReq`, so a quiescent
+    /// all-tombstone leaf keeps its merge pending forever, and leaf writes
+    /// that arrive while the merge is pending are parked awaiting a grant
+    /// that never comes. Caught by the model checker's liveness oracle.
+    MergeWedgeGrants,
+    /// E21's injected incident: this processor keeps *buffering* relayed
+    /// updates per destination but never batch-sends them and never arms
+    /// the piggyback flush timer, so its relay backlog depth and
+    /// oldest-entry age grow for the rest of the run. Buffered relays are
+    /// plain state, so quiescence is unaffected; the health watchdogs are
+    /// expected to raise `backlog_growth` on exactly this processor.
+    RelaySuppress(u32),
+}
+
 /// Full configuration of a dB-tree deployment.
 #[derive(Clone, Debug)]
 pub struct TreeConfig {
@@ -100,51 +132,17 @@ pub struct TreeConfig {
     /// §4.3 variable copies: processors join/unjoin interior replication as
     /// leaves migrate to/from them.
     pub variable_copies: bool,
-    /// Fig 6 toggle: when `true` (the paper's algorithm) the PC re-relays
-    /// updates to copies that joined after the update's version. `false`
-    /// reproduces the incomplete-history failure.
-    pub join_version_relay: bool,
     /// Record a [`history::HistoryLog`] for end-of-run verification.
     pub record_history: bool,
-    /// On crash restart, pull a state-based anti-entropy sync
-    /// ([`crate::Msg::SyncReq`]) for every copy the stable store retained,
-    /// merging a live peer's state over whatever survived the crash.
-    /// Quarantine catch-up *pushes* (from peers that suppressed relays
-    /// while this processor was suspect) happen regardless; this governs
-    /// only the restarting side's pulls.
-    pub sync_on_restart: bool,
     /// Lazy merge-at-empty: when tombstones leave a leaf with no live
     /// values, its PC asks the parent's PC for a merge grant, retires the
     /// leaf (forwarding address + parent-edge tombstone) and has the left
     /// sibling *absorb* its range through the half-split link invariants in
     /// reverse. `false` preserves the paper's never-merge policy (\[11\]).
     pub merge_at_empty: bool,
-    /// Deliberately broken merge (the `Naive` analogue for the merge
-    /// family): the grant-commit skips the re-verification that the leaf is
-    /// still empty of live values, so an insert that raced the grant is
-    /// silently dropped with the retired node. Exists only so the explorer
-    /// can demonstrate (and shrink) the merge/insert race the re-verify
-    /// closes; never enable it outside that experiment.
-    pub merge_unsafe_no_reverify: bool,
-    /// Deliberately wedged merge (a seeded *liveness* bug, the counterpart
-    /// of `merge_unsafe_no_reverify`'s safety bug): the parent's PC
-    /// silently drops every `MergeReq`, so a quiescent all-tombstone leaf
-    /// keeps its merge pending forever, and leaf writes that arrive while
-    /// the merge is pending are parked awaiting a grant that never comes.
-    /// Exists only so the model checker's liveness oracle has a
-    /// reproducible livelock to catch; never enable it outside that
-    /// experiment.
-    pub merge_wedge_grants: bool,
-    /// Seeded relay-suppression fault (the E21 lazy-lag experiment's
-    /// injected incident): the named processor keeps *buffering* relayed
-    /// updates per destination but never batch-sends them and never arms
-    /// the piggyback flush timer, so its relay backlog depth and oldest-entry
-    /// age grow monotonically for the rest of the run. Buffered relays are
-    /// plain state, so quiescence is unaffected; the health watchdogs are
-    /// expected to raise a `backlog_growth` alert on exactly this processor.
-    /// Exists only so the observability stack has a reproducible incident to
-    /// detect; never enable it outside that experiment.
-    pub relay_suppress_proc: Option<u32>,
+    /// The one seeded bug this run carries, if any (`None` everywhere but
+    /// in the experiments and tests that must catch it).
+    pub seeded: Option<SeededBug>,
 }
 
 impl Default for TreeConfig {
@@ -157,13 +155,9 @@ impl Default for TreeConfig {
             forwarding: false,
             forwarding_ttl: 500,
             variable_copies: false,
-            join_version_relay: true,
             record_history: true,
-            sync_on_restart: true,
             merge_at_empty: false,
-            merge_unsafe_no_reverify: false,
-            merge_wedge_grants: false,
-            relay_suppress_proc: None,
+            seeded: None,
         }
     }
 }
@@ -204,6 +198,6 @@ mod tests {
         let c = TreeConfig::default();
         assert_eq!(c.protocol, ProtocolKind::SemiSync);
         assert_eq!(c.placement, Placement::PathReplication);
-        assert!(c.join_version_relay);
+        assert_eq!(c.seeded, None);
     }
 }

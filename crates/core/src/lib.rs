@@ -63,7 +63,7 @@ mod types;
 
 pub use build::{build_procs, BuildSpec};
 pub use checker::{check_history_sequences, db_class_conflicts, GlobalView, TreeViolation};
-pub use config::{PiggybackCfg, Placement, ProtocolKind, TreeConfig};
+pub use config::{PiggybackCfg, Placement, ProtocolKind, SeededBug, TreeConfig};
 pub use entries::Entries;
 pub use metrics::ProcMetrics;
 pub use msg::{InstallReason, LinkDir, Msg, SplitInfo};

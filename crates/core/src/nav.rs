@@ -7,7 +7,7 @@
 
 use simnet::{Context, ProcId};
 
-use crate::config::ProtocolKind;
+use crate::config::{ProtocolKind, SeededBug};
 use crate::msg::Msg;
 use crate::proc::{CoordOp, DbProc, ReplyInfo};
 use crate::types::{Entry, Intent, Key, NodeId, OpId, Outcome};
@@ -208,20 +208,20 @@ impl DbProc {
         hops: u32,
         chases: u32,
     ) {
-        if self.cfg.merge_wedge_grants && self.merge_pending.contains(&node) {
-            // Seeded livelock (`merge_wedge_grants`): a merge is pending on
-            // this leaf and the grant will never come, so the write parks
-            // forever — the client op never completes. The liveness oracle
-            // counts these through `DbProc::parked_write_count`.
-            self.parked_since.push(ctx.now().ticks());
-            self.parked_writes.push(Msg::Descend {
+        if self.seeded(SeededBug::MergeWedgeGrants) && self.merge_pending.contains(&node) {
+            // Seeded livelock: a merge is pending on this leaf and the grant
+            // will never come, so the write parks forever — the client op
+            // never completes. The liveness oracle counts these through
+            // `DbProc::parked_write_count`.
+            let write = Msg::Descend {
                 op,
                 key,
                 intent,
                 node,
                 hops,
                 chases,
-            });
+            };
+            self.parked.push((ctx.now().ticks(), write));
             return;
         }
         let copy = self.store.get(node).expect("checked by caller");

@@ -13,7 +13,7 @@ use history::{HistoryLog, ObserveKind};
 use parking_lot::Mutex;
 use simnet::{Context, ProcId, Process};
 
-use crate::config::TreeConfig;
+use crate::config::{SeededBug, TreeConfig};
 use crate::metrics::ProcMetrics;
 use crate::msg::{InstallReason, Msg, RelayedItem};
 use crate::node::NodeCopy;
@@ -126,10 +126,12 @@ pub struct DbProc {
     /// Leaves this PC has asked to merge away (dedupes MergeReq until the
     /// grant or decline arrives).
     pub(crate) merge_pending: HashSet<NodeId>,
-    /// Client writes parked behind a pending merge under the seeded
-    /// `merge_wedge_grants` livelock. Never drained — the grant never
-    /// comes — so the liveness oracle can count them.
-    pub(crate) parked_writes: Vec<Msg>,
+    /// Client writes parked behind a pending merge, each with its park tick
+    /// — state that exists only under [`SeededBug::MergeWedgeGrants`]. Never
+    /// drained (the grant never comes), so the liveness oracle can count
+    /// them; the ticks feed `proc.parked_dwell` and stay out of the
+    /// fingerprint.
+    pub(crate) parked: Vec<(u64, Msg)>,
     /// Nodes retired by a committed merge, mapped to the left sibling that
     /// absorbed their range. Consulted to reroute in-flight relays, answer
     /// sync requests from zombie copies, and refuse zombie installs. Lives
@@ -151,12 +153,11 @@ pub struct DbProc {
     // hashing them would make the model checker see every schedule as a
     // distinct state.
     /// Tick at which each destination's piggyback buffer went non-empty
-    /// (cleared when the buffer drains). Feeds `relay.backlog_age`.
+    /// (cleared when the buffer drains). Feeds `relay.backlog_age`. (The
+    /// other two lazy-lag timestamps live with what they time: the park
+    /// ticks in `parked`, the per-copy staleness stamp in the copy,
+    /// [`NodeCopy::relayed_at`].)
     pub(crate) relay_buf_since: BTreeMap<ProcId, u64>,
-    /// Park tick of each entry in `parked_writes` (lockstep with it).
-    /// Feeds `proc.parked_dwell`. (The third lazy-lag timestamp, the
-    /// per-copy staleness stamp, lives in the copy: [`NodeCopy::relayed_at`].)
-    pub(crate) parked_since: Vec<u64>,
 
     // -- available-copies coordinator state ---------------------------------
     pub(crate) next_ticket: u64,
@@ -184,12 +185,11 @@ impl DbProc {
             unjoined: HashSet::new(),
             pending_joins: HashMap::new(),
             merge_pending: HashSet::new(),
-            parked_writes: Vec::new(),
+            parked: Vec::new(),
             retired: HashMap::new(),
             quarantined: BTreeSet::new(),
             missed: BTreeMap::new(),
             relay_buf_since: BTreeMap::new(),
-            parked_since: Vec::new(),
             next_ticket: 0,
             pending_locks: HashMap::new(),
             coord_busy: HashSet::new(),
@@ -205,10 +205,17 @@ impl DbProc {
     }
 
     /// Client writes parked behind a never-granted merge (only ever nonzero
-    /// under the seeded `merge_wedge_grants` livelock). A liveness-oracle
-    /// probe: each parked write is a submitted op that will never complete.
+    /// under [`SeededBug::MergeWedgeGrants`]). A liveness-oracle probe: each
+    /// parked write is a submitted op that will never complete.
     pub fn parked_write_count(&self) -> usize {
-        self.parked_writes.len()
+        self.parked.len()
+    }
+
+    /// The one seam through which seeded bugs reach the protocol: is this
+    /// run carrying `bug`? Every deliberately broken branch in the node
+    /// manager asks here and nowhere else.
+    pub(crate) fn seeded(&self, bug: SeededBug) -> bool {
+        self.cfg.seeded == Some(bug)
     }
 
     /// Hash this processor's full protocol-visible state into `h` — the
@@ -229,7 +236,8 @@ impl DbProc {
         hash_in_key_order(self.unjoined.iter().map(|n| (n, ())), h);
         hash_in_key_order(self.merge_pending.iter().map(|n| (n, ())), h);
         hash_in_key_order(&self.pending_joins, h);
-        self.parked_writes.hash(h);
+        let parked: Vec<&Msg> = self.parked.iter().map(|(_tick, w)| w).collect();
+        parked.hash(h);
         hash_in_key_order(&self.retired, h);
         self.quarantined.hash(h);
         self.missed.hash(h);
@@ -710,15 +718,7 @@ impl Process for DbProc {
         ctx.mark(
             simnet::TraceEvent::Rejoin,
             "recovery.rejoin",
-            format!(
-                "rejoin {} interior copies, sync pull {}",
-                victims.len(),
-                if self.cfg.sync_on_restart {
-                    "on"
-                } else {
-                    "off"
-                },
-            ),
+            format!("rejoin {} interior copies, sync pull on", victims.len()),
         );
         for (node, pc, low) in victims {
             self.drop_copy(node);
@@ -735,9 +735,7 @@ impl Process for DbProc {
         // Anti-entropy catch-up for the copies the stable store kept: the
         // rejoin pass re-acquires dropped interior copies, this pulls the
         // retained ones (leaves, own-PC nodes) back up to date.
-        if self.cfg.sync_on_restart {
-            self.sync_pull_all(ctx);
-        }
+        self.sync_pull_all(ctx);
         // `merge_pending` is stable, but the request it guards may have been
         // a hand-off to a resident parent copy, which the crash destroyed —
         // and then nothing would ever clear the bit or reclaim the leaf.
@@ -781,7 +779,7 @@ impl Process for DbProc {
         let backlog_depth: u64 = self.relay_buf.values().map(|v| v.len() as u64).sum();
         let backlog_age = self.relay_buf_since.values().copied().min().map_or(0, age);
         let deferred: u64 = self.missed.values().map(|s| s.len() as u64).sum();
-        let dwell = self.parked_since.iter().copied().min().map_or(0, age);
+        let dwell = self.parked.iter().map(|(t, _)| *t).min().map_or(0, age);
         // The oldest stamp among resident copies that have applied a relay;
         // read off the store at sample time, so nothing is kept in step
         // with it on the write path.
@@ -790,7 +788,7 @@ impl Process for DbProc {
         vec![
             ("proc.merge_pending", self.merge_pending.len() as u64),
             ("proc.parked_dwell", dwell),
-            ("proc.parked_writes", self.parked_writes.len() as u64),
+            ("proc.parked_writes", self.parked.len() as u64),
             ("relay.backlog_age", backlog_age),
             ("relay.backlog_depth", backlog_depth),
             ("relay.deferred_depth", deferred),

@@ -10,7 +10,7 @@
 //!   the same parent — and answers [`Msg::MergeGrant`] naming that sibling,
 //!   or [`Msg::MergeDecline`]. The grant is advisory: the child's PC
 //!   re-verifies emptiness at commit time, because any number of client
-//!   inserts can race the round trip. (The `merge_unsafe_no_reverify` knob
+//!   inserts can race the round trip. ([`SeededBug::MergeNoReverify`]
 //!   skips exactly that re-check, recreating the Naive protocol's
 //!   check-then-act bug for the explorer to catch.)
 //! * **Retire, don't redistribute.** The commit deletes the copy, leaves a
@@ -40,6 +40,7 @@
 use history::ObserveKind;
 use simnet::{Context, ProcId};
 
+use crate::config::SeededBug;
 use crate::msg::{AbsorbInfo, LinkDir, Msg};
 use crate::proc::DbProc;
 use crate::store::ForwardAddr;
@@ -110,8 +111,8 @@ impl DbProc {
         low: Key,
         reply_to: ProcId,
     ) {
-        if self.cfg.merge_wedge_grants {
-            // Seeded livelock (`merge_wedge_grants`): swallow the request.
+        if self.seeded(SeededBug::MergeWedgeGrants) {
+            // Seeded livelock: swallow the request.
             // The requester's `merge_pending` bit never clears and any leaf
             // writes it parks stay parked — the liveness oracle's prey.
             return;
@@ -208,9 +209,9 @@ impl DbProc {
         self.merge_pending.remove(&child);
         let me = self.me;
         // Re-verify at commit time: the grant crossed a full round trip and
-        // any client insert may have raced it. `merge_unsafe_no_reverify`
-        // skips only the emptiness re-check — the injected bug under study —
-        // never the structural ones.
+        // any client insert may have raced it. `MergeNoReverify` skips only
+        // the emptiness re-check — the injected bug under study — never the
+        // structural ones.
         let ok = match self.store.get(child) {
             Some(c) => {
                 c.pc == me
@@ -218,7 +219,7 @@ impl DbProc {
                     && c.aas.is_none()
                     && c.lock.is_none()
                     && !c.split_pending
-                    && (self.cfg.merge_unsafe_no_reverify
+                    && (self.seeded(SeededBug::MergeNoReverify)
                         || c.entries.values().all(|e| matches!(e, Entry::Tomb { .. })))
             }
             None => false,
@@ -230,10 +231,10 @@ impl DbProc {
         let (low, parent, peers, info) = {
             let copy = self.store.get(child).expect("verified above");
             // Carry the tombstones (and only them — the re-verify just
-            // guaranteed nothing else exists). Under `merge_unsafe_no_
-            // reverify` that guarantee is assumed rather than checked, so a
-            // client insert that raced the grant round-trip dies here with
-            // the node: the check-then-act bug the explorer exists to catch.
+            // guaranteed nothing else exists). Under `MergeNoReverify` that
+            // guarantee is assumed rather than checked, so a client insert
+            // that raced the grant round-trip dies here with the node: the
+            // check-then-act bug the explorer exists to catch.
             let entries: Vec<(Key, Entry)> = copy
                 .entries
                 .iter()

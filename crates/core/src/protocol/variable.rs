@@ -4,8 +4,8 @@
 //!
 //! The PC registers all joins and unjoins, incrementing the node's version
 //! for each; insert relays carry the version their sender knew, so the PC
-//! can forward them to members that joined later (the Fig 6 fix, toggled by
-//! `TreeConfig::join_version_relay`).
+//! can forward them to members that joined later (the Fig 6 fix; switched
+//! off only by `SeededBug::NoJoinVersionRelay`).
 
 use history::ObserveKind;
 use simnet::{Context, ProcId};

@@ -6,7 +6,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use history::ObserveKind;
 use simnet::{Context, ProcId};
 
-use crate::config::ProtocolKind;
+use crate::config::{ProtocolKind, SeededBug};
 use crate::metrics::ProcMetrics;
 use crate::msg::{Msg, RelayedItem};
 use crate::proc::{DbProc, TIMER_PIGGYBACK};
@@ -44,6 +44,10 @@ impl DbProc {
         tag: u64,
         version: u64,
     ) {
+        // Seeded E21 fault: buffer the relays per destination exactly as
+        // piggybacking would, but never send a batch and never arm the
+        // flush timer.
+        let wedged = self.seeded(SeededBug::RelaySuppress(self.me.0));
         // Field by field: the membership list is walked where it lives, in
         // the store, while the relay bookkeeping beside it is updated — no
         // peer list is collected on the way (this runs once per write).
@@ -74,12 +78,6 @@ impl DbProc {
             span: ctx.span(),
             epoch: copy.absorb_count,
         };
-        // Seeded E21 fault: buffer the relays per destination exactly as
-        // piggybacking would, but never send a batch and never arm the
-        // flush timer — the backlog depth and oldest-entry age grow for the
-        // rest of the run, and the `backlog_growth` watchdog is expected to
-        // name this processor.
-        let wedged = cfg.relay_suppress_proc == Some(me.0);
         let now = ctx.now().ticks();
         let mut buffered = false;
         for peer in copy.peers(*me) {
@@ -117,7 +115,7 @@ impl DbProc {
 
     /// Flush all piggyback buffers (timer handler).
     pub(crate) fn flush_relays(&mut self, ctx: &mut Context<'_, Msg>) {
-        if self.cfg.relay_suppress_proc == Some(self.me.0) {
+        if self.seeded(SeededBug::RelaySuppress(self.me.0)) {
             // Seeded E21 fault: the backlog never drains (restart-triggered
             // flushes included), so its gauges keep growing.
             return;
@@ -216,6 +214,11 @@ impl DbProc {
             span,
             epoch: _,
         } = item;
+        // §4.3: the PC re-relays to members that joined after the initial
+        // copy applied the insert — they were not in the initial copy's
+        // membership list and would otherwise miss it (Fig 6, which
+        // `NoJoinVersionRelay` reproduces).
+        let relay_to_late_joiners = !self.seeded(SeededBug::NoJoinVersionRelay);
         let copy = self.store.get_mut(node).expect("caller ensured resident");
         let is_pc = copy.pc == self.me;
         let in_range = copy.range.contains(key);
@@ -227,10 +230,7 @@ impl DbProc {
             copy.relayed_at = Some(ctx.now().ticks());
             let my_version = copy.version;
             let my_epoch = copy.absorb_count;
-            // §4.3: the PC re-relays to members that joined after the
-            // initial copy applied the insert — they were not in the initial
-            // copy's membership list and would otherwise miss it (Fig 6).
-            let late: Vec<_> = if is_pc && self.cfg.join_version_relay {
+            let late: Vec<_> = if is_pc && relay_to_late_joiners {
                 copy.members_joined_after(version).collect()
             } else {
                 Vec::new()

@@ -7,7 +7,7 @@ mod common;
 use std::collections::BTreeSet;
 
 use common::{assert_clean, to_client};
-use dbtree::{checker, BuildSpec, ClientOp, DbCluster, Intent, Placement, TreeConfig};
+use dbtree::{checker, BuildSpec, ClientOp, DbCluster, Intent, Placement, SeededBug, TreeConfig};
 use simnet::{ProcId, SimConfig};
 use workload::{KeyDist, Mix, WorkloadGen};
 
@@ -252,7 +252,7 @@ fn join_version_relay_fixes_the_fig6_race() {
     // exhibits an incomplete-history violation at a late joiner.
     let run = |join_version_relay: bool, seed: u64| {
         let cfg = TreeConfig {
-            join_version_relay,
+            seeded: (!join_version_relay).then_some(SeededBug::NoJoinVersionRelay),
             ..variable_cfg()
         };
         let (mut cluster, expected) = run_with_migrations(cfg, seed, 300, 4);

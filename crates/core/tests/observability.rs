@@ -6,7 +6,7 @@
 mod common;
 
 use common::to_client;
-use dbtree::{BuildSpec, ClientOp, DbCluster, PiggybackCfg, ProtocolKind, TreeConfig};
+use dbtree::{BuildSpec, ClientOp, DbCluster, PiggybackCfg, ProtocolKind, SeededBug, TreeConfig};
 use simnet::{HealthConfig, SimConfig};
 use workload::{KeyDist, Mix, WorkloadGen};
 
@@ -16,7 +16,7 @@ const SEED: u64 = 4242;
 fn tree_cfg(suppress: Option<u32>) -> TreeConfig {
     TreeConfig {
         piggyback: Some(PiggybackCfg::default()),
-        relay_suppress_proc: suppress,
+        seeded: suppress.map(SeededBug::RelaySuppress),
         ..TreeConfig::fixed_copies(ProtocolKind::SemiSync, 3)
     }
 }

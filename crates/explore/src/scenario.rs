@@ -24,7 +24,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use dbtree::{checker, BuildSpec, ClientOp, DbCluster, Intent, ProtocolKind, TreeConfig};
+use dbtree::{
+    checker, BuildSpec, ClientOp, DbCluster, Intent, ProtocolKind, SeededBug, TreeConfig,
+};
 use dhash::{check_hash_cluster, HKind, HashCluster, HashConfig, HashSpec};
 use history::check_sequences;
 use rand::rngs::SmallRng;
@@ -94,7 +96,7 @@ pub enum MergeMode {
     /// there for the explorer to catch and shrink.
     Unsafe,
     /// Merging with every `MergeReq` silently dropped by the parent: the
-    /// injected *liveness* bug (`merge_wedge_grants`). A quiescent
+    /// injected *liveness* bug (`SeededBug::MergeWedgeGrants`). A quiescent
     /// all-tombstone leaf keeps its merge pending forever and leaf writes
     /// park behind the grant that never comes — there for the liveness
     /// oracle to catch and shrink.
@@ -205,8 +207,11 @@ pub(crate) fn build_blink(
     let cfg = TreeConfig {
         fanout,
         merge_at_empty: merge != MergeMode::Off,
-        merge_unsafe_no_reverify: merge == MergeMode::Unsafe,
-        merge_wedge_grants: merge == MergeMode::Wedged,
+        seeded: match merge {
+            MergeMode::Unsafe => Some(SeededBug::MergeNoReverify),
+            MergeMode::Wedged => Some(SeededBug::MergeWedgeGrants),
+            MergeMode::Off | MergeMode::Safe => None,
+        },
         ..TreeConfig::fixed_copies(protocol, 3)
     };
     let spec = BuildSpec::new(scenario.preload.clone(), scenario.n_procs, cfg);
@@ -310,7 +315,7 @@ fn run_blink(
 /// * **No merge grant held forever** — a leaf's `merge_pending` bit is set
 ///   by the first `MergeReq` and cleared by the grant or decline; at
 ///   quiescence with every crash restarted, a set bit means the answer
-///   never came (the seeded `merge_wedge_grants` wedge, or a protocol bug
+///   never came (the seeded `MergeWedgeGrants` wedge, or a protocol bug
 ///   that lost the reply).
 /// * **No write parked forever** — client writes parked behind a pending
 ///   merge are ops the session layer owes an acknowledgement; a non-empty

@@ -23,8 +23,8 @@
 //!   step. The per-class FIFO heads (`classes`) are likewise lazy.
 //!
 //! The queue maintains a **front cache**: after every mutation, the
-//! earliest pending event's `(at, seq, slot)` is known, so `next_at` and
-//! `peek_plain_at` are O(1) `&self` peeks. Wheel entries are always live
+//! earliest pending event's `(at, seq)` is known, so `next_at` is an
+//! O(1) `&self` peek. Wheel entries are always live
 //! (indexed removal deletes from the bucket directly); only the overflow
 //! heap can hold stale entries, and it is compacted when they accumulate.
 //!
@@ -137,7 +137,6 @@ impl Ord for HeapEntry {
 struct Front {
     at: SimTime,
     seq: u64,
-    slot: u32,
 }
 
 /// Ordering class of an event: `(0, src, dst)` for deliveries (per-channel
@@ -286,7 +285,7 @@ impl<M> EventQueue<M> {
             self.heap.push(HeapEntry { at, seq, slot });
         }
         if self.front.is_none_or(|f| (at, seq) < (f.at, f.seq)) {
-            self.front = Some(Front { at, seq, slot });
+            self.front = Some(Front { at, seq });
         }
     }
 
@@ -354,7 +353,6 @@ impl<M> EventQueue<M> {
             self.front = Some(Front {
                 at: ev.at,
                 seq: ev.seq,
-                slot: e.slot,
             });
             return;
         }
@@ -364,7 +362,6 @@ impl<M> EventQueue<M> {
                     self.front = Some(Front {
                         at: top.at,
                         seq: top.seq,
-                        slot: top.slot,
                     });
                     return;
                 }
@@ -468,23 +465,6 @@ impl<M> EventQueue<M> {
     /// Time of the earliest pending event, if any.
     pub fn next_at(&self) -> Option<SimTime> {
         self.front.map(|f| f.at)
-    }
-
-    /// Batching probe: the target of the earliest pending event, provided
-    /// it fires exactly at `at` and is an ordinary delivery or timer (not
-    /// a control event or tombstone). `None` ends a same-tick burst.
-    pub fn peek_plain_at(&self, at: SimTime) -> Option<ProcId> {
-        let f = self.front?;
-        if f.at != at {
-            return None;
-        }
-        let event = self.slots[f.slot as usize]
-            .as_ref()
-            .expect("front cache is live");
-        match event.kind {
-            EventKind::Deliver { .. } | EventKind::Timer { .. } => Some(event.to),
-            _ => None,
-        }
     }
 
     /// Number of pending events (tombstones included until they fire).

@@ -3,8 +3,8 @@
 //! The paper's laziness claims are only checkable if the *lag* signals —
 //! relay backlog, parked writes, retransmit pressure, detector flapping —
 //! are watched while the run is still going. A [`HealthMonitor`] evaluates
-//! threshold/derivative rules at every sample boundary (the same cadence as
-//! the [`Sampler`](crate::obs) series, on both runtimes) and emits
+//! threshold/derivative rules at every sample boundary (the series'
+//! cadence, on both runtimes) and emits
 //! schema-pinned [`Alert`]s: each becomes a trace event the moment it fires
 //! and is retained for the end-of-run [`HealthReport`].
 //!
@@ -13,8 +13,9 @@
 //! long-lived fault cannot flood the trace ring.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
-use crate::json::escape_into;
+use crate::json::{escape_into, opt_into, pairs_into};
 use crate::{ProcId, SimTime};
 
 /// Watchdog thresholds, identical for both runtimes. The default is fully
@@ -87,17 +88,22 @@ pub struct Alert {
 impl Alert {
     /// One line of the alert JSONL schema (no trailing newline).
     pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"at\":{},\"proc\":{},\"rule\":\"",
-            self.at.ticks(),
-            self.proc.0
-        );
-        escape_into(&mut s, self.rule);
-        s.push_str(&format!(
+        let mut s = String::new();
+        self.write_json(&mut s);
+        s
+    }
+
+    /// Append [`Alert::to_json`] to `out`.
+    pub(crate) fn write_json(&self, out: &mut String) {
+        // Writing to a `String` cannot fail.
+        let (at, proc) = (self.at.ticks(), self.proc.0);
+        let _ = write!(out, "{{\"at\":{at},\"proc\":{proc},\"rule\":\"");
+        escape_into(out, self.rule);
+        let _ = write!(
+            out,
             "\",\"value\":{},\"threshold\":{},\"windows\":{}}}",
             self.value, self.threshold, self.windows
-        ));
-        s
+        );
     }
 
     /// The human-readable detail string the paired trace event carries.
@@ -126,8 +132,8 @@ struct ProcHealth {
 /// Evaluates [`HealthConfig`] rules over the per-processor sample stream.
 ///
 /// Feed it every `(at, proc, counters, gauges)` snapshot the sampler takes
-/// (both runtimes call it from their sampling site) and record whatever
-/// alerts come back. The monitor itself never touches the event stream:
+/// (the recorder both runtimes share does) and record whatever alerts come
+/// back. The monitor itself never touches the event stream:
 /// with the config disabled it is never even constructed.
 #[derive(Debug)]
 pub struct HealthMonitor {
@@ -322,28 +328,23 @@ impl HealthReport {
 
     /// The pinned report JSON (one object, no trailing newline).
     pub fn to_json(&self) -> String {
-        let opt = |v: Option<u64>| v.map_or("null".to_string(), |t| t.to_string());
-        let mut s = format!(
-            "{{\"healthy\":{},\"alerts\":{},\"first_at\":{},\"last_at\":{},\"rules\":{{",
-            self.healthy(),
-            self.alerts,
-            opt(self.first_at),
-            opt(self.last_at),
+        let mut s = String::new();
+        // Writing to a `String` cannot fail.
+        let (healthy, alerts) = (self.healthy(), self.alerts);
+        let _ = write!(
+            s,
+            "{{\"healthy\":{healthy},\"alerts\":{alerts},\"first_at\":"
         );
-        for (i, (rule, n)) in self.by_rule.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('"');
-            escape_into(&mut s, rule);
-            s.push_str(&format!("\":{n}"));
-        }
-        s.push_str("},\"procs\":{");
+        opt_into(&mut s, self.first_at);
+        s.push_str(",\"last_at\":");
+        opt_into(&mut s, self.last_at);
+        s.push_str(",\"rules\":");
+        let rules: Vec<_> = self.by_rule.iter().map(|(r, n)| (*r, *n)).collect();
+        pairs_into(&mut s, &rules);
+        s.push_str(",\"procs\":{");
         for (i, (p, n)) in self.by_proc.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\"{p}\":{n}"));
+            let sep = if i > 0 { "," } else { "" };
+            let _ = write!(s, "{sep}\"{p}\":{n}");
         }
         s.push_str("}}");
         s

@@ -40,6 +40,14 @@ impl fmt::Write for Escaped<'_> {
     }
 }
 
+/// Append `v` as a JSON integer, or `null`.
+pub(crate) fn opt_into(out: &mut String, v: Option<u64>) {
+    let _ = match v {
+        Some(v) => write!(out, "{v}"),
+        None => out.write_str("null"),
+    };
+}
+
 /// Append `pairs` as a JSON object of integers (`{"name":1,...}`).
 pub(crate) fn pairs_into(out: &mut String, pairs: &[(&'static str, u64)]) {
     out.push('{');

@@ -12,9 +12,9 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::health::{Alert, HealthConfig, HealthReport};
+use crate::health::{Alert, HealthConfig, HealthMonitor, HealthReport};
 use crate::json::pairs_into;
-use crate::trace::Trace;
+use crate::trace::{Trace, TraceEntry, TraceEvent};
 use crate::{ProcId, Process, SimTime};
 
 /// Observability knobs, identical for both runtimes.
@@ -118,7 +118,7 @@ impl Obs {
     pub fn alerts_jsonl(&self) -> String {
         let mut out = String::new();
         for a in &self.alerts {
-            out.push_str(&a.to_json());
+            a.write_json(&mut out);
             out.push('\n');
         }
         out
@@ -130,35 +130,114 @@ impl Obs {
     }
 }
 
-/// Shared sampling cadence: remembers, per processor, when the last sample
-/// was taken, and decides when the next is due. Used internally by both
-/// runtimes so their series have identical semantics.
-#[derive(Debug, Default)]
-pub(crate) struct Sampler {
-    interval: u64,
-    last: Vec<Option<SimTime>>,
+/// The one recording path of both runtimes: everything a run observes — an
+/// action's trace entry, a sample and the watchdog alerts it trips, an
+/// output, a process's mark, a fault — is recorded here, so the two
+/// substrates cannot drift apart in what they record or in which order. The
+/// simulator holds it as a plain field; the threaded cluster shares one
+/// behind a mutex, whose acquisition order is then the trace's global `seq`
+/// order. What is read off a *process* (its counters, its gauges) is read
+/// beforehand by that processor's [`CounterTrack`], outside any lock.
+#[derive(Debug)]
+pub(crate) struct Recorder {
+    /// The trace. A runtime opens an action's entry itself, before the
+    /// handler consumes the payload ([`TraceEntry::delivery`] and friends,
+    /// on [`Trace::recycle`]d allocations), and only while it is
+    /// [`Trace::enabled`]; an output goes straight to [`Trace::output`].
+    pub(crate) trace: Trace,
+    series: Vec<ProcSample>,
+    /// Online watchdogs (`None` unless [`HealthConfig::enabled`]: no monitor
+    /// state is even allocated) and the alerts they have fired so far.
+    health: Option<HealthMonitor>,
+    alerts: Vec<Alert>,
 }
 
-impl Sampler {
-    pub(crate) fn new(interval: u64, n_procs: usize) -> Self {
-        Sampler {
-            interval,
-            last: vec![None; n_procs],
+impl Recorder {
+    pub(crate) fn new(trace_capacity: usize, health: HealthConfig, n_procs: usize) -> Self {
+        Recorder {
+            trace: Trace::with_capacity(trace_capacity),
+            series: Vec::new(),
+            health: health.enabled.then(|| HealthMonitor::new(health, n_procs)),
+            alerts: Vec::new(),
         }
     }
 
-    /// `true` if a sample of `proc` is due at `now` (and marks it taken).
-    pub(crate) fn due(&mut self, proc: ProcId, now: SimTime) -> bool {
-        if self.interval == 0 {
-            return false;
+    /// An action ran: record its entry (its deltas filled in by
+    /// [`CounterTrack::observe`]) and the sample that fell due with it. The
+    /// watchdogs see the sample first; each alert becomes a trace entry the
+    /// moment it fires, after the action's entry and before the sample
+    /// joins the series.
+    pub(crate) fn action(&mut self, entry: Option<TraceEntry>, sample: Option<ProcSample>) {
+        if let Some(entry) = entry {
+            self.trace.record(entry);
         }
-        let slot = &mut self.last[proc.index()];
-        match *slot {
-            Some(prev) if now < prev + self.interval => false,
-            _ => {
-                *slot = Some(now);
-                true
+        let Some(sample) = sample else {
+            return;
+        };
+        let (at, proc) = (sample.at, sample.proc);
+        if let Some(mon) = &mut self.health {
+            for alert in mon.observe(at, proc, &sample.pairs, &sample.gauges) {
+                let event = TraceEvent::Alert;
+                if let Some(e) = self.trace.note(at, proc, proc, event, alert.rule, None) {
+                    e.set_detail(alert.detail());
+                }
+                self.alerts.push(alert);
             }
+        }
+        self.series.push(sample);
+    }
+
+    /// A process annotated its own action ([`Context::mark`](crate::Context::mark)).
+    pub(crate) fn mark(
+        &mut self,
+        at: SimTime,
+        proc: ProcId,
+        event: TraceEvent,
+        kind: &'static str,
+        span: Option<u64>,
+        detail: String,
+    ) {
+        if let Some(e) = self.trace.note(at, proc, proc, event, kind, span) {
+            e.set_detail(detail);
+        }
+    }
+
+    /// A fault destroyed (`Drop`) or doubled (`Duplicate`) a message of
+    /// `kind` on its way `from → to`; `flavor` says which fault (`"crash"`,
+    /// `"partition"`, `"loss"`, `"dup"`).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn fault(
+        &mut self,
+        at: SimTime,
+        from: ProcId,
+        to: ProcId,
+        event: TraceEvent,
+        flavor: &'static str,
+        kind: &'static str,
+        span: Option<u64>,
+        redelivery: bool,
+        wait: u64,
+    ) {
+        if let Some(e) = self.trace.note(at, from, to, event, kind, span) {
+            e.redelivery = redelivery;
+            e.wait = wait;
+            e.set_detail(flavor);
+        }
+    }
+
+    /// The fault plan crashed `proc`.
+    pub(crate) fn crash(&mut self, at: SimTime, proc: ProcId) {
+        self.trace
+            .note(at, proc, proc, TraceEvent::Crash, "fault.crash", None);
+    }
+
+    /// Hand over everything recorded so far, leaving fresh buffers with the
+    /// same configuration (watchdog state carries on).
+    pub(crate) fn take(&mut self) -> Obs {
+        Obs {
+            trace: self.trace.take(),
+            series: std::mem::take(&mut self.series),
+            alerts: std::mem::take(&mut self.alerts),
         }
     }
 }
@@ -316,10 +395,13 @@ impl MetricsRegistry {
     }
 }
 
-/// One processor's counters as of its last traced action, and the per-action
-/// deltas taken against them: **one** [`Process::metrics_into`] snapshot per
-/// action into a reused buffer, compared position by position with the
-/// previous one.
+/// One processor's side of the [`Recorder`] — what is read off the process
+/// itself, by whoever runs its actions: its counters as of its last recorded
+/// action, the per-action deltas taken against them (**one**
+/// [`Process::metrics_into`] snapshot per recorded action into a reused
+/// buffer, compared position by position with the previous one), and its
+/// sampling cadence. An action that is neither traced nor due a sample reads
+/// nothing.
 #[derive(Debug, Default)]
 pub(crate) struct CounterTrack {
     prev: Vec<(&'static str, u64)>,
@@ -327,9 +409,60 @@ pub(crate) struct CounterTrack {
     /// `prev` is the process's current state. False until the first
     /// [`CounterTrack::arm`] and after [`CounterTrack::invalidate`].
     valid: bool,
+    /// Sample at most every this many ticks (0 = never), counted from
+    /// `sampled_at`.
+    interval: u64,
+    sampled_at: Option<SimTime>,
 }
 
 impl CounterTrack {
+    /// A track sampling every `interval` ticks ([`ObsConfig::sample_interval`]).
+    pub(crate) fn new(interval: u64) -> Self {
+        CounterTrack {
+            interval,
+            ..CounterTrack::default()
+        }
+    }
+
+    /// `true` if a sample is due at `now` (and marks it taken).
+    #[inline]
+    pub(crate) fn due(&mut self, now: SimTime) -> bool {
+        if self.interval == 0 {
+            return false;
+        }
+        match self.sampled_at {
+            Some(prev) if now < prev + self.interval => false,
+            _ => {
+                self.sampled_at = Some(now);
+                true
+            }
+        }
+    }
+
+    /// Call after an action that opened a trace `entry` or fell `due` a
+    /// sample (or both): **one** counter snapshot fills the entry's deltas
+    /// and, if due, is the sample's counters — so a sample always shows the
+    /// process as of the action it was taken at.
+    pub(crate) fn observe<P: Process>(
+        &mut self,
+        p: &P,
+        proc: ProcId,
+        now: SimTime,
+        entry: Option<&mut TraceEntry>,
+        due: bool,
+    ) -> Option<ProcSample> {
+        match entry {
+            Some(entry) => self.diff_into(p, &mut entry.deltas),
+            None => self.refresh(p),
+        }
+        due.then(|| ProcSample {
+            at: now,
+            proc,
+            pairs: self.prev.clone(),
+            gauges: p.gauges(now),
+        })
+    }
+
     /// Call before an action that will be traced: snapshots `p` if the
     /// counters could have moved since the last [`CounterTrack::diff_into`]
     /// (nothing traced yet — `on_start` ran — or the process was handed out
@@ -341,7 +474,7 @@ impl CounterTrack {
     }
 
     /// Snapshot `p` without taking deltas.
-    pub(crate) fn refresh<P: Process>(&mut self, p: &P) {
+    fn refresh<P: Process>(&mut self, p: &P) {
         self.prev.clear();
         p.metrics_into(&mut self.prev);
         self.valid = true;
@@ -354,8 +487,8 @@ impl CounterTrack {
 
     /// Call after the action: snapshot `p` once and leave in `out` the
     /// `(name, increase)` of every counter the action raised. The snapshot
-    /// stays behind as [`CounterTrack::last`].
-    pub(crate) fn diff_into<P: Process>(&mut self, p: &P, out: &mut Vec<(&'static str, u64)>) {
+    /// stays behind as `prev`.
+    fn diff_into<P: Process>(&mut self, p: &P, out: &mut Vec<(&'static str, u64)>) {
         self.cur.clear();
         p.metrics_into(&mut self.cur);
         out.clear();
@@ -379,11 +512,6 @@ impl CounterTrack {
             out.extend(metric_deltas(&self.prev, &self.cur));
         }
         std::mem::swap(&mut self.prev, &mut self.cur);
-    }
-
-    /// The latest snapshot.
-    pub(crate) fn last(&self) -> &[(&'static str, u64)] {
-        &self.prev
     }
 }
 
@@ -470,13 +598,14 @@ mod tests {
 
     #[test]
     fn sampler_respects_interval() {
-        let mut s = Sampler::new(10, 2);
-        assert!(s.due(ProcId(0), SimTime(0)), "first sample is always due");
-        assert!(!s.due(ProcId(0), SimTime(5)));
-        assert!(s.due(ProcId(0), SimTime(10)));
-        assert!(s.due(ProcId(1), SimTime(3)), "per-processor cadence");
-        let mut off = Sampler::new(0, 1);
-        assert!(!off.due(ProcId(0), SimTime(0)), "interval 0 disables");
+        let mut s = CounterTrack::new(10);
+        assert!(s.due(SimTime(0)), "first sample is always due");
+        assert!(!s.due(SimTime(5)));
+        assert!(s.due(SimTime(10)));
+        let mut other = CounterTrack::new(10);
+        assert!(other.due(SimTime(3)), "per-processor cadence");
+        let mut off = CounterTrack::new(0);
+        assert!(!off.due(SimTime(0)), "interval 0 disables");
     }
 
     #[test]
@@ -534,7 +663,7 @@ mod tests {
                 p.shown = shown.min(NAMES.len());
                 track.diff_into(&p, &mut deltas);
                 proptest::prop_assert_eq!(&deltas, &metric_deltas(&before, &p.metrics()));
-                proptest::prop_assert_eq!(track.last(), &p.metrics()[..]);
+                proptest::prop_assert_eq!(&track.prev, &p.metrics());
             }
         }
     }

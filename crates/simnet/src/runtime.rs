@@ -25,11 +25,6 @@ pub enum QuiesceError {
         /// Events delivered when the limit tripped.
         delivered: u64,
     },
-    /// `SimConfig::max_time` was passed.
-    TimeLimit {
-        /// Virtual time when the limit tripped.
-        now: SimTime,
-    },
     /// The runtime stopped making progress while operations were still
     /// outstanding (threaded runs: the quiescence probe stabilized with
     /// completions missing; simulated runs never produce this).
@@ -44,9 +39,6 @@ impl std::fmt::Display for QuiesceError {
         match self {
             QuiesceError::EventLimit { delivered } => {
                 write!(f, "event limit hit after {delivered} deliveries")
-            }
-            QuiesceError::TimeLimit { now } => {
-                write!(f, "time limit hit at t={}", now.ticks())
             }
             QuiesceError::Stalled { pending } => {
                 write!(f, "runtime stalled with {pending} operations pending")

@@ -6,12 +6,12 @@ use rand::{Rng, SeedableRng};
 use crate::context::{Context, Effect};
 use crate::event::{Event, EventKind, EventQueue};
 use crate::fault::FaultPlan;
-use crate::health::{Alert, HealthConfig, HealthMonitor};
-use crate::obs::{CounterTrack, Sampler};
+use crate::health::HealthConfig;
+use crate::obs::{CounterTrack, Recorder};
 use crate::runtime::{Poll, QuiesceError, Runtime};
 use crate::schedule::Scheduler;
 use crate::trace::{TraceEntry, TraceEvent};
-use crate::{LatencyModel, NetStats, Obs, Payload, ProcId, ProcSample, Process, SimTime, Trace};
+use crate::{LatencyModel, NetStats, Obs, Payload, ProcId, Process, SimTime, Trace};
 
 /// Configuration of a [`Simulation`] run.
 #[derive(Clone, Debug)]
@@ -43,8 +43,6 @@ pub struct SimConfig {
     pub service_overrides: Vec<(ProcId, u64)>,
     /// Abort the run after this many delivered events (runaway protection).
     pub max_events: u64,
-    /// Abort the run past this virtual time.
-    pub max_time: SimTime,
     /// Fault schedule. The default ([`FaultPlan::none`]) is the paper's
     /// reliable network; an inactive plan adds no RNG draws and no events,
     /// so fault-free runs are bit-identical to the pre-fault simulator.
@@ -65,7 +63,6 @@ impl Default for SimConfig {
             service_time: 0,
             service_overrides: Vec::new(),
             max_events: 100_000_000,
-            max_time: SimTime(u64::MAX),
             faults: FaultPlan::none(),
             health: HealthConfig::default(),
         }
@@ -100,7 +97,7 @@ pub enum RunOutcome {
     Quiescent,
     /// `max_events` was hit.
     EventLimit,
-    /// `max_time` was passed.
+    /// [`Simulation::run_until`]'s horizon was reached with events pending.
     TimeLimit,
 }
 
@@ -160,21 +157,15 @@ pub struct Simulation<P: Process> {
     /// the model.
     service: Vec<u64>,
     stats: NetStats,
-    trace: Trace,
-    /// Per-processor counter snapshots the trace takes action deltas
-    /// against (untouched while tracing is off).
+    /// Everything the run observes is recorded here (trace, series,
+    /// watchdog alerts), from what each processor's track reads off its
+    /// process (untouched while tracing and sampling are both off).
+    recorder: Recorder,
     counters: Vec<CounterTrack>,
-    sampler: Sampler,
-    series: Vec<ProcSample>,
-    /// Online watchdogs (`None` unless `config.health.enabled`) and the
-    /// alerts they have fired so far.
-    health: Option<HealthMonitor>,
-    alerts: Vec<Alert>,
     outputs: Vec<(SimTime, ProcId, P::Msg)>,
     effects_buf: Vec<Effect<P::Msg>>,
     delivered: u64,
     max_events: u64,
-    max_time: SimTime,
     /// Fault schedule and its dedicated RNG stream. Drawing fault decisions
     /// from a separate generator keeps the main RNG sequence — and therefore
     /// every fault-free run — untouched by this machinery.
@@ -213,20 +204,14 @@ impl<P: Process> Simulation<P> {
             proc_busy: vec![SimTime::ZERO; n],
             service,
             stats: NetStats::new(n),
-            trace: Trace::with_capacity(config.trace_capacity),
-            counters: (0..n).map(|_| CounterTrack::default()).collect(),
-            sampler: Sampler::new(config.sample_interval, n),
-            series: Vec::new(),
-            health: config
-                .health
-                .enabled
-                .then(|| HealthMonitor::new(config.health, n)),
-            alerts: Vec::new(),
+            recorder: Recorder::new(config.trace_capacity, config.health, n),
+            counters: (0..n)
+                .map(|_| CounterTrack::new(config.sample_interval))
+                .collect(),
             outputs: Vec::new(),
             effects_buf: Vec::new(),
             delivered: 0,
             max_events: config.max_events,
-            max_time: config.max_time,
             // Distinct stream per run seed; the constant only decorrelates it
             // from the main RNG, which sees the identical seed.
             fault_rng: SmallRng::seed_from_u64(config.seed ^ 0xFA017),
@@ -247,7 +232,7 @@ impl<P: Process> Simulation<P> {
             }
         }
         for i in 0..n {
-            sim.with_proc(ProcId(i as u32), |p, ctx| p.on_start(ctx));
+            sim.run_action(ProcId(i as u32), None, 0, None, |p, ctx| p.on_start(ctx));
         }
         sim
     }
@@ -269,29 +254,13 @@ impl<P: Process> Simulation<P> {
 
     /// The causal trace (empty unless `trace_capacity > 0`).
     pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// The metrics time series sampled so far (empty unless
-    /// `sample_interval > 0`).
-    pub fn series(&self) -> &[ProcSample] {
-        &self.series
+        &self.recorder.trace
     }
 
     /// Take the observability data (trace + series + alerts), leaving fresh
     /// buffers with the same configuration.
     pub fn take_obs(&mut self) -> Obs {
-        Obs {
-            trace: self.trace.take(),
-            series: std::mem::take(&mut self.series),
-            alerts: std::mem::take(&mut self.alerts),
-        }
-    }
-
-    /// Watchdog alerts fired so far (empty unless health monitoring and
-    /// sampling are both enabled).
-    pub fn alerts(&self) -> &[Alert] {
-        &self.alerts
+        self.recorder.take()
     }
 
     /// Messages sent to [`ProcId::EXTERNAL`], with their send times.
@@ -373,18 +342,12 @@ impl<P: Process> Simulation<P> {
         self.down[id.index()]
     }
 
-    /// Has a run limit already been crossed? `None` means the simulation may
-    /// keep stepping. Callers that drive [`Simulation::step`] in their own
-    /// loop should consult this so `max_events` / `max_time` are not
-    /// silently ignored.
-    pub fn limit_exceeded(&self) -> Option<RunOutcome> {
-        if self.delivered >= self.max_events {
-            Some(RunOutcome::EventLimit)
-        } else if self.now > self.max_time {
-            Some(RunOutcome::TimeLimit)
-        } else {
-            None
-        }
+    /// Has the run limit already been crossed? `None` means the simulation
+    /// may keep stepping. Callers that drive [`Simulation::step`] in their
+    /// own loop should consult this so `max_events` is not silently ignored.
+    pub fn limit_exceeded(&self) -> Option<QuiesceError> {
+        let delivered = self.delivered;
+        (delivered >= self.max_events).then_some(QuiesceError::EventLimit { delivered })
     }
 
     /// Install a schedule controller; subsequent steps fire the enabled
@@ -507,14 +470,10 @@ impl<P: Process> Simulation<P> {
                 self.stats.faults_mut().timer_dropped += 1;
             } else {
                 self.stats.faults_mut().crash_dropped += 1;
-                if let Some(e) = self
-                    .trace
-                    .note(self.now, from, to, TraceEvent::Drop, kind, span)
-                {
-                    e.redelivery = redelivery;
-                    e.wait = event.wait;
-                    e.set_detail("crash");
-                }
+                let (drop, wait) = (TraceEvent::Drop, event.wait);
+                self.recorder.fault(
+                    self.now, from, to, drop, "crash", kind, span, redelivery, wait,
+                );
             }
             self.stats.observe_inflight(self.queue.len());
             return;
@@ -550,13 +509,31 @@ impl<P: Process> Simulation<P> {
         }
         self.now = event.at;
         self.delivered += 1;
+        // An action's trace entry is opened before the action runs — the
+        // handler consumes the payload — and recorded after it.
+        let (now, wait, tracing) = (self.now, event.wait, self.recorder.trace.enabled());
         match event.kind {
-            kind @ (EventKind::Deliver { .. } | EventKind::Timer { .. }) => {
-                let mut p = self.procs[to.index()]
-                    .take()
-                    .expect("process is resident between events");
-                self.fire(&mut p, to, svc, kind, event.wait);
-                self.procs[to.index()] = Some(p);
+            EventKind::Deliver { from, msg, span } => {
+                let pending = tracing.then(|| {
+                    TraceEntry::delivery(
+                        self.recorder.trace.recycle(),
+                        now,
+                        from,
+                        to,
+                        span,
+                        &msg,
+                        wait,
+                    )
+                });
+                self.run_action(to, span, svc, pending, |p, ctx| {
+                    p.on_message(ctx, from, msg)
+                });
+            }
+            EventKind::Timer { token } => {
+                let pending = tracing.then(|| {
+                    TraceEntry::timer(self.recorder.trace.recycle(), now, to, token, wait)
+                });
+                self.run_action(to, None, svc, pending, |p, ctx| p.on_timer(ctx, token));
             }
             EventKind::Crash => {
                 self.down[to.index()] = true;
@@ -566,18 +543,15 @@ impl<P: Process> Simulation<P> {
                 // at the crash, drops still fire at the original times).
                 self.queue.cancel_for(to);
                 self.stats.faults_mut().crashes += 1;
-                self.trace
-                    .note(self.now, to, to, TraceEvent::Crash, "fault.crash", None);
+                self.recorder.crash(self.now, to);
             }
             EventKind::Restart => {
                 self.down[to.index()] = false;
                 // The new incarnation's node manager starts idle.
                 self.proc_busy[to.index()] = self.now;
                 self.stats.faults_mut().restarts += 1;
-                let pending = self
-                    .trace
-                    .enabled()
-                    .then(|| TraceEntry::restart(self.trace.recycle(), self.now, to));
+                let pending =
+                    tracing.then(|| TraceEntry::restart(self.recorder.trace.recycle(), now, to));
                 self.run_action(to, None, 0, pending, |p, ctx| p.on_restart(ctx));
             }
             EventKind::Tombstone { .. } => unreachable!("handled above"),
@@ -585,72 +559,13 @@ impl<P: Process> Simulation<P> {
         self.stats.observe_inflight(self.queue.len());
     }
 
-    /// Deliver the next event via [`Simulation::step`], then opportunistically
-    /// drain the same-tick burst behind it: while the heap's top is an
-    /// ordinary delivery or timer at the same instant to a zero-service
-    /// processor, fire it without returning to the driver loop, holding each
-    /// target process out of its slot across consecutive actions (one
-    /// dispatch per burst, not one per event). The batch path is taken only
-    /// when it is provably behavior-identical to single-stepping: no
-    /// scheduler (choice points must surface), no active faults (drop and
-    /// liveness checks must run), and it stops at any output (the driver
-    /// polls between steps), at the run limits, and at `bound` (a
-    /// `run_until`/`poll` horizon). Events still fire in exact `(at, seq)`
-    /// order — the burst only skips redundant loop overhead, never reorders.
-    ///
-    /// Returns `false` if the queue was empty.
-    fn step_burst(&mut self, bound: Option<SimTime>) -> bool {
-        if !self.step() {
-            return false;
-        }
-        if self.scheduler.is_some() || self.faults_active {
-            return true;
-        }
-        let at = self.now;
-        let mut held: Option<(ProcId, Box<P>)> = None;
-        loop {
-            if !self.outputs.is_empty()
-                || self.delivered >= self.max_events
-                || self.now > self.max_time
-                || bound.is_some_and(|u| self.now >= u)
-            {
-                break;
-            }
-            let Some(to) = self.queue.peek_plain_at(at) else {
-                break;
-            };
-            if self.service[to.index()] != 0 {
-                break;
-            }
-            if held.as_ref().map(|(h, _)| *h) != Some(to) {
-                if let Some((h, p)) = held.take() {
-                    self.procs[h.index()] = Some(p);
-                }
-                let p = self.procs[to.index()]
-                    .take()
-                    .expect("process is resident between events");
-                held = Some((to, p));
-            }
-            let event = self.queue.pop().expect("peeked event is pending");
-            self.now = event.at;
-            self.delivered += 1;
-            let (_, p) = held.as_mut().expect("held above");
-            self.fire(p, to, 0, event.kind, event.wait);
-            self.stats.observe_inflight(self.queue.len());
-        }
-        if let Some((h, p)) = held.take() {
-            self.procs[h.index()] = Some(p);
-        }
-        true
-    }
-
     /// Run until quiescence or a limit is hit.
     pub fn run(&mut self) -> RunOutcome {
         loop {
-            if let Some(outcome) = self.limit_exceeded() {
-                return outcome;
+            if self.limit_exceeded().is_some() {
+                return RunOutcome::EventLimit;
             }
-            if !self.step_burst(None) {
+            if !self.step() {
                 return RunOutcome::Quiescent;
             }
         }
@@ -685,14 +600,10 @@ impl<P: Process> Simulation<P> {
             if self.now >= until {
                 return RunOutcome::TimeLimit;
             }
-            if !self.step_burst(Some(until)) {
+            if !self.step() {
                 return RunOutcome::Quiescent;
             }
         }
-    }
-
-    fn with_proc(&mut self, id: ProcId, f: impl FnOnce(&mut P, &mut Context<'_, P::Msg>)) {
-        self.run_action(id, None, 0, None, f);
     }
 
     /// Per-processor service time after overrides (0 = infinitely fast).
@@ -700,70 +611,30 @@ impl<P: Process> Simulation<P> {
         self.service[id.index()]
     }
 
-    /// Run the action of a popped delivery or timer on `p` (held out of its
-    /// slot by the caller). Its trace entry is opened first — the handler
-    /// consumes the payload — and recorded by [`Simulation::run_action_on`].
-    #[inline]
-    fn fire(&mut self, p: &mut P, to: ProcId, svc: u64, kind: EventKind<P::Msg>, wait: u64) {
-        let (now, tracing) = (self.now, self.trace.enabled());
-        match kind {
-            EventKind::Deliver { from, msg, span } => {
-                let pending = tracing.then(|| {
-                    TraceEntry::delivery(self.trace.recycle(), now, from, to, span, &msg, wait)
-                });
-                self.run_action_on(p, to, span, svc, pending, |p, ctx| {
-                    p.on_message(ctx, from, msg)
-                });
-            }
-            EventKind::Timer { token } => {
-                let pending =
-                    tracing.then(|| TraceEntry::timer(self.trace.recycle(), now, to, token, wait));
-                self.run_action_on(p, to, None, svc, pending, |p, ctx| p.on_timer(ctx, token));
-            }
-            _ => unreachable!("only deliveries and timers are fired"),
-        }
-    }
-
     /// Execute one atomic action on `id`: run `f` with a [`Context`] whose
-    /// span is `span`, record the opened trace entry `pending` (with the
-    /// action's `Process::metrics` deltas), emit a time-series sample if
-    /// one is due, then apply the buffered effects — so the action's entry
-    /// lands in the trace *before* the entries its sends generate, keeping
-    /// the trace causally ordered. Effects depart at `now + service` (the
-    /// action's completion under the service-time model): a hop's service
-    /// delays everything downstream of it, which is what lets the profiler
-    /// decompose op latency exactly.
+    /// span is `span`, hand the recorder the opened trace entry `pending`
+    /// (with the action's `Process::metrics` deltas) and the time-series
+    /// sample if one is due, then apply the buffered effects — so the
+    /// action's entry lands in the trace *before* the entries its sends
+    /// generate, keeping the trace causally ordered. Effects depart at
+    /// `now + service` (the action's completion under the service-time
+    /// model): a hop's service delays everything downstream of it, which is
+    /// what lets the profiler decompose op latency exactly. The process is
+    /// out of its slot meanwhile; effects touch the queue, stats and
+    /// recorder, never the process table.
     fn run_action(
         &mut self,
         id: ProcId,
         span: Option<u64>,
         service: u64,
-        pending: Option<TraceEntry>,
+        mut pending: Option<TraceEntry>,
         f: impl FnOnce(&mut P, &mut Context<'_, P::Msg>),
     ) {
         let mut p = self.procs[id.index()]
             .take()
             .expect("process is resident between events");
-        self.run_action_on(&mut p, id, span, service, pending, f);
-        self.procs[id.index()] = Some(p);
-    }
-
-    /// [`Simulation::run_action`] with the process already taken out of its
-    /// slot — the batched path holds one process across a same-tick burst
-    /// and calls this once per event. Applying effects here is safe while
-    /// the process is out: effects touch the queue, stats, and trace, never
-    /// the process table.
-    fn run_action_on(
-        &mut self,
-        p: &mut P,
-        id: ProcId,
-        span: Option<u64>,
-        service: u64,
-        pending: Option<TraceEntry>,
-        f: impl FnOnce(&mut P, &mut Context<'_, P::Msg>),
-    ) {
         if pending.is_some() {
-            self.counters[id.index()].arm(p);
+            self.counters[id.index()].arm(&*p);
         }
         debug_assert!(self.effects_buf.is_empty());
         let mut effects = std::mem::take(&mut self.effects_buf);
@@ -775,36 +646,21 @@ impl<P: Process> Simulation<P> {
                 rng: &mut self.rng,
                 span,
             };
-            f(p, &mut ctx);
+            f(&mut p, &mut ctx);
         }
-        if let Some(mut entry) = pending {
-            self.counters[id.index()].diff_into(p, &mut entry.deltas);
-            self.trace.record(entry);
-        }
-        if self.sampler.due(id, self.now) {
-            let pairs = p.metrics();
-            let mut gauges = p.gauges(self.now);
-            // Runtime-level gauge: pending events across the whole cluster
-            // (simulator only — the threaded runtime has no global queue).
-            gauges.push(("rt.event_queue_depth", self.queue.len() as u64));
-            if let Some(mon) = &mut self.health {
-                for alert in mon.observe(self.now, id, &pairs, &gauges) {
-                    if let Some(e) =
-                        self.trace
-                            .note(self.now, id, id, TraceEvent::Alert, alert.rule, None)
-                    {
-                        e.set_detail(alert.detail());
-                    }
-                    self.alerts.push(alert);
-                }
+        let track = &mut self.counters[id.index()];
+        let due = track.due(self.now);
+        if due || pending.is_some() {
+            let mut sample = track.observe(&*p, id, self.now, pending.as_mut(), due);
+            if let Some(sample) = &mut sample {
+                // Runtime-level gauge: pending events across the whole cluster
+                // (simulator only — the threaded runtime has no global queue).
+                let depth = self.queue.len() as u64;
+                sample.gauges.push(("rt.event_queue_depth", depth));
             }
-            self.series.push(ProcSample {
-                at: self.now,
-                proc: id,
-                pairs,
-                gauges,
-            });
+            self.recorder.action(pending, sample);
         }
+        self.procs[id.index()] = Some(p);
         let depart = self.now + service;
         for effect in effects.drain(..) {
             self.apply_effect(id, span, depart, effect);
@@ -828,7 +684,7 @@ impl<P: Process> Simulation<P> {
                 if to.is_external() {
                     self.stats
                         .record_send(msg.kind(), src.index(), None, msg.size_hint(), false);
-                    self.trace.output(depart, src, span, &msg);
+                    self.recorder.trace.output(depart, src, span, &msg);
                     self.outputs.push((depart, src, msg));
                     return;
                 }
@@ -923,15 +779,13 @@ impl<P: Process> Simulation<P> {
                 event,
                 kind,
                 detail,
-            } => {
-                if let Some(e) = self.trace.note(depart, src, src, event, kind, action_span) {
-                    e.set_detail(detail);
-                }
-            }
+            } => self
+                .recorder
+                .mark(depart, src, event, kind, action_span, detail),
         }
     }
 
-    /// Record a fault-injection trace entry (drop, duplicate) at send time.
+    /// Record a fault injected at send time (drop, duplicate).
     #[allow(clippy::too_many_arguments)]
     fn record_fault(
         &mut self,
@@ -943,10 +797,9 @@ impl<P: Process> Simulation<P> {
         event: TraceEvent,
         flavor: &'static str,
     ) {
-        if let Some(e) = self.trace.note(at, from, to, event, msg.kind(), span) {
-            e.redelivery = msg.redelivery();
-            e.set_detail(flavor);
-        }
+        let (kind, redelivery) = (msg.kind(), msg.redelivery());
+        self.recorder
+            .fault(at, from, to, event, flavor, kind, span, redelivery, 0);
     }
 }
 
@@ -954,18 +807,6 @@ impl<P: Process> Simulation<P> {
 /// it cannot arrive before the original's channel watermark.
 fn dup_at(now: SimTime, latency: u64, watermark: SimTime) -> SimTime {
     (now + latency).max(watermark)
-}
-
-impl<P: Process> Simulation<P> {
-    /// The [`QuiesceError`] equivalent of a tripped limit, with counters.
-    fn limit_error(&self, outcome: RunOutcome) -> QuiesceError {
-        match outcome {
-            RunOutcome::EventLimit => QuiesceError::EventLimit {
-                delivered: self.delivered,
-            },
-            _ => QuiesceError::TimeLimit { now: self.now },
-        }
-    }
 }
 
 impl<P: Process> Runtime for Simulation<P> {
@@ -988,13 +829,13 @@ impl<P: Process> Runtime for Simulation<P> {
             if !self.outputs.is_empty() {
                 return Poll::Outputs;
             }
-            if let Some(outcome) = self.limit_exceeded() {
-                return Poll::Limit(self.limit_error(outcome));
+            if let Some(limit) = self.limit_exceeded() {
+                return Poll::Limit(limit);
             }
             match deadline {
                 Some(d) => match self.next_event_at() {
                     Some(at) if at < d => {
-                        self.step_burst(Some(d));
+                        self.step();
                     }
                     _ => {
                         self.advance_to(d);
@@ -1002,7 +843,7 @@ impl<P: Process> Runtime for Simulation<P> {
                     }
                 },
                 None => {
-                    if !self.step_burst(None) {
+                    if !self.step() {
                         return Poll::Quiescent;
                     }
                 }
@@ -1012,10 +853,10 @@ impl<P: Process> Runtime for Simulation<P> {
 
     fn settle(&mut self) -> Result<(), QuiesceError> {
         loop {
-            if let Some(outcome) = self.limit_exceeded() {
-                return Err(self.limit_error(outcome));
+            if let Some(limit) = self.limit_exceeded() {
+                return Err(limit);
             }
-            if !self.step_burst(None) {
+            if !self.step() {
                 return Ok(());
             }
         }

@@ -24,7 +24,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -33,13 +33,12 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use crate::context::Effect;
-use crate::health::{Alert, HealthMonitor};
 use crate::inbox::Inbox;
 pub use crate::inbox::InboxStats;
-use crate::obs::{CounterTrack, Sampler};
+use crate::obs::{CounterTrack, Recorder};
 use crate::runtime::{Poll, QuiesceError, Runtime};
 use crate::trace::{TraceEntry, TraceEvent};
-use crate::{Context, Obs, ObsConfig, Payload, ProcId, ProcSample, Process, SimTime, Trace};
+use crate::{Context, Obs, ObsConfig, Payload, ProcId, Process, SimTime};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -73,21 +72,16 @@ enum Envelope<M> {
     Shutdown,
 }
 
-/// Shared observability state: every worker records into the same trace and
-/// series under one mutex, so the lock-acquisition order *is* the global
-/// `seq` order — the trace is a linearization of what actually interleaved.
-struct ObsState {
-    trace: Trace,
-    series: Vec<ProcSample>,
-    sampler: Sampler,
-    /// Online watchdogs (`None` unless enabled) and their fired alerts,
-    /// evaluated under the same lock as the sampler so alert order agrees
-    /// with sample order.
-    health: Option<HealthMonitor>,
-    alerts: Vec<Alert>,
-}
+/// Every worker records into the same [`Recorder`] under one mutex, so the
+/// lock-acquisition order *is* the global `seq` order — the trace is a
+/// linearization of what actually interleaved. `None` when observability is
+/// off.
+type SharedObs = Option<Arc<Mutex<Recorder>>>;
 
-type SharedObs = Option<Arc<Mutex<ObsState>>>;
+/// The shared recorder, locked.
+fn lock(obs: &SharedObs) -> Option<MutexGuard<'_, Recorder>> {
+    obs.as_ref().map(|o| o.lock().expect("obs lock"))
+}
 
 /// What worker threads emit on the shared output channel.
 enum Output<M> {
@@ -231,20 +225,11 @@ where
     pub fn spawn_with(procs: Vec<P>, obs_cfg: ObsConfig) -> Self {
         let n = procs.len();
         let epoch = Instant::now();
-        let obs: SharedObs =
-            (obs_cfg.trace_capacity > 0 || obs_cfg.sample_interval > 0).then(|| {
-                Arc::new(Mutex::new(ObsState {
-                    trace: Trace::with_capacity(obs_cfg.trace_capacity),
-                    series: Vec::new(),
-                    sampler: Sampler::new(obs_cfg.sample_interval, n),
-                    health: obs_cfg
-                        .health
-                        .enabled
-                        .then(|| HealthMonitor::new(obs_cfg.health, n)),
-                    alerts: Vec::new(),
-                }))
-            });
         let tracing = obs_cfg.trace_capacity > 0;
+        let obs: SharedObs = (tracing || obs_cfg.sample_interval > 0).then(|| {
+            let recorder = Recorder::new(obs_cfg.trace_capacity, obs_cfg.health, n);
+            Arc::new(Mutex::new(recorder))
+        });
         let outputs = Arc::new(Inbox::new());
         let peers: Peers<P::Msg> = (0..n).map(|_| Inbox::new()).collect();
         let actions = Arc::new(AtomicU64::new(0));
@@ -273,7 +258,7 @@ where
                 pending_timers: Arc::clone(&pending_timers),
                 obs: obs.clone(),
                 tracing,
-                counters: CounterTrack::default(),
+                counters: CounterTrack::new(obs_cfg.sample_interval),
                 spare: None,
             };
             let handle = thread::Builder::new()
@@ -346,17 +331,7 @@ where
     /// Take the observability data recorded so far (empty when the cluster
     /// was spawned without an [`ObsConfig`]), leaving fresh buffers.
     pub fn take_obs(&mut self) -> Obs {
-        match &self.obs {
-            None => Obs::default(),
-            Some(o) => {
-                let mut st = o.lock().expect("obs lock");
-                Obs {
-                    trace: st.trace.take(),
-                    series: std::mem::take(&mut st.series),
-                    alerts: std::mem::take(&mut st.alerts),
-                }
-            }
-        }
+        lock(&self.obs).map_or_else(Obs::default, |mut rec| rec.take())
     }
 
     /// How often the cluster's queues — every worker's inbox and the shared
@@ -559,8 +534,9 @@ struct Worker<P: Process> {
     obs: SharedObs,
     /// `obs` holds a trace, so actions open entries.
     tracing: bool,
-    /// Counter snapshots behind action deltas and samples (while `obs` is
-    /// on). Taken on this thread, never under the obs lock.
+    /// What the recorder needs off this process — counter snapshots behind
+    /// action deltas and samples, and when a sample is due. Read on this
+    /// thread, never under the obs lock.
     counters: CounterTrack,
     /// The trace's last evicted entry, picked up while the lock was held:
     /// the next entry is built on its allocations, outside the lock.
@@ -596,29 +572,22 @@ impl<P: Process> Worker<P> {
                         queued,
                     } => {
                         let at = self.now();
+                        // Time spent queued, in the inbox and then in the
+                        // batch behind the actions ahead of it.
+                        let wait = queued.map_or(0, |q| at - q);
                         if down {
-                            if let Some(o) = &self.obs {
-                                let mut st = o.lock().expect("obs lock");
-                                if let Some(e) = st.trace.note(
-                                    at,
-                                    from,
-                                    self.me,
-                                    TraceEvent::Drop,
-                                    msg.kind(),
-                                    span,
-                                ) {
-                                    e.redelivery = msg.redelivery();
-                                    e.set_detail("crash");
-                                }
+                            if let Some(mut rec) = lock(&self.obs) {
+                                let (kind, redelivery) = (msg.kind(), msg.redelivery());
+                                let (drop, to) = (TraceEvent::Drop, self.me);
+                                rec.fault(
+                                    at, from, to, drop, "crash", kind, span, redelivery, wait,
+                                );
                             }
                             continue;
                         }
                         // Open the entry before the payload moves into the
                         // handler.
                         let pending = self.tracing.then(|| {
-                            // Time spent queued, in the inbox and then in the
-                            // batch behind the actions ahead of it.
-                            let wait = queued.map_or(0, |q| at - q);
                             TraceEntry::delivery(
                                 self.spare.take(),
                                 at,
@@ -646,11 +615,8 @@ impl<P: Process> Worker<P> {
                     }
                     Envelope::Crash => {
                         down = true;
-                        if let Some(o) = &self.obs {
-                            let mut st = o.lock().expect("obs lock");
-                            let (at, me) = (self.now(), self.me);
-                            st.trace
-                                .note(at, me, me, TraceEvent::Crash, "fault.crash", None);
+                        if let Some(mut rec) = lock(&self.obs) {
+                            rec.crash(self.now(), self.me);
                         }
                     }
                     Envelope::Restart => {
@@ -689,67 +655,33 @@ impl<P: Process> Worker<P> {
     }
 
     /// One atomic action: run the handler, record it (its opened trace
-    /// entry `pending`, a sample if due), send what it sent, count it.
+    /// entry `pending`, a sample if due), send what it sent, count it. The
+    /// process is read before the lock is taken — and only if the action is
+    /// traced or sampled; one acquisition covers entry and sample, so entry
+    /// `seq` and sample order agree.
     fn act(
         &mut self,
         at: SimTime,
         span: Option<u64>,
-        pending: Option<TraceEntry>,
+        mut pending: Option<TraceEntry>,
         f: impl FnOnce(&mut P, &mut Context<'_, P::Msg>),
     ) {
-        if self.obs.is_some() {
+        if pending.is_some() {
             self.counters.arm(&self.proc);
         }
         self.dispatch(at, span, f);
-        self.observe(at, pending);
+        let due = self.counters.due(at);
+        if due || pending.is_some() {
+            let entry = pending.as_mut();
+            let sample = self.counters.observe(&self.proc, self.me, at, entry, due);
+            let mut rec = lock(&self.obs).expect("traced or sampled implies a recorder");
+            rec.action(pending, sample);
+            self.spare = rec.trace.recycle();
+        }
         self.flush(at, span);
         // Count the action only after its sends are enqueued: the probe
         // barrier relies on "counted implies visible".
         self.actions.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Record one executed action into the shared trace (with its counter
-    /// deltas) and emit a time-series sample if one is due. The counters are
-    /// read before the lock is taken; one acquisition covers entry and
-    /// sample, so entry `seq` and sample order agree.
-    fn observe(&mut self, at: SimTime, mut pending: Option<TraceEntry>) {
-        let Some(obs) = &self.obs else {
-            return;
-        };
-        match &mut pending {
-            Some(entry) => self.counters.diff_into(&self.proc, &mut entry.deltas),
-            None => self.counters.refresh(&self.proc),
-        }
-        let me = self.me;
-        let mut st = obs.lock().expect("obs lock");
-        // Reborrow through the guard so the health/trace/alerts fields can
-        // be borrowed disjointly below.
-        let st = &mut *st;
-        if let Some(entry) = pending {
-            st.trace.record(entry);
-        }
-        if st.sampler.due(me, at) {
-            let pairs = self.counters.last();
-            let gauges = self.proc.gauges(at);
-            if let Some(mon) = &mut st.health {
-                for alert in mon.observe(at, me, pairs, &gauges) {
-                    if let Some(e) = st
-                        .trace
-                        .note(at, me, me, TraceEvent::Alert, alert.rule, None)
-                    {
-                        e.set_detail(alert.detail());
-                    }
-                    st.alerts.push(alert);
-                }
-            }
-            st.series.push(ProcSample {
-                at,
-                proc: me,
-                pairs: pairs.to_vec(),
-                gauges,
-            });
-        }
-        self.spare = st.trace.recycle();
     }
 
     /// Apply the effects the last handler buffered.
@@ -762,9 +694,8 @@ impl<P: Process> Worker<P> {
                     // payload's own span wins, else the sending action's.
                     let span = msg.span().or(action_span);
                     if to.is_external() {
-                        if let Some(o) = &self.obs {
-                            let mut st = o.lock().expect("obs lock");
-                            st.trace.output(at, me, span, &msg);
+                        if let Some(mut rec) = lock(&self.obs) {
+                            rec.trace.output(at, me, span, &msg);
                         }
                         self.out.send(Output::At(at, me, msg));
                     } else {
@@ -795,11 +726,8 @@ impl<P: Process> Worker<P> {
                     kind,
                     detail,
                 } => {
-                    if let Some(o) = &self.obs {
-                        let mut st = o.lock().expect("obs lock");
-                        if let Some(e) = st.trace.note(at, me, me, event, kind, action_span) {
-                            e.set_detail(detail);
-                        }
+                    if let Some(mut rec) = lock(&self.obs) {
+                        rec.mark(at, me, event, kind, action_span, detail);
                     }
                 }
             }

@@ -25,7 +25,7 @@ use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::{self, Write as _};
 
-use crate::json::{pairs_into, Escaped};
+use crate::json::{opt_into, pairs_into, Escaped};
 use crate::{Payload, ProcId, SimTime};
 
 /// What a trace entry records.
@@ -288,10 +288,7 @@ impl TraceEntry {
             self.event.as_str(),
             self.kind,
         );
-        let _ = match self.span {
-            Some(sp) => write!(out, "{sp}"),
-            None => out.write_str("null"),
-        };
+        opt_into(out, self.span);
         let _ = write!(
             out,
             ",\"redelivery\":{},\"wait\":{},\"detail\":\"",

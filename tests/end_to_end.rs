@@ -159,8 +159,8 @@ fn searches_linearize_with_completed_inserts() {
 
 #[test]
 fn workload_trace_replay_is_reproducible() {
-    // The workload crate's trace + the simulator's determinism compose:
-    // replaying the same trace yields the identical execution.
+    // The workload crate's op batch + the simulator's determinism compose:
+    // replaying the same ops yields the identical execution.
     let mut gen = WorkloadGen::new(
         KeyDist::Uniform { n: 500 },
         Mix {
@@ -170,13 +170,12 @@ fn workload_trace_replay_is_reproducible() {
         3,
         8,
     );
-    let trace = workload::Trace::new("replay-test", gen.batch(300));
+    let trace = gen.batch(300);
 
-    let run = |trace: &workload::Trace| {
+    let run = |trace: &[workload::Op]| {
         let spec = BuildSpec::new((0..50).map(|k| k * 11).collect(), 3, TreeConfig::default());
         let mut cluster = DbCluster::build(&spec, SimConfig::seeded(21));
         let ops: Vec<ClientOp> = trace
-            .ops
             .iter()
             .map(|op| ClientOp {
                 origin: ProcId(op.origin),

@@ -13,7 +13,11 @@
 use std::collections::BTreeMap;
 
 use dbtree::{DbCluster, ThreadedDbCluster};
-use simnet::{ObsConfig, SessionConfig, SimConfig};
+use simnet::threaded::Cluster;
+use simnet::{
+    CrashEvent, FaultPlan, HealthConfig, ObsConfig, ProcId, SessionConfig, SimConfig, SimTime,
+    Simulation, TraceEvent,
+};
 // Deployment and burst are shared with the explorer's perturbed-schedule
 // suite via `testkit`, so both suites reconstruct the very same operations.
 use testkit::{split_burst_ops as ops, split_burst_spec as spec, TRACE_CAP, TRACE_SEED};
@@ -126,4 +130,136 @@ fn hop_chains_identical_across_runtimes() {
             .any(|chain| chain.iter().any(|(_, kind, _, _)| kind == "insert.relay")),
         "no span carried its relays"
     );
+}
+
+// ---------------------------------------------------------------------------
+// The entries that are not actions — a crash marker, a crash-drop, an output,
+// a watchdog alert — come from one recorder on both runtimes; below the tree
+// protocols, a two-processor relay produces one of each on either substrate.
+// ---------------------------------------------------------------------------
+
+#[derive(Clone, Debug)]
+enum Note {
+    Ask(u64),
+    Fwd(u64),
+    Echo(u64),
+}
+
+impl simnet::Payload for Note {
+    fn kind(&self) -> &'static str {
+        match self {
+            Note::Ask(_) => "ask",
+            Note::Fwd(_) => "fwd",
+            Note::Echo(_) => "echo",
+        }
+    }
+    fn span(&self) -> Option<u64> {
+        let (Note::Ask(n) | Note::Fwd(n) | Note::Echo(n)) = self;
+        Some(*n)
+    }
+}
+
+/// Answers a client's `Ask` with an `Echo` and forwards it to P1 — which
+/// the test has crashed. Once it has seen a message it reports a parked
+/// write far past the watchdog's bound.
+struct Relay {
+    seen: u64,
+}
+
+impl simnet::Process for Relay {
+    type Msg = Note;
+    fn on_message(&mut self, ctx: &mut simnet::Context<'_, Note>, _from: ProcId, msg: Note) {
+        self.seen += 1;
+        if let Note::Ask(n) = msg {
+            ctx.send(ProcId::EXTERNAL, Note::Echo(n));
+            ctx.send(ProcId(1), Note::Fwd(n));
+        }
+    }
+    fn metrics(&self) -> Vec<(&'static str, u64)> {
+        vec![("seen", self.seen)]
+    }
+    fn gauges(&self, _now: SimTime) -> Vec<(&'static str, u64)> {
+        vec![("proc.parked_dwell", 10_000 * self.seen.min(1))]
+    }
+}
+
+/// Every field of the entries that are not actions, times aside (`seq`,
+/// `at`, `wait` belong to the substrate), sorted: the crash marker is
+/// recorded by the crashed worker's own thread, whenever it gets there.
+fn non_action_entries(obs: &simnet::Obs) -> Vec<String> {
+    let mut entries: Vec<String> = obs
+        .trace
+        .iter()
+        .filter(|e| !matches!(e.event, TraceEvent::Deliver | TraceEvent::Timer))
+        .map(|e| {
+            format!(
+                "{} {} {}->{} span={:?} redelivery={} detail={:?} deltas={:?}",
+                e.event.as_str(),
+                e.kind,
+                e.from,
+                e.to,
+                e.span,
+                e.redelivery,
+                e.detail(),
+                e.deltas
+            )
+        })
+        .collect();
+    entries.sort_unstable();
+    entries
+}
+
+#[test]
+fn crash_drop_output_and_alert_entries_identical_across_runtimes() {
+    let relays = || vec![Relay { seen: 0 }, Relay { seen: 0 }];
+    let health = HealthConfig::watchdogs();
+
+    let crash = CrashEvent {
+        proc: ProcId(1),
+        at: SimTime(1),
+        restart_at: None,
+    };
+    let mut sim = Simulation::new(
+        SimConfig {
+            trace_capacity: TRACE_CAP,
+            sample_interval: 1,
+            health,
+            faults: FaultPlan::none().with_crash(crash),
+            ..SimConfig::seeded(TRACE_SEED)
+        },
+        relays(),
+    );
+    sim.inject_at(SimTime(5), ProcId(0), Note::Ask(7));
+    sim.run();
+    let sim_obs = sim.take_obs();
+
+    let obs_cfg = ObsConfig {
+        trace_capacity: TRACE_CAP,
+        sample_interval: 1,
+        health,
+    };
+    let mut thr = Cluster::spawn_with(relays(), obs_cfg);
+    // The crash is in P1's queue before the `Ask` that makes P0 send to it
+    // is even injected.
+    thr.crash(ProcId(1));
+    thr.inject(ProcId(0), Note::Ask(7));
+    simnet::Runtime::settle(&mut thr).expect("settles");
+    let thr_obs = thr.take_obs();
+    thr.shutdown();
+
+    let expected = [
+        "alert parked_write_stall P0->P0 span=None redelivery=false \
+         detail=\"rule=parked_write_stall value=10000 threshold=5000 windows=1\" deltas=[]",
+        "crash fault.crash P1->P1 span=None redelivery=false detail=\"\" deltas=[]",
+        "drop fwd P0->P1 span=Some(7) redelivery=false detail=\"crash\" deltas=[]",
+        "output echo P0->P(ext) span=Some(7) redelivery=false detail=\"Echo(7)\" deltas=[]",
+    ];
+    assert_eq!(non_action_entries(&sim_obs), expected);
+    assert_eq!(non_action_entries(&thr_obs), expected);
+    // The alert stream agrees with the trace on both: one alert, same
+    // verdict, at whatever time each substrate's clock read.
+    let verdicts =
+        |obs: &simnet::Obs| -> Vec<String> { obs.alerts.iter().map(|a| a.detail()).collect() };
+    assert_eq!(verdicts(&sim_obs), verdicts(&thr_obs));
+    assert_eq!(sim_obs.alerts.len(), 1);
 }
