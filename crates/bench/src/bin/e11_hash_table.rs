@@ -42,7 +42,6 @@ fn main() {
             cfg: HashConfig {
                 capacity: 8,
                 protocol,
-                spread_images: true,
                 record_history: true,
             },
         };

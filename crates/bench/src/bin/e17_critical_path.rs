@@ -24,10 +24,9 @@ use std::fs;
 use std::path::Path;
 
 use bench::report::{note, section, Table};
-use bench::suite::{
-    run_cell, BenchReport, CellSpec, DriveMode, Network, Proto, RuntimeKind, Structure,
-};
+use bench::suite::{rows, run_cell, BenchReport, CellSpec, DriveMode, Network, Proto, Structure};
 use bench::{f1, f2};
+use obs::Json;
 use simnet::ProcId;
 use workload::Mix;
 
@@ -37,7 +36,6 @@ fn cell(id: &'static str, protocol: Proto) -> CellSpec {
     CellSpec {
         id,
         structure: Structure::Blink,
-        runtime: RuntimeKind::Sim,
         drive: DriveMode::Closed(6),
         network: Network::Clean,
         protocol,
@@ -73,6 +71,12 @@ fn weight_by_proc(folded: &str) -> BTreeMap<String, u64> {
     out
 }
 
+/// A field of a `BENCH.json` row.
+fn field<'a>(row: &'a Json, name: &str) -> &'a Json {
+    row.get(name)
+        .unwrap_or_else(|| panic!("BENCH.json row lacks {name:?}"))
+}
+
 fn main() {
     section(
         "E17",
@@ -104,9 +108,10 @@ fn main() {
     fs::write(dir.join("BENCH.json"), report.to_json()).expect("write BENCH.json");
 
     // Phase 2: the analysis consumes only the written artifacts.
-    let report =
-        BenchReport::parse(&fs::read_to_string(dir.join("BENCH.json")).expect("read BENCH.json"))
-            .expect("parse BENCH.json");
+    let cells = rows(&fs::read_to_string(dir.join("BENCH.json")).expect("read BENCH.json"))
+        .expect("parse BENCH.json");
+    let text = |c: &Json, name: &str| field(c, name).as_str().expect("a label").to_string();
+    let num = |c: &Json, name: &str| field(c, name).as_f64().expect("a number");
 
     let mut table = Table::new(&[
         "protocol",
@@ -118,16 +123,16 @@ fn main() {
         "stall",
         "off-path acts/op",
     ]);
-    for c in &report.cells {
+    for c in &cells {
         table.row(&[
-            c.protocol.clone(),
-            f1(c.lat_mean),
-            c.lat_p99.to_string(),
-            f2(c.seg_queueing),
-            f2(c.seg_transit),
-            f2(c.seg_service),
-            f2(c.seg_stall),
-            f2(c.offpath_per_op),
+            text(c, "protocol"),
+            f1(num(c, "lat_mean")),
+            field(c, "lat_p99").as_u64().expect("ticks").to_string(),
+            f2(num(c, "seg_queueing")),
+            f2(num(c, "seg_transit")),
+            f2(num(c, "seg_service")),
+            f2(num(c, "seg_stall")),
+            f2(num(c, "offpath_per_op")),
         ]);
     }
     table.print();
@@ -135,14 +140,15 @@ fn main() {
     // Where does the queueing happen? The waits export attributes every
     // queued tick to the processor whose node manager was busy.
     let mut table = Table::new(&["cell", "proc", "queued ticks", "share"]);
-    for c in &report.cells {
-        let folded = fs::read_to_string(dir.join(format!("{}.waits.folded", c.id)))
-            .expect("read waits.folded");
+    for c in &cells {
+        let id = text(c, "id");
+        let folded =
+            fs::read_to_string(dir.join(format!("{id}.waits.folded"))).expect("read waits.folded");
         let by_proc = weight_by_proc(&folded);
         let total: u64 = by_proc.values().sum::<u64>().max(1);
         for (proc, w) in &by_proc {
             table.row(&[
-                c.id.clone(),
+                id.clone(),
                 proc.clone(),
                 w.to_string(),
                 format!("{:.0}%", 100.0 * *w as f64 / total as f64),
@@ -151,17 +157,14 @@ fn main() {
         let slow_share = *by_proc.get("P3").unwrap_or(&0) as f64 / total as f64;
         assert!(
             slow_share > 0.5,
-            "{}: the degraded processor should dominate queueing (got {:.0}%)",
-            c.id,
+            "{id}: the degraded processor should dominate queueing (got {:.0}%)",
             100.0 * slow_share
         );
     }
     table.print();
 
-    let semi = &report.cells[0];
-    let avail = &report.cells[1];
     assert!(
-        avail.lat_mean > semi.lat_mean,
+        num(&cells[1], "lat_mean") > num(&cells[0], "lat_mean"),
         "available-copies must import the straggler's latency"
     );
     note("both protocols queue almost exclusively at P3 (the degraded node manager) —");

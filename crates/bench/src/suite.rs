@@ -1,29 +1,30 @@
-//! The continuous benchmark suite: a pinned matrix of workload cells run
-//! through the shared [`Driver`](simnet::Driver)/[`Runtime`](simnet::Runtime)
-//! abstraction, exported as a schema-pinned `BENCH.json`, and diffed against
-//! a committed baseline with per-metric tolerances (the regression gate).
+//! The benchmark suite: ten pinned workload cells on the deterministic
+//! simulator, exported as a schema-pinned `BENCH.json` and compared
+//! *exactly* with the committed `BENCH_BASELINE.json`.
 //!
-//! A *cell* is one (structure × runtime × drive mode × network) combination
-//! with fixed seeds and sizes. Simulator cells are bit-deterministic: an
-//! identical binary re-running an identical cell produces an identical
-//! `CellResult`, so any drift is a real code change. Threaded cells time
-//! against the wall clock and are recorded but never gated
-//! (`deterministic: false`).
+//! A *cell* is one (structure × drive mode × network) combination with fixed
+//! seeds and sizes. Every number in its row is counted in virtual ticks,
+//! messages or events, so any build of the same source — release or debug —
+//! reproduces the row byte for byte, and a differing byte is a code change.
+//! Nothing here reads a clock: numbers with one in them belong to the ledger
+//! in `perf/` (and to E14 / E19).
 //!
-//! The JSON is hand-rolled (the vendored `serde` is a no-op stub): the
-//! writer emits one flat object per cell, one cell per line, and the parser
-//! reads exactly that shape back. The field set and encodings are frozen by
-//! the golden-file test in `tests/suite.rs` — extending the schema is fine,
-//! but do it deliberately and update the golden file in the same commit.
+//! The row's field names live in the [`CellResult`] struct and in its one
+//! ordered writer list, [`CellResult::fields`]. A document is read back
+//! through [`obs::Json`] ([`rows`]), and [`diff`] compares two documents
+//! member by member without naming a field. The field set, order and
+//! encodings are frozen by the golden-file test in `tests/suite.rs` —
+//! extend the schema deliberately, golden file in the same commit.
 
-use dbtree::{BuildSpec, DbCluster, DbSubmission, Key, ScanRecord, ThreadedDbCluster, TreeConfig};
-use dhash::{
-    DirProtocol, HKind, HashCluster, HashConfig, HashOp, HashSpec, HashStats, ThreadedHashCluster,
-};
+use std::fmt::Write as _;
+
+use dbtree::{BuildSpec, DbCluster, DbSubmission, Key, ScanRecord, TreeConfig};
+use dhash::{DirProtocol, HKind, HashCluster, HashConfig, HashOp, HashSpec};
+use obs::Json;
 use simnet::driver::{DriverStats, OpOutcome, OpRecord};
 use simnet::{
-    folded_waits, CrashEvent, DetectorConfig, FaultPlan, OpenLoopCfg, ProcId, Profiler,
-    QuiesceError, Release, RetryPolicy, ServiceTimes, SessionConfig, SimConfig, SimTime,
+    folded_waits, CrashEvent, DetectorConfig, FaultPlan, NetStats, OpenLoopCfg, ProcId, Process,
+    Profiler, Release, RetryPolicy, ServiceTimes, SessionConfig, SimConfig, SimTime, Simulation,
 };
 use workload::{KeyDist, Mix, Op, OpKind, WorkloadGen};
 
@@ -43,24 +44,6 @@ impl Structure {
         match self {
             Structure::Blink => "blink",
             Structure::Dhash => "dhash",
-        }
-    }
-}
-
-/// Which runtime substrate drives the cell.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RuntimeKind {
-    /// Deterministic discrete-event simulator (virtual ticks).
-    Sim,
-    /// OS threads and crossbeam channels (wall-clock microseconds).
-    Threaded,
-}
-
-impl RuntimeKind {
-    fn label(self) -> &'static str {
-        match self {
-            RuntimeKind::Sim => "sim",
-            RuntimeKind::Threaded => "threaded",
         }
     }
 }
@@ -96,12 +79,12 @@ pub enum Network {
     /// The paper's reliable FIFO network.
     Clean,
     /// 3% message loss + 1% duplication; the session layer makes delivery
-    /// reliable again, at the cost of retransmissions (sim only).
+    /// reliable again, at the cost of retransmissions.
     Faulty,
     /// 2% loss plus a mid-run crash of one processor (restarted later),
     /// with the failure detector and the client retry layer enabled — the
     /// cost of a full self-healing cycle: suspicion, quarantine, redirected
-    /// retries, rejoin, anti-entropy catch-up (sim only).
+    /// retries, rejoin, anti-entropy catch-up.
     Chaos,
 }
 
@@ -122,16 +105,6 @@ const CHAOS_CRASH: CrashEvent = CrashEvent {
     at: SimTime(150),
     restart_at: Some(SimTime(1_200)),
 };
-
-/// Retry policy for chaos cells: deadlines short enough that operations
-/// stuck on the dead processor redirect during the outage.
-fn chaos_retry() -> RetryPolicy {
-    RetryPolicy {
-        enabled: true,
-        deadline: 600,
-        ..RetryPolicy::default()
-    }
-}
 
 /// The replica-maintenance protocol under test, across both structures.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -182,8 +155,6 @@ pub struct CellSpec {
     pub id: &'static str,
     /// Search structure.
     pub structure: Structure,
-    /// Runtime substrate.
-    pub runtime: RuntimeKind,
     /// Injection mode.
     pub drive: DriveMode,
     /// Network conditions.
@@ -201,7 +172,7 @@ pub struct CellSpec {
     /// Replication factor (dB-tree); the hash directory always has
     /// `n_procs` copies.
     pub copies: usize,
-    /// Per-action service time (ticks; sim only).
+    /// Per-action service time (ticks).
     pub service_time: u64,
     /// One processor's service-time override (a degraded node manager).
     pub service_override: Option<(ProcId, u64)>,
@@ -222,7 +193,7 @@ pub struct CellSpec {
     /// cells still run with this off — not for its cost any more (recording
     /// keeps raw values and renders only at export: DESIGN, "Observability")
     /// but because switching it on moves their baseline rows, which is its
-    /// own change (ROADMAP item 5).
+    /// own change (ROADMAP item 7).
     pub profile: bool,
 }
 
@@ -233,32 +204,27 @@ pub struct CellOutput {
     /// The measured row.
     pub result: CellResult,
     /// Latency-weighted critical-path chains (`proc.kind;... ticks`);
-    /// empty for unprofiled (threaded) cells.
+    /// empty for unprofiled cells.
     pub folded_paths: String,
     /// Wait-tick-weighted trace entries (`proc;event;kind ticks`); empty
     /// for unprofiled cells.
     pub folded_waits: String,
 }
 
-/// One measured cell — the unit of `BENCH.json` and of the regression
-/// gate. All fields are flat scalars so the hand-rolled JSON stays trivial.
+/// One measured cell — the unit of `BENCH.json` and of the gate. All fields
+/// are flat scalars; [`CellResult::fields`] is their one ordered list.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CellResult {
     /// Cell identifier (join key against the baseline).
-    pub id: String,
+    pub id: &'static str,
     /// Structure label (`blink` / `dhash`).
-    pub structure: String,
-    /// Runtime label (`sim` / `threaded`).
-    pub runtime: String,
+    pub structure: &'static str,
     /// Drive label (`closed` / `open`).
-    pub drive: String,
-    /// Network label (`clean` / `faulty`).
-    pub network: String,
+    pub drive: &'static str,
+    /// Network label (`clean` / `faulty` / `chaos`).
+    pub network: &'static str,
     /// Protocol label.
-    pub protocol: String,
-    /// `true` iff re-running the identical binary reproduces this row
-    /// bit-for-bit; only deterministic cells are gated.
-    pub deterministic: bool,
+    pub protocol: &'static str,
     /// Cluster size.
     pub n_procs: u64,
     /// Operations injected.
@@ -281,13 +247,12 @@ pub struct CellResult {
     pub lat_max: u64,
     /// Mean navigation hops per op.
     pub hops_mean: f64,
-    /// Total network messages during the drive (0 for threaded cells —
-    /// the thread substrate has no message counters).
+    /// Total network messages during the drive.
     pub msgs_total: u64,
     /// Messages per completed op.
     pub msgs_per_op: f64,
     /// Inter-processor messages per completed op — the cost the paper
-    /// states. Gated on its own, so it cannot hide behind hand-offs.
+    /// states, pinned on its own so it cannot hide behind hand-offs.
     pub remote_msgs_per_op: f64,
     /// Hand-offs to self per completed op (`msgs_per_op` minus the remote
     /// share): sends a processor addressed to itself through the queue.
@@ -305,9 +270,9 @@ pub struct CellResult {
     /// Merge-at-empty commits during the drive (0 when merges are off or
     /// the structure has none).
     pub merges: u64,
-    /// Node copies live across the cluster when the drive quiesces. Gated
-    /// higher-is-worse: under delete churn this is the reclamation bound —
-    /// a leak of retired nodes shows up as growth here.
+    /// Node copies live across the cluster when the drive quiesces. Under
+    /// delete churn this is the reclamation bound — a leak of retired nodes
+    /// shows up as growth here.
     pub live_nodes: u64,
     /// Critical-path share of latency spent queueing behind busy node
     /// managers.
@@ -327,30 +292,20 @@ pub struct CellResult {
     pub prof_skipped: u64,
     /// Profiled ops whose segments do not telescope exactly.
     pub prof_inexact: u64,
-    /// Simulator events delivered during the drive (deterministic; gated —
-    /// an event-count blowup is a protocol or simulator regression).
+    /// Simulator events delivered during the drive — an event-count blowup
+    /// is a protocol or simulator regression.
     pub events_total: u64,
-    /// Wall-clock simulator throughput: events delivered per second of
-    /// host time. Informational only: never gated, and masked out of the
-    /// byte-determinism comparisons (it is the one wall-clock field a sim
-    /// cell carries).
-    pub events_per_sec: f64,
 }
 
 const KEY_SPACE: u64 = 20_000;
 const TRACE_CAP: usize = 1 << 16;
 
-/// The pinned cell matrix. `smoke` selects the reduced CI variant:
-/// simulator cells only (bit-deterministic, so tolerances can be tight on
-/// a noisy runner) with smaller op counts. The committed
-/// `BENCH_BASELINE.json` is the smoke matrix; full-matrix baselines are
-/// regenerated locally with `--update-baseline`.
-pub fn matrix(smoke: bool) -> Vec<CellSpec> {
-    let n = |full: usize, small: usize| if smoke { small } else { full };
+/// The pinned cell matrix: the ten cells `BENCH_BASELINE.json` holds, at the
+/// sizes it holds them.
+pub fn matrix() -> Vec<CellSpec> {
     let blink = CellSpec {
         id: "",
         structure: Structure::Blink,
-        runtime: RuntimeKind::Sim,
         drive: DriveMode::Closed(8),
         network: Network::Clean,
         protocol: Proto::SemiSync,
@@ -378,58 +333,58 @@ pub fn matrix(smoke: bool) -> Vec<CellSpec> {
         seed: 13,
         ..blink.clone()
     };
-    let mut cells = vec![
+    vec![
         CellSpec {
             id: "blink-sim-closed-clean",
-            ops: n(400, 120),
+            ops: 120,
             ..blink.clone()
         },
         CellSpec {
             id: "blink-sim-open-clean",
             drive: DriveMode::Open(30),
             mix: Mix::READ_HEAVY,
-            ops: n(300, 100),
+            ops: 100,
             ..blink.clone()
         },
         CellSpec {
             id: "blink-sim-closed-faulty",
             network: Network::Faulty,
-            ops: n(250, 80),
+            ops: 80,
             ..blink.clone()
         },
         CellSpec {
             id: "dhash-sim-closed-clean",
-            ops: n(400, 120),
+            ops: 120,
             ..dhash.clone()
         },
         CellSpec {
             id: "dhash-sim-open-clean",
             drive: DriveMode::Open(25),
             mix: Mix::READ_HEAVY,
-            ops: n(300, 100),
+            ops: 100,
             ..dhash.clone()
         },
         CellSpec {
             id: "dhash-sim-closed-faulty",
             network: Network::Faulty,
-            ops: n(250, 80),
+            ops: 80,
             ..dhash.clone()
         },
         // The price of a self-healing cycle: one processor crashes at tick
         // 150 and restarts at 1200, clients keep submitting to it, and the
-        // detector + retry + recovery stack absorbs the outage. Gated like
-        // every other sim cell — a regression here is a recovery-path
-        // slowdown (or, if `completed` drops, a lost operation).
+        // detector + retry + recovery stack absorbs the outage. Pinned like
+        // every other cell — a move here is a recovery-path change (or, if
+        // `completed` drops, a lost operation).
         CellSpec {
             id: "blink-sim-closed-chaos",
             network: Network::Chaos,
-            ops: n(250, 80),
+            ops: 80,
             ..blink.clone()
         },
         CellSpec {
             id: "dhash-sim-closed-chaos",
             network: Network::Chaos,
-            ops: n(250, 80),
+            ops: 80,
             ..dhash.clone()
         },
         // Delete-heavy churn over a narrow key window with lazy
@@ -438,12 +393,12 @@ pub fn matrix(smoke: bool) -> Vec<CellSpec> {
         // The mix is deliberately harsher than `Mix::DELETE_CHURN` (85%
         // deletes vs 45%) and the fanout small, so leaves actually empty
         // within the pinned op budget. `merges` and `live_nodes` are the
-        // gated reclamation metrics — if retirement stops committing or
-        // stops freeing arena slots, this cell's gate trips. Scans ride
-        // along to exercise the leaf-chain walk across retired nodes.
+        // reclamation metrics — if retirement stops committing or stops
+        // freeing arena slots, this cell's row moves. Scans ride along to
+        // exercise the leaf-chain walk across retired nodes.
         CellSpec {
             id: "blink-sim-closed-deletes",
-            ops: n(300, 200),
+            ops: 200,
             seed: 19,
             mix: Mix {
                 search_fraction: 0.05,
@@ -456,15 +411,14 @@ pub fn matrix(smoke: bool) -> Vec<CellSpec> {
             profile: false,
             ..blink.clone()
         },
-        // Simulator-throughput cell: a 256-processor clean run with
-        // tracing and the service-time model off, so virtually all of the
-        // wall clock is the event core itself (heap, dispatch, channel
-        // bookkeeping). Its sim metrics are deterministic and gated like
-        // any other cell; `events_per_sec` is the one wall-clock reading.
+        // Scale cell: a 256-processor clean run with tracing and the
+        // service-time model off — the protocol's message and event counts
+        // at a cluster size the other cells do not reach. (How fast the
+        // event core delivers them is E19's and the ledger's number.)
         CellSpec {
             id: "blink-sim-scale-tput",
             drive: DriveMode::Closed(64),
-            ops: n(40000, 15000),
+            ops: 15000,
             seed: 17,
             n_procs: 256,
             preload: 4000,
@@ -477,78 +431,45 @@ pub fn matrix(smoke: bool) -> Vec<CellSpec> {
             profile: false,
             ..blink.clone()
         },
-    ];
-    if !smoke {
-        cells.extend([
-            CellSpec {
-                id: "blink-thr-closed-clean",
-                runtime: RuntimeKind::Threaded,
-                ops: 200,
-                ..blink.clone()
-            },
-            CellSpec {
-                id: "blink-thr-open-clean",
-                runtime: RuntimeKind::Threaded,
-                drive: DriveMode::Open(50),
-                ops: 200,
-                ..blink.clone()
-            },
-            CellSpec {
-                id: "dhash-thr-closed-clean",
-                runtime: RuntimeKind::Threaded,
-                ops: 200,
-                ..dhash.clone()
-            },
-            CellSpec {
-                id: "dhash-thr-open-clean",
-                runtime: RuntimeKind::Threaded,
-                drive: DriveMode::Open(50),
-                ops: 200,
-                ..dhash.clone()
-            },
-        ]);
-    }
-    cells
+    ]
 }
 
 /// Run one cell to completion and measure it.
 pub fn run_cell(spec: &CellSpec) -> CellOutput {
-    match (spec.structure, spec.runtime) {
-        (Structure::Blink, RuntimeKind::Sim) => run_blink_sim(spec),
-        (Structure::Blink, RuntimeKind::Threaded) => run_blink_threaded(spec),
-        (Structure::Dhash, RuntimeKind::Sim) => run_dhash_sim(spec),
-        (Structure::Dhash, RuntimeKind::Threaded) => run_dhash_threaded(spec),
+    match spec.structure {
+        Structure::Blink => run_blink(spec),
+        Structure::Dhash => run_dhash(spec),
     }
 }
 
-fn sim_cfg(spec: &CellSpec) -> SimConfig {
+/// The network side of a cell: the simulator it runs on, the session layer
+/// over it and the client retry policy. Chaos cells run the failure
+/// detector on the reliable session, with retry deadlines short enough that
+/// operations stuck on the dead processor redirect during the outage.
+fn net(spec: &CellSpec) -> (SimConfig, SessionConfig, RetryPolicy) {
     let mut cfg = SimConfig::jittery(spec.seed, 2, 25);
     cfg.trace_capacity = if spec.profile { TRACE_CAP } else { 0 };
     cfg.service_time = spec.service_time;
-    if let Some(o) = spec.service_override {
-        cfg.service_overrides.push(o);
-    }
-    match spec.network {
-        Network::Clean => {}
-        Network::Faulty => cfg.faults = FaultPlan::lossy(0.03).with_dup(0.01),
-        Network::Chaos => cfg.faults = FaultPlan::lossy(0.02).with_crash(CHAOS_CRASH),
-    }
-    cfg
-}
-
-/// Session layer for the cell: chaos cells run the failure detector on top
-/// of the reliable session; everything else takes the builder's default
-/// (reliable iff the fault plan needs it).
-fn chaos_session() -> SessionConfig {
-    SessionConfig::reliable().with_detector(DetectorConfig::on())
-}
-
-fn service_times(spec: &CellSpec) -> ServiceTimes {
-    let svc = ServiceTimes::uniform(spec.service_time);
-    match spec.service_override {
-        Some((p, t)) => svc.with_override(p, t),
-        None => svc,
-    }
+    cfg.service_overrides.extend(spec.service_override);
+    let (session, retry) = match spec.network {
+        Network::Clean => (SessionConfig::default(), RetryPolicy::default()),
+        Network::Faulty => {
+            cfg.faults = FaultPlan::lossy(0.03).with_dup(0.01);
+            (SessionConfig::reliable(), RetryPolicy::default())
+        }
+        Network::Chaos => {
+            cfg.faults = FaultPlan::lossy(0.02).with_crash(CHAOS_CRASH);
+            (
+                SessionConfig::reliable().with_detector(DetectorConfig::on()),
+                RetryPolicy {
+                    enabled: true,
+                    deadline: 600,
+                    ..RetryPolicy::default()
+                },
+            )
+        }
+    };
+    (cfg, session, retry)
 }
 
 fn workload_ops(spec: &CellSpec) -> Vec<Op> {
@@ -576,34 +497,31 @@ fn to_hash(op: &Op) -> HashOp {
     }
 }
 
-/// Summary block shared by every cell kind.
-struct Timing {
-    completed: u64,
-    makespan: u64,
-    throughput_kops: f64,
-    lat_mean: f64,
-    p50: u64,
-    p95: u64,
-    p99: u64,
-    max: u64,
-    hops_mean: f64,
-}
-
-fn timing<Op, O: OpOutcome>(s: &DriverStats<Op, O>) -> Timing {
-    Timing {
+/// The row's labels and its completion / latency block, read off the
+/// driver's records.
+fn timed<Op, O: OpOutcome>(spec: &CellSpec, s: &DriverStats<Op, O>) -> CellResult {
+    CellResult {
+        id: spec.id,
+        structure: spec.structure.label(),
+        drive: spec.drive.label(),
+        network: spec.network.label(),
+        protocol: spec.protocol.label(),
+        n_procs: spec.n_procs as u64,
+        ops: spec.ops as u64,
         completed: s.records.len() as u64,
         makespan: s.makespan,
         throughput_kops: s.throughput_per_kilotick(),
         lat_mean: s.mean_latency(),
-        p50: s.latency_quantile(0.5),
-        p95: s.latency_quantile(0.95),
-        p99: s.latency_quantile(0.99),
-        max: s.latency_histogram().max(),
+        lat_p50: s.latency_quantile(0.5),
+        lat_p95: s.latency_quantile(0.95),
+        lat_p99: s.latency_quantile(0.99),
+        lat_max: s.latency_histogram().max(),
         hops_mean: s.mean_hops(),
+        ..CellResult::default()
     }
 }
 
-/// Hop count of a completed item: the one outcome field [`timing`] reads.
+/// Hop count of a completed item: the one outcome field [`timed`] reads.
 struct Hops(u32);
 
 impl OpOutcome for Hops {
@@ -637,63 +555,76 @@ fn with_scans(stats: &dbtree::DriverStats, scans: &[ScanRecord]) -> DriverStats<
     }
 }
 
-/// Drive a dhash cell (the hash table has no scans, hence no mixed entry).
-fn drive_hash<R>(
-    cluster: &mut HashCluster<R>,
-    spec: &CellSpec,
-    ops: &[HashOp],
-) -> Result<HashStats, QuiesceError>
-where
-    R: simnet::Runtime<Proc = simnet::SessionProc<dhash::HashProc>>,
-{
-    match spec.drive {
-        DriveMode::Closed(c) => cluster.try_run_closed_loop(ops, c),
-        DriveMode::Open(p) => cluster.try_run_open_loop(ops, &OpenLoopCfg::fixed(p)),
+/// The simulator's counters as the drive starts, so a row covers the drive
+/// alone and not the build.
+struct Start {
+    net: NetStats,
+    events: u64,
+}
+
+impl Start {
+    fn of<P: Process>(sim: &Simulation<P>) -> Start {
+        Start {
+            net: sim.stats().clone(),
+            events: sim.events_delivered(),
+        }
+    }
+
+    /// Everything both structures measure the same way, on top of the row
+    /// the structure's runner began (`splits`, `copies`, `merges` and
+    /// `live_nodes` are its): message and event counts since the start, the
+    /// split protocol's share of them (`split_kinds` is its message-kind
+    /// prefix) against the paper's `copies - 1`, and the critical-path
+    /// profile when the cell records a trace.
+    fn finish<P: Process, Op, O>(
+        self,
+        spec: &CellSpec,
+        sim: &mut Simulation<P>,
+        stats: &DriverStats<Op, O>,
+        split_kinds: &str,
+        mut r: CellResult,
+    ) -> CellOutput {
+        let delta = sim.stats().delta_since(&self.net);
+        let ops = r.completed.max(1) as f64;
+        let remote = delta.remote_messages();
+        r.msgs_total = delta.total_messages();
+        r.msgs_per_op = r.msgs_total as f64 / ops;
+        r.remote_msgs_per_op = remote as f64 / ops;
+        r.local_msgs_per_op = (r.msgs_total - remote) as f64 / ops;
+        r.split_msgs = delta.remote_matching(|k| k.starts_with(split_kinds));
+        r.msgs_per_split = r.split_msgs as f64 / r.splits.max(1) as f64;
+        r.paper_msgs_per_split = r.copies.saturating_sub(1);
+        r.events_total = sim.events_delivered() - self.events;
+
+        let (mut folded_paths, mut waits) = (String::new(), String::new());
+        if spec.profile {
+            let mut svc = ServiceTimes::uniform(spec.service_time);
+            if let Some((p, t)) = spec.service_override {
+                svc = svc.with_override(p, t);
+            }
+            let obs = sim.take_obs();
+            let prof = Profiler::new(svc).profile_stats(&obs.trace, stats);
+            let t = prof.totals();
+            r.seg_queueing = t.share(t.queueing);
+            r.seg_transit = t.share(t.transit);
+            r.seg_service = t.share(t.service);
+            r.seg_stall = t.share(t.stall);
+            r.offpath_per_op = t.off_path_actions as f64 / t.ops.max(1) as f64;
+            r.profiled = t.ops;
+            r.prof_skipped = prof.skipped;
+            r.prof_inexact = prof.inexact();
+            folded_paths = prof.folded_paths();
+            waits = folded_waits(&obs.trace);
+        }
+        CellOutput {
+            result: r,
+            folded_paths,
+            folded_waits: waits,
+        }
     }
 }
 
-fn base_result(spec: &CellSpec, t: &Timing) -> CellResult {
-    CellResult {
-        id: spec.id.to_string(),
-        structure: spec.structure.label().to_string(),
-        runtime: spec.runtime.label().to_string(),
-        drive: spec.drive.label().to_string(),
-        network: spec.network.label().to_string(),
-        protocol: spec.protocol.label().to_string(),
-        deterministic: spec.runtime == RuntimeKind::Sim,
-        n_procs: spec.n_procs as u64,
-        ops: spec.ops as u64,
-        completed: t.completed,
-        makespan: t.makespan,
-        throughput_kops: t.throughput_kops,
-        lat_mean: t.lat_mean,
-        lat_p50: t.p50,
-        lat_p95: t.p95,
-        lat_p99: t.p99,
-        lat_max: t.max,
-        hops_mean: t.hops_mean,
-        ..CellResult::default()
-    }
-}
-
-/// Fill the critical-path segment fields from a profiled run.
-fn fill_profile(r: &mut CellResult, prof: &simnet::RunProfile) {
-    let t = prof.totals();
-    r.seg_queueing = t.share(t.queueing);
-    r.seg_transit = t.share(t.transit);
-    r.seg_service = t.share(t.service);
-    r.seg_stall = t.share(t.stall);
-    r.offpath_per_op = if t.ops == 0 {
-        0.0
-    } else {
-        t.off_path_actions as f64 / t.ops as f64
-    };
-    r.profiled = t.ops;
-    r.prof_skipped = prof.skipped;
-    r.prof_inexact = prof.inexact();
-}
-
-fn run_blink_sim(spec: &CellSpec) -> CellOutput {
+fn run_blink(spec: &CellSpec) -> CellOutput {
     let cfg = TreeConfig {
         record_history: false,
         merge_at_empty: spec.merge,
@@ -701,92 +632,29 @@ fn run_blink_sim(spec: &CellSpec) -> CellOutput {
         ..TreeConfig::fixed_copies(spec.protocol.blink(), spec.copies)
     };
     let keys: Vec<Key> = (0..spec.preload).map(|k| k * 10).collect();
-    let bspec = BuildSpec::new(keys, spec.n_procs, cfg);
-    let mut cluster = if spec.network == Network::Chaos {
-        let mut c = DbCluster::build_with_session(&bspec, sim_cfg(spec), chaos_session());
-        c.set_retry(chaos_retry());
-        c
-    } else {
-        DbCluster::build(&bspec, sim_cfg(spec))
-    };
-    let before = cluster.sim.stats().clone();
-    let events_before = cluster.sim.events_delivered();
-    let wall = std::time::Instant::now();
+    let (sim_cfg, session, retry) = net(spec);
+    let mut cluster =
+        DbCluster::build_with_session(&BuildSpec::new(keys, spec.n_procs, cfg), sim_cfg, session);
+    cluster.set_retry(retry);
+    let start = Start::of(&cluster.sim);
     let items: Vec<DbSubmission> = workload_ops(spec).iter().map(to_submission).collect();
     let stats = cluster
         .try_run_mixed(&items, spec.drive.release())
         .expect("blink cell failed to quiesce");
-    let wall = wall.elapsed();
-    let delta = cluster.sim.stats().delta_since(&before);
-    let splits = crate::sum_metric(&cluster, |m| m.splits_initiated);
-    let split_msgs = delta.remote_matching(|k| k.starts_with("split."));
 
     let scans = cluster.take_scans();
-    let mut r = base_result(spec, &timing(&with_scans(&stats, &scans)));
-    r.events_total = cluster.sim.events_delivered() - events_before;
-    r.events_per_sec = r.events_total as f64 / wall.as_secs_f64().max(1e-9);
-    r.record_msgs(&delta);
-    r.splits = splits;
-    r.split_msgs = split_msgs;
-    r.msgs_per_split = split_msgs as f64 / splits.max(1) as f64;
-    r.copies = spec.copies as u64;
+    let mut r = timed(spec, &with_scans(&stats, &scans));
+    r.splits = crate::sum_metric(&cluster, |m| m.splits_initiated);
     // §4.1.2: a semisync split relays to the R-1 other copies; available
     // copies pays the same relay fan-out (its overhead is locking, not
     // split messages).
-    r.paper_msgs_per_split = (spec.copies as u64).saturating_sub(1);
+    r.copies = spec.copies as u64;
     r.merges = crate::sum_metric(&cluster, |m| m.merges_completed);
     r.live_nodes = cluster.sim.procs().map(|(_, p)| p.store.len() as u64).sum();
-
-    if !spec.profile {
-        return CellOutput {
-            result: r,
-            folded_paths: String::new(),
-            folded_waits: String::new(),
-        };
-    }
-    let obs = cluster.take_obs();
-    let prof = Profiler::new(service_times(spec)).profile_stats(&obs.trace, &stats);
-    fill_profile(&mut r, &prof);
-    CellOutput {
-        result: r,
-        folded_paths: prof.folded_paths(),
-        folded_waits: folded_waits(&obs.trace),
-    }
+    start.finish(spec, &mut cluster.sim, &stats, "split.", r)
 }
 
-fn run_blink_threaded(spec: &CellSpec) -> CellOutput {
-    let cfg = TreeConfig {
-        record_history: false,
-        merge_at_empty: spec.merge,
-        fanout: spec.fanout,
-        ..TreeConfig::fixed_copies(spec.protocol.blink(), spec.copies)
-    };
-    let keys: Vec<Key> = (0..spec.preload).map(|k| k * 10).collect();
-    let bspec = BuildSpec::new(keys, spec.n_procs, cfg);
-    let mut cluster = ThreadedDbCluster::build_threaded(&bspec);
-    let items: Vec<DbSubmission> = workload_ops(spec).iter().map(to_submission).collect();
-    let stats = cluster
-        .try_run_mixed(&items, spec.drive.release())
-        .expect("blink cell failed to quiesce");
-    let scans = cluster.take_scans();
-    let mut r = base_result(spec, &timing(&with_scans(&stats, &scans)));
-    r.copies = spec.copies as u64;
-    r.paper_msgs_per_split = (spec.copies as u64).saturating_sub(1);
-    // The thread substrate counts no messages; splits are still visible in
-    // the recovered process state.
-    r.splits = cluster
-        .into_procs()
-        .iter()
-        .map(|p| p.metrics.splits_initiated)
-        .sum();
-    CellOutput {
-        result: r,
-        folded_paths: String::new(),
-        folded_waits: String::new(),
-    }
-}
-
-fn run_dhash_sim(spec: &CellSpec) -> CellOutput {
+fn run_dhash(spec: &CellSpec) -> CellOutput {
     let hspec = HashSpec {
         preload: (0..spec.preload).map(|k| k * 7).collect(),
         n_procs: spec.n_procs,
@@ -796,85 +664,31 @@ fn run_dhash_sim(spec: &CellSpec) -> CellOutput {
             ..HashConfig::default()
         },
     };
-    let mut cluster = if spec.network == Network::Chaos {
-        let mut c = HashCluster::build_with_session(&hspec, sim_cfg(spec), chaos_session());
-        c.set_retry(chaos_retry());
-        c
-    } else {
-        HashCluster::build(&hspec, sim_cfg(spec))
-    };
-    let before = cluster.sim.stats().clone();
-    let events_before = cluster.sim.events_delivered();
-    let wall = std::time::Instant::now();
+    let (sim_cfg, session, retry) = net(spec);
+    let mut cluster = HashCluster::build_with_session(&hspec, sim_cfg, session);
+    cluster.set_retry(retry);
+    let start = Start::of(&cluster.sim);
     let ops: Vec<HashOp> = workload_ops(spec).iter().map(to_hash).collect();
-    let stats = drive_hash(&mut cluster, spec, &ops).expect("dhash cell failed to quiesce");
-    let wall = wall.elapsed();
-    let delta = cluster.sim.stats().delta_since(&before);
-    let splits: u64 = cluster.sim.procs().map(|(_, p)| p.metrics.splits).sum();
-    let split_msgs = delta.remote_matching(|k| k.starts_with("dir."));
+    // The hash table has no scans, hence no mixed entry point.
+    let stats = match spec.drive {
+        DriveMode::Closed(c) => cluster.try_run_closed_loop(&ops, c),
+        DriveMode::Open(p) => cluster.try_run_open_loop(&ops, &OpenLoopCfg::fixed(p)),
+    }
+    .expect("dhash cell failed to quiesce");
 
-    let mut r = base_result(spec, &timing(&stats));
-    r.events_total = cluster.sim.events_delivered() - events_before;
-    r.events_per_sec = r.events_total as f64 / wall.as_secs_f64().max(1e-9);
-    r.record_msgs(&delta);
-    r.splits = splits;
-    r.split_msgs = split_msgs;
-    r.msgs_per_split = split_msgs as f64 / splits.max(1) as f64;
+    let mut r = timed(spec, &stats);
+    r.splits = cluster.sim.procs().map(|(_, p)| p.metrics.splits).sum();
     // The directory is replicated on every processor: a lazy split
     // broadcasts one patch to each of the P-1 peers.
     r.copies = spec.n_procs as u64;
-    r.paper_msgs_per_split = (spec.n_procs as u64).saturating_sub(1);
-
-    if !spec.profile {
-        return CellOutput {
-            result: r,
-            folded_paths: String::new(),
-            folded_waits: String::new(),
-        };
-    }
-    let obs = cluster.take_obs();
-    let prof = Profiler::new(service_times(spec)).profile_stats(&obs.trace, &stats);
-    fill_profile(&mut r, &prof);
-    CellOutput {
-        result: r,
-        folded_paths: prof.folded_paths(),
-        folded_waits: folded_waits(&obs.trace),
-    }
-}
-
-fn run_dhash_threaded(spec: &CellSpec) -> CellOutput {
-    let hspec = HashSpec {
-        preload: (0..spec.preload).map(|k| k * 7).collect(),
-        n_procs: spec.n_procs,
-        cfg: HashConfig {
-            protocol: spec.protocol.dhash(),
-            record_history: false,
-            ..HashConfig::default()
-        },
-    };
-    let mut cluster = ThreadedHashCluster::build_threaded(&hspec);
-    let ops: Vec<HashOp> = workload_ops(spec).iter().map(to_hash).collect();
-    let stats = drive_hash(&mut cluster, spec, &ops).expect("dhash cell failed to quiesce");
-    let mut r = base_result(spec, &timing(&stats));
-    r.copies = spec.n_procs as u64;
-    r.paper_msgs_per_split = (spec.n_procs as u64).saturating_sub(1);
-    r.splits = cluster
-        .into_procs()
-        .iter()
-        .map(|p| p.metrics.splits)
-        .sum::<u64>();
-    CellOutput {
-        result: r,
-        folded_paths: String::new(),
-        folded_waits: String::new(),
-    }
+    start.finish(spec, &mut cluster.sim, &stats, "dir.", r)
 }
 
 // ---------------------------------------------------------------------------
 // BENCH.json
 
 /// The schema tag written into every report; bump on breaking changes.
-pub const SCHEMA: &str = "bench-v1";
+pub const SCHEMA: &str = "bench-v2";
 
 /// A full suite run: the schema tag plus one row per cell.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -883,331 +697,163 @@ pub struct BenchReport {
     pub cells: Vec<CellResult>,
 }
 
-/// Format an `f64` metric: fixed four decimal places, so output is
-/// byte-stable across runs and platforms.
-fn f(x: f64) -> String {
-    format!("{x:.4}")
-}
-
 impl CellResult {
-    /// Fill the message counts of a drive from its `NetStats` delta, split
-    /// by locality. Call after `completed` is set.
-    fn record_msgs(&mut self, delta: &simnet::NetStats) {
-        let ops = self.completed.max(1) as f64;
-        let remote = delta.remote_messages();
-        self.msgs_total = delta.total_messages();
-        self.msgs_per_op = self.msgs_total as f64 / ops;
-        self.remote_msgs_per_op = remote as f64 / ops;
-        self.local_msgs_per_op = (self.msgs_total - remote) as f64 / ops;
-    }
-
-    /// One flat JSON object (no trailing newline). Field order is frozen
-    /// by the golden-file test.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"id\":\"{}\",\"structure\":\"{}\",\"runtime\":\"{}\",\"drive\":\"{}\",\
-             \"network\":\"{}\",\"protocol\":\"{}\",\"deterministic\":{},\"n_procs\":{},\
-             \"ops\":{},\"completed\":{},\"makespan\":{},\"throughput_kops\":{},\
-             \"lat_mean\":{},\"lat_p50\":{},\"lat_p95\":{},\"lat_p99\":{},\"lat_max\":{},\
-             \"hops_mean\":{},\"msgs_total\":{},\"msgs_per_op\":{},\
-             \"remote_msgs_per_op\":{},\"local_msgs_per_op\":{},\"splits\":{},\
-             \"split_msgs\":{},\"msgs_per_split\":{},\"copies\":{},\"paper_msgs_per_split\":{},\
-             \"merges\":{},\"live_nodes\":{},\
-             \"seg_queueing\":{},\"seg_transit\":{},\"seg_service\":{},\"seg_stall\":{},\
-             \"offpath_per_op\":{},\"profiled\":{},\"prof_skipped\":{},\"prof_inexact\":{},\
-             \"events_total\":{},\"events_per_sec\":{}}}",
-            self.id,
-            self.structure,
-            self.runtime,
-            self.drive,
-            self.network,
-            self.protocol,
-            self.deterministic,
-            self.n_procs,
-            self.ops,
-            self.completed,
-            self.makespan,
-            f(self.throughput_kops),
-            f(self.lat_mean),
-            self.lat_p50,
-            self.lat_p95,
-            self.lat_p99,
-            self.lat_max,
-            f(self.hops_mean),
-            self.msgs_total,
-            f(self.msgs_per_op),
-            f(self.remote_msgs_per_op),
-            f(self.local_msgs_per_op),
-            self.splits,
-            self.split_msgs,
-            f(self.msgs_per_split),
-            self.copies,
-            self.paper_msgs_per_split,
-            self.merges,
-            self.live_nodes,
-            f(self.seg_queueing),
-            f(self.seg_transit),
-            f(self.seg_service),
-            f(self.seg_stall),
-            f(self.offpath_per_op),
-            self.profiled,
-            self.prof_skipped,
-            self.prof_inexact,
-            self.events_total,
-            f(self.events_per_sec),
-        )
-    }
-
-    /// Parse one cell object written by [`CellResult::to_json`].
-    pub fn from_json(s: &str) -> Result<CellResult, String> {
-        fn field<'a>(s: &'a str, name: &str) -> Result<&'a str, String> {
-            let pat = format!("\"{name}\":");
-            let i = s
-                .find(&pat)
-                .ok_or_else(|| format!("missing field {name:?}"))?
-                + pat.len();
-            let rest = &s[i..];
-            let end = rest
-                .find([',', '}'])
-                .ok_or_else(|| format!("unterminated field {name:?}"))?;
-            Ok(rest[..end].trim_matches('"'))
-        }
-        fn num<T: std::str::FromStr>(s: &str, name: &str) -> Result<T, String> {
-            field(s, name)?
-                .parse()
-                .map_err(|_| format!("bad value for {name:?}"))
-        }
-        Ok(CellResult {
-            id: field(s, "id")?.to_string(),
-            structure: field(s, "structure")?.to_string(),
-            runtime: field(s, "runtime")?.to_string(),
-            drive: field(s, "drive")?.to_string(),
-            network: field(s, "network")?.to_string(),
-            protocol: field(s, "protocol")?.to_string(),
-            deterministic: num(s, "deterministic")?,
-            n_procs: num(s, "n_procs")?,
-            ops: num(s, "ops")?,
-            completed: num(s, "completed")?,
-            makespan: num(s, "makespan")?,
-            throughput_kops: num(s, "throughput_kops")?,
-            lat_mean: num(s, "lat_mean")?,
-            lat_p50: num(s, "lat_p50")?,
-            lat_p95: num(s, "lat_p95")?,
-            lat_p99: num(s, "lat_p99")?,
-            lat_max: num(s, "lat_max")?,
-            hops_mean: num(s, "hops_mean")?,
-            msgs_total: num(s, "msgs_total")?,
-            msgs_per_op: num(s, "msgs_per_op")?,
-            remote_msgs_per_op: num(s, "remote_msgs_per_op")?,
-            local_msgs_per_op: num(s, "local_msgs_per_op")?,
-            splits: num(s, "splits")?,
-            split_msgs: num(s, "split_msgs")?,
-            msgs_per_split: num(s, "msgs_per_split")?,
-            copies: num(s, "copies")?,
-            paper_msgs_per_split: num(s, "paper_msgs_per_split")?,
-            merges: num(s, "merges")?,
-            live_nodes: num(s, "live_nodes")?,
-            seg_queueing: num(s, "seg_queueing")?,
-            seg_transit: num(s, "seg_transit")?,
-            seg_service: num(s, "seg_service")?,
-            seg_stall: num(s, "seg_stall")?,
-            offpath_per_op: num(s, "offpath_per_op")?,
-            profiled: num(s, "profiled")?,
-            prof_skipped: num(s, "prof_skipped")?,
-            prof_inexact: num(s, "prof_inexact")?,
-            events_total: num(s, "events_total")?,
-            events_per_sec: num(s, "events_per_sec")?,
-        })
+    /// The row's one writer: every field's name and JSON text, in document
+    /// order. Decimals are fixed at four places, so the text is byte-stable
+    /// across runs and platforms.
+    pub fn fields(&self) -> Vec<(&'static str, String)> {
+        let s = |v: &str| format!("\"{v}\"");
+        let n = |v: u64| v.to_string();
+        let f = |v: f64| format!("{v:.4}");
+        vec![
+            ("id", s(self.id)),
+            ("structure", s(self.structure)),
+            ("drive", s(self.drive)),
+            ("network", s(self.network)),
+            ("protocol", s(self.protocol)),
+            ("n_procs", n(self.n_procs)),
+            ("ops", n(self.ops)),
+            ("completed", n(self.completed)),
+            ("makespan", n(self.makespan)),
+            ("throughput_kops", f(self.throughput_kops)),
+            ("lat_mean", f(self.lat_mean)),
+            ("lat_p50", n(self.lat_p50)),
+            ("lat_p95", n(self.lat_p95)),
+            ("lat_p99", n(self.lat_p99)),
+            ("lat_max", n(self.lat_max)),
+            ("hops_mean", f(self.hops_mean)),
+            ("msgs_total", n(self.msgs_total)),
+            ("msgs_per_op", f(self.msgs_per_op)),
+            ("remote_msgs_per_op", f(self.remote_msgs_per_op)),
+            ("local_msgs_per_op", f(self.local_msgs_per_op)),
+            ("splits", n(self.splits)),
+            ("split_msgs", n(self.split_msgs)),
+            ("msgs_per_split", f(self.msgs_per_split)),
+            ("copies", n(self.copies)),
+            ("paper_msgs_per_split", n(self.paper_msgs_per_split)),
+            ("merges", n(self.merges)),
+            ("live_nodes", n(self.live_nodes)),
+            ("seg_queueing", f(self.seg_queueing)),
+            ("seg_transit", f(self.seg_transit)),
+            ("seg_service", f(self.seg_service)),
+            ("seg_stall", f(self.seg_stall)),
+            ("offpath_per_op", f(self.offpath_per_op)),
+            ("profiled", n(self.profiled)),
+            ("prof_skipped", n(self.prof_skipped)),
+            ("prof_inexact", n(self.prof_inexact)),
+            ("events_total", n(self.events_total)),
+        ]
     }
 }
 
 impl BenchReport {
-    /// The full `BENCH.json` document: schema tag + one cell per line.
+    /// The full `BENCH.json` document: schema tag + one flat object per
+    /// cell, one cell per line.
     pub fn to_json(&self) -> String {
         let mut out = format!("{{\"schema\":\"{SCHEMA}\",\"cells\":[\n");
         for (i, c) in self.cells.iter().enumerate() {
-            out.push_str(&c.to_json());
-            if i + 1 < self.cells.len() {
-                out.push(',');
+            let mut sep = '{';
+            for (name, value) in c.fields() {
+                let _ = write!(out, "{sep}\"{name}\":{value}");
+                sep = ',';
             }
-            out.push('\n');
+            out.push_str(if i + 1 < self.cells.len() {
+                "},\n"
+            } else {
+                "}\n"
+            });
         }
         out.push_str("]}\n");
         out
     }
+}
 
-    /// Parse a document written by [`BenchReport::to_json`].
-    pub fn parse(s: &str) -> Result<BenchReport, String> {
-        let tag = format!("\"schema\":\"{SCHEMA}\"");
-        if !s.contains(&tag) {
-            return Err(format!("not a {SCHEMA} document"));
-        }
-        let mut cells = Vec::new();
-        for line in s.lines() {
-            let line = line.trim().trim_end_matches(',');
-            if line.starts_with("{\"id\"") {
-                cells.push(CellResult::from_json(line)?);
-            }
-        }
-        Ok(BenchReport { cells })
+/// The cell rows of a document written by [`BenchReport::to_json`].
+pub fn rows(doc: &str) -> Result<Vec<Json>, String> {
+    let doc = Json::parse(doc)?;
+    if doc.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
+        return Err(format!("not a {SCHEMA} document"));
+    }
+    match doc.get("cells") {
+        Some(Json::Arr(cells)) => Ok(cells.clone()),
+        _ => Err("no \"cells\" array".to_string()),
     }
 }
 
 // ---------------------------------------------------------------------------
-// Regression gate
+// The gate
 
-/// Per-metric tolerances for the regression gate. A metric regresses when
-/// it worsens beyond `rel` (fraction of the baseline) *plus* `abs`
-/// (ticks/units) — the absolute slack keeps tiny baselines (p50 of 3
-/// ticks) from flagging one-tick quantization moves.
-#[derive(Clone, Copy, Debug)]
-pub struct GateCfg {
-    /// Relative tolerance (fraction of baseline).
-    pub rel: f64,
-    /// Absolute tolerance (same unit as the metric).
-    pub abs: f64,
-}
-
-impl Default for GateCfg {
-    fn default() -> Self {
-        GateCfg {
-            rel: 0.25,
-            abs: 2.0,
-        }
-    }
-}
-
-/// One gated metric that worsened past its tolerance.
-#[derive(Clone, Debug)]
-pub struct Regression {
+/// One place where two documents disagree: a field of a cell, or (field
+/// `"cell"`) a cell only one of them has.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Diff {
     /// Which cell.
     pub cell: String,
-    /// Which metric.
-    pub metric: &'static str,
-    /// The committed baseline value.
-    pub baseline: f64,
-    /// The measured value.
-    pub current: f64,
-    /// The limit the measurement crossed.
-    pub allowed: f64,
+    /// Which field.
+    pub field: String,
+    /// The baseline's value (`absent` if it has none).
+    pub baseline: String,
+    /// This run's value (`absent` if it has none).
+    pub current: String,
 }
 
-impl std::fmt::Display for Regression {
+impl std::fmt::Display for Diff {
     fn fmt(&self, fm: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            fm,
-            "{}: {} regressed — baseline {:.2}, now {:.2} (allowed {:.2})",
-            self.cell, self.metric, self.baseline, self.current, self.allowed
-        )
+        let Diff {
+            cell,
+            field,
+            baseline,
+            current,
+        } = self;
+        write!(fm, "{cell}: {field} — baseline {baseline}, now {current}")
     }
 }
 
-/// Diff `current` against `baseline`. Only cells marked deterministic in
-/// *both* reports are gated; threaded (wall-clock) cells are informational.
-/// A baseline cell missing from the current run, or run with a different
-/// op count, is itself a regression (the matrix drifted — re-run with
-/// `--update-baseline` if the change is intentional).
-pub fn compare(current: &BenchReport, baseline: &BenchReport, gate: &GateCfg) -> Vec<Regression> {
+/// Every difference between two `BENCH.json` documents, cells joined on
+/// `id`: a field whose value differs or that one side lacks, a baseline
+/// cell this run did not produce, a cell the baseline does not know. The
+/// cells are deterministic, so there is no tolerance — an intentional move
+/// is `--update-baseline` in the same commit.
+pub fn diff(current: &str, baseline: &str) -> Result<Vec<Diff>, String> {
+    let show = |v: Option<&Json>| match v {
+        None => "absent".to_string(),
+        Some(Json::Str(s)) => s.clone(),
+        Some(Json::Num(n)) => n.to_string(),
+        Some(Json::Float(x)) => format!("{x:.4}"),
+        Some(other) => format!("{other:?}"),
+    };
+    let id = |row: &Json| show(row.get("id"));
+    let (cur, base) = (rows(current)?, rows(baseline)?);
     let mut out = Vec::new();
-    for base in &baseline.cells {
-        let Some(cur) = current.cells.iter().find(|c| c.id == base.id) else {
-            out.push(Regression {
-                cell: base.id.clone(),
-                metric: "present",
-                baseline: 1.0,
-                current: 0.0,
-                allowed: 1.0,
+    let mut differ = |cell: &str, field: &str, b: Option<&Json>, c: Option<&Json>| {
+        if b != c {
+            out.push(Diff {
+                cell: cell.to_string(),
+                field: field.to_string(),
+                baseline: show(b),
+                current: show(c),
             });
+        }
+    };
+    for b in &base {
+        let cell = id(b);
+        let Some(c) = cur.iter().find(|c| c.get("id") == b.get("id")) else {
+            differ(&cell, "cell", b.get("id"), None);
             continue;
         };
-        if !(base.deterministic && cur.deterministic) {
-            continue;
+        for (name, value) in b.members() {
+            differ(&cell, name, Some(value), c.get(name));
         }
-        if cur.ops != base.ops {
-            out.push(Regression {
-                cell: base.id.clone(),
-                metric: "ops",
-                baseline: base.ops as f64,
-                current: cur.ops as f64,
-                allowed: base.ops as f64,
-            });
-            continue;
-        }
-        // Completed ops may not drop at all: losing an op is a
-        // correctness event, not a perf wobble.
-        if cur.completed < base.completed {
-            out.push(Regression {
-                cell: base.id.clone(),
-                metric: "completed",
-                baseline: base.completed as f64,
-                current: cur.completed as f64,
-                allowed: base.completed as f64,
-            });
-        }
-        let mut check = |metric: &'static str, curv: f64, basev: f64, higher_is_worse: bool| {
-            let allowed = if higher_is_worse {
-                basev * (1.0 + gate.rel) + gate.abs
-            } else {
-                (basev * (1.0 - gate.rel) - gate.abs).max(0.0)
-            };
-            let bad = if higher_is_worse {
-                curv > allowed
-            } else {
-                curv < allowed
-            };
-            if bad {
-                out.push(Regression {
-                    cell: base.id.clone(),
-                    metric,
-                    baseline: basev,
-                    current: curv,
-                    allowed,
-                });
+        for (name, value) in c.members() {
+            if b.get(name).is_none() {
+                differ(&cell, name, None, Some(value));
             }
-        };
-        check(
-            "throughput_kops",
-            cur.throughput_kops,
-            base.throughput_kops,
-            false,
-        );
-        check("lat_mean", cur.lat_mean, base.lat_mean, true);
-        check("lat_p50", cur.lat_p50 as f64, base.lat_p50 as f64, true);
-        check("lat_p95", cur.lat_p95 as f64, base.lat_p95 as f64, true);
-        check("lat_p99", cur.lat_p99 as f64, base.lat_p99 as f64, true);
-        check("hops_mean", cur.hops_mean, base.hops_mean, true);
-        check("msgs_per_op", cur.msgs_per_op, base.msgs_per_op, true);
-        // The paper's cost is the inter-processor share; hand-offs to self
-        // are the runtime's. Each is pinned on its own.
-        check(
-            "remote_msgs_per_op",
-            cur.remote_msgs_per_op,
-            base.remote_msgs_per_op,
-            true,
-        );
-        check(
-            "local_msgs_per_op",
-            cur.local_msgs_per_op,
-            base.local_msgs_per_op,
-            true,
-        );
-        // The reclamation bound: node copies live at quiesce may not grow
-        // past tolerance (retired leaves must actually free their slots),
-        // and merge commits may not quietly stop happening.
-        check(
-            "live_nodes",
-            cur.live_nodes as f64,
-            base.live_nodes as f64,
-            true,
-        );
-        check("merges", cur.merges as f64, base.merges as f64, false);
-        // `events_per_sec` is wall-clock and deliberately ungated.
-        check(
-            "events_total",
-            cur.events_total as f64,
-            base.events_total as f64,
-            true,
-        );
+        }
     }
-    out
+    for c in &cur {
+        if !base.iter().any(|b| b.get("id") == c.get("id")) {
+            differ(&id(c), "cell", None, c.get("id"));
+        }
+    }
+    Ok(out)
 }

@@ -1,28 +1,27 @@
-//! Tests of the benchmark suite: the pinned `BENCH.json` schema, the
-//! JSON roundtrip, the regression gate's tolerances and direction rules,
-//! and an end-to-end run of a real (tiny) cell on the simulator —
-//! including the acceptance checks: an identical re-run gates clean, and
-//! an injected 2× latency regression is caught.
+//! Tests of the benchmark suite: the pinned `BENCH.json` schema, its one
+//! writer list read back through `obs::Json`, the exact gate (`diff`), and
+//! real cells on the simulator — including the tier-1 pin: the committed
+//! `BENCH_BASELINE.json` is byte for byte what this build measures.
 
 use bench::suite::{
-    compare, matrix, run_cell, BenchReport, CellResult, CellSpec, DriveMode, GateCfg, Network,
-    Proto, RuntimeKind, Structure,
+    diff, matrix, rows, run_cell, BenchReport, CellResult, CellSpec, DriveMode, Network, Proto,
+    Structure,
 };
+use obs::Json;
 use workload::Mix;
 
 const GOLDEN: &str = include_str!("golden/bench_schema.json");
+const BASELINE: &str = include_str!("../../../BENCH_BASELINE.json");
 
 /// A fully-populated row with values that are exact in four decimals, so
-/// the golden bytes and the parse roundtrip are both stable.
+/// the golden bytes are stable.
 fn golden_cell() -> CellResult {
     CellResult {
-        id: "golden-cell".into(),
-        structure: "blink".into(),
-        runtime: "sim".into(),
-        drive: "closed".into(),
-        network: "clean".into(),
-        protocol: "semisync".into(),
-        deterministic: true,
+        id: "golden-cell",
+        structure: "blink",
+        drive: "closed",
+        network: "clean",
+        protocol: "semisync",
         n_procs: 6,
         ops: 400,
         completed: 400,
@@ -54,8 +53,11 @@ fn golden_cell() -> CellResult {
         prof_skipped: 0,
         prof_inexact: 0,
         events_total: 48000,
-        events_per_sec: 1500000.5,
     }
+}
+
+fn doc_of(cells: Vec<CellResult>) -> String {
+    BenchReport { cells }.to_json()
 }
 
 /// The `BENCH.json` schema is frozen by a golden file, exactly like the
@@ -63,108 +65,145 @@ fn golden_cell() -> CellResult {
 /// deliberate commit that updates `tests/golden/bench_schema.json`.
 #[test]
 fn bench_json_schema_is_pinned() {
-    let report = BenchReport {
-        cells: vec![golden_cell()],
-    };
     assert_eq!(
-        report.to_json(),
+        doc_of(vec![golden_cell()]),
         GOLDEN,
         "BENCH.json schema drifted; if intentional, update \
          tests/golden/bench_schema.json in the same commit"
     );
 }
 
+/// What the writer's list emits is what the one reader hands back: every
+/// field, in order, under its name, with the value written — as the float,
+/// integer or string the consumers (E17, `diff`) ask for.
 #[test]
 fn report_roundtrips_through_json() {
-    let mut other = golden_cell();
-    other.id = "golden-threaded".into();
-    other.runtime = "threaded".into();
-    other.deterministic = false;
-    other.profiled = 0;
-    let report = BenchReport {
-        cells: vec![golden_cell(), other],
-    };
-    let parsed = BenchReport::parse(&report.to_json()).expect("parse own output");
-    assert_eq!(parsed, report);
+    let cell = golden_cell();
+    let parsed = rows(GOLDEN).expect("parse own output");
+    assert_eq!(parsed.len(), 1);
+    let read: Vec<(&str, &Json)> = parsed[0]
+        .members()
+        .iter()
+        .map(|(k, v)| (k.as_str(), v))
+        .collect();
+    let written = cell.fields();
+    assert_eq!(read.len(), written.len());
+    for ((name, value), (written_name, text)) in read.into_iter().zip(&written) {
+        assert_eq!(name, *written_name);
+        assert_eq!(Some(value), Json::parse(text).ok().as_ref(), "{name}");
+    }
+    let row = &parsed[0];
+    assert_eq!(row.get("protocol").unwrap().as_str(), Some("semisync"));
+    assert_eq!(row.get("lat_mean").unwrap().as_f64(), Some(44.25));
+    assert_eq!(row.get("lat_p99").unwrap().as_u64(), Some(120));
+    assert_eq!(row.get("seg_stall").unwrap().as_f64(), Some(0.125));
+    assert_eq!(row.get("lat_mean").unwrap().as_u64(), None, "a decimal");
 }
 
 #[test]
 fn parse_rejects_foreign_documents() {
-    assert!(BenchReport::parse("{\"schema\":\"other\",\"cells\":[]}").is_err());
-    assert!(CellResult::from_json("{\"id\":\"x\"}").is_err());
+    assert!(rows("{\"schema\":\"other\",\"cells\":[]}").is_err());
+    assert!(rows(&GOLDEN.replace("bench-v2", "bench-v1")).is_err());
+    assert!(rows("{\"schema\":\"bench-v2\"}").is_err());
+    assert!(rows("not json").is_err());
+    assert!(diff(GOLDEN, "{\"schema\":\"other\",\"cells\":[]}").is_err());
 }
 
 #[test]
 fn gate_is_quiet_on_identical_reports() {
-    let report = BenchReport {
-        cells: vec![golden_cell()],
-    };
-    assert!(compare(&report, &report, &GateCfg::default()).is_empty());
+    assert_eq!(diff(GOLDEN, GOLDEN), Ok(vec![]));
+    assert_eq!(diff(BASELINE, BASELINE), Ok(vec![]));
 }
 
-#[test]
-fn gate_catches_each_regression_direction() {
-    let base = BenchReport {
-        cells: vec![golden_cell()],
+/// `doc` with its `"name":value` rewritten to another value of the same
+/// JSON type.
+fn flipped(doc: &str, name: &str, value: &str) -> String {
+    let other = if let Some(s) = value.strip_suffix('"') {
+        format!("{s}-x\"")
+    } else if value.contains('.') {
+        format!("{:.4}", value.parse::<f64>().unwrap() + 1.0)
+    } else {
+        (value.parse::<u64>().unwrap() + 1).to_string()
     };
-    let gate = GateCfg::default();
-
-    // 2x latency: over any sane tolerance.
-    let mut slow = base.clone();
-    slow.cells[0].lat_mean *= 2.0;
-    slow.cells[0].lat_p99 *= 2;
-    let regs = compare(&slow, &base, &gate);
-    assert!(regs.iter().any(|r| r.metric == "lat_mean"), "{regs:?}");
-    assert!(regs.iter().any(|r| r.metric == "lat_p99"), "{regs:?}");
-
-    // Halved throughput (lower-is-worse direction).
-    let mut starved = base.clone();
-    starved.cells[0].throughput_kops /= 2.0;
-    assert!(compare(&starved, &base, &gate)
-        .iter()
-        .any(|r| r.metric == "throughput_kops"));
-
-    // A lost op is a regression with zero tolerance.
-    let mut lossy = base.clone();
-    lossy.cells[0].completed -= 1;
-    assert!(compare(&lossy, &base, &gate)
-        .iter()
-        .any(|r| r.metric == "completed"));
-
-    // Small wobbles within rel+abs pass.
-    let mut wobble = base.clone();
-    wobble.cells[0].lat_mean *= 1.1;
-    wobble.cells[0].throughput_kops *= 0.95;
-    assert!(compare(&wobble, &base, &gate).is_empty());
-
-    // A missing cell and an op-count drift are both flagged.
-    let empty = BenchReport::default();
-    assert!(compare(&empty, &base, &gate)
-        .iter()
-        .any(|r| r.metric == "present"));
-    let mut drifted = base.clone();
-    drifted.cells[0].ops += 1;
-    assert!(compare(&drifted, &base, &gate)
-        .iter()
-        .any(|r| r.metric == "ops"));
+    let from = format!("\"{name}\":{value}");
+    assert_eq!(doc.matches(&from).count(), 1, "{from} once in the document");
+    doc.replace(&from, &format!("\"{name}\":{other}"))
 }
 
+/// The gate is exact and names what moved: flipping any one field of the
+/// row — every one the writer lists — is reported under that field's name
+/// with both values; so are a missing cell, an extra cell, an op-count
+/// drift, and a move the old 25 % band would have let through.
 #[test]
-fn nondeterministic_cells_are_not_gated() {
-    let mut base = golden_cell();
-    base.deterministic = false;
-    let base = BenchReport { cells: vec![base] };
-    let mut noisy = base.clone();
-    noisy.cells[0].lat_mean *= 10.0;
-    noisy.cells[0].throughput_kops /= 10.0;
-    assert!(compare(&noisy, &base, &GateCfg::default()).is_empty());
+fn gate_names_every_differing_field() {
+    for (name, value) in golden_cell().fields() {
+        let diffs = diff(&flipped(GOLDEN, name, &value), GOLDEN).expect("both parse");
+        if name == "id" {
+            // A renamed cell is one the baseline lacks plus one it misses.
+            let fields: Vec<&str> = diffs.iter().map(|d| d.field.as_str()).collect();
+            assert_eq!(fields, ["cell", "cell"], "{diffs:?}");
+            continue;
+        }
+        assert_eq!(diffs.len(), 1, "{name}: {diffs:?}");
+        let d = &diffs[0];
+        assert_eq!((d.cell.as_str(), d.field.as_str()), ("golden-cell", name));
+        assert_eq!(d.baseline, value.trim_matches('"'));
+        assert_ne!(d.current, d.baseline);
+    }
+
+    let mut other = golden_cell();
+    other.id = "second-cell";
+    let both = doc_of(vec![golden_cell(), other]);
+    let missing = diff(GOLDEN, &both).unwrap();
+    assert_eq!(missing.len(), 1);
+    assert_eq!(
+        missing[0].to_string(),
+        "second-cell: cell — baseline second-cell, now absent"
+    );
+    let extra = diff(&both, GOLDEN).unwrap();
+    assert_eq!(extra.len(), 1);
+    assert_eq!(
+        (extra[0].cell.as_str(), extra[0].field.as_str()),
+        ("second-cell", "cell")
+    );
+    assert_eq!(extra[0].baseline, "absent");
+
+    let mut drifted = golden_cell();
+    drifted.ops += 1;
+    let diffs = diff(&doc_of(vec![drifted]), GOLDEN).unwrap();
+    assert_eq!(diffs.len(), 1);
+    assert_eq!(
+        diffs[0].to_string(),
+        "golden-cell: ops — baseline 400, now 401"
+    );
+
+    // +10 % latency, −5 % throughput: inside the tolerance band the gate
+    // used to have, a reviewed change now.
+    let mut wobble = golden_cell();
+    wobble.lat_mean *= 1.1;
+    wobble.throughput_kops *= 0.95;
+    let fields: Vec<String> = diff(&doc_of(vec![wobble]), GOLDEN)
+        .unwrap()
+        .into_iter()
+        .map(|d| d.field)
+        .collect();
+    assert_eq!(fields, ["throughput_kops", "lat_mean"]);
+
+    // A field only one side has is a difference too.
+    let without = GOLDEN.replace(",\"events_total\":48000", "");
+    let diffs = diff(GOLDEN, &without).unwrap();
+    assert_eq!(diffs.len(), 1);
+    assert_eq!(
+        diffs[0].to_string(),
+        "golden-cell: events_total — baseline absent, now 48000"
+    );
+    assert_eq!(diff(&without, GOLDEN).unwrap()[0].current, "absent");
 }
 
 fn tiny_cell(structure: Structure) -> CellSpec {
     CellSpec {
         id: "tiny",
         structure,
-        runtime: RuntimeKind::Sim,
         drive: DriveMode::Closed(4),
         network: Network::Clean,
         protocol: match structure {
@@ -190,48 +229,27 @@ fn tiny_cell(structure: Structure) -> CellSpec {
     }
 }
 
-/// A cell row with the one wall-clock field zeroed, for byte-determinism
-/// comparisons: everything else in a sim cell must reproduce exactly.
-fn masked(mut r: CellResult) -> CellResult {
-    r.events_per_sec = 0.0;
-    r
-}
-
 /// ACCEPTANCE: a real simulator cell re-runs bit-identically (so the gate
-/// passes against itself exactly), and injecting a 2x latency regression
-/// into the measurements trips the gate.
+/// passes against itself exactly), and a change injected into the
+/// measurements trips the gate under the changed field's name.
 #[test]
 fn real_cell_is_deterministic_and_gateable() {
     let spec = tiny_cell(Structure::Blink);
     let a = run_cell(&spec);
     let b = run_cell(&spec);
-    assert_eq!(
-        masked(a.result.clone()).to_json(),
-        masked(b.result.clone()).to_json(),
-        "identical sim cells must measure identically"
-    );
     assert_eq!(a.folded_paths, b.folded_paths);
+    let base = doc_of(vec![a.result.clone()]);
+    let rerun = doc_of(vec![b.result]);
+    assert_eq!(base, rerun, "identical sim cells must measure identically");
+    assert_eq!(diff(&rerun, &base), Ok(vec![]));
 
-    let base = BenchReport {
-        cells: vec![a.result.clone()],
-    };
-    let rerun = BenchReport {
-        cells: vec![b.result],
-    };
-    let gate = GateCfg::default();
-    assert!(compare(&rerun, &base, &gate).is_empty());
-
-    let mut regressed = base.clone();
-    regressed.cells[0].lat_mean *= 2.0;
-    regressed.cells[0].lat_p50 *= 2;
-    regressed.cells[0].lat_p95 *= 2;
-    regressed.cells[0].lat_p99 *= 2;
-    regressed.cells[0].throughput_kops /= 2.0;
-    let regs = compare(&regressed, &base, &gate);
-    assert!(
-        regs.iter().any(|r| r.metric == "lat_mean")
-            && regs.iter().any(|r| r.metric == "throughput_kops"),
-        "2x latency injection must trip the gate: {regs:?}"
+    let mut regressed = a.result;
+    regressed.lat_p99 += 1;
+    let diffs = diff(&doc_of(vec![regressed]), &base).unwrap();
+    assert_eq!(diffs.len(), 1, "{diffs:?}");
+    assert_eq!(
+        (diffs[0].cell.as_str(), diffs[0].field.as_str()),
+        ("tiny", "lat_p99")
     );
 }
 
@@ -249,15 +267,13 @@ fn chaos_cell_is_deterministic_and_completes() {
         let a = run_cell(&spec);
         let b = run_cell(&spec);
         assert_eq!(
-            masked(a.result.clone()).to_json(),
-            masked(b.result.clone()).to_json(),
+            a.result, b.result,
             "{structure:?}: identical chaos cells must measure identically"
         );
         assert_eq!(
             a.result.completed, a.result.ops,
             "{structure:?}: the retry layer must land every operation"
         );
-        assert!(a.result.deterministic, "{structure:?}: chaos is sim-only");
     }
 }
 
@@ -294,26 +310,22 @@ fn cell_profile_is_consistent() {
     }
 }
 
-/// The delete-heavy reclamation cell from the real smoke matrix — merge
-/// races, retirements, scans across retired nodes and all — is
-/// byte-identical across two in-process runs: every field of the row
-/// except the wall-clock `events_per_sec`, and the complete folded
-/// profiler outputs. This is the cell the regression gate leans on for
-/// reclamation metrics, so its determinism is what makes that gate
-/// noise-proof on shared runners.
+/// The delete-heavy reclamation cell from the real matrix — merge races,
+/// retirements, scans across retired nodes and all — is byte-identical
+/// across two in-process runs: every field of the row and the complete
+/// folded profiler outputs. This is the cell the gate leans on for
+/// reclamation metrics.
 #[test]
-fn smoke_delete_cell_is_byte_identical_across_runs() {
-    let specs = matrix(true);
+fn delete_cell_is_byte_identical_across_runs() {
+    let specs = matrix();
     let spec = specs
         .iter()
         .find(|s| s.id == "blink-sim-closed-deletes")
-        .expect("smoke matrix carries the delete-churn cell");
+        .expect("the matrix carries the delete-churn cell");
     let a = run_cell(spec);
     let b = run_cell(spec);
-    assert!(a.result.deterministic, "sim cells are deterministic");
     assert_eq!(
-        masked(a.result.clone()).to_json(),
-        masked(b.result.clone()).to_json(),
+        a.result, b.result,
         "delete-churn cell rows must reproduce byte-for-byte"
     );
     assert_eq!(a.folded_paths, b.folded_paths);
@@ -321,20 +333,23 @@ fn smoke_delete_cell_is_byte_identical_across_runs() {
     assert!(a.result.merges > 0, "the cell must exercise merge-at-empty");
 }
 
-/// The committed smoke baseline matches the smoke matrix cell-for-cell.
+/// TIER-1 PIN: the committed baseline is, byte for byte, what this build
+/// measures on all ten cells (debug or release — nothing in a row depends
+/// on the build). A change that moves a cost fails here with the cell, the
+/// field and both values; if it is meant, regenerate the file in the same
+/// commit.
 #[test]
-fn committed_baseline_covers_the_smoke_matrix() {
-    let text = include_str!("../../../BENCH_BASELINE.json");
-    let baseline = BenchReport::parse(text).expect("parse committed baseline");
-    let specs = matrix(true);
-    assert_eq!(baseline.cells.len(), specs.len());
-    for spec in specs {
-        let cell = baseline
-            .cells
-            .iter()
-            .find(|c| c.id == spec.id)
-            .unwrap_or_else(|| panic!("baseline missing cell {}", spec.id));
-        assert_eq!(cell.ops, spec.ops as u64, "{}: op count drifted", spec.id);
-        assert!(cell.deterministic, "{}: smoke cells are sim-only", spec.id);
-    }
+fn committed_baseline_is_this_builds_output() {
+    let doc = doc_of(matrix().iter().map(|s| run_cell(s).result).collect());
+    let lines: Vec<String> = diff(&doc, BASELINE)
+        .expect("the committed baseline parses")
+        .iter()
+        .map(|d| format!("  {d}"))
+        .collect();
+    assert!(
+        doc == BASELINE,
+        "BENCH_BASELINE.json is not this build's output:\n{}\n\
+         intentional? `benchsuite --update-baseline BENCH_BASELINE.json`, same commit",
+        lines.join("\n")
+    );
 }

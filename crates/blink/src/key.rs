@@ -67,11 +67,6 @@ impl KeyRange {
     pub fn is_empty(&self) -> bool {
         self.high == Some(self.low)
     }
-
-    /// Do `self` and `other` abut exactly (self.high == other.low)?
-    pub fn abuts(&self, other: &KeyRange) -> bool {
-        self.high == Some(other.low)
-    }
 }
 
 impl fmt::Debug for KeyRange {
@@ -110,7 +105,6 @@ mod tests {
         let (l, rr) = r.split_at(50);
         assert_eq!(l, KeyRange::new(0, Some(50)));
         assert_eq!(rr, KeyRange::new(50, Some(100)));
-        assert!(l.abuts(&rr));
         let (l2, r2) = KeyRange::ALL.split_at(7);
         assert_eq!(l2.high, Some(7));
         assert_eq!(r2.high, None);

@@ -121,15 +121,6 @@ impl Node {
         self.range = low_range;
         (sep, high_range, sib_entries)
     }
-
-    /// Drop entries outside the node's (shrunk) range. Returns how many were
-    /// discarded. Used when a replica applies a relayed split.
-    pub fn retain_in_range(&mut self) -> usize {
-        let before = self.len();
-        let range = self.range;
-        self.entries.retain(|&(k, _)| range.contains(k));
-        before - self.len()
-    }
 }
 
 #[cfg(test)]
@@ -177,13 +168,5 @@ mod tests {
         );
         assert_eq!(n.range, KeyRange::new(0, Some(4)));
         assert_eq!(sib_range, KeyRange::new(4, None));
-    }
-
-    #[test]
-    fn retain_in_range_discards() {
-        let mut n = leaf_with(&[1, 5, 9]);
-        n.range = KeyRange::new(0, Some(5));
-        assert_eq!(n.retain_in_range(), 2);
-        assert_eq!(n.entries, vec![(1, 10)]);
     }
 }

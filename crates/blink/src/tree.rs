@@ -61,11 +61,6 @@ impl BLinkTree {
         self.node(self.root).level + 1
     }
 
-    /// Total allocated nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Work counters.
     pub fn stats(&self) -> TreeStats {
         self.stats

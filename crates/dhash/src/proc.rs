@@ -48,9 +48,6 @@ pub struct HashConfig {
     pub capacity: usize,
     /// Directory maintenance protocol.
     pub protocol: DirProtocol,
-    /// Place split images on the next processor round-robin (`true`,
-    /// distributing load) or on the splitting processor (`false`).
-    pub spread_images: bool,
     /// Record the history log.
     pub record_history: bool,
 }
@@ -60,7 +57,6 @@ impl Default for HashConfig {
         HashConfig {
             capacity: 8,
             protocol: DirProtocol::Lazy,
-            spread_images: true,
             record_history: true,
         }
     }
@@ -292,14 +288,11 @@ impl HashProc {
     fn split_once(&mut self, ctx: &mut Context<'_, HMsg>, bucket: BucketId) {
         let image_id = self.mint_bucket();
         let me = self.me;
-        let image_home = if self.cfg.spread_images {
-            ProcId(
-                (me.0 + 1 + (image_id.raw() % (self.n_procs as u64 - 1).max(1)) as u32)
-                    % self.n_procs,
-            )
-        } else {
-            me
-        };
+        // Split images go round-robin over the other processors, spreading
+        // the load (on a single processor, back to itself).
+        let image_home = ProcId(
+            (me.0 + 1 + (image_id.raw() % (self.n_procs as u64 - 1).max(1)) as u32) % self.n_procs,
+        );
         let tag = self.log.lock().issue("dir-patch");
 
         let (bit, patch, snapshot) = {

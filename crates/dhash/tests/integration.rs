@@ -14,7 +14,6 @@ fn spec(protocol: DirProtocol, preload: u64, n_procs: u32) -> HashSpec {
         cfg: HashConfig {
             capacity: 8,
             protocol,
-            spread_images: true,
             record_history: true,
         },
     }

@@ -26,7 +26,6 @@ proptest! {
             cfg: HashConfig {
                 capacity,
                 protocol,
-                spread_images: true,
                 record_history: true,
             },
         };
@@ -59,7 +58,6 @@ proptest! {
             cfg: HashConfig {
                 capacity: 6,
                 protocol: DirProtocol::Lazy,
-                spread_images: true,
                 record_history: false,
             },
         };

@@ -117,16 +117,6 @@ impl Action {
         }
     }
 
-    /// Is this the initial (capital) form?
-    pub fn is_initial(&self) -> bool {
-        match *self {
-            Action::Insert { initial, .. }
-            | Action::HalfSplit { initial, .. }
-            | Action::Retire { initial, .. }
-            | Action::Absorb { initial, .. } => initial,
-        }
-    }
-
     /// Observable side effects of applying an action: the subsequent-action
     /// set reduced to what affects compatibility.
     ///

@@ -1,10 +1,12 @@
-//! A minimal JSON reader for the pinned JSONL export schemas.
+//! A minimal JSON reader for the pinned export schemas: the JSONL streams
+//! and the bench suite's `BENCH.json`.
 //!
 //! The vendored `serde` is a no-op stub, so the exports are hand-written —
 //! and this, their independent re-parser, is hand-written too. It supports
 //! exactly the subset the exports use (objects, arrays, strings with the
-//! escapes `json_escape_into` emits, integers, booleans, `null`) and fails
-//! loudly on anything else, which is what a schema pin wants.
+//! escapes `json_escape_into` emits, integers, fixed-point decimals,
+//! booleans, `null`) and fails loudly on anything else, which is what a
+//! schema pin wants.
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -13,10 +15,14 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// A number. The exports only ever write integers (tick counts, ids,
-    /// counter values, and `-1` for the external endpoint), so the reader
-    /// keeps them exact in an `i64`.
+    /// An integer. The JSONL exports only ever write integers (tick counts,
+    /// ids, counter values, and `-1` for the external endpoint), so the
+    /// reader keeps them exact in an `i64`.
     Num(i64),
+    /// A number written with a fraction or an exponent (`BENCH.json`'s
+    /// four-decimal ratios). Never an integer: [`Json::as_i64`] and
+    /// [`Json::as_u64`] reject it, so a schema that says integer still does.
+    Float(f64),
     /// A string, unescaped.
     Str(String),
     /// An array.
@@ -69,6 +75,15 @@ impl Json {
     /// The value as an unsigned integer (negative numbers are `None`).
     pub fn as_u64(&self) -> Option<u64> {
         self.as_i64().and_then(|n| u64::try_from(n).ok())
+    }
+
+    /// The value as a float: a [`Json::Float`], or an integer widened.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Float(x) => Some(*x),
+            Json::Num(n) => Some(*n as f64),
+            _ => None,
+        }
     }
 
     /// The value as a string slice.
@@ -148,17 +163,22 @@ impl Parser<'_> {
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        let mut integer = true;
+        while let Some(b) = self.peek() {
+            match b {
+                b'0'..=b'9' => {}
+                b'.' | b'e' | b'E' | b'+' | b'-' => integer = false,
+                _ => break,
+            }
             self.pos += 1;
         }
-        if matches!(self.peek(), Some(b'.') | Some(b'e') | Some(b'E')) {
-            // The exports never write non-integers; refuse rather than round.
-            return Err(format!("non-integer number at byte {start}"));
-        }
         let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap();
-        text.parse()
-            .map(Json::Num)
-            .map_err(|e| format!("bad number {text:?}: {e}"))
+        let bad = |e: &dyn std::fmt::Display| format!("bad number {text:?}: {e}");
+        if integer {
+            text.parse().map(Json::Num).map_err(|e| bad(&e))
+        } else {
+            text.parse().map(Json::Float).map_err(|e| bad(&e))
+        }
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -284,8 +304,24 @@ mod tests {
     }
 
     #[test]
+    fn parses_bench_decimals() {
+        // BENCH.json's fixed four-decimal encoding, as the baseline has it.
+        let row = r#"{"throughput_kops":279.7203,"seg_stall":0.0000,"ops":120}"#;
+        let v = Json::parse(row).unwrap();
+        assert_eq!(v.get("throughput_kops"), Some(&Json::Float(279.7203)));
+        assert_eq!(v.get("seg_stall").unwrap().as_f64(), Some(0.0));
+        assert_eq!(v.get("ops").unwrap().as_f64(), Some(120.0));
+        assert_eq!(Json::parse("-2.5e1"), Ok(Json::Float(-25.0)));
+    }
+
+    #[test]
     fn rejects_floats_and_garbage() {
-        assert!(Json::parse("1.5").is_err());
+        // A float parses, but never as an integer — whatever its value.
+        assert_eq!(Json::parse("1.5").unwrap().as_u64(), None);
+        assert_eq!(Json::parse("3.0").unwrap().as_i64(), None);
+        assert!(Json::parse("1.5.2").is_err());
+        assert!(Json::parse("1e").is_err());
+        assert!(Json::parse("-").is_err());
         assert!(Json::parse("{\"a\":1} x").is_err());
         assert!(Json::parse("{\"a\"").is_err());
         assert!(Json::parse("").is_err());

@@ -69,10 +69,18 @@ fn field<'a>(v: &'a Json, name: &str, line_no: usize) -> Result<&'a Json, String
         .ok_or_else(|| format!("line {line_no}: missing field {name:?}"))
 }
 
-fn pairs_of(v: &Json) -> Vec<(String, u64)> {
-    v.members()
+/// The `{"name":count,...}` object `name` of a record, counts as `u64`.
+fn pairs_of(v: &Json, name: &str, line_no: usize) -> Result<Vec<(String, u64)>, String> {
+    let count = |(k, n): &(String, Json)| {
+        let n = n
+            .as_u64()
+            .ok_or_else(|| format!("line {line_no}: {name}.{k} is not a u64"))?;
+        Ok((k.clone(), n))
+    };
+    field(v, name, line_no)?
+        .members()
         .iter()
-        .map(|(k, n)| (k.clone(), n.as_u64().unwrap_or(0)))
+        .map(count)
         .collect()
 }
 
@@ -123,7 +131,7 @@ pub fn parse_trace_jsonl(src: &str) -> Result<Vec<TraceRec>, String> {
                 .ok_or_else(|| format!("line {n}: redelivery is not a bool"))?,
             wait: u("wait")?,
             detail: s("detail")?,
-            deltas: pairs_of(field(&v, "deltas", n)?),
+            deltas: pairs_of(&v, "deltas", n)?,
         });
     }
     Ok(out)
@@ -146,8 +154,8 @@ pub fn parse_samples_jsonl(src: &str) -> Result<Vec<SampleRec>, String> {
         out.push(SampleRec {
             at: u("at")?,
             proc: u("proc")? as u32,
-            counters: pairs_of(field(&v, "counters", n)?),
-            gauges: pairs_of(field(&v, "gauges", n)?),
+            counters: pairs_of(&v, "counters", n)?,
+            gauges: pairs_of(&v, "gauges", n)?,
         });
     }
     Ok(out)
@@ -255,6 +263,17 @@ mod tests {
         assert_eq!(recs[0].counter("y"), Some(2));
         assert_eq!(recs[0].gauge("relay.backlog_depth"), Some(7));
         assert_eq!(recs[0].gauge("missing"), None);
+    }
+
+    /// The reader holds `BENCH.json`'s decimals, but where a JSONL schema
+    /// says integer a decimal is still an error.
+    #[test]
+    fn a_decimal_where_the_schema_says_integer_is_an_error() {
+        let err = parse_trace_jsonl(&TRACE.replace(r#""at":15"#, r#""at":1.5"#)).unwrap_err();
+        assert_eq!(err, "line 1: at is not a u64");
+        let err = parse_samples_jsonl(r#"{"at":1,"proc":0,"counters":{"x":0.5},"gauges":{}}"#)
+            .unwrap_err();
+        assert_eq!(err, "line 1: counters.x is not a u64");
     }
 
     #[test]

@@ -18,51 +18,36 @@ use std::fmt::Write as _;
 use crate::json::{escape_into, opt_into, pairs_into};
 use crate::{ProcId, SimTime};
 
-/// Watchdog thresholds, identical for both runtimes. The default is fully
-/// disabled: no rule is evaluated, no per-sample state is kept, and runs
-/// are byte-identical to builds that predate the monitor.
-#[derive(Clone, Copy, Debug)]
+/// The watchdog switch, identical for both runtimes. The default is off: no
+/// rule is evaluated, no per-sample state is kept, and runs are
+/// byte-identical to builds that predate the monitor. The thresholds are
+/// the constants below — no caller ever set one.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct HealthConfig {
     /// Master switch; `false` (the default) skips evaluation entirely.
     pub enabled: bool,
-    /// Fire `backlog_growth` when the `relay.backlog_depth` gauge rises
-    /// strictly for this many consecutive samples of one processor
-    /// (0 disables the rule).
-    pub backlog_growth_windows: u32,
-    /// Fire `parked_write_stall` when the `proc.parked_dwell` gauge (oldest
-    /// parked write's age in ticks) exceeds this bound (0 disables).
-    pub parked_dwell_ticks: u64,
-    /// Fire `retransmit_storm` when the `session.retransmissions` counter
-    /// grows by more than this between two consecutive samples of one
-    /// processor (0 disables).
-    pub retransmit_storm_delta: u64,
-    /// Fire `suspect_flapping` when the combined `detector.suspects` +
-    /// `detector.alives` transition count grows by more than this within
-    /// one sampling window (0 disables).
-    pub flap_transitions: u64,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            enabled: false,
-            backlog_growth_windows: 4,
-            parked_dwell_ticks: 5_000,
-            retransmit_storm_delta: 64,
-            flap_transitions: 6,
-        }
-    }
 }
 
 impl HealthConfig {
-    /// All rules armed at the default thresholds.
+    /// All rules armed.
     pub fn watchdogs() -> Self {
-        HealthConfig {
-            enabled: true,
-            ..HealthConfig::default()
-        }
+        HealthConfig { enabled: true }
     }
 }
+
+/// `backlog_growth` fires when the `relay.backlog_depth` gauge rises
+/// strictly for this many consecutive samples of one processor.
+const BACKLOG_GROWTH_WINDOWS: u32 = 4;
+/// `parked_write_stall` fires when the `proc.parked_dwell` gauge (oldest
+/// parked write's age in ticks) exceeds this bound.
+const PARKED_DWELL_TICKS: u64 = 5_000;
+/// `retransmit_storm` fires when the `session.retransmissions` counter grows
+/// by more than this between two consecutive samples of one processor.
+const RETRANSMIT_STORM_DELTA: u64 = 64;
+/// `suspect_flapping` fires when the combined `detector.suspects` +
+/// `detector.alives` transition count grows by more than this within one
+/// sampling window.
+const FLAP_TRANSITIONS: u64 = 6;
 
 /// One watchdog firing. The JSON shape (and the `rule` vocabulary) is
 /// pinned by golden tests — extend, don't reshape.
@@ -78,7 +63,7 @@ pub struct Alert {
     /// The observed value (gauge level, or per-window delta for the
     /// derivative rules).
     pub value: u64,
-    /// The configured bound the value crossed.
+    /// The rule's bound the value crossed.
     pub threshold: u64,
     /// Consecutive samples the predicate held when the alert fired (1 for
     /// the pure threshold rules).
@@ -129,7 +114,7 @@ struct ProcHealth {
     flap_latched: bool,
 }
 
-/// Evaluates [`HealthConfig`] rules over the per-processor sample stream.
+/// Evaluates the watchdog rules over the per-processor sample stream.
 ///
 /// Feed it every `(at, proc, counters, gauges)` snapshot the sampler takes
 /// (the recorder both runtimes share does) and record whatever alerts come
@@ -170,118 +155,109 @@ impl HealthMonitor {
         if proc.index() >= self.procs.len() {
             self.procs.resize(proc.index() + 1, ProcHealth::default());
         }
-        let cfg = self.cfg;
         let st = &mut self.procs[proc.index()];
         let mut out = Vec::new();
 
         // backlog_growth: the relay backlog depth rose strictly for N
         // consecutive windows — relays are being produced faster than they
         // drain (or drainage is wedged entirely).
-        if cfg.backlog_growth_windows > 0 {
-            if let Some(depth) = lookup(gauges, "relay.backlog_depth") {
-                match st.last_backlog {
-                    Some(prev) if depth > prev => st.backlog_rising += 1,
-                    Some(_) => {
-                        st.backlog_rising = 0;
-                        st.backlog_latched = false;
-                    }
-                    None => {}
+        if let Some(depth) = lookup(gauges, "relay.backlog_depth") {
+            match st.last_backlog {
+                Some(prev) if depth > prev => st.backlog_rising += 1,
+                Some(_) => {
+                    st.backlog_rising = 0;
+                    st.backlog_latched = false;
                 }
-                st.last_backlog = Some(depth);
-                if st.backlog_rising >= cfg.backlog_growth_windows && !st.backlog_latched {
-                    st.backlog_latched = true;
-                    out.push(Alert {
-                        at,
-                        proc,
-                        rule: "backlog_growth",
-                        value: depth,
-                        threshold: cfg.backlog_growth_windows as u64,
-                        windows: st.backlog_rising,
-                    });
-                }
+                None => {}
+            }
+            st.last_backlog = Some(depth);
+            if st.backlog_rising >= BACKLOG_GROWTH_WINDOWS && !st.backlog_latched {
+                st.backlog_latched = true;
+                out.push(Alert {
+                    at,
+                    proc,
+                    rule: "backlog_growth",
+                    value: depth,
+                    threshold: BACKLOG_GROWTH_WINDOWS as u64,
+                    windows: st.backlog_rising,
+                });
             }
         }
 
         // parked_write_stall: the oldest parked client write has dwelled
         // past the bound — a liveness smell (the wedged-merge livelock's
         // online signature).
-        if cfg.parked_dwell_ticks > 0 {
-            if let Some(dwell) = lookup(gauges, "proc.parked_dwell") {
-                if dwell > cfg.parked_dwell_ticks {
-                    if !st.dwell_latched {
-                        st.dwell_latched = true;
-                        out.push(Alert {
-                            at,
-                            proc,
-                            rule: "parked_write_stall",
-                            value: dwell,
-                            threshold: cfg.parked_dwell_ticks,
-                            windows: 1,
-                        });
-                    }
-                } else {
-                    st.dwell_latched = false;
+        if let Some(dwell) = lookup(gauges, "proc.parked_dwell") {
+            if dwell > PARKED_DWELL_TICKS {
+                if !st.dwell_latched {
+                    st.dwell_latched = true;
+                    out.push(Alert {
+                        at,
+                        proc,
+                        rule: "parked_write_stall",
+                        value: dwell,
+                        threshold: PARKED_DWELL_TICKS,
+                        windows: 1,
+                    });
                 }
+            } else {
+                st.dwell_latched = false;
             }
         }
 
         // retransmit_storm: the session layer's retransmission counter
         // jumped by more than the bound within one window.
-        if cfg.retransmit_storm_delta > 0 {
-            if let Some(now) = lookup(counters, "session.retransmissions") {
-                if let Some(prev) = st.last_retrans {
-                    let delta = now.saturating_sub(prev);
-                    if delta > cfg.retransmit_storm_delta {
-                        if !st.storm_latched {
-                            st.storm_latched = true;
-                            out.push(Alert {
-                                at,
-                                proc,
-                                rule: "retransmit_storm",
-                                value: delta,
-                                threshold: cfg.retransmit_storm_delta,
-                                windows: 1,
-                            });
-                        }
-                    } else {
-                        st.storm_latched = false;
+        if let Some(now) = lookup(counters, "session.retransmissions") {
+            if let Some(prev) = st.last_retrans {
+                let delta = now.saturating_sub(prev);
+                if delta > RETRANSMIT_STORM_DELTA {
+                    if !st.storm_latched {
+                        st.storm_latched = true;
+                        out.push(Alert {
+                            at,
+                            proc,
+                            rule: "retransmit_storm",
+                            value: delta,
+                            threshold: RETRANSMIT_STORM_DELTA,
+                            windows: 1,
+                        });
                     }
+                } else {
+                    st.storm_latched = false;
                 }
-                st.last_retrans = Some(now);
             }
+            st.last_retrans = Some(now);
         }
 
         // suspect_flapping: the failure detector changed its mind too often
         // within one window (suspect+alive transitions both count).
-        if cfg.flap_transitions > 0 {
-            let flaps = match (
-                lookup(counters, "detector.suspects"),
-                lookup(counters, "detector.alives"),
-            ) {
-                (None, None) => None,
-                (s, a) => Some(s.unwrap_or(0) + a.unwrap_or(0)),
-            };
-            if let Some(now) = flaps {
-                if let Some(prev) = st.last_flaps {
-                    let delta = now.saturating_sub(prev);
-                    if delta > cfg.flap_transitions {
-                        if !st.flap_latched {
-                            st.flap_latched = true;
-                            out.push(Alert {
-                                at,
-                                proc,
-                                rule: "suspect_flapping",
-                                value: delta,
-                                threshold: cfg.flap_transitions,
-                                windows: 1,
-                            });
-                        }
-                    } else {
-                        st.flap_latched = false;
+        let flaps = match (
+            lookup(counters, "detector.suspects"),
+            lookup(counters, "detector.alives"),
+        ) {
+            (None, None) => None,
+            (s, a) => Some(s.unwrap_or(0) + a.unwrap_or(0)),
+        };
+        if let Some(now) = flaps {
+            if let Some(prev) = st.last_flaps {
+                let delta = now.saturating_sub(prev);
+                if delta > FLAP_TRANSITIONS {
+                    if !st.flap_latched {
+                        st.flap_latched = true;
+                        out.push(Alert {
+                            at,
+                            proc,
+                            rule: "suspect_flapping",
+                            value: delta,
+                            threshold: FLAP_TRANSITIONS,
+                            windows: 1,
+                        });
                     }
+                } else {
+                    st.flap_latched = false;
                 }
-                st.last_flaps = Some(now);
             }
+            st.last_flaps = Some(now);
         }
 
         out
@@ -369,98 +345,88 @@ mod tests {
 
     #[test]
     fn backlog_growth_fires_once_per_incident() {
-        let cfg = HealthConfig {
-            enabled: true,
-            backlog_growth_windows: 3,
-            ..HealthConfig::default()
-        };
-        let mut m = HealthMonitor::new(cfg, 1);
-        // Strictly rising: fires exactly at the 3rd consecutive rise.
-        assert!(sample(&mut m, 0, &[("relay.backlog_depth", 1)]).is_empty());
-        assert!(sample(&mut m, 10, &[("relay.backlog_depth", 2)]).is_empty());
-        assert!(sample(&mut m, 20, &[("relay.backlog_depth", 3)]).is_empty());
-        let fired = sample(&mut m, 30, &[("relay.backlog_depth", 4)]);
+        let mut m = HealthMonitor::new(HealthConfig::watchdogs(), 1);
+        // Strictly rising: fires exactly at the 4th consecutive rise.
+        for (i, d) in (1u64..=4).enumerate() {
+            assert!(sample(&mut m, 10 * i as u64, &[("relay.backlog_depth", d)]).is_empty());
+        }
+        let fired = sample(&mut m, 40, &[("relay.backlog_depth", 5)]);
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].rule, "backlog_growth");
-        assert_eq!(fired[0].windows, 3);
+        assert_eq!(fired[0].windows, BACKLOG_GROWTH_WINDOWS);
         // Still rising: latched, no second alert.
-        assert!(sample(&mut m, 40, &[("relay.backlog_depth", 9)]).is_empty());
+        assert!(sample(&mut m, 50, &[("relay.backlog_depth", 9)]).is_empty());
         // Recovery re-arms; a fresh climb fires again.
-        assert!(sample(&mut m, 50, &[("relay.backlog_depth", 1)]).is_empty());
-        for (i, d) in [2u64, 3, 4].iter().enumerate() {
-            let fired = sample(&mut m, 60 + 10 * i as u64, &[("relay.backlog_depth", *d)]);
-            assert_eq!(fired.len(), usize::from(*d == 4));
+        assert!(sample(&mut m, 60, &[("relay.backlog_depth", 1)]).is_empty());
+        for (i, d) in (2u64..=5).enumerate() {
+            let fired = sample(&mut m, 70 + 10 * i as u64, &[("relay.backlog_depth", d)]);
+            assert_eq!(fired.len(), usize::from(d == 5));
         }
     }
 
     #[test]
     fn parked_dwell_threshold_is_hysteretic() {
-        let cfg = HealthConfig {
-            enabled: true,
-            parked_dwell_ticks: 100,
-            ..HealthConfig::default()
-        };
-        let mut m = HealthMonitor::new(cfg, 1);
-        assert!(sample(&mut m, 0, &[("proc.parked_dwell", 100)]).is_empty());
-        let fired = sample(&mut m, 10, &[("proc.parked_dwell", 101)]);
+        let mut m = HealthMonitor::new(HealthConfig::watchdogs(), 1);
+        let bound = PARKED_DWELL_TICKS;
+        assert!(sample(&mut m, 0, &[("proc.parked_dwell", bound)]).is_empty());
+        let fired = sample(&mut m, 10, &[("proc.parked_dwell", bound + 1)]);
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].rule, "parked_write_stall");
-        assert!(sample(&mut m, 20, &[("proc.parked_dwell", 500)]).is_empty());
+        assert!(sample(&mut m, 20, &[("proc.parked_dwell", 5 * bound)]).is_empty());
         assert!(sample(&mut m, 30, &[("proc.parked_dwell", 0)]).is_empty());
-        assert_eq!(sample(&mut m, 40, &[("proc.parked_dwell", 200)]).len(), 1);
+        assert_eq!(
+            sample(&mut m, 40, &[("proc.parked_dwell", 2 * bound)]).len(),
+            1
+        );
     }
 
     #[test]
     fn retransmit_storm_watches_the_window_delta() {
-        let cfg = HealthConfig {
-            enabled: true,
-            retransmit_storm_delta: 10,
-            ..HealthConfig::default()
-        };
-        let mut m = HealthMonitor::new(cfg, 1);
+        let mut m = HealthMonitor::new(HealthConfig::watchdogs(), 1);
         let c = |v| vec![("session.retransmissions", v)];
         assert!(m.observe(SimTime(0), ProcId(0), &c(100), &[]).is_empty());
-        // +5 within the window: fine. +11: storm.
-        assert!(m.observe(SimTime(10), ProcId(0), &c(105), &[]).is_empty());
-        let fired = m.observe(SimTime(20), ProcId(0), &c(116), &[]);
+        // +64 within the window: fine. +65: storm.
+        assert!(m.observe(SimTime(10), ProcId(0), &c(164), &[]).is_empty());
+        let fired = m.observe(SimTime(20), ProcId(0), &c(229), &[]);
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].rule, "retransmit_storm");
-        assert_eq!(fired[0].value, 11);
+        assert_eq!(fired[0].value, RETRANSMIT_STORM_DELTA + 1);
     }
 
     #[test]
     fn flapping_sums_suspect_and_alive_transitions() {
-        let cfg = HealthConfig {
-            enabled: true,
-            flap_transitions: 3,
-            ..HealthConfig::default()
-        };
-        let mut m = HealthMonitor::new(cfg, 1);
+        let mut m = HealthMonitor::new(HealthConfig::watchdogs(), 1);
         let c = |s, a| vec![("detector.suspects", s), ("detector.alives", a)];
         assert!(m.observe(SimTime(0), ProcId(0), &c(0, 0), &[]).is_empty());
-        assert!(m.observe(SimTime(10), ProcId(0), &c(1, 1), &[]).is_empty());
-        let fired = m.observe(SimTime(20), ProcId(0), &c(3, 3), &[]);
+        // 3 + 3 transitions in one window: at the bound. 4 + 3: past it.
+        assert!(m.observe(SimTime(10), ProcId(0), &c(3, 3), &[]).is_empty());
+        let fired = m.observe(SimTime(20), ProcId(0), &c(7, 6), &[]);
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].rule, "suspect_flapping");
-        assert_eq!(fired[0].value, 4);
+        assert_eq!(fired[0].value, FLAP_TRANSITIONS + 1);
     }
 
     #[test]
     fn rules_are_tracked_per_processor() {
-        let cfg = HealthConfig {
-            enabled: true,
-            backlog_growth_windows: 2,
-            ..HealthConfig::default()
-        };
-        let mut m = HealthMonitor::new(cfg, 2);
-        for (at, d) in [(0u64, 1u64), (10, 2), (20, 3)] {
+        let mut m = HealthMonitor::new(HealthConfig::watchdogs(), 2);
+        for d in 1u64..=5 {
             // Proc 1 rises; proc 0 stays flat and must not fire.
             assert!(m
-                .observe(SimTime(at), ProcId(0), &[], &[("relay.backlog_depth", 1)])
+                .observe(
+                    SimTime(10 * d),
+                    ProcId(0),
+                    &[],
+                    &[("relay.backlog_depth", 1)]
+                )
                 .is_empty());
-            let fired = m.observe(SimTime(at), ProcId(1), &[], &[("relay.backlog_depth", d)]);
-            assert_eq!(fired.len(), usize::from(d == 3));
-            if d == 3 {
+            let fired = m.observe(
+                SimTime(10 * d),
+                ProcId(1),
+                &[],
+                &[("relay.backlog_depth", d)],
+            );
+            assert_eq!(fired.len(), usize::from(d == 5));
+            if d == 5 {
                 assert_eq!(fired[0].proc, ProcId(1));
             }
         }

@@ -78,9 +78,7 @@ pub use fx::{FxHashMap, FxHashSet, FxHasher};
 pub use health::{Alert, HealthConfig, HealthMonitor, HealthReport};
 pub use latency::LatencyModel;
 pub use obs::{Histogram, MetricsRegistry, Obs, ObsConfig, ProcSample};
-pub use profile::{
-    folded_events, folded_waits, Hop, OpProfile, Profiler, RunProfile, Segments, ServiceTimes,
-};
+pub use profile::{folded_waits, Hop, OpProfile, Profiler, RunProfile, Segments, ServiceTimes};
 pub use runtime::{Poll, QuiesceError, Runtime};
 pub use schedule::{Choice, ChoiceKind, FifoScheduler, Scheduler};
 pub use session::{DetectorConfig, SessionConfig, SessionMsg, SessionProc, SessionStats};

@@ -410,36 +410,17 @@ fn proc_label(p: ProcId) -> String {
     }
 }
 
-/// Folded-stack export of the whole trace: one `proc;event;kind count` line
-/// per distinct combination (flamegraph-compatible), counting occurrences.
-/// The acting processor is `to` for deliveries/timers and `from` for
-/// outputs; fault events stick with the intended recipient.
-pub fn folded_events(trace: &Trace) -> String {
-    fold_by(trace, |_| 1)
-}
-
-/// Folded-stack export weighted by queueing: each `proc;event;kind` line
-/// carries the total ticks deliveries of that kind waited for that
-/// processor's node manager. Zero-weight combinations are omitted — the
-/// export directly names the hot (queue-building) processors.
+/// Folded-stack export weighted by queueing (flamegraph-compatible): each
+/// `proc;event;kind` line carries the total ticks deliveries of that kind
+/// waited for that processor's node manager. Combinations that never waited
+/// are omitted — the export directly names the hot (queue-building)
+/// processors.
 pub fn folded_waits(trace: &Trace) -> String {
-    fold_by(trace, |e| e.wait)
-}
-
-fn fold_by(trace: &Trace, weight: impl Fn(&TraceEntry) -> u64) -> String {
     let mut agg: BTreeMap<(String, &'static str, &'static str), u64> = BTreeMap::new();
-    for e in trace.iter() {
-        let w = weight(e);
-        if w == 0 {
-            continue;
-        }
-        let actor = if e.event == TraceEvent::Output {
-            e.from
-        } else {
-            e.to
-        };
-        *agg.entry((proc_label(actor), e.event.as_str(), e.kind))
-            .or_insert(0) += w;
+    // Only actions (deliveries, timers) wait, and they act on `to`.
+    for e in trace.iter().filter(|e| e.wait > 0) {
+        *agg.entry((proc_label(e.to), e.event.as_str(), e.kind))
+            .or_insert(0) += e.wait;
     }
     let mut out = String::new();
     for ((proc, event, kind), w) in agg {
@@ -753,9 +734,6 @@ mod tests {
             "done",
             0,
         ));
-        let events = folded_events(&t);
-        assert!(events.contains("P0;deliver;client 2"));
-        assert!(events.contains("P1;output;done 1"));
         let waits = folded_waits(&t);
         assert_eq!(waits, "P0;deliver;client 2\n", "only nonzero waits appear");
     }

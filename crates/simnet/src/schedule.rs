@@ -63,14 +63,6 @@ pub struct Choice {
     pub label: &'static str,
 }
 
-impl Choice {
-    /// Is this the head of a message channel (as opposed to a timer or a
-    /// fault control)?
-    pub fn is_deliver(self) -> bool {
-        self.kind == ChoiceKind::Deliver
-    }
-}
-
 /// A schedule controller: picks which enabled event the simulator fires
 /// next.
 ///

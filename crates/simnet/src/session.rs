@@ -40,7 +40,7 @@
 //! ([`TraceEvent::Alive`] + `on_peer_change(peer, true)`). Detection is
 //! purely advisory: safety never depends on it, only reaction latency does.
 //! The detector goes *dormant* (stops re-arming its timer) after
-//! `idle_rounds` rounds with no inner traffic and nothing unacknowledged, so
+//! `IDLE_ROUNDS` rounds with no inner traffic and nothing unacknowledged, so
 //! quiescence detection still terminates; the next inner send or arrival
 //! re-arms it. Disabled (the default), it adds zero timers, messages, and
 //! RNG draws — runs are byte-identical to builds without it.
@@ -68,6 +68,16 @@ fn session_token(dst: ProcId) -> u64 {
     SESSION_TIMER_BIT | dst.0 as u64
 }
 
+/// Consecutive rounds with no inner traffic (and empty outboxes) before the
+/// detector goes dormant. Dormancy is what lets quiescence detection
+/// terminate; the next inner send or arrival re-arms the round timer.
+const IDLE_ROUNDS: u32 = 2;
+/// Initial retransmission timeout, in ticks: comfortably more than one
+/// round trip under every latency model in use.
+const BASE_RTO: u64 = 50;
+/// Backoff ceiling for the retransmission timeout.
+const MAX_RTO: u64 = 2000;
+
 /// Tuning knobs for the heartbeat failure detector.
 ///
 /// Thresholds are in ticks / detector rounds. A peer is suspected when it has
@@ -83,10 +93,6 @@ pub struct DetectorConfig {
     pub ping_interval: u64,
     /// Rounds of silence before a peer becomes suspect.
     pub suspect_after: u32,
-    /// Consecutive rounds with no inner traffic (and empty outboxes) before
-    /// the detector goes dormant. Dormancy is what lets quiescence detection
-    /// terminate; the next inner send or arrival re-arms the round timer.
-    pub idle_rounds: u32,
 }
 
 impl Default for DetectorConfig {
@@ -95,7 +101,6 @@ impl Default for DetectorConfig {
             enabled: false,
             ping_interval: 100,
             suspect_after: 3,
-            idle_rounds: 2,
         }
     }
 }
@@ -115,11 +120,6 @@ impl DetectorConfig {
 pub struct SessionConfig {
     /// Master switch. Off = every message passes through untouched.
     pub enabled: bool,
-    /// Initial retransmission timeout, in ticks. Should comfortably exceed
-    /// one round trip under the latency model in use.
-    pub base_rto: u64,
-    /// Backoff ceiling for the retransmission timeout.
-    pub max_rto: u64,
     /// Give up on a channel after this many consecutive fruitless
     /// retransmission rounds (e.g. the peer is partitioned away for good).
     pub max_retries: u32,
@@ -131,8 +131,6 @@ impl Default for SessionConfig {
     fn default() -> Self {
         SessionConfig {
             enabled: false,
-            base_rto: 50,
-            max_rto: 2000,
             max_retries: 64,
             detector: DetectorConfig::default(),
         }
@@ -250,11 +248,11 @@ struct SendState<M> {
 }
 
 impl<M> SendState<M> {
-    fn new(base_rto: u64) -> Self {
+    fn new() -> Self {
         SendState {
             next_seq: 0,
             outbox: VecDeque::new(),
-            rto: base_rto,
+            rto: BASE_RTO,
             retries: 0,
             timer_armed: false,
         }
@@ -338,7 +336,7 @@ pub struct SessionProc<P: Process> {
     /// A detector round timer is outstanding.
     det_armed: bool,
     /// Consecutive detector rounds with no inner traffic and nothing
-    /// unacknowledged; reaching `idle_rounds` makes the detector dormant.
+    /// unacknowledged; reaching [`IDLE_ROUNDS`] makes the detector dormant.
     det_idle: u32,
     /// Inner traffic (data sent or delivered) since the last detector round.
     det_activity: bool,
@@ -488,7 +486,7 @@ impl<P: Process> SessionProc<P> {
     }
 
     /// One detector round: suspect peers that have gone silent, ping every
-    /// monitored peer, then re-arm — or go dormant after `idle_rounds`
+    /// monitored peer, then re-arm — or go dormant after [`IDLE_ROUNDS`]
     /// rounds with no inner traffic and empty outboxes.
     fn det_round(&mut self, ctx: &mut Context<'_, SessionMsg<P::Msg>>) {
         let det = self.cfg.detector;
@@ -516,7 +514,7 @@ impl<P: Process> SessionProc<P> {
         let idle = !self.det_activity && self.send.values().all(|s| s.outbox.is_empty());
         self.det_idle = if idle { self.det_idle + 1 } else { 0 };
         self.det_activity = false;
-        if self.det_idle >= det.idle_rounds {
+        if self.det_idle >= IDLE_ROUNDS {
             // Dormant: quiescence can now drain. The next inner send or
             // arrival re-arms the round timer. (Nothing nested can have
             // armed one meanwhile — activity would have made `idle` false.)
@@ -537,11 +535,7 @@ impl<P: Process> SessionProc<P> {
             ctx.send(to, SessionMsg::Raw(msg));
             return;
         }
-        let base_rto = self.cfg.base_rto;
-        let st = self
-            .send
-            .entry(to)
-            .or_insert_with(|| SendState::new(base_rto));
+        let st = self.send.entry(to).or_insert_with(SendState::new);
         let seq = st.next_seq;
         st.next_seq += 1;
         st.outbox.push_back((seq, msg.clone()));
@@ -604,7 +598,7 @@ impl<P: Process> SessionProc<P> {
         }
         if progressed {
             // The channel is alive: restart the backoff schedule.
-            st.rto = self.cfg.base_rto;
+            st.rto = BASE_RTO;
             st.retries = 0;
         }
     }
@@ -711,7 +705,7 @@ impl<P: Process> Process for SessionProc<P> {
             st.timer_armed = false;
             return;
         }
-        st.rto = (st.rto * 2).min(self.cfg.max_rto);
+        st.rto = (st.rto * 2).min(MAX_RTO);
         let rto = st.rto;
         self.retransmit(ctx, dst);
         ctx.set_timer(rto, token);
@@ -747,7 +741,7 @@ impl<P: Process> Process for SessionProc<P> {
             let dsts: Vec<ProcId> = self.send.keys().copied().collect();
             for dst in dsts {
                 let st = self.send.get_mut(&dst).expect("key just listed");
-                st.rto = self.cfg.base_rto;
+                st.rto = BASE_RTO;
                 st.retries = 0;
                 if st.outbox.is_empty() {
                     st.timer_armed = false;
@@ -975,11 +969,8 @@ mod tests {
                             seen: vec![],
                         },
                         SessionConfig {
-                            enabled: true,
-                            base_rto: 10,
-                            max_rto: 40,
                             max_retries: 6,
-                            ..SessionConfig::default()
+                            ..SessionConfig::reliable()
                         },
                     )
                 })
@@ -1042,15 +1033,16 @@ mod tests {
     #[test]
     fn detector_suspects_crashed_peer_and_clears_on_restart() {
         let det = DetectorConfig {
-            enabled: true,
             ping_interval: 50,
-            suspect_after: 3,
-            idle_rounds: 4,
+            ..DetectorConfig::on()
         };
+        // P1 goes down with part of the stream still in flight: the unacked
+        // outbox is what keeps P0's detector from going dormant (it would,
+        // after `IDLE_ROUNDS` quiet rounds) before the suspicion threshold.
         let mut cfg = SimConfig::jittery(11, 2, 5);
         cfg.faults = FaultPlan::none().with_crash(CrashEvent {
             proc: ProcId(1),
-            at: SimTime(30),
+            at: SimTime(3),
             restart_at: Some(SimTime(900)),
         });
         let mut sim = Simulation::new(cfg, watchers(40, det));
@@ -1119,7 +1111,6 @@ mod tests {
                 enabled: false,
                 ping_interval: 1,
                 suspect_after: 1,
-                idle_rounds: 1,
             };
             run(cfg)
         });

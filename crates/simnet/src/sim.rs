@@ -97,8 +97,6 @@ pub enum RunOutcome {
     Quiescent,
     /// `max_events` was hit.
     EventLimit,
-    /// [`Simulation::run_until`]'s horizon was reached with events pending.
-    TimeLimit,
 }
 
 /// Per-channel FIFO watermarks, stored flat: `internal[src*n + dst]` for
@@ -337,11 +335,6 @@ impl<P: Process> Simulation<P> {
         );
     }
 
-    /// Is this processor currently crashed under the fault plan?
-    pub fn is_down(&self, id: ProcId) -> bool {
-        self.down[id.index()]
-    }
-
     /// Has the run limit already been crossed? `None` means the simulation
     /// may keep stepping. Callers that drive [`Simulation::step`] in their
     /// own loop should consult this so `max_events` is not silently ignored.
@@ -355,11 +348,6 @@ impl<P: Process> Simulation<P> {
     /// [`crate::schedule`]).
     pub fn set_scheduler(&mut self, scheduler: Box<dyn Scheduler>) {
         self.scheduler = Some(scheduler);
-    }
-
-    /// Remove the schedule controller, restoring time-ordered delivery.
-    pub fn clear_scheduler(&mut self) -> Option<Box<dyn Scheduler>> {
-        self.scheduler.take()
     }
 
     /// A digest of the simulation's *logical* state, for the model
@@ -592,18 +580,6 @@ impl<P: Process> Simulation<P> {
             .into_iter()
             .map(|p| *p.expect("process is resident between events"))
             .collect()
-    }
-
-    /// Run until virtual time reaches `until` or the simulation quiesces.
-    pub fn run_until(&mut self, until: SimTime) -> RunOutcome {
-        loop {
-            if self.now >= until {
-                return RunOutcome::TimeLimit;
-            }
-            if !self.step() {
-                return RunOutcome::Quiescent;
-            }
-        }
     }
 
     /// Per-processor service time after overrides (0 = infinitely fast).

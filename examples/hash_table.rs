@@ -22,7 +22,6 @@ fn main() -> Result<(), QuiesceError> {
         cfg: HashConfig {
             capacity: 8,
             protocol: DirProtocol::Lazy,
-            spread_images: true,
             record_history: true,
         },
     };
