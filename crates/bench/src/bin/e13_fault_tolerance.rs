@@ -8,8 +8,9 @@
 //! 1. **Drop sweep** — the same insert workload over networks losing
 //!    0%–20% of messages (plus 5% duplication). The reliable-delivery
 //!    session layer retransmits and deduplicates until every operation
-//!    completes and every copy converges; the price is retransmissions and
-//!    latency, never correctness.
+//!    completes and every copy converges; the price is retransmissions,
+//!    acks (`msgs/payload` = everything the session sends per payload it
+//!    carries — 1.0 would be free) and latency, never correctness.
 //! 2. **Without the session layer** — the same lossy network with raw
 //!    channels: operations hang and updates are silently lost, the Fig 4
 //!    failure mode writ large.
@@ -71,6 +72,8 @@ fn drop_sweep() {
         "dup rate",
         "lost+duped",
         "retransmits",
+        "acks",
+        "msgs/payload",
         "dups suppressed",
         "mean latency",
         "p99",
@@ -99,6 +102,11 @@ fn drop_sweep() {
             "5%".to_string(),
             format!("{}+{}", faults.total_lost(), faults.duplicated),
             session.retransmissions.to_string(),
+            session.acks_sent.to_string(),
+            f2(
+                (session.data_sent + session.retransmissions + session.acks_sent) as f64
+                    / session.data_sent as f64,
+            ),
             session.dup_suppressed.to_string(),
             f1(stats.mean_latency()),
             stats.latency_quantile(0.99).to_string(),

@@ -639,13 +639,17 @@ mod tests {
     /// `Option` must stay free), a [`Msg`] is copied once per in-process
     /// step and once per send. (Field *order* is left to the compiler: a
     /// `repr(C)` hot-fields-first order was tried and measured nothing once
-    /// the entries were searched by counting — CHANGES, PR 17.)
+    /// the entries were searched by counting — CHANGES, PR 17.) And the frame
+    /// a `Msg` travels in is exactly as large with the session's piggybacked
+    /// ack as it was without: the ack shares a word with `retx`, so the
+    /// pass-through path of a clean run moves the same bytes.
     #[test]
     fn hot_path_layouts_stay_within_their_budgets() {
         use std::mem::size_of;
         assert!(size_of::<NodeCopy>() <= 704, "{}", size_of::<NodeCopy>());
         assert_eq!(size_of::<Option<NodeCopy>>(), size_of::<NodeCopy>());
         assert!(size_of::<Msg>() <= 112, "{}", size_of::<Msg>());
+        assert_eq!(size_of::<simnet::SessionMsg<Msg>>(), 128);
     }
 
     #[test]

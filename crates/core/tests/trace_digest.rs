@@ -108,7 +108,7 @@ fn lossy_run_exports_are_pinned() {
     }
     assert_eq!(
         digest(&obs),
-        0x4eca_2518_86fb_3624,
+        0xa580_143d_7fb4_9706,
         "lossy-run export digest"
     );
 }

@@ -6,24 +6,53 @@
 //! physical layer; [`SessionProc`] restores it end-to-end, so every protocol
 //! runs unchanged over a lossy network.
 //!
-//! The mechanism is classic go-back-N ARQ:
+//! The mechanism is selective-repeat ARQ whose acknowledgements are lazy
+//! updates — monotone, idempotent, max-merged, so they may be late, repeated
+//! or ride on anything:
 //!
 //! * each remote message gets a per-`(src, dst)` sequence number and is held
-//!   in an outbox until acknowledged;
-//! * receivers deliver in sequence order, buffer out-of-order arrivals,
-//!   suppress duplicates, and answer every data message with a cumulative
-//!   ack;
-//! * senders retransmit the whole outbox on a retransmission timeout, with
-//!   exponential backoff.
+//!   in an outbox until acknowledged; receivers deliver in sequence order,
+//!   buffer out-of-order arrivals and suppress duplicates;
+//! * **a timer on the oldest unacked message.** Every outbox entry carries
+//!   its own deadline and back-off count; the per-channel timer follows the
+//!   oldest entry, and when that one is overdue it alone is resent, as a
+//!   probe — whichever of the payload or its ack was lost, the answer covers
+//!   everything behind it. `BASE_RTO` exceeds the worst round trip plus the
+//!   ack delay, so nothing is retransmitted on a loss-free network.
+//!   Back-off is for a peer that says nothing: once a peer whose probe timed
+//!   out is heard from, the oldest entry goes again as soon as it is a base
+//!   timeout old;
+//! * **selective repeat, on evidence.** Every frame says how far the stream
+//!   had got when it was sent (`seq + 1 + ahead`), and an
+//!   [`SessionMsg::Ack`] reports, beside `upto`, what the receiver lacks
+//!   below the furthest point it has word of: the run of sequences missing
+//!   at `upto`, and a bitmap of the newest 64. Channels are FIFO, so an
+//!   entry the receiver lacks although it has seen a frame sent *after* that
+//!   entry's latest transmission is lost — not late, whatever the delays —
+//!   and is resent at once: every hole a report names is repaired in the
+//!   same round trip, a probe that gets through is answered with everything
+//!   lost behind it, and nothing is ever resent on a guess. What a report
+//!   says is *held* changes nothing at the sender: the receiver's buffer is
+//!   volatile, and only `upto` releases an entry;
+//! * **lazy acks.** An arrival owes an ack, it does not send one: the owed
+//!   `upto` rides in every `Data` frame to that peer, and one per-processor
+//!   flush timer sends what is still owed `ACK_DELAY` ticks later. An ack
+//!   goes out at once only when it tells the sender something to act on: a
+//!   hole it has not heard of, or a retransmission that was not needed.
 //!
 //! **Stability model.** The paper's §1.1 architecture gives every processor a
 //! *stable* queue manager (backed by recoverable storage) in front of
 //! volatile node copies. We model crash/restart the same way: the process
-//! object — including the session outbox and the receiver's delivery
-//! counters — survives a crash, while everything in flight (deliveries,
-//! armed timers, out-of-order buffers) is lost. On restart the session
-//! retransmits its outbox and re-arms its timers, so exactly-once delivery
-//! holds across crashes too.
+//! object survives a crash, everything in flight (deliveries, timers) is
+//! lost. Of the session's state exactly three things are *stable* — the
+//! outbox, `next_seq` and the receiver's `next_expected`, which is what makes
+//! a redelivered payload recognizable as a duplicate. Everything else is a
+//! *hint* that a restart forgets and the protocol re-learns: the reorder
+//! buffer and how far the peer's stream is known to have got, owed acks,
+//! each entry's deadline, back-off count and place in the stream, and armed
+//! timers. On restart the session re-acks every peer it had heard from (what
+//! it owed died with it), retransmits its outbox and re-arms, so
+//! exactly-once delivery holds across crashes too.
 //!
 //! With `enabled == false` (the default) every message passes through as
 //! [`SessionMsg::Raw`], whose `kind`/`size_hint` delegate to the inner
@@ -54,14 +83,17 @@ use crate::context::{Context, Effect};
 use crate::trace::TraceEvent;
 use crate::{Payload, ProcId, Process, SimTime};
 
-/// High bit of the timer-token space, reserved for session retransmission
-/// timers. Inner processes must keep their own tokens below this bit.
+/// High bit of the timer-token space, reserved for session timers. Inner
+/// processes must keep their own tokens below this bit.
 pub const SESSION_TIMER_BIT: u64 = 1 << 63;
 
 /// Timer token of the failure detector's periodic round. Lives in the
 /// session-reserved token space; distinguishable from per-channel
 /// retransmission tokens, which only use the low 32 bits.
 pub const DETECTOR_TIMER: u64 = SESSION_TIMER_BIT | (1 << 62);
+
+/// Timer token of the per-processor ack flush.
+const FLUSH_TIMER: u64 = SESSION_TIMER_BIT | (1 << 61);
 
 #[inline]
 fn session_token(dst: ProcId) -> u64 {
@@ -72,11 +104,30 @@ fn session_token(dst: ProcId) -> u64 {
 /// detector goes dormant. Dormancy is what lets quiescence detection
 /// terminate; the next inner send or arrival re-arms the round timer.
 const IDLE_ROUNDS: u32 = 2;
-/// Initial retransmission timeout, in ticks: comfortably more than one
-/// round trip under every latency model in use.
-const BASE_RTO: u64 = 50;
+/// Ticks an owed ack waits for a `Data` frame to ride on before the flush
+/// timer sends it on its own. Sized with `BASE_RTO` on the ledger's
+/// `sim-lossy` workload (CHANGES, PR 20).
+const ACK_DELAY: u64 = 8;
+/// Initial retransmission timeout, in ticks: more than the worst round trip
+/// under every latency model in use (2 × 25) plus `ACK_DELAY`, so an ack
+/// that was sent always beats the timer.
+const BASE_RTO: u64 = 60;
 /// Backoff ceiling for the retransmission timeout.
 const MAX_RTO: u64 = 2000;
+/// Sequences one ack's `held` bitmap describes.
+const WINDOW: u64 = u64::BITS as u64;
+
+/// Timeout of an entry's next transmission after `tries` fruitless ones.
+#[inline]
+fn rto(tries: u32) -> u64 {
+    (BASE_RTO << tries.min(16)).min(MAX_RTO)
+}
+
+/// What an ack's `held` bitmap describes, as `(bit, sequence)` pairs: the
+/// [`WINDOW`] sequences below `seen`, newest first, none below `floor`.
+fn window(seen: u64, floor: u64) -> impl Iterator<Item = (u64, u64)> {
+    (0..WINDOW.min(seen.saturating_sub(floor))).map(move |bit| (bit, seen - 1 - bit))
+}
 
 /// Tuning knobs for the heartbeat failure detector.
 ///
@@ -163,17 +214,39 @@ pub enum SessionMsg<M> {
     Data {
         /// Position in the per-`(src, dst)` sequence, starting at 0.
         seq: u64,
-        /// `true` on retransmissions (timeouts and post-restart replays);
-        /// surfaces in traces as `redelivery` so repaired deliveries are
-        /// distinguishable from first transmissions.
+        /// Piggybacked cumulative ack for the reverse channel: the low 32
+        /// bits of the sender's `upto` (the receiver knows its own
+        /// `next_seq`, which the true value trails by far less than 2³²).
+        /// Narrow so that it, `ahead` and `retx` share one word and the
+        /// frame is no larger than it was without them.
+        ack: u32,
+        /// How many sequences past `seq` had been sent when this frame was
+        /// (saturating): 0 on a first transmission; a retransmission tells
+        /// the receiver how far the stream has got.
+        ahead: u16,
+        /// `true` on retransmissions (timeouts, repairs and post-restart
+        /// replays); surfaces in traces as `redelivery` so repaired
+        /// deliveries are distinguishable from first transmissions.
         retx: bool,
         /// The inner payload.
         msg: M,
     },
-    /// Cumulative acknowledgement: every `seq < upto` has been delivered.
+    /// Acknowledgement on its own: every `seq < upto` has been delivered —
+    /// and, when `known > 0`, a report of what is missing below
+    /// `seen = upto + known`, the first sequence the receiver has no word
+    /// of: everything in `upto .. upto + run`, and every clear bit of `held`.
     Ack {
         /// One past the highest in-order sequence delivered.
         upto: u64,
+        /// Length of the run of missing sequences that starts at `upto`.
+        run: u32,
+        /// `seen - upto`: how far past `upto` the receiver knows the stream
+        /// to have got, from the frames that reached it.
+        known: u32,
+        /// The newest [`WINDOW`] sequences below `seen`: bit `i` is set when
+        /// `seen - 1 - i` sits in the reorder buffer, clear when it is
+        /// missing (bits that would fall below `upto + run` are unused).
+        held: u64,
     },
     /// Failure-detector heartbeat probe. Unsequenced (loss is tolerated; the
     /// next round probes again) and answered immediately with [`Self::Pong`].
@@ -198,8 +271,8 @@ impl<M: Payload> Payload for SessionMsg<M> {
     fn size_hint(&self) -> usize {
         match self {
             SessionMsg::Raw(m) => m.size_hint(),
-            SessionMsg::Data { msg, .. } => msg.size_hint() + 8,
-            SessionMsg::Ack { .. } => 8,
+            SessionMsg::Data { msg, .. } => msg.size_hint() + 14,
+            SessionMsg::Ack { .. } => 24,
             SessionMsg::Ping | SessionMsg::Pong => 4,
         }
     }
@@ -226,55 +299,179 @@ impl<M: Payload> Payload for SessionMsg<M> {
         std::mem::discriminant(self).hash(h);
         match self {
             SessionMsg::Raw(m) => m.fingerprint_into(h),
-            SessionMsg::Data { seq, retx, msg } => {
-                (seq, retx).hash(h);
+            SessionMsg::Data {
+                seq,
+                ack,
+                ahead,
+                retx,
+                msg,
+            } => {
+                (seq, ack, ahead, retx).hash(h);
                 msg.fingerprint_into(h);
             }
-            SessionMsg::Ack { upto } => upto.hash(h),
+            SessionMsg::Ack {
+                upto,
+                run,
+                known,
+                held,
+            } => (upto, run, known, held).hash(h),
             SessionMsg::Ping | SessionMsg::Pong => {}
         }
     }
 }
 
-/// Sender half of one directed channel (stable across crashes).
+/// One sent-but-unacknowledged payload. The payload is stable; the rest is
+/// a hint, reset when the sender restarts.
 #[derive(Clone, Debug)]
-struct SendState<M> {
-    next_seq: u64,
-    /// Sent but unacknowledged, in sequence order.
-    outbox: VecDeque<(u64, M)>,
-    rto: u64,
-    retries: u32,
-    timer_armed: bool,
+struct Unacked<M> {
+    msg: M,
+    /// When this entry, once it is the oldest, counts as overdue.
+    deadline: u64,
+    /// Fruitless timer-driven transmissions so far.
+    tries: u32,
+    /// The latest transmission's place in the stream: `next_seq` at the
+    /// time — less one for the first transmission, which is what moved
+    /// `next_seq` there and so precedes every repeat sent at the same value.
+    /// A frame sent while `next_seq` was larger was sent later, so (FIFO) a
+    /// receiver that has seen such a frame and lacks this entry never got
+    /// that transmission.
+    barrier: u64,
 }
 
-impl<M> SendState<M> {
-    fn new() -> Self {
-        SendState {
+/// Both halves of the channel pair to one peer, side by side: a `Data`
+/// arrival reads the receive half and (for its piggybacked ack) the send
+/// half, a send writes the send half and reads the owed `upto`.
+#[derive(Clone, Debug)]
+struct Peer<M> {
+    /// Sender, stable: next sequence to assign. The outbox holds sequences
+    /// `next_seq - outbox.len() .. next_seq`, oldest first.
+    next_seq: u64,
+    outbox: VecDeque<Unacked<M>>,
+    /// A retransmission timer for this channel is outstanding.
+    timer_armed: bool,
+    /// The oldest entry has timed out and nothing has been acknowledged
+    /// since: the peer is, as far as this channel knows, silent (hint).
+    silent: bool,
+    /// Receiver, stable: every sequence below this has been delivered.
+    next_expected: u64,
+    /// Receiver, volatile: slot `i` is sequence `next_expected + 1 + i`
+    /// (`next_expected` itself is by definition missing). Empty, or its last
+    /// slot is occupied.
+    buffer: VecDeque<Option<M>>,
+    /// Receiver, hint: the peer's `next_seq` as of the latest-sent frame to
+    /// arrive (a floor: after a restart `next_expected` is past it).
+    seen: u64,
+    /// An arrival since the last ack sent to this peer (hint).
+    ack_owed: bool,
+}
+
+impl<M> Default for Peer<M> {
+    fn default() -> Self {
+        Peer {
             next_seq: 0,
             outbox: VecDeque::new(),
-            rto: BASE_RTO,
-            retries: 0,
             timer_armed: false,
-        }
-    }
-}
-
-/// Receiver half of one directed channel. `next_expected` is stable (it is
-/// what makes redelivered messages recognizable as duplicates after a
-/// crash); the out-of-order buffer is volatile and cleared on restart.
-#[derive(Clone, Debug)]
-struct RecvState<M> {
-    next_expected: u64,
-    buffer: BTreeMap<u64, M>,
-}
-
-impl<M> Default for RecvState<M> {
-    fn default() -> Self {
-        RecvState {
+            silent: false,
             next_expected: 0,
-            buffer: BTreeMap::new(),
+            buffer: VecDeque::new(),
+            seen: 0,
+            ack_owed: false,
         }
     }
+}
+
+impl<M: Clone> Peer<M> {
+    /// Sequence of the oldest outbox entry.
+    #[inline]
+    fn first_unacked(&self) -> u64 {
+        self.next_seq - self.outbox.len() as u64
+    }
+
+    /// Transmit outbox entry `seq` now — its first transmission or a
+    /// repeat — carrying the ack owed to the peer. That settles the debt
+    /// unless there is something to report that a bare `upto` cannot say.
+    fn transmit(
+        &mut self,
+        ctx: &mut Context<'_, SessionMsg<M>>,
+        to: ProcId,
+        seq: u64,
+        retx: bool,
+        stats: &mut SessionStats,
+    ) {
+        if self.ack_owed && self.seen <= self.next_expected {
+            self.ack_owed = false;
+            stats.acks_piggybacked += 1;
+        }
+        let (first, sent) = (self.first_unacked(), self.next_seq);
+        let entry = &mut self.outbox[(seq - first) as usize];
+        entry.deadline = ctx.now().0 + rto(entry.tries);
+        entry.barrier = sent - !retx as u64;
+        stats.retransmissions += retx as u64;
+        let frame = SessionMsg::Data {
+            seq,
+            ack: self.next_expected as u32,
+            ahead: (sent - seq - 1).min(u16::MAX as u64) as u16,
+            retx,
+            msg: entry.msg.clone(),
+        };
+        ctx.send(to, frame);
+    }
+
+    /// A report named `seq` missing, and the receiver had by then seen a
+    /// frame sent when `next_seq` was `seen`. If this entry's latest
+    /// transmission was sent before that frame, it is lost: resend it.
+    fn repair(
+        &mut self,
+        ctx: &mut Context<'_, SessionMsg<M>>,
+        to: ProcId,
+        seq: u64,
+        seen: u64,
+        stats: &mut SessionStats,
+    ) {
+        let first = self.first_unacked();
+        if seq >= first && seq < self.next_seq && self.outbox[(seq - first) as usize].barrier < seen
+        {
+            stats.fast_retransmits += 1;
+            self.transmit(ctx, to, seq, true, stats);
+        }
+    }
+
+    /// Is `seq` (past `next_expected`) sitting in the reorder buffer?
+    fn holds(&self, seq: u64) -> bool {
+        let slot = (seq - self.next_expected - 1) as usize;
+        matches!(self.buffer.get(slot), Some(Some(_)))
+    }
+
+    /// The standalone ack this receiver would send now.
+    fn ack(&self) -> SessionMsg<M> {
+        let upto = self.next_expected;
+        let known = self.seen.saturating_sub(upto).min(u32::MAX as u64);
+        // The missing run at `upto` ends at the first buffered sequence, or
+        // (nothing buffered) at the edge of what is known to have been sent.
+        let run = match self.buffer.iter().position(Option::is_some) {
+            Some(slot) => slot as u64 + 1,
+            None => known,
+        };
+        let held = window(upto + known, upto + run)
+            .fold(0, |bits, (bit, seq)| bits | (self.holds(seq) as u64) << bit);
+        SessionMsg::Ack {
+            upto,
+            run: run as u32,
+            known: known as u32,
+            held,
+        }
+    }
+}
+
+/// Channel state for `id` in a table indexed by `ProcId`, created on first
+/// contact.
+#[inline]
+fn peer_of<M>(peers: &mut Vec<Peer<M>>, id: ProcId) -> &mut Peer<M> {
+    let i = id.index();
+    if i >= peers.len() {
+        peers.resize_with(i + 1, Peer::default);
+    }
+    &mut peers[i]
 }
 
 /// Failure-detector bookkeeping for one monitored peer.
@@ -291,10 +488,14 @@ struct PeerState {
 pub struct SessionStats {
     /// First transmissions of sequenced payloads.
     pub data_sent: u64,
-    /// Retransmitted payloads (timeouts and post-restart replays).
+    /// Retransmitted payloads (timeouts, repairs and post-restart replays).
     pub retransmissions: u64,
-    /// Cumulative acks sent.
+    /// Of those, holes a report named, resent without waiting for a timer.
+    pub fast_retransmits: u64,
+    /// Acks sent as messages of their own.
     pub acks_sent: u64,
+    /// Owed acks a `Data` frame carried instead.
+    pub acks_piggybacked: u64,
     /// Arrivals discarded as duplicates.
     pub dup_suppressed: u64,
     /// Arrivals buffered because they overtook a gap.
@@ -312,7 +513,9 @@ impl SessionStats {
     pub fn merge(&mut self, other: &SessionStats) {
         self.data_sent += other.data_sent;
         self.retransmissions += other.retransmissions;
+        self.fast_retransmits += other.fast_retransmits;
         self.acks_sent += other.acks_sent;
+        self.acks_piggybacked += other.acks_piggybacked;
         self.dup_suppressed += other.dup_suppressed;
         self.out_of_order += other.out_of_order;
         self.aborted += other.aborted;
@@ -327,8 +530,16 @@ impl SessionStats {
 pub struct SessionProc<P: Process> {
     inner: P,
     cfg: SessionConfig,
-    send: BTreeMap<ProcId, SendState<P::Msg>>,
-    recv: BTreeMap<ProcId, RecvState<P::Msg>>,
+    /// Channel state per peer, indexed by `ProcId`; grows to the highest
+    /// peer talked to. Untouched while the session is disabled.
+    peers: Vec<Peer<P::Msg>>,
+    /// Payloads awaiting acknowledgement, over every peer.
+    unacked: usize,
+    /// Peers that came to owe an ack since the last flush (a peer whose debt
+    /// a frame has since carried may still be listed; the flag decides).
+    owed: Vec<ProcId>,
+    /// The flush timer is outstanding.
+    flush_armed: bool,
     stats: SessionStats,
     /// Peers the failure detector monitors (everyone this processor has
     /// exchanged traffic with). Empty while the detector is disabled.
@@ -354,8 +565,10 @@ impl<P: Process> SessionProc<P> {
         SessionProc {
             inner,
             cfg,
-            send: BTreeMap::new(),
-            recv: BTreeMap::new(),
+            peers: Vec::new(),
+            unacked: 0,
+            owed: Vec::new(),
+            flush_armed: false,
             stats: SessionStats::default(),
             det_peers: BTreeMap::new(),
             det_armed: false,
@@ -382,7 +595,7 @@ impl<P: Process> SessionProc<P> {
 
     /// Total payloads currently awaiting acknowledgement.
     pub fn unacked(&self) -> usize {
-        self.send.values().map(|s| s.outbox.len()).sum()
+        self.unacked
     }
 
     /// Peers this processor's failure detector currently suspects.
@@ -511,7 +724,7 @@ impl<P: Process> SessionProc<P> {
         for &p in self.det_peers.keys() {
             ctx.send(p, SessionMsg::Ping);
         }
-        let idle = !self.det_activity && self.send.values().all(|s| s.outbox.is_empty());
+        let idle = !self.det_activity && self.unacked == 0;
         self.det_idle = if idle { self.det_idle + 1 } else { 0 };
         self.det_activity = false;
         if self.det_idle >= IDLE_ROUNDS {
@@ -535,22 +748,44 @@ impl<P: Process> SessionProc<P> {
             ctx.send(to, SessionMsg::Raw(msg));
             return;
         }
-        let st = self.send.entry(to).or_insert_with(SendState::new);
-        let seq = st.next_seq;
-        st.next_seq += 1;
-        st.outbox.push_back((seq, msg.clone()));
+        let peer = peer_of(&mut self.peers, to);
+        let seq = peer.next_seq;
+        peer.next_seq += 1;
+        peer.outbox.push_back(Unacked {
+            msg,
+            deadline: 0,
+            tries: 0,
+            barrier: 0,
+        });
+        peer.transmit(ctx, to, seq, false, &mut self.stats);
+        if !peer.timer_armed {
+            peer.timer_armed = true;
+            ctx.set_timer(BASE_RTO, session_token(to));
+        }
+        self.unacked += 1;
         self.stats.data_sent += 1;
-        ctx.send(
-            to,
-            SessionMsg::Data {
-                seq,
-                retx: false,
-                msg,
-            },
-        );
-        if !st.timer_armed {
-            st.timer_armed = true;
-            ctx.set_timer(st.rto, session_token(to));
+    }
+
+    /// Send `to` its ack now, settling whatever was owed.
+    fn send_ack(&mut self, ctx: &mut Context<'_, SessionMsg<P::Msg>>, to: ProcId) {
+        let peer = &mut self.peers[to.index()];
+        peer.ack_owed = false;
+        self.stats.acks_sent += 1;
+        ctx.send(to, peer.ack());
+    }
+
+    /// Note that `to` is owed an ack; the flush timer (armed here if it is
+    /// not running) sends it unless a `Data` frame carries it first.
+    fn owe_ack(&mut self, ctx: &mut Context<'_, SessionMsg<P::Msg>>, to: ProcId) {
+        let peer = &mut self.peers[to.index()];
+        if peer.ack_owed {
+            return;
+        }
+        peer.ack_owed = true;
+        self.owed.push(to);
+        if !self.flush_armed {
+            self.flush_armed = true;
+            ctx.set_timer(ACK_DELAY, FLUSH_TIMER);
         }
     }
 
@@ -559,66 +794,140 @@ impl<P: Process> SessionProc<P> {
         ctx: &mut Context<'_, SessionMsg<P::Msg>>,
         from: ProcId,
         seq: u64,
+        ahead: u16,
+        retx: bool,
         msg: P::Msg,
     ) {
-        let st = self.recv.entry(from).or_default();
-        // Collect deliverable messages first so the channel borrow ends
-        // before the inner process runs (it may itself send on this channel).
-        let mut deliver = Vec::new();
-        if seq < st.next_expected {
-            self.stats.dup_suppressed += 1;
-        } else if seq == st.next_expected {
-            st.next_expected += 1;
-            deliver.push(msg);
-            while let Some(m) = st.buffer.remove(&st.next_expected) {
-                st.next_expected += 1;
-                deliver.push(m);
+        let peer = &mut self.peers[from.index()];
+        // What this frame says has been sent, and what was known before it.
+        let (known, known_before) = (seq + 1 + ahead as u64, peer.seen);
+        peer.seen = known.max(known_before);
+        if seq == peer.next_expected {
+            // Owed before the inner process runs, so that its reply to
+            // `from` carries the ack. Each delivery ends the channel borrow
+            // before the inner process (which may send on it) runs.
+            peer.next_expected += 1;
+            self.owe_ack(ctx, from);
+            let mut next = Some(msg);
+            while let Some(m) = next {
+                self.with_inner(ctx, |p, c| p.on_message(c, from, m));
+                let peer = &mut self.peers[from.index()];
+                // The front slot is the new `next_expected`: pop it either
+                // way — a payload to deliver, or the next hole.
+                next = peer.buffer.pop_front().flatten();
+                peer.next_expected += next.is_some() as u64;
             }
-        } else if st.buffer.insert(seq, msg).is_some() {
-            self.stats.dup_suppressed += 1;
         } else {
+            if seq < peer.next_expected || peer.holds(seq) {
+                self.stats.dup_suppressed += 1;
+                // A retransmission we did not need: the sender is missing an
+                // ack. (A copy the network made tells it nothing.)
+                if retx {
+                    self.send_ack(ctx, from);
+                }
+                return;
+            }
             self.stats.out_of_order += 1;
+            let slot = (seq - peer.next_expected - 1) as usize;
+            if slot >= peer.buffer.len() {
+                peer.buffer.resize_with(slot + 1, || None);
+            }
+            peer.buffer[slot] = Some(msg);
+            self.owe_ack(ctx, from);
         }
-        let upto = st.next_expected;
-        self.stats.acks_sent += 1;
-        ctx.send(from, SessionMsg::Ack { upto });
-        for m in deliver {
-            self.with_inner(ctx, |p, c| p.on_message(c, from, m));
-        }
-    }
-
-    fn on_ack(&mut self, from: ProcId, upto: u64) {
-        let Some(st) = self.send.get_mut(&from) else {
-            return;
-        };
-        let mut progressed = false;
-        while st.outbox.front().is_some_and(|(s, _)| *s < upto) {
-            st.outbox.pop_front();
-            progressed = true;
-        }
-        if progressed {
-            // The channel is alive: restart the backoff schedule.
-            st.rto = BASE_RTO;
-            st.retries = 0;
+        // Sequences this frame is the first word of, other than its own,
+        // and not delivered by now: a hole the sender must hear of at once.
+        let peer = &self.peers[from.index()];
+        let news = known_before.max(peer.next_expected);
+        if known > news + (seq >= news) as u64 {
+            self.send_ack(ctx, from);
         }
     }
 
-    /// Retransmit everything outstanding to `dst` (go-back-N).
-    fn retransmit(&mut self, ctx: &mut Context<'_, SessionMsg<P::Msg>>, dst: ProcId) {
-        let Some(st) = self.send.get_mut(&dst) else {
+    /// An ack from `from`, standalone or piggybacked (`known == 0`). Stale
+    /// and repeated acks are no-ops: `upto` only ever pops, and a missing
+    /// entry is resent only on evidence newer than its latest transmission.
+    /// What a report says is held is not recorded at all, let alone taken
+    /// as delivered: the peer's buffer is volatile.
+    fn on_ack(
+        &mut self,
+        ctx: &mut Context<'_, SessionMsg<P::Msg>>,
+        from: ProcId,
+        upto: u64,
+        run: u32,
+        known: u32,
+        held: u64,
+    ) {
+        let peer = &mut self.peers[from.index()];
+        let acked = (upto.saturating_sub(peer.first_unacked()) as usize).min(peer.outbox.len());
+        peer.outbox.drain(..acked);
+        self.unacked -= acked;
+        if peer.silent {
+            // Back-off is for a peer that says nothing. This one has just
+            // spoken, so the oldest entry — still the one that timed out, or
+            // whatever this ack uncovered behind it — goes again as soon as
+            // it is a base timeout old, not when the backed-off timer wakes.
+            peer.silent = acked == 0;
+            let now = ctx.now().0;
+            if let Some(front) = peer.outbox.front() {
+                if now + rto(front.tries) >= front.deadline + BASE_RTO {
+                    let seq = peer.first_unacked();
+                    peer.transmit(ctx, from, seq, true, &mut self.stats);
+                }
+            }
+        }
+        if known == 0 {
+            return;
+        }
+        let (seen, run_end) = (upto + known as u64, upto + run as u64);
+        let in_window = window(seen, run_end).filter(|(bit, _)| (held >> bit) & 1 == 0);
+        for seq in (upto..run_end).chain(in_window.map(|(_, seq)| seq)) {
+            peer.repair(ctx, from, seq, seen, &mut self.stats);
+        }
+    }
+
+    /// The channel timer fired. It follows the oldest unacked entry: if that
+    /// is overdue, resend it — alone — and back off; then sleep until the
+    /// (possibly new) front's deadline.
+    fn on_channel_timer(&mut self, ctx: &mut Context<'_, SessionMsg<P::Msg>>, dst: ProcId) {
+        let now = ctx.now().0;
+        let max_retries = self.cfg.max_retries;
+        let peer = &mut self.peers[dst.index()];
+        let Some(front) = peer.outbox.front_mut() else {
+            // Everything acked since the timer was armed; stand down (there
+            // is no cancel API — timers self-disarm by firing into an empty
+            // outbox).
+            peer.timer_armed = false;
             return;
         };
-        for (seq, msg) in st.outbox.iter() {
-            ctx.send(
-                dst,
-                SessionMsg::Data {
-                    seq: *seq,
-                    retx: true,
-                    msg: msg.clone(),
-                },
-            );
+        if front.deadline <= now {
+            front.tries += 1;
+            if front.tries > max_retries {
+                self.stats.aborted += peer.outbox.len() as u64;
+                self.unacked -= peer.outbox.len();
+                peer.outbox.clear();
+                peer.timer_armed = false;
+                peer.silent = false;
+                return;
+            }
+            peer.silent = true;
+            let seq = peer.first_unacked();
+            peer.transmit(ctx, dst, seq, true, &mut self.stats);
         }
-        self.stats.retransmissions += st.outbox.len() as u64;
+        let wake = peer.outbox[0].deadline;
+        ctx.set_timer(wake - now, session_token(dst));
+    }
+
+    /// The flush timer fired: send every ack still owed.
+    fn flush_acks(&mut self, ctx: &mut Context<'_, SessionMsg<P::Msg>>) {
+        self.flush_armed = false;
+        let mut owed = std::mem::take(&mut self.owed);
+        for to in owed.drain(..) {
+            if self.peers[to.index()].ack_owed {
+                self.send_ack(ctx, to);
+            }
+        }
+        self.owed = owed;
     }
 
     /// The session's and detector's counters, appended after the inner
@@ -628,7 +937,9 @@ impl<P: Process> SessionProc<P> {
         if self.cfg.enabled {
             m.push(("session.data_sent", self.stats.data_sent));
             m.push(("session.retransmissions", self.stats.retransmissions));
+            m.push(("session.fast_retransmits", self.stats.fast_retransmits));
             m.push(("session.acks_sent", self.stats.acks_sent));
+            m.push(("session.acks_piggybacked", self.stats.acks_piggybacked));
             m.push(("session.dup_suppressed", self.stats.dup_suppressed));
             m.push(("session.out_of_order", self.stats.out_of_order));
             m.push(("session.aborted", self.stats.aborted));
@@ -667,8 +978,24 @@ impl<P: Process> Process for SessionProc<P> {
         self.det_note(ctx, from, true, inner);
         match msg {
             SessionMsg::Raw(m) => self.with_inner(ctx, |p, c| p.on_message(c, from, m)),
-            SessionMsg::Data { seq, msg, .. } => self.on_data(ctx, from, seq, msg),
-            SessionMsg::Ack { upto } => self.on_ack(from, upto),
+            SessionMsg::Data {
+                seq,
+                ack,
+                ahead,
+                retx,
+                msg,
+            } => {
+                let sent = peer_of(&mut self.peers, from).next_seq;
+                let upto = sent - (sent as u32).wrapping_sub(ack) as u64;
+                self.on_ack(ctx, from, upto, 0, 0, 0);
+                self.on_data(ctx, from, seq, ahead, retx, msg);
+            }
+            SessionMsg::Ack {
+                upto,
+                run,
+                known,
+                held,
+            } => self.on_ack(ctx, from, upto, run, known, held),
             SessionMsg::Ping => ctx.send(from, SessionMsg::Pong),
             SessionMsg::Pong => {}
         }
@@ -677,38 +1004,17 @@ impl<P: Process> Process for SessionProc<P> {
     fn on_timer(&mut self, ctx: &mut Context<'_, Self::Msg>, token: u64) {
         if token & SESSION_TIMER_BIT == 0 {
             self.with_inner(ctx, |p, c| p.on_timer(c, token));
-            return;
-        }
-        if token == DETECTOR_TIMER {
+        } else if token == DETECTOR_TIMER {
             // `det_armed` stays true for the duration of the round so that
             // sends made by `on_peer_change` handlers inside it cannot arm a
             // second round timer; the round itself decides at the end
             // whether to re-arm or go dormant.
             self.det_round(ctx);
-            return;
+        } else if token == FLUSH_TIMER {
+            self.flush_acks(ctx);
+        } else {
+            self.on_channel_timer(ctx, ProcId((token & !SESSION_TIMER_BIT) as u32));
         }
-        let dst = ProcId((token & !SESSION_TIMER_BIT) as u32);
-        let Some(st) = self.send.get_mut(&dst) else {
-            return;
-        };
-        if st.outbox.is_empty() {
-            // Everything acked since the timer was armed; stand down (there
-            // is no cancel API — timers self-disarm by firing into an empty
-            // outbox).
-            st.timer_armed = false;
-            return;
-        }
-        st.retries += 1;
-        if st.retries > self.cfg.max_retries {
-            self.stats.aborted += st.outbox.len() as u64;
-            st.outbox.clear();
-            st.timer_armed = false;
-            return;
-        }
-        st.rto = (st.rto * 2).min(MAX_RTO);
-        let rto = st.rto;
-        self.retransmit(ctx, dst);
-        ctx.set_timer(rto, token);
     }
 
     fn on_restart(&mut self, ctx: &mut Context<'_, Self::Msg>) {
@@ -729,28 +1035,31 @@ impl<P: Process> Process for SessionProc<P> {
                 self.det_arm(ctx);
             }
         }
-        if self.cfg.enabled {
-            // Out-of-order buffers are volatile; the delivery counters are
-            // part of the stable queue manager and survive, which is what
-            // makes redelivered payloads recognizable as duplicates.
-            for st in self.recv.values_mut() {
-                st.buffer.clear();
+        // Hints go. The delivery counters are stable — which is what makes
+        // a payload the peer already consumed recognizable as a duplicate —
+        // so say where they stand to every peer heard from: the acks owed
+        // died with the crash, and a peer that has backed off its probes
+        // learns that it is worth trying again. The crash also destroyed
+        // every armed timer: retransmit anything outstanding and re-arm.
+        self.owed.clear();
+        self.flush_armed = false;
+        for (i, peer) in self.peers.iter_mut().enumerate() {
+            let dst = ProcId(i as u32);
+            peer.buffer.clear();
+            peer.seen = 0;
+            peer.ack_owed = false;
+            peer.silent = false;
+            if peer.next_expected > 0 {
+                self.stats.acks_sent += 1;
+                ctx.send(dst, peer.ack());
             }
-            // The crash destroyed every armed timer: retransmit anything
-            // outstanding and re-arm from scratch.
-            let dsts: Vec<ProcId> = self.send.keys().copied().collect();
-            for dst in dsts {
-                let st = self.send.get_mut(&dst).expect("key just listed");
-                st.rto = BASE_RTO;
-                st.retries = 0;
-                if st.outbox.is_empty() {
-                    st.timer_armed = false;
-                } else {
-                    st.timer_armed = true;
-                    let rto = st.rto;
-                    self.retransmit(ctx, dst);
-                    ctx.set_timer(rto, session_token(dst));
+            peer.timer_armed = !peer.outbox.is_empty();
+            if peer.timer_armed {
+                peer.outbox.iter_mut().for_each(|e| e.tries = 0);
+                for seq in peer.first_unacked()..peer.next_seq {
+                    peer.transmit(ctx, dst, seq, true, &mut self.stats);
                 }
+                ctx.set_timer(BASE_RTO, session_token(dst));
             }
         }
         self.with_inner(ctx, |p, c| p.on_restart(c));
@@ -868,6 +1177,62 @@ mod tests {
         }
     }
 
+    /// P0 sends P1 one payload per tick; P1 records arrivals.
+    struct Ticker {
+        count: u32,
+        sent: u32,
+        seen: Vec<u32>,
+    }
+
+    impl Process for Ticker {
+        type Msg = Msg;
+        fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+            if ctx.me() == ProcId(0) {
+                ctx.set_timer(1, 0);
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, _token: u64) {
+            ctx.send(ProcId(1), Msg::Num(self.sent));
+            self.sent += 1;
+            if self.sent < self.count {
+                ctx.set_timer(1, 0);
+            }
+        }
+        fn on_message(&mut self, _ctx: &mut Context<'_, Msg>, _from: ProcId, msg: Msg) {
+            let Msg::Num(n) = msg;
+            self.seen.push(n);
+        }
+    }
+
+    /// The bug this layer had: with the retransmission timer armed at the
+    /// channel's first send and an ack per payload, a steady stream over a
+    /// perfect network cost 2.8 messages per payload (414 retransmissions
+    /// and 1 414 acks for these 1 000). A reliable network owes nothing but
+    /// the occasional ack.
+    #[test]
+    fn a_loss_free_stream_is_never_retransmitted() {
+        let procs = (0..2)
+            .map(|_| {
+                let ticker = Ticker {
+                    count: 1000,
+                    sent: 0,
+                    seen: vec![],
+                };
+                SessionProc::new(ticker, SessionConfig::reliable())
+            })
+            .collect();
+        let mut sim = Simulation::new(SimConfig::jittery(1, 2, 25), procs);
+        sim.run();
+        assert_eq!(
+            sim.proc(ProcId(1)).inner().seen,
+            (0..1000).collect::<Vec<_>>()
+        );
+        assert_eq!(sim.proc(ProcId(0)).session_stats().retransmissions, 0);
+        assert_eq!(sim.proc(ProcId(0)).unacked(), 0);
+        let total = sim.stats().total_messages();
+        assert!(total <= 1150, "{total} messages for 1000 payloads");
+    }
+
     #[test]
     fn exactly_once_over_duplication() {
         for seed in 0..8 {
@@ -980,8 +1345,9 @@ mod tests {
         assert_eq!(sim.proc(ProcId(0)).session_stats().aborted, 5);
         assert_eq!(sim.proc(ProcId(0)).unacked(), 0);
         assert!(sim.proc(ProcId(1)).inner().seen.is_empty());
-        // The backoff is bounded: go-back-N retransmits the whole 5-message
-        // outbox at most `max_retries` times before giving up, never more.
+        // The backoff is bounded: only the oldest entry is probed while
+        // nothing answers, `max_retries` times, and no entry is ever resent
+        // more often than that before the channel gives up.
         let retx = sim.proc(ProcId(0)).session_stats().retransmissions;
         assert!(retx > 0, "partition forced retransmissions");
         assert!(
