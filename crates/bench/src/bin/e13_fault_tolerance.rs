@@ -10,7 +10,9 @@
 //!    session layer retransmits and deduplicates until every operation
 //!    completes and every copy converges; the price is retransmissions,
 //!    acks (`msgs/payload` = everything the session sends per payload it
-//!    carries — 1.0 would be free) and latency, never correctness.
+//!    carries — 1.0 would be free), payloads that wait in the reorder
+//!    buffer behind a hole (`held %` of those carried; descents never do)
+//!    and latency, never correctness.
 //! 2. **Without the session layer** — the same lossy network with raw
 //!    channels: operations hang and updates are silently lost, the Fig 4
 //!    failure mode writ large.
@@ -75,6 +77,7 @@ fn drop_sweep() {
         "acks",
         "msgs/payload",
         "dups suppressed",
+        "held %",
         "mean latency",
         "p99",
         "violations",
@@ -108,6 +111,7 @@ fn drop_sweep() {
                     / session.data_sent as f64,
             ),
             session.dup_suppressed.to_string(),
+            f1(100.0 * session.held as f64 / session.data_sent as f64),
             f1(stats.mean_latency()),
             stats.latency_quantile(0.99).to_string(),
             violations.len().to_string(),

@@ -5,7 +5,7 @@
 //! `RelayedInsert`), and every update carries the history tag that identifies
 //! its uniform action.
 
-use simnet::{Payload, ProcId};
+use simnet::{Delivery, Payload, ProcId};
 
 use crate::node::NodeSnapshot;
 use crate::types::{Entry, Intent, Key, Link, NodeId, OpId, Outcome, Value};
@@ -587,6 +587,18 @@ impl Payload for Msg {
             // buffer, which outlives the action that filled it.
             Msg::RelayedInsert { span, .. } => *span,
             _ => None,
+        }
+    }
+
+    fn delivery(&self) -> Delivery {
+        match self {
+            // A descent step reads routing state and is addressed by key:
+            // whatever it overtakes — a split relay, the install of the very
+            // copy it names — it recovers by the right-link chase or the
+            // missing-node restart, and any processor holding a parent copy
+            // may have sent it, so nothing can rely on its channel order.
+            Msg::Descend { .. } => Delivery::Unordered,
+            _ => Delivery::Ordered,
         }
     }
 

@@ -10,7 +10,7 @@ use simnet::{Context, ProcId};
 use crate::config::{ProtocolKind, SeededBug};
 use crate::msg::Msg;
 use crate::proc::{CoordOp, DbProc, ReplyInfo};
-use crate::types::{Entry, Intent, Key, NodeId, OpId, Outcome};
+use crate::types::{Entry, Intent, Key, NodeId, OpId, Outcome, Stamp};
 
 /// Entries a scan may still collect: `limit` minus what is already
 /// accumulated, saturating at zero. The right-link continuation re-sends the
@@ -227,6 +227,12 @@ impl DbProc {
         let copy = self.store.get(node).expect("checked by caller");
         let replicated = copy.copies.len() > 1;
         let pc = copy.pc;
+        // Mint above the resident entry: it may carry another processor's
+        // faster clock (the leaf migrated here, or a peer copy took the last
+        // write), and `upsert` drops what does not outrank it.
+        if let Some(resident) = copy.entries.get(&key).and_then(Entry::stamp) {
+            self.stamp_counter = self.stamp_counter.max(Stamp::counter(resident));
+        }
         let stamp = self.next_stamp();
         let entry = match intent {
             Intent::Insert(value) => Entry::Val { value, stamp },

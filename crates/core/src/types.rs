@@ -120,6 +120,11 @@ impl Stamp {
     pub fn new(counter: u64, proc: ProcId) -> u64 {
         (counter << 8) | (proc.0 as u64 & 0xFF)
     }
+
+    /// The counter a stamp was composed from.
+    pub fn counter(stamp: u64) -> u64 {
+        stamp >> 8
+    }
 }
 
 impl Entry {

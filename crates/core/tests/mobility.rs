@@ -8,7 +8,7 @@ use std::collections::BTreeSet;
 
 use common::{assert_clean, to_client};
 use dbtree::{checker, BuildSpec, ClientOp, DbCluster, Intent, Placement, SeededBug, TreeConfig};
-use simnet::{ProcId, SimConfig};
+use simnet::{FaultPlan, ProcId, SimConfig, TraceEntry, TraceEvent};
 use workload::{KeyDist, Mix, WorkloadGen};
 
 fn mobile_cfg(forwarding: bool) -> TreeConfig {
@@ -26,10 +26,22 @@ fn run_with_migrations(
     n_ops: usize,
     migrate_every: usize,
 ) -> (DbCluster, BTreeSet<u64>) {
+    let sim_cfg = SimConfig::jittery(seed, 2, 25);
+    run_with_migrations_on(cfg, sim_cfg, seed, n_ops, migrate_every)
+}
+
+/// [`run_with_migrations`] on the given network.
+fn run_with_migrations_on(
+    cfg: TreeConfig,
+    sim_cfg: SimConfig,
+    seed: u64,
+    n_ops: usize,
+    migrate_every: usize,
+) -> (DbCluster, BTreeSet<u64>) {
     let preload: Vec<u64> = (0..200).map(|k| k * 10).collect();
     let n_procs = 4;
     let spec = BuildSpec::new(preload.clone(), n_procs, cfg);
-    let mut cluster = DbCluster::build(&spec, SimConfig::jittery(seed, 2, 25));
+    let mut cluster = DbCluster::build(&spec, sim_cfg);
 
     let mut gen = WorkloadGen::new(
         KeyDist::Uniform { n: 2000 },
@@ -67,7 +79,8 @@ fn run_with_migrations(
             }
         }
     }
-    cluster.try_run_to_quiescence().expect("run quiesces");
+    let records = cluster.try_run_to_quiescence().expect("run quiesces");
+    assert_eq!(records.len(), n_ops, "every op completes, once");
     (cluster, expected)
 }
 
@@ -239,6 +252,91 @@ fn unjoin_happens_when_a_processor_loses_its_last_leaf_under_a_parent() {
     });
     let records = cluster.try_run_to_quiescence().expect("run quiesces");
     assert_eq!(records[0].outcome.found, Some(25));
+}
+
+/// The first field named `name` in a traced payload's `{:?}`
+/// (`.. name: value, ..`).
+fn traced_field<'a>(detail: &'a str, name: &str) -> Option<&'a str> {
+    let rest = detail.split_once(name)?.1.strip_prefix(": ")?;
+    Some(&rest[..rest.find(',')?])
+}
+
+/// The sequence number of a traced session frame.
+fn frame_seq(entry: &TraceEntry) -> Option<u64> {
+    traced_field(&entry.detail(), "seq")?.parse().ok()
+}
+
+/// The old home forwards a `Descend` to a migrated leaf's new home on the
+/// very channel that carries the leaf's `InstallCopy`. `Descend` is the one
+/// kind the session does not order, so when that frame is lost the descent
+/// arrives past the hole, is delivered at once, finds no such node and
+/// restarts from one the processor does hold (§4.2 missing-node recovery);
+/// the install is retransmitted behind it. Shown from the trace: a descent
+/// delivered early that recovered, and on the same channel a later first
+/// delivery of the lower-numbered frame installing the node it named.
+#[test]
+fn a_descend_that_overtakes_its_leafs_install_recovers() {
+    let mut overtakes = 0;
+    for seed in 0..4 {
+        let mut sim_cfg = SimConfig::jittery(seed, 2, 25);
+        sim_cfg.faults = FaultPlan::lossy(0.2);
+        sim_cfg.trace_capacity = 1 << 16;
+        let (mut cluster, expected) =
+            run_with_migrations_on(mobile_cfg(true), sim_cfg, seed, 300, 3);
+        assert_clean(&mut cluster, &expected);
+
+        let trace = cluster.sim.trace();
+        assert_eq!(trace.dropped(), 0, "the whole run is retained");
+        let deliveries: Vec<_> = trace.of_event(TraceEvent::Deliver).collect();
+        let counted = |entry: &TraceEntry, counter| entry.deltas.iter().any(|(n, _)| *n == counter);
+        for (i, descend) in deliveries.iter().enumerate() {
+            if descend.kind != "descend"
+                || !counted(descend, "session.early")
+                || !counted(descend, "missing_node_recoveries")
+            {
+                continue;
+            }
+            let detail = descend.detail();
+            let node = traced_field(&detail, "node").expect("a descent names its node");
+            overtakes += deliveries[i + 1..].iter().any(|install| {
+                install.kind == "copy.install"
+                    && (install.from, install.to) == (descend.from, descend.to)
+                    && !counted(install, "session.dup_suppressed")
+                    && traced_field(&install.detail(), "id") == Some(node)
+                    && frame_seq(install) < frame_seq(descend)
+            }) as u32;
+        }
+    }
+    assert!(overtakes > 0, "no descent overtook the install of its leaf");
+}
+
+/// A write acknowledged at a leaf's new home must be the value a later read
+/// returns. Stamps are minted from the *applying* processor's counter, and
+/// the new home's is behind the one that stamped the resident entry: its
+/// stamp used to rank below it and `upsert` dropped the write (the final
+/// search read `Some(1059)`).
+#[test]
+fn a_write_acknowledged_after_a_migration_is_the_value_read() {
+    let spec = BuildSpec::new((0..200).map(|k| k * 10).collect(), 4, mobile_cfg(false));
+    let mut cluster = DbCluster::build(&spec, SimConfig::seeded(1));
+    let op = |cluster: &mut DbCluster, intent| {
+        cluster.submit(ClientOp {
+            origin: ProcId(0),
+            key: 500,
+            intent,
+        });
+        let records = cluster.try_run_to_quiescence().expect("run quiesces");
+        records[0].outcome.found
+    };
+    for v in 0..60 {
+        op(&mut cluster, Intent::Insert(1000 + v));
+    }
+    for (leaf, owner) in cluster.leaves() {
+        cluster.migrate(leaf, owner, ProcId((owner.0 + 1) % 4));
+    }
+    cluster.try_run_to_quiescence().expect("run quiesces");
+    assert_eq!(op(&mut cluster, Intent::Insert(7777)), Some(1059));
+    assert_eq!(op(&mut cluster, Intent::Search), Some(7777));
 }
 
 // ---------------------------------------------------------------------------

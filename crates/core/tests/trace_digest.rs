@@ -88,7 +88,7 @@ fn clean_run_exports_are_pinned() {
     assert!(!obs.series.is_empty());
     assert_eq!(
         digest(&obs),
-        0x291d_ffc5_6e4c_e558,
+        0x228e_9af6_fdf6_02d6,
         "clean-run export digest"
     );
 }
@@ -103,12 +103,14 @@ fn lossy_run_exports_are_pinned() {
         "\"event\":\"timer\"",
         "\"redelivery\":true",
         "\"session.retransmissions\":",
+        "\"session.early\":",
+        "\"session.held\":",
     ] {
         assert!(count(&trace, needle) > 0, "no line with {needle}");
     }
     assert_eq!(
         digest(&obs),
-        0xa580_143d_7fb4_9706,
+        0x9e9c_9c05_3443_f5d7,
         "lossy-run export digest"
     );
 }

@@ -318,7 +318,7 @@ fn run_one(
     else {
         unreachable!("check() rejects unsupported scenarios up front");
     };
-    let mut cluster = build_blink(scenario, protocol, fanout, merge);
+    let mut cluster = build_blink(scenario, protocol, fanout, merge, 0);
     let log = Rc::new(RefCell::new(RunLog::default()));
     cluster.sim.set_scheduler(Box::new(Driver {
         prefix,

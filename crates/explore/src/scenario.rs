@@ -31,7 +31,7 @@ use dhash::{check_hash_cluster, HKind, HashCluster, HashConfig, HashSpec};
 use history::check_sequences;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use simnet::{CrashEvent, FaultPlan, ProcId, Scheduler, SessionConfig, SimConfig, SimTime};
+use simnet::{CrashEvent, FaultPlan, ProcId, Scheduler, SessionConfig, SimConfig, SimTime, Trace};
 
 use crate::sched::{Recording, Replay, Strategy};
 
@@ -131,10 +131,11 @@ pub struct RunReport {
 }
 
 impl Scenario {
-    fn sim_cfg(&self) -> SimConfig {
+    fn sim_cfg(&self, trace_capacity: usize) -> SimConfig {
         SimConfig {
             seed: self.seed,
             faults: self.faults.clone(),
+            trace_capacity,
             // Generous runaway bound: adversarial schedules legitimately
             // run long (retransmissions under starvation), but a protocol
             // livelock must still terminate the run.
@@ -165,13 +166,32 @@ impl Scenario {
 
 /// Run `scenario` under `scheduler` and apply the oracle stack.
 pub fn run_under(scenario: &Scenario, scheduler: Box<dyn Scheduler>) -> RunReport {
+    run_traced(scenario, scheduler, 0, &mut |_| {})
+}
+
+/// [`run_under`] with the simulator's trace kept (`trace_capacity` entries)
+/// and shown to `inspect` once the run has quiesced.
+fn run_traced(
+    scenario: &Scenario,
+    scheduler: Box<dyn Scheduler>,
+    trace_capacity: usize,
+    inspect: &mut dyn FnMut(&Trace),
+) -> RunReport {
     match &scenario.proto {
         Proto::Blink {
             protocol,
             fanout,
             merge,
-        } => run_blink(scenario, *protocol, *fanout, *merge, scheduler),
-        Proto::Hash { capacity } => run_hash(scenario, *capacity, scheduler),
+        } => {
+            let mut cluster = build_blink(scenario, *protocol, *fanout, *merge, trace_capacity);
+            cluster.sim.set_scheduler(scheduler);
+            let report = finish_blink(scenario, &mut cluster);
+            inspect(cluster.sim.trace());
+            report
+        }
+        Proto::Hash { capacity } => {
+            run_hash(scenario, *capacity, scheduler, trace_capacity, inspect)
+        }
     }
 }
 
@@ -194,6 +214,19 @@ pub fn replay_run(scenario: &Scenario, choices: &[u32]) -> RunReport {
     run_under(scenario, Box::new(Replay::new(choices.to_vec())))
 }
 
+/// [`replay_run`] with the whole run's trace shown to `inspect`: how a
+/// regression test shows that its schedule still *reaches* the race it is
+/// named after, rather than trusting quiet oracles on a run that no longer
+/// does.
+pub fn replay_traced(
+    scenario: &Scenario,
+    choices: &[u32],
+    inspect: &mut dyn FnMut(&Trace),
+) -> RunReport {
+    let replay = Box::new(Replay::new(choices.to_vec()));
+    run_traced(scenario, replay, 1 << 16, inspect)
+}
+
 /// Build the dB-tree cluster for a blink scenario and submit its workload
 /// (open loop). Shared between [`run_under`]'s one-shot path and the model
 /// checker ([`crate::dpor`]), which steps the simulator manually between
@@ -203,6 +236,7 @@ pub(crate) fn build_blink(
     protocol: ProtocolKind,
     fanout: usize,
     merge: MergeMode,
+    trace_capacity: usize,
 ) -> DbCluster {
     let cfg = TreeConfig {
         fanout,
@@ -215,7 +249,8 @@ pub(crate) fn build_blink(
         ..TreeConfig::fixed_copies(protocol, 3)
     };
     let spec = BuildSpec::new(scenario.preload.clone(), scenario.n_procs, cfg);
-    let mut cluster = DbCluster::build_with_session(&spec, scenario.sim_cfg(), scenario.session());
+    let sim_cfg = scenario.sim_cfg(trace_capacity);
+    let mut cluster = DbCluster::build_with_session(&spec, sim_cfg, scenario.session());
 
     for op in &scenario.ops {
         cluster.submit(ClientOp {
@@ -295,18 +330,6 @@ pub(crate) fn finish_blink(scenario: &Scenario, cluster: &mut DbCluster) -> RunR
     }
 }
 
-fn run_blink(
-    scenario: &Scenario,
-    protocol: ProtocolKind,
-    fanout: usize,
-    merge: MergeMode,
-    scheduler: Box<dyn Scheduler>,
-) -> RunReport {
-    let mut cluster = build_blink(scenario, protocol, fanout, merge);
-    cluster.sim.set_scheduler(scheduler);
-    finish_blink(scenario, &mut cluster)
-}
-
 /// The liveness oracles, applied at quiescence under the same fairness
 /// bound as [`check_completion`]: the explorer's schedules always drain
 /// every deliverable event, so "pending forever at quiescence" *is*
@@ -355,7 +378,13 @@ fn check_liveness(scenario: &Scenario, cluster: &DbCluster, violations: &mut Vec
     }
 }
 
-fn run_hash(scenario: &Scenario, capacity: usize, scheduler: Box<dyn Scheduler>) -> RunReport {
+fn run_hash(
+    scenario: &Scenario,
+    capacity: usize,
+    scheduler: Box<dyn Scheduler>,
+    trace_capacity: usize,
+    inspect: &mut dyn FnMut(&Trace),
+) -> RunReport {
     let spec = HashSpec {
         preload: scenario.preload.clone(),
         n_procs: scenario.n_procs,
@@ -364,8 +393,8 @@ fn run_hash(scenario: &Scenario, capacity: usize, scheduler: Box<dyn Scheduler>)
             ..HashConfig::default()
         },
     };
-    let mut cluster =
-        HashCluster::build_with_session(&spec, scenario.sim_cfg(), scenario.session());
+    let sim_cfg = scenario.sim_cfg(trace_capacity);
+    let mut cluster = HashCluster::build_with_session(&spec, sim_cfg, scenario.session());
     cluster.sim.set_scheduler(scheduler);
 
     for op in &scenario.ops {
@@ -424,6 +453,7 @@ fn run_hash(scenario: &Scenario, capacity: usize, scheduler: Box<dyn Scheduler>)
             0
         }
     };
+    inspect(cluster.sim.trace());
     RunReport {
         violations,
         completed,

@@ -8,8 +8,13 @@
 //! re-capture them (`explore --scenario merge --iters 300 --seed S --out
 //! DIR` with the fix disabled) rather than trusting a replay that no longer
 //! reaches the race.
+//!
+//! The last test is the other kind of schedule worth keeping: nothing ever
+//! failed on it, and it reads the trace to show that the reordering it is
+//! named after really happens.
 
-use explore::run_repro;
+use explore::{parse_repro, replay_traced, run_repro};
+use simnet::{ProcId, TraceEvent};
 
 fn assert_replays_clean(name: &str, repro: &str) {
     let report = run_repro(repro).unwrap_or_else(|e| panic!("{name}: repro does not parse: {e}"));
@@ -51,4 +56,48 @@ fn merge_request_lost_in_a_crash_is_re_armed_at_restart() {
         "merge_req_lost_in_crash",
         include_str!("repros/merge_req_lost_in_crash.repro"),
     );
+}
+
+/// The sequence number of a traced session frame (`Data { seq: N, .. }`).
+fn frame_seq(detail: &str) -> Option<u64> {
+    let rest = detail.strip_prefix("Data { seq: ")?;
+    rest[..rest.find(',')?].parse().ok()
+}
+
+/// `Descend` is the one payload the session does not order. Shown on a
+/// schedule rather than asserted: on channel P1 → P2 the `RelayedSplit` with
+/// sequence 5 is lost, the `Descend` with sequence 8 arrives past the hole
+/// and is delivered on arrival (the action's `session.early` delta), and the
+/// split relay reaches the inner process only as a later retransmission.
+/// Every oracle — structural checkers, §3 history requirements, sequence
+/// oracle — stays quiet and each of the five operations completes once.
+#[test]
+fn descend_is_delivered_ahead_of_a_lost_split_relay_on_its_channel() {
+    let failure = parse_repro(include_str!("repros/descend_overtakes_split_relay.repro"))
+        .expect("repro parses");
+    let channel = (ProcId(1), ProcId(2));
+    let (mut descend_at, mut relay_at) = (None, None);
+    let report = replay_traced(&failure.scenario, &failure.choices, &mut |trace| {
+        let on_channel = trace
+            .of_event(TraceEvent::Deliver)
+            .filter(|e| (e.from, e.to) == channel);
+        for entry in on_channel {
+            let counted = |counter| entry.deltas.iter().any(|(name, _)| *name == counter);
+            match (entry.kind, frame_seq(&entry.detail())) {
+                ("descend", Some(8)) if counted("session.early") => descend_at = Some(entry.seq),
+                ("split.relay", Some(5)) if !counted("session.dup_suppressed") => {
+                    assert!(entry.redelivery, "the first transmission was lost");
+                    relay_at = Some(entry.seq);
+                }
+                _ => {}
+            }
+        }
+    });
+    assert!(report.violations.is_empty(), "{:#?}", report.violations);
+    assert_eq!(report.completed, failure.scenario.ops.len());
+    let (descend_at, relay_at) = (
+        descend_at.expect("the schedule no longer delivers the descent early"),
+        relay_at.expect("the schedule no longer redelivers the split relay"),
+    );
+    assert!(descend_at < relay_at, "sent after it, delivered before it");
 }

@@ -133,6 +133,18 @@ impl fmt::Display for ProcId {
     }
 }
 
+/// What the reliable session owes a payload beyond exactly-once delivery.
+/// A property of the message *type*: nothing configures it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Delivery {
+    /// Delivered in its channel's send order, after every `Ordered` payload
+    /// sent before it.
+    Ordered,
+    /// Commutes with everything else on its channel: delivered the moment
+    /// it arrives, even past a hole in the sequence.
+    Unordered,
+}
+
 /// Message payloads carried by the network.
 ///
 /// `kind` buckets the per-kind statistics; `size_hint` feeds the byte
@@ -163,6 +175,13 @@ pub trait Payload: Clone + fmt::Debug + Send + Sync + 'static {
     /// (session-layer retransmission). Traced as `redelivery`.
     fn redelivery(&self) -> bool {
         false
+    }
+
+    /// The payload's delivery class under the reliable session
+    /// ([`session`]). The raw channels of both runtimes are FIFO whatever it
+    /// says.
+    fn delivery(&self) -> Delivery {
+        Delivery::Ordered
     }
 
     /// Fold the payload's content into `h`: its share of the model checker's

@@ -6,13 +6,24 @@
 //! physical layer; [`SessionProc`] restores it end-to-end, so every protocol
 //! runs unchanged over a lossy network.
 //!
+//! **What is ordered.** Exactly-once is owed to every payload; order only to
+//! those whose type asks for it ([`Payload::delivery`], a property of the
+//! message type — nothing configures it). [`Delivery::Ordered`] payloads
+//! (the default) reach the inner process in their channel's send order. A
+//! [`Delivery::Unordered`] payload commutes with everything else on its
+//! channel, so one that arrives past a hole is handed over at once instead
+//! of waiting for a retransmission that has nothing to do with it; its
+//! sequence is remembered as arrived — reported held in acks, stepped over
+//! when the hole fills — so it is never delivered again. The sender half and
+//! the wire format do not know the difference.
+//!
 //! The mechanism is selective-repeat ARQ whose acknowledgements are lazy
 //! updates — monotone, idempotent, max-merged, so they may be late, repeated
 //! or ride on anything:
 //!
 //! * each remote message gets a per-`(src, dst)` sequence number and is held
-//!   in an outbox until acknowledged; receivers deliver in sequence order,
-//!   buffer out-of-order arrivals and suppress duplicates;
+//!   in an outbox until acknowledged; receivers deliver `Ordered` payloads in
+//!   sequence order, buffer those that arrive early and suppress duplicates;
 //! * **a timer on the oldest unacked message.** Every outbox entry carries
 //!   its own deadline and back-off count; the per-channel timer follows the
 //!   oldest entry, and when that one is overdue it alone is resent, as a
@@ -44,10 +55,11 @@
 //! *stable* queue manager (backed by recoverable storage) in front of
 //! volatile node copies. We model crash/restart the same way: the process
 //! object survives a crash, everything in flight (deliveries, timers) is
-//! lost. Of the session's state exactly three things are *stable* — the
-//! outbox, `next_seq` and the receiver's `next_expected`, which is what makes
-//! a redelivered payload recognizable as a duplicate. Everything else is a
-//! *hint* that a restart forgets and the protocol re-learns: the reorder
+//! lost. Of the session's state exactly four things are *stable* — the
+//! outbox, `next_seq`, and the receiver's record of what it has delivered:
+//! `next_expected` and the sequences past it delivered early, which is what
+//! makes a redelivered payload recognizable as a duplicate. Everything else
+//! is a *hint* that a restart forgets and the protocol re-learns: the reorder
 //! buffer and how far the peer's stream is known to have got, owed acks,
 //! each entry's deadline, back-off count and place in the stream, and armed
 //! timers. On restart the session re-acks every peer it had heard from (what
@@ -81,7 +93,7 @@ use std::ops::{Deref, DerefMut};
 
 use crate::context::{Context, Effect};
 use crate::trace::TraceEvent;
-use crate::{Payload, ProcId, Process, SimTime};
+use crate::{Delivery, Payload, ProcId, Process, SimTime};
 
 /// High bit of the timer-token space, reserved for session timers. Inner
 /// processes must keep their own tokens below this bit.
@@ -338,6 +350,58 @@ struct Unacked<M> {
     barrier: u64,
 }
 
+/// A set of sequences past a receiver's `next_expected`: a bitmap over a
+/// window that slides with the counter, a bit per sequence where the
+/// reorder buffer has a payload-sized slot.
+#[derive(Clone, Debug, Default)]
+struct SeqSet {
+    /// Sequence of bit 0 of `words[0]`; a multiple of 64.
+    base: u64,
+    words: VecDeque<u64>,
+}
+
+impl SeqSet {
+    /// Is `seq` (at or past `next_expected`, so at or past `base`) in the set?
+    fn contains(&self, seq: u64) -> bool {
+        let word = ((seq - self.base) / WINDOW) as usize;
+        self.words
+            .get(word)
+            .is_some_and(|w| w >> (seq % WINDOW) & 1 == 1)
+    }
+
+    /// Add `seq`, which lies past `next_expected`.
+    fn insert(&mut self, seq: u64, next_expected: u64) {
+        if self.words.is_empty() {
+            self.base = next_expected & !(WINDOW - 1);
+        }
+        let word = ((seq - self.base) / WINDOW) as usize;
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        self.words[word] |= 1 << (seq % WINDOW);
+    }
+
+    /// Take `seq` (at or past `next_expected`) out; `true` if it was in.
+    fn remove(&mut self, seq: u64) -> bool {
+        let bit = 1 << (seq % WINDOW);
+        match self.words.get_mut(((seq - self.base) / WINDOW) as usize) {
+            Some(word) if *word & bit != 0 => {
+                *word &= !bit;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Drop the words `next_expected` has left behind (all clear by then).
+    fn trim(&mut self, next_expected: u64) {
+        while !self.words.is_empty() && self.base + WINDOW <= next_expected {
+            self.words.pop_front();
+            self.base += WINDOW;
+        }
+    }
+}
+
 /// Both halves of the channel pair to one peer, side by side: a `Data`
 /// arrival reads the receive half and (for its piggybacked ack) the send
 /// half, a send writes the send half and reads the owed `upto`.
@@ -354,9 +418,17 @@ struct Peer<M> {
     silent: bool,
     /// Receiver, stable: every sequence below this has been delivered.
     next_expected: u64,
+    /// Receiver: the sequences past `next_expected` that have arrived, which
+    /// is what a duplicate is recognized by and what an ack reports held.
+    /// An [`Delivery::Ordered`] one waits in `buffer`, and its bit is as
+    /// volatile as its slot; an [`Delivery::Unordered`] one was delivered on
+    /// arrival, and its bit is as **stable** as the counter and for the
+    /// same reason: a retransmission after a crash must still read as a
+    /// duplicate.
+    arrived: SeqSet,
     /// Receiver, volatile: slot `i` is sequence `next_expected + 1 + i`
-    /// (`next_expected` itself is by definition missing). Empty, or its last
-    /// slot is occupied.
+    /// (`next_expected` itself is by definition missing), `Some` for a
+    /// payload waiting its turn. Empty, or its last slot is occupied.
     buffer: VecDeque<Option<M>>,
     /// Receiver, hint: the peer's `next_seq` as of the latest-sent frame to
     /// arrive (a floor: after a restart `next_expected` is past it).
@@ -373,6 +445,7 @@ impl<M> Default for Peer<M> {
             timer_armed: false,
             silent: false,
             next_expected: 0,
+            arrived: SeqSet::default(),
             buffer: VecDeque::new(),
             seen: 0,
             ack_owed: false,
@@ -436,24 +509,19 @@ impl<M: Clone> Peer<M> {
         }
     }
 
-    /// Is `seq` (past `next_expected`) sitting in the reorder buffer?
-    fn holds(&self, seq: u64) -> bool {
-        let slot = (seq - self.next_expected - 1) as usize;
-        matches!(self.buffer.get(slot), Some(Some(_)))
-    }
-
     /// The standalone ack this receiver would send now.
     fn ack(&self) -> SessionMsg<M> {
         let upto = self.next_expected;
         let known = self.seen.saturating_sub(upto).min(u32::MAX as u64);
-        // The missing run at `upto` ends at the first buffered sequence, or
-        // (nothing buffered) at the edge of what is known to have been sent.
-        let run = match self.buffer.iter().position(Option::is_some) {
-            Some(slot) => slot as u64 + 1,
-            None => known,
-        };
-        let held = window(upto + known, upto + run)
-            .fold(0, |bits, (bit, seq)| bits | (self.holds(seq) as u64) << bit);
+        // The missing run at `upto` ends at the first sequence that has
+        // arrived, or (none has) at the edge of what is known to have been
+        // sent.
+        let run = (1..known)
+            .find(|i| self.arrived.contains(upto + i))
+            .unwrap_or(known);
+        let held = window(upto + known, upto + run).fold(0, |bits, (bit, seq)| {
+            bits | (self.arrived.contains(seq) as u64) << bit
+        });
         SessionMsg::Ack {
             upto,
             run: run as u32,
@@ -498,8 +566,12 @@ pub struct SessionStats {
     pub acks_piggybacked: u64,
     /// Arrivals discarded as duplicates.
     pub dup_suppressed: u64,
-    /// Arrivals buffered because they overtook a gap.
-    pub out_of_order: u64,
+    /// [`Delivery::Ordered`] arrivals that overtook a gap and waited in the
+    /// reorder buffer for it to fill.
+    pub held: u64,
+    /// [`Delivery::Unordered`] arrivals that overtook a gap and were
+    /// delivered at once.
+    pub early_delivered: u64,
     /// Payloads abandoned after `max_retries` fruitless rounds.
     pub aborted: u64,
     /// Detector transitions into suspicion (peer went silent).
@@ -511,22 +583,38 @@ pub struct SessionStats {
 impl SessionStats {
     /// Accumulate another processor's counters (cluster-wide totals).
     pub fn merge(&mut self, other: &SessionStats) {
-        self.data_sent += other.data_sent;
-        self.retransmissions += other.retransmissions;
-        self.fast_retransmits += other.fast_retransmits;
-        self.acks_sent += other.acks_sent;
-        self.acks_piggybacked += other.acks_piggybacked;
-        self.dup_suppressed += other.dup_suppressed;
-        self.out_of_order += other.out_of_order;
-        self.aborted += other.aborted;
-        self.suspects += other.suspects;
-        self.alives += other.alives;
+        // Exhaustive, so a counter added to the struct cannot be left out.
+        let SessionStats {
+            data_sent,
+            retransmissions,
+            fast_retransmits,
+            acks_sent,
+            acks_piggybacked,
+            dup_suppressed,
+            held,
+            early_delivered,
+            aborted,
+            suspects,
+            alives,
+        } = *other;
+        self.data_sent += data_sent;
+        self.retransmissions += retransmissions;
+        self.fast_retransmits += fast_retransmits;
+        self.acks_sent += acks_sent;
+        self.acks_piggybacked += acks_piggybacked;
+        self.dup_suppressed += dup_suppressed;
+        self.held += held;
+        self.early_delivered += early_delivered;
+        self.aborted += aborted;
+        self.suspects += suspects;
+        self.alives += alives;
     }
 }
 
-/// Wraps any [`Process`], giving it exactly-once FIFO channels over a lossy
-/// network. Derefs to the inner process so existing inspection code
-/// (checkers, metrics readers) works unchanged.
+/// Wraps any [`Process`], giving it exactly-once channels over a lossy
+/// network, FIFO for every payload that asks for order. Derefs to the inner
+/// process so existing inspection code (checkers, metrics readers) works
+/// unchanged.
 pub struct SessionProc<P: Process> {
     inner: P,
     cfg: SessionConfig,
@@ -809,16 +897,23 @@ impl<P: Process> SessionProc<P> {
             peer.next_expected += 1;
             self.owe_ack(ctx, from);
             let mut next = Some(msg);
-            while let Some(m) = next {
-                self.with_inner(ctx, |p, c| p.on_message(c, from, m));
+            loop {
+                if let Some(m) = next {
+                    self.with_inner(ctx, |p, c| p.on_message(c, from, m));
+                }
                 let peer = &mut self.peers[from.index()];
                 // The front slot is the new `next_expected`: pop it either
-                // way — a payload to deliver, or the next hole.
+                // way — a payload to deliver, one delivered early (step
+                // over it), or the next hole.
                 next = peer.buffer.pop_front().flatten();
-                peer.next_expected += next.is_some() as u64;
+                if !peer.arrived.remove(peer.next_expected) {
+                    peer.arrived.trim(peer.next_expected);
+                    break;
+                }
+                peer.next_expected += 1;
             }
         } else {
-            if seq < peer.next_expected || peer.holds(seq) {
+            if seq < peer.next_expected || peer.arrived.contains(seq) {
                 self.stats.dup_suppressed += 1;
                 // A retransmission we did not need: the sender is missing an
                 // ack. (A copy the network made tells it nothing.)
@@ -827,13 +922,25 @@ impl<P: Process> SessionProc<P> {
                 }
                 return;
             }
-            self.stats.out_of_order += 1;
-            let slot = (seq - peer.next_expected - 1) as usize;
-            if slot >= peer.buffer.len() {
-                peer.buffer.resize_with(slot + 1, || None);
+            peer.arrived.insert(seq, peer.next_expected);
+            match msg.delivery() {
+                Delivery::Ordered => {
+                    self.stats.held += 1;
+                    let slot = (seq - peer.next_expected - 1) as usize;
+                    if slot >= peer.buffer.len() {
+                        peer.buffer.resize_with(slot + 1, || None);
+                    }
+                    peer.buffer[slot] = Some(msg);
+                    self.owe_ack(ctx, from);
+                }
+                // Nothing sent before it on this channel matters to it: the
+                // inner process has it now.
+                Delivery::Unordered => {
+                    self.stats.early_delivered += 1;
+                    self.owe_ack(ctx, from);
+                    self.with_inner(ctx, |p, c| p.on_message(c, from, msg));
+                }
             }
-            peer.buffer[slot] = Some(msg);
-            self.owe_ack(ctx, from);
         }
         // Sequences this frame is the first word of, other than its own,
         // and not delivered by now: a hole the sender must hear of at once.
@@ -941,7 +1048,8 @@ impl<P: Process> SessionProc<P> {
             m.push(("session.acks_sent", self.stats.acks_sent));
             m.push(("session.acks_piggybacked", self.stats.acks_piggybacked));
             m.push(("session.dup_suppressed", self.stats.dup_suppressed));
-            m.push(("session.out_of_order", self.stats.out_of_order));
+            m.push(("session.held", self.stats.held));
+            m.push(("session.early", self.stats.early_delivered));
             m.push(("session.aborted", self.stats.aborted));
         }
         if self.cfg.detector.enabled {
@@ -1045,7 +1153,13 @@ impl<P: Process> Process for SessionProc<P> {
         self.flush_armed = false;
         for (i, peer) in self.peers.iter_mut().enumerate() {
             let dst = ProcId(i as u32);
-            peer.buffer.clear();
+            // What was buffered has not arrived after all; what was
+            // delivered early stays delivered.
+            for (slot, held) in peer.buffer.drain(..).enumerate() {
+                if held.is_some() {
+                    peer.arrived.remove(peer.next_expected + 1 + slot as u64);
+                }
+            }
             peer.seen = 0;
             peer.ack_owed = false;
             peer.silent = false;

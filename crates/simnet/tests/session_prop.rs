@@ -1,35 +1,55 @@
-//! Property tests of the reliable session: the contract it restores
-//! (exactly-once FIFO delivery to the inner process, across loss,
-//! duplication and a crash of either end) and what restoring it may cost.
+//! Property tests of the reliable session: the contract it restores over a
+//! stream that mixes both delivery classes (every payload delivered to the
+//! inner process exactly once, the `Ordered` ones of a channel in send
+//! order, across loss, duplication and a crash of either end) and what
+//! restoring it may cost.
 
 use proptest::prelude::*;
 use simnet::{
-    Context, CrashEvent, FaultPlan, Partition, Payload, ProcId, Process, RunOutcome, SessionConfig,
-    SessionProc, SimConfig, SimTime, Simulation,
+    Context, CrashEvent, Delivery, FaultPlan, Partition, Payload, ProcId, Process, RunOutcome,
+    SessionConfig, SessionProc, SimConfig, SimTime, Simulation,
 };
 
 #[derive(Clone, Debug)]
-struct Num(u32);
+struct Num {
+    n: u32,
+    /// The class the stream's checker holds this payload to.
+    ordered: bool,
+    /// The class it declares to the session: `ordered`'s, except under
+    /// [`Talker::mislabel`].
+    declared: Delivery,
+}
 
 impl Payload for Num {
     fn kind(&self) -> &'static str {
         "num"
     }
+    fn delivery(&self) -> Delivery {
+        self.declared
+    }
 }
 
+/// When to send a payload, and whether it must keep its place in the stream.
+type Plan = Vec<(u64, bool)>;
+
 /// Sends its peer (the other of P0, P1) the numbers `0..plan.len()`, number
-/// `i` at tick `plan[i]` (sorted), and records what the peer sends it.
+/// `i` at tick `plan[i].0` (sorted) in class `plan[i].1`, and records what
+/// the peer sends it.
 struct Talker {
-    plan: Vec<u64>,
+    plan: Plan,
+    /// Declare every payload `Unordered`, whatever its class: the bug the
+    /// order property exists to catch.
+    mislabel: bool,
     sent: usize,
-    seen: Vec<u32>,
+    seen: Vec<Num>,
 }
 
 impl Talker {
-    fn new(mut plan: Vec<u64>) -> Self {
-        plan.sort_unstable();
+    fn new(mut plan: Plan, mislabel: bool) -> Self {
+        plan.sort_by_key(|&(due, _)| due);
         Talker {
             plan,
+            mislabel,
             sent: 0,
             seen: vec![],
         }
@@ -38,12 +58,22 @@ impl Talker {
     /// Send everything due, then sleep until the next send.
     fn pump(&mut self, ctx: &mut Context<'_, Num>) {
         let now = ctx.now().ticks();
-        while let Some(&due) = self.plan.get(self.sent) {
+        while let Some(&(due, ordered)) = self.plan.get(self.sent) {
             if due > now {
                 ctx.set_timer(due - now, 0);
                 return;
             }
-            ctx.send(ProcId(1 - ctx.me().0), Num(self.sent as u32));
+            let declared = if ordered && !self.mislabel {
+                Delivery::Ordered
+            } else {
+                Delivery::Unordered
+            };
+            let num = Num {
+                n: self.sent as u32,
+                ordered,
+                declared,
+            };
+            ctx.send(ProcId(1 - ctx.me().0), num);
             self.sent += 1;
         }
     }
@@ -62,42 +92,79 @@ impl Process for Talker {
         self.pump(ctx);
     }
     fn on_message(&mut self, _ctx: &mut Context<'_, Num>, _from: ProcId, msg: Num) {
-        self.seen.push(msg.0);
+        self.seen.push(msg);
     }
 }
 
-/// Run P0 and P1 talking to each other under `faults`; panics unless the
-/// run quiesces with both streams delivered exactly once, in order, and
-/// nothing left unacknowledged or given up on.
-fn converse(seed: u64, plans: [Vec<u64>; 2], faults: FaultPlan) -> Simulation<SessionProc<Talker>> {
-    let sent = [plans[0].len() as u32, plans[1].len() as u32];
+/// Which clause of the contract a finished conversation broke.
+#[derive(Debug, PartialEq)]
+enum Broken {
+    /// A payload was delivered twice or not at all.
+    ExactlyOnce(String),
+    /// `Ordered` payloads of one channel were delivered out of send order.
+    Order(String),
+    /// Something was left unacknowledged or given up on.
+    Unsettled(String),
+}
+
+type Talk = Simulation<SessionProc<Talker>>;
+
+/// Run P0 and P1 talking to each other under `faults` until the run
+/// quiesces.
+fn talk(seed: u64, plans: [Plan; 2], mislabel: bool, faults: FaultPlan) -> Talk {
     let procs = plans
         .into_iter()
-        .map(|plan| SessionProc::new(Talker::new(plan), SessionConfig::reliable()))
+        .map(|plan| SessionProc::new(Talker::new(plan, mislabel), SessionConfig::reliable()))
         .collect();
     let mut cfg = SimConfig::jittery(seed, 2, 25);
     cfg.faults = faults;
     cfg.max_events = 200_000;
     let mut sim = Simulation::new(cfg, procs);
     assert_eq!(sim.run(), RunOutcome::Quiescent, "a timer re-arms forever");
-    for (me, peer) in [(0, 1), (1, 0)] {
-        let p = sim.proc(ProcId(me));
-        let expected: Vec<u32> = (0..sent[peer as usize]).collect();
-        assert_eq!(p.inner().seen, expected, "P{peer} -> P{me}");
-        assert_eq!(p.unacked(), 0, "P{me} outbox");
-        assert_eq!(p.session_stats().aborted, 0, "P{me} gave up");
-    }
     sim
 }
 
-fn retransmissions(sim: &Simulation<SessionProc<Talker>>) -> u64 {
+/// The contract: both streams delivered exactly once, their `Ordered`
+/// payloads in send order, nothing left unacknowledged or given up on.
+fn contract(sim: &Talk) -> Result<(), Broken> {
+    for (me, peer) in [(0, 1), (1, 0)] {
+        let (p, sent) = (sim.proc(ProcId(me)), sim.proc(ProcId(peer)).inner().sent);
+        let seen = &p.inner().seen;
+        let mut all: Vec<u32> = seen.iter().map(|num| num.n).collect();
+        all.sort_unstable();
+        if all != (0..sent as u32).collect::<Vec<_>>() {
+            return Err(Broken::ExactlyOnce(format!("P{peer} -> P{me}: {all:?}")));
+        }
+        let ordered: Vec<u32> = seen
+            .iter()
+            .filter(|num| num.ordered)
+            .map(|num| num.n)
+            .collect();
+        if !ordered.windows(2).all(|pair| pair[0] < pair[1]) {
+            return Err(Broken::Order(format!("P{peer} -> P{me}: {ordered:?}")));
+        }
+        if p.unacked() != 0 || p.session_stats().aborted != 0 {
+            return Err(Broken::Unsettled(format!("P{me}: {:?}", p.session_stats())));
+        }
+    }
+    Ok(())
+}
+
+/// [`talk`], honestly labelled; panics unless the [`contract`] holds.
+fn converse(seed: u64, plans: [Plan; 2], faults: FaultPlan) -> Talk {
+    let sim = talk(seed, plans, false, faults);
+    assert_eq!(contract(&sim), Ok(()));
+    sim
+}
+
+fn retransmissions(sim: &Talk) -> u64 {
     (0..2)
         .map(|p| sim.proc(ProcId(p)).session_stats().retransmissions)
         .sum()
 }
 
-fn plan() -> impl Strategy<Value = Vec<u64>> {
-    proptest::collection::vec(0u64..600, 0..200)
+fn plan() -> impl Strategy<Value = Plan> {
+    proptest::collection::vec((0u64..600, any::<bool>()), 0..200)
 }
 
 proptest! {
@@ -149,15 +216,17 @@ proptest! {
     }
 }
 
-/// What a report says is held must never count as delivered at the sender:
-/// the receiver's reorder buffer is volatile. One scripted loss (a partition
-/// exactly one tick wide) leaves every later sequence buffered behind the
-/// hole and reported held; then the receiver crashes, at every instant of
-/// the run in turn, and restarts 40 ticks on. Whatever it had reported
-/// holding is gone — and is delivered all the same.
+/// What a report says is held must never count as delivered at the sender
+/// — the receiver's reorder buffer is volatile — while what was delivered
+/// early must never be delivered again: that record is stable. One scripted
+/// loss (a partition exactly one tick wide) leaves every later sequence past
+/// the hole, the `Ordered` half buffered and the rest delivered, all of it
+/// reported held; then the receiver crashes, at every instant of the run in
+/// turn, and restarts 40 ticks on. What it had buffered is gone and is
+/// delivered all the same; what it had delivered is not delivered twice.
 #[test]
 fn a_receiver_crash_at_any_instant_loses_nothing_it_reported_holding() {
-    let stream = || [(0..60).collect::<Vec<u64>>(), vec![]];
+    let stream = || [(0..60).map(|i| (i, i % 2 == 0)).collect::<Plan>(), vec![]];
     let one_loss = || {
         FaultPlan::none().with_partition(Partition {
             start: SimTime(5),
@@ -168,13 +237,12 @@ fn a_receiver_crash_at_any_instant_loses_nothing_it_reported_holding() {
     };
     let clean = converse(7, stream(), one_loss());
     assert_eq!(clean.stats().faults().partition_dropped, 1);
-    assert!(
-        clean.proc(ProcId(1)).session_stats().out_of_order > 0,
-        "nothing was held behind the hole"
-    );
+    let stats = clean.proc(ProcId(1)).session_stats();
+    assert!(stats.held > 0, "nothing was held behind the hole");
+    assert!(stats.early_delivered > 0, "nothing overtook the hole");
     assert_eq!(retransmissions(&clean), 1, "the hole, once");
 
-    let mut resent_held = 0;
+    let (mut resent_held, mut repeated_early) = (0, 0);
     for at in 0..=clean.now().ticks() {
         let sim = converse(
             7,
@@ -186,9 +254,38 @@ fn a_receiver_crash_at_any_instant_loses_nothing_it_reported_holding() {
             }),
         );
         resent_held += (retransmissions(&sim) > 1) as u32;
+        let stats = sim.proc(ProcId(1)).session_stats();
+        repeated_early += (stats.early_delivered > 0 && stats.dup_suppressed > 0) as u32;
     }
     assert!(
         resent_held > 0,
         "no crash instant found the buffer occupied"
     );
+    assert!(
+        repeated_early > 0,
+        "no crash instant saw an early-delivered payload retransmitted"
+    );
+}
+
+/// The checker's own check. A payload type that declares *everything*
+/// `Unordered` gets what it asked for — each payload once, the moment it
+/// arrives — and the order property must say so: under loss, some `Ordered`
+/// payload is delivered ahead of one sent before it.
+#[test]
+fn declaring_everything_unordered_fails_the_order_property() {
+    let stream = || [(0..60).map(|i| (i, true)).collect::<Plan>(), vec![]];
+    let mut caught = 0;
+    for seed in 0..8 {
+        let sim = talk(seed, stream(), true, FaultPlan::lossy(0.1));
+        match contract(&sim) {
+            Ok(()) => {}
+            Err(Broken::Order(_)) => caught += 1,
+            Err(other) => panic!("seed {seed}: mislabelling broke more than order: {other:?}"),
+        }
+        assert_eq!(
+            contract(&talk(seed, stream(), false, FaultPlan::lossy(0.1))),
+            Ok(())
+        );
+    }
+    assert!(caught > 0, "no seed delivered an overtaken payload late");
 }

@@ -286,12 +286,13 @@ fn crash_invalidation_matches_lazy_skip_fingerprint() {
         .with_dup(0.10)
         .with_crash(CrashEvent {
             proc: ProcId(2),
-            // Mid-workload: with navigation chains running in-process and
-            // a session that repairs a loss in one round trip the 120
-            // inserts are done by tick ~260, so a crash at 300 (where this
-            // pin sat until PR 20; 500 before PR 15) would find nothing in
-            // flight.
-            at: SimTime(150),
+            // Mid-workload: with navigation chains running in-process, a
+            // session that repairs a loss in one round trip and descents
+            // that no longer wait behind a hole, P2 has heard the last of
+            // its traffic before tick 150, so a crash there (where this pin
+            // sat until PR 21; 300 before PR 20, 500 before PR 15) finds
+            // nothing in flight.
+            at: SimTime(100),
             restart_at: Some(SimTime(2200)),
         });
     let mut sim_cfg = faulty_cfg(7, plan);
@@ -328,16 +329,16 @@ fn crash_invalidation_matches_lazy_skip_fingerprint() {
             faults.crashes,
             faults.restarts,
         ),
-        (27, 16, 0, 11, 0, 1, 1),
+        (29, 17, 0, 12, 0, 1, 1),
         "FaultStats drifted from the pinned lazy-skip run"
     );
-    assert_eq!(cluster.sim.events_delivered(), 417);
+    assert_eq!(cluster.sim.events_delivered(), 425);
     // Hash the retained entries, not the Trace struct's Debug output: the
     // pin is about what was observed, not the ring's bookkeeping fields.
     let entries: Vec<_> = cluster.sim.trace().iter().collect();
     let trace_hash = fnv1a(format!("{entries:?}").as_bytes());
     assert_eq!(
-        trace_hash, 0x46B027B0A5AF5785,
+        trace_hash, 0x10019C23B4BA8C6C,
         "trace (drop order/times included) drifted from the pinned run"
     );
 }
@@ -537,7 +538,7 @@ fn reorder_buffer_survives_crash_restart_race() {
             sim.proc(ProcId(0)).session_stats().retransmissions > 0,
             "seed {seed}: the race requires actual retransmissions"
         );
-        total_buffered += p1.session_stats().out_of_order;
+        total_buffered += p1.session_stats().held;
         total_suppressed += p1.session_stats().dup_suppressed;
     }
     // Across the seed matrix both halves of the race must actually occur:
