@@ -4,8 +4,10 @@
 //! leaf region) interleaved 1:1 with searches for already-acknowledged keys.
 //! If the structure were ever un-navigable mid-split, a search would fail;
 //! instead every search succeeds and misnavigations are absorbed by
-//! right-link chases, which we count. The sequential B-link tree is run on
-//! the same workload as the shared-memory reference point.
+//! right-link chases, which we count — the searches' own, and the update
+//! plane's (`walk/split`: how far a split completion walks from its node's
+//! parent hint). The sequential B-link tree is run on the same workload as
+//! the shared-memory reference point.
 
 use bench::report::{note, section, Table};
 use bench::{f2, sum_metric};
@@ -24,6 +26,7 @@ fn main() {
         "splits",
         "chases",
         "chases/op",
+        "walk/split",
     ]);
 
     for &procs in &[2u32, 4, 8] {
@@ -77,6 +80,9 @@ fn main() {
         let not_found = searches.len() - found;
         let splits = sum_metric(&cluster, |m| m.splits_initiated);
         let chases = stats.total_chases();
+        // The update plane's own link chases: a split completion walking
+        // from the node's parent hint to the parent that takes the edge.
+        let walked = sum_metric(&cluster, |m| m.update_chases);
         table.row(&[
             procs.to_string(),
             (n / 2).to_string(),
@@ -86,6 +92,7 @@ fn main() {
             splits.to_string(),
             chases.to_string(),
             f2(chases as f64 / stats.records.len() as f64),
+            f2(walked as f64 / splits as f64),
         ]);
     }
     table.print();

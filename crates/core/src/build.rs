@@ -15,7 +15,7 @@ use simnet::ProcId;
 use crate::config::{Placement, TreeConfig};
 use crate::node::NodeCopy;
 use crate::proc::DbProc;
-use crate::types::{ChildRef, Entry, Key, KeyRange, Link, NodeId};
+use crate::types::{ChildRef, Entry, Key, KeyRange, Link, NodeId, ParentHint};
 
 /// What to build.
 #[derive(Clone, Debug)]
@@ -201,7 +201,11 @@ pub fn build_procs(spec: &BuildSpec) -> (Vec<DbProc>, Arc<Mutex<HistoryLog>>) {
             };
             let parent = levels.get(li + 1).map(|parents| {
                 let p = &parents[i / fill];
-                Link::new(p.id, p.pc)
+                ParentHint {
+                    link: Link::new(p.id, p.pc),
+                    low: p.range.low,
+                    version: 0,
+                }
             });
             let mut proto = NodeCopy::new(node.id, node.level, node.range, node.pc);
             proto.entries = node.entries.iter().cloned().collect();

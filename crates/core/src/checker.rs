@@ -48,6 +48,17 @@ pub enum TreeViolation {
         /// The ancestor it is missing.
         missing: NodeId,
     },
+    /// A copy's advisory parent hint names a node that starts right of the
+    /// copy (or misstates where it starts): an upward action begun there
+    /// would be routed left of its target. Too far *left* is only slow.
+    ParentHintRightOfCopy {
+        /// The processor holding the copy.
+        proc: ProcId,
+        /// The copy's node.
+        node: NodeId,
+        /// The hinted parent.
+        parent: NodeId,
+    },
     /// A processor still has stashed protocol events at quiescence
     /// (an install never arrived).
     DanglingStash {
@@ -83,6 +94,10 @@ impl std::fmt::Display for TreeViolation {
             } => write!(
                 f,
                 "{proc} owns leaf {leaf:?} but lacks ancestor {missing:?}"
+            ),
+            TreeViolation::ParentHintRightOfCopy { proc, node, parent } => write!(
+                f,
+                "{proc}'s copy of {node:?} hints at parent {parent:?}, which starts right of it"
             ),
             TreeViolation::DanglingStash { proc, node, count } => {
                 write!(f, "{proc} has {count} stashed events for {node:?}")
@@ -330,6 +345,32 @@ pub fn check_path_property(sim: &DbSim) -> Vec<TreeViolation> {
     out
 }
 
+/// Check the one thing an advisory parent hint must get right: the parent
+/// it names does not start right of the copy holding it. A live parent is
+/// read for its real low key (which the hint must state truthfully); a
+/// node stored nowhere is judged by the low key the hint carries.
+pub fn check_parent_hints(sim: &DbSim) -> Vec<TreeViolation> {
+    let view = GlobalView::new(sim);
+    let mut out = Vec::new();
+    for (node, list) in &view.copies {
+        for &(proc, copy) in list {
+            let Some(hint) = copy.parent else {
+                continue;
+            };
+            let parent = hint.link.node;
+            let low = view.authoritative(parent).map_or(hint.low, |p| p.range.low);
+            if low != hint.low || low > copy.range.low {
+                out.push(TreeViolation::ParentHintRightOfCopy {
+                    proc,
+                    node: *node,
+                    parent,
+                });
+            }
+        }
+    }
+    out
+}
+
 /// Check for dangling stashes at quiescence.
 pub fn check_stashes(sim: &DbSim) -> Vec<TreeViolation> {
     let mut out = Vec::new();
@@ -398,6 +439,7 @@ pub fn check_all(
     out.extend(check_convergence(&cluster.sim));
     out.extend(check_keys(&cluster.sim, expected_keys));
     out.extend(check_leaf_chain(&cluster.sim));
+    out.extend(check_parent_hints(&cluster.sim));
     out.extend(check_stashes(&cluster.sim));
     let log = cluster.log();
     let log = log.lock();

@@ -76,5 +76,5 @@ pub use tree::{
     OpRecord, ScanRecord, ScanResult, ScanSpec, ThreadedDbCluster, ThreadedDbRuntime,
 };
 pub use types::{
-    ChildRef, Entry, Intent, Key, KeyRange, Link, NodeId, OpId, Outcome, Stamp, Value,
+    ChildRef, Entry, Intent, Key, KeyRange, Link, NodeId, OpId, Outcome, ParentHint, Stamp, Value,
 };

@@ -10,8 +10,13 @@ pub struct ProcMetrics {
     pub blocked_ticks: u64,
     /// Search/insert actions queued behind an available-copies lock.
     pub lock_queued: u64,
-    /// Right-link chases (misnavigation recoveries of the B-link kind).
+    /// Link chases by client-plane actions (`Descend`, `Scan`):
+    /// misnavigation recoveries of the B-link kind.
     pub link_chases: u64,
+    /// Link chases by update-plane actions (`InsertAt`, `Absorb`,
+    /// `MergeReq`, `ChildHomeChange`): the walk from a stale parent hint or
+    /// neighbour link to the node the update belongs to.
+    pub update_chases: u64,
     /// Missing-node recoveries (§4.2): action arrived for a node this
     /// processor doesn't store.
     pub missing_node_recoveries: u64,
@@ -97,6 +102,7 @@ impl ProcMetrics {
             ("blocked_ticks", self.blocked_ticks),
             ("lock_queued", self.lock_queued),
             ("link_chases", self.link_chases),
+            ("update_chases", self.update_chases),
             ("missing_node_recoveries", self.missing_node_recoveries),
             ("forwards_followed", self.forwards_followed),
             ("relays_applied", self.relays_applied),
@@ -131,6 +137,7 @@ impl ProcMetrics {
         self.blocked_ticks += other.blocked_ticks;
         self.lock_queued += other.lock_queued;
         self.link_chases += other.link_chases;
+        self.update_chases += other.update_chases;
         self.missing_node_recoveries += other.missing_node_recoveries;
         self.forwards_followed += other.forwards_followed;
         self.relays_applied += other.relays_applied;

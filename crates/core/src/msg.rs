@@ -8,7 +8,7 @@
 use simnet::{Delivery, Payload, ProcId};
 
 use crate::node::NodeSnapshot;
-use crate::types::{Entry, Intent, Key, Link, NodeId, OpId, Outcome, Value};
+use crate::types::{Entry, Intent, Key, Link, NodeId, OpId, Outcome, ParentHint, Value};
 
 /// The split description a PC relays to the other copies.
 #[derive(Clone, Copy, Hash, Debug)]
@@ -103,6 +103,10 @@ pub enum Msg {
         hops: u32,
         /// Right-link chases so far.
         chases: u32,
+        /// The copy that routed this step to its child `node`, offered as
+        /// that node's parent hint ([`ParentHint`]); `None` on every other
+        /// way of getting here (first hop, link chase, restart).
+        via: Option<ParentHint>,
     },
 
     /// A client range scan: collect up to `limit` live entries starting at

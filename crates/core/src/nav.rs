@@ -10,7 +10,7 @@ use simnet::{Context, ProcId};
 use crate::config::{ProtocolKind, SeededBug};
 use crate::msg::Msg;
 use crate::proc::{CoordOp, DbProc, ReplyInfo};
-use crate::types::{Entry, Intent, Key, NodeId, OpId, Outcome, Stamp};
+use crate::types::{Entry, Intent, Key, NodeId, OpId, Outcome, ParentHint, Stamp};
 
 /// Entries a scan may still collect: `limit` minus what is already
 /// accumulated, saturating at zero. The right-link continuation re-sends the
@@ -40,6 +40,7 @@ impl DbProc {
                     node: root,
                     hops: 0,
                     chases: 0,
+                    via: None,
                 };
                 let home = self.store.root_home().unwrap_or(self.me);
                 self.send_to_node(ctx, root, home, msg);
@@ -70,24 +71,36 @@ impl DbProc {
         node: NodeId,
         hops: u32,
         chases: u32,
+        via: Option<ParentHint>,
     ) {
-        let remake = |hops, chases| Msg::Descend {
+        // Addressed to this same node again (a forward, a lock queue) the
+        // step keeps its hint; a step to another node names its own.
+        let step = |node, hops, chases, via| Msg::Descend {
             op,
             key,
             intent,
             node,
             hops,
             chases,
+            via,
         };
-        let Some(copy) = self.store.get(node) else {
-            let msg = remake(hops, chases);
+        let Some(mut copy) = self.store.get(node) else {
+            let msg = step(node, hops, chases, via);
             self.recover_missing_node(ctx, node, key, msg);
             return;
         };
+        // Lazy repair of the advisory parent link: the copy that routed us
+        // here is this node's parent as of now. Compared on the shared
+        // borrow — a descent that teaches the copy nothing writes nothing.
+        if let Some(hint) = via.filter(|hint| hint.outranks(copy.parent)) {
+            let repaired = self.store.get_mut(node).expect("resident above");
+            hint.join_into(&mut repaired.parent);
+            copy = repaired;
+        }
 
         // Available-copies: actions queue behind a locked copy.
         if copy.lock.is_some() {
-            let msg = remake(hops, chases);
+            let msg = step(node, hops, chases, via);
             self.queue_behind_lock(ctx, node, msg);
             return;
         }
@@ -97,25 +110,11 @@ impl DbProc {
                 // A copy claiming the key is beyond its range with no right
                 // link is stale (a zombie outliving a retirement it has not
                 // heard about): restart from the root instead of panicking.
-                self.restart_at_root(ctx, |root| Msg::Descend {
-                    op,
-                    key,
-                    intent,
-                    node: root,
-                    hops: hops + 1,
-                    chases: chases + 1,
-                });
+                self.restart_at_root(ctx, |root| step(root, hops + 1, chases + 1, None));
                 return;
             };
             self.metrics.link_chases += 1;
-            let msg = Msg::Descend {
-                op,
-                key,
-                intent,
-                node: right.node,
-                hops: hops + 1,
-                chases: chases + 1,
-            };
+            let msg = step(right.node, hops + 1, chases + 1, None);
             self.send_to_node(ctx, right.node, right.home, msg);
             return;
         }
@@ -123,24 +122,17 @@ impl DbProc {
         if copy.range.is_left_of(key) {
             // Possible after a missing-node restart from an arbitrary local
             // node: move left/up toward the key.
-            let target = copy.left.or(copy.parent);
+            let target = copy.left.or(copy.parent_link());
             match target {
                 Some(link) => {
                     self.metrics.link_chases += 1;
-                    let msg = Msg::Descend {
-                        op,
-                        key,
-                        intent,
-                        node: link.node,
-                        hops: hops + 1,
-                        chases: chases + 1,
-                    };
+                    let msg = step(link.node, hops + 1, chases + 1, None);
                     self.send_to_node(ctx, link.node, link.home, msg);
                 }
                 None => {
                     // At the root with key left of range: impossible (root
                     // covers [0, +inf)); defensively restart at the root.
-                    let msg = remake(hops + 1, chases + 1);
+                    let msg = step(node, hops + 1, chases + 1, via);
                     let home = self.store.root_home().unwrap_or(self.me);
                     ctx.send(home, msg);
                 }
@@ -153,24 +145,11 @@ impl DbProc {
                 // Every in-range key has a live floor child on a converged
                 // interior copy (the leftmost child is never retired);
                 // transient staleness restarts from the root.
-                self.restart_at_root(ctx, |root| Msg::Descend {
-                    op,
-                    key,
-                    intent,
-                    node: root,
-                    hops: hops + 1,
-                    chases: chases + 1,
-                });
+                self.restart_at_root(ctx, |root| step(root, hops + 1, chases + 1, None));
                 return;
             };
-            let msg = Msg::Descend {
-                op,
-                key,
-                intent,
-                node: child.node,
-                hops: hops + 1,
-                chases,
-            };
+            // The routing copy offers itself as the child's parent hint.
+            let msg = step(child.node, hops + 1, chases, Some(copy.as_parent_hint()));
             self.send_to_node(ctx, child.node, child.home, msg);
             return;
         }
@@ -208,20 +187,22 @@ impl DbProc {
         hops: u32,
         chases: u32,
     ) {
+        // The write as a step that can be taken again at this leaf.
+        let again = |hops| Msg::Descend {
+            op,
+            key,
+            intent,
+            node,
+            hops,
+            chases,
+            via: None,
+        };
         if self.seeded(SeededBug::MergeWedgeGrants) && self.merge_pending.contains(&node) {
             // Seeded livelock: a merge is pending on this leaf and the grant
             // will never come, so the write parks forever — the client op
             // never completes. The liveness oracle counts these through
             // `DbProc::parked_write_count`.
-            let write = Msg::Descend {
-                op,
-                key,
-                intent,
-                node,
-                hops,
-                chases,
-            };
-            self.parked.push((ctx.now().ticks(), write));
+            self.parked.push((ctx.now().ticks(), again(hops)));
             return;
         }
         let copy = self.store.get(node).expect("checked by caller");
@@ -243,17 +224,7 @@ impl DbProc {
         if self.cfg.protocol == ProtocolKind::AvailableCopies && replicated {
             if self.me != pc {
                 // Writes go through the coordinator.
-                ctx.send(
-                    pc,
-                    Msg::Descend {
-                        op,
-                        key,
-                        intent,
-                        node,
-                        hops: hops + 1,
-                        chases,
-                    },
-                );
+                ctx.send(pc, again(hops + 1));
                 return;
             }
             let tag = self.issue_tag("leaf-write");
@@ -271,18 +242,7 @@ impl DbProc {
         }
 
         // Sync protocol: the AAS blocks *initial* inserts.
-        if self.block_if_aas(
-            ctx,
-            node,
-            Msg::Descend {
-                op,
-                key,
-                intent,
-                node,
-                hops,
-                chases,
-            },
-        ) {
+        if self.block_if_aas(ctx, node, again(hops)) {
             return;
         }
 
@@ -362,7 +322,7 @@ impl DbProc {
                 });
                 return;
             };
-            self.metrics.link_chases += 1;
+            self.metrics.update_chases += 1;
             let msg = Msg::InsertAt {
                 node: right.node,
                 level,
@@ -428,12 +388,35 @@ impl DbProc {
         let copy = self.store.get_mut(node).expect("checked above");
         let version = copy.version;
         copy.upsert(key, entry);
+        if entry.child().is_some() {
+            self.repair_split_halves(node, key);
+        }
         self.observe_initial(node, tag);
         self.relay_update(ctx, node, key, entry, tag, version);
         self.maybe_split(ctx, node);
         // Rerouted deletes land here as initial inserts; a tombstone may
         // have emptied the leaf (no-op on interior nodes).
         self.maybe_merge(ctx, node);
+    }
+
+    /// A split completion just wrote the edge at `sep` into `parent`: the
+    /// walk that brought it here has found the true parent of both halves,
+    /// so whichever of them is resident learns it now — the other end of
+    /// the lazy repair descents do on their way down. Both are edges of
+    /// this copy, which is all a hint has to be true of.
+    fn repair_split_halves(&mut self, parent: NodeId, sep: Key) {
+        let copy = self.store.get(parent).expect("just written");
+        let hint = copy.as_parent_hint();
+        let mut edges = copy
+            .entries
+            .range(..=sep)
+            .rev()
+            .filter_map(|(_, e)| e.child());
+        for half in [edges.next(), edges.next()].into_iter().flatten() {
+            if let Some(child) = self.store.get_mut(half.node) {
+                hint.join_into(&mut child.parent);
+            }
+        }
     }
 
     /// If the copy is mid-AAS and this is an initial insert, block it.
@@ -560,6 +543,7 @@ impl DbProc {
                             node: local,
                             hops: hops + 1,
                             chases: chases + 1,
+                            via: None,
                         },
                     ),
                     Msg::Scan {
@@ -726,7 +710,7 @@ impl DbProc {
             return;
         }
         if copy.range.is_left_of(key) {
-            let target = copy.left.or(copy.parent);
+            let target = copy.left.or(copy.parent_link());
             if let Some(link) = target {
                 self.metrics.link_chases += 1;
                 let msg = Msg::Scan {

@@ -5,7 +5,7 @@ use simnet::ProcId;
 
 use crate::entries::Entries;
 use crate::msg::{AbsorbInfo, Msg, SplitInfo};
-use crate::types::{ChildRef, Entry, Key, KeyRange, Link, NodeId};
+use crate::types::{ChildRef, Entry, Key, KeyRange, Link, NodeId, ParentHint};
 
 /// State of an executing split AAS on this copy (§4.1.1).
 #[derive(Clone, Debug, Default)]
@@ -64,8 +64,10 @@ pub struct NodeCopy {
     /// Left sibling (needed so splits/migrations can notify the left
     /// neighbour, §4.2/§4.3).
     pub left: Option<Link>,
-    /// Parent hint (may be stale; out-of-range routing recovers).
-    pub parent: Option<Link>,
+    /// Advisory parent hint: a join register ([`ParentHint::join_into`] is
+    /// its only writer) that descents repair as they pass. May be stale —
+    /// never right of this copy, so out-of-range routing recovers.
+    pub parent: Option<ParentHint>,
     /// The node's primary copy.
     pub pc: ProcId,
     /// Known replication membership (includes self and the PC).
@@ -77,8 +79,6 @@ pub struct NodeCopy {
     pub right_link_version: u64,
     /// See `right_link_version`.
     pub left_link_version: u64,
-    /// See `right_link_version`.
-    pub parent_link_version: u64,
     /// Absorb epoch: how many retired right neighbours this node has
     /// absorbed (merge-at-empty). Bumped exactly once per absorb at every
     /// copy, in the same per-copy order, which is what lets
@@ -117,13 +117,27 @@ impl NodeCopy {
             join_versions: vec![0],
             right_link_version: 0,
             left_link_version: 0,
-            parent_link_version: 0,
             absorb_count: 0,
             aas: None,
             split_pending: false,
             lock: None,
             relayed_at: None,
         }
+    }
+
+    /// This copy as a parent hint for a child it holds an edge to: its node
+    /// at its primary copy, where it starts, and the version it knows.
+    pub fn as_parent_hint(&self) -> ParentHint {
+        ParentHint {
+            link: Link::new(self.id, self.pc),
+            low: self.range.low,
+            version: self.version,
+        }
+    }
+
+    /// The hinted parent as a routable link.
+    pub fn parent_link(&self) -> Option<Link> {
+        self.parent.map(|hint| hint.link)
     }
 
     /// Is this copy a leaf?
@@ -328,7 +342,8 @@ impl NodeCopy {
         use std::hash::Hash;
         (self.id, self.level, self.range, self.version).hash(h);
         self.entries.hash(h);
-        [self.right, self.left, self.parent].hash(h);
+        [self.right, self.left].hash(h);
+        self.parent.hash(h);
         self.pc.hash(h);
         let mut members: Vec<(ProcId, u64)> = self
             .copies
@@ -340,7 +355,6 @@ impl NodeCopy {
         members.hash(h);
         self.right_link_version.hash(h);
         self.left_link_version.hash(h);
-        self.parent_link_version.hash(h);
         self.absorb_count.hash(h);
         self.split_pending.hash(h);
         // Parked messages without the ticks they were parked at.
@@ -379,10 +393,12 @@ impl NodeCopy {
     ///   version alone, and a stale wide copy pulled during crash catch-up
     ///   must not undo a split.) Ties fall back to the per-link version,
     ///   which migrations bump.
-    /// * **left/parent links and the PC** — by their own change versions
-    ///   (totally tie-broken): successive left-neighbour splits and
-    ///   migrations stamp strictly growing versions, and both hints may be
-    ///   stale anyway (out-of-range routing recovers).
+    /// * **left link and the PC** — by their own change versions (totally
+    ///   tie-broken): successive left-neighbour splits and migrations stamp
+    ///   strictly growing versions, and the hint may be stale anyway
+    ///   (out-of-range routing recovers).
+    /// * **parent hint** — the register's own join
+    ///   ([`ParentHint::join_into`]).
     ///
     /// Returns `true` if anything observable changed.
     pub fn merge_from(&mut self, other: &NodeSnapshot) -> bool {
@@ -454,31 +470,18 @@ impl NodeCopy {
             }
         }
 
-        // Left/parent links: lexicographic join on (link version, link)
-        // pairs, the winning pair stored wholesale. Successive left-
-        // neighbour splits and migrations stamp strictly growing versions;
-        // both hints tolerate staleness (routing recovers).
-        for (mine, my_v, theirs, their_v) in [
-            (
-                &mut self.left,
-                &mut self.left_link_version,
-                other.left,
-                other.left_link_version,
-            ),
-            (
-                &mut self.parent,
-                &mut self.parent_link_version,
-                other.parent,
-                other.parent_link_version,
-            ),
-        ] {
-            if (their_v, link_rank(theirs)) > (*my_v, link_rank(*mine)) {
-                if *mine != theirs {
-                    *mine = theirs;
-                    changed = true;
-                }
-                *my_v = their_v;
-            }
+        // Left link: lexicographic join on the (link version, link) pair,
+        // the winning pair stored wholesale. Successive left-neighbour
+        // splits and migrations stamp strictly growing versions; the hint
+        // tolerates staleness (routing recovers).
+        let theirs = (other.left_link_version, link_rank(other.left));
+        if theirs > (self.left_link_version, link_rank(self.left)) {
+            changed |= self.left != other.left;
+            self.left = other.left;
+            self.left_link_version = other.left_link_version;
+        }
+        if let Some(hint) = other.parent {
+            changed |= hint.join_into(&mut self.parent);
         }
         let my_v = self.version;
         if (other.version, other.pc.0) > (my_v, self.pc.0) && self.pc != other.pc {
@@ -525,7 +528,6 @@ impl NodeCopy {
             join_versions: self.join_versions.clone(),
             right_link_version: self.right_link_version,
             left_link_version: self.left_link_version,
-            parent_link_version: self.parent_link_version,
             absorb_count: self.absorb_count,
         }
     }
@@ -549,8 +551,8 @@ pub struct NodeSnapshot {
     pub right: Option<Link>,
     /// Left link.
     pub left: Option<Link>,
-    /// Parent link.
-    pub parent: Option<Link>,
+    /// Parent hint.
+    pub parent: Option<ParentHint>,
     /// Primary copy.
     pub pc: ProcId,
     /// Membership.
@@ -561,8 +563,6 @@ pub struct NodeSnapshot {
     pub right_link_version: u64,
     /// See `right_link_version`.
     pub left_link_version: u64,
-    /// See `right_link_version`.
-    pub parent_link_version: u64,
     /// Absorb epoch (see [`NodeCopy::absorb_count`]).
     pub absorb_count: u64,
 }
@@ -585,8 +585,7 @@ impl std::fmt::Debug for NodeSnapshot {
             .field("copies", &self.copies)
             .field("join_versions", &self.join_versions)
             .field("right_link_version", &self.right_link_version)
-            .field("left_link_version", &self.left_link_version)
-            .field("parent_link_version", &self.parent_link_version);
+            .field("left_link_version", &self.left_link_version);
         if self.absorb_count > 0 {
             d.field("absorb_count", &self.absorb_count);
         }
@@ -611,7 +610,6 @@ impl NodeSnapshot {
             join_versions: self.join_versions,
             right_link_version: self.right_link_version,
             left_link_version: self.left_link_version,
-            parent_link_version: self.parent_link_version,
             absorb_count: self.absorb_count,
             aas: None,
             split_pending: false,

@@ -431,7 +431,7 @@ impl DbProc {
             }
         }
         let copy = snapshot.into_copy();
-        let parent = copy.parent;
+        let parent = copy.parent_link();
         let low = copy.range.low;
         let is_leaf = copy.is_leaf();
         self.store.install(copy);
@@ -516,11 +516,7 @@ impl DbProc {
 
     fn handle_new_root(&mut self, root: NodeId, level: u8, home: ProcId, children: [NodeId; 2]) {
         self.store.set_root(root, level, home);
-        for child in children {
-            if let Some(c) = self.store.get_mut(child) {
-                c.parent = Some(crate::types::Link::new(root, home));
-            }
-        }
+        self.reparent_under_root(root, home, children);
     }
 }
 
@@ -536,7 +532,8 @@ impl DbProc {
                 node,
                 hops,
                 chases,
-            } => self.handle_descend(ctx, op, key, intent, node, hops, chases),
+                via,
+            } => self.handle_descend(ctx, op, key, intent, node, hops, chases, via),
             Msg::ClientScan { op, from, limit } => self.handle_client_scan(ctx, op, from, limit),
             Msg::Scan {
                 op,
@@ -814,6 +811,41 @@ mod tests {
         let p = DbProc::new(ProcId(1), 4, TreeConfig::default(), log);
         let others: Vec<u32> = p.all_other_procs().map(|p| p.0).collect();
         assert_eq!(others, vec![0, 2, 3]);
+    }
+
+    /// The restart shape of the stamp bug: an owner that comes back with its
+    /// stamp counter at zero (a clock that was not stable storage) must
+    /// still mint above the entries it holds, or `upsert` drops the write it
+    /// just acknowledged. Green since `leaf_write` mints above the resident
+    /// entry; the counter is zeroed by hand because this `DbProc` *is* the
+    /// stable store and a simulated crash keeps it.
+    #[test]
+    fn a_write_acknowledged_after_the_owner_lost_its_clock_is_the_value_read() {
+        use crate::{BuildSpec, ClientOp, DbCluster, Intent, Placement};
+        let cfg = TreeConfig {
+            placement: Placement::Uniform { copies: 1 },
+            ..TreeConfig::default()
+        };
+        let spec = BuildSpec::new((0..200).map(|k| k * 10).collect(), 4, cfg);
+        let mut cluster = DbCluster::build(&spec, simnet::SimConfig::seeded(1));
+        let op = |cluster: &mut DbCluster, intent| {
+            cluster.submit(ClientOp {
+                origin: ProcId(0),
+                key: 500,
+                intent,
+            });
+            let records = cluster.try_run_to_quiescence().expect("run quiesces");
+            records[0].outcome.found
+        };
+        for v in 0..60 {
+            op(&mut cluster, Intent::Insert(1000 + v));
+        }
+        let owners: Vec<ProcId> = cluster.leaves().iter().map(|(_, owner)| *owner).collect();
+        for owner in owners {
+            cluster.sim.proc_mut(owner).stamp_counter = 0;
+        }
+        assert_eq!(op(&mut cluster, Intent::Insert(7777)), Some(1059));
+        assert_eq!(op(&mut cluster, Intent::Search), Some(7777));
     }
 
     /// Delete churn on replicated leaves: every write relays to two copies

@@ -168,6 +168,7 @@ impl DbProc {
                                     node,
                                     hops: r.hops,
                                     chases: r.chases + 1,
+                                    via: None,
                                 },
                             );
                         }
@@ -181,6 +182,7 @@ impl DbProc {
                                     node,
                                     hops: r.hops,
                                     chases: r.chases + 1,
+                                    via: None,
                                 },
                             );
                         }

@@ -73,7 +73,7 @@ impl DbProc {
             if copy.range.low == 0 {
                 return;
             }
-            let Some(parent) = copy.parent else {
+            let Some(parent) = copy.parent_link() else {
                 return;
             };
             if copy
@@ -131,7 +131,7 @@ impl DbProc {
             // The parent split; the edge lives in a right sibling now.
             match copy.right {
                 Some(right) => {
-                    self.metrics.link_chases += 1;
+                    self.metrics.update_chases += 1;
                     let msg = Msg::MergeReq {
                         node: right.node,
                         child,
@@ -253,7 +253,7 @@ impl DbProc {
                 tag: 0, // issued below, outside the borrow
             };
             let peers: Vec<ProcId> = copy.peers(me).collect();
-            (copy.range.low, copy.parent, peers, info)
+            (copy.range.low, copy.parent_link(), peers, info)
         };
         let info = AbsorbInfo {
             tag: self.issue_tag("absorb"),
@@ -399,7 +399,7 @@ impl DbProc {
                 self.restart_at_root(ctx, |root| Msg::Absorb { node: root, info });
                 return;
             };
-            self.metrics.link_chases += 1;
+            self.metrics.update_chases += 1;
             let msg = Msg::Absorb {
                 node: right.node,
                 info,
@@ -410,11 +410,11 @@ impl DbProc {
         if copy.range.is_left_of(key) {
             // Overshot (a stale left-pointing hop): climb back through the
             // parent, or restart if the copy is a disconnected zombie.
-            let Some(up) = copy.parent.or(copy.left) else {
+            let Some(up) = copy.parent_link().or(copy.left) else {
                 self.restart_at_root(ctx, |root| Msg::Absorb { node: root, info });
                 return;
             };
-            self.metrics.link_chases += 1;
+            self.metrics.update_chases += 1;
             let msg = Msg::Absorb {
                 node: up.node,
                 info,
@@ -475,7 +475,7 @@ impl DbProc {
         self.metrics.absorbs_applied += 1;
         if let Some(mut log) = self.history() {
             log.observe_initial(node.raw(), me.0, info.tag);
-            log.ordered_applied(node.raw(), me.0, "absorb", count);
+            log.ordered_applied(node.raw(), me.0, "absorb", count.into());
         }
         for peer in peers {
             if !self.suppress_if_quarantined(peer, node) {
@@ -546,7 +546,7 @@ impl DbProc {
             self.metrics.absorbs_applied += 1;
             if let Some(mut log) = self.history() {
                 log.observe(node.raw(), me.0, info.tag, ObserveKind::Applied);
-                log.ordered_applied(node.raw(), me.0, "absorb", count);
+                log.ordered_applied(node.raw(), me.0, "absorb", count.into());
             }
             // Relays sent under this epoch may have overtaken the absorb.
             self.replay_stash(ctx, node);

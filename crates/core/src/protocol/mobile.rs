@@ -13,7 +13,7 @@ use simnet::{Context, ProcId};
 use crate::msg::{InstallReason, LinkDir, Msg};
 use crate::proc::{DbProc, TIMER_FORWARD_GC};
 use crate::store::ForwardAddr;
-use crate::types::{Key, Link, NodeId};
+use crate::types::{Key, Link, NodeId, ParentHint};
 
 impl DbProc {
     /// Owner side: migrate `node` to `dest`.
@@ -84,7 +84,7 @@ impl DbProc {
                 copy.version,
                 copy.left,
                 copy.right,
-                copy.parent,
+                copy.parent_link(),
                 copy.range.low,
                 children,
             )
@@ -204,24 +204,37 @@ impl DbProc {
         }
         let (applied, peers) = {
             let copy = self.store.get_mut(node).expect("checked");
-            let (slot, slot_version) = match dir {
-                LinkDir::Left => (&mut copy.left, &mut copy.left_link_version),
-                LinkDir::Right => (&mut copy.right, &mut copy.right_link_version),
-                LinkDir::Parent => (&mut copy.parent, &mut copy.parent_link_version),
-            };
             // Ordered-action rule (§4.2): apply only if the version exceeds
             // the slot's. Home refreshes additionally require the slot to
             // still point at the same node — a refresh from a superseded
             // neighbour (whose slot a split already re-targeted) is stale
             // even if its version number is numerically larger, because
-            // versions of different nodes are not comparable.
-            let same_target = slot.map(|l| l.node) == Some(link.node);
-            let applied = if version > *slot_version && (supersedes || same_target) {
-                *slot_version = version;
-                *slot = Some(link);
-                true
-            } else {
-                false
+            // versions of different nodes are not comparable. The value is
+            // the action's position in its class's order, when it applied.
+            let sibling = |slot: &mut Option<Link>, slot_version: &mut u64| {
+                let same_target = slot.map(|l| l.node) == Some(link.node);
+                let applies = version > *slot_version && (supersedes || same_target);
+                if applies {
+                    *slot_version = version;
+                    *slot = Some(link);
+                }
+                applies.then_some(u128::from(version))
+            };
+            let applied = match dir {
+                LinkDir::Left => sibling(&mut copy.left, &mut copy.left_link_version),
+                LinkDir::Right => sibling(&mut copy.right, &mut copy.right_link_version),
+                // The parent hint is a register with one join; a link change
+                // refreshes the home and version of the parent it names.
+                LinkDir::Parent => copy
+                    .parent
+                    .filter(|held| held.link.node == link.node)
+                    .map(|held| ParentHint {
+                        link,
+                        version,
+                        ..held
+                    })
+                    .filter(|hint| hint.join_into(&mut copy.parent))
+                    .map(|hint| hint.order()),
             };
             let peers: Vec<ProcId> = copy.peers(me).collect();
             (applied, peers)
@@ -231,8 +244,8 @@ impl DbProc {
             if !relayed {
                 log.observe_initial(node.raw(), me.0, tag);
             }
-            if applied {
-                log.ordered_applied(node.raw(), me.0, dir.class(), version);
+            if let Some(order) = applied {
+                log.ordered_applied(node.raw(), me.0, dir.class(), order);
             }
         }
         // The PC relays link changes to the other copies (a lazy update:
@@ -280,7 +293,7 @@ impl DbProc {
         if copy.range.is_right_of(sep) {
             if !relayed {
                 let right = copy.right.expect("sep beyond rightmost parent");
-                self.metrics.link_chases += 1;
+                self.metrics.update_chases += 1;
                 let msg = Msg::ChildHomeChange {
                     node: right.node,
                     sep,

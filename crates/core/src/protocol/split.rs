@@ -10,7 +10,7 @@ use simnet::{Context, ProcId};
 use crate::msg::{InstallReason, LinkDir, Msg, SplitInfo};
 use crate::node::NodeCopy;
 use crate::proc::DbProc;
-use crate::types::{ChildRef, Entry, Key, KeyRange, Link, NodeId};
+use crate::types::{ChildRef, Entry, Key, KeyRange, Link, NodeId, ParentHint};
 
 /// Everything the protocol layers need after the local half of a split.
 pub(crate) struct SplitOutcome {
@@ -46,7 +46,7 @@ impl DbProc {
             let copy = self.store.get_mut(node).expect("PC holds its copy");
             debug_assert_eq!(copy.pc, me, "only the PC splits");
             let old_right = copy.right;
-            let parent = copy.parent;
+            let hint = copy.parent;
             let level = copy.level;
             // §4.2/§4.3: the sibling starts one version past the half-split
             // node's. The node's own version is membership/migration state
@@ -59,7 +59,9 @@ impl DbProc {
             sib.version = sib_version;
             sib.right = old_right;
             sib.left = Some(Link::new(node, me));
-            sib.parent = parent;
+            // The sibling starts from this node's hint — never right of it,
+            // and the first descent a parent routes to it repairs it.
+            sib.parent = hint;
             sib.copies = copy.copies.clone();
             sib.join_versions = vec![0; sib.copies.len()];
 
@@ -73,7 +75,7 @@ impl DbProc {
                 sib_version,
             };
             let peers: Vec<ProcId> = copy.peers(me).collect();
-            (info, sib, level, parent, old_right, peers)
+            (info, sib, level, hint.map(|h| h.link), old_right, peers)
         };
 
         // Install the sibling locally and ship its other copies.
@@ -149,6 +151,28 @@ impl DbProc {
         }
     }
 
+    /// Offer a new root — home `home`, version 0, and like every root
+    /// starting at the bottom of the key space — to the local copies of its
+    /// two children.
+    pub(crate) fn reparent_under_root(
+        &mut self,
+        root: NodeId,
+        home: ProcId,
+        children: [NodeId; 2],
+    ) {
+        let low = self.store.get(root).map_or(0, |c| c.range.low);
+        let hint = ParentHint {
+            link: Link::new(root, home),
+            low,
+            version: 0,
+        };
+        for child in children {
+            if let Some(copy) = self.store.get_mut(child) {
+                hint.join_into(&mut copy.parent);
+            }
+        }
+    }
+
     /// The split node was the root: create a new root one level up,
     /// replicated everywhere, and broadcast the root change.
     fn grow_new_root(
@@ -204,11 +228,6 @@ impl DbProc {
         }
         self.store.install(root);
         self.store.set_root(root_id, level, me);
-        // Re-parent the local copies of both halves.
-        for child in [old_root, sib.node] {
-            if let Some(c) = self.store.get_mut(child) {
-                c.parent = Some(Link::new(root_id, me));
-            }
-        }
+        self.reparent_under_root(root_id, me, [old_root, sib.node]);
     }
 }

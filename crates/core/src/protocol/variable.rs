@@ -65,7 +65,7 @@ impl DbProc {
         let Some(copy) = self.store.get(node) else {
             return;
         };
-        let (range, right, parent) = (copy.range, copy.right, copy.parent);
+        let (range, right, parent) = (copy.range, copy.right, copy.parent_link());
         let mut misjoined = false;
         for &key in keys {
             if range.is_right_of(key) {
@@ -242,7 +242,7 @@ impl DbProc {
                         || self.pending_joins.contains_key(&c.node)
                 })
             });
-            (!holds_child, copy.pc, copy.parent)
+            (!holds_child, copy.pc, copy.parent_link())
         };
         if !should_leave {
             return;

@@ -65,6 +65,56 @@ impl Link {
     }
 }
 
+/// A copy's *advisory* link to its parent (§4.2: kept lazily, never forwarded
+/// to; whoever misnavigates by one recovers through the right link). The
+/// hints a copy is offered form a register ordered by [`Self::rank`]: the
+/// parent furthest right wins, and between two reports of one node the
+/// higher §4.2 version. Only a holder of an edge to the copy offers itself,
+/// so every offer has `low` ≤ the copy's own low key: the greatest is the
+/// closest safe place to start an upward action from, and anything smaller
+/// only lengthens the walk along the parent level's right links.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+pub struct ParentHint {
+    /// The parent node and its primary copy — joins are registered at the PC
+    /// whichever copy did the routing.
+    pub link: Link,
+    /// The parent's low key (a node's low never moves).
+    pub low: Key,
+    /// The parent's version as the reporting copy knew it.
+    pub version: u64,
+}
+
+impl ParentHint {
+    /// Position in the register's total order: low key, then version, with
+    /// the link as a tie-break so the maximum is defined on any pair.
+    pub fn rank(&self) -> (Key, u64, NodeId, ProcId) {
+        (self.low, self.version, self.link.node, self.link.home)
+    }
+
+    /// The ordered part of [`Self::rank`], packed for the history log's
+    /// ordered-class check (`"link-parent"`).
+    pub fn order(&self) -> u128 {
+        (self.low as u128) << 64 | self.version as u128
+    }
+
+    /// Would offering `self` change a register holding `held`?
+    pub fn outranks(&self, held: Option<ParentHint>) -> bool {
+        held.is_none_or(|held| self.rank() > held.rank())
+    }
+
+    /// The register's join, compare-first: offer `self` to `slot` and write
+    /// only when it outranks what is there. Commutative, associative and
+    /// idempotent (a maximum in a total order), so offers may arrive in any
+    /// order, any number of times. Returns `true` when the slot changed.
+    pub fn join_into(self, slot: &mut Option<ParentHint>) -> bool {
+        let wins = self.outranks(*slot);
+        if wins {
+            *slot = Some(self);
+        }
+        wins
+    }
+}
+
 /// An interior node's routing entry for one child.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
 pub struct ChildRef {
@@ -109,21 +159,22 @@ pub enum Entry {
     Child(ChildRef),
 }
 
-/// Helpers for update stamps: `(per-processor counter << 8) | proc`, giving
-/// a deterministic total order over all leaf updates in a run (unique for up
-/// to 256 processors).
+/// Helpers for update stamps: `(per-processor counter << 32) | proc`, giving
+/// a deterministic total order over all leaf updates in a run (the whole
+/// `ProcId` is packed, so stamps are unique at any cluster size).
 pub struct Stamp;
 
 impl Stamp {
     /// Compose a stamp.
     #[allow(clippy::new_ret_no_self)] // Stamp is a namespace for u64 stamps
     pub fn new(counter: u64, proc: ProcId) -> u64 {
-        (counter << 8) | (proc.0 as u64 & 0xFF)
+        debug_assert!(counter < (1 << 32), "stamp counter overflow");
+        (counter << 32) | proc.0 as u64
     }
 
     /// The counter a stamp was composed from.
     pub fn counter(stamp: u64) -> u64 {
-        stamp >> 8
+        stamp >> 32
     }
 }
 
@@ -227,6 +278,16 @@ mod tests {
         let b = Stamp::new(1, ProcId(1));
         let c = Stamp::new(2, ProcId(0));
         assert!(a < b && b < c);
+    }
+
+    /// E19 and CI's scale job run P = 1024: two writers one counter apart in
+    /// nothing but their processor id must still mint distinct stamps, or
+    /// `upsert` keeps whichever of the tied writes a copy saw first.
+    #[test]
+    fn stamps_stay_unique_past_256_processors() {
+        assert_ne!(Stamp::new(5, ProcId(1)), Stamp::new(5, ProcId(257)));
+        assert!(Stamp::new(5, ProcId(1023)) < Stamp::new(6, ProcId(0)));
+        assert_eq!(Stamp::counter(Stamp::new(5, ProcId(1023))), 5);
     }
 
     #[test]

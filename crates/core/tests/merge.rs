@@ -333,7 +333,11 @@ fn a_duplicate_merge_request_or_grant_changes_nothing() {
     let (leaf, owner, keys) = victim_leaf(&cluster);
     let (low, parent, left) = {
         let copy = cluster.sim.proc(owner).store.get(leaf).unwrap();
-        (copy.range.low, copy.parent.unwrap(), copy.left.unwrap())
+        (
+            copy.range.low,
+            copy.parent_link().unwrap(),
+            copy.left.unwrap(),
+        )
     };
     cluster
         .try_run_closed_loop(&delete_ops(&keys), 1)

@@ -6,7 +6,7 @@
 //! subsume any prefix/subset of the update stream it summarizes
 //! (op-replay and state-merge land every copy on the same digest).
 
-use dbtree::{ChildRef, Entry, Key, KeyRange, Link, NodeCopy, NodeId};
+use dbtree::{ChildRef, Entry, Key, KeyRange, Link, NodeCopy, NodeId, ParentHint};
 use proptest::prelude::*;
 use simnet::ProcId;
 
@@ -21,7 +21,8 @@ type Canon = (
     KeyRange,
     (u64, u64),
     Vec<(Key, Entry)>,
-    [(Option<Link>, u64); 3],
+    [(Option<Link>, u64); 2],
+    Option<ParentHint>,
     ProcId,
     Vec<(ProcId, u64)>,
 );
@@ -41,8 +42,8 @@ fn canon(c: &NodeCopy) -> Canon {
         [
             (c.right, c.right_link_version),
             (c.left, c.left_link_version),
-            (c.parent, c.parent_link_version),
         ],
+        c.parent,
         c.pc,
         members,
     )
@@ -73,6 +74,32 @@ fn arb_link() -> impl Strategy<Value = Option<Link>> {
     ]
 }
 
+/// An arbitrary offer to a parent register. The node determines the low key
+/// (a node's low never moves) unless `skew` says otherwise — the join is a
+/// maximum in a total order and must hold its laws on any input, but what
+/// the version-ordered link changes relied on is only claimed for honest
+/// ones.
+fn arb_hint() -> impl Strategy<Value = ParentHint> {
+    (1u64..8, 0u32..4, 0u64..6, prop_oneof![Just(0u64), 0u64..3]).prop_map(
+        |(node, home, version, skew)| ParentHint {
+            link: Link::new(NodeId(node), ProcId(home)),
+            low: node * 10 + skew,
+            version,
+        },
+    )
+}
+
+/// A register's content: empty, or some earlier offer.
+fn arb_held() -> impl Strategy<Value = Option<ParentHint>> {
+    prop_oneof![Just(None::<ParentHint>), arb_hint().prop_map(Some)]
+}
+
+fn joined(a: Option<ParentHint>, b: ParentHint) -> Option<ParentHint> {
+    let mut slot = a;
+    b.join_into(&mut slot);
+    slot
+}
+
 /// An arbitrary copy of `NODE`: a range narrowed to some high bound (splits
 /// only ever shrink the high side), entries inside it, arbitrary version,
 /// links (each with its change version), PC, and membership.
@@ -86,14 +113,14 @@ fn arb_copy() -> impl Strategy<Value = NodeCopy> {
         ),
         (
             arb_link(),
-            arb_link(),
+            arb_held(),
             0u32..4,
             proptest::collection::vec((0u32..6, 0u64..15), 1..5),
         ),
-        (0u64..6, 0u64..6, 0u64..6),
+        (0u64..6, 0u64..6),
     )
         .prop_map(
-            |((high, entries, version, right), (left, parent, pc, members), (rlv, llv, plv))| {
+            |((high, entries, version, right), (left, parent, pc, members), (rlv, llv))| {
                 let range = KeyRange::new(0, high);
                 let mut c = NodeCopy::new(NODE, 0, range, ProcId(pc));
                 c.entries = entries
@@ -106,7 +133,6 @@ fn arb_copy() -> impl Strategy<Value = NodeCopy> {
                 c.parent = parent;
                 c.right_link_version = rlv;
                 c.left_link_version = llv;
-                c.parent_link_version = plv;
                 // Dedup members (later join version wins) via a sorted map, the
                 // same shape `canon` reduces to.
                 let members: std::collections::BTreeMap<u32, u64> = members.into_iter().collect();
@@ -207,6 +233,39 @@ proptest! {
         let left = merged(&merged(&a, &b), &c);
         let right = merged(&a, &merged(&b, &c));
         prop_assert_eq!(canon(&left), canon(&right));
+    }
+
+    /// The parent register's join on its own — the one function descents,
+    /// `LinkChange { Parent }`, `merge_from` and root growth all write
+    /// through: a semilattice that never lowers `low`, reports a change
+    /// exactly when it made one, and between two reports of one node is the
+    /// `(version, link)` join the version-ordered link changes used.
+    #[test]
+    fn parent_hint_join_is_a_monotone_semilattice(
+        a in arb_hint(), b in arb_hint(), c in arb_hint(),
+        held in arb_held(),
+    ) {
+        prop_assert_eq!(joined(Some(a), a), Some(a));
+        prop_assert_eq!(joined(Some(a), b), joined(Some(b), a));
+        prop_assert_eq!(
+            joined(joined(Some(a), b), c),
+            joined(Some(a), joined(Some(b), c).expect("a join of two hints"))
+        );
+
+        let mut slot = held;
+        let changed = a.join_into(&mut slot);
+        prop_assert_eq!(changed, slot != held);
+        prop_assert_eq!(changed, a.outranks(held));
+        let after = slot.expect("an offer leaves the register full");
+        prop_assert!(held.is_none_or(|h| after.low >= h.low), "low went down");
+        prop_assert!(after.low >= a.low);
+        prop_assert!(!a.join_into(&mut slot), "the second identical offer wrote");
+
+        if a.link.node == b.link.node && a.low == b.low {
+            let key = |h: ParentHint| (h.version, h.link.node, h.link.home);
+            let want = if key(a) >= key(b) { a } else { b };
+            prop_assert_eq!(joined(Some(a), b), Some(want));
+        }
     }
 
     /// The lattice laws extended over merge-at-empty epochs: copies drawn

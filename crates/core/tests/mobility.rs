@@ -310,6 +310,17 @@ fn a_descend_that_overtakes_its_leafs_install_recovers() {
     assert!(overtakes > 0, "no descent overtook the install of its leaf");
 }
 
+/// One operation from P0, run to quiescence: what it was acknowledged with.
+fn acked(cluster: &mut DbCluster, key: u64, intent: Intent) -> Option<u64> {
+    cluster.submit(ClientOp {
+        origin: ProcId(0),
+        key,
+        intent,
+    });
+    let records = cluster.try_run_to_quiescence().expect("run quiesces");
+    records[0].outcome.found
+}
+
 /// A write acknowledged at a leaf's new home must be the value a later read
 /// returns. Stamps are minted from the *applying* processor's counter, and
 /// the new home's is behind the one that stamped the resident entry: its
@@ -319,15 +330,7 @@ fn a_descend_that_overtakes_its_leafs_install_recovers() {
 fn a_write_acknowledged_after_a_migration_is_the_value_read() {
     let spec = BuildSpec::new((0..200).map(|k| k * 10).collect(), 4, mobile_cfg(false));
     let mut cluster = DbCluster::build(&spec, SimConfig::seeded(1));
-    let op = |cluster: &mut DbCluster, intent| {
-        cluster.submit(ClientOp {
-            origin: ProcId(0),
-            key: 500,
-            intent,
-        });
-        let records = cluster.try_run_to_quiescence().expect("run quiesces");
-        records[0].outcome.found
-    };
+    let op = |cluster: &mut DbCluster, intent| acked(cluster, 500, intent);
     for v in 0..60 {
         op(&mut cluster, Intent::Insert(1000 + v));
     }
@@ -337,6 +340,52 @@ fn a_write_acknowledged_after_a_migration_is_the_value_read() {
     cluster.try_run_to_quiescence().expect("run quiesces");
     assert_eq!(op(&mut cluster, Intent::Insert(7777)), Some(1059));
     assert_eq!(op(&mut cluster, Intent::Search), Some(7777));
+}
+
+/// The same shape through a merge instead of a migration: a leaf whose
+/// owner's clock ran ahead is deleted empty and retires, its tombstones
+/// ride the absorb onto the left sibling's processor (whose clock is
+/// behind), and the next acknowledged write of the key lands there. Green
+/// since the mint-above-resident fix; kept so a per-leaf clock cannot
+/// regress it.
+#[test]
+fn a_write_acknowledged_after_an_absorb_is_the_value_read() {
+    let cfg = TreeConfig {
+        merge_at_empty: true,
+        ..mobile_cfg(false)
+    };
+    // 38 leaves over 4 processors: the ownership boundaries fall inside
+    // parents (groups of 5), so some leaf's left sibling is a foreign one.
+    let spec = BuildSpec::new((0..190).map(|k| k * 10).collect(), 4, cfg);
+    let mut cluster = DbCluster::build(&spec, SimConfig::seeded(1));
+    // A leaf a parent will let go (not its leftmost child) whose left
+    // sibling — the absorber — lives on another processor.
+    let (leaf, keys) = cluster
+        .leaves()
+        .into_iter()
+        .find_map(|(leaf, owner)| {
+            let copy = cluster.sim.proc(owner).store.get(leaf).expect("owned");
+            let mergeable = copy.parent.is_some_and(|p| p.low < copy.range.low)
+                && copy.left.is_some_and(|l| l.home != owner);
+            mergeable.then(|| (leaf, copy.entries.keys().copied().collect::<Vec<u64>>()))
+        })
+        .expect("some leaf can retire onto another processor");
+    let key = keys[0];
+    for v in 0..60 {
+        acked(&mut cluster, key, Intent::Insert(1000 + v));
+    }
+    for &k in &keys {
+        acked(&mut cluster, k, Intent::Delete);
+    }
+    let merged: u64 = cluster
+        .sim
+        .procs()
+        .map(|(_, p)| p.metrics.merges_completed)
+        .sum();
+    assert_eq!(merged, 1, "the emptied leaf retired into its left sibling");
+    assert!(!cluster.leaves().iter().any(|(l, _)| *l == leaf));
+    assert_eq!(acked(&mut cluster, key, Intent::Insert(7777)), None);
+    assert_eq!(acked(&mut cluster, key, Intent::Search), Some(7777));
 }
 
 // ---------------------------------------------------------------------------

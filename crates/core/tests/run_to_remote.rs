@@ -10,8 +10,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use dbtree::{
-    BuildSpec, ClientOp, DbCluster, DbSubmission, Intent, Key, Link, Msg, OpId, ProtocolKind,
-    ScanSpec, TreeConfig, LOCAL_STEP_CAP,
+    BuildSpec, ClientOp, DbCluster, DbSubmission, Intent, Key, Link, Msg, NodeId, OpId,
+    ProtocolKind, ScanSpec, TreeConfig, LOCAL_STEP_CAP,
 };
 use simnet::{ProcId, QuiesceError, Release, SessionMsg, SimConfig};
 
@@ -325,9 +325,10 @@ fn a_missing_node_restart_goes_through_the_queue() {
             op: OpId(77),
             key: 120,
             intent: Intent::Search,
-            node: dbtree::NodeId(u64::MAX), // stored nowhere
+            node: NodeId(u64::MAX), // stored nowhere
             hops: 0,
             chases: 0,
+            via: None,
         }),
     );
     cluster.sim.run();
@@ -348,4 +349,307 @@ fn a_missing_node_restart_goes_through_the_queue() {
     assert_eq!((done[0].op, done[0].found), (OpId(77), Some(120)));
     // The missing node, then the closest local node — the leaf itself.
     assert_eq!((done[0].hops, done[0].chases), (2, 1));
+}
+
+/// Every copy of `node`, wherever it is stored.
+fn copies_of(cluster: &DbCluster, node: NodeId) -> Vec<(ProcId, &dbtree::NodeCopy)> {
+    let procs = cluster.sim.procs();
+    procs
+        .filter_map(|(p, proc)| proc.store.get(node).map(|c| (p, c)))
+        .collect()
+}
+
+fn total(cluster: &DbCluster, f: impl Fn(&dbtree::ProcMetrics) -> u64) -> u64 {
+    cluster.sim.procs().map(|(_, p)| f(&p.metrics)).sum()
+}
+
+/// (e) Growth past the built tree — `sim-append`'s shape at test size: 400
+/// keys preloaded, 4 000 inserts over a range 250× wider, so nearly every
+/// node of the final tree grew out of the built tree's right edge. A split
+/// sibling inherits its node's parent hint, and while nothing repaired
+/// hints every split completion walked the parent level from that one
+/// ancestor (26 right-link steps per split here, 249 on `sim-append`). Now
+/// a split starts at its parent or a link or two left of it, no action ever
+/// spends its step budget, and the split protocol sends what it always
+/// did: one relay per *other* copy of the node that split.
+#[test]
+fn growth_past_the_built_tree_completes_splits_near_the_parent() {
+    const P: u32 = 8;
+    let db_tree = TreeConfig {
+        variable_copies: true,
+        ..TreeConfig::default()
+    };
+    for (name, cfg) in [
+        (
+            "test bed",
+            TreeConfig::fixed_copies(ProtocolKind::SemiSync, 3),
+        ),
+        ("dB-tree", db_tree),
+    ] {
+        let preload: Vec<Key> = (0..400).map(|k| k * 10).collect();
+        let spec = BuildSpec::new(preload.clone(), P, cfg);
+        let mut cluster = DbCluster::build(&spec, SimConfig::jittery(29, 2, 25));
+        let built: BTreeSet<NodeId> = cluster
+            .sim
+            .procs()
+            .flat_map(|(_, p)| p.store.iter().map(|c| c.id).collect::<Vec<_>>())
+            .collect();
+
+        let mut rng = 0xA99E_u64;
+        let ops: Vec<ClientOp> = (0..4000u64)
+            .map(|i| ClientOp {
+                origin: ProcId((splitmix(&mut rng) % P as u64) as u32),
+                key: splitmix(&mut rng) % 1_000_000,
+                intent: Intent::Insert(i),
+            })
+            .collect();
+        let stats = cluster.try_run_closed_loop(&ops, 8).expect("drains");
+        assert_eq!(stats.records.len(), ops.len(), "{name}");
+
+        let splits = total(&cluster, |m| m.splits_initiated);
+        assert!(
+            splits > 600,
+            "{name}: only {splits} splits — not a growth run"
+        );
+        let net = cluster.sim.stats();
+        for kind in ["insert.initial", "descend"] {
+            let yields = net.kind(kind).local;
+            assert_eq!(yields, 0, "{name}: a {kind} spent its step budget");
+        }
+        let view = dbtree::GlobalView::new(&cluster.sim);
+        // Where a split of each primary copy would start today: right-link
+        // steps from the hinted parent to the node that holds its edge.
+        let mut walks: Vec<usize> = Vec::new();
+        for (p, copy) in view.copies.values().flatten() {
+            let Some(hint) = copy.parent.filter(|_| *p == copy.pc) else {
+                continue;
+            };
+            let mut at = view
+                .authoritative(hint.link.node)
+                .expect("parents are live");
+            let mut steps = 0;
+            while at.range.is_right_of(copy.range.low) {
+                at = view
+                    .authoritative(at.right.expect("ends at +inf").node)
+                    .unwrap();
+                steps += 1;
+            }
+            walks.push(steps);
+        }
+        let (worst, sum) = (walks.iter().max().unwrap(), walks.iter().sum::<usize>());
+        assert!(
+            *worst <= 8 && sum <= walks.len(),
+            "{name}: {} hints, worst {worst} links from the parent, {sum} in all \
+             (125 and ≈ 45 000 before descents repaired them)",
+            walks.len()
+        );
+        // The counter says the same where it counts nothing else: dB-tree
+        // leaves have one copy, so no write is ever re-issued along the
+        // leaf level (22 480 steps before). On the test bed it also carries
+        // that walk — `relays_forwarded` re-issues from stale non-primary
+        // leaf copies, ≈ 27 000 steps here — which no hint shortens.
+        let walked = total(&cluster, |m| m.update_chases);
+        if total(&cluster, |m| m.relays_forwarded) == 0 {
+            assert!(
+                walked <= 8 * splits,
+                "{name}: {walked} steps, {splits} splits"
+            );
+        }
+
+        // msgs/split, per node: nothing joins or leaves during the run and a
+        // sibling inherits its node's membership, so every node born of a
+        // split (it has a left link; a new root does not) cost one relay
+        // per other copy — R − 1 on the test bed, 0 for a dB-tree leaf.
+        assert_eq!(total(&cluster, |m| m.joins + m.unjoins), 0, "{name}");
+        let born: Vec<&dbtree::NodeCopy> = view
+            .copies
+            .keys()
+            .filter(|id| !built.contains(id))
+            .filter_map(|id| view.authoritative(*id))
+            .filter(|c| c.left.is_some())
+            .collect();
+        assert_eq!(born.len() as u64, splits, "{name}");
+        let owed: u64 = born.iter().map(|c| c.copies.len() as u64 - 1).sum();
+        assert_eq!(net.kind("split.relay").remote, owed, "{name}: msgs/split");
+
+        let mut expected: BTreeSet<Key> = preload.into_iter().collect();
+        expected.extend(ops.iter().map(|op| op.key));
+        let violations = dbtree::checker::check_all(&mut cluster, &expected);
+        assert!(violations.is_empty(), "{name}: {violations:?}");
+    }
+}
+
+/// (f) The hint's home is the parent's *primary* copy, whichever copy did
+/// the routing: joins are registered at the PC (`handle_join` asserts it),
+/// and `ensure_path_replication` sends them to the hint's home.
+#[test]
+fn a_descent_routed_by_a_non_pc_copy_leaves_the_pc_as_the_hints_home() {
+    let cfg = TreeConfig::fixed_copies(ProtocolKind::SemiSync, 3);
+    let spec = BuildSpec::new((0..400).map(|k| k * 10).collect(), 4, cfg);
+    let mut cluster = DbCluster::build(&spec, SimConfig::seeded(9));
+    // A leaf's parent, and a processor that holds a copy of it without
+    // being its primary.
+    let (leaf, _) = cluster.leaves()[7];
+    let (_, copy) = copies_of(&cluster, leaf)[0];
+    let (key, built) = (copy.range.low, copy.parent.expect("built with a hint"));
+    let parent = built.link.node;
+    let (router, pc) = copies_of(&cluster, parent)
+        .into_iter()
+        .find_map(|(p, c)| (p != c.pc).then_some((p, c.pc)))
+        .expect("three copies, one primary");
+    assert_eq!(built.link.home, pc);
+
+    // Forget the hint at every copy of the leaf, then route one search
+    // through the non-PC copy of the parent.
+    let holders: Vec<ProcId> = copies_of(&cluster, leaf).iter().map(|(p, _)| *p).collect();
+    for &p in &holders {
+        cluster.sim.proc_mut(p).store.get_mut(leaf).unwrap().parent = None;
+    }
+    cluster.sim.inject(
+        router,
+        SessionMsg::Raw(Msg::Descend {
+            op: OpId(1),
+            key,
+            intent: Intent::Search,
+            node: parent,
+            hops: 0,
+            chases: 0,
+            via: None,
+        }),
+    );
+    cluster.sim.run();
+    let hints: Vec<_> = copies_of(&cluster, leaf)
+        .iter()
+        .filter_map(|(_, c)| c.parent)
+        .collect();
+    assert_eq!(hints, [built], "one copy was visited, and it names the PC");
+    assert_ne!(hints[0].link.home, router);
+}
+
+/// (g) Repair is for the step a parent routed: a descent that reaches a
+/// node along a right link carries no hint and teaches it nothing, and one
+/// that teaches the copy nothing new does not write.
+#[test]
+fn a_descent_that_arrived_by_a_right_link_repairs_nothing() {
+    let spec = BuildSpec::new((0..400).map(|k| k * 10).collect(), 1, TreeConfig::default());
+    let mut cluster = DbCluster::build(&spec, SimConfig::seeded(5));
+    let me = ProcId(0);
+    let (left, right, built) = {
+        let store = &cluster.sim.proc(me).store;
+        let right = store
+            .iter()
+            .find(|c| c.is_leaf() && c.left.is_some() && c.right.is_some())
+            .expect("an inner leaf");
+        (right.left.unwrap().node, right.id, right.parent)
+    };
+    let key = cluster.sim.proc(me).store.get(right).unwrap().range.low;
+    cluster
+        .sim
+        .proc_mut(me)
+        .store
+        .get_mut(right)
+        .unwrap()
+        .parent = None;
+
+    // Into the left neighbour, one chase right: found, nothing learned.
+    cluster.sim.inject(
+        me,
+        SessionMsg::Raw(Msg::Descend {
+            op: OpId(1),
+            key,
+            intent: Intent::Search,
+            node: left,
+            hops: 0,
+            chases: 0,
+            via: built,
+        }),
+    );
+    cluster.sim.run();
+    assert_eq!(cluster.sim.proc(me).metrics.link_chases, 1);
+    assert_eq!(cluster.sim.proc(me).store.get(right).unwrap().parent, None);
+
+    // From the root: the parent routes the last step and the hint is back.
+    cluster.submit(ClientOp {
+        origin: me,
+        key,
+        intent: Intent::Search,
+    });
+    let records = cluster.try_run_to_quiescence().expect("drains");
+    assert_eq!(records[0].outcome.found, Some(key));
+    assert_eq!(cluster.sim.proc(me).store.get(right).unwrap().parent, built);
+}
+
+/// (h) A hint that names a node its home does not hold (the parent was
+/// unjoined, or retired) is only a bad place to start. Left of the copy, it
+/// is repaired by the next descent like any stale hint; planted where no
+/// descent can outrank it, the split completion sent there restarts from
+/// the root by `(key, level)` exactly as before and lands — and the checker
+/// names the planted hint for what it is, right of its copy.
+#[test]
+fn a_hint_naming_a_missing_parent_recovers_by_restart() {
+    let spec = BuildSpec::new((0..400).map(|k| k * 10).collect(), 4, TreeConfig::default());
+    let mut cluster = DbCluster::build(&spec, SimConfig::jittery(3, 2, 25));
+    let leaves = cluster.leaves();
+    let ((stale, stale_owner), (stuck, stuck_owner)) = (leaves[leaves.len() - 1], leaves[40]);
+    let low_of = |cluster: &DbCluster, (leaf, owner): (NodeId, ProcId)| {
+        cluster.sim.proc(owner).store.get(leaf).unwrap().range.low
+    };
+    let (stale_low, stuck_low) = (
+        low_of(&cluster, (stale, stale_owner)),
+        low_of(&cluster, (stuck, stuck_owner)),
+    );
+    let missing = |low| dbtree::ParentHint {
+        link: Link::new(NodeId(u64::MAX - 1), ProcId(0)),
+        low,
+        version: 0,
+    };
+    let plant = |cluster: &mut DbCluster, (leaf, owner): (NodeId, ProcId), hint| {
+        cluster
+            .sim
+            .proc_mut(owner)
+            .store
+            .get_mut(leaf)
+            .unwrap()
+            .parent = Some(hint);
+    };
+    plant(&mut cluster, (stale, stale_owner), missing(0));
+    plant(&mut cluster, (stuck, stuck_owner), missing(u64::MAX));
+
+    // One write under the stale hint, enough under the stuck one to split.
+    let mut ops = vec![ClientOp {
+        origin: stale_owner,
+        key: stale_low + 1,
+        intent: Intent::Insert(0),
+    }];
+    ops.extend((1..=9).map(|i| ClientOp {
+        origin: stuck_owner,
+        key: stuck_low + i,
+        intent: Intent::Insert(i),
+    }));
+    cluster.try_run_closed_loop(&ops, 1).expect("drains");
+
+    let repaired = cluster
+        .sim
+        .proc(stale_owner)
+        .store
+        .get(stale)
+        .unwrap()
+        .parent;
+    assert!(repaired.is_some_and(|h| h.low > 0), "{repaired:?}");
+    let splits = total(&cluster, |m| m.splits_initiated);
+    assert!(splits >= 1, "the stuck leaf split");
+    assert_eq!(total(&cluster, |m| m.missing_node_recoveries), splits);
+
+    let mut expected: BTreeSet<Key> = (0..400).map(|k| k * 10).collect();
+    expected.extend(ops.iter().map(|op| op.key));
+    let violations = dbtree::checker::check_all(&mut cluster, &expected);
+    let planted = |v: &dbtree::TreeViolation| {
+        matches!(v, dbtree::TreeViolation::ParentHintRightOfCopy { parent, .. }
+            if *parent == NodeId(u64::MAX - 1))
+    };
+    // Every half carries it: a sibling inherits the hint it split under.
+    assert!(
+        violations.len() as u64 == splits + 1 && violations.iter().all(planted),
+        "{violations:?}"
+    );
 }

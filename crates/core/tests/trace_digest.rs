@@ -88,7 +88,7 @@ fn clean_run_exports_are_pinned() {
     assert!(!obs.series.is_empty());
     assert_eq!(
         digest(&obs),
-        0x228e_9af6_fdf6_02d6,
+        0x0770_16ae_c40a_33e6,
         "clean-run export digest"
     );
 }
@@ -110,7 +110,7 @@ fn lossy_run_exports_are_pinned() {
     }
     assert_eq!(
         digest(&obs),
-        0x9e9c_9c05_3443_f5d7,
+        0x110c_e4ca_768c_d49a,
         "lossy-run export digest"
     );
 }

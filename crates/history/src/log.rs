@@ -70,9 +70,9 @@ pub enum Violation {
         /// The ordered class.
         class: &'static str,
         /// Order key of the previously applied action.
-        prev: u64,
+        prev: u128,
         /// Order key of the action applied after it (≤ `prev`).
-        next: u64,
+        next: u128,
     },
 }
 
@@ -110,17 +110,17 @@ impl fmt::Display for Violation {
 struct CopyRecord {
     snapshot: BTreeSet<u64>,
     observed: BTreeSet<u64>,
-    last_ordered: BTreeMap<&'static str, u64>,
+    last_ordered: BTreeMap<&'static str, u128>,
     live: bool,
     final_digest: Option<u64>,
-    out_of_order: Vec<(&'static str, u64, u64)>,
+    out_of_order: Vec<(&'static str, u128, u128)>,
     /// Applied updates in local application order: `(tag, initial_here)`.
     /// This is the copy's history `H_c` from §3.1, which the sequence
     /// oracle ([`crate::oracle`]) compares across copies for commutativity.
     applied_seq: Vec<(u64, bool)>,
     /// Ordered-class applications in local application order, violations
     /// included (the oracle re-derives monotonicity independently).
-    ordered_seq: Vec<(&'static str, u64)>,
+    ordered_seq: Vec<(&'static str, u128)>,
 }
 
 /// Summary counters, for experiment reports.
@@ -246,8 +246,10 @@ impl HistoryLog {
     }
 
     /// Record an applied ordered-class action (e.g. a link-change) with its
-    /// position in the class's total order (the version number).
-    pub fn ordered_applied(&mut self, node: u64, proc: u32, class: &'static str, order: u64) {
+    /// position in the class's total order: a version number, or — for a
+    /// class ordered by a pair, like the parent hint's `(low, version)` —
+    /// the pair packed most-significant first.
+    pub fn ordered_applied(&mut self, node: u64, proc: u32, class: &'static str, order: u128) {
         if !self.enabled {
             return;
         }
@@ -426,7 +428,7 @@ pub type AppliedSequences<'a> = BTreeMap<u64, Vec<(u32, &'a [(u64, bool)])>>;
 
 /// One live copy's ordered-class application sequence:
 /// `(node, proc, [(class, order)])`.
-pub type OrderedSequence<'a> = (u64, u32, &'a [(&'static str, u64)]);
+pub type OrderedSequence<'a> = (u64, u32, &'a [(&'static str, u128)]);
 
 /// FNV-1a over little-endian words — a tiny stable digest helper for final
 /// copy values (no external hash dependencies).

@@ -74,9 +74,9 @@ pub enum SeqViolation {
         /// The ordered class.
         class: &'static str,
         /// Order key applied earlier.
-        prev: u64,
+        prev: u128,
         /// Order key applied after it (≤ `prev`).
-        next: u64,
+        next: u128,
     },
 }
 
@@ -133,7 +133,7 @@ pub fn check_sequences(log: &HistoryLog, conflicts: ConflictFn<'_>) -> Vec<SeqVi
     }
     // Orderedness: re-derive monotonicity from the raw sequences.
     for (node, proc, seq) in log.ordered_sequences() {
-        let mut high: HashMap<&'static str, u64> = HashMap::new();
+        let mut high: HashMap<&'static str, u128> = HashMap::new();
         for &(class, order) in seq {
             if let Some(&prev) = high.get(class) {
                 if order <= prev {

@@ -120,6 +120,11 @@ pub struct KindVisits {
     /// Nodes those actions visited: one each, plus the steps they went on
     /// to take in-process (the `nav.local_steps` delta of each entry).
     pub visits: u64,
+    /// Of those, link chases by the client plane (`link_chases`) ...
+    pub link_chases: u64,
+    /// ... and by the update plane (`update_chases`): a split completion or
+    /// re-issued insert walking from a stale hint to where it belongs.
+    pub update_chases: u64,
 }
 
 /// Per message kind, how many actions were delivered and how many nodes
@@ -130,14 +135,15 @@ pub struct KindVisits {
 pub fn kind_visits(trace: &[TraceRec]) -> BTreeMap<String, KindVisits> {
     let mut out: BTreeMap<String, KindVisits> = BTreeMap::new();
     for r in trace.iter().filter(|r| r.event == "deliver") {
-        let steps = r
-            .deltas
-            .iter()
-            .find(|(name, _)| name == "nav.local_steps")
-            .map_or(0, |(_, v)| *v);
+        let delta = |counter: &str| {
+            let found = r.deltas.iter().find(|(name, _)| name == counter);
+            found.map_or(0, |(_, v)| *v)
+        };
         let k = out.entry(r.kind.clone()).or_default();
         k.deliveries += 1;
-        k.visits += 1 + steps;
+        k.visits += 1 + delta("nav.local_steps");
+        k.link_chases += delta("link_chases");
+        k.update_chases += delta("update_chases");
     }
     out
 }
@@ -477,7 +483,7 @@ mod tests {
         let text = [
             rec(0, "deliver", "client", r#"{"nav.local_steps":3}"#),
             rec(1, "deliver", "client", r#"{"link_chases":1}"#),
-            rec(2, "deliver", "insert.relay", "{}"),
+            rec(2, "deliver", "insert.relay", r#"{"update_chases":7}"#),
             rec(3, "output", "done", r#"{"nav.local_steps":9}"#),
         ]
         .join("\n");
@@ -488,9 +494,12 @@ mod tests {
             by_kind["client"],
             KindVisits {
                 deliveries: 2,
-                visits: 5
+                visits: 5,
+                link_chases: 1,
+                update_chases: 0,
             }
         );
         assert_eq!(by_kind["insert.relay"].visits, 1);
+        assert_eq!(by_kind["insert.relay"].update_chases, 7);
     }
 }

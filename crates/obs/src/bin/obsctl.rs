@@ -118,14 +118,18 @@ fn print_report(report: &Report, trace: &[TraceRec], window: u64) {
         println!(
             "\ndeliveries by kind (an action keeps going in-process while its next node is local):"
         );
-        println!("  kind                   deliveries   visits  visits/delivery");
+        println!(
+            "  kind                   deliveries   visits  visits/delivery  link chases  update chases"
+        );
         for (kind, k) in &by_kind {
             println!(
-                "  {:<22} {:>10} {:>8} {:>16.2}",
+                "  {:<22} {:>10} {:>8} {:>16.2} {:>12} {:>14}",
                 kind,
                 k.deliveries,
                 k.visits,
-                k.visits as f64 / k.deliveries as f64
+                k.visits as f64 / k.deliveries as f64,
+                k.link_chases,
+                k.update_chases
             );
         }
     }

@@ -338,7 +338,7 @@ fn crash_invalidation_matches_lazy_skip_fingerprint() {
     let entries: Vec<_> = cluster.sim.trace().iter().collect();
     let trace_hash = fnv1a(format!("{entries:?}").as_bytes());
     assert_eq!(
-        trace_hash, 0x10019C23B4BA8C6C,
+        trace_hash, 0x3A1A9000B5752679,
         "trace (drop order/times included) drifted from the pinned run"
     );
 }
