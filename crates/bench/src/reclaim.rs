@@ -22,8 +22,10 @@ pub const STRIDE: u64 = 10;
 pub const DOMAIN_BANDS: u64 = 4;
 /// Part A laps in `--smoke` mode.
 pub const SMOKE_LAPS: u64 = 3;
-/// Part B phases in `--smoke` mode.
-pub const SMOKE_PHASES: u64 = 6;
+/// Part B phases in `--smoke` mode. The ratio the smoke asserts (≥ 2×)
+/// climbs with the phase count: 6 phases sat on the knee (2.13×, then 1.97×
+/// on a differently interleaved run), 12 read 2.2×, the full 16 read 2.3×.
+pub const SMOKE_PHASES: u64 = 12;
 
 fn tree_cfg(merge: bool) -> TreeConfig {
     TreeConfig {

@@ -199,23 +199,33 @@ pub enum Msg {
         /// The node being split.
         node: NodeId,
     },
-    /// AAS end: apply the split and unblock.
+    /// AAS end: install the sibling, apply the split and unblock.
     SplitEnd {
         /// The node that split.
         node: NodeId,
         /// The split parameters.
         info: SplitInfo,
+        /// The new sibling's copy for the receiver (see
+        /// [`Msg::RelayedSplit::sibling`]).
+        sibling: Box<NodeSnapshot>,
         /// History tag of the split.
         tag: u64,
     },
 
     // ---- semi-synchronous split protocol (§4.1.2) ----------------------
-    /// Relayed half-split: apply immediately at the copy.
+    /// Relayed half-split: apply immediately at the copy. It is what creates
+    /// the sibling there (§4.1.2) — the only message a split sends a copy.
     RelayedSplit {
         /// The node that split.
         node: NodeId,
         /// The split parameters.
         info: SplitInfo,
+        /// The new sibling, taken after the write that overfilled the node
+        /// was applied: the receiver installs it and shrinks `node` in one
+        /// atomic action. Always `Some` on the wire; `None` only in a
+        /// receiver's stash, where a shrink waits for `node`'s own install
+        /// after the sibling it arrived with has been installed.
+        sibling: Option<Box<NodeSnapshot>>,
         /// History tag of the split.
         tag: u64,
     },
@@ -277,8 +287,8 @@ pub enum Msg {
     },
 
     // ---- copy management ------------------------------------------------
-    /// Install a copy of a node (new sibling's copies, join grants,
-    /// migration payloads).
+    /// Install a copy of a node (join grants, migration payloads, a new
+    /// root). A split's sibling travels inside the split relay instead.
     InstallCopy {
         /// Full copy state (boxed: the snapshot dwarfs every other
         /// message, and installs are rare — boxing keeps `Msg` small for
@@ -487,8 +497,6 @@ impl From<RelayedItem> for Msg {
 /// Why a copy is being installed.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum InstallReason {
-    /// A new sibling created by a split.
-    SiblingCopy,
     /// A §4.3 join grant.
     JoinGrant,
     /// A §4.2 migration: the receiver becomes the (sole) owner.
@@ -516,6 +524,8 @@ pub enum LockedUpdate {
     Split {
         /// The split parameters.
         info: SplitInfo,
+        /// The new sibling (see [`Msg::RelayedSplit::sibling`]).
+        sibling: Box<NodeSnapshot>,
         /// History tag.
         tag: u64,
     },
@@ -528,11 +538,18 @@ impl Msg {
     /// The kinds that are fully addressed by key (+ level) and tolerate an
     /// arbitrarily stale `node` hint: a step of one of these whose next
     /// node is resident continues in-process instead of becoming a message
-    /// ([`crate::DbProc::send_to_node`]).
+    /// ([`crate::DbProc::send_to_node`]). An initial link change joins them:
+    /// it is ordered by its version, not by when it arrives, and dropped
+    /// when its node is gone (the common case is a split's notice to its old
+    /// right neighbour, which the splitting PC minted itself).
     pub fn is_navigable(&self) -> bool {
         matches!(
             self,
-            Msg::Descend { .. } | Msg::Scan { .. } | Msg::InsertAt { .. } | Msg::Absorb { .. }
+            Msg::Descend { .. }
+                | Msg::Scan { .. }
+                | Msg::InsertAt { .. }
+                | Msg::Absorb { .. }
+                | Msg::LinkChange { relayed: false, .. }
         )
     }
 }
@@ -614,6 +631,10 @@ impl Payload for Msg {
         match self {
             // Rough logical wire sizes, for byte accounting.
             Msg::InstallCopy { snapshot, .. } => 64 + snapshot.entries.len() * 24,
+            Msg::RelayedSplit {
+                sibling: Some(s), ..
+            }
+            | Msg::SplitEnd { sibling: s, .. } => 112 + s.entries.len() * 24,
             Msg::SyncState {
                 snapshot, covered, ..
             } => 64 + snapshot.entries.len() * 24 + covered.len() * 8,

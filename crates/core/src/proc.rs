@@ -17,6 +17,7 @@ use crate::config::{SeededBug, TreeConfig};
 use crate::metrics::ProcMetrics;
 use crate::msg::{InstallReason, Msg, RelayedItem};
 use crate::node::NodeCopy;
+use crate::relay::RelaySlot;
 use crate::store::NodeStore;
 use crate::types::{Key, NodeId, OpId, Outcome};
 
@@ -105,8 +106,18 @@ pub struct DbProc {
     /// Per-processor counter feeding leaf-update stamps (LWW merge order).
     pub(crate) stamp_counter: u64,
 
-    // -- piggybacking ------------------------------------------------------
-    pub(crate) relay_buf: BTreeMap<ProcId, Vec<RelayedItem>>,
+    // -- relay buffers (per action; across actions when piggybacking) ------
+    /// One slot per destination ever relayed to, sorted by processor. (The
+    /// timestamps feeding the lazy-lag gauges live with what they time — a
+    /// slot's `since`, the park ticks in `parked`, the per-copy staleness
+    /// stamp [`NodeCopy::relayed_at`] — and all stay out of
+    /// `fingerprint_into`: wall times never influence protocol behavior, and
+    /// hashing them would make the model checker see every schedule as a
+    /// distinct state.)
+    pub(crate) relay_buf: Vec<RelaySlot>,
+    /// Items buffered over all slots (`relay.backlog_depth`); zero between
+    /// actions unless piggybacking holds them.
+    pub(crate) relay_backlog: usize,
     pub(crate) relay_timer_armed: bool,
 
     // -- out-of-order installs ----------------------------------------------
@@ -147,18 +158,6 @@ pub struct DbProc {
     /// full-state sync per node when the peer is heard from again.
     pub(crate) missed: BTreeMap<ProcId, BTreeSet<NodeId>>,
 
-    // -- observability bookkeeping -------------------------------------------
-    // Timestamps feeding the lazy-lag gauges. Deliberately excluded from
-    // `fingerprint_into`: wall times never influence protocol behavior, and
-    // hashing them would make the model checker see every schedule as a
-    // distinct state.
-    /// Tick at which each destination's piggyback buffer went non-empty
-    /// (cleared when the buffer drains). Feeds `relay.backlog_age`. (The
-    /// other two lazy-lag timestamps live with what they time: the park
-    /// ticks in `parked`, the per-copy staleness stamp in the copy,
-    /// [`NodeCopy::relayed_at`].)
-    pub(crate) relay_buf_since: BTreeMap<ProcId, u64>,
-
     // -- available-copies coordinator state ---------------------------------
     pub(crate) next_ticket: u64,
     pub(crate) pending_locks: HashMap<u64, PendingLock>,
@@ -179,7 +178,8 @@ impl DbProc {
             local: VecDeque::new(),
             local_steps: 0,
             stamp_counter: 0,
-            relay_buf: BTreeMap::new(),
+            relay_buf: Vec::new(),
+            relay_backlog: 0,
             relay_timer_armed: false,
             stash: HashMap::new(),
             unjoined: HashSet::new(),
@@ -189,7 +189,6 @@ impl DbProc {
             retired: HashMap::new(),
             quarantined: BTreeSet::new(),
             missed: BTreeMap::new(),
-            relay_buf_since: BTreeMap::new(),
             next_ticket: 0,
             pending_locks: HashMap::new(),
             coord_busy: HashSet::new(),
@@ -230,7 +229,10 @@ impl DbProc {
         self.me.hash(h);
         self.stamp_counter.hash(h);
         self.store.fingerprint_into(h);
-        self.relay_buf.hash(h);
+        // Only what is waiting: an emptied slot is capacity, not state.
+        for slot in self.relay_buf.iter().filter(|s| !s.items.is_empty()) {
+            (slot.peer, &slot.items).hash(h);
+        }
         self.relay_timer_armed.hash(h);
         hash_in_key_order(&self.stash, h);
         hash_in_key_order(self.unjoined.iter().map(|n| (n, ())), h);
@@ -412,7 +414,7 @@ impl DbProc {
         let id = snapshot.id;
         if self.retired.contains_key(&id) {
             // A zombie: the node was merged away while this install (a
-            // sibling copy, migration, or join grant) was in flight.
+            // migration or join grant) was in flight.
             // Installing it would resurrect a leaf whose range the absorber
             // already owns and break the leaf chain.
             self.pending_joins.remove(&id);
@@ -436,13 +438,14 @@ impl DbProc {
         let is_leaf = copy.is_leaf();
         self.store.install(copy);
         self.unjoined.remove(&id);
-        // The PC records `copy_created` for sibling copies at creation time;
-        // migrations and join grants record here, when the snapshot actually
-        // lands. For grants this re-marks a copy live after a crash-recovery
-        // rejoin (the restart logged `copy_deleted`); the `covered` tags are
-        // the PC's coverage, which this snapshot synthesizes. Recording only
-        // on a real install keeps the duplicate-grant early-return above from
-        // claiming coverage a resident copy never received.
+        // Migrations and join grants are recorded here, when the snapshot
+        // actually lands (a new root's copies, like a sibling's, were
+        // recorded by the PC at creation time). For grants this re-marks a
+        // copy live after a crash-recovery rejoin (the restart logged
+        // `copy_deleted`); the `covered` tags are the PC's coverage, which
+        // this snapshot synthesizes. Recording only on a real install keeps
+        // the duplicate-grant early-return above from claiming coverage a
+        // resident copy never received.
         if matches!(
             reason,
             InstallReason::Migration { .. } | InstallReason::JoinGrant
@@ -466,7 +469,7 @@ impl DbProc {
                 // Continue joining until we hold the whole path.
                 self.continue_path(ctx, id, &join_keys);
             }
-            InstallReason::SiblingCopy | InstallReason::Bootstrap => {}
+            InstallReason::Bootstrap => {}
         }
     }
 
@@ -507,9 +510,6 @@ impl DbProc {
                     epoch,
                 },
             ),
-            Msg::RelayedSplit { node, info, tag } => {
-                self.handle_relayed_split(ctx, node, info, tag)
-            }
             other => self.dispatch(ctx, self.me, other),
         }
     }
@@ -580,10 +580,18 @@ impl DbProc {
             }
             Msg::SplitStart { node } => self.handle_split_start(ctx, from, node),
             Msg::SplitAck { node } => self.handle_split_ack(ctx, node),
-            Msg::SplitEnd { node, info, tag } => self.handle_split_end(ctx, node, info, tag),
-            Msg::RelayedSplit { node, info, tag } => {
-                self.handle_relayed_split(ctx, node, info, tag)
-            }
+            Msg::SplitEnd {
+                node,
+                info,
+                sibling,
+                tag,
+            } => self.handle_split_end(ctx, node, info, *sibling, tag),
+            Msg::RelayedSplit {
+                node,
+                info,
+                sibling,
+                tag,
+            } => self.handle_relayed_split(ctx, node, info, sibling, tag),
             Msg::MergeReq {
                 node,
                 child,
@@ -671,6 +679,7 @@ impl Process for DbProc {
         debug_assert!(self.local.is_empty(), "a step outlived its action");
         self.dispatch(ctx, from, msg);
         self.run_local(ctx);
+        self.end_action(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, token: u64) {
@@ -686,6 +695,7 @@ impl Process for DbProc {
             }
             _ => {}
         }
+        self.end_action(ctx);
     }
 
     /// Crash recovery (§1.1 stability model + §4.3 joins): the stable store
@@ -752,6 +762,7 @@ impl Process for DbProc {
                 self.maybe_merge(ctx, leaf);
             }
         }
+        self.end_action(ctx);
     }
 
     fn on_peer_change(&mut self, ctx: &mut Context<'_, Msg>, peer: ProcId, up: bool) {
@@ -773,8 +784,8 @@ impl Process for DbProc {
     fn gauges(&self, now: simnet::SimTime) -> Vec<(&'static str, u64)> {
         let t = now.ticks();
         let age = |since: u64| t.saturating_sub(since);
-        let backlog_depth: u64 = self.relay_buf.values().map(|v| v.len() as u64).sum();
-        let backlog_age = self.relay_buf_since.values().copied().min().map_or(0, age);
+        let waiting = self.relay_buf.iter().filter(|s| !s.items.is_empty());
+        let backlog_age = waiting.map(|s| s.since).min().map_or(0, age);
         let deferred: u64 = self.missed.values().map(|s| s.len() as u64).sum();
         let dwell = self.parked.iter().map(|(t, _)| *t).min().map_or(0, age);
         // The oldest stamp among resident copies that have applied a relay;
@@ -787,7 +798,7 @@ impl Process for DbProc {
             ("proc.parked_dwell", dwell),
             ("proc.parked_writes", self.parked.len() as u64),
             ("relay.backlog_age", backlog_age),
-            ("relay.backlog_depth", backlog_depth),
+            ("relay.backlog_depth", self.relay_backlog as u64),
             ("relay.deferred_depth", deferred),
             ("store.staleness_max", staleness),
         ]

@@ -230,22 +230,15 @@ impl DbProc {
                     .map(|c| c.overfull(self.cfg.fanout))
                     .unwrap_or(false);
                 if still_overfull {
-                    let out = self.half_split_local(ctx, node);
+                    let mut out = self.half_split_local(node);
                     let tag = self.issue_tag("split");
                     self.observe_initial(node, tag);
-                    for &p in &out.peers {
-                        ctx.send(
-                            p,
-                            Msg::ApplyUnlock {
-                                node,
-                                ticket: 0,
-                                update: LockedUpdate::Split {
-                                    info: out.info,
-                                    tag,
-                                },
-                            },
-                        );
-                    }
+                    let info = out.info;
+                    out.relay(ctx, |sibling| Msg::ApplyUnlock {
+                        node,
+                        ticket: 0,
+                        update: LockedUpdate::Split { info, sibling, tag },
+                    });
                     self.complete_split(ctx, node, &out);
                 } else {
                     // Someone else's split already fixed it: plain unlock.
@@ -279,9 +272,9 @@ impl DbProc {
         _ticket: u64,
         update: LockedUpdate,
     ) {
-        if let Some(copy) = self.store.get_mut(node) {
-            match update {
-                LockedUpdate::Insert { key, entry, tag } => {
+        match update {
+            LockedUpdate::Insert { key, entry, tag } => {
+                if let Some(copy) = self.store.get_mut(node) {
                     if copy.range.contains(key) {
                         copy.upsert(key, entry);
                         if tag != 0 {
@@ -289,12 +282,11 @@ impl DbProc {
                         }
                     }
                 }
-                LockedUpdate::Split { info, tag } => {
-                    copy.apply_split(&info);
-                    self.observe(node, tag, ObserveKind::Applied);
-                }
-                LockedUpdate::Noop => {}
             }
+            LockedUpdate::Split { info, sibling, tag } => {
+                self.apply_split_relay(ctx, node, &info, Some(*sibling), tag);
+            }
+            LockedUpdate::Noop => {}
         }
         self.release_local_lock(ctx, node);
     }

@@ -1,8 +1,10 @@
 //! §4.1.2 — the semi-synchronous split protocol.
 //!
 //! The PC splits immediately (no AAS, no blocking) and sends one relayed
-//! split to each other copy — `|copies(n)|` messages per split, which the
-//! paper shows is optimal. Compatibility is restored by *rewriting history*:
+//! split to each other copy — `|copies(n)| − 1` messages per split and
+//! nothing else, which the paper shows is optimal: the relay carries the new
+//! sibling, so it is also what creates the sibling's copies.
+//! Compatibility is restored by *rewriting history*:
 //! when a relayed insert reaches the PC after the split moved its key away,
 //! the PC re-issues it as an initial insert toward the sibling (see
 //! `relay.rs`). The `Naive` protocol shares this module's split path but
@@ -11,53 +13,49 @@
 use simnet::Context;
 
 use crate::msg::{Msg, SplitInfo};
+use crate::node::NodeSnapshot;
 use crate::proc::DbProc;
 use crate::types::NodeId;
 
 impl DbProc {
     /// PC: split `node` immediately and relay.
     pub(crate) fn semisync_split(&mut self, ctx: &mut Context<'_, Msg>, node: NodeId) {
-        let out = self.half_split_local(ctx, node);
+        let mut out = self.half_split_local(node);
         let tag = self.issue_tag("split");
         self.observe_initial(node, tag);
-        for &p in &out.peers {
-            ctx.send(
-                p,
-                Msg::RelayedSplit {
-                    node,
-                    info: out.info,
-                    tag,
-                },
-            );
-        }
+        let info = out.info;
+        out.relay(ctx, |sibling| Msg::RelayedSplit {
+            node,
+            info,
+            sibling: Some(sibling),
+            tag,
+        });
         self.complete_split(ctx, node, &out);
     }
 
-    /// Non-PC copy: apply a relayed split on arrival.
+    /// Non-PC copy: apply a relayed split on arrival — install the sibling
+    /// it carries, shrink `node`. When `node`'s own install is still in
+    /// flight (a join grant on another channel) the sibling is installed
+    /// all the same and only the shrink waits in the stash, `sibling: None`.
     pub(crate) fn handle_relayed_split(
         &mut self,
         ctx: &mut Context<'_, Msg>,
         node: NodeId,
         info: SplitInfo,
+        sibling: Option<Box<NodeSnapshot>>,
         tag: u64,
     ) {
-        if !self.store.contains(node) {
-            if self.unjoined.contains(&node) {
-                return; // departed member: discard
-            }
+        match self.apply_split_relay(ctx, node, &info, sibling.map(|s| *s), tag) {
+            Some(discarded) => self.metrics.relays_discarded += discarded as u64,
+            // Departed member: discard.
+            None if self.unjoined.contains(&node) => {}
             // Install in flight: preserve ordering via the stash.
-            self.stash
-                .entry(node)
-                .or_default()
-                .push(Msg::RelayedSplit { node, info, tag });
-            return;
+            None => self.stash.entry(node).or_default().push(Msg::RelayedSplit {
+                node,
+                info,
+                sibling: None,
+                tag,
+            }),
         }
-        let copy = self.store.get_mut(node).expect("checked");
-        let discarded = copy.apply_split(&info);
-        if discarded > 0 {
-            self.metrics.relays_discarded += discarded as u64;
-        }
-        self.observe(node, tag, history::ObserveKind::Applied);
-        let _ = ctx;
     }
 }

@@ -8,7 +8,7 @@
 use simnet::{Context, ProcId};
 
 use crate::msg::{InstallReason, LinkDir, Msg, SplitInfo};
-use crate::node::NodeCopy;
+use crate::node::{NodeCopy, NodeSnapshot};
 use crate::proc::DbProc;
 use crate::types::{ChildRef, Entry, Key, KeyRange, Link, NodeId, ParentHint};
 
@@ -22,23 +22,40 @@ pub(crate) struct SplitOutcome {
     pub parent: Option<Link>,
     /// The node's previous right neighbour (its left link must be updated).
     pub old_right: Option<Link>,
-    /// The other copies of the split node.
+    /// The other copies of the split node and, same membership, of the
+    /// sibling: each is owed one message, [`SplitOutcome::relay`]'s.
     pub peers: Vec<ProcId>,
+    /// The sibling as those relays carry it, taken after the write that
+    /// overfilled the node (`None` when there is no peer to tell).
+    sibling: Option<Box<NodeSnapshot>>,
+}
+
+impl SplitOutcome {
+    /// Send every peer its one split relay, `make(sibling)` — what creates
+    /// the sibling there (§4.1.2). The last peer's message takes the snapshot.
+    pub(crate) fn relay(
+        &mut self,
+        ctx: &mut Context<'_, Msg>,
+        make: impl Fn(Box<NodeSnapshot>) -> Msg,
+    ) {
+        let (Some(sibling), Some((last, rest))) = (self.sibling.take(), self.peers.split_last())
+        else {
+            return;
+        };
+        for &p in rest {
+            ctx.send(p, make(sibling.clone()));
+        }
+        ctx.send(*last, make(sibling));
+    }
 }
 
 impl DbProc {
     /// Perform the local half-split of `node` (which this processor is the
     /// PC of): move the upper half into a new sibling, install the sibling
-    /// locally, ship sibling copies to the replication set, and link the
-    /// sibling into the node list.
-    ///
-    /// Does *not* relay the split or complete it at the parent — that part
-    /// is protocol-specific.
-    pub(crate) fn half_split_local(
-        &mut self,
-        ctx: &mut Context<'_, Msg>,
-        node: NodeId,
-    ) -> SplitOutcome {
+    /// locally, and link it into the node list. Sends nothing: the other
+    /// copies learn of the sibling from the split relay, which is
+    /// protocol-specific, as is completing the split at the parent.
+    pub(crate) fn half_split_local(&mut self, node: NodeId) -> SplitOutcome {
         let sib_id = self.store.mint_node_id(self.me);
         let me = self.me;
 
@@ -78,25 +95,14 @@ impl DbProc {
             (info, sib, level, hint.map(|h| h.link), old_right, peers)
         };
 
-        // Install the sibling locally and ship its other copies.
+        // The PC records every copy of the sibling as created now; the
+        // others come into being when the split relay lands.
         if let Some(mut log) = self.history() {
             for &p in &sib.copies {
                 log.copy_created(sib_id.raw(), p.0, []);
             }
         }
-        let snapshot = sib.snapshot();
-        for &p in &sib.copies {
-            if p != me {
-                ctx.send(
-                    p,
-                    Msg::InstallCopy {
-                        snapshot: Box::new(snapshot.clone()),
-                        reason: InstallReason::SiblingCopy,
-                        covered: Vec::new(),
-                    },
-                );
-            }
-        }
+        let sibling = (!peers.is_empty()).then(|| Box::new(sib.snapshot()));
         self.store.install(sib);
         self.metrics.splits_initiated += 1;
 
@@ -106,7 +112,35 @@ impl DbProc {
             parent,
             old_right,
             peers,
+            sibling,
         }
+    }
+
+    /// Non-PC copy, every protocol: a split relay creates the sibling here
+    /// and shrinks `node`, in one atomic action. The sibling (`None` only
+    /// when a stashed shrink is replayed) is installed whether or not `node`
+    /// is resident: the PC counted this processor a member of both. Returns
+    /// the entries the shrink discarded, `None` with no copy to shrink.
+    pub(crate) fn apply_split_relay(
+        &mut self,
+        ctx: &mut Context<'_, Msg>,
+        node: NodeId,
+        info: &SplitInfo,
+        sibling: Option<NodeSnapshot>,
+        tag: u64,
+    ) -> Option<usize> {
+        // A sibling merged away while the relay was in flight is a zombie
+        // (see `handle_install`).
+        if let Some(sib) = sibling.filter(|s| !self.retired.contains_key(&s.id)) {
+            let id = sib.id;
+            self.store.install(sib.into_copy());
+            self.unjoined.remove(&id);
+            // Relays from the sibling's other copies may have raced ahead.
+            self.replay_stash(ctx, id);
+        }
+        let discarded = self.store.get_mut(node)?.apply_split(info);
+        self.observe(node, tag, history::ObserveKind::Applied);
+        Some(discarded)
     }
 
     /// Complete a split: insert the sibling pointer into the parent (or grow

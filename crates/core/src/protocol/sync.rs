@@ -3,13 +3,14 @@
 //! The PC runs an AAS around each split: `split_start` blocks initial
 //! inserts at every copy (relayed inserts and searches continue), the PC
 //! waits for all acknowledgements, performs the split, and `split_end`
-//! unblocks. Costs `3·|copies(n)|` messages per split and stalls initial
+//! unblocks (and carries the sibling). Costs `3·(|copies(n)| − 1)` messages
+//! per split and stalls initial
 //! inserts for a round trip — the costs the semisync protocol removes.
 
 use simnet::{Context, ProcId};
 
 use crate::msg::{Msg, SplitInfo};
-use crate::node::AasState;
+use crate::node::{AasState, NodeSnapshot};
 use crate::proc::DbProc;
 use crate::types::NodeId;
 
@@ -82,19 +83,16 @@ impl DbProc {
 
     /// PC: all copies acknowledged — perform the split and end the AAS.
     pub(crate) fn finish_sync_split(&mut self, ctx: &mut Context<'_, Msg>, node: NodeId) {
-        let out = self.half_split_local(ctx, node);
+        let mut out = self.half_split_local(node);
         let tag = self.issue_tag("split");
         self.observe_initial(node, tag);
-        for &p in &out.peers {
-            ctx.send(
-                p,
-                Msg::SplitEnd {
-                    node,
-                    info: out.info,
-                    tag,
-                },
-            );
-        }
+        let info = out.info;
+        out.relay(ctx, |sibling| Msg::SplitEnd {
+            node,
+            info,
+            sibling,
+            tag,
+        });
         self.complete_split(ctx, node, &out);
         // End the local AAS and replay blocked initial inserts.
         self.end_aas(ctx, node);
@@ -111,18 +109,16 @@ impl DbProc {
         }
     }
 
-    /// Non-PC copy: apply the split and end the AAS.
+    /// Non-PC copy: install the sibling, apply the split and end the AAS.
     pub(crate) fn handle_split_end(
         &mut self,
         ctx: &mut Context<'_, Msg>,
         node: NodeId,
         info: SplitInfo,
+        sibling: NodeSnapshot,
         tag: u64,
     ) {
-        if let Some(copy) = self.store.get_mut(node) {
-            copy.apply_split(&info);
-            self.observe(node, tag, history::ObserveKind::Applied);
-        }
+        self.apply_split_relay(ctx, node, &info, Some(sibling), tag);
         self.end_aas(ctx, node);
     }
 

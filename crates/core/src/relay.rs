@@ -1,5 +1,6 @@
-//! Lazy relays: propagating applied updates to the other copies, with
-//! optional piggyback batching (§1.1).
+//! Lazy relays: propagating applied updates to the other copies — batched
+//! per destination within an action, and optionally across actions
+//! (piggybacking, §1.1).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -29,12 +30,38 @@ fn missed_if_quarantined(
     true
 }
 
+/// One destination's relays waiting to leave: until the action ends, and —
+/// with [`crate::config::PiggybackCfg`] — across actions until a batch
+/// fills or the flush timer fires. Slots are kept (sorted by `peer`,
+/// capacity and all), so a steady state buffers without allocating.
+#[derive(Clone, Debug)]
+pub(crate) struct RelaySlot {
+    pub peer: ProcId,
+    /// Tick at which `items` went non-empty (stale while it is empty).
+    /// Feeds `relay.backlog_age`; wall time, so never fingerprinted.
+    pub since: u64,
+    pub items: Vec<RelayedItem>,
+}
+
+impl RelaySlot {
+    /// Empty the slot into one message: a [`Msg::RelayBatch`], or — at the
+    /// end of an action (`piggybacked` off) — a lone item as itself.
+    fn take_msg(&mut self, piggybacked: bool) -> Msg {
+        match self.items.len() {
+            1 if !piggybacked => self.items.pop().expect("one item").into(),
+            _ => Msg::RelayBatch(self.items.drain(..).collect()),
+        }
+    }
+}
+
 impl DbProc {
     /// Relay an applied update to every other copy of `node`.
     ///
-    /// With piggybacking enabled, relays are buffered per destination and
-    /// flushed when a buffer fills or the flush timer fires — the paper's
-    /// observation that lazy updates need not travel on their own messages.
+    /// Relays are buffered per destination and leave together: at the end
+    /// of the action that produced them ([`DbProc::end_action`]) — §1.1's
+    /// "piggybacked onto messages used for other purposes", applied inside
+    /// one action — or, with piggybacking enabled, when a buffer fills or
+    /// the flush timer fires.
     pub(crate) fn relay_update(
         &mut self,
         ctx: &mut Context<'_, Msg>,
@@ -44,9 +71,8 @@ impl DbProc {
         tag: u64,
         version: u64,
     ) {
-        // Seeded E21 fault: buffer the relays per destination exactly as
-        // piggybacking would, but never send a batch and never arm the
-        // flush timer.
+        // Seeded E21 fault: the relays are buffered as always, but never
+        // leave and never arm the flush timer.
         let wedged = self.seeded(SeededBug::RelaySuppress(self.me.0));
         // Field by field: the membership list is walked where it lives, in
         // the store, while the relay bookkeeping beside it is updated — no
@@ -59,7 +85,7 @@ impl DbProc {
             quarantined,
             missed,
             relay_buf,
-            relay_buf_since,
+            relay_backlog,
             relay_timer_armed,
             ..
         } = self;
@@ -79,7 +105,6 @@ impl DbProc {
             epoch: copy.absorb_count,
         };
         let now = ctx.now().ticks();
-        let mut buffered = false;
         for peer in copy.peers(*me) {
             // Quarantined peers get no relays — the session layer would only
             // retransmit them into the void. Record the node instead; one
@@ -87,53 +112,60 @@ impl DbProc {
             if missed_if_quarantined(quarantined, missed, metrics, peer, node) {
                 continue;
             }
-            if cfg.piggyback.is_none() && !wedged {
-                ctx.send(peer, item.clone().into());
-                continue;
+            let at = relay_buf.partition_point(|slot| slot.peer < peer);
+            if relay_buf.get(at).map(|slot| slot.peer) != Some(peer) {
+                let (since, items) = (now, Vec::new());
+                relay_buf.insert(at, RelaySlot { peer, since, items });
             }
-            buffered = true;
-            let buf = relay_buf.entry(peer).or_default();
-            if buf.is_empty() {
-                relay_buf_since.insert(peer, now);
+            let slot = &mut relay_buf[at];
+            if slot.items.is_empty() {
+                slot.since = now;
             }
-            buf.push(item.clone());
-            let full = cfg.piggyback.is_some_and(|pb| buf.len() >= pb.max_batch);
-            if full && !wedged {
-                if let Some(batch) = relay_buf.remove(&peer) {
-                    relay_buf_since.remove(&peer);
-                    ctx.send(peer, Msg::RelayBatch(batch));
-                }
+            slot.items.push(item.clone());
+            *relay_backlog += 1;
+            let batch = cfg.piggyback.map_or(usize::MAX, |pb| pb.max_batch);
+            if slot.items.len() >= batch && !wedged {
+                *relay_backlog -= slot.items.len();
+                ctx.send(peer, slot.take_msg(true));
             }
         }
         if let Some(pb) = cfg.piggyback {
-            if buffered && !wedged && !relay_buf.is_empty() && !*relay_timer_armed {
+            if *relay_backlog > 0 && !wedged && !*relay_timer_armed {
                 *relay_timer_armed = true;
                 ctx.set_timer(pb.flush_interval, TIMER_PIGGYBACK);
             }
         }
     }
 
-    /// Flush all piggyback buffers (timer handler).
+    /// Send every buffered relay, one message per destination.
     pub(crate) fn flush_relays(&mut self, ctx: &mut Context<'_, Msg>) {
-        if self.seeded(SeededBug::RelaySuppress(self.me.0)) {
+        if self.relay_backlog == 0 || self.seeded(SeededBug::RelaySuppress(self.me.0)) {
             // Seeded E21 fault: the backlog never drains (restart-triggered
             // flushes included), so its gauges keep growing.
             return;
         }
-        self.relay_buf_since.clear();
-        let bufs = std::mem::take(&mut self.relay_buf);
-        for (peer, batch) in bufs {
-            if batch.is_empty() {
-                continue;
-            }
-            if self.quarantined.contains(&peer) {
+        self.relay_backlog = 0;
+        let piggybacked = self.cfg.piggyback.is_some();
+        for slot in self.relay_buf.iter_mut().filter(|s| !s.items.is_empty()) {
+            if self.quarantined.contains(&slot.peer) {
                 // The peer went suspect after these were buffered.
-                for item in &batch {
-                    self.suppress_if_quarantined(peer, item.node);
+                let (missed, metrics) = (&mut self.missed, &mut self.metrics);
+                for item in slot.items.drain(..) {
+                    missed_if_quarantined(&self.quarantined, missed, metrics, slot.peer, item.node);
                 }
-                continue;
+            } else {
+                ctx.send(slot.peer, slot.take_msg(piggybacked));
             }
-            ctx.send(peer, Msg::RelayBatch(batch));
+        }
+    }
+
+    /// The end of every action: what it relayed leaves now — unless
+    /// piggybacking is on, and the batch size and flush timer decide.
+    #[inline]
+    pub(crate) fn end_action(&mut self, ctx: &mut Context<'_, Msg>) {
+        // Most actions relay nothing (every read): one load and out.
+        if self.relay_backlog != 0 && self.cfg.piggyback.is_none() {
+            self.flush_relays(ctx);
         }
     }
 

@@ -72,3 +72,10 @@ pub fn assert_clean(cluster: &mut DbCluster, expected: &BTreeSet<Key>) {
             .join("\n")
     );
 }
+
+/// The first field named `name` in a traced payload's `{:?}`
+/// (`.. name: value, ..`).
+pub fn traced_field<'a>(detail: &'a str, name: &str) -> Option<&'a str> {
+    let rest = detail.split_once(name)?.1.strip_prefix(": ")?;
+    Some(&rest[..rest.find(',')?])
+}

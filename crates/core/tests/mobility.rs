@@ -6,7 +6,7 @@ mod common;
 
 use std::collections::BTreeSet;
 
-use common::{assert_clean, to_client};
+use common::{assert_clean, to_client, traced_field};
 use dbtree::{checker, BuildSpec, ClientOp, DbCluster, Intent, Placement, SeededBug, TreeConfig};
 use simnet::{FaultPlan, ProcId, SimConfig, TraceEntry, TraceEvent};
 use workload::{KeyDist, Mix, WorkloadGen};
@@ -252,13 +252,6 @@ fn unjoin_happens_when_a_processor_loses_its_last_leaf_under_a_parent() {
     });
     let records = cluster.try_run_to_quiescence().expect("run quiesces");
     assert_eq!(records[0].outcome.found, Some(25));
-}
-
-/// The first field named `name` in a traced payload's `{:?}`
-/// (`.. name: value, ..`).
-fn traced_field<'a>(detail: &'a str, name: &str) -> Option<&'a str> {
-    let rest = detail.split_once(name)?.1.strip_prefix(": ")?;
-    Some(&rest[..rest.find(',')?])
 }
 
 /// The sequence number of a traced session frame.

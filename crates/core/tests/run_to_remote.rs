@@ -653,3 +653,59 @@ fn a_hint_naming_a_missing_parent_recovers_by_restart() {
         "{violations:?}"
     );
 }
+
+/// (i) An action that writes, splits its leaf and completes the split at a
+/// resident parent is one delivery, and it sends each other copy two
+/// messages: the split relay (which carries the sibling) and, behind it,
+/// everything the action relayed — the write and the parent's new edge —
+/// as one. (The rightmost leaf, so no old right neighbour's copies are owed
+/// a link change; before, the same action sent four: the write's relay,
+/// the sibling's install, the split relay, the edge's relay.)
+#[test]
+fn a_write_that_splits_and_completes_locally_sends_each_peer_two_messages() {
+    let cfg = TreeConfig::fixed_copies(ProtocolKind::SemiSync, 3);
+    let mut spec = BuildSpec::new((0..48).map(|k| k * 10).collect(), 3, cfg);
+    spec.fill = 8; // built full: one more key splits
+    let mut sim_cfg = SimConfig::seeded(11);
+    sim_cfg.trace_capacity = 1 << 10;
+    let mut cluster = DbCluster::build(&spec, sim_cfg);
+    let me = ProcId(2);
+    let last = {
+        let mut leaves = cluster.sim.proc(me).store.iter().filter(|c| c.is_leaf());
+        let last = leaves.find(|c| c.range.high.is_none()).expect("rightmost");
+        assert_eq!((last.pc, last.copies.len()), (me, 3));
+        last.id
+    };
+    cluster.submit(ClientOp {
+        origin: me,
+        key: 475,
+        intent: Intent::Insert(1),
+    });
+    cluster.try_run_to_quiescence().expect("drains");
+    assert_eq!(cluster.sim.proc(me).metrics.splits_initiated, 1);
+
+    let trace = cluster.sim.trace();
+    let deliveries = || trace.of_event(simnet::TraceEvent::Deliver);
+    let here: Vec<&str> = deliveries()
+        .filter(|e| e.to == me)
+        .map(|e| e.kind)
+        .collect();
+    assert_eq!(
+        here,
+        ["client"],
+        "descent, write, split, parent edge: one action"
+    );
+    for (peer, _) in copies_of(&cluster, last)
+        .into_iter()
+        .filter(|(p, _)| *p != me)
+    {
+        let sent: Vec<&str> = deliveries()
+            .filter(|e| (e.from, e.to) == (me, peer))
+            .map(|e| e.kind)
+            .collect();
+        assert_eq!(sent, ["split.relay", "insert.relay-batch"], "to {peer}");
+    }
+    let expected: BTreeSet<Key> = (0..48).map(|k| k * 10).chain([475]).collect();
+    let violations = dbtree::checker::check_all(&mut cluster, &expected);
+    assert!(violations.is_empty(), "{violations:?}");
+}

@@ -88,7 +88,7 @@ fn clean_run_exports_are_pinned() {
     assert!(!obs.series.is_empty());
     assert_eq!(
         digest(&obs),
-        0x0770_16ae_c40a_33e6,
+        0xebf8_a0ac_d219_9312,
         "clean-run export digest"
     );
 }
@@ -110,7 +110,7 @@ fn lossy_run_exports_are_pinned() {
     }
     assert_eq!(
         digest(&obs),
-        0x110c_e4ca_768c_d49a,
+        0x5083_0214_5396_c4ce,
         "lossy-run export digest"
     );
 }

@@ -49,12 +49,28 @@ fn relay_ahead_of_its_absorb_survives_faults_and_a_crash() {
 
 /// `merge_pending` is stable but the `MergeReq` behind it was a hand-off to
 /// self; the crash tombstoned it and the leaf was never reclaimed (the
-/// liveness oracle's "pending forever"). 3 ops, 7 choices.
+/// liveness oracle's "pending forever"). 2 ops, 4 choices — re-captured
+/// (`--scenario merge --seed 11`, re-arm off) when a split stopped sending
+/// `copy.install`: the older string no longer reached the lost request.
 #[test]
 fn merge_request_lost_in_a_crash_is_re_armed_at_restart() {
     assert_replays_clean(
         "merge_req_lost_in_crash",
         include_str!("repros/merge_req_lost_in_crash.repro"),
+    );
+}
+
+/// A split's notice to its old right neighbour was a hand-off to self when
+/// the neighbour was resident — the common case, the splitting PC having
+/// minted it — and a crash in that tick lost the update for good (the
+/// history oracle's "lost update (link-change)"; found by `--scenario merge
+/// --seed 130` at the parent of the change that fixed it). An initial
+/// `LinkChange` to a resident node now runs inside the splitting action.
+#[test]
+fn link_change_to_a_resident_neighbour_is_not_lost_in_a_crash() {
+    assert_replays_clean(
+        "link_change_lost_in_crash",
+        include_str!("repros/link_change_lost_in_crash.repro"),
     );
 }
 
@@ -66,11 +82,18 @@ fn frame_seq(detail: &str) -> Option<u64> {
 
 /// `Descend` is the one payload the session does not order. Shown on a
 /// schedule rather than asserted: on channel P1 → P2 the `RelayedSplit` with
-/// sequence 5 is lost, the `Descend` with sequence 8 arrives past the hole
-/// and is delivered on arrival (the action's `session.early` delta), and the
-/// split relay reaches the inner process only as a later retransmission.
-/// Every oracle — structural checkers, §3 history requirements, sequence
-/// oracle — stays quiet and each of the five operations completes once.
+/// sequence 2 is lost — sibling and all: it is the only message that split
+/// sends P2 — the `Descend` with sequence 6 arrives past the hole and is
+/// delivered on arrival (the action's `session.early` delta), and the split
+/// relay reaches the inner process only as a later retransmission. The
+/// descent needs neither recovery here, and cannot on the test bed: both
+/// halves of a split have the *sender* as their home, so a descent on the
+/// relay's own channel names a node of the receiver's, which the relay
+/// says nothing about (the dependent overtake needs a migration:
+/// `mobility.rs::a_descend_that_overtakes_its_leafs_install_recovers`, by
+/// missing-node restart). Every oracle — structural checkers, §3 history
+/// requirements, sequence oracle — stays quiet and each of the five
+/// operations completes once.
 #[test]
 fn descend_is_delivered_ahead_of_a_lost_split_relay_on_its_channel() {
     let failure = parse_repro(include_str!("repros/descend_overtakes_split_relay.repro"))
@@ -84,8 +107,8 @@ fn descend_is_delivered_ahead_of_a_lost_split_relay_on_its_channel() {
         for entry in on_channel {
             let counted = |counter| entry.deltas.iter().any(|(name, _)| *name == counter);
             match (entry.kind, frame_seq(&entry.detail())) {
-                ("descend", Some(8)) if counted("session.early") => descend_at = Some(entry.seq),
-                ("split.relay", Some(5)) if !counted("session.dup_suppressed") => {
+                ("descend", Some(6)) if counted("session.early") => descend_at = Some(entry.seq),
+                ("split.relay", Some(2)) if !counted("session.dup_suppressed") => {
                     assert!(entry.redelivery, "the first transmission was lost");
                     relay_at = Some(entry.seq);
                 }

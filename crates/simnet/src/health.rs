@@ -36,7 +36,11 @@ impl HealthConfig {
 }
 
 /// `backlog_growth` fires when the `relay.backlog_depth` gauge rises
-/// strictly for this many consecutive samples of one processor.
+/// strictly for this many consecutive samples of one processor without the
+/// backlog draining in between (by `relay.backlog_age`, where reported, the
+/// oldest buffered relay is still the same one). A healthy backlog that is
+/// flushed and refills between samples is noise — depth alone read four
+/// rises in a row on 4 of 60 clean E21 seeds.
 const BACKLOG_GROWTH_WINDOWS: u32 = 4;
 /// `parked_write_stall` fires when the `proc.parked_dwell` gauge (oldest
 /// parked write's age in ticks) exceeds this bound.
@@ -105,6 +109,9 @@ impl Alert {
 #[derive(Clone, Debug, Default)]
 struct ProcHealth {
     last_backlog: Option<u64>,
+    /// When the oldest relay buffered at the previous sample went in
+    /// (sample time − `relay.backlog_age`; `None` for an empty backlog).
+    backlog_since: Option<u64>,
     backlog_rising: u32,
     backlog_latched: bool,
     dwell_latched: bool,
@@ -162,8 +169,15 @@ impl HealthMonitor {
         // consecutive windows — relays are being produced faster than they
         // drain (or drainage is wedged entirely).
         if let Some(depth) = lookup(gauges, "relay.backlog_depth") {
+            let age = lookup(gauges, "relay.backlog_age").filter(|_| depth > 0);
+            let since = age.map(|age| at.ticks().saturating_sub(age));
+            let undrained = match (st.backlog_since, since) {
+                (Some(was), Some(is)) => is <= was,
+                _ => true,
+            };
+            st.backlog_since = since;
             match st.last_backlog {
-                Some(prev) if depth > prev => st.backlog_rising += 1,
+                Some(prev) if depth > prev && undrained => st.backlog_rising += 1,
                 Some(_) => {
                     st.backlog_rising = 0;
                     st.backlog_latched = false;
@@ -356,6 +370,13 @@ mod tests {
         assert_eq!(fired[0].windows, BACKLOG_GROWTH_WINDOWS);
         // Still rising: latched, no second alert.
         assert!(sample(&mut m, 50, &[("relay.backlog_depth", 9)]).is_empty());
+        // A backlog that drained and refilled higher is not growth: four
+        // rises, but the oldest buffered relay is a new one each window.
+        let mut flushed = HealthMonitor::new(HealthConfig::watchdogs(), 1);
+        for i in 0..8u64 {
+            let gauges = [("relay.backlog_depth", i), ("relay.backlog_age", 1 + i % 3)];
+            assert!(sample(&mut flushed, 10 * i, &gauges).is_empty());
+        }
         // Recovery re-arms; a fresh climb fires again.
         assert!(sample(&mut m, 60, &[("relay.backlog_depth", 1)]).is_empty());
         for (i, d) in (2u64..=5).enumerate() {
