@@ -1,8 +1,6 @@
-//! Criterion microbenches for the sequential substrate: B-link tree vs the
-//! classic B+-tree baseline (the half-split discipline costs nothing
-//! sequentially, which is why it is the right base for distribution).
+//! Criterion microbenches for the sequential substrate, the B-link tree.
 
-use blink::{BLinkTree, BPlusTree};
+use blink::BLinkTree;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn scrambled(n: u64) -> impl Iterator<Item = u64> {
@@ -21,15 +19,6 @@ fn bench_insert(c: &mut Criterion) {
                 t.len()
             })
         });
-        g.bench_with_input(BenchmarkId::new("bplus", n), &n, |b, &n| {
-            b.iter(|| {
-                let mut t = BPlusTree::new(32);
-                for k in scrambled(n) {
-                    t.insert(black_box(k), k);
-                }
-                t.len()
-            })
-        });
     }
     g.finish();
 }
@@ -38,10 +27,8 @@ fn bench_get(c: &mut Criterion) {
     let mut g = c.benchmark_group("local_get");
     let n = 100_000u64;
     let mut blink = BLinkTree::new(32);
-    let mut bplus = BPlusTree::new(32);
     for k in scrambled(n) {
         blink.insert(k, k);
-        bplus.insert(k, k);
     }
     g.bench_function("blink", |b| {
         let mut i = 0u64;
@@ -49,14 +36,6 @@ fn bench_get(c: &mut Criterion) {
             i = (i + 7) % n;
             let k = i.wrapping_mul(0x9E3779B97F4A7C15) >> 16;
             black_box(blink.get(k))
-        })
-    });
-    g.bench_function("bplus", |b| {
-        let mut i = 0u64;
-        b.iter(|| {
-            i = (i + 7) % n;
-            let k = i.wrapping_mul(0x9E3779B97F4A7C15) >> 16;
-            black_box(bplus.get(k))
         })
     });
     g.finish();

@@ -1,7 +1,7 @@
 //! E18 — self-healing: detection latency vs false suspects vs op latency.
 //!
 //! The failure detector's one real tunable is *how long silence means
-//! dead* (`ping_interval × suspect_after`). Setting it low detects a
+//! dead* (`PING_INTERVAL × suspect_after`). Setting it low detects a
 //! crash fast — and mistakes every lossy-network hiccup for one; setting
 //! it high never errs — and leaves clients hammering a corpse until
 //! their own deadlines fire. This experiment sweeps that threshold over
@@ -17,7 +17,7 @@ use bench::report::{note, section, Table};
 use dbtree::{BuildSpec, ClientOp, DbCluster, Intent, ThreadedDbCluster, TreeConfig};
 use simnet::{
     CrashEvent, DetectorConfig, FaultPlan, ProcId, RetryPolicy, SessionConfig, SimConfig, SimTime,
-    TraceEvent,
+    TraceEvent, PING_INTERVAL,
 };
 
 const N_PROCS: u32 = 4;
@@ -130,10 +130,7 @@ fn detection_sweep() {
             suspect_after,
             ..DetectorConfig::on()
         };
-        configs.push((
-            format!("{}", d.ping_interval * suspect_after as u64),
-            Some(d),
-        ));
+        configs.push((format!("{}", PING_INTERVAL * suspect_after as u64), Some(d)));
     }
     for (label, detector) in configs {
         let mut cluster = build(crash_plan(), detector);
@@ -173,7 +170,7 @@ fn false_suspect_control() {
             suspect_after,
             ..DetectorConfig::on()
         };
-        let mut row = vec![format!("{}", d.ping_interval * suspect_after as u64)];
+        let mut row = vec![format!("{}", PING_INTERVAL * suspect_after as u64)];
         for loss in [0.05, 0.15, 0.25] {
             let mut cluster = build(FaultPlan::lossy(loss), Some(d));
             let ops = workload();

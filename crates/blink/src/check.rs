@@ -5,9 +5,8 @@
 
 use std::collections::BTreeSet;
 
-use crate::bplus::BpView;
 use crate::node::NodeRef;
-use crate::{BLinkTree, BPlusTree, Key};
+use crate::{BLinkTree, Key};
 
 /// Why a structure failed validation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -181,68 +180,6 @@ pub fn check_blink(tree: &BLinkTree) -> Result<(), CheckError> {
     Ok(())
 }
 
-/// Validate a [`BPlusTree`]: sorted entries, correct routing separators, and
-/// uniform leaf depth.
-pub fn check_bplus(tree: &BPlusTree) -> Result<(), CheckError> {
-    let (root, view) = tree.visit();
-    let mut leaf_depths = BTreeSet::new();
-    check_bplus_rec(&view, root, None, None, 0, &mut leaf_depths)?;
-    if leaf_depths.len() > 1 {
-        return Err(CheckError::BadLevel(format!(
-            "leaves at multiple depths: {leaf_depths:?}"
-        )));
-    }
-    Ok(())
-}
-
-fn check_bplus_rec<'a>(
-    view: &impl Fn(usize) -> BpView<'a>,
-    node: usize,
-    low: Option<Key>,
-    high: Option<Key>,
-    depth: usize,
-    leaf_depths: &mut BTreeSet<usize>,
-) -> Result<(), CheckError> {
-    let in_bounds = |k: Key| low.is_none_or(|l| k >= l) && high.is_none_or(|h| k < h);
-    match view(node) {
-        BpView::Leaf(entries) => {
-            leaf_depths.insert(depth);
-            let mut prev = None;
-            for &(k, _) in entries {
-                if let Some(p) = prev {
-                    if k <= p {
-                        return Err(CheckError::Unsorted(format!("leaf {node}: {p} !< {k}")));
-                    }
-                }
-                prev = Some(k);
-                if !in_bounds(k) {
-                    return Err(CheckError::OutOfRange(format!(
-                        "leaf {node} key {k} outside [{low:?},{high:?})"
-                    )));
-                }
-            }
-        }
-        BpView::Interior(entries) => {
-            if entries.is_empty() {
-                return Err(CheckError::BadRouter(format!("empty interior {node}")));
-            }
-            let mut prev = None;
-            for (i, &(k, child)) in entries.iter().enumerate() {
-                if let Some(p) = prev {
-                    if k <= p {
-                        return Err(CheckError::Unsorted(format!("interior {node}: {p} !< {k}")));
-                    }
-                }
-                prev = Some(k);
-                let child_low = if i == 0 { low } else { Some(k) };
-                let child_high = entries.get(i + 1).map(|e| e.0).or(high);
-                check_bplus_rec(view, child, child_low, child_high, depth + 1, leaf_depths)?;
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,19 +188,15 @@ mod tests {
     #[test]
     fn empty_trees_are_valid() {
         check_blink(&BLinkTree::new(4)).unwrap();
-        check_bplus(&BPlusTree::new(4)).unwrap();
     }
 
     #[test]
     fn populated_trees_are_valid() {
         let mut bl = BLinkTree::new(5);
-        let mut bp = BPlusTree::new(5);
         for k in 0..2000u64 {
             let key = (k * 2654435761) % 100_000;
             bl.insert(key, k);
-            bp.insert(key, k);
         }
         check_blink(&bl).unwrap();
-        check_bplus(&bp).unwrap();
     }
 }

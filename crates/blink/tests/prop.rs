@@ -1,9 +1,9 @@
-//! Property-based tests for the sequential trees: model-checked against
+//! Property-based tests for the sequential tree: model-checked against
 //! `BTreeMap` and structurally validated after arbitrary workloads.
 
 use std::collections::BTreeMap;
 
-use blink::{check_blink, check_bplus, BLinkTree, BPlusTree};
+use blink::{check_blink, BLinkTree};
 use proptest::prelude::*;
 
 proptest! {
@@ -52,38 +52,5 @@ proptest! {
         let got = tree.range_scan(from, Some(to));
         let want: Vec<(u64, u64)> = model.range(from..to).map(|(&k, &v)| (k, v)).collect();
         prop_assert_eq!(got, want);
-    }
-
-    /// The classic B+-tree agrees with the model too (baseline sanity).
-    #[test]
-    fn bplus_matches_btreemap(
-        fanout in 4usize..32,
-        ops in proptest::collection::vec((0u64..5_000, 0u64..1_000), 1..400),
-    ) {
-        let mut tree = BPlusTree::new(fanout);
-        let mut model = BTreeMap::new();
-        for &(k, v) in &ops {
-            tree.insert(k, v);
-            model.insert(k, v);
-        }
-        prop_assert_eq!(tree.len(), model.len() as u64);
-        check_bplus(&tree).map_err(|e| TestCaseError::fail(e.to_string()))?;
-        for (&k, &v) in &model {
-            prop_assert_eq!(tree.get(k), Some(v));
-        }
-    }
-
-    /// The two trees are observationally equivalent on any workload.
-    #[test]
-    fn blink_and_bplus_agree(
-        ops in proptest::collection::vec((0u64..1_000, 0u64..100), 1..200),
-    ) {
-        let mut a = BLinkTree::new(8);
-        let mut b = BPlusTree::new(8);
-        for &(k, v) in &ops {
-            a.insert(k, v);
-            b.insert(k, v);
-        }
-        prop_assert_eq!(a.range_scan(0, None), b.range_scan(0, None));
     }
 }

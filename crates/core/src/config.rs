@@ -127,8 +127,6 @@ pub struct TreeConfig {
     /// On migration, leave a forwarding address behind (§4.2's eager aid);
     /// `false` exercises pure lazy misnavigation recovery.
     pub forwarding: bool,
-    /// Garbage-collect forwarding addresses after this many ticks.
-    pub forwarding_ttl: u64,
     /// §4.3 variable copies: processors join/unjoin interior replication as
     /// leaves migrate to/from them.
     pub variable_copies: bool,
@@ -153,7 +151,6 @@ impl Default for TreeConfig {
             placement: Placement::PathReplication,
             piggyback: None,
             forwarding: false,
-            forwarding_ttl: 500,
             variable_copies: false,
             record_history: true,
             merge_at_empty: false,

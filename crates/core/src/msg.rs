@@ -504,7 +504,9 @@ pub enum InstallReason {
         /// Where the node came from (for link bookkeeping).
         from: ProcId,
     },
-    /// Initial tree construction.
+    /// A new root, sent to every processor by the root split that grew
+    /// the tree (`grow_new_root`, its only sender): installed as it is, no
+    /// follow-up.
     Bootstrap,
 }
 
@@ -551,6 +553,62 @@ impl Msg {
                 | Msg::Absorb { .. }
                 | Msg::LinkChange { relayed: false, .. }
         )
+    }
+
+    /// What a walked kind ([`crate::DbProc::walk`]) is addressed to: the
+    /// node it names — a hint, however stale — and the key and level that
+    /// say where it belongs. Reads and absorbs belong at a leaf, an absorb
+    /// at the one owning the key just left of the retired range (grants
+    /// require a live left sibling, so `low ≥ 1`). `None` for every kind
+    /// that is not key-addressed.
+    pub(crate) fn address(&self) -> Option<(NodeId, Key, u8)> {
+        match self {
+            Msg::Descend { node, key, .. } | Msg::Scan { node, key, .. } => Some((*node, *key, 0)),
+            Msg::InsertAt {
+                node, key, level, ..
+            } => Some((*node, *key, *level)),
+            Msg::Absorb { node, info } => Some((*node, info.low - 1, 0)),
+            _ => None,
+        }
+    }
+
+    /// The walked kinds of the client plane: their link chases are counted
+    /// apart from the update plane's (`link_chases` / `update_chases`), and
+    /// left of their key they go left before they go up.
+    pub(crate) fn is_read(&self) -> bool {
+        matches!(self, Msg::Descend { .. } | Msg::Scan { .. })
+    }
+
+    /// Address this message to `to` after `hop` — the one place a walk step
+    /// bumps `hops` / `chases` and sets `via`. In place: a scan's `acc` and
+    /// an absorb's `info` stay where they are.
+    pub(crate) fn readdress(&mut self, to: NodeId, hop: crate::nav::Hop) {
+        use crate::nav::Hop;
+        match self {
+            Msg::Descend {
+                node,
+                hops,
+                chases,
+                via,
+                ..
+            } => {
+                *node = to;
+                *hops += 1;
+                *via = match hop {
+                    Hop::Down(parent) => Some(parent),
+                    Hop::Chase | Hop::Restart => {
+                        *chases += 1;
+                        None
+                    }
+                };
+            }
+            Msg::Scan { node, hops, .. } => {
+                *node = to;
+                *hops += 1;
+            }
+            Msg::InsertAt { node, .. } | Msg::Absorb { node, .. } => *node = to,
+            _ => debug_assert!(false, "only a walked kind is re-addressed"),
+        }
     }
 }
 

@@ -1,5 +1,6 @@
-//! Navigation and the client-plane actions: descents, leaf operations, and
-//! the generic initial-insert action (`InsertAt`).
+//! Navigation — the one B-link walk every key-addressed kind takes
+//! ([`DbProc::walk`]) — and what the client-plane actions and the generic
+//! initial insert (`InsertAt`) do where it ends.
 //!
 //! These are the straightforward distributed translations of the B-link tree
 //! actions: every action is local to one node copy, misnavigation recovers
@@ -10,7 +11,7 @@ use simnet::{Context, ProcId};
 use crate::config::{ProtocolKind, SeededBug};
 use crate::msg::Msg;
 use crate::proc::{CoordOp, DbProc, ReplyInfo};
-use crate::types::{Entry, Intent, Key, NodeId, OpId, Outcome, ParentHint, Stamp};
+use crate::types::{Entry, Intent, Key, Link, NodeId, OpId, Outcome, ParentHint, Stamp};
 
 /// Entries a scan may still collect: `limit` minus what is already
 /// accumulated, saturating at zero. The right-link continuation re-sends the
@@ -19,6 +20,18 @@ use crate::types::{Entry, Intent, Key, NodeId, OpId, Outcome, ParentHint, Stamp}
 /// would wrap.
 pub(crate) fn scan_budget(limit: u32, collected: usize) -> usize {
     (limit as usize).saturating_sub(collected)
+}
+
+/// How a walk step re-addresses its message ([`Msg::readdress`]).
+#[derive(Clone, Copy)]
+pub(crate) enum Hop {
+    /// Sideways or up along a link of the copy that could not route it.
+    Chase,
+    /// Down a child edge; the routing copy offers itself as the child's
+    /// parent hint.
+    Down(ParentHint),
+    /// From the top again: at the root, or at a close local node.
+    Restart,
 }
 
 impl DbProc {
@@ -60,133 +73,164 @@ impl DbProc {
         }
     }
 
-    /// One descent action at one node copy.
-    #[allow(clippy::too_many_arguments)]
+    /// A key-addressed kind was delivered, or continues in-process: one
+    /// step of the walk and, where that arrives, the action itself.
+    pub(crate) fn navigate(&mut self, ctx: &mut Context<'_, Msg>, msg: Msg) {
+        let Some(msg) = self.walk(ctx, msg) else {
+            return;
+        };
+        match msg {
+            Msg::Descend {
+                op,
+                key,
+                intent,
+                node,
+                hops,
+                chases,
+                ..
+            } => {
+                let at = ReplyInfo {
+                    op,
+                    hops: hops + 1,
+                    chases,
+                };
+                self.handle_descend(ctx, node, key, intent, at)
+            }
+            Msg::Scan { .. } => self.handle_scan(ctx, msg),
+            Msg::InsertAt {
+                node,
+                level,
+                key,
+                entry,
+                tag,
+            } => self.handle_insert_at(ctx, node, level, key, entry, tag),
+            Msg::Absorb { node, info } => self.handle_absorb(ctx, node, info),
+            _ => unreachable!("only an addressed kind navigates"),
+        }
+    }
+
+    /// One step of the B-link walk (§1.1, §4.2), the same for every kind
+    /// that [`Msg::address`]es a key at a level from a hinted node; DESIGN
+    /// § "Run-to-remote navigation" has the steps and the table of what
+    /// differs between the kinds. Returns the message only when it has
+    /// *arrived*: its node is a resident, unlocked copy of its level whose
+    /// range covers its key. Otherwise the step has been taken —
+    /// re-addressed and sent on, queued behind the copy's lock, or
+    /// restarted — and `None` comes back.
+    ///
+    /// `MergeReq` and an initial `ChildHomeChange` chase right along one
+    /// level too, but answer a stale hint by declining or dropping, never
+    /// by restarting: they are not this walk.
+    pub(crate) fn walk(&mut self, ctx: &mut Context<'_, Msg>, mut msg: Msg) -> Option<Msg> {
+        let (node, key, level) = msg.address().expect("only an addressed kind navigates");
+        let Some(mut copy) = self.store.get(node) else {
+            // §4.2 missing node. An `InsertAt` re-descends from the root
+            // before it tries a forwarding address or anything local.
+            let root_first = matches!(msg, Msg::InsertAt { .. });
+            if root_first && self.store.root().is_some_and(|root| root != node) {
+                self.restart_at_root(ctx, msg);
+            } else {
+                self.recover_missing_node(ctx, node, key, msg);
+            }
+            return None;
+        };
+        // Lazy repair of the advisory parent link: the copy that routed a
+        // descent here is this node's parent as of now. Compared on the
+        // shared borrow — a descent that teaches the copy nothing writes
+        // nothing.
+        if let Msg::Descend {
+            via: Some(hint), ..
+        } = &msg
+        {
+            if hint.outranks(copy.parent) {
+                let repaired = self.store.get_mut(node).expect("resident above");
+                hint.join_into(&mut repaired.parent);
+                copy = repaired;
+            }
+        }
+        // Available-copies: actions queue behind a locked copy.
+        if copy.lock.is_some() {
+            self.queue_behind_lock(ctx, node, msg);
+            return None;
+        }
+        let reads = msg.is_read();
+        let (next, hop) = if copy.range.is_right_of(key) {
+            (copy.right, Hop::Chase)
+        } else if copy.range.is_left_of(key) {
+            // Possible after a restart from an arbitrary local node. Reads
+            // go left before up; updates climb before they go left.
+            debug_assert!(
+                !matches!(msg, Msg::InsertAt { .. }),
+                "InsertAt routed left of its target range"
+            );
+            let (left, up) = (copy.left, copy.parent_link());
+            (if reads { left.or(up) } else { up.or(left) }, Hop::Chase)
+        } else if copy.level > level {
+            let edge = copy.child_for(key);
+            let child = edge.map(|child| Link::new(child.node, child.home));
+            (child, Hop::Down(copy.as_parent_hint()))
+        } else {
+            debug_assert_eq!(copy.level, level, "routed below its level");
+            return Some(msg);
+        };
+        let Some(next) = next else {
+            // The copy lacks a link it should have — a zombie outliving a
+            // retirement it has not heard about, an interior copy with no
+            // live edge at or below the key (the leftmost child is never
+            // retired, so only transiently): stale, restart from the root.
+            self.restart_at_root(ctx, msg);
+            return None;
+        };
+        match hop {
+            Hop::Down(_) => {}
+            _ if reads => self.metrics.link_chases += 1,
+            _ => self.metrics.update_chases += 1,
+        }
+        msg.readdress(next.node, hop);
+        self.send_to_node(ctx, next.node, next.home, msg);
+        None
+    }
+
+    /// A descent has arrived at its leaf: perform the operation (`hops`
+    /// counts this visit).
     pub(crate) fn handle_descend(
         &mut self,
         ctx: &mut Context<'_, Msg>,
-        op: OpId,
+        node: NodeId,
         key: Key,
         intent: Intent,
-        node: NodeId,
-        hops: u32,
-        chases: u32,
-        via: Option<ParentHint>,
+        at: ReplyInfo,
     ) {
-        // Addressed to this same node again (a forward, a lock queue) the
-        // step keeps its hint; a step to another node names its own.
-        let step = |node, hops, chases, via| Msg::Descend {
-            op,
-            key,
-            intent,
-            node,
-            hops,
-            chases,
-            via,
-        };
-        let Some(mut copy) = self.store.get(node) else {
-            let msg = step(node, hops, chases, via);
-            self.recover_missing_node(ctx, node, key, msg);
-            return;
-        };
-        // Lazy repair of the advisory parent link: the copy that routed us
-        // here is this node's parent as of now. Compared on the shared
-        // borrow — a descent that teaches the copy nothing writes nothing.
-        if let Some(hint) = via.filter(|hint| hint.outranks(copy.parent)) {
-            let repaired = self.store.get_mut(node).expect("resident above");
-            hint.join_into(&mut repaired.parent);
-            copy = repaired;
-        }
-
-        // Available-copies: actions queue behind a locked copy.
-        if copy.lock.is_some() {
-            let msg = step(node, hops, chases, via);
-            self.queue_behind_lock(ctx, node, msg);
-            return;
-        }
-
-        if copy.range.is_right_of(key) {
-            let Some(right) = copy.right else {
-                // A copy claiming the key is beyond its range with no right
-                // link is stale (a zombie outliving a retirement it has not
-                // heard about): restart from the root instead of panicking.
-                self.restart_at_root(ctx, |root| step(root, hops + 1, chases + 1, None));
-                return;
-            };
-            self.metrics.link_chases += 1;
-            let msg = step(right.node, hops + 1, chases + 1, None);
-            self.send_to_node(ctx, right.node, right.home, msg);
-            return;
-        }
-
-        if copy.range.is_left_of(key) {
-            // Possible after a missing-node restart from an arbitrary local
-            // node: move left/up toward the key.
-            let target = copy.left.or(copy.parent_link());
-            match target {
-                Some(link) => {
-                    self.metrics.link_chases += 1;
-                    let msg = step(link.node, hops + 1, chases + 1, None);
-                    self.send_to_node(ctx, link.node, link.home, msg);
-                }
-                None => {
-                    // At the root with key left of range: impossible (root
-                    // covers [0, +inf)); defensively restart at the root.
-                    let msg = step(node, hops + 1, chases + 1, via);
-                    let home = self.store.root_home().unwrap_or(self.me);
-                    ctx.send(home, msg);
-                }
-            }
-            return;
-        }
-
-        if !copy.is_leaf() {
-            let Some(child) = copy.child_for(key) else {
-                // Every in-range key has a live floor child on a converged
-                // interior copy (the leftmost child is never retired);
-                // transient staleness restarts from the root.
-                self.restart_at_root(ctx, |root| step(root, hops + 1, chases + 1, None));
-                return;
-            };
-            // The routing copy offers itself as the child's parent hint.
-            let msg = step(child.node, hops + 1, chases, Some(copy.as_parent_hint()));
-            self.send_to_node(ctx, child.node, child.home, msg);
-            return;
-        }
-
-        // At the leaf: perform the operation.
+        let ReplyInfo { op, hops, chases } = at;
         match intent {
             Intent::Search => {
+                let copy = self.store.get(node).expect("arrived");
                 let found = copy.get_value(key);
                 self.reply(
                     ctx,
                     Outcome {
                         op,
                         found,
-                        hops: hops + 1,
+                        hops,
                         chases,
                     },
                 );
             }
-            Intent::Insert(_) | Intent::Delete => {
-                self.leaf_write(ctx, node, op, key, intent, hops + 1, chases);
-            }
+            Intent::Insert(_) | Intent::Delete => self.leaf_write(ctx, node, key, intent, at),
         }
     }
 
     /// Perform a client write (insert or tombstone delete) at a leaf copy —
     /// an *initial* update action in the paper's sense.
-    #[allow(clippy::too_many_arguments)]
     fn leaf_write(
         &mut self,
         ctx: &mut Context<'_, Msg>,
         node: NodeId,
-        op: OpId,
         key: Key,
         intent: Intent,
-        hops: u32,
-        chases: u32,
+        at: ReplyInfo,
     ) {
+        let ReplyInfo { op, hops, chases } = at;
         // The write as a step that can be taken again at this leaf.
         let again = |hops| Msg::Descend {
             op,
@@ -205,7 +249,7 @@ impl DbProc {
             self.parked.push((ctx.now().ticks(), again(hops)));
             return;
         }
-        let copy = self.store.get(node).expect("checked by caller");
+        let copy = self.store.get(node).expect("arrived");
         let replicated = copy.copies.len() > 1;
         let pc = copy.pc;
         // Mint above the resident entry: it may carry another processor's
@@ -235,7 +279,7 @@ impl DbProc {
                     key,
                     entry,
                     tag,
-                    reply: Some(ReplyInfo { op, hops, chases }),
+                    reply: Some(at),
                 },
             );
             return;
@@ -265,10 +309,9 @@ impl DbProc {
         self.maybe_merge(ctx, node);
     }
 
-    /// The generic initial insert action: split completions arriving at
-    /// parents, and semisync re-issues. Routes right when out of range and
-    /// descends when the hinted node is above the target level (the `node`
-    /// field is only a hint — `key` + `level` fully address the action).
+    /// The generic initial insert action — split completions arriving at
+    /// parents, semisync re-issues, rerouted deletes — has arrived at the
+    /// copy of `level` covering `key` (`node` was only a hint).
     pub(crate) fn handle_insert_at(
         &mut self,
         ctx: &mut Context<'_, Msg>,
@@ -285,82 +328,7 @@ impl DbProc {
             entry,
             tag,
         };
-        let Some(copy) = self.store.get(node) else {
-            // Restart from the root: an InsertAt is fully addressed by
-            // (key, level), so it can re-descend like a search.
-            if let (Some(root), Some(home)) = (self.store.root(), self.store.root_home()) {
-                if root != node {
-                    self.metrics.missing_node_recoveries += 1;
-                    let msg = Msg::InsertAt {
-                        node: root,
-                        level,
-                        key,
-                        entry,
-                        tag,
-                    };
-                    self.restart_to_node(ctx, root, home, msg);
-                    return;
-                }
-            }
-            self.recover_missing_node(ctx, node, key, remake());
-            return;
-        };
-        if copy.lock.is_some() {
-            self.queue_behind_lock(ctx, node, remake());
-            return;
-        }
-        if copy.range.is_right_of(key) {
-            let Some(right) = copy.right else {
-                // Stale zombie copy (see `handle_descend`): re-descend by
-                // (key, level) from the root.
-                self.restart_at_root(ctx, |root| Msg::InsertAt {
-                    node: root,
-                    level,
-                    key,
-                    entry,
-                    tag,
-                });
-                return;
-            };
-            self.metrics.update_chases += 1;
-            let msg = Msg::InsertAt {
-                node: right.node,
-                level,
-                key,
-                entry,
-                tag,
-            };
-            self.send_to_node(ctx, right.node, right.home, msg);
-            return;
-        }
-        debug_assert!(
-            !copy.range.is_left_of(key),
-            "InsertAt routed left of its target range"
-        );
-        if copy.level > level {
-            // Stale hint above the target: descend toward the right level.
-            let Some(child) = copy.child_for(key) else {
-                self.restart_at_root(ctx, |root| Msg::InsertAt {
-                    node: root,
-                    level,
-                    key,
-                    entry,
-                    tag,
-                });
-                return;
-            };
-            let msg = Msg::InsertAt {
-                node: child.node,
-                level,
-                key,
-                entry,
-                tag,
-            };
-            self.send_to_node(ctx, child.node, child.home, msg);
-            return;
-        }
-        debug_assert_eq!(copy.level, level, "InsertAt routed below its level");
-
+        let copy = self.store.get(node).expect("arrived");
         let replicated = copy.copies.len() > 1;
         let pc = copy.pc;
         if self.cfg.protocol == ProtocolKind::AvailableCopies && replicated {
@@ -440,8 +408,8 @@ impl DbProc {
         }
     }
 
-    /// Queue an action behind an available-copies lock. The `ctx` is unused
-    /// but kept so call sites read uniformly.
+    /// Queue an action behind an available-copies lock, stamped with the
+    /// tick it started waiting at.
     pub(crate) fn queue_behind_lock(&mut self, ctx: &mut Context<'_, Msg>, node: NodeId, msg: Msg) {
         let now = ctx.now().ticks();
         let copy = self.store.get_mut(node).expect("locked copy exists");
@@ -507,7 +475,7 @@ impl DbProc {
         ctx: &mut Context<'_, Msg>,
         node: NodeId,
         key: Key,
-        msg: Msg,
+        mut msg: Msg,
     ) {
         if let Some(fwd) = self.store.forward_for(node) {
             // A forward pointing at this processor (a retirement we
@@ -521,99 +489,37 @@ impl DbProc {
             }
         }
         self.metrics.missing_node_recoveries += 1;
-        match self.store.closest_for(key) {
-            Some(local) if local != node => {
-                // Restart the action at a close local node: rewrite the
-                // target. Only navigable actions can restart; others are
-                // re-addressed to the root's home.
-                match msg {
-                    Msg::Descend {
-                        op,
-                        key,
-                        intent,
-                        hops,
-                        chases,
-                        ..
-                    } => self.requeue(
-                        ctx,
-                        Msg::Descend {
-                            op,
-                            key,
-                            intent,
-                            node: local,
-                            hops: hops + 1,
-                            chases: chases + 1,
-                            via: None,
-                        },
-                    ),
-                    Msg::Scan {
-                        op,
-                        key,
-                        remaining,
-                        acc,
-                        hops,
-                        ..
-                    } => self.requeue(
-                        ctx,
-                        Msg::Scan {
-                            op,
-                            key,
-                            remaining,
-                            node: local,
-                            acc,
-                            hops: hops + 1,
-                        },
-                    ),
-                    // An absorb is fully addressed by `info.low` (it targets
-                    // the leaf owning `low - 1`); restart it locally too.
-                    Msg::Absorb { info, .. } => {
-                        self.requeue(ctx, Msg::Absorb { node: local, info })
-                    }
-                    other => {
-                        let home = self.store.root_home().unwrap_or(self.me);
-                        if home == self.me {
-                            // We are the root's home and the action is not
-                            // key-restartable: drop rather than self-loop.
-                            return;
-                        }
-                        ctx.send(home, other);
-                    }
-                }
-            }
-            _ => {
-                let home = self.store.root_home().unwrap_or(ProcId(0));
-                if home == self.me {
-                    // Nothing local to restart from and we *are* the root
-                    // home: drop to avoid a self-loop (can only happen on an
-                    // empty store, i.e. before bootstrap).
-                    return;
-                }
-                ctx.send(home, msg);
-            }
+        if let Some(local) = self.store.closest_for(key) {
+            msg.readdress(local, Hop::Restart);
+            self.requeue(ctx, msg);
+            return;
+        }
+        // Nothing local to restart from: the root's home — unless that is
+        // us, which can only be an empty store before bootstrap; drop rather
+        // than self-loop.
+        let home = self.store.root_home().unwrap_or(ProcId(0));
+        if home != self.me {
+            ctx.send(home, msg);
         }
     }
 
     /// Defensive restart for a navigable action whose local copy is too
-    /// stale to route it (a zombie surviving a retirement it has not heard
-    /// about): re-address it to the root, through the queue even when the
-    /// root is resident ([`DbProc::requeue`]). Drops the action only when
-    /// there is no root at all (pre-bootstrap).
-    pub(crate) fn restart_at_root(
-        &mut self,
-        ctx: &mut Context<'_, Msg>,
-        rewrite: impl FnOnce(NodeId) -> Msg,
-    ) {
+    /// stale to route it: re-address it to the root, through the queue even
+    /// when the root is resident ([`DbProc::requeue`]). Drops the action
+    /// only when there is no root at all (pre-bootstrap).
+    pub(crate) fn restart_at_root(&mut self, ctx: &mut Context<'_, Msg>, mut msg: Msg) {
         self.metrics.missing_node_recoveries += 1;
         let Some(root) = self.store.root() else {
             return;
         };
-        let home = self.store.root_home().unwrap_or(self.me);
-        let msg = rewrite(root);
-        self.restart_to_node(ctx, root, home, msg);
+        msg.readdress(root, Hop::Restart);
+        if self.store.contains(root) {
+            self.requeue(ctx, msg);
+        } else {
+            ctx.send(self.store.root_home().unwrap_or(self.me), msg);
+        }
     }
-}
 
-impl DbProc {
     /// Start a range scan at the local root.
     pub(crate) fn handle_client_scan(
         &mut self,
@@ -646,114 +552,26 @@ impl DbProc {
         }
     }
 
-    /// One scan step: descend to the leaf holding `key`, harvest its live
+    /// A scan step has arrived at the leaf holding `key`: harvest its live
     /// entries, and continue along the right link until `remaining` entries
     /// are collected or the chain ends.
     ///
     /// Scans are pure read actions: like searches, they are never blocked by
     /// lazy updates — a half-split mid-scan is absorbed by the right link
     /// (the sibling holds the moved entries, and the link leads there).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn handle_scan(
-        &mut self,
-        ctx: &mut Context<'_, Msg>,
-        op: OpId,
-        key: Key,
-        remaining: u32,
-        node: NodeId,
-        mut acc: Vec<(Key, crate::types::Value)>,
-        hops: u32,
-    ) {
-        let remake = |acc: Vec<(Key, crate::types::Value)>, hops| Msg::Scan {
+    pub(crate) fn handle_scan(&mut self, ctx: &mut Context<'_, Msg>, scan: Msg) {
+        let Msg::Scan {
             op,
             key,
             remaining,
             node,
-            acc,
+            mut acc,
             hops,
+        } = scan
+        else {
+            unreachable!("dispatched by kind");
         };
-        let Some(copy) = self.store.get(node) else {
-            let msg = remake(acc, hops);
-            self.recover_missing_node(ctx, node, key, msg);
-            return;
-        };
-        if copy.lock.is_some() {
-            let msg = remake(acc, hops);
-            self.queue_behind_lock(ctx, node, msg);
-            return;
-        }
-        if copy.range.is_right_of(key) {
-            let Some(right) = copy.right else {
-                // Stale zombie copy (see `handle_descend`): a merge retired
-                // this node's neighbourhood out from under it. Restart from
-                // the root — scans are addressed by `key` like searches.
-                self.restart_at_root(ctx, |root| Msg::Scan {
-                    op,
-                    key,
-                    remaining,
-                    node: root,
-                    acc,
-                    hops: hops + 1,
-                });
-                return;
-            };
-            self.metrics.link_chases += 1;
-            let msg = Msg::Scan {
-                op,
-                key,
-                remaining,
-                node: right.node,
-                acc,
-                hops: hops + 1,
-            };
-            self.send_to_node(ctx, right.node, right.home, msg);
-            return;
-        }
-        if copy.range.is_left_of(key) {
-            let target = copy.left.or(copy.parent_link());
-            if let Some(link) = target {
-                self.metrics.link_chases += 1;
-                let msg = Msg::Scan {
-                    op,
-                    key,
-                    remaining,
-                    node: link.node,
-                    acc,
-                    hops: hops + 1,
-                };
-                self.send_to_node(ctx, link.node, link.home, msg);
-            } else {
-                let home = self.store.root_home().unwrap_or(self.me);
-                ctx.send(home, remake(acc, hops + 1));
-            }
-            return;
-        }
-        if !copy.is_leaf() {
-            let Some(child) = copy.child_for(key) else {
-                // Same audit as the right-link chase above: a retired-child
-                // tombstone should always have a live child to its left, but
-                // a stale copy restarts from the root instead of panicking.
-                self.restart_at_root(ctx, |root| Msg::Scan {
-                    op,
-                    key,
-                    remaining,
-                    node: root,
-                    acc,
-                    hops: hops + 1,
-                });
-                return;
-            };
-            let msg = Msg::Scan {
-                op,
-                key,
-                remaining,
-                node: child.node,
-                acc,
-                hops: hops + 1,
-            };
-            self.send_to_node(ctx, child.node, child.home, msg);
-            return;
-        }
+        let copy = self.store.get(node).expect("arrived");
 
         // At the right leaf: harvest live entries from `key` onward. The
         // budget and the termination check below share one saturating
@@ -769,29 +587,27 @@ impl DbProc {
                 left -= 1;
             }
         }
-        let next = copy.right;
-        let next_low = copy.range.high;
-        if scan_budget(remaining, acc.len()) == 0 || next.is_none() || next_low.is_none() {
-            ctx.send(
+        match (copy.right, copy.range.high) {
+            (Some(right), Some(next_low)) if scan_budget(remaining, acc.len()) > 0 => {
+                let msg = Msg::Scan {
+                    op,
+                    key: next_low,
+                    remaining,
+                    node: right.node,
+                    acc,
+                    hops: hops + 1,
+                };
+                self.send_to_node(ctx, right.node, right.home, msg);
+            }
+            _ => ctx.send(
                 ProcId::EXTERNAL,
                 Msg::ScanResult {
                     op,
                     items: acc,
                     hops: hops + 1,
                 },
-            );
-            return;
+            ),
         }
-        let right = next.expect("checked");
-        let msg = Msg::Scan {
-            op,
-            key: next_low.expect("checked"),
-            remaining,
-            node: right.node,
-            acc,
-            hops: hops + 1,
-        };
-        self.send_to_node(ctx, right.node, right.home, msg);
     }
 }
 

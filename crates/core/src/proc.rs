@@ -25,6 +25,8 @@ use crate::types::{Key, NodeId, OpId, Outcome};
 pub(crate) const TIMER_PIGGYBACK: u64 = 1;
 /// Timer token: garbage-collect forwarding addresses.
 pub(crate) const TIMER_FORWARD_GC: u64 = 2;
+/// Ticks a forwarding address lives before that timer collects it.
+pub(crate) const FORWARD_TTL: u64 = 500;
 
 /// Node visits one delivered action may make in-process before its next
 /// local step goes back through the queue ([`DbProc::requeue`]). A constant,
@@ -372,22 +374,6 @@ impl DbProc {
         ctx.send(self.me, msg);
     }
 
-    /// Like [`DbProc::send_to_node`] for a restart: never continues
-    /// in-process.
-    pub(crate) fn restart_to_node(
-        &self,
-        ctx: &mut Context<'_, Msg>,
-        node: NodeId,
-        home: ProcId,
-        msg: Msg,
-    ) {
-        if self.store.contains(node) {
-            self.requeue(ctx, msg);
-        } else {
-            ctx.send(home, msg);
-        }
-    }
-
     /// Run the current action's in-process steps to completion: each one is
     /// an atomic per-node action like a delivered one, and may queue the
     /// next. Iterative — a chain never grows the stack.
@@ -525,34 +511,15 @@ impl DbProc {
     fn dispatch(&mut self, ctx: &mut Context<'_, Msg>, from: ProcId, msg: Msg) {
         match msg {
             Msg::Client { op, key, intent } => self.handle_client(ctx, op, key, intent),
-            Msg::Descend {
-                op,
-                key,
-                intent,
-                node,
-                hops,
-                chases,
-                via,
-            } => self.handle_descend(ctx, op, key, intent, node, hops, chases, via),
+            // The key-addressed kinds take a step of the walk, and act
+            // only once they have arrived at the node they belong to.
+            Msg::Descend { .. } | Msg::Scan { .. } | Msg::InsertAt { .. } | Msg::Absorb { .. } => {
+                self.navigate(ctx, msg)
+            }
             Msg::ClientScan { op, from, limit } => self.handle_client_scan(ctx, op, from, limit),
-            Msg::Scan {
-                op,
-                key,
-                remaining,
-                node,
-                acc,
-                hops,
-            } => self.handle_scan(ctx, op, key, remaining, node, acc, hops),
             Msg::ScanResult { .. } => {
                 debug_assert!(false, "ScanResult delivered to a processor");
             }
-            Msg::InsertAt {
-                node,
-                level,
-                key,
-                entry,
-                tag,
-            } => self.handle_insert_at(ctx, node, level, key, entry, tag),
             Msg::RelayedInsert {
                 node,
                 key,
@@ -601,7 +568,6 @@ impl DbProc {
             Msg::MergeGrant { child, left } => self.handle_merge_grant(ctx, child, left),
             Msg::MergeDecline { child } => self.handle_merge_decline(child),
             Msg::RelayedRetire { node, left } => self.handle_relayed_retire(ctx, node, left),
-            Msg::Absorb { node, info } => self.handle_absorb(ctx, node, info),
             Msg::RelayedAbsorb { node, info, count } => {
                 self.handle_relayed_absorb(ctx, node, info, count)
             }
@@ -690,8 +656,7 @@ impl Process for DbProc {
                 self.flush_relays(ctx);
             }
             TIMER_FORWARD_GC => {
-                let ttl = self.cfg.forwarding_ttl;
-                self.store.gc_forwards(ctx.now().ticks(), ttl);
+                self.store.gc_forwards(ctx.now().ticks(), FORWARD_TTL);
             }
             _ => {}
         }

@@ -12,7 +12,7 @@ use simnet::{Context, ProcId};
 use crate::msg::{LockedUpdate, Msg};
 use crate::node::LockState;
 use crate::proc::{CoordOp, DbProc, PendingLock};
-use crate::types::{NodeId, Outcome};
+use crate::types::{Entry, Intent, NodeId, Outcome};
 
 impl DbProc {
     /// PC: run `op` under a write-all lock (or queue it behind the current
@@ -157,28 +157,19 @@ impl DbProc {
                     if reply.is_some() && entry.child().is_none() {
                         self.observe_global(tag);
                     }
-                    match (reply, entry) {
-                        (Some(r), crate::types::Entry::Val { value, .. }) => {
+                    let intent = match entry {
+                        Entry::Val { value, .. } => Some(Intent::Insert(value)),
+                        Entry::Tomb { .. } => Some(Intent::Delete),
+                        Entry::Child(_) => None,
+                    };
+                    match (reply, intent) {
+                        (Some(r), Some(intent)) => {
                             self.requeue(
                                 ctx,
                                 Msg::Descend {
                                     op: r.op,
                                     key,
-                                    intent: crate::types::Intent::Insert(value),
-                                    node,
-                                    hops: r.hops,
-                                    chases: r.chases + 1,
-                                    via: None,
-                                },
-                            );
-                        }
-                        (Some(r), crate::types::Entry::Tomb { .. }) => {
-                            self.requeue(
-                                ctx,
-                                Msg::Descend {
-                                    op: r.op,
-                                    key,
-                                    intent: crate::types::Intent::Delete,
+                                    intent,
                                     node,
                                     hops: r.hops,
                                     chases: r.chases + 1,

@@ -370,75 +370,20 @@ impl DbProc {
         }
     }
 
-    /// Route an absorb to the leaf that owns `low - 1` and apply it there.
-    ///
-    /// The navigation mirrors [`Msg::Descend`]'s: chase rights, drop into
-    /// children, recover via forwards, restart at the root on a zombie — an
-    /// absorb must land no matter how many splits, migrations, or further
-    /// merges raced it.
+    /// An absorb has arrived at the leaf that owns `low - 1` — the walk
+    /// lands it no matter how many splits, migrations or further merges
+    /// raced it: apply it there.
     pub(crate) fn handle_absorb(
         &mut self,
         ctx: &mut Context<'_, Msg>,
         node: NodeId,
         info: AbsorbInfo,
     ) {
-        // Grants require a live left sibling, so the retired range never
-        // starts at 0.
-        debug_assert!(info.low >= 1, "leftmost leaves never retire");
-        let key = info.low - 1;
-        let Some(copy) = self.store.get(node) else {
-            self.recover_missing_node(ctx, node, key, Msg::Absorb { node, info });
-            return;
-        };
-        if copy.lock.is_some() {
-            self.queue_behind_lock(ctx, node, Msg::Absorb { node, info });
-            return;
-        }
-        if copy.range.is_right_of(key) {
-            let Some(right) = copy.right else {
-                self.restart_at_root(ctx, |root| Msg::Absorb { node: root, info });
-                return;
-            };
-            self.metrics.update_chases += 1;
-            let msg = Msg::Absorb {
-                node: right.node,
-                info,
-            };
-            self.send_to_node(ctx, right.node, right.home, msg);
-            return;
-        }
-        if copy.range.is_left_of(key) {
-            // Overshot (a stale left-pointing hop): climb back through the
-            // parent, or restart if the copy is a disconnected zombie.
-            let Some(up) = copy.parent_link().or(copy.left) else {
-                self.restart_at_root(ctx, |root| Msg::Absorb { node: root, info });
-                return;
-            };
-            self.metrics.update_chases += 1;
-            let msg = Msg::Absorb {
-                node: up.node,
-                info,
-            };
-            self.send_to_node(ctx, up.node, up.home, msg);
-            return;
-        }
-        if !copy.is_leaf() {
-            let Some(child) = copy.child_for(key) else {
-                self.restart_at_root(ctx, |root| Msg::Absorb { node: root, info });
-                return;
-            };
-            let msg = Msg::Absorb {
-                node: child.node,
-                info,
-            };
-            self.send_to_node(ctx, child.node, child.home, msg);
-            return;
-        }
-        // At the leaf owning `low - 1`. The leaf chain tiles, so the leaf
-        // left of a retired `[low, high)` has `high == Some(low)` — unless
-        // this absorb already applied (a recovery restart can fork the
-        // message), in which case the bound moved past `low`: drop the
-        // duplicate.
+        let copy = self.store.get(node).expect("arrived");
+        // The leaf chain tiles, so the leaf left of a retired `[low, high)`
+        // has `high == Some(low)` — unless this absorb already applied (a
+        // recovery restart can fork the message), in which case the bound
+        // moved past `low`: drop the duplicate.
         if copy.range.high != Some(info.low) {
             return;
         }

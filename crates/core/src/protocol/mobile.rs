@@ -11,7 +11,7 @@ use history::ObserveKind;
 use simnet::{Context, ProcId};
 
 use crate::msg::{InstallReason, LinkDir, Msg};
-use crate::proc::{DbProc, TIMER_FORWARD_GC};
+use crate::proc::{DbProc, FORWARD_TTL, TIMER_FORWARD_GC};
 use crate::store::ForwardAddr;
 use crate::types::{Key, Link, NodeId, ParentHint};
 
@@ -51,7 +51,7 @@ impl DbProc {
                     created_at: ctx.now().ticks(),
                 },
             );
-            ctx.set_timer(self.cfg.forwarding_ttl, TIMER_FORWARD_GC);
+            ctx.set_timer(FORWARD_TTL, TIMER_FORWARD_GC);
         }
         self.metrics.migrations_out += 1;
         ctx.send(

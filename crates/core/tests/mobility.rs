@@ -4,10 +4,13 @@
 
 mod common;
 
+use std::cell::Cell;
 use std::collections::BTreeSet;
 
-use common::{assert_clean, to_client, traced_field};
-use dbtree::{checker, BuildSpec, ClientOp, DbCluster, Intent, Placement, SeededBug, TreeConfig};
+use common::{assert_clean, assert_sequential_register, to_client, traced_field};
+use dbtree::{
+    checker, BuildSpec, ClientOp, DbCluster, Intent, OpRecord, Placement, SeededBug, TreeConfig,
+};
 use simnet::{FaultPlan, ProcId, SimConfig, TraceEntry, TraceEvent};
 use workload::{KeyDist, Mix, WorkloadGen};
 
@@ -40,19 +43,28 @@ fn run_with_migrations_on(
 ) -> (DbCluster, BTreeSet<u64>) {
     let preload: Vec<u64> = (0..200).map(|k| k * 10).collect();
     let n_procs = 4;
+    let seeded = cfg.seeded;
     let spec = BuildSpec::new(preload.clone(), n_procs, cfg);
     let mut cluster = DbCluster::build(&spec, sim_cfg);
 
+    // Four ops in five on forty keys, half of them searches, so that
+    // searches follow writes of their key often enough for the register
+    // check below to bite.
     let mut gen = WorkloadGen::new(
-        KeyDist::Uniform { n: 2000 },
+        KeyDist::Hotspot {
+            n: 2000,
+            hot_fraction: 0.02,
+            hot_prob: 0.8,
+        },
         Mix {
-            search_fraction: 0.3,
+            search_fraction: 0.5,
             ..Mix::INSERT_ONLY
         },
         n_procs,
         seed,
     );
-    let mut expected: BTreeSet<u64> = preload.into_iter().collect();
+    let preloaded: BTreeSet<u64> = preload.into_iter().collect();
+    let mut expected = preloaded.clone();
     let ops = gen.batch(n_ops);
     for (i, op) in ops.iter().enumerate() {
         cluster.submit(to_client(op));
@@ -81,7 +93,27 @@ fn run_with_migrations_on(
     }
     let records = cluster.try_run_to_quiescence().expect("run quiesces");
     assert_eq!(records.len(), n_ops, "every op completes, once");
+    // Single-copy leaves: a register per key, migrations or not. (A seeded
+    // bug is there to break something; its own test says what.)
+    if seeded.is_none() {
+        let judged = assert_sequential_register(&records, |k| preloaded.contains(&k).then_some(k));
+        println!("seed {seed}: {judged} searches judged against a write");
+        JUDGED.set(JUDGED.get() + judged);
+    }
     (cluster, expected)
+}
+
+thread_local! {
+    /// Searches the register check has judged against a write on this
+    /// thread, i.e. in this test.
+    static JUDGED: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The register check was not vacuous in this test.
+fn assert_judged_enough() {
+    let judged = JUDGED.get();
+    println!("{judged} searches judged against a write in all");
+    assert!(judged >= 100, "only {judged} searches were judged");
 }
 
 // ---------------------------------------------------------------------------
@@ -100,6 +132,7 @@ fn migrations_during_traffic_lose_nothing_without_forwarding() {
             .sum();
         assert!(moves > 0, "migrations actually happened (seed {seed})");
     }
+    assert_judged_enough();
 }
 
 #[test]
@@ -108,6 +141,7 @@ fn migrations_during_traffic_lose_nothing_with_forwarding() {
         let (mut cluster, expected) = run_with_migrations(mobile_cfg(true), seed, 300, 10);
         assert_clean(&mut cluster, &expected);
     }
+    assert_judged_enough();
 }
 
 #[test]
@@ -134,32 +168,29 @@ fn forwarding_addresses_reduce_recovery_cost() {
         fol_with > 0 || rec_with <= rec_without,
         "forwarding helps: followed {fol_with}, recoveries {rec_with} vs {rec_without}"
     );
+    assert_judged_enough();
 }
 
 #[test]
 fn forwarding_addresses_garbage_collect() {
-    let cfg = TreeConfig {
-        forwarding_ttl: 50,
-        ..mobile_cfg(true)
-    };
-    let (mut cluster, expected) = run_with_migrations(cfg, 5, 200, 10);
+    let (mut cluster, expected) = run_with_migrations(mobile_cfg(true), 5, 600, 10);
     assert_clean(&mut cluster, &expected);
-    // After quiescence + TTL, a fresh migration's GC timer has fired for old
-    // entries; at minimum the table is bounded by migrations.
-    let total_forwards: usize = cluster
+    // Every migration armed a GC timer one TTL out, and quiescence waits for
+    // timers: the run went on past the last address's TTL, so every address
+    // (one a later migration renewed is collected by that one's timer) is gone.
+    let forwards: usize = cluster
         .sim
         .procs()
         .map(|(_, p)| p.store.forward_count())
         .sum();
-    let total_migrations: u64 = cluster
+    let migrations: u64 = cluster
         .sim
         .procs()
         .map(|(_, p)| p.metrics.migrations_out)
         .sum();
-    assert!(
-        (total_forwards as u64) < total_migrations,
-        "GC collected some of {total_migrations} forwarding addresses ({total_forwards} left)"
-    );
+    assert!(migrations > 0, "addresses were left");
+    assert_eq!(forwards, 0, "GC collected all {migrations} of them");
+    assert_judged_enough();
 }
 
 #[test]
@@ -195,12 +226,13 @@ fn leaf_migration_joins_the_path() {
     // Build with all leaves on procs 0..3, then move one leaf to a processor
     // and verify the dB-tree property: the destination joins every interior
     // node on the leaf's path.
-    let (mut cluster, expected) = run_with_migrations(variable_cfg(), 3, 200, 8);
+    let (mut cluster, expected) = run_with_migrations(variable_cfg(), 3, 500, 8);
     assert_clean(&mut cluster, &expected);
     let joins: u64 = cluster.sim.procs().map(|(_, p)| p.metrics.joins).sum();
     assert!(joins > 0, "at least one join happened");
     let violations = checker::check_path_property(&cluster.sim);
     assert!(violations.is_empty(), "{violations:?}");
+    assert_judged_enough();
 }
 
 #[test]
@@ -214,6 +246,7 @@ fn variable_copies_many_seeds_clean() {
         let violations = checker::check_path_property(&cluster.sim);
         assert!(violations.is_empty(), "seed {seed}: {violations:?}");
     }
+    assert_judged_enough();
 }
 
 #[test]
@@ -270,7 +303,7 @@ fn frame_seq(entry: &TraceEntry) -> Option<u64> {
 #[test]
 fn a_descend_that_overtakes_its_leafs_install_recovers() {
     let mut overtakes = 0;
-    for seed in 0..4 {
+    for seed in 0..8 {
         let mut sim_cfg = SimConfig::jittery(seed, 2, 25);
         sim_cfg.faults = FaultPlan::lossy(0.2);
         sim_cfg.trace_capacity = 1 << 16;
@@ -301,17 +334,46 @@ fn a_descend_that_overtakes_its_leafs_install_recovers() {
         }
     }
     assert!(overtakes > 0, "no descent overtook the install of its leaf");
+    assert_judged_enough();
 }
 
-/// One operation from P0, run to quiescence: what it was acknowledged with.
-fn acked(cluster: &mut DbCluster, key: u64, intent: Intent) -> Option<u64> {
+/// One operation from P0, run to quiescence and logged: what it was
+/// acknowledged with.
+fn acked(
+    cluster: &mut DbCluster,
+    log: &mut Vec<OpRecord>,
+    key: u64,
+    intent: Intent,
+) -> Option<u64> {
+    // A tick after the last reply, so that the records show what the
+    // caller knows: these operations do not overlap.
+    let next = cluster.sim.now() + 1;
+    cluster.sim.advance_to(next);
     cluster.submit(ClientOp {
         origin: ProcId(0),
         key,
         intent,
     });
-    let records = cluster.try_run_to_quiescence().expect("run quiesces");
-    records[0].outcome.found
+    log.extend(cluster.try_run_to_quiescence().expect("run quiesces"));
+    log.last().expect("it completed").outcome.found
+}
+
+/// ROADMAP item 1's migrate recipe: sixty writes of key 500 from P0, every
+/// leaf moved one processor over, then `Insert(500, 7777)` and a search.
+fn writes_then_migrations_then_a_write_and_a_read() -> Vec<OpRecord> {
+    let spec = BuildSpec::new((0..200).map(|k| k * 10).collect(), 4, mobile_cfg(false));
+    let mut cluster = DbCluster::build(&spec, SimConfig::seeded(1));
+    let mut log = Vec::new();
+    for v in 0..60 {
+        acked(&mut cluster, &mut log, 500, Intent::Insert(1000 + v));
+    }
+    for (leaf, owner) in cluster.leaves() {
+        cluster.migrate(leaf, owner, ProcId((owner.0 + 1) % 4));
+    }
+    cluster.try_run_to_quiescence().expect("run quiesces");
+    acked(&mut cluster, &mut log, 500, Intent::Insert(7777));
+    acked(&mut cluster, &mut log, 500, Intent::Search);
+    log
 }
 
 /// A write acknowledged at a leaf's new home must be the value a later read
@@ -321,18 +383,25 @@ fn acked(cluster: &mut DbCluster, key: u64, intent: Intent) -> Option<u64> {
 /// search read `Some(1059)`).
 #[test]
 fn a_write_acknowledged_after_a_migration_is_the_value_read() {
-    let spec = BuildSpec::new((0..200).map(|k| k * 10).collect(), 4, mobile_cfg(false));
-    let mut cluster = DbCluster::build(&spec, SimConfig::seeded(1));
-    let op = |cluster: &mut DbCluster, intent| acked(cluster, 500, intent);
-    for v in 0..60 {
-        op(&mut cluster, Intent::Insert(1000 + v));
-    }
-    for (leaf, owner) in cluster.leaves() {
-        cluster.migrate(leaf, owner, ProcId((owner.0 + 1) % 4));
-    }
-    cluster.try_run_to_quiescence().expect("run quiesces");
-    assert_eq!(op(&mut cluster, Intent::Insert(7777)), Some(1059));
-    assert_eq!(op(&mut cluster, Intent::Search), Some(7777));
+    let log = writes_then_migrations_then_a_write_and_a_read();
+    let [.., write, read] = &log[..] else {
+        unreachable!("62 operations");
+    };
+    assert_eq!(assert_sequential_register(&log, Some), 1);
+    assert_eq!(write.outcome.found, Some(1059));
+    assert_eq!(read.outcome.found, Some(7777));
+}
+
+/// The register check on the run the stamp bug produced: the same records
+/// with the final search reading what it read then. It must fire. (With
+/// `leaf_write`'s mint-above-the-resident-stamp lines removed the run above
+/// produces exactly these records, and the check fires on them undoctored.)
+#[test]
+#[should_panic(expected = "not the register's value")]
+fn the_register_check_catches_a_write_dropped_after_a_migration() {
+    let mut log = writes_then_migrations_then_a_write_and_a_read();
+    log.last_mut().expect("the search").outcome.found = Some(1059);
+    assert_sequential_register(&log, Some);
 }
 
 /// The same shape through a merge instead of a migration: a leaf whose
@@ -364,11 +433,12 @@ fn a_write_acknowledged_after_an_absorb_is_the_value_read() {
         })
         .expect("some leaf can retire onto another processor");
     let key = keys[0];
+    let mut log = Vec::new();
     for v in 0..60 {
-        acked(&mut cluster, key, Intent::Insert(1000 + v));
+        acked(&mut cluster, &mut log, key, Intent::Insert(1000 + v));
     }
     for &k in &keys {
-        acked(&mut cluster, k, Intent::Delete);
+        acked(&mut cluster, &mut log, k, Intent::Delete);
     }
     let merged: u64 = cluster
         .sim
@@ -377,8 +447,15 @@ fn a_write_acknowledged_after_an_absorb_is_the_value_read() {
         .sum();
     assert_eq!(merged, 1, "the emptied leaf retired into its left sibling");
     assert!(!cluster.leaves().iter().any(|(l, _)| *l == leaf));
-    assert_eq!(acked(&mut cluster, key, Intent::Insert(7777)), None);
-    assert_eq!(acked(&mut cluster, key, Intent::Search), Some(7777));
+    assert_eq!(
+        acked(&mut cluster, &mut log, key, Intent::Insert(7777)),
+        None
+    );
+    assert_eq!(
+        acked(&mut cluster, &mut log, key, Intent::Search),
+        Some(7777)
+    );
+    assert_eq!(assert_sequential_register(&log, Some), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -412,4 +489,5 @@ fn join_version_relay_fixes_the_fig6_race() {
         broken_total > 0,
         "disabling the version relay reproduces the Fig 6 failure"
     );
+    assert_judged_enough();
 }

@@ -207,10 +207,9 @@ const TABLE: &[(Branch, Kind, Expect)] = &[
     (LeftOfParentOnly, Scan, sent(EAST, PARENT, 1, 1, Cleared, READ_CHASE)),
     (LeftOfParentOnly, Absorb, sent(EAST, PARENT, 1, 1, Cleared, UPDATE_CHASE)),
 
-    // A read names the same node again to the root's home, counted nowhere,
-    // and restarts by way of that processor's missing-node recovery.
-    (LeftOfNeither, Descend, sent(HOME, T, 1, 1, Kept, &[])),
-    (LeftOfNeither, Scan, sent(HOME, T, 1, 1, Kept, &[])),
+    // Nowhere to go from a copy that knows neither: from the top again.
+    (LeftOfNeither, Descend, sent(HOME, ROOT, 1, 1, Cleared, RECOVERED)),
+    (LeftOfNeither, Scan, sent(HOME, ROOT, 1, 1, Cleared, RECOVERED)),
     (LeftOfNeither, Absorb, sent(HOME, ROOT, 1, 1, Cleared, RECOVERED)),
 
     (TooHigh, Descend, sent(EAST, CHILD, 1, 0, Routing, &[])),

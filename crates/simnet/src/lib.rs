@@ -81,7 +81,9 @@ pub use obs::{Histogram, MetricsRegistry, Obs, ObsConfig, ProcSample};
 pub use profile::{folded_waits, Hop, OpProfile, Profiler, RunProfile, Segments, ServiceTimes};
 pub use runtime::{Poll, QuiesceError, Runtime};
 pub use schedule::{Choice, ChoiceKind, FifoScheduler, Scheduler};
-pub use session::{DetectorConfig, SessionConfig, SessionMsg, SessionProc, SessionStats};
+pub use session::{
+    DetectorConfig, SessionConfig, SessionMsg, SessionProc, SessionStats, PING_INTERVAL,
+};
 pub use sim::{RunOutcome, SimConfig, Simulation};
 pub use stats::{KindStats, NetStats};
 pub use time::SimTime;

@@ -141,19 +141,21 @@ fn window(seen: u64, floor: u64) -> impl Iterator<Item = (u64, u64)> {
     (0..WINDOW.min(seen.saturating_sub(floor))).map(move |bit| (bit, seen - 1 - bit))
 }
 
+/// Ticks between failure-detector rounds (each round pings every monitored
+/// peer).
+pub const PING_INTERVAL: u64 = 100;
+
 /// Tuning knobs for the heartbeat failure detector.
 ///
-/// Thresholds are in ticks / detector rounds. A peer is suspected when it has
-/// been silent (no arrival of any kind) for longer than
-/// `ping_interval * suspect_after` ticks at a round boundary, so detection
-/// latency is between `suspect_after` and `suspect_after + 1` rounds.
+/// A peer is suspected when it has been silent (no arrival of any kind) for
+/// longer than [`PING_INTERVAL`]` * suspect_after` ticks at a round boundary,
+/// so detection latency is between `suspect_after` and `suspect_after + 1`
+/// rounds.
 #[derive(Clone, Copy, Debug)]
 pub struct DetectorConfig {
     /// Master switch. Off (the default) = no timers, no pings, no RNG draws:
     /// runs are byte-identical to a detector-free build.
     pub enabled: bool,
-    /// Ticks between detector rounds (each round pings every monitored peer).
-    pub ping_interval: u64,
     /// Rounds of silence before a peer becomes suspect.
     pub suspect_after: u32,
 }
@@ -162,7 +164,6 @@ impl Default for DetectorConfig {
     fn default() -> Self {
         DetectorConfig {
             enabled: false,
-            ping_interval: 100,
             suspect_after: 3,
         }
     }
@@ -782,7 +783,7 @@ impl<P: Process> SessionProc<P> {
         if !self.det_armed {
             self.det_armed = true;
             self.det_idle = 0;
-            ctx.set_timer(self.cfg.detector.ping_interval, DETECTOR_TIMER);
+            ctx.set_timer(PING_INTERVAL, DETECTOR_TIMER);
         }
     }
 
@@ -792,7 +793,7 @@ impl<P: Process> SessionProc<P> {
     fn det_round(&mut self, ctx: &mut Context<'_, SessionMsg<P::Msg>>) {
         let det = self.cfg.detector;
         let now = ctx.now();
-        let threshold = det.ping_interval.saturating_mul(det.suspect_after as u64);
+        let threshold = PING_INTERVAL * det.suspect_after as u64;
         let mut newly_suspect = Vec::new();
         for (&p, st) in self.det_peers.iter_mut() {
             if !st.suspected && now.0.saturating_sub(st.last_heard.0) > threshold {
@@ -822,7 +823,7 @@ impl<P: Process> SessionProc<P> {
             self.det_armed = false;
         } else {
             self.det_armed = true;
-            ctx.set_timer(det.ping_interval, DETECTOR_TIMER);
+            ctx.set_timer(PING_INTERVAL, DETECTOR_TIMER);
         }
     }
 
@@ -1512,18 +1513,17 @@ mod tests {
 
     #[test]
     fn detector_suspects_crashed_peer_and_clears_on_restart() {
-        let det = DetectorConfig {
-            ping_interval: 50,
-            ..DetectorConfig::on()
-        };
+        let det = DetectorConfig::on();
         // P1 goes down with part of the stream still in flight: the unacked
         // outbox is what keeps P0's detector from going dormant (it would,
-        // after `IDLE_ROUNDS` quiet rounds) before the suspicion threshold.
+        // after `IDLE_ROUNDS` quiet rounds) before the suspicion threshold —
+        // which the outage outlasts three times over.
         let mut cfg = SimConfig::jittery(11, 2, 5);
+        let threshold = PING_INTERVAL * u64::from(det.suspect_after);
         cfg.faults = FaultPlan::none().with_crash(CrashEvent {
             proc: ProcId(1),
             at: SimTime(3),
-            restart_at: Some(SimTime(900)),
+            restart_at: Some(SimTime(3 * threshold)),
         });
         let mut sim = Simulation::new(cfg, watchers(40, det));
         sim.run();
@@ -1589,7 +1589,6 @@ mod tests {
             let mut cfg = SessionConfig::reliable();
             cfg.detector = DetectorConfig {
                 enabled: false,
-                ping_interval: 1,
                 suspect_after: 1,
             };
             run(cfg)
