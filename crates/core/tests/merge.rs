@@ -1,13 +1,15 @@
 //! Lazy merge-at-empty, end to end: deletes empty leaves, emptied leaves
 //! retire, their ranges flow left, and every global invariant (convergence,
-//! leaf chain, history sequences) holds with reclamation switched on.
+//! leaf chain, history sequences) holds with reclamation switched on. Every
+//! cluster here is path-replicated, so its leaves have one copy and each
+//! client stream carries reads for the per-key register check.
 
 mod common;
 
 use std::collections::BTreeSet;
 
 use dbtree::checker;
-use dbtree::{BuildSpec, ClientOp, DbCluster, Intent, Key, ProtocolKind, TreeConfig};
+use dbtree::{BuildSpec, ClientOp, DbCluster, Intent, Key, OpRecord, ProtocolKind, TreeConfig};
 use simnet::{ProcId, SimConfig};
 
 const N_PROCS: u32 = 4;
@@ -37,6 +39,51 @@ fn delete_ops(keys: &[Key]) -> Vec<ClientOp> {
         .collect()
 }
 
+/// `ops` with a search of each op's key `lag` submissions after it, from the
+/// same origin — reads racing the merges the writes set off.
+fn with_reads(ops: &[ClientOp], lag: usize) -> Vec<ClientOp> {
+    let read = |op: &ClientOp| ClientOp {
+        intent: Intent::Search,
+        ..*op
+    };
+    let mut out = Vec::with_capacity(ops.len() * 2);
+    for (i, op) in ops.iter().enumerate() {
+        out.push(*op);
+        if let Some(back) = i.checked_sub(lag) {
+            out.push(read(&ops[back]));
+        }
+    }
+    out.extend(ops[ops.len().saturating_sub(lag)..].iter().map(read));
+    out
+}
+
+/// The per-key register check on single-copy leaves (DESIGN § "Client
+/// contract"), the preload's values being the keys themselves; returns how
+/// many searches were judged against a write.
+fn registers(records: &[OpRecord], preload: &[Key]) -> usize {
+    let preloaded = |k| preload.binary_search(&k).ok().map(|_| k);
+    let judged = common::assert_sequential_register(records, preloaded);
+    println!("{judged} searches judged against a write");
+    judged
+}
+
+/// `written` and, a tick after the run that wrote them, a read of each key
+/// from the origin that wrote it.
+fn then_read(cluster: &mut DbCluster, mut written: Vec<OpRecord>) -> Vec<OpRecord> {
+    let reads: Vec<ClientOp> = (written.iter())
+        .map(|r| ClientOp {
+            intent: Intent::Search,
+            ..r.op
+        })
+        .collect();
+    let next = cluster.sim.now() + 1;
+    cluster.sim.advance_to(next);
+    let stats = cluster.try_run_closed_loop(&reads, 1).expect("drains");
+    assert_eq!(stats.records.len(), reads.len());
+    written.extend(stats.records);
+    written
+}
+
 fn total_metric(cluster: &DbCluster, f: impl Fn(&dbtree::ProcMetrics) -> u64) -> u64 {
     cluster.sim.procs().map(|(_, p)| f(&p.metrics)).sum()
 }
@@ -55,10 +102,13 @@ fn mass_delete_collapses_leaf_level() {
         let slots_before = total_slots(&cluster);
         assert!(leaves_before > 10, "preload must spread over many leaves");
 
+        let ops = with_reads(&delete_ops(&keys), 16);
         let stats = cluster
-            .try_run_closed_loop(&delete_ops(&keys), 4)
+            .try_run_closed_loop(&ops, 4)
             .expect("workload drains");
-        assert_eq!(stats.records.len(), keys.len(), "every delete completes");
+        assert_eq!(stats.records.len(), ops.len(), "every op completes");
+        let judged = registers(&stats.records, &keys);
+        assert!(judged >= 150, "{protocol:?}: {judged} of 200 reads judged");
 
         let merges = total_metric(&cluster, |m| m.merges_completed);
         assert!(merges > 0, "{protocol:?}: no merges committed");
@@ -92,9 +142,11 @@ fn mass_delete_collapses_leaf_level() {
 #[test]
 fn reinsert_into_merged_range_lands() {
     let (mut cluster, keys) = build(ProtocolKind::SemiSync, 120, 11);
-    cluster
-        .try_run_closed_loop(&delete_ops(&keys), 4)
-        .expect("workload drains");
+    let deletes = with_reads(&delete_ops(&keys), 16);
+    let mut records = cluster
+        .try_run_closed_loop(&deletes, 4)
+        .expect("workload drains")
+        .records;
     assert!(total_metric(&cluster, |m| m.merges_completed) > 0);
 
     // Re-insert across the whole (now mostly merged-away) key space, at
@@ -106,10 +158,14 @@ fn reinsert_into_merged_range_lands() {
             intent: Intent::Insert(i + 1),
         })
         .collect();
+    let ops = with_reads(&reinserts, 16);
     let stats = cluster
-        .try_run_closed_loop(&reinserts, 4)
+        .try_run_closed_loop(&ops, 4)
         .expect("workload drains");
-    assert_eq!(stats.records.len(), reinserts.len());
+    assert_eq!(stats.records.len(), ops.len());
+    records.extend(stats.records);
+    let judged = registers(&records, &keys);
+    assert!(judged >= 200, "{judged} of 240 reads judged");
 
     let expected: BTreeSet<Key> = reinserts.iter().map(|o| o.key).collect();
     common::assert_clean(&mut cluster, &expected);
@@ -139,10 +195,13 @@ fn merge_races_concurrent_inserts_safely() {
                 });
             }
         }
+        let ops = with_reads(&ops, 16);
         let stats = cluster
             .try_run_closed_loop(&ops, 6)
             .expect("workload drains");
         assert_eq!(stats.records.len(), ops.len(), "seed {seed}");
+        let judged = registers(&stats.records, &keys);
+        assert!(judged >= 75, "seed {seed}: {judged} of 134 reads judged");
 
         let expected: BTreeSet<Key> = ops
             .iter()
@@ -167,9 +226,11 @@ fn scan_crosses_merged_boundary_and_skips_tombstones() {
         .copied()
         .filter(|&k| (400..=900).contains(&k))
         .collect();
-    cluster
-        .try_run_closed_loop(&delete_ops(&band), 4)
+    let stats = cluster
+        .try_run_closed_loop(&with_reads(&delete_ops(&band), 16), 4)
         .expect("workload drains");
+    let judged = registers(&stats.records, &keys);
+    assert!(judged >= 35, "{judged} of 51 reads judged");
     assert!(
         total_metric(&cluster, |m| m.merges_completed) > 0,
         "deleting a 50-key band must merge at least one leaf"
@@ -209,13 +270,10 @@ fn mixed_stream_with_deletes_and_scans_under_both_release_policies() {
     for release in [Release::Window(4), Release::Schedule(OpenLoopCfg::fixed(5))] {
         let (mut cluster, keys) = build(ProtocolKind::SemiSync, 80, 17);
         let mut items: Vec<DbSubmission> = Vec::new();
-        for (i, &key) in keys.iter().enumerate() {
-            items.push(DbSubmission::Op(ClientOp {
-                origin: ProcId(i as u32 % N_PROCS),
-                key,
-                intent: Intent::Delete,
-            }));
-            if i % 10 == 0 {
+        for (i, op) in with_reads(&delete_ops(&keys), 16).into_iter().enumerate() {
+            let key = op.key;
+            items.push(DbSubmission::Op(op));
+            if i % 20 == 0 {
                 items.push(DbSubmission::Scan(ScanSpec {
                     origin: ProcId((i as u32 + 2) % N_PROCS),
                     from: key,
@@ -232,6 +290,8 @@ fn mixed_stream_with_deletes_and_scans_under_both_release_policies() {
             .count();
         assert_eq!(stats.records.len(), items.len() - n_scans, "{release:?}");
         assert_eq!(cluster.take_scans().len(), n_scans, "{release:?}");
+        let judged = registers(&stats.records, &keys);
+        assert!(judged >= 60, "{release:?}: {judged} of 80 reads judged");
         common::assert_clean(&mut cluster, &BTreeSet::new());
     }
 }
@@ -305,6 +365,13 @@ fn a_crash_at_any_instant_leaves_no_merge_request_pending() {
         let mut cluster = crash_cluster(Some((owner, at)));
         let stats = cluster.try_run_closed_loop(&deletes, 1).expect("drains");
         assert_eq!(stats.records.len(), deletes.len(), "crash at {at}");
+        // Each key read back after the restart, through whatever the merge
+        // left. (Not during the crash: a read restarting at a resident node
+        // is a hand-off to self, and one that is queued when the processor
+        // crashes is lost with the queue — a client without a retry policy
+        // never hears back.)
+        let judged = registers(&then_read(&mut cluster, stats.records), &keys);
+        assert_eq!(judged, keys.len(), "crash at {at}");
         for (id, p) in cluster.sim.procs() {
             assert_eq!(p.merge_pending_count(), 0, "crash at {at}: {id} wedged");
         }
@@ -331,17 +398,24 @@ fn a_duplicate_merge_request_or_grant_changes_nothing() {
     use simnet::SessionMsg;
     let mut cluster = crash_cluster(None);
     let (leaf, owner, keys) = victim_leaf(&cluster);
-    let (low, parent, left) = {
+    let (low, parent) = {
         let copy = cluster.sim.proc(owner).store.get(leaf).unwrap();
-        (
-            copy.range.low,
-            copy.parent_link().unwrap(),
-            copy.left.unwrap(),
-        )
+        (copy.range.low, copy.parent_link().unwrap())
     };
-    cluster
+    // The absorber: the leaf whose right link names the victim.
+    let left = cluster
+        .leaves()
+        .into_iter()
+        .find_map(|(id, home)| {
+            let copy = cluster.sim.proc(home).store.get(id)?;
+            (copy.right.map(|r| r.node) == Some(leaf)).then(|| dbtree::Link::new(id, home))
+        })
+        .expect("the victim has a left neighbour");
+    let stats = cluster
         .try_run_closed_loop(&delete_ops(&keys), 1)
         .expect("drains");
+    let records = then_read(&mut cluster, stats.records);
+    assert_eq!(registers(&records, &keys), keys.len());
     assert_eq!(total_metric(&cluster, |m| m.merges_completed), 1);
     let leaves = cluster.leaves();
     let before = cluster.sim.fingerprint();

@@ -13,7 +13,7 @@ use std::rc::Rc;
 
 use common::traced_field;
 use dbtree::{
-    BuildSpec, ClientOp, DbCluster, InstallReason, Intent, Key, Msg, NodeCopy, NodeId,
+    BuildSpec, ClientOp, DbCluster, InstallReason, Intent, Key, Link, Msg, NodeCopy, NodeId,
     ProtocolKind, TreeConfig,
 };
 use simnet::{
@@ -354,14 +354,14 @@ fn a_lost_split_relay_is_retransmitted_once_and_the_peer_ends_with_both_halves()
     assert!(retransmitted_once >= 2, "{retransmitted_once} of {lost}");
 }
 
-/// A split's notice to its old right neighbour (`LinkChange`) used to be a
-/// hand-off to self whenever that neighbour was resident — which it nearly
-/// always is, the splitting PC having minted it — and a crash in that tick
-/// lost it: the neighbour's left link named the split node for good. It is
-/// applied inside the splitting action now, so whatever instant the PC
-/// crashes at, every leaf's left link names its true predecessor.
+/// A split sends its relays and the parent insert, and nothing to its old
+/// right neighbour: the one link a half-split sets is the right one, and it
+/// is written in the splitting action. (A `LinkChange` used to keep the
+/// neighbour's left link exact; as a hand-off to self it could be lost in a
+/// crash.) Whatever instant the PC crashes at, every leaf's right link names
+/// its true successor and no `mobility.link-change` was ever sent.
 #[test]
-fn a_pc_crash_at_any_instant_leaves_every_left_link_on_the_true_predecessor() {
+fn a_pc_crash_at_any_instant_leaves_every_right_link_on_the_true_successor() {
     let cluster_with = |crash: Option<u64>| {
         let mut faults = FaultPlan::none();
         if let Some(at) = crash {
@@ -404,12 +404,14 @@ fn a_pc_crash_at_any_instant_leaves_every_left_link_on_the_true_predecessor() {
         assert_eq!(leaves.len(), 6, "crash at {at}");
         for pair in leaves.windows(2) {
             assert_eq!(
-                pair[1].left.map(|l| l.node),
-                Some(pair[0].id),
-                "crash at {at}: the left link of {:?}",
-                pair[1].id
+                pair[0].right,
+                Some(Link::new(pair[1].id, pair[1].pc)),
+                "crash at {at}: the right link of {:?}",
+                pair[0].id
             );
         }
+        let notices = cluster.sim.stats().kind("mobility.link-change");
+        assert_eq!(notices.total(), 0, "crash at {at}: {notices:?}");
         let expected: BTreeSet<Key> = (0..32).map(|k| k * 10).chain([5, 85]).collect();
         common::assert_clean(&mut cluster, &expected);
     }
