@@ -3,7 +3,9 @@
 //! The paper: the synchronous protocol needs `3·|copies(n)|` messages per
 //! split (start/ack/end rounds) and blocks initial inserts for the AAS's
 //! duration; the semisync protocol needs `|copies(n)|` messages (optimal)
-//! and never blocks. We sweep the replication factor and measure both.
+//! and never blocks. We sweep the replication factor and measure both, and
+//! that a split sends nothing beyond its relays and the insert into its
+//! parent — in particular nothing to its old right neighbour.
 
 use std::collections::HashSet;
 
@@ -23,6 +25,7 @@ fn main() {
         "splits",
         "split msgs/split",
         "paper predicts",
+        "msgs to old right nbr",
         "blocked inserts",
         "mean block ticks",
     ]);
@@ -45,17 +48,27 @@ fn main() {
             let blocked = bench::sum_metric(&cluster, |m| m.blocked_initial);
             let block_ticks = bench::sum_metric(&cluster, |m| m.blocked_ticks);
             // The paper's count is per node, |copies(n)| − 1: R − 1, but
-            // P − 1 for a grown root. A node born in the run with a left link
-            // is a sibling, with the membership of the node that split.
+            // P − 1 for a grown root. A node born in the run right of key 0
+            // is a sibling (a new root starts at 0), with the membership of
+            // the node that split.
             let view = GlobalView::new(&cluster.sim);
             let born = view.copies.iter().filter(|(id, _)| !built.contains(id));
-            let siblings = born.map(|(_, c)| c[0].1).filter(|c| c.left.is_some());
+            let siblings = born.map(|(_, c)| c[0].1).filter(|c| c.range.low > 0);
             let others: usize = siblings.map(|c| c.copies.len() - 1).sum();
             let (rounds, law) = match protocol {
                 ProtocolKind::Sync => (3, format!("3(R-1) = {}", 3 * (copies - 1))),
                 _ => (1, format!("R-1 = {}", copies - 1)),
             };
             assert_eq!(split_msgs as usize, rounds * others, "{law}, per node");
+            // And nothing else: the rest of an insert-only run is the
+            // client plane, the parent inserts and their relays, and a new
+            // root's install — no link change to the old right neighbour.
+            const PLANES: [&str; 6] = ["client", "done", "descend", "insert.", "split.", "copy."];
+            let stray: Vec<&str> = (s.kinds().map(|(k, _)| k))
+                .filter(|k| !PLANES.iter().any(|p| k.starts_with(p)))
+                .collect();
+            assert!(stray.is_empty(), "a split sent {stray:?}");
+            let to_neighbour = s.kind("mobility.link-change").total();
             let predict = format!("{law}: {}", f2((rounds * others) as f64 / splits as f64));
             table.row(&[
                 copies.to_string(),
@@ -63,6 +76,7 @@ fn main() {
                 splits.to_string(),
                 f2(split_msgs as f64 / splits as f64),
                 predict,
+                f2(to_neighbour as f64 / splits as f64),
                 blocked.to_string(),
                 f2(block_ticks as f64 / blocked.max(1) as f64),
             ]);

@@ -194,11 +194,6 @@ pub fn build_procs(spec: &BuildSpec) -> (Vec<DbProc>, Arc<Mutex<HistoryLog>>) {
     for (li, level) in levels.iter().enumerate() {
         for (i, node) in level.iter().enumerate() {
             let right = level.get(i + 1).map(|next| Link::new(next.id, next.pc));
-            let left = if i > 0 {
-                Some(Link::new(level[i - 1].id, level[i - 1].pc))
-            } else {
-                None
-            };
             let parent = levels.get(li + 1).map(|parents| {
                 let p = &parents[i / fill];
                 ParentHint {
@@ -210,7 +205,6 @@ pub fn build_procs(spec: &BuildSpec) -> (Vec<DbProc>, Arc<Mutex<HistoryLog>>) {
             let mut proto = NodeCopy::new(node.id, node.level, node.range, node.pc);
             proto.entries = node.entries.iter().cloned().collect();
             proto.right = right;
-            proto.left = left;
             proto.parent = parent;
             proto.copies = node.copies.clone();
             proto.join_versions = vec![0; node.copies.len()];

@@ -39,10 +39,6 @@ pub struct AbsorbInfo {
     pub right: Option<Link>,
     /// The retired node's right-link version (joins into the absorber's).
     pub right_link_version: u64,
-    /// Version for the follow-up left-[`Msg::LinkChange`] at the right
-    /// neighbour (one past the retired node's version, so it supersedes
-    /// the link the retired node installed at its own creation).
-    pub link_version: u64,
     /// The retired node's residual entries — tombstones only, carried so
     /// later re-inserts still lose/win by stamp against them (LWW).
     pub entries: Vec<(Key, Entry)>,
@@ -53,8 +49,6 @@ pub struct AbsorbInfo {
 /// Which link a link-change action targets.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum LinkDir {
-    /// The left-sibling link.
-    Left,
     /// The right-sibling link.
     Right,
     /// The parent link.
@@ -65,7 +59,6 @@ impl LinkDir {
     /// Ordered-class label for the history log.
     pub fn class(self) -> &'static str {
         match self {
-            LinkDir::Left => "link-left",
             LinkDir::Right => "link-right",
             LinkDir::Parent => "link-parent",
         }
@@ -322,9 +315,12 @@ pub enum Msg {
         /// Destination processor.
         dest: ProcId,
     },
-    /// Ordered link update: point `dir` of `node` at `link`.
+    /// A migrated node's ordered link update (§4.2): point `dir` of the
+    /// node of `level` that owns `key` at the migrated node's new home.
     LinkChange {
-        /// The node whose link changes.
+        /// The node whose link changes. The initial form is walked by `key`
+        /// and `level` and starts at the migrated node itself; the PC relays
+        /// it to the other copies of the node it landed on.
         node: NodeId,
         /// Which link.
         dir: LinkDir,
@@ -332,16 +328,17 @@ pub enum Msg {
         link: crate::types::Link,
         /// Position in the link's total order (the target's version).
         version: u64,
+        /// Where the update belongs: the key just left of the migrated
+        /// node's range (its right link's holder), or a child's separator
+        /// (the child's parent hint).
+        key: Key,
+        /// The level of the node that owns `key` and holds the link.
+        level: u8,
         /// History tag.
         tag: u64,
-        /// `false` when first sent toward the node's PC; `true` when the PC
+        /// `false` until the node's PC has applied it; `true` when the PC
         /// relays it to the other copies.
         relayed: bool,
-        /// `true` when the update replaces the link's target node (a split
-        /// notification: the new sibling supersedes the old neighbour);
-        /// `false` for home refreshes (migrations), which only apply when
-        /// the target node id still matches the slot.
-        supersedes: bool,
     },
     /// Ordered child-home update: the child at `sep` moved to `home`.
     ChildHomeChange {
@@ -538,34 +535,32 @@ pub enum LockedUpdate {
 
 impl Msg {
     /// The kinds that are fully addressed by key (+ level) and tolerate an
-    /// arbitrarily stale `node` hint: a step of one of these whose next
-    /// node is resident continues in-process instead of becoming a message
-    /// ([`crate::DbProc::send_to_node`]). An initial link change joins them:
-    /// it is ordered by its version, not by when it arrives, and dropped
-    /// when its node is gone (the common case is a split's notice to its old
-    /// right neighbour, which the splitting PC minted itself).
+    /// arbitrarily stale `node` hint ([`Msg::address`]): a step of one of
+    /// these whose next node is resident continues in-process instead of
+    /// becoming a message ([`crate::DbProc::send_to_node`]).
     pub fn is_navigable(&self) -> bool {
-        matches!(
-            self,
-            Msg::Descend { .. }
-                | Msg::Scan { .. }
-                | Msg::InsertAt { .. }
-                | Msg::Absorb { .. }
-                | Msg::LinkChange { relayed: false, .. }
-        )
+        self.address().is_some()
     }
 
     /// What a walked kind ([`crate::DbProc::walk`]) is addressed to: the
     /// node it names — a hint, however stale — and the key and level that
     /// say where it belongs. Reads and absorbs belong at a leaf, an absorb
     /// at the one owning the key just left of the retired range (grants
-    /// require a live left sibling, so `low ≥ 1`). `None` for every kind
-    /// that is not key-addressed.
+    /// require a live left sibling, so `low ≥ 1`); a link change until its
+    /// PC has applied it wherever its `key` and `level` say. `None` for
+    /// every kind that is not key-addressed.
     pub(crate) fn address(&self) -> Option<(NodeId, Key, u8)> {
         match self {
             Msg::Descend { node, key, .. } | Msg::Scan { node, key, .. } => Some((*node, *key, 0)),
             Msg::InsertAt {
                 node, key, level, ..
+            }
+            | Msg::LinkChange {
+                node,
+                key,
+                level,
+                relayed: false,
+                ..
             } => Some((*node, *key, *level)),
             Msg::Absorb { node, info } => Some((*node, info.low - 1, 0)),
             _ => None,
@@ -573,8 +568,7 @@ impl Msg {
     }
 
     /// The walked kinds of the client plane: their link chases are counted
-    /// apart from the update plane's (`link_chases` / `update_chases`), and
-    /// left of their key they go left before they go up.
+    /// apart from the update plane's (`link_chases` / `update_chases`).
     pub(crate) fn is_read(&self) -> bool {
         matches!(self, Msg::Descend { .. } | Msg::Scan { .. })
     }
@@ -606,7 +600,9 @@ impl Msg {
                 *node = to;
                 *hops += 1;
             }
-            Msg::InsertAt { node, .. } | Msg::Absorb { node, .. } => *node = to,
+            Msg::InsertAt { node, .. }
+            | Msg::Absorb { node, .. }
+            | Msg::LinkChange { node, .. } => *node = to,
             _ => debug_assert!(false, "only a walked kind is re-addressed"),
         }
     }
@@ -751,7 +747,6 @@ mod tests {
 
     #[test]
     fn link_dir_classes_distinct() {
-        assert_ne!(LinkDir::Left.class(), LinkDir::Right.class());
         assert_ne!(LinkDir::Right.class(), LinkDir::Parent.class());
     }
 }

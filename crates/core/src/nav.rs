@@ -105,6 +105,7 @@ impl DbProc {
                 tag,
             } => self.handle_insert_at(ctx, node, level, key, entry, tag),
             Msg::Absorb { node, info } => self.handle_absorb(ctx, node, info),
+            Msg::LinkChange { .. } => self.handle_link_change(ctx, msg),
             _ => unreachable!("only an addressed kind navigates"),
         }
     }
@@ -153,18 +154,16 @@ impl DbProc {
             self.queue_behind_lock(ctx, node, msg);
             return None;
         }
-        let reads = msg.is_read();
         let (next, hop) = if copy.range.is_right_of(key) {
             (copy.right, Hop::Chase)
         } else if copy.range.is_left_of(key) {
-            // Possible after a restart from an arbitrary local node. Reads
-            // go left before up; updates climb before they go left.
+            // Possible after a restart from an arbitrary local node, and
+            // where a migrated node's right-link notice starts: climb.
             debug_assert!(
                 !matches!(msg, Msg::InsertAt { .. }),
                 "InsertAt routed left of its target range"
             );
-            let (left, up) = (copy.left, copy.parent_link());
-            (if reads { left.or(up) } else { up.or(left) }, Hop::Chase)
+            (copy.parent_link(), Hop::Chase)
         } else if copy.level > level {
             let edge = copy.child_for(key);
             let child = edge.map(|child| Link::new(child.node, child.home));
@@ -175,15 +174,16 @@ impl DbProc {
         };
         let Some(next) = next else {
             // The copy lacks a link it should have — a zombie outliving a
-            // retirement it has not heard about, an interior copy with no
-            // live edge at or below the key (the leftmost child is never
-            // retired, so only transiently): stale, restart from the root.
+            // retirement it has not heard about, a copy left of the key with
+            // no parent hint, an interior copy with no live edge at or below
+            // the key (the leftmost child is never retired, so only
+            // transiently): stale, restart from the root.
             self.restart_at_root(ctx, msg);
             return None;
         };
         match hop {
             Hop::Down(_) => {}
-            _ if reads => self.metrics.link_chases += 1,
+            _ if msg.is_read() => self.metrics.link_chases += 1,
             _ => self.metrics.update_chases += 1,
         }
         msg.readdress(next.node, hop);

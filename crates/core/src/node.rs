@@ -61,9 +61,6 @@ pub struct NodeCopy {
     pub entries: Entries,
     /// Right sibling.
     pub right: Option<Link>,
-    /// Left sibling (needed so splits/migrations can notify the left
-    /// neighbour, §4.2/§4.3).
-    pub left: Option<Link>,
     /// Advisory parent hint: a join register ([`ParentHint::join_into`] is
     /// its only writer) that descents repair as they pass. May be stale —
     /// never right of this copy, so out-of-range routing recovers.
@@ -75,10 +72,8 @@ pub struct NodeCopy {
     /// Per-member join version (§4.3): `join_versions[i]` is the node
     /// version at which `copies[i]` joined (0 = founding member).
     pub join_versions: Vec<u64>,
-    /// Versions at which each link was last changed (ordered-action state).
+    /// Version at which the right link last changed (ordered-action state).
     pub right_link_version: u64,
-    /// See `right_link_version`.
-    pub left_link_version: u64,
     /// Absorb epoch: how many retired right neighbours this node has
     /// absorbed (merge-at-empty). Bumped exactly once per absorb at every
     /// copy, in the same per-copy order, which is what lets
@@ -110,13 +105,11 @@ impl NodeCopy {
             version: 0,
             entries: Entries::new(),
             right: None,
-            left: None,
             parent: None,
             pc,
             copies: vec![pc],
             join_versions: vec![0],
             right_link_version: 0,
-            left_link_version: 0,
             absorb_count: 0,
             aas: None,
             split_pending: false,
@@ -342,7 +335,7 @@ impl NodeCopy {
         use std::hash::Hash;
         (self.id, self.level, self.range, self.version).hash(h);
         self.entries.hash(h);
-        [self.right, self.left].hash(h);
+        self.right.hash(h);
         self.parent.hash(h);
         self.pc.hash(h);
         let mut members: Vec<(ProcId, u64)> = self
@@ -354,7 +347,6 @@ impl NodeCopy {
         members.sort_unstable();
         members.hash(h);
         self.right_link_version.hash(h);
-        self.left_link_version.hash(h);
         self.absorb_count.hash(h);
         self.split_pending.hash(h);
         // Parked messages without the ticks they were parked at.
@@ -393,10 +385,7 @@ impl NodeCopy {
     ///   version alone, and a stale wide copy pulled during crash catch-up
     ///   must not undo a split.) Ties fall back to the per-link version,
     ///   which migrations bump.
-    /// * **left link and the PC** — by their own change versions (totally
-    ///   tie-broken): successive left-neighbour splits and migrations stamp
-    ///   strictly growing versions, and the hint may be stale anyway
-    ///   (out-of-range routing recovers).
+    /// * **the PC** — by the node version (tie-broken by processor).
     /// * **parent hint** — the register's own join
     ///   ([`ParentHint::join_into`]).
     ///
@@ -470,16 +459,6 @@ impl NodeCopy {
             }
         }
 
-        // Left link: lexicographic join on the (link version, link) pair,
-        // the winning pair stored wholesale. Successive left-neighbour
-        // splits and migrations stamp strictly growing versions; the hint
-        // tolerates staleness (routing recovers).
-        let theirs = (other.left_link_version, link_rank(other.left));
-        if theirs > (self.left_link_version, link_rank(self.left)) {
-            changed |= self.left != other.left;
-            self.left = other.left;
-            self.left_link_version = other.left_link_version;
-        }
         if let Some(hint) = other.parent {
             changed |= hint.join_into(&mut self.parent);
         }
@@ -521,13 +500,11 @@ impl NodeCopy {
             version: self.version,
             entries: self.entries.as_slice().to_vec(),
             right: self.right,
-            left: self.left,
             parent: self.parent,
             pc: self.pc,
             copies: self.copies.clone(),
             join_versions: self.join_versions.clone(),
             right_link_version: self.right_link_version,
-            left_link_version: self.left_link_version,
             absorb_count: self.absorb_count,
         }
     }
@@ -549,8 +526,6 @@ pub struct NodeSnapshot {
     pub entries: Vec<(Key, Entry)>,
     /// Right link.
     pub right: Option<Link>,
-    /// Left link.
-    pub left: Option<Link>,
     /// Parent hint.
     pub parent: Option<ParentHint>,
     /// Primary copy.
@@ -561,8 +536,6 @@ pub struct NodeSnapshot {
     pub join_versions: Vec<u64>,
     /// Version at which the right link last changed (splits, migrations).
     pub right_link_version: u64,
-    /// See `right_link_version`.
-    pub left_link_version: u64,
     /// Absorb epoch (see [`NodeCopy::absorb_count`]).
     pub absorb_count: u64,
 }
@@ -579,13 +552,11 @@ impl std::fmt::Debug for NodeSnapshot {
             .field("version", &self.version)
             .field("entries", &self.entries)
             .field("right", &self.right)
-            .field("left", &self.left)
             .field("parent", &self.parent)
             .field("pc", &self.pc)
             .field("copies", &self.copies)
             .field("join_versions", &self.join_versions)
-            .field("right_link_version", &self.right_link_version)
-            .field("left_link_version", &self.left_link_version);
+            .field("right_link_version", &self.right_link_version);
         if self.absorb_count > 0 {
             d.field("absorb_count", &self.absorb_count);
         }
@@ -603,13 +574,11 @@ impl NodeSnapshot {
             version: self.version,
             entries: self.entries.into_iter().collect(),
             right: self.right,
-            left: self.left,
             parent: self.parent,
             pc: self.pc,
             copies: self.copies,
             join_versions: self.join_versions,
             right_link_version: self.right_link_version,
-            left_link_version: self.left_link_version,
             absorb_count: self.absorb_count,
             aas: None,
             split_pending: false,
@@ -644,10 +613,11 @@ mod tests {
     #[test]
     fn hot_path_layouts_stay_within_their_budgets() {
         use std::mem::size_of;
-        assert!(size_of::<NodeCopy>() <= 704, "{}", size_of::<NodeCopy>());
+        assert!(size_of::<NodeCopy>() <= 656, "{}", size_of::<NodeCopy>());
         assert_eq!(size_of::<Option<NodeCopy>>(), size_of::<NodeCopy>());
-        assert!(size_of::<Msg>() <= 112, "{}", size_of::<Msg>());
-        assert_eq!(size_of::<simnet::SessionMsg<Msg>>(), 128);
+        assert!(size_of::<Msg>() <= 104, "{}", size_of::<Msg>());
+        let frame = size_of::<simnet::SessionMsg<Msg>>();
+        assert_eq!(frame, size_of::<Msg>() + 16);
     }
 
     #[test]

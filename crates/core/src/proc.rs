@@ -513,9 +513,11 @@ impl DbProc {
             Msg::Client { op, key, intent } => self.handle_client(ctx, op, key, intent),
             // The key-addressed kinds take a step of the walk, and act
             // only once they have arrived at the node they belong to.
-            Msg::Descend { .. } | Msg::Scan { .. } | Msg::InsertAt { .. } | Msg::Absorb { .. } => {
-                self.navigate(ctx, msg)
-            }
+            Msg::Descend { .. }
+            | Msg::Scan { .. }
+            | Msg::InsertAt { .. }
+            | Msg::Absorb { .. }
+            | Msg::LinkChange { relayed: false, .. } => self.navigate(ctx, msg),
             Msg::ClientScan { op, from, limit } => self.handle_client_scan(ctx, op, from, limit),
             Msg::ScanResult { .. } => {
                 debug_assert!(false, "ScanResult delivered to a processor");
@@ -583,15 +585,7 @@ impl DbProc {
                 children,
             } => self.handle_new_root(root, level, home, children),
             Msg::Migrate { node, dest } => self.handle_migrate(ctx, node, dest),
-            Msg::LinkChange {
-                node,
-                dir,
-                link,
-                version,
-                tag,
-                relayed,
-                supersedes,
-            } => self.handle_link_change(ctx, node, dir, link, version, tag, relayed, supersedes),
+            Msg::LinkChange { .. } => self.handle_link_change(ctx, msg),
             Msg::ChildHomeChange {
                 node,
                 sep,

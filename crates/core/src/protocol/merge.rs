@@ -17,10 +17,9 @@
 //!   forwarding address, and hands the emptied range to the left sibling in
 //!   one [`Msg::Absorb`] — the mirror image of a half-split, and with the
 //!   mirrored link invariant: the absorber's right link jumps *over* the
-//!   retired node, and the right neighbour's left link is swung by an
-//!   ordered [`Msg::LinkChange`]. A search or scan that still reaches the
-//!   retired node chases the forward (or restarts at the root), exactly as
-//!   it would chase a half-split's right link.
+//!   retired node, and nothing else names it. A search or scan that still
+//!   reaches the retired node chases the forward (or restarts at the root),
+//!   exactly as it would chase a half-split's right link.
 //! * **The parent edge dies lazily.** Retiring the `sep → child` entry is a
 //!   plain stamped tombstone through the ordinary [`Msg::InsertAt`]
 //!   machinery, so it inherits right-routing, relaying, and late-joiner
@@ -41,7 +40,7 @@ use history::ObserveKind;
 use simnet::{Context, ProcId};
 
 use crate::config::SeededBug;
-use crate::msg::{AbsorbInfo, LinkDir, Msg};
+use crate::msg::{AbsorbInfo, Msg};
 use crate::proc::DbProc;
 use crate::store::ForwardAddr;
 use crate::types::{Entry, Key, Link, NodeId};
@@ -228,7 +227,7 @@ impl DbProc {
             self.metrics.merges_declined += 1;
             return;
         }
-        let (low, parent, peers, info) = {
+        let (low, parent, peers, info, version) = {
             let copy = self.store.get(child).expect("verified above");
             // Carry the tombstones (and only them — the re-verify just
             // guaranteed nothing else exists). Under `MergeNoReverify` that
@@ -246,14 +245,17 @@ impl DbProc {
                 high: copy.range.high,
                 right: copy.right,
                 right_link_version: copy.right_link_version,
-                // One past the retired node's version: supersedes any link
-                // change the retired node itself ever published.
-                link_version: copy.version + 1,
                 entries,
                 tag: 0, // issued below, outside the borrow
             };
             let peers: Vec<ProcId> = copy.peers(me).collect();
-            (copy.range.low, copy.parent_link(), peers, info)
+            (
+                copy.range.low,
+                copy.parent_link(),
+                peers,
+                info,
+                copy.version,
+            )
         };
         let info = AbsorbInfo {
             tag: self.issue_tag("absorb"),
@@ -271,7 +273,7 @@ impl DbProc {
             child,
             ForwardAddr {
                 to: left.home,
-                version: info.link_version,
+                version: version + 1,
                 created_at: ctx.now().ticks(),
             },
         );
@@ -407,8 +409,7 @@ impl DbProc {
     }
 
     /// Apply an absorb at the absorber's PC: widen the range, splice the
-    /// right link over the dead node, relay to peers, and swing the right
-    /// neighbour's left link.
+    /// right link over the dead node, and relay to peers.
     fn apply_absorb_initial(&mut self, ctx: &mut Context<'_, Msg>, node: NodeId, info: AbsorbInfo) {
         let me = self.me;
         let (count, peers) = {
@@ -433,22 +434,6 @@ impl DbProc {
                     },
                 );
             }
-        }
-        // The right neighbour's left link still points at the dead node;
-        // swing it here. `link_version` supersedes anything the retired node
-        // published, so the ordered link-change machinery accepts it.
-        if let Some(right) = info.right {
-            let tag = self.issue_tag("link-change");
-            let msg = Msg::LinkChange {
-                node: right.node,
-                dir: LinkDir::Left,
-                link: Link::new(node, me),
-                version: info.link_version,
-                tag,
-                relayed: false,
-                supersedes: true,
-            };
-            self.send_to_node(ctx, right.node, right.home, msg);
         }
         // The absorbed tombstones may warrant a cascade (the absorber may
         // itself now be all-tomb), and in principle the widened entry map

@@ -5,7 +5,9 @@
 //! its neighbours with version-ordered link-change actions, and deleting the
 //! original. A forwarding address may be left behind as an optimization; it
 //! is never required — a message that arrives for a missing node recovers by
-//! restarting at a close local node (see `nav.rs`).
+//! restarting at a close local node (see `nav.rs`). The neighbours are found
+//! by key, not by link: the notices are walked like any key-addressed
+//! action, so they land on whichever node holds the link by then.
 
 use history::ObserveKind;
 use simnet::{Context, ProcId};
@@ -66,59 +68,49 @@ impl DbProc {
 
     /// Destination side: the node arrived — tell the neighbours where it
     /// lives now (link-changes are ordered by the node's version, §4.2).
+    /// The right-link holder is whichever node of this level owns the key
+    /// just left of this one's range, however many splits or absorbs raced
+    /// the move (none left of key 0); each child is the node owning its
+    /// separator one level down. Both notices start here and are walked.
     pub(crate) fn after_migration_in(
         &mut self,
         ctx: &mut Context<'_, Msg>,
         node: NodeId,
         _from: ProcId,
     ) {
-        let (version, left, right, parent, low, children) = {
+        let (version, level, parent, low, seps) = {
             let copy = self.store.get(node).expect("just installed");
-            let children: Vec<Link> = copy
+            let seps: Vec<Key> = copy
                 .entries
-                .values()
-                .filter_map(|e| e.child())
-                .map(|c| Link::new(c.node, c.home))
+                .iter()
+                .filter(|(_, e)| e.child().is_some())
+                .map(|(k, _)| *k)
                 .collect();
             (
                 copy.version,
-                copy.left,
-                copy.right,
+                copy.level,
                 copy.parent_link(),
                 copy.range.low,
-                children,
+                seps,
             )
         };
         let here = Link::new(node, self.me);
-        if let Some(l) = left {
-            let tag = self.issue_tag("link-change");
-            ctx.send(
-                l.home,
-                Msg::LinkChange {
-                    node: l.node,
-                    dir: LinkDir::Right,
-                    link: here,
-                    version,
-                    tag,
-                    relayed: false,
-                    supersedes: false,
-                },
-            );
-        }
-        if let Some(r) = right {
-            let tag = self.issue_tag("link-change");
-            ctx.send(
-                r.home,
-                Msg::LinkChange {
-                    node: r.node,
-                    dir: LinkDir::Left,
-                    link: here,
-                    version,
-                    tag,
-                    relayed: false,
-                    supersedes: false,
-                },
-            );
+        let left_of_me = low.checked_sub(1).map(|key| (LinkDir::Right, key, level));
+        let children = seps
+            .into_iter()
+            .map(|sep| (LinkDir::Parent, sep, level - 1));
+        for (dir, key, level) in left_of_me.into_iter().chain(children) {
+            let msg = Msg::LinkChange {
+                node,
+                dir,
+                link: here,
+                version,
+                key,
+                level,
+                tag: self.issue_tag("link-change"),
+                relayed: false,
+            };
+            self.send_to_node(ctx, node, self.me, msg);
         }
         if let Some(p) = parent {
             let tag = self.issue_tag("child-home");
@@ -133,54 +125,33 @@ impl DbProc {
             };
             self.send_to_node(ctx, p.node, p.home, msg);
         }
-        for child in children {
-            let tag = self.issue_tag("link-change");
-            ctx.send(
-                child.home,
-                Msg::LinkChange {
-                    node: child.node,
-                    dir: LinkDir::Parent,
-                    link: here,
-                    version,
-                    tag,
-                    relayed: false,
-                    supersedes: false,
-                },
-            );
-        }
     }
 
     /// Apply a version-ordered link change (§4.2): update the link only if
-    /// the action's version exceeds the link's recorded version; otherwise
-    /// the action is stale and history is "rewritten" by skipping it.
+    /// the action's version exceeds the link's recorded version and the
+    /// link still names the migrated node; otherwise the action is stale and
+    /// history is "rewritten" by skipping it.
     ///
-    /// The initial form routes to the node's PC, which applies it and relays
-    /// to the other copies.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn handle_link_change(
-        &mut self,
-        ctx: &mut Context<'_, Msg>,
-        node: NodeId,
-        dir: LinkDir,
-        link: Link,
-        version: u64,
-        tag: u64,
-        relayed: bool,
-        supersedes: bool,
-    ) {
-        let remake = |relayed| Msg::LinkChange {
+    /// The initial form has been walked to a copy of the node that holds the
+    /// link; it moves on to the node's PC, which applies it and relays it to
+    /// the other copies.
+    pub(crate) fn handle_link_change(&mut self, ctx: &mut Context<'_, Msg>, mut msg: Msg) {
+        let Msg::LinkChange {
             node,
             dir,
             link,
             version,
             tag,
             relayed,
-            supersedes,
+            ..
+        } = msg
+        else {
+            unreachable!("dispatched by kind");
         };
         if !self.store.contains(node) {
-            // The target itself migrated away, left, or never arrived here.
-            // Follow a forwarding address if one exists; otherwise drop —
-            // link changes refresh routing hints, which misnavigation
+            // A relay for a copy that migrated away, left, or never arrived
+            // here. Follow a forwarding address if one exists; otherwise
+            // drop — link changes refresh routing hints, which misnavigation
             // recovery tolerates being stale (§4.2: forwarding addresses
             // "are not required for correctness").
             // A retirement's forward aims at the absorber's *home*, which
@@ -190,7 +161,7 @@ impl DbProc {
             match self.store.forward_for(node) {
                 Some(fwd) if fwd.to != self.me => {
                     self.metrics.forwards_followed += 1;
-                    ctx.send(fwd.to, remake(relayed));
+                    ctx.send(fwd.to, msg);
                 }
                 _ => self.observe_global(tag),
             }
@@ -199,30 +170,26 @@ impl DbProc {
         let me = self.me;
         let pc = self.store.get(node).map(|c| c.pc).expect("resident");
         if !relayed && me != pc {
-            ctx.send(pc, remake(false));
+            ctx.send(pc, msg);
             return;
         }
         let (applied, peers) = {
             let copy = self.store.get_mut(node).expect("checked");
             // Ordered-action rule (§4.2): apply only if the version exceeds
-            // the slot's. Home refreshes additionally require the slot to
-            // still point at the same node — a refresh from a superseded
-            // neighbour (whose slot a split already re-targeted) is stale
-            // even if its version number is numerically larger, because
-            // versions of different nodes are not comparable. The value is
-            // the action's position in its class's order, when it applied.
-            let sibling = |slot: &mut Option<Link>, slot_version: &mut u64| {
-                let same_target = slot.map(|l| l.node) == Some(link.node);
-                let applies = version > *slot_version && (supersedes || same_target);
-                if applies {
-                    *slot_version = version;
-                    *slot = Some(link);
-                }
-                applies.then_some(u128::from(version))
-            };
+            // the slot's, and only while the slot still points at the
+            // migrated node — versions of different nodes are not
+            // comparable. The value is the action's position in its class's
+            // order, when it applied.
             let applied = match dir {
-                LinkDir::Left => sibling(&mut copy.left, &mut copy.left_link_version),
-                LinkDir::Right => sibling(&mut copy.right, &mut copy.right_link_version),
+                LinkDir::Right => {
+                    let applies = version > copy.right_link_version
+                        && copy.right.map(|l| l.node) == Some(link.node);
+                    if applies {
+                        copy.right_link_version = version;
+                        copy.right = Some(link);
+                    }
+                    applies.then_some(u128::from(version))
+                }
                 // The parent hint is a register with one join; a link change
                 // refreshes the home and version of the parent it names.
                 LinkDir::Parent => copy
@@ -251,8 +218,11 @@ impl DbProc {
         // The PC relays link changes to the other copies (a lazy update:
         // version ordering makes relay order irrelevant).
         if !relayed {
+            if let Msg::LinkChange { relayed, .. } = &mut msg {
+                *relayed = true;
+            }
             for p in peers {
-                ctx.send(p, remake(true));
+                ctx.send(p, msg.clone());
             }
         }
     }
@@ -291,21 +261,28 @@ impl DbProc {
         };
         // The child's range may have been split away from this parent node.
         if copy.range.is_right_of(sep) {
-            if !relayed {
-                let right = copy.right.expect("sep beyond rightmost parent");
-                self.metrics.update_chases += 1;
-                let msg = Msg::ChildHomeChange {
-                    node: right.node,
-                    sep,
-                    child,
-                    home,
-                    version,
-                    tag,
-                    relayed: false,
-                };
-                self.send_to_node(ctx, right.node, right.home, msg);
-            }
             // Relayed form: the split relay carried the entry's fate.
+            if relayed {
+                return;
+            }
+            // A zombie — its range ends below `sep` and it knows no right
+            // neighbour; the walk would restart from the root — drops the
+            // hint, as for a parent that is not resident.
+            let Some(right) = copy.right else {
+                self.observe_global(tag);
+                return;
+            };
+            self.metrics.update_chases += 1;
+            let msg = Msg::ChildHomeChange {
+                node: right.node,
+                sep,
+                child,
+                home,
+                version,
+                tag,
+                relayed: false,
+            };
+            self.send_to_node(ctx, right.node, right.home, msg);
             return;
         }
         let me = self.me;

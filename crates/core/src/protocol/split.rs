@@ -2,12 +2,13 @@
 //!
 //! Splitting is always performed by the node's primary copy. The engine
 //! covers the protocol-independent parts: constructing the sibling and its
-//! copies, completing the split at the parent, growing a new root, and
-//! notifying the old right neighbour's left link.
+//! copies, completing the split at the parent, and growing a new root. The
+//! old right neighbour is told nothing: the one link a half-split sets is
+//! the node's own right link, to the sibling, which inherits the old one.
 
 use simnet::{Context, ProcId};
 
-use crate::msg::{InstallReason, LinkDir, Msg, SplitInfo};
+use crate::msg::{InstallReason, Msg, SplitInfo};
 use crate::node::{NodeCopy, NodeSnapshot};
 use crate::proc::DbProc;
 use crate::types::{ChildRef, Entry, Key, KeyRange, Link, NodeId, ParentHint};
@@ -20,8 +21,6 @@ pub(crate) struct SplitOutcome {
     pub level: u8,
     /// The split node's parent at split time (None = it was the root).
     pub parent: Option<Link>,
-    /// The node's previous right neighbour (its left link must be updated).
-    pub old_right: Option<Link>,
     /// The other copies of the split node and, same membership, of the
     /// sibling: each is owed one message, [`SplitOutcome::relay`]'s.
     pub peers: Vec<ProcId>,
@@ -59,10 +58,9 @@ impl DbProc {
         let sib_id = self.store.mint_node_id(self.me);
         let me = self.me;
 
-        let (info, sib, level, parent, old_right, peers) = {
+        let (info, sib, level, parent, peers) = {
             let copy = self.store.get_mut(node).expect("PC holds its copy");
             debug_assert_eq!(copy.pc, me, "only the PC splits");
-            let old_right = copy.right;
             let hint = copy.parent;
             let level = copy.level;
             // §4.2/§4.3: the sibling starts one version past the half-split
@@ -74,8 +72,7 @@ impl DbProc {
             let mut sib = NodeCopy::new(sib_id, level, sib_range, me);
             sib.entries = sib_entries;
             sib.version = sib_version;
-            sib.right = old_right;
-            sib.left = Some(Link::new(node, me));
+            sib.right = copy.right;
             // The sibling starts from this node's hint — never right of it,
             // and the first descent a parent routes to it repairs it.
             sib.parent = hint;
@@ -92,7 +89,7 @@ impl DbProc {
                 sib_version,
             };
             let peers: Vec<ProcId> = copy.peers(me).collect();
-            (info, sib, level, hint.map(|h| h.link), old_right, peers)
+            (info, sib, level, hint.map(|h| h.link), peers)
         };
 
         // The PC records every copy of the sibling as created now; the
@@ -110,7 +107,6 @@ impl DbProc {
             info,
             level,
             parent,
-            old_right,
             peers,
             sibling,
         }
@@ -143,8 +139,8 @@ impl DbProc {
         Some(discarded)
     }
 
-    /// Complete a split: insert the sibling pointer into the parent (or grow
-    /// a new root) and update the old right neighbour's left link.
+    /// Complete a split: insert the sibling pointer into the parent, or grow
+    /// a new root.
     pub(crate) fn complete_split(
         &mut self,
         ctx: &mut Context<'_, Msg>,
@@ -169,19 +165,6 @@ impl DbProc {
                 self.send_to_node(ctx, parent.node, parent.home, msg);
             }
             None => self.grow_new_root(ctx, node, out.info.sep, sib_ref, out.level),
-        }
-        if let Some(old_right) = out.old_right {
-            let tag = self.issue_tag("link-change");
-            let msg = Msg::LinkChange {
-                node: old_right.node,
-                dir: LinkDir::Left,
-                link: Link::new(out.info.sib, out.info.sib_home),
-                version: out.info.sib_version,
-                tag,
-                relayed: false,
-                supersedes: true,
-            };
-            self.send_to_node(ctx, old_right.node, old_right.home, msg);
         }
     }
 

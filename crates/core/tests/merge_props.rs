@@ -21,7 +21,7 @@ type Canon = (
     KeyRange,
     (u64, u64),
     Vec<(Key, Entry)>,
-    [(Option<Link>, u64); 2],
+    (Option<Link>, u64),
     Option<ParentHint>,
     ProcId,
     Vec<(ProcId, u64)>,
@@ -39,10 +39,7 @@ fn canon(c: &NodeCopy) -> Canon {
         c.range,
         (c.version, c.absorb_count),
         c.entries.iter().map(|(k, e)| (*k, *e)).collect(),
-        [
-            (c.right, c.right_link_version),
-            (c.left, c.left_link_version),
-        ],
+        (c.right, c.right_link_version),
         c.parent,
         c.pc,
         members,
@@ -112,15 +109,14 @@ fn arb_copy() -> impl Strategy<Value = NodeCopy> {
             arb_link(),
         ),
         (
-            arb_link(),
             arb_held(),
             0u32..4,
             proptest::collection::vec((0u32..6, 0u64..15), 1..5),
         ),
-        (0u64..6, 0u64..6),
+        0u64..6,
     )
         .prop_map(
-            |((high, entries, version, right), (left, parent, pc, members), (rlv, llv))| {
+            |((high, entries, version, right), (parent, pc, members), rlv)| {
                 let range = KeyRange::new(0, high);
                 let mut c = NodeCopy::new(NODE, 0, range, ProcId(pc));
                 c.entries = entries
@@ -129,10 +125,8 @@ fn arb_copy() -> impl Strategy<Value = NodeCopy> {
                     .collect();
                 c.version = version;
                 c.right = right;
-                c.left = left;
                 c.parent = parent;
                 c.right_link_version = rlv;
-                c.left_link_version = llv;
                 // Dedup members (later join version wins) via a sorted map, the
                 // same shape `canon` reduces to.
                 let members: std::collections::BTreeMap<u32, u64> = members.into_iter().collect();

@@ -41,7 +41,7 @@ fn run(sim_cfg: SimConfig, suppress: Option<u32>) -> (u64, u64, u64, Vec<String>
         N_PROCS,
         SEED,
     );
-    let ops: Vec<ClientOp> = gen.batch(400).iter().map(to_client).collect();
+    let ops: Vec<ClientOp> = gen.batch(600).iter().map(to_client).collect();
     let stats = cluster
         .try_run_closed_loop(&ops, 6)
         .expect("workload drains");

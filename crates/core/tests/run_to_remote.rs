@@ -269,7 +269,11 @@ fn right_link_cycle(max_events: u64) -> (DbCluster, Key) {
             .iter()
             .find(|c| c.is_leaf() && c.range.high.is_none())
             .expect("a rightmost leaf");
-        (last.id, last.left.expect("it has a left neighbour").node)
+        let before = store
+            .iter()
+            .find(|c| c.is_leaf() && c.right.is_some_and(|r| r.node == last.id))
+            .expect("it has a left neighbour");
+        (last.id, before.id)
     };
     let copy = cluster.sim.proc_mut(me).store.get_mut(last).unwrap();
     let low = copy.range.low;
@@ -458,7 +462,7 @@ fn growth_past_the_built_tree_completes_splits_near_the_parent() {
 
         // msgs/split, per node: nothing joins or leaves during the run and a
         // sibling inherits its node's membership, so every node born of a
-        // split (it has a left link; a new root does not) cost one relay
+        // split (right of key 0; a new root starts there) cost one relay
         // per other copy — R − 1 on the test bed, 0 for a dB-tree leaf.
         assert_eq!(total(&cluster, |m| m.joins + m.unjoins), 0, "{name}");
         let born: Vec<&dbtree::NodeCopy> = view
@@ -466,7 +470,7 @@ fn growth_past_the_built_tree_completes_splits_near_the_parent() {
             .keys()
             .filter(|id| !built.contains(id))
             .filter_map(|id| view.authoritative(*id))
-            .filter(|c| c.left.is_some())
+            .filter(|c| c.range.low > 0)
             .collect();
         assert_eq!(born.len() as u64, splits, "{name}");
         let owed: u64 = born.iter().map(|c| c.copies.len() as u64 - 1).sum();
@@ -536,11 +540,12 @@ fn a_descent_that_arrived_by_a_right_link_repairs_nothing() {
     let me = ProcId(0);
     let (left, right, built) = {
         let store = &cluster.sim.proc(me).store;
-        let right = store
+        let left = store
             .iter()
-            .find(|c| c.is_leaf() && c.left.is_some() && c.right.is_some())
+            .find(|c| c.is_leaf() && c.range.low > 0 && c.right.is_some())
             .expect("an inner leaf");
-        (right.left.unwrap().node, right.id, right.parent)
+        let right = store.get(left.right.unwrap().node).unwrap();
+        (left.id, right.id, right.parent)
     };
     let key = cluster.sim.proc(me).store.get(right).unwrap().range.low;
     cluster

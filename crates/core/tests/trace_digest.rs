@@ -88,7 +88,7 @@ fn clean_run_exports_are_pinned() {
     assert!(!obs.series.is_empty());
     assert_eq!(
         digest(&obs),
-        0xebf8_a0ac_d219_9312,
+        0xb36f_acb0_1521_8858,
         "clean-run export digest"
     );
 }
@@ -110,7 +110,7 @@ fn lossy_run_exports_are_pinned() {
     }
     assert_eq!(
         digest(&obs),
-        0x5083_0214_5396_c4ce,
+        0x215f_4c76_a9d7_6a2d,
         "lossy-run export digest"
     );
 }

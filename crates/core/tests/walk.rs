@@ -1,15 +1,17 @@
 //! The B-link walk, pinned branch by branch: every navigable kind
-//! (`Descend`, `Scan`, `InsertAt`, `Absorb`) through every way one step of
-//! the walk can go, on one doctored processor whose neighbours only record
-//! what they are sent. A row states the one message the step produced (where
-//! it went, which node it names, what happened to `hops` / `chases` / `via`)
-//! and the counters that moved; everything else in the message must be as it
+//! (`Descend`, `Scan`, `InsertAt`, `Absorb`, and a migrated node's initial
+//! `LinkChange`, the notice) through every way one step of the walk can go,
+//! on one doctored processor whose neighbours only record what they are
+//! sent. A row states the one message the step produced (where it went,
+//! which node it names, what happened to `hops` / `chases` / `via`) and the
+//! counters that moved; everything else in the message must be as it
 //! arrived.
 //!
-//! All four kinds address key 299 at level 0 — an absorb is routed by
-//! `info.low − 1`, and the one this bed mints retires `[300, 400)`.
-//! `InsertAt` has no left-overshoot rows: it asserts (debug) that it is
-//! never routed left of its range.
+//! All five kinds address key 299 at level 0 — an absorb is routed by
+//! `info.low − 1`, and the one this bed mints retires `[300, 400)`; the
+//! notice is the one a node migrating to `WEST` with `[300, ..)` sends its
+//! left neighbour. `InsertAt` has no left-overshoot rows: it asserts (debug)
+//! that it is never routed left of its range.
 
 use dbtree::{
     build_procs, BuildSpec, ChildRef, DbProc, Entry, Intent, Key, KeyRange, Link, LinkDir, Msg,
@@ -23,7 +25,8 @@ const ME: ProcId = ProcId(1);
 const HOME: ProcId = ProcId(0);
 /// Where right neighbours, parents and children live.
 const EAST: ProcId = ProcId(2);
-/// Where left neighbours live, and where the retired node's forward points.
+/// Where the retired node's forward points, and where the notice's node
+/// moved to.
 const WEST: ProcId = ProcId(3);
 
 const ROOT: NodeId = NodeId(1);
@@ -33,14 +36,19 @@ const T: NodeId = NodeId(50);
 const GONE: NodeId = NodeId(31);
 /// Never heard of here.
 const UNKNOWN: NodeId = NodeId(99);
+/// The right neighbour, and the node whose move the notice announces.
 const RIGHT: NodeId = NodeId(51);
-const LEFT: NodeId = NodeId(52);
 const PARENT: NodeId = NodeId(53);
 const CHILD: NodeId = NodeId(54);
-/// The retired node's right neighbour: an applied absorb swings its left link.
+/// The retired node's right neighbour: an applied absorb links to it.
 const BEYOND: NodeId = NodeId(32);
 
 const KEY: Key = 299;
+/// What the notice says: `RIGHT` lives at `WEST` now.
+const MOVED: Link = Link {
+    node: RIGHT,
+    home: WEST,
+};
 const HOPS: u32 = 3;
 const CHASES: u32 = 1;
 /// The hint an arriving `Descend` offers (rows that leave the copy a parent
@@ -60,8 +68,9 @@ enum Kind {
     Scan,
     InsertAt,
     Absorb,
+    Notice,
 }
-use Kind::{Absorb, Descend, InsertAt, Scan};
+use Kind::{Absorb, Descend, InsertAt, Notice, Scan};
 
 #[derive(Clone, Copy, PartialEq, Debug)]
 enum Branch {
@@ -82,11 +91,10 @@ enum Branch {
     Zombie,
     /// The same with a root copy resident.
     ZombieRootResident,
-    /// Key below the copy's low key; left link and parent hint on file.
-    LeftOfBoth,
-    LeftOfLeftOnly,
-    LeftOfParentOnly,
-    LeftOfNeither,
+    /// Key below the copy's low key; parent hint on file.
+    LeftOfParent,
+    /// ... and none.
+    LeftOfNoParent,
     /// The copy is one level above the target; the key's child lives at `EAST`.
     TooHigh,
     /// ... lives here: the step continues in-process and arrives.
@@ -156,80 +164,86 @@ const TABLE: &[(Branch, Kind, Expect)] = &[
     (MissingForward, Descend, sent(WEST, GONE, 0, 0, Kept, FORWARDED)),
     (MissingForward, Scan, sent(WEST, GONE, 0, 0, Kept, FORWARDED)),
     (MissingForward, Absorb, sent(WEST, GONE, 0, 0, Kept, FORWARDED)),
+    (MissingForward, Notice, sent(WEST, GONE, 0, 0, Kept, FORWARDED)),
     // An `InsertAt` restarts at the root before it looks at anything local.
     (MissingForward, InsertAt, sent(HOME, ROOT, 0, 0, Kept, RECOVERED)),
 
     (MissingForwardToSelf, Descend, sent(ME, T, 1, 1, Cleared, RECOVERED)),
     (MissingForwardToSelf, Scan, sent(ME, T, 1, 1, Cleared, RECOVERED)),
     (MissingForwardToSelf, Absorb, sent(ME, T, 1, 1, Cleared, RECOVERED)),
+    (MissingForwardToSelf, Notice, sent(ME, T, 1, 1, Cleared, RECOVERED)),
     (MissingForwardToSelf, InsertAt, sent(HOME, ROOT, 0, 0, Kept, RECOVERED)),
 
     (MissingLocal, Descend, sent(ME, T, 1, 1, Cleared, RECOVERED)),
     (MissingLocal, Scan, sent(ME, T, 1, 1, Cleared, RECOVERED)),
     (MissingLocal, Absorb, sent(ME, T, 1, 1, Cleared, RECOVERED)),
+    (MissingLocal, Notice, sent(ME, T, 1, 1, Cleared, RECOVERED)),
     (MissingLocal, InsertAt, sent(HOME, ROOT, 0, 0, Kept, RECOVERED)),
 
     (MissingNothingLocal, Descend, sent(HOME, UNKNOWN, 0, 0, Kept, RECOVERED)),
     (MissingNothingLocal, Scan, sent(HOME, UNKNOWN, 0, 0, Kept, RECOVERED)),
     (MissingNothingLocal, Absorb, sent(HOME, UNKNOWN, 0, 0, Kept, RECOVERED)),
+    (MissingNothingLocal, Notice, sent(HOME, UNKNOWN, 0, 0, Kept, RECOVERED)),
     (MissingNothingLocal, InsertAt, sent(HOME, ROOT, 0, 0, Kept, RECOVERED)),
 
     (Locked, Descend, Expect::Queued),
     (Locked, Scan, Expect::Queued),
     (Locked, Absorb, Expect::Queued),
+    (Locked, Notice, Expect::Queued),
     (Locked, InsertAt, Expect::Queued),
 
     (RightChase, Descend, sent(EAST, RIGHT, 1, 1, Cleared, READ_CHASE)),
     (RightChase, Scan, sent(EAST, RIGHT, 1, 1, Cleared, READ_CHASE)),
     (RightChase, Absorb, sent(EAST, RIGHT, 1, 1, Cleared, UPDATE_CHASE)),
+    (RightChase, Notice, sent(EAST, RIGHT, 1, 1, Cleared, UPDATE_CHASE)),
     (RightChase, InsertAt, sent(EAST, RIGHT, 1, 1, Cleared, UPDATE_CHASE)),
 
     (Zombie, Descend, sent(HOME, ROOT, 1, 1, Cleared, RECOVERED)),
     (Zombie, Scan, sent(HOME, ROOT, 1, 1, Cleared, RECOVERED)),
     (Zombie, Absorb, sent(HOME, ROOT, 1, 1, Cleared, RECOVERED)),
+    (Zombie, Notice, sent(HOME, ROOT, 1, 1, Cleared, RECOVERED)),
     (Zombie, InsertAt, sent(HOME, ROOT, 1, 1, Cleared, RECOVERED)),
 
     (ZombieRootResident, Descend, sent(ME, ROOT, 1, 1, Cleared, RECOVERED)),
     (ZombieRootResident, Scan, sent(ME, ROOT, 1, 1, Cleared, RECOVERED)),
     (ZombieRootResident, Absorb, sent(ME, ROOT, 1, 1, Cleared, RECOVERED)),
+    (ZombieRootResident, Notice, sent(ME, ROOT, 1, 1, Cleared, RECOVERED)),
     (ZombieRootResident, InsertAt, sent(ME, ROOT, 1, 1, Cleared, RECOVERED)),
 
-    // Reads go left before up; an absorb climbs before it goes left.
-    (LeftOfBoth, Descend, sent(WEST, LEFT, 1, 1, Cleared, READ_CHASE)),
-    (LeftOfBoth, Scan, sent(WEST, LEFT, 1, 1, Cleared, READ_CHASE)),
-    (LeftOfBoth, Absorb, sent(EAST, PARENT, 1, 1, Cleared, UPDATE_CHASE)),
+    // Left of its key every kind climbs the parent hint.
+    (LeftOfParent, Descend, sent(EAST, PARENT, 1, 1, Cleared, READ_CHASE)),
+    (LeftOfParent, Scan, sent(EAST, PARENT, 1, 1, Cleared, READ_CHASE)),
+    (LeftOfParent, Absorb, sent(EAST, PARENT, 1, 1, Cleared, UPDATE_CHASE)),
+    (LeftOfParent, Notice, sent(EAST, PARENT, 1, 1, Cleared, UPDATE_CHASE)),
 
-    (LeftOfLeftOnly, Descend, sent(WEST, LEFT, 1, 1, Cleared, READ_CHASE)),
-    (LeftOfLeftOnly, Scan, sent(WEST, LEFT, 1, 1, Cleared, READ_CHASE)),
-    (LeftOfLeftOnly, Absorb, sent(WEST, LEFT, 1, 1, Cleared, UPDATE_CHASE)),
-
-    (LeftOfParentOnly, Descend, sent(EAST, PARENT, 1, 1, Cleared, READ_CHASE)),
-    (LeftOfParentOnly, Scan, sent(EAST, PARENT, 1, 1, Cleared, READ_CHASE)),
-    (LeftOfParentOnly, Absorb, sent(EAST, PARENT, 1, 1, Cleared, UPDATE_CHASE)),
-
-    // Nowhere to go from a copy that knows neither: from the top again.
-    (LeftOfNeither, Descend, sent(HOME, ROOT, 1, 1, Cleared, RECOVERED)),
-    (LeftOfNeither, Scan, sent(HOME, ROOT, 1, 1, Cleared, RECOVERED)),
-    (LeftOfNeither, Absorb, sent(HOME, ROOT, 1, 1, Cleared, RECOVERED)),
+    // Nowhere to go from a copy that knows no parent: from the top again.
+    (LeftOfNoParent, Descend, sent(HOME, ROOT, 1, 1, Cleared, RECOVERED)),
+    (LeftOfNoParent, Scan, sent(HOME, ROOT, 1, 1, Cleared, RECOVERED)),
+    (LeftOfNoParent, Absorb, sent(HOME, ROOT, 1, 1, Cleared, RECOVERED)),
+    (LeftOfNoParent, Notice, sent(HOME, ROOT, 1, 1, Cleared, RECOVERED)),
 
     (TooHigh, Descend, sent(EAST, CHILD, 1, 0, Routing, &[])),
     (TooHigh, Scan, sent(EAST, CHILD, 1, 0, Routing, &[])),
     (TooHigh, Absorb, sent(EAST, CHILD, 1, 0, Routing, &[])),
+    (TooHigh, Notice, sent(EAST, CHILD, 1, 0, Routing, &[])),
     (TooHigh, InsertAt, sent(EAST, CHILD, 1, 0, Routing, &[])),
 
     (TooHighChildResident, Descend, Expect::Arrived { node: CHILD, steps: 1 }),
     (TooHighChildResident, Scan, Expect::Arrived { node: CHILD, steps: 1 }),
     (TooHighChildResident, Absorb, Expect::Arrived { node: CHILD, steps: 1 }),
+    (TooHighChildResident, Notice, Expect::Arrived { node: CHILD, steps: 1 }),
     (TooHighChildResident, InsertAt, Expect::Arrived { node: CHILD, steps: 1 }),
 
     (TooHighNoChild, Descend, sent(HOME, ROOT, 1, 1, Cleared, RECOVERED)),
     (TooHighNoChild, Scan, sent(HOME, ROOT, 1, 1, Cleared, RECOVERED)),
     (TooHighNoChild, Absorb, sent(HOME, ROOT, 1, 1, Cleared, RECOVERED)),
+    (TooHighNoChild, Notice, sent(HOME, ROOT, 1, 1, Cleared, RECOVERED)),
     (TooHighNoChild, InsertAt, sent(HOME, ROOT, 1, 1, Cleared, RECOVERED)),
 
     (Arrival, Descend, Expect::Arrived { node: T, steps: 0 }),
     (Arrival, Scan, Expect::Arrived { node: T, steps: 0 }),
     (Arrival, Absorb, Expect::Arrived { node: T, steps: 0 }),
+    (Arrival, Notice, Expect::Arrived { node: T, steps: 0 }),
     (Arrival, InsertAt, Expect::Arrived { node: T, steps: 0 }),
 ];
 
@@ -376,12 +390,9 @@ fn doctor(branch: Branch, me: &mut DbProc) -> NodeId {
             }
             store.install(copy);
         }
-        LeftOfBoth | LeftOfLeftOnly | LeftOfParentOnly | LeftOfNeither => {
+        LeftOfParent | LeftOfNoParent => {
             let mut copy = leaf(T, 400, 500);
-            if matches!(branch, LeftOfBoth | LeftOfLeftOnly) {
-                copy.left = Some(Link::new(LEFT, WEST));
-            }
-            if matches!(branch, LeftOfBoth | LeftOfParentOnly) {
+            if branch == LeftOfParent {
                 copy.parent = Some(hint(PARENT, EAST, 100));
             }
             store.install(copy);
@@ -426,7 +437,9 @@ fn readdressed(
             *n = node;
             *hops += more_hops;
         }
-        Msg::InsertAt { node: n, .. } | Msg::Absorb { node: n, .. } => *n = node,
+        Msg::InsertAt { node: n, .. }
+        | Msg::Absorb { node: n, .. }
+        | Msg::LinkChange { node: n, .. } => *n = node,
         other => unreachable!("not a navigable kind: {other:?}"),
     }
     msg
@@ -458,8 +471,18 @@ fn every_kind_takes_every_branch_of_the_walk_as_pinned() {
         };
         let (mut bed, absorb) = Bed::new(absorber_home);
         let named = doctor(branch, bed.me());
-        let parentless = matches!(branch, LeftOfLeftOnly | LeftOfNeither);
-        let offered = (!parentless).then_some(VIA);
+        if kind == Notice {
+            // Whatever leaf the notice arrives at names the moved node as
+            // its right neighbour, at its old home.
+            let me = bed.me();
+            for id in [T, CHILD] {
+                let covers = me.store.get(id).is_some_and(|c| c.range.contains(KEY));
+                if let Some(copy) = me.store.get_mut(id).filter(|_| covers) {
+                    copy.right = Some(Link::new(RIGHT, EAST));
+                }
+            }
+        }
+        let offered = (branch != LeftOfNoParent).then_some(VIA);
         let written = Entry::Val {
             value: 9,
             stamp: Stamp::new(2, HOME),
@@ -490,6 +513,16 @@ fn every_kind_takes_every_branch_of_the_walk_as_pinned() {
                 tag: 0,
             },
             Absorb => readdressed(&absorb, named, 0, 0, None),
+            Notice => Msg::LinkChange {
+                node: named,
+                dir: LinkDir::Right,
+                link: MOVED,
+                version: 1,
+                key: KEY,
+                level: 0,
+                tag: 0,
+                relayed: false,
+            },
         };
         let before = bed.me().metrics.named();
         let routing = bed.me().store.get(T).map(NodeCopy::as_parent_hint);
@@ -551,7 +584,7 @@ fn every_kind_takes_every_branch_of_the_walk_as_pinned() {
                     counters.push(("nav.local_steps", u64::from(steps)));
                 }
                 assert_eq!(counted, counters, "{row}: counters");
-                let (mut sends, mut outs) = (Vec::new(), Vec::new());
+                let mut outs = Vec::new();
                 match kind {
                     Descend => {
                         outs.push(Msg::Done(Outcome {
@@ -573,26 +606,22 @@ fn every_kind_takes_every_branch_of_the_walk_as_pinned() {
                     Absorb => {
                         assert_eq!(copy.range.high, Some(400), "{row}: range widened");
                         assert_eq!(copy.right, Some(Link::new(BEYOND, EAST)), "{row}");
-                        let swing = Msg::LinkChange {
-                            node: BEYOND,
-                            dir: LinkDir::Left,
-                            link: Link::new(node, ME),
-                            version: 1,
-                            tag: 0,
-                            relayed: false,
-                            supersedes: true,
-                        };
-                        sends.push((EAST, swing));
+                    }
+                    Notice => {
+                        assert_eq!(copy.right, Some(MOVED), "{row}: right link moved");
+                        assert_eq!(copy.right_link_version, 1, "{row}");
                     }
                 }
-                assert_eq!(debug(&sent), debug(&sends), "{row}: sent");
+                // Arrived, no kind sends anything here: the bed's copies
+                // have no peers to relay to.
+                assert_eq!(debug(&sent), debug::<Msg>(&[]), "{row}: sent");
                 assert_eq!(debug(&outputs), debug(&outs), "{row}: outputs");
             }
         }
     }
 }
 
-/// Every kind has a row for every branch (`InsertAt` but for the four
+/// Every kind has a row for every branch (`InsertAt` but for the two
 /// left-overshoot ones), so a branch added to the walk shows up here as a
 /// hole rather than as silence.
 #[test]
@@ -606,22 +635,17 @@ fn the_table_is_complete() {
         RightChase,
         Zombie,
         ZombieRootResident,
-        LeftOfBoth,
-        LeftOfLeftOnly,
-        LeftOfParentOnly,
-        LeftOfNeither,
+        LeftOfParent,
+        LeftOfNoParent,
         TooHigh,
         TooHighChildResident,
         TooHighNoChild,
         Arrival,
     ];
     for branch in branches {
-        for kind in [Descend, Scan, InsertAt, Absorb] {
+        for kind in [Descend, Scan, InsertAt, Absorb, Notice] {
             let rows = TABLE.iter().filter(|(b, k, _)| (*b, *k) == (branch, kind));
-            let left = matches!(
-                branch,
-                LeftOfBoth | LeftOfLeftOnly | LeftOfParentOnly | LeftOfNeither
-            );
+            let left = matches!(branch, LeftOfParent | LeftOfNoParent);
             let want = usize::from(!(kind == InsertAt && left));
             assert_eq!(rows.count(), want, "{branch:?} x {kind:?}");
         }
