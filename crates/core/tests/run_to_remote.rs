@@ -660,14 +660,14 @@ fn a_hint_naming_a_missing_parent_recovers_by_restart() {
 }
 
 /// (i) An action that writes, splits its leaf and completes the split at a
-/// resident parent is one delivery, and it sends each other copy two
-/// messages: the split relay (which carries the sibling) and, behind it,
-/// everything the action relayed — the write and the parent's new edge —
-/// as one. (The rightmost leaf, so no old right neighbour's copies are owed
-/// a link change; before, the same action sent four: the write's relay,
-/// the sibling's install, the split relay, the edge's relay.)
+/// resident parent is one delivery, and it sends each other copy one
+/// message: the split relay, which carries the sibling and everything the
+/// action relayed — the write and the parent's new edge. (Before, the same
+/// action sent four: the write's relay, the sibling's install, the split
+/// relay, the edge's relay; then two, the relays as one batch behind the
+/// split relay.)
 #[test]
-fn a_write_that_splits_and_completes_locally_sends_each_peer_two_messages() {
+fn a_write_that_splits_and_completes_locally_sends_each_peer_one_message() {
     let cfg = TreeConfig::fixed_copies(ProtocolKind::SemiSync, 3);
     let mut spec = BuildSpec::new((0..48).map(|k| k * 10).collect(), 3, cfg);
     spec.fill = 8; // built full: one more key splits
@@ -708,7 +708,7 @@ fn a_write_that_splits_and_completes_locally_sends_each_peer_two_messages() {
             .filter(|e| (e.from, e.to) == (me, peer))
             .map(|e| e.kind)
             .collect();
-        assert_eq!(sent, ["split.relay", "insert.relay-batch"], "to {peer}");
+        assert_eq!(sent, ["split.relay"], "to {peer}");
     }
     let expected: BTreeSet<Key> = (0..48).map(|k| k * 10).chain([475]).collect();
     let violations = dbtree::checker::check_all(&mut cluster, &expected);
