@@ -207,7 +207,9 @@ pub enum Msg {
 
     // ---- semi-synchronous split protocol (§4.1.2) ----------------------
     /// Relayed half-split: apply immediately at the copy. It is what creates
-    /// the sibling there (§4.1.2) — the only message a split sends a copy.
+    /// the sibling there (§4.1.2) — the only message a split sends a copy —
+    /// and it leaves at the end of the splitting action, carrying that
+    /// action's relays to the copy's processor (§1.1's piggybacking).
     RelayedSplit {
         /// The node that split.
         node: NodeId,
@@ -221,6 +223,11 @@ pub enum Msg {
         sibling: Option<Box<NodeSnapshot>>,
         /// History tag of the split.
         tag: u64,
+        /// The relays the splitting action produced for the receiver,
+        /// applied after the split as a [`Msg::RelayBatch`]'s are. Only the
+        /// last split relay an action sends a processor carries them; empty
+        /// in a stash, where the items wait on their own.
+        relays: Vec<RelayedItem>,
     },
 
     // ---- lazy merge-at-empty --------------------------------------------
@@ -686,9 +693,11 @@ impl Payload for Msg {
             // Rough logical wire sizes, for byte accounting.
             Msg::InstallCopy { snapshot, .. } => 64 + snapshot.entries.len() * 24,
             Msg::RelayedSplit {
-                sibling: Some(s), ..
-            }
-            | Msg::SplitEnd { sibling: s, .. } => 112 + s.entries.len() * 24,
+                sibling: Some(s),
+                relays,
+                ..
+            } => 112 + s.entries.len() * 24 + relays.len() * 40,
+            Msg::SplitEnd { sibling: s, .. } => 112 + s.entries.len() * 24,
             Msg::SyncState {
                 snapshot, covered, ..
             } => 64 + snapshot.entries.len() * 24 + covered.len() * 8,

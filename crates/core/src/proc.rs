@@ -121,6 +121,9 @@ pub struct DbProc {
     /// actions unless piggybacking holds them.
     pub(crate) relay_backlog: usize,
     pub(crate) relay_timer_armed: bool,
+    /// Some slot holds a split relay the current action owes
+    /// ([`DbProc::owe_split_relay`]); false between actions.
+    pub(crate) splits_owed: bool,
 
     // -- out-of-order installs ----------------------------------------------
     /// Protocol messages (relays, relayed splits) that arrived before their
@@ -183,6 +186,7 @@ impl DbProc {
             relay_buf: Vec::new(),
             relay_backlog: 0,
             relay_timer_armed: false,
+            splits_owed: false,
             stash: HashMap::new(),
             unjoined: HashSet::new(),
             pending_joins: HashMap::new(),
@@ -560,7 +564,8 @@ impl DbProc {
                 info,
                 sibling,
                 tag,
-            } => self.handle_relayed_split(ctx, node, info, sibling, tag),
+                relays,
+            } => self.handle_relayed_split(ctx, node, info, sibling, tag, relays),
             Msg::MergeReq {
                 node,
                 child,
@@ -637,6 +642,7 @@ impl Process for DbProc {
     fn on_message(&mut self, ctx: &mut Context<'_, Msg>, from: ProcId, msg: Msg) {
         // Only message handlers take navigable steps, so only they drain.
         debug_assert!(self.local.is_empty(), "a step outlived its action");
+        debug_assert!(!self.splits_owed, "a split relay outlived its action");
         self.dispatch(ctx, from, msg);
         self.run_local(ctx);
         self.end_action(ctx);

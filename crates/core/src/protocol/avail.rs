@@ -225,10 +225,16 @@ impl DbProc {
                     let tag = self.issue_tag("split");
                     self.observe_initial(node, tag);
                     let info = out.info;
-                    out.relay(ctx, |sibling| Msg::ApplyUnlock {
-                        node,
-                        ticket: 0,
-                        update: LockedUpdate::Split { info, sibling, tag },
+                    out.relay(|peer, sibling| {
+                        let update = LockedUpdate::Split { info, sibling, tag };
+                        ctx.send(
+                            peer,
+                            Msg::ApplyUnlock {
+                                node,
+                                ticket: 0,
+                                update,
+                            },
+                        );
                     });
                     self.complete_split(ctx, node, &out);
                 } else {

@@ -30,21 +30,18 @@ pub(crate) struct SplitOutcome {
 }
 
 impl SplitOutcome {
-    /// Send every peer its one split relay, `make(sibling)` — what creates
-    /// the sibling there (§4.1.2). The last peer's message takes the snapshot.
-    pub(crate) fn relay(
-        &mut self,
-        ctx: &mut Context<'_, Msg>,
-        make: impl Fn(Box<NodeSnapshot>) -> Msg,
-    ) {
+    /// Hand every peer's split relay the sibling it creates there (§4.1.2):
+    /// `relay(peer, sibling)` sends it, or owes it to the peer's relay slot.
+    /// The last peer takes the snapshot.
+    pub(crate) fn relay(&mut self, mut relay: impl FnMut(ProcId, Box<NodeSnapshot>)) {
         let (Some(sibling), Some((last, rest))) = (self.sibling.take(), self.peers.split_last())
         else {
             return;
         };
         for &p in rest {
-            ctx.send(p, make(sibling.clone()));
+            relay(p, sibling.clone());
         }
-        ctx.send(*last, make(sibling));
+        relay(*last, sibling);
     }
 }
 
@@ -162,6 +159,10 @@ impl DbProc {
                     entry: Entry::Child(sib_ref),
                     tag,
                 };
+                if !self.store.contains(parent.node) {
+                    // A message of its own: the split relays go first.
+                    self.send_owed_splits(ctx);
+                }
                 self.send_to_node(ctx, parent.node, parent.home, msg);
             }
             None => self.grow_new_root(ctx, node, out.info.sep, sib_ref, out.level),
@@ -224,6 +225,8 @@ impl DbProc {
             }
         }
         let snapshot = root.snapshot();
+        // The old root's split relays go ahead of the new root.
+        self.send_owed_splits(ctx);
         for p in self.all_other_procs().collect::<Vec<_>>() {
             ctx.send(
                 p,

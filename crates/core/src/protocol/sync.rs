@@ -87,11 +87,16 @@ impl DbProc {
         let tag = self.issue_tag("split");
         self.observe_initial(node, tag);
         let info = out.info;
-        out.relay(ctx, |sibling| Msg::SplitEnd {
-            node,
-            info,
-            sibling,
-            tag,
+        out.relay(|peer, sibling| {
+            ctx.send(
+                peer,
+                Msg::SplitEnd {
+                    node,
+                    info,
+                    sibling,
+                    tag,
+                },
+            );
         });
         self.complete_split(ctx, node, &out);
         // End the local AAS and replay blocked initial inserts.

@@ -88,7 +88,7 @@ fn clean_run_exports_are_pinned() {
     assert!(!obs.series.is_empty());
     assert_eq!(
         digest(&obs),
-        0xb36f_acb0_1521_8858,
+        0xb91c_16b2_3c18_fd15,
         "clean-run export digest"
     );
 }
@@ -110,7 +110,7 @@ fn lossy_run_exports_are_pinned() {
     }
     assert_eq!(
         digest(&obs),
-        0x215f_4c76_a9d7_6a2d,
+        0x889d_c578_0775_2110,
         "lossy-run export digest"
     );
 }

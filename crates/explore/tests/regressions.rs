@@ -68,10 +68,11 @@ fn frame_seq(detail: &str) -> Option<u64> {
 
 /// `Descend` is the one payload the session does not order. Shown on a
 /// schedule rather than asserted: on channel P1 → P2 the `RelayedSplit` with
-/// sequence 2 is lost — sibling and all: it is the only message that split
-/// sends P2 — the `Descend` with sequence 5 arrives past the hole and is
-/// delivered on arrival (the action's `session.early` delta), and the split
-/// relay reaches the inner process only as a later retransmission. The
+/// sequence 2 is lost — sibling, carried relay and all: it is the only
+/// message that split sends P2 — the `Descend` with sequence 3 arrives past
+/// the hole and is delivered on arrival (the action's `session.early`
+/// delta), and the split relay reaches the inner process only as a later
+/// retransmission. The
 /// descent needs neither recovery here, and cannot on the test bed: both
 /// halves of a split have the *sender* as their home, so a descent on the
 /// relay's own channel names a node of the receiver's, which the relay
@@ -93,7 +94,7 @@ fn descend_is_delivered_ahead_of_a_lost_split_relay_on_its_channel() {
         for entry in on_channel {
             let counted = |counter| entry.deltas.iter().any(|(name, _)| *name == counter);
             match (entry.kind, frame_seq(&entry.detail())) {
-                ("descend", Some(5)) if counted("session.early") => descend_at = Some(entry.seq),
+                ("descend", Some(3)) if counted("session.early") => descend_at = Some(entry.seq),
                 ("split.relay", Some(2)) if !counted("session.dup_suppressed") => {
                     assert!(entry.redelivery, "the first transmission was lost");
                     relay_at = Some(entry.seq);
