@@ -107,8 +107,8 @@ fn main() {
             // the node that split.
             let view = GlobalView::new(&cluster.sim);
             let born = view.copies.iter().filter(|(id, _)| !built.contains(id));
-            let siblings = born.map(|(_, c)| c[0].1).filter(|c| c.range.low > 0);
-            let others: usize = siblings.map(|c| c.copies.len() - 1).sum();
+            let siblings = born.map(|(_, c)| c[0].1).filter(|c| c.low > 0);
+            let others: usize = siblings.map(|c| c.members.procs().len() - 1).sum();
             let (rounds, law) = match protocol {
                 ProtocolKind::Sync => (3, format!("3(R-1) = {}", 3 * (copies - 1))),
                 _ => (1, format!("R-1 = {}", copies - 1)),

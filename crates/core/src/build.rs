@@ -13,7 +13,7 @@ use parking_lot::Mutex;
 use simnet::ProcId;
 
 use crate::config::{Placement, TreeConfig};
-use crate::node::NodeCopy;
+use crate::node::{Edge, NodeCopy};
 use crate::proc::DbProc;
 use crate::types::{ChildRef, Entry, Key, KeyRange, Link, NodeId, ParentHint};
 
@@ -204,10 +204,9 @@ pub fn build_procs(spec: &BuildSpec) -> (Vec<DbProc>, Arc<Mutex<HistoryLog>>) {
             });
             let mut proto = NodeCopy::new(node.id, node.level, node.range, node.pc);
             proto.entries = node.entries.iter().cloned().collect();
-            proto.right = right;
+            proto.edge = Edge::new(0, node.range.high, 0, right);
             proto.parent = parent;
-            proto.copies = node.copies.clone();
-            proto.join_versions = vec![0; node.copies.len()];
+            proto.members = node.copies.iter().map(|&p| (p, 0)).collect();
             for &p in &node.copies {
                 procs[p.index()].store.install(proto.clone());
             }
@@ -280,7 +279,7 @@ mod tests {
             .find_map(|p| p.store.get(root))
             .expect("root stored");
         assert!(copy.is_leaf());
-        assert_eq!(copy.range, KeyRange::ALL);
+        assert_eq!(copy.range(), KeyRange::ALL);
     }
 
     #[test]
@@ -296,7 +295,7 @@ mod tests {
                     by_level
                         .entry(c.level)
                         .or_default()
-                        .push((c.range.low, c.range.high));
+                        .push((c.low, c.edge.high()));
                 }
             }
         }

@@ -146,7 +146,7 @@ impl<'a> GlobalView<'a> {
     pub fn authoritative(&self, node: NodeId) -> Option<&'a NodeCopy> {
         let list = self.copies.get(&node)?;
         list.iter()
-            .find(|(p, c)| *p == c.pc)
+            .find(|(p, c)| *p == c.primary.pc())
             .or_else(|| list.iter().min_by_key(|(p, _)| *p))
             .map(|(_, c)| *c)
     }
@@ -163,8 +163,8 @@ impl<'a> GlobalView<'a> {
                 return None;
             }
             let copy = self.authoritative(cur)?;
-            if copy.range.is_right_of(key) {
-                cur = copy.right?.node;
+            if copy.range().is_right_of(key) {
+                cur = copy.edge.right()?.node;
                 continue;
             }
             path.push(cur);
@@ -278,7 +278,7 @@ pub fn check_leaf_chain(sim: &DbSim) -> Vec<TreeViolation> {
         .filter_map(|v| v.first().map(|(_, c)| *c))
         .filter(|c| c.is_leaf())
         .collect();
-    leaves.sort_by_key(|c| c.range.low);
+    leaves.sort_by_key(|c| c.low);
     let mut out = Vec::new();
     if leaves.is_empty() {
         out.push(TreeViolation::BrokenLeafChain {
@@ -286,22 +286,23 @@ pub fn check_leaf_chain(sim: &DbSim) -> Vec<TreeViolation> {
         });
         return out;
     }
-    if leaves[0].range.low != 0 {
+    if leaves[0].low != 0 {
         out.push(TreeViolation::BrokenLeafChain {
-            detail: format!("chain starts at {}", leaves[0].range.low),
+            detail: format!("chain starts at {}", leaves[0].low),
         });
     }
     for w in leaves.windows(2) {
-        if w[0].range.high != Some(w[1].range.low) {
+        let (high, next) = (w[0].edge.high(), w[1].low);
+        if high != Some(next) {
             out.push(TreeViolation::BrokenLeafChain {
                 detail: format!(
-                    "{:?} ends at {:?} but {:?} starts at {}",
-                    w[0].id, w[0].range.high, w[1].id, w[1].range.low
+                    "{:?} ends at {high:?} but {:?} starts at {next}",
+                    w[0].id, w[1].id
                 ),
             });
         }
         // The right link must point at the actual successor.
-        match w[0].right {
+        match w[0].edge.right() {
             Some(link) if link.node == w[1].id => {}
             other => out.push(TreeViolation::BrokenLeafChain {
                 detail: format!(
@@ -313,7 +314,7 @@ pub fn check_leaf_chain(sim: &DbSim) -> Vec<TreeViolation> {
             }),
         }
     }
-    if leaves.last().expect("nonempty").range.high.is_some() {
+    if leaves.last().expect("nonempty").edge.high().is_some() {
         out.push(TreeViolation::BrokenLeafChain {
             detail: "chain does not end at +inf".into(),
         });
@@ -328,7 +329,7 @@ pub fn check_path_property(sim: &DbSim) -> Vec<TreeViolation> {
     let mut out = Vec::new();
     for (pid, proc) in sim.procs() {
         for leaf in proc.store.iter().filter(|c| c.is_leaf()) {
-            let Some(path) = view.path_to(leaf.range.low) else {
+            let Some(path) = view.path_to(leaf.low) else {
                 continue;
             };
             for node in &path[..path.len().saturating_sub(1)] {
@@ -358,8 +359,8 @@ pub fn check_parent_hints(sim: &DbSim) -> Vec<TreeViolation> {
                 continue;
             };
             let parent = hint.link.node;
-            let low = view.authoritative(parent).map_or(hint.low, |p| p.range.low);
-            if low != hint.low || low > copy.range.low {
+            let low = view.authoritative(parent).map_or(hint.low, |p| p.low);
+            if low != hint.low || low > copy.low {
                 out.push(TreeViolation::ParentHintRightOfCopy {
                     proc,
                     node: *node,

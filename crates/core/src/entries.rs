@@ -20,6 +20,20 @@ use std::ops::{Bound, RangeBounds};
 
 use crate::types::{Entry, Key};
 
+/// The order [`Entries::join`] keeps the maximum of, per key: last writer
+/// wins on the (globally unique) stamp for values and tombstones, child
+/// version for routing entries, the payload breaking ties so the maximum is
+/// defined on *any* pair. Stamps dwarf child versions, so a stamped
+/// tombstone retires a child edge for good: a re-split at the same
+/// separator is reached through the left child's right link instead.
+fn entry_rank(e: &Entry) -> (u64, u8, u64, u64) {
+    match e {
+        Entry::Val { value, stamp } => (*stamp, 1, *value, 0),
+        Entry::Tomb { stamp } => (*stamp, 3, 0, 0),
+        Entry::Child(c) => (c.version, 2, c.node.raw(), c.home.0 as u64),
+    }
+}
+
 /// Entries held inline. 10 covers every fanout the repo runs (an overfull
 /// fanout-8 node holds 9) with a slot to spare.
 const INLINE: usize = 10;
@@ -143,10 +157,18 @@ impl Entries {
         Some(&self.as_slice()[i].1)
     }
 
-    /// The entry at `key`, mutably.
-    pub fn get_mut(&mut self, key: &Key) -> Option<&mut Entry> {
-        let i = self.position(*key).ok()?;
-        Some(&mut self.as_mut_slice()[i].1)
+    /// The register's join: `entry` replaces `key`'s entry when it ranks
+    /// higher in one order for initial actions, relays and state merges
+    /// (`entry_rank`), so copies converge whatever order updates arrive in.
+    /// Returns `true` when it did.
+    pub fn join(&mut self, key: Key, entry: Entry) -> bool {
+        let wins = self
+            .get(&key)
+            .is_none_or(|held| entry_rank(&entry) > entry_rank(held));
+        if wins {
+            self.insert(key, entry);
+        }
+        wins
     }
 
     /// Set `key`'s entry, returning the one it replaces.

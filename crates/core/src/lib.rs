@@ -67,7 +67,7 @@ pub use config::{PiggybackCfg, Placement, ProtocolKind, SeededBug, TreeConfig};
 pub use entries::Entries;
 pub use metrics::ProcMetrics;
 pub use msg::{InstallReason, LinkDir, Msg, SplitInfo};
-pub use node::{NodeCopy, NodeSnapshot};
+pub use node::{Edge, Members, NodeCopy, NodeSnapshot, Primary};
 pub use proc::{DbProc, LOCAL_STEP_CAP};
 pub use simnet::{OpenLoopCfg, QuiesceError, Runtime};
 pub use store::NodeStore;

@@ -412,7 +412,7 @@ pub enum Msg {
         node: NodeId,
     },
     /// Anti-entropy push: merge `snapshot` into the local copy of `node`
-    /// (a join-semilattice merge — see [`crate::NodeCopy::merge_from`]). Sent in
+    /// (a join-semilattice merge — see [`crate::NodeSnapshot::merge_from`]). Sent in
     /// reply to a [`Msg::SyncReq`] and spontaneously when a quarantined
     /// peer is heard from again.
     SyncState {
@@ -542,9 +542,9 @@ pub enum LockedUpdate {
 
 impl Msg {
     /// The kinds that are fully addressed by key (+ level) and tolerate an
-    /// arbitrarily stale `node` hint ([`Msg::address`]): a step of one of
+    /// arbitrarily stale `node` hint (`Msg::address`): a step of one of
     /// these whose next node is resident continues in-process instead of
-    /// becoming a message ([`crate::DbProc::send_to_node`]).
+    /// becoming a message (`DbProc::send_to_node`).
     pub fn is_navigable(&self) -> bool {
         self.address().is_some()
     }

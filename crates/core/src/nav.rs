@@ -154,9 +154,9 @@ impl DbProc {
             self.queue_behind_lock(ctx, node, msg);
             return None;
         }
-        let (next, hop) = if copy.range.is_right_of(key) {
-            (copy.right, Hop::Chase)
-        } else if copy.range.is_left_of(key) {
+        let (next, hop) = if copy.range().is_right_of(key) {
+            (copy.edge.right(), Hop::Chase)
+        } else if copy.range().is_left_of(key) {
             // Possible after a restart from an arbitrary local node, and
             // where a migrated node's right-link notice starts: climb.
             debug_assert!(
@@ -250,8 +250,8 @@ impl DbProc {
             return;
         }
         let copy = self.store.get(node).expect("arrived");
-        let replicated = copy.copies.len() > 1;
-        let pc = copy.pc;
+        let replicated = copy.members.procs().len() > 1;
+        let pc = copy.primary.pc();
         // Mint above the resident entry: it may carry another processor's
         // faster clock (the leaf migrated here, or a peer copy took the last
         // write), and `upsert` drops what does not outrank it.
@@ -291,7 +291,7 @@ impl DbProc {
         }
 
         let copy = self.store.get_mut(node).expect("checked above");
-        let version = copy.version;
+        let version = copy.primary.version();
         let prev = copy.upsert(key, entry);
         let tag = self.issue_tag("leaf-write");
         self.observe_initial(node, tag);
@@ -329,8 +329,8 @@ impl DbProc {
             tag,
         };
         let copy = self.store.get(node).expect("arrived");
-        let replicated = copy.copies.len() > 1;
-        let pc = copy.pc;
+        let replicated = copy.members.procs().len() > 1;
+        let pc = copy.primary.pc();
         if self.cfg.protocol == ProtocolKind::AvailableCopies && replicated {
             if self.me != pc {
                 ctx.send(pc, remake());
@@ -354,7 +354,7 @@ impl DbProc {
         }
 
         let copy = self.store.get_mut(node).expect("checked above");
-        let version = copy.version;
+        let version = copy.primary.version();
         copy.upsert(key, entry);
         if entry.child().is_some() {
             self.repair_split_halves(node, key);
@@ -443,7 +443,7 @@ impl DbProc {
             // split around. Tolerate the overflow like a non-PC copy does.
             return;
         }
-        if copy.pc != self.me {
+        if copy.primary.pc() != self.me {
             // Non-PC copies tolerate overflow (an implicit overflow bucket);
             // the PC will split once the relays reach it.
             return;
@@ -455,7 +455,7 @@ impl DbProc {
                 let replicated = self
                     .store
                     .get(node)
-                    .map(|c| c.copies.len() > 1)
+                    .map(|c| c.members.procs().len() > 1)
                     .unwrap_or(false);
                 if replicated {
                     self.coordinate(ctx, node, CoordOp::Split);
@@ -587,7 +587,7 @@ impl DbProc {
                 left -= 1;
             }
         }
-        match (copy.right, copy.range.high) {
+        match (copy.edge.right(), copy.edge.high()) {
             (Some(right), Some(next_low)) if scan_budget(remaining, acc.len()) > 0 => {
                 let msg = Msg::Scan {
                     op,

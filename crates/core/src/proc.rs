@@ -29,7 +29,7 @@ pub(crate) const TIMER_FORWARD_GC: u64 = 2;
 pub(crate) const FORWARD_TTL: u64 = 500;
 
 /// Node visits one delivered action may make in-process before its next
-/// local step goes back through the queue ([`DbProc::requeue`]). A constant,
+/// local step goes back through the queue (`DbProc::requeue`). A constant,
 /// not a knob: it only bounds how long a stale-link cycle confined to this
 /// processor can hold the action, so the run still ends in the runtime's
 /// event budget instead of spinning here, and timers, crashes and other
@@ -226,7 +226,7 @@ impl DbProc {
     /// Hash this processor's full protocol-visible state into `h` — the
     /// model checker's per-processor state fingerprint. Identity is
     /// structural (`Hash` on the state itself, never its `Debug` text), every
-    /// hash-ordered collection goes in key order ([`hash_in_key_order`]), and
+    /// hash-ordered collection goes in key order (`hash_in_key_order`), and
     /// no virtual time ever enters the hash, so two schedules that produced
     /// the same state by different routes collide. The shared history log's
     /// tag watermark is folded in: it is global minting state, and merging
@@ -424,7 +424,7 @@ impl DbProc {
         }
         let copy = snapshot.into_copy();
         let parent = copy.parent_link();
-        let low = copy.range.low;
+        let low = copy.low;
         let is_leaf = copy.is_leaf();
         self.store.install(copy);
         self.unjoined.remove(&id);
@@ -601,19 +601,10 @@ impl DbProc {
                 relayed,
             } => self.handle_child_home_change(ctx, node, sep, child, home, version, tag, relayed),
             Msg::Join { node, joiner } => self.handle_join(ctx, node, joiner),
-            Msg::RelayedJoin {
-                node,
-                member,
-                version,
-                tag,
-            } => self.handle_relayed_join(node, member, version, tag),
             Msg::Unjoin { node, leaver } => self.handle_unjoin(ctx, node, leaver),
-            Msg::RelayedUnjoin {
-                node,
-                member,
-                version,
-                tag,
-            } => self.handle_relayed_unjoin(node, member, version, tag),
+            Msg::RelayedJoin { .. } | Msg::RelayedUnjoin { .. } => {
+                self.handle_relayed_membership(msg)
+            }
             Msg::SyncReq { node } => self.handle_sync_req(ctx, from, node),
             Msg::SyncState {
                 node,
@@ -681,8 +672,8 @@ impl Process for DbProc {
         let mut victims: Vec<(NodeId, ProcId, Key)> = self
             .store
             .iter()
-            .filter(|c| !c.is_leaf() && c.pc != me)
-            .map(|c| (c.id, c.pc, c.range.low))
+            .filter(|c| !c.is_leaf() && c.primary.pc() != me)
+            .map(|c| (c.id, c.primary.pc(), c.low))
             .collect();
         // The store iterates in hash order; the join messages must go out
         // in a replayable order or identical seeds diverge.
@@ -719,7 +710,7 @@ impl Process for DbProc {
             let mut leaves: Vec<NodeId> = self
                 .store
                 .iter()
-                .filter(|c| c.is_leaf() && c.pc == me)
+                .filter(|c| c.is_leaf() && c.primary.pc() == me)
                 .map(|c| c.id)
                 .collect();
             leaves.sort_unstable();

@@ -28,9 +28,9 @@ impl DbProc {
                 self.coord_busy.remove(&node);
                 return;
             };
-            debug_assert_eq!(copy.pc, self.me);
+            debug_assert_eq!(copy.primary.pc(), self.me);
             copy.lock = Some(LockState::default());
-            copy.peers(self.me).collect()
+            copy.members.peers(self.me).collect()
         };
         if peers.is_empty() {
             self.apply_coordinated(ctx, node, op);
@@ -102,7 +102,7 @@ impl DbProc {
             } => {
                 let (prev, peers, overfull) = {
                     let copy = self.store.get_mut(node).expect("coordinator holds copy");
-                    let prev = if copy.range.contains(key) {
+                    let prev = if copy.range().contains(key) {
                         copy.upsert(key, entry)
                     } else {
                         // The key's range moved right under a previous
@@ -112,14 +112,14 @@ impl DbProc {
                     };
                     (
                         prev,
-                        copy.peers(me).collect::<Vec<_>>(),
+                        copy.members.peers(me).collect::<Vec<_>>(),
                         copy.overfull(self.cfg.fanout),
                     )
                 };
                 let in_range = self
                     .store
                     .get(node)
-                    .map(|c| c.range.contains(key))
+                    .map(|c| c.range().contains(key))
                     .unwrap_or(false);
                 if in_range {
                     self.observe_initial(node, tag);
@@ -137,7 +137,7 @@ impl DbProc {
                     // Unlock without a payload; the key's range moved right
                     // under a previously coordinated split.
                     let level = self.store.get(node).map(|c| c.level).unwrap_or(0);
-                    let right = self.store.get(node).and_then(|c| c.right);
+                    let right = self.store.get(node).and_then(|c| c.edge.right());
                     for &p in &peers {
                         ctx.send(
                             p,
@@ -242,7 +242,7 @@ impl DbProc {
                     let peers: Vec<ProcId> = self
                         .store
                         .get(node)
-                        .map(|c| c.peers(me).collect())
+                        .map(|c| c.members.peers(me).collect())
                         .unwrap_or_default();
                     for p in peers {
                         ctx.send(
@@ -272,7 +272,7 @@ impl DbProc {
         match update {
             LockedUpdate::Insert { key, entry, tag } => {
                 if let Some(copy) = self.store.get_mut(node) {
-                    if copy.range.contains(key) {
+                    if copy.range().contains(key) {
                         copy.upsert(key, entry);
                         if tag != 0 {
                             self.observe(node, tag, ObserveKind::Applied);

@@ -23,18 +23,17 @@
 //! * **The parent edge dies lazily.** Retiring the `sep → child` entry is a
 //!   plain stamped tombstone through the ordinary [`Msg::InsertAt`]
 //!   machinery, so it inherits right-routing, relaying, and late-joiner
-//!   re-relays for free. Update stamps dwarf child versions in
-//!   [`entry_rank`](crate::node::entry_rank), so the tombstone permanently
+//!   re-relays for free. Update stamps dwarf child versions in the order
+//!   [`Entries::join`](crate::Entries::join) keeps, so the tombstone permanently
 //!   shadows the retired edge — a node reborn at the same separator is a
 //!   *new* node reached through its left sibling's right link, never through
 //!   the stale slot.
 //!
-//! Why retirement commutes with half-splits: both families publish their
-//! link rewrites as *ordered* per-copy actions ([`Msg::RelayedAbsorb`]
-//! carries the absorb epoch, splits carry entry/link versions), and
-//! [`NodeCopy::merge_from`](crate::NodeCopy::merge_from) orders the right
-//! link/bound by `(absorb epoch, narrowness, link version)` — a total order,
-//! so copies converge no matter how split and absorb relays interleave.
+//! Why retirement commutes with half-splits: both families write one
+//! register, the node's [`Edge`](crate::Edge), whose join orders the right
+//! link and bound by `(absorb epoch, narrowness, link version)` — a total
+//! order ([`Msg::RelayedAbsorb`] carries the epoch), so copies converge no
+//! matter how split and absorb relays interleave.
 
 use history::ObserveKind;
 use simnet::{Context, ProcId};
@@ -60,7 +59,7 @@ impl DbProc {
             };
             // Only the PC of a quiescent leaf initiates; interior nodes
             // shrink by losing child edges, never by merging themselves.
-            if !copy.is_leaf() || copy.pc != me {
+            if !copy.is_leaf() || copy.primary.pc() != me {
                 return;
             }
             if copy.aas.is_some() || copy.lock.is_some() || copy.split_pending {
@@ -69,7 +68,7 @@ impl DbProc {
             // The leftmost leaf has no left sibling to absorb its range;
             // parents decline leftmost children anyway, so skip the round
             // trip.
-            if copy.range.low == 0 {
+            if copy.low == 0 {
                 return;
             }
             let Some(parent) = copy.parent_link() else {
@@ -82,7 +81,7 @@ impl DbProc {
             {
                 return;
             }
-            (copy.range.low, parent)
+            (copy.low, parent)
         };
         // One request in flight per node; the decline/grant clears it.
         if !self.merge_pending.insert(node) {
@@ -126,9 +125,9 @@ impl DbProc {
             ctx.send(reply_to, Msg::MergeDecline { child });
             return;
         }
-        if copy.range.is_right_of(low) {
+        if copy.range().is_right_of(low) {
             // The parent split; the edge lives in a right sibling now.
-            match copy.right {
+            match copy.edge.right() {
                 Some(right) => {
                     self.metrics.update_chases += 1;
                     let msg = Msg::MergeReq {
@@ -143,14 +142,14 @@ impl DbProc {
             }
             return;
         }
-        if copy.range.is_left_of(low) {
+        if copy.range().is_left_of(low) {
             ctx.send(reply_to, Msg::MergeDecline { child });
             return;
         }
-        if copy.pc != self.me {
+        if copy.primary.pc() != self.me {
             // Grants come from the parent's PC, whose entry map is the most
             // settled view of the child edges.
-            let pc = copy.pc;
+            let pc = copy.primary.pc();
             ctx.send(
                 pc,
                 Msg::MergeReq {
@@ -213,7 +212,7 @@ impl DbProc {
         // structural ones.
         let ok = match self.store.get(child) {
             Some(c) => {
-                c.pc == me
+                c.primary.pc() == me
                     && c.is_leaf()
                     && c.aas.is_none()
                     && c.lock.is_none()
@@ -241,20 +240,20 @@ impl DbProc {
                 .map(|(k, e)| (*k, *e))
                 .collect();
             let info = AbsorbInfo {
-                low: copy.range.low,
-                high: copy.range.high,
-                right: copy.right,
-                right_link_version: copy.right_link_version,
+                low: copy.low,
+                high: copy.edge.high(),
+                right: copy.edge.right(),
+                right_link_version: copy.edge.link_version(),
                 entries,
                 tag: 0, // issued below, outside the borrow
             };
-            let peers: Vec<ProcId> = copy.peers(me).collect();
+            let peers: Vec<ProcId> = copy.members.peers(me).collect();
             (
-                copy.range.low,
+                copy.low,
                 copy.parent_link(),
                 peers,
                 info,
-                copy.version,
+                copy.primary.version(),
             )
         };
         let info = AbsorbInfo {
@@ -386,12 +385,12 @@ impl DbProc {
         // has `high == Some(low)` — unless this absorb already applied (a
         // recovery restart can fork the message), in which case the bound
         // moved past `low`: drop the duplicate.
-        if copy.range.high != Some(info.low) {
+        if copy.edge.high() != Some(info.low) {
             return;
         }
-        if copy.pc != self.me {
+        if copy.primary.pc() != self.me {
             // Initial absorbs apply at the PC, which relays them.
-            let pc = copy.pc;
+            let pc = copy.primary.pc();
             ctx.send(pc, Msg::Absorb { node, info });
             return;
         }
@@ -414,9 +413,9 @@ impl DbProc {
         let me = self.me;
         let (count, peers) = {
             let copy = self.store.get_mut(node).expect("caller ensured resident");
-            let count = copy.absorb_count + 1;
+            let count = copy.edge.absorbs() + 1;
             copy.apply_absorb(&info, count);
-            (count, copy.peers(me).collect::<Vec<_>>())
+            (count, copy.members.peers(me).collect::<Vec<_>>())
         };
         self.metrics.absorbs_applied += 1;
         if let Some(mut log) = self.history() {
@@ -464,14 +463,14 @@ impl DbProc {
             }
             return;
         };
-        if copy.absorb_count >= count {
+        if copy.edge.absorbs() >= count {
             // Duplicate: an anti-entropy snapshot already carried this
             // epoch.
             self.metrics.relays_discarded += 1;
             self.observe(node, info.tag, ObserveKind::Discarded);
             return;
         }
-        if copy.absorb_count == count - 1 && copy.range.high == Some(info.low) {
+        if copy.edge.absorbs() == count - 1 && copy.edge.high() == Some(info.low) {
             copy.apply_absorb(&info, count);
             self.metrics.absorbs_applied += 1;
             if let Some(mut log) = self.history() {
@@ -485,7 +484,7 @@ impl DbProc {
         // An epoch gap (an earlier relay was suppressed, or this copy was
         // synced sideways past an intermediate state). One anti-entropy pull
         // heals it: the snapshot's merge is ordered by the same epoch.
-        let pc = copy.pc;
+        let pc = copy.primary.pc();
         self.metrics.relays_discarded += 1;
         self.observe(node, info.tag, ObserveKind::Discarded);
         if pc != me {

@@ -15,7 +15,7 @@ use simnet::{Context, ProcId};
 use crate::msg::{InstallReason, LinkDir, Msg};
 use crate::proc::{DbProc, FORWARD_TTL, TIMER_FORWARD_GC};
 use crate::store::ForwardAddr;
-use crate::types::{Key, Link, NodeId, ParentHint};
+use crate::types::{ChildRef, Entry, Key, Link, NodeId, ParentHint};
 
 impl DbProc {
     /// Owner side: migrate `node` to `dest`.
@@ -34,22 +34,19 @@ impl DbProc {
         let Some(copy) = self.store.get(node) else {
             return; // already gone (racing balancer decisions)
         };
-        if copy.copies.len() != 1 {
+        if copy.members.procs().len() != 1 {
             return;
         }
         let covered = self.copy_coverage(node);
         let mut copy = self.drop_copy(node).expect("checked above");
-        copy.version += 1;
-        copy.pc = dest;
-        copy.copies = vec![dest];
-        copy.join_versions = vec![0];
+        copy.migrate_to(dest);
 
         if self.cfg.forwarding {
             self.store.set_forward(
                 node,
                 ForwardAddr {
                     to: dest,
-                    version: copy.version,
+                    version: copy.primary.version(),
                     created_at: ctx.now().ticks(),
                 },
             );
@@ -87,10 +84,10 @@ impl DbProc {
                 .map(|(k, _)| *k)
                 .collect();
             (
-                copy.version,
+                copy.primary.version(),
                 copy.level,
                 copy.parent_link(),
-                copy.range.low,
+                copy.low,
                 seps,
             )
         };
@@ -168,7 +165,11 @@ impl DbProc {
             return;
         }
         let me = self.me;
-        let pc = self.store.get(node).map(|c| c.pc).expect("resident");
+        let pc = self
+            .store
+            .get(node)
+            .map(|c| c.primary.pc())
+            .expect("resident");
         if !relayed && me != pc {
             ctx.send(pc, msg);
             return;
@@ -181,15 +182,9 @@ impl DbProc {
             // comparable. The value is the action's position in its class's
             // order, when it applied.
             let applied = match dir {
-                LinkDir::Right => {
-                    let applies = version > copy.right_link_version
-                        && copy.right.map(|l| l.node) == Some(link.node);
-                    if applies {
-                        copy.right_link_version = version;
-                        copy.right = Some(link);
-                    }
-                    applies.then_some(u128::from(version))
-                }
+                LinkDir::Right => copy
+                    .relink_right(link, version)
+                    .then_some(u128::from(version)),
                 // The parent hint is a register with one join; a link change
                 // refreshes the home and version of the parent it names.
                 LinkDir::Parent => copy
@@ -203,7 +198,7 @@ impl DbProc {
                     .filter(|hint| hint.join_into(&mut copy.parent))
                     .map(|hint| hint.order()),
             };
-            let peers: Vec<ProcId> = copy.peers(me).collect();
+            let peers: Vec<ProcId> = copy.members.peers(me).collect();
             (applied, peers)
         };
         if let Some(mut log) = self.history() {
@@ -260,7 +255,7 @@ impl DbProc {
             return;
         };
         // The child's range may have been split away from this parent node.
-        if copy.range.is_right_of(sep) {
+        if copy.range().is_right_of(sep) {
             // Relayed form: the split relay carried the entry's fate.
             if relayed {
                 return;
@@ -268,7 +263,7 @@ impl DbProc {
             // A zombie — its range ends below `sep` and it knows no right
             // neighbour; the walk would restart from the root — drops the
             // hint, as for a parent that is not resident.
-            let Some(right) = copy.right else {
+            let Some(right) = copy.edge.right() else {
                 self.observe_global(tag);
                 return;
             };
@@ -286,21 +281,24 @@ impl DbProc {
             return;
         }
         let me = self.me;
-        let pc = copy.pc;
+        let pc = copy.primary.pc();
         if !relayed && me != pc {
             // Route the initial form through the PC so exactly one copy
             // relays it.
             ctx.send(pc, remake(false));
             return;
         }
-        {
-            let copy = self.store.get_mut(node).expect("checked");
-            if let Some(crate::types::Entry::Child(cr)) = copy.entries.get_mut(&sep) {
-                if cr.node == child && version > cr.version {
-                    cr.home = home;
-                    cr.version = version;
-                }
-            }
+        // Ordered per entry by the child's version: a join into the entry,
+        // while it still names the migrated child.
+        let copy = self.store.get_mut(node).expect("checked");
+        let held = copy.entries.get(&sep).and_then(Entry::child);
+        if held.is_some_and(|cr| cr.node == child) {
+            let moved = ChildRef {
+                node: child,
+                home,
+                version,
+            };
+            copy.entries.join(sep, Entry::Child(moved));
         }
         if let Some(mut log) = self.history() {
             log.observe(node.raw(), me.0, tag, ObserveKind::Applied);
@@ -312,7 +310,7 @@ impl DbProc {
             let peers: Vec<ProcId> = self
                 .store
                 .get(node)
-                .map(|c| c.peers(me).collect())
+                .map(|c| c.members.peers(me).collect())
                 .unwrap_or_default();
             for p in peers {
                 ctx.send(p, remake(true));

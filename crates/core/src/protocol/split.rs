@@ -9,7 +9,7 @@
 use simnet::{Context, ProcId};
 
 use crate::msg::{InstallReason, Msg, SplitInfo};
-use crate::node::{NodeCopy, NodeSnapshot};
+use crate::node::{Edge, NodeCopy, NodeSnapshot, Primary};
 use crate::proc::DbProc;
 use crate::types::{ChildRef, Entry, Key, KeyRange, Link, NodeId, ParentHint};
 
@@ -57,42 +57,43 @@ impl DbProc {
 
         let (info, sib, level, parent, peers) = {
             let copy = self.store.get_mut(node).expect("PC holds its copy");
-            debug_assert_eq!(copy.pc, me, "only the PC splits");
+            debug_assert_eq!(copy.primary.pc(), me, "only the PC splits");
             let hint = copy.parent;
             let level = copy.level;
             // §4.2/§4.3: the sibling starts one version past the half-split
             // node's. The node's own version is membership/migration state
             // and does not advance on a split.
-            let sib_version = copy.version + 1;
-
-            let (sep, sib_range, sib_entries) = copy.half_split();
-            let mut sib = NodeCopy::new(sib_id, level, sib_range, me);
-            sib.entries = sib_entries;
-            sib.version = sib_version;
-            sib.right = copy.right;
-            // The sibling starts from this node's hint — never right of it,
-            // and the first descent a parent routes to it repairs it.
-            sib.parent = hint;
-            sib.copies = copy.copies.clone();
-            sib.join_versions = vec![0; sib.copies.len()];
-
-            copy.right = Some(Link::new(sib_id, me));
-            copy.right_link_version = copy.right_link_version.max(sib_version);
+            let sib_version = copy.primary.version() + 1;
 
             let info = SplitInfo {
-                sep,
+                sep: copy.split_key(),
                 sib: sib_id,
                 sib_home: me,
                 sib_version,
             };
-            let peers: Vec<ProcId> = copy.peers(me).collect();
+            // The sibling inherits the bound and right link, and starts
+            // from this node's hint — never right of it, and the first
+            // descent a parent routes to it repairs it.
+            let edge = Edge::new(0, copy.edge.high(), 0, copy.edge.right());
+            let sib = NodeSnapshot {
+                id: sib_id,
+                level,
+                low: info.sep,
+                edge,
+                entries: copy.apply_split(&info),
+                parent: hint,
+                primary: Primary::new(sib_version, me),
+                members: copy.members.procs().map(|p| (p, 0)).collect(),
+            }
+            .into_copy();
+            let peers: Vec<ProcId> = copy.members.peers(me).collect();
             (info, sib, level, hint.map(|h| h.link), peers)
         };
 
         // The PC records every copy of the sibling as created now; the
         // others come into being when the split relay lands.
         if let Some(mut log) = self.history() {
-            for &p in &sib.copies {
+            for p in sib.members.procs() {
                 log.copy_created(sib_id.raw(), p.0, []);
             }
         }
@@ -131,7 +132,7 @@ impl DbProc {
             // Relays from the sibling's other copies may have raced ahead.
             self.replay_stash(ctx, id);
         }
-        let discarded = self.store.get_mut(node)?.apply_split(info);
+        let discarded = self.store.get_mut(node)?.apply_split(info).len();
         self.observe(node, tag, history::ObserveKind::Applied);
         Some(discarded)
     }
@@ -178,7 +179,7 @@ impl DbProc {
         home: ProcId,
         children: [NodeId; 2],
     ) {
-        let low = self.store.get(root).map_or(0, |c| c.range.low);
+        let low = self.store.get(root).map_or(0, |c| c.low);
         let hint = ParentHint {
             link: Link::new(root, home),
             low,
@@ -204,11 +205,10 @@ impl DbProc {
         let me = self.me;
         let root_id = self.store.mint_node_id(me);
         let level = old_level + 1;
-        let low = self.store.get(old_root).map(|c| c.range.low).unwrap_or(0);
+        let low = self.store.get(old_root).map(|c| c.low).unwrap_or(0);
 
         let mut root = NodeCopy::new(root_id, level, KeyRange::new(low, None), me);
-        root.copies = (0..self.n_procs).map(ProcId).collect();
-        root.join_versions = vec![0; root.copies.len()];
+        root.members = (0..self.n_procs).map(|p| (ProcId(p), 0)).collect();
         root.upsert(
             low,
             Entry::Child(ChildRef {
@@ -220,7 +220,7 @@ impl DbProc {
         root.upsert(sep, Entry::Child(sib));
 
         if let Some(mut log) = self.history() {
-            for &p in &root.copies {
+            for p in root.members.procs() {
                 log.copy_created(root_id.raw(), p.0, []);
             }
         }

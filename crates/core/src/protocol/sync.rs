@@ -22,13 +22,13 @@ impl DbProc {
             let Some(copy) = self.store.get_mut(node) else {
                 return;
             };
-            debug_assert_eq!(copy.pc, me);
+            debug_assert_eq!(copy.primary.pc(), me);
             if copy.aas.is_some() {
                 // A split is already in flight; run another afterwards.
                 copy.split_pending = true;
                 return;
             }
-            let peers: Vec<ProcId> = copy.peers(me).collect();
+            let peers: Vec<ProcId> = copy.members.peers(me).collect();
             copy.aas = Some(AasState {
                 acks_pending: peers.len(),
                 blocked: Vec::new(),

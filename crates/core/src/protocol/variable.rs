@@ -32,10 +32,10 @@ impl DbProc {
             return; // reached the root
         };
         while let Some(copy) = self.store.get(parent.node) {
-            if !copy.range.is_right_of(key) {
+            if !copy.range().is_right_of(key) {
                 return; // path already held from here up (dB-tree invariant)
             }
-            let Some(right) = copy.right else {
+            let Some(right) = copy.edge.right() else {
                 return; // a stale zombie: nothing to join through it
             };
             parent = right;
@@ -65,7 +65,7 @@ impl DbProc {
         let Some(copy) = self.store.get(node) else {
             return;
         };
-        let (range, right, parent) = (copy.range, copy.right, copy.parent_link());
+        let (range, right, parent) = (copy.range(), copy.edge.right(), copy.parent_link());
         let mut misjoined = false;
         for &key in keys {
             if range.is_right_of(key) {
@@ -86,8 +86,8 @@ impl DbProc {
         let Some(copy) = self.store.get_mut(node) else {
             return; // stale join (e.g. the node's PC view was wrong): drop
         };
-        debug_assert_eq!(copy.pc, me, "joins are registered at the PC");
-        if copy.copies.contains(&joiner) {
+        debug_assert_eq!(copy.primary.pc(), me, "joins are registered at the PC");
+        if copy.members.contains(joiner) {
             // Already a member (duplicate join from racing migrations):
             // resend the snapshot so the joiner converges.
             let snapshot = Box::new(copy.snapshot());
@@ -102,11 +102,10 @@ impl DbProc {
             );
             return;
         }
-        copy.version += 1;
-        let version = copy.version;
-        copy.add_member(joiner, version);
+        let version = copy.primary.mint();
+        copy.members.offer(joiner, version);
         let snapshot = Box::new(copy.snapshot());
-        let peers: Vec<ProcId> = copy.peers(me).filter(|&p| p != joiner).collect();
+        let peers: Vec<ProcId> = copy.members.peers(me).filter(|&p| p != joiner).collect();
 
         let tag = self.issue_tag("join");
         let covered = self.history().map_or_else(Vec::new, |mut log| {
@@ -136,30 +135,6 @@ impl DbProc {
         }
     }
 
-    /// Non-PC copy: learn about a new member.
-    pub(crate) fn handle_relayed_join(
-        &mut self,
-        node: NodeId,
-        member: ProcId,
-        version: u64,
-        tag: u64,
-    ) {
-        let Some(copy) = self.store.get_mut(node) else {
-            if !self.unjoined.contains(&node) {
-                self.stash.entry(node).or_default().push(Msg::RelayedJoin {
-                    node,
-                    member,
-                    version,
-                    tag,
-                });
-            }
-            return;
-        };
-        copy.add_member(member, version);
-        copy.version = copy.version.max(version);
-        self.observe(node, tag, ObserveKind::Applied);
-    }
-
     /// A member deletes its copy and leaves.
     pub(crate) fn handle_unjoin(
         &mut self,
@@ -171,14 +146,13 @@ impl DbProc {
         let Some(copy) = self.store.get_mut(node) else {
             return;
         };
-        debug_assert_eq!(copy.pc, me, "unjoins are registered at the PC");
-        if !copy.copies.contains(&leaver) {
+        debug_assert_eq!(copy.primary.pc(), me, "unjoins are registered at the PC");
+        if !copy.members.contains(leaver) {
             return;
         }
-        copy.version += 1;
-        let version = copy.version;
-        copy.remove_member(leaver);
-        let peers: Vec<ProcId> = copy.peers(me).collect();
+        let version = copy.primary.mint();
+        copy.members.remove(leaver);
+        let peers: Vec<ProcId> = copy.members.peers(me).collect();
         let tag = self.issue_tag("unjoin");
         self.observe_initial(node, tag);
         self.metrics.unjoins += 1;
@@ -195,30 +169,36 @@ impl DbProc {
         }
     }
 
-    /// Non-PC copy: learn about a departure.
-    pub(crate) fn handle_relayed_unjoin(
-        &mut self,
-        node: NodeId,
-        member: ProcId,
-        version: u64,
-        tag: u64,
-    ) {
+    /// Non-PC copy: a relayed join or unjoin joins the node version and
+    /// admits, or removes, the member.
+    pub(crate) fn handle_relayed_membership(&mut self, msg: Msg) {
+        let (Msg::RelayedJoin {
+            node,
+            member,
+            version,
+            tag,
+        }
+        | Msg::RelayedUnjoin {
+            node,
+            member,
+            version,
+            tag,
+        }) = msg
+        else {
+            unreachable!("dispatched by kind");
+        };
         let Some(copy) = self.store.get_mut(node) else {
             if !self.unjoined.contains(&node) {
-                self.stash
-                    .entry(node)
-                    .or_default()
-                    .push(Msg::RelayedUnjoin {
-                        node,
-                        member,
-                        version,
-                        tag,
-                    });
+                self.stash.entry(node).or_default().push(msg);
             }
             return;
         };
-        copy.remove_member(member);
-        copy.version = copy.version.max(version);
+        if matches!(msg, Msg::RelayedJoin { .. }) {
+            copy.members.offer(member, version);
+        } else {
+            copy.members.remove(member);
+        }
+        copy.primary.raise(version);
         self.observe(node, tag, ObserveKind::Applied);
     }
 
@@ -230,7 +210,7 @@ impl DbProc {
             let Some(copy) = self.store.get(node) else {
                 return;
             };
-            if copy.pc == me || copy.is_leaf() {
+            if copy.primary.pc() == me || copy.is_leaf() {
                 return; // the PC never leaves; leaves are owned, not joined
             }
             // A child whose join is in flight counts: its grant is about to
@@ -242,7 +222,7 @@ impl DbProc {
                         || self.pending_joins.contains_key(&c.node)
                 })
             });
-            (!holds_child, copy.pc, copy.parent_link())
+            (!holds_child, copy.primary.pc(), copy.parent_link())
         };
         if !should_leave {
             return;

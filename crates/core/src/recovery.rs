@@ -14,7 +14,7 @@
 //!   pushed as one [`Msg::SyncState`] snapshot. Independently, a restarting
 //!   processor *pulls* a sync for every copy its stable store retained
 //!   ([`Msg::SyncReq`]). Both directions land in
-//!   [`NodeCopy::merge_from`](crate::NodeCopy::merge_from), a
+//!   [`NodeSnapshot::merge_from`](crate::NodeSnapshot::merge_from), a
 //!   join-semilattice merge, so duplicated, reordered, or crossed syncs all
 //!   converge.
 //!
@@ -119,7 +119,7 @@ impl DbProc {
         }
         // The merge may have advanced the absorb epoch relays were held on.
         self.replay_stash(ctx, node);
-        let is_pc = self.store.get(node).map(|c| c.pc) == Some(self.me);
+        let is_pc = self.store.get(node).map(|c| c.primary.pc()) == Some(self.me);
         if is_pc {
             // Merged-in entries may have pushed the copy over the fanout —
             // or merged-in tombstones may have emptied the leaf.
@@ -139,10 +139,10 @@ impl DbProc {
             .store
             .iter()
             .filter_map(|c| {
-                let peer = if c.pc != me {
-                    Some(c.pc)
+                let peer = if c.primary.pc() != me {
+                    Some(c.primary.pc())
                 } else {
-                    c.peers(me).min()
+                    c.members.peers(me).min()
                 };
                 peer.map(|p| (c.id, p))
             })

@@ -135,10 +135,10 @@ impl DbProc {
             tag,
             version,
             span: ctx.span(),
-            epoch: copy.absorb_count,
+            epoch: copy.edge.absorbs(),
         };
         let now = ctx.now().ticks();
-        for peer in copy.peers(*me) {
+        for peer in copy.members.peers(*me) {
             // Quarantined peers get no relays — the session layer would only
             // retransmit them into the void. Record the node instead; one
             // state sync at rehabilitation subsumes everything it missed.
@@ -304,7 +304,7 @@ impl DbProc {
     /// Apply a relayed insert at a resident copy.
     pub(crate) fn apply_relayed_insert(&mut self, ctx: &mut Context<'_, Msg>, item: RelayedItem) {
         let copy = self.store.get(item.node).expect("caller ensured resident");
-        if !copy.range.contains(item.key) && item.epoch > copy.absorb_count {
+        if !copy.range().contains(item.key) && item.epoch > copy.edge.absorbs() {
             // The sender applied this write in a range it had *absorbed*,
             // and the absorb relay (another channel) has not reached this
             // copy yet: out of range here only because the range is about
@@ -329,18 +329,18 @@ impl DbProc {
         // `NoJoinVersionRelay` reproduces).
         let relay_to_late_joiners = !self.seeded(SeededBug::NoJoinVersionRelay);
         let copy = self.store.get_mut(node).expect("caller ensured resident");
-        let is_pc = copy.pc == self.me;
-        let in_range = copy.range.contains(key);
+        let is_pc = copy.primary.pc() == self.me;
+        let in_range = copy.range().contains(key);
 
         if in_range {
             copy.upsert(key, entry);
             // Staleness stamp: this copy is up to date with the relay
             // stream as of now.
             copy.relayed_at = Some(ctx.now().ticks());
-            let my_version = copy.version;
-            let my_epoch = copy.absorb_count;
+            let my_version = copy.primary.version();
+            let my_epoch = copy.edge.absorbs();
             let late: Vec<_> = if is_pc && relay_to_late_joiners {
-                copy.members_joined_after(version).collect()
+                copy.members.joined_after(version).collect()
             } else {
                 Vec::new()
             };
@@ -380,7 +380,7 @@ impl DbProc {
                     // where the split moved its range.
                     let (right, level) = {
                         let c = self.store.get(node).expect("resident");
-                        (c.right, c.level)
+                        (c.edge.right(), c.level)
                     };
                     let right = right.expect("out-of-range key implies a right sibling");
                     self.metrics.relays_forwarded += 1;
@@ -473,7 +473,7 @@ mod tests {
 
         let p = cluster.sim.proc(pc);
         assert_eq!(p.metrics.splits_initiated, 1);
-        let leaf = p.store.iter().find(|c| c.is_leaf() && c.range.low == 0);
+        let leaf = p.store.iter().find(|c| c.is_leaf() && c.low == 0);
         let leaf = leaf.expect("the first leaf").id;
         assert_eq!(p.relay_backlog, 0, "the slot left with its split relay");
         // Buffered before the quarantine, withheld after it, the edge too.

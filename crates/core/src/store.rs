@@ -258,7 +258,7 @@ impl NodeStore {
     /// empty.
     pub fn closest_for(&self, key: Key) -> Option<NodeId> {
         self.iter()
-            .filter(|c| c.range.contains(key))
+            .filter(|c| c.range().contains(key))
             .min_by_key(|c| (c.level, c.id))
             .map(|c| c.id)
             .or_else(|| self.iter().max_by_key(|c| (c.level, c.id)).map(|c| c.id))

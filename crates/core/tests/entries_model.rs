@@ -27,8 +27,9 @@ const BEYOND: Key = 50;
 enum Op {
     Insert(Key, Entry),
     Get(Key),
-    /// Overwrite through `get_mut`.
-    GetMut(Key, Entry),
+    /// The register's join: lands in an empty slot, and reports a change
+    /// only when it made one.
+    Join(Key, Entry),
     Range(Bound<Key>, Bound<Key>, bool),
     /// Split at the key; carry on with the tail (`true`) or the head.
     SplitOff(Key, bool),
@@ -74,7 +75,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         insert(),
         insert(),
         (0..BEYOND).prop_map(Op::Get),
-        (0..BEYOND, arb_entry()).prop_map(|(k, e)| Op::GetMut(k, e)),
+        (0..BEYOND, arb_entry()).prop_map(|(k, e)| Op::Join(k, e)),
         (arb_bound(), arb_bound(), any::<bool>()).prop_map(|(lo, hi, rev)| Op::Range(lo, hi, rev)),
         (0..BEYOND, any::<bool>()).prop_map(|(k, tail)| Op::SplitOff(k, tail)),
         (1u64..5, 0u64..5).prop_map(|(m, r)| Op::Retain(m, r)),
@@ -127,12 +128,13 @@ fn apply(op: Op, e: &mut Entries, m: &mut BTreeMap<Key, Entry>) {
     match op {
         Op::Insert(k, v) => assert_eq!(e.insert(k, v), m.insert(k, v)),
         Op::Get(k) => assert_eq!(e.get(&k), m.get(&k)),
-        Op::GetMut(k, v) => {
-            let (mine, theirs) = (e.get_mut(&k), m.get_mut(&k));
-            assert_eq!(mine, theirs);
-            if let (Some(mine), Some(theirs)) = (mine, theirs) {
-                *mine = v;
-                *theirs = v;
+        Op::Join(k, v) => {
+            let held = m.get(&k).copied();
+            if e.join(k, v) {
+                assert_ne!(held, Some(v), "a join that changed nothing reported it");
+                m.insert(k, v);
+            } else {
+                assert!(held.is_some(), "a join into an empty slot must land");
             }
         }
         Op::Range(lo, hi, rev) => {

@@ -400,7 +400,7 @@ fn a_duplicate_merge_request_or_grant_changes_nothing() {
     let (leaf, owner, keys) = victim_leaf(&cluster);
     let (low, parent) = {
         let copy = cluster.sim.proc(owner).store.get(leaf).unwrap();
-        (copy.range.low, copy.parent_link().unwrap())
+        (copy.low, copy.parent_link().unwrap())
     };
     // The absorber: the leaf whose right link names the victim.
     let left = cluster
@@ -408,7 +408,7 @@ fn a_duplicate_merge_request_or_grant_changes_nothing() {
         .into_iter()
         .find_map(|(id, home)| {
             let copy = cluster.sim.proc(home).store.get(id)?;
-            (copy.right.map(|r| r.node) == Some(leaf)).then(|| dbtree::Link::new(id, home))
+            (copy.edge.right().map(|r| r.node) == Some(leaf)).then(|| dbtree::Link::new(id, home))
         })
         .expect("the victim has a left neighbour");
     let stats = cluster

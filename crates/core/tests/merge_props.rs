@@ -1,49 +1,54 @@
 //! Property tests for the anti-entropy state merge
-//! ([`NodeCopy::merge_from`]): the recovery layer may deliver snapshots
-//! duplicated, reordered, or crossed with one another and with ordinary
-//! relayed updates, so the merge must be a join-semilattice on copy state —
-//! **commutative**, **associative**, and **idempotent** — and a merge must
-//! subsume any prefix/subset of the update stream it summarizes
-//! (op-replay and state-merge land every copy on the same digest).
+//! ([`NodeSnapshot::merge_from`](dbtree::NodeSnapshot::merge_from)): the
+//! recovery layer may deliver snapshots duplicated, reordered, or crossed
+//! with one another and with ordinary relayed updates, so the merge must be
+//! a join-semilattice on copy state — **commutative**, **associative**, and
+//! **idempotent** — and a merge must subsume any prefix/subset of the update
+//! stream it summarizes (op-replay and state-merge land every copy on the
+//! same digest). The merge is five register joins, so each register's join
+//! is held to the same laws on its own, over free inputs.
 
-use dbtree::{ChildRef, Entry, Key, KeyRange, Link, NodeCopy, NodeId, ParentHint};
+use std::fmt::Debug;
+
+use dbtree::{
+    ChildRef, Edge, Entries, Entry, Key, KeyRange, Link, Members, NodeCopy, NodeId, ParentHint,
+    Primary, SplitInfo,
+};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use simnet::ProcId;
 
 /// The node identity every generated copy shares (the merge is only
 /// defined between copies of the same logical node).
 const NODE: NodeId = NodeId(7);
 
-/// Everything [`NodeCopy::merge_from`] claims to join, order-normalized:
-/// membership is position-insensitive on the wire (each member's join
-/// version is what matters), so it canonicalizes to a sorted map.
+/// Everything the merge claims to join, order-normalized: membership is
+/// position-insensitive on the wire (each member's join version is what
+/// matters), so it canonicalizes to a sorted map.
 type Canon = (
     KeyRange,
-    (u64, u64),
+    Edge,
     Vec<(Key, Entry)>,
-    (Option<Link>, u64),
     Option<ParentHint>,
-    ProcId,
+    Primary,
     Vec<(ProcId, u64)>,
 );
 
 fn canon(c: &NodeCopy) -> Canon {
-    let mut members: Vec<(ProcId, u64)> = c
-        .copies
-        .iter()
-        .copied()
-        .zip(c.join_versions.iter().copied())
-        .collect();
-    members.sort_unstable_by_key(|(p, _)| *p);
     (
-        c.range,
-        (c.version, c.absorb_count),
-        c.entries.iter().map(|(k, e)| (*k, *e)).collect(),
-        (c.right, c.right_link_version),
+        c.range(),
+        c.edge,
+        c.entries.as_slice().to_vec(),
         c.parent,
-        c.pc,
-        members,
+        c.primary,
+        sorted(&c.members),
     )
+}
+
+fn sorted(m: &Members) -> Vec<(ProcId, u64)> {
+    let mut members: Vec<(ProcId, u64)> = m.iter().collect();
+    members.sort_unstable();
+    members
 }
 
 fn merged(a: &NodeCopy, b: &NodeCopy) -> NodeCopy {
@@ -97,6 +102,66 @@ fn joined(a: Option<ParentHint>, b: ParentHint) -> Option<ParentHint> {
     slot
 }
 
+/// A right edge over free inputs: any epoch, bound, link version and link.
+fn arb_edge() -> impl Strategy<Value = Edge> {
+    (
+        0u64..3,
+        prop_oneof![Just(None::<u64>), (10u64..120).prop_map(Some)],
+        0u64..6,
+        arb_link(),
+    )
+        .prop_map(|(absorbs, high, version, right)| Edge::new(absorbs, high, version, right))
+}
+
+fn arb_entries() -> impl Strategy<Value = Entries> {
+    proptest::collection::vec((0u64..40, arb_entry()), 0..12).prop_map(|offers| {
+        let mut entries = Entries::new();
+        join_all(&mut entries, &offers);
+        entries
+    })
+}
+
+/// Join a list of offers into `entries`; `true` when any landed.
+fn join_all(entries: &mut Entries, offers: &[(Key, Entry)]) -> bool {
+    offers
+        .iter()
+        .fold(false, |changed, &(k, e)| entries.join(k, e) | changed)
+}
+
+fn arb_primary() -> impl Strategy<Value = Primary> {
+    (0u64..6, 0u32..4).prop_map(|(version, pc)| Primary::new(version, ProcId(pc)))
+}
+
+fn arb_members() -> impl Strategy<Value = Members> {
+    proptest::collection::vec((0u32..6, 0u64..15), 0..5)
+        .prop_map(|m| m.into_iter().map(|(p, jv)| (ProcId(p), jv)).collect())
+}
+
+/// A register's join laws, on `canon`'s projection: `x ⊔ x = x` (and
+/// reports no change), commutative, associative, and the join's `bool` is
+/// `true` exactly when the value changed.
+fn join_laws<T: Clone, C: PartialEq + Debug>(
+    (a, b, c): (&T, &T, &T),
+    join: impl Fn(&mut T, &T) -> bool,
+    canon: impl Fn(&T) -> C,
+) -> Result<(), TestCaseError> {
+    let joined = |x: &T, y: &T| {
+        let mut out = x.clone();
+        join(&mut out, y);
+        out
+    };
+    let mut self_join = a.clone();
+    prop_assert!(!join(&mut self_join, a), "x ⊔ x reported a change");
+    prop_assert_eq!(canon(&self_join), canon(a));
+    prop_assert_eq!(canon(&joined(a, b)), canon(&joined(b, a)));
+    let left = joined(&joined(a, b), c);
+    prop_assert_eq!(canon(&left), canon(&joined(a, &joined(b, c))));
+    let mut ab = a.clone();
+    let changed = join(&mut ab, b);
+    prop_assert_eq!(changed, canon(&ab) != canon(a));
+    Ok(())
+}
+
 /// An arbitrary copy of `NODE`: a range narrowed to some high bound (splits
 /// only ever shrink the high side), entries inside it, arbitrary version,
 /// links (each with its change version), PC, and membership.
@@ -123,15 +188,13 @@ fn arb_copy() -> impl Strategy<Value = NodeCopy> {
                     .into_iter()
                     .filter(|(k, _)| range.contains(*k))
                     .collect();
-                c.version = version;
-                c.right = right;
+                c.primary = Primary::new(version, ProcId(pc));
+                c.edge = Edge::new(0, high, rlv, right);
                 c.parent = parent;
-                c.right_link_version = rlv;
                 // Dedup members (later join version wins) via a sorted map, the
                 // same shape `canon` reduces to.
                 let members: std::collections::BTreeMap<u32, u64> = members.into_iter().collect();
-                c.copies = members.keys().map(|&p| ProcId(p)).collect();
-                c.join_versions = members.values().copied().collect();
+                c.members = members.into_iter().map(|(p, jv)| (ProcId(p), jv)).collect();
                 c
             },
         )
@@ -177,7 +240,7 @@ fn arb_epoch_copies() -> impl Strategy<Value = Vec<NodeCopy>> {
                     };
                     let range = KeyRange::new(0, high);
                     let mut c = NodeCopy::new(NODE, 0, range, ProcId(0));
-                    c.absorb_count = epoch;
+                    c.edge = Edge::new(epoch, high, 0, None);
                     for (i, &(k, stamp, value)) in writes.iter().enumerate() {
                         if mask >> (i % 32) & 1 == 1 && range.contains(k) {
                             c.upsert(k, Entry::Val { value, stamp });
@@ -200,16 +263,17 @@ fn arb_epoch_copies() -> impl Strategy<Value = Vec<NodeCopy>> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
-    /// x ⊔ x = x, and merging anything twice changes nothing the second
-    /// time (`merge_from` reports no change).
+    /// x ⊔ x = x, a merge reports a change exactly when it made one, and
+    /// merging anything twice changes nothing the second time.
     #[test]
     fn merge_is_idempotent(a in arb_copy(), b in arb_copy()) {
         let mut self_merge = a.clone();
-        self_merge.merge_from(&a.snapshot());
+        prop_assert!(!self_merge.merge_from(&a.snapshot()));
         prop_assert_eq!(canon(&self_merge), canon(&a));
 
         let mut once = a.clone();
-        once.merge_from(&b.snapshot());
+        let changed = once.merge_from(&b.snapshot());
+        prop_assert_eq!(changed, canon(&once) != canon(&a));
         let again = once.merge_from(&b.snapshot());
         prop_assert!(!again, "second identical merge reported a change");
     }
@@ -227,6 +291,36 @@ proptest! {
         let left = merged(&merged(&a, &b), &c);
         let right = merged(&a, &merged(&b, &c));
         prop_assert_eq!(canon(&left), canon(&right));
+    }
+
+    /// The edge register over free inputs, absorb epochs included.
+    #[test]
+    fn edge_join_is_a_semilattice(a in arb_edge(), b in arb_edge(), c in arb_edge()) {
+        join_laws((&a, &b, &c), Edge::join, |e| *e)?;
+    }
+
+    /// The entries register: per-key joins in the LWW order.
+    #[test]
+    fn entries_join_is_a_semilattice(a in arb_entries(), b in arb_entries(), c in arb_entries()) {
+        let join = |x: &mut Entries, y: &Entries| join_all(x, y.as_slice());
+        join_laws((&a, &b, &c), join, |e| e.as_slice().to_vec())?;
+    }
+
+    /// The `(version, pc)` register.
+    #[test]
+    fn primary_join_is_a_semilattice(
+        a in arb_primary(), b in arb_primary(), c in arb_primary(),
+    ) {
+        join_laws((&a, &b, &c), Primary::join, |p| *p)?;
+    }
+
+    /// The membership register: union, the greater join version per
+    /// member, position-insensitive.
+    #[test]
+    fn members_join_is_a_semilattice(
+        a in arb_members(), b in arb_members(), c in arb_members(),
+    ) {
+        join_laws((&a, &b, &c), Members::join, sorted)?;
     }
 
     /// The parent register's join on its own — the one function descents,
@@ -309,12 +403,16 @@ proptest! {
         let mut a = base.clone();
         for (i, &(key, value)) in ops.iter().enumerate() {
             if Some(i) == split_at && a.entries.len() >= 2 {
-                let (_sep, _sib_range, _moved) = a.half_split();
-                a.right = Some(Link::new(NodeId(99), ProcId(3)));
-                a.right_link_version = a.version + 1;
-                a.version += 1;
+                let info = SplitInfo {
+                    sep: a.split_key(),
+                    sib: NodeId(99),
+                    sib_home: ProcId(3),
+                    sib_version: a.primary.version() + 1,
+                };
+                a.apply_split(&info);
+                a.primary.mint();
             }
-            if a.range.contains(key) {
+            if a.range().contains(key) {
                 a.upsert(key, Entry::Val { value, stamp: 2 + i as u64 });
             }
         }
@@ -323,7 +421,7 @@ proptest! {
         // to different copies arrive in different interleavings).
         let mut b = base.clone();
         for (i, &(key, value)) in ops.iter().enumerate().rev() {
-            if applied.get(i).copied().unwrap_or(false) && b.range.contains(key) {
+            if applied.get(i).copied().unwrap_or(false) && b.range().contains(key) {
                 b.upsert(key, Entry::Val { value, stamp: 2 + i as u64 });
             }
         }
@@ -344,22 +442,25 @@ proptest! {
 #[test]
 fn stale_presplit_snapshot_cannot_undo_a_split() {
     // Post-split copy: [20,30), right = the new sibling n11.
-    let mut post = NodeCopy::new(NODE, 0, KeyRange::new(20, Some(30)), ProcId(1));
-    post.right = Some(Link::new(NodeId(11), ProcId(1)));
-    post.right_link_version = 1;
+    let mut post = NodeCopy::new(NODE, 0, KeyRange::new(20, None), ProcId(1));
+    post.edge = Edge::new(0, Some(30), 1, Some(Link::new(NodeId(11), ProcId(1))));
     // Stale pre-split snapshot: [20,40), right = the old neighbour n20 —
     // whose arbitrary tie-break rank happens to beat the sibling's.
-    let mut stale = NodeCopy::new(NODE, 0, KeyRange::new(20, Some(40)), ProcId(1));
-    stale.right = Some(Link::new(NodeId(20), ProcId(2)));
+    let mut stale = NodeCopy::new(NODE, 0, KeyRange::new(20, None), ProcId(1));
+    stale.edge = Edge::new(0, Some(40), 0, Some(Link::new(NodeId(20), ProcId(2))));
 
     let mut healed = post.clone();
     healed.merge_from(&stale.snapshot());
-    assert_eq!(healed.right, post.right, "stale snapshot undid the split");
-    assert_eq!(healed.range, post.range);
+    assert_eq!(
+        healed.edge.right(),
+        post.edge.right(),
+        "stale snapshot undid the split"
+    );
+    assert_eq!(healed.range(), post.range());
 
     // And the merge converges from the other side too.
     stale.merge_from(&post.snapshot());
-    assert_eq!(stale.right, post.right);
+    assert_eq!(stale.edge.right(), post.edge.right());
     assert_eq!(stale.digest(), healed.digest());
 }
 
@@ -372,24 +473,25 @@ fn stale_presplit_snapshot_cannot_undo_a_split() {
 #[test]
 fn stale_preabsorb_snapshot_cannot_undo_an_absorb() {
     // Post-absorb copy: widened to [20,40), adopted right = n9, epoch 1.
-    let mut post = NodeCopy::new(NODE, 0, KeyRange::new(20, Some(40)), ProcId(1));
-    post.right = Some(Link::new(NodeId(9), ProcId(2)));
-    post.right_link_version = 2;
-    post.absorb_count = 1;
+    let mut post = NodeCopy::new(NODE, 0, KeyRange::new(20, None), ProcId(1));
+    post.edge = Edge::new(1, Some(40), 2, Some(Link::new(NodeId(9), ProcId(2))));
     // Stale pre-absorb snapshot: [20,30), right = the retired neighbour.
-    let mut stale = NodeCopy::new(NODE, 0, KeyRange::new(20, Some(30)), ProcId(1));
-    stale.right = Some(Link::new(NodeId(11), ProcId(1)));
-    stale.right_link_version = 1;
+    let mut stale = NodeCopy::new(NODE, 0, KeyRange::new(20, None), ProcId(1));
+    stale.edge = Edge::new(0, Some(30), 1, Some(Link::new(NodeId(11), ProcId(1))));
 
     let mut healed = post.clone();
     healed.merge_from(&stale.snapshot());
-    assert_eq!(healed.range, post.range, "stale snapshot undid the absorb");
-    assert_eq!(healed.right, post.right);
-    assert_eq!(healed.absorb_count, 1);
+    assert_eq!(
+        healed.range(),
+        post.range(),
+        "stale snapshot undid the absorb"
+    );
+    assert_eq!(healed.edge.right(), post.edge.right());
+    assert_eq!(healed.edge.absorbs(), 1);
 
     stale.merge_from(&post.snapshot());
-    assert_eq!(stale.range, post.range);
-    assert_eq!(stale.right, post.right);
+    assert_eq!(stale.range(), post.range());
+    assert_eq!(stale.edge.right(), post.edge.right());
     assert_eq!(stale.digest(), healed.digest());
 }
 
@@ -440,7 +542,7 @@ fn overwrite_stamps_survive_merge() {
 
 /// The reverse-order replay above silently skips out-of-range keys; this
 /// pins that entries B holds *beyond* A's split point are dropped by the
-/// merge exactly as [`NodeCopy::apply_split`] would have dropped them.
+/// merge exactly as a split relay would have dropped them.
 #[test]
 fn merge_drops_entries_the_split_moved_away() {
     let mut a = NodeCopy::new(NODE, 0, KeyRange::new(0, Some(50)), ProcId(0));
@@ -451,7 +553,7 @@ fn merge_drops_entries_the_split_moved_away() {
     b.upsert(80, Entry::Val { value: 8, stamp: 6 });
 
     b.merge_from(&a.snapshot());
-    assert_eq!(b.range, KeyRange::new(0, Some(50)));
+    assert_eq!(b.range(), KeyRange::new(0, Some(50)));
     let keys: Vec<Key> = b.entries.keys().copied().collect();
     assert_eq!(keys, vec![10]);
     assert_eq!(b.digest(), a.digest());

@@ -9,7 +9,7 @@ use std::collections::BTreeSet;
 
 use common::{assert_clean, assert_sequential_register, to_client, traced_field};
 use dbtree::{
-    checker, BuildSpec, ClientOp, DbCluster, Intent, KeyRange, Link, Msg, NodeId, OpId, OpRecord,
+    checker, BuildSpec, ClientOp, DbCluster, Edge, Intent, Link, Msg, NodeId, OpId, OpRecord,
     Outcome, Placement, SeededBug, TreeConfig,
 };
 use simnet::{
@@ -429,10 +429,10 @@ fn a_write_acknowledged_after_an_absorb_is_the_value_read() {
         .leaves()
         .into_iter()
         .find_map(|(left, left_owner)| {
-            let right = cluster.sim.proc(left_owner).store.get(left)?.right?;
+            let right = cluster.sim.proc(left_owner).store.get(left)?.edge.right()?;
             let copy = cluster.sim.proc(right.home).store.get(right.node)?;
             let mergeable =
-                copy.parent.is_some_and(|p| p.low < copy.range.low) && right.home != left_owner;
+                copy.parent.is_some_and(|p| p.low < copy.low) && right.home != left_owner;
             let keys = || copy.entries.keys().copied().collect::<Vec<u64>>();
             mergeable.then(|| (right.node, keys()))
         })
@@ -514,7 +514,7 @@ fn a_migration_racing_its_left_neighbours_split_is_told_to_the_new_sibling() {
     let leaf_at = |cluster: &DbCluster, p: u32, key: u64| {
         let mut store = cluster.sim.proc(ProcId(p)).store.iter();
         store
-            .find(|c| c.is_leaf() && c.range.contains(key))
+            .find(|c| c.is_leaf() && c.range().contains(key))
             .expect("built there")
             .id
     };
@@ -531,10 +531,14 @@ fn a_migration_racing_its_left_neighbours_split_is_told_to_the_new_sibling() {
     }
     let mut log = cluster.try_run_to_quiescence().expect("run quiesces");
     let store = &cluster.sim.proc(p0).store;
-    let sibling = store.get(l).and_then(|c| c.right).expect("L split").node;
+    let sibling = store
+        .get(l)
+        .and_then(|c| c.edge.right())
+        .expect("L split")
+        .node;
     assert_ne!(sibling, r, "L split");
     assert_eq!(
-        store.get(sibling).expect("L′ lives with L").right,
+        store.get(sibling).expect("L′ lives with L").edge.right(),
         Some(Link::new(r, new_home)),
         "L′ names R where it lives now"
     );
@@ -595,13 +599,13 @@ fn a_child_home_change_past_a_parent_with_no_right_link_is_dropped() {
         .procs()
         .find_map(|(p, proc)| {
             let mut store = proc.store.iter();
-            let interior = store.find(|c| c.level == 1 && c.range.high.is_some())?;
-            Some((p, interior.id, interior.range.low))
+            let interior = store.find(|c| c.level == 1 && c.edge.high().is_some())?;
+            Some((p, interior.id, interior.low))
         })
         .expect("an interior node with a right neighbour");
     let copy = cluster.sim.proc_mut(owner).store.get_mut(parent).unwrap();
-    copy.range = KeyRange::new(low, Some(low + 1));
-    copy.right = None;
+    let (absorbs, version) = (copy.edge.absorbs(), copy.edge.link_version());
+    copy.edge = Edge::new(absorbs, Some(low + 1), version, None);
     let digest = copy.digest();
     let sent = cluster.sim.stats().total_messages();
 

@@ -10,7 +10,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use dbtree::{
-    BuildSpec, ClientOp, DbCluster, DbSubmission, Intent, Key, Link, Msg, NodeId, OpId,
+    BuildSpec, ClientOp, DbCluster, DbSubmission, Edge, Intent, Key, Link, Msg, NodeId, OpId,
     ProtocolKind, ScanSpec, TreeConfig, LOCAL_STEP_CAP,
 };
 use simnet::{ProcId, QuiesceError, Release, SessionMsg, SimConfig};
@@ -267,18 +267,18 @@ fn right_link_cycle(max_events: u64) -> (DbCluster, Key) {
         let store = &cluster.sim.proc(me).store;
         let last = store
             .iter()
-            .find(|c| c.is_leaf() && c.range.high.is_none())
+            .find(|c| c.is_leaf() && c.edge.high().is_none())
             .expect("a rightmost leaf");
         let before = store
             .iter()
-            .find(|c| c.is_leaf() && c.right.is_some_and(|r| r.node == last.id))
+            .find(|c| c.is_leaf() && c.edge.right().is_some_and(|r| r.node == last.id))
             .expect("it has a left neighbour");
         (last.id, before.id)
     };
     let copy = cluster.sim.proc_mut(me).store.get_mut(last).unwrap();
-    let low = copy.range.low;
-    copy.range.high = Some(low + 1);
-    copy.right = Some(Link::new(before, me));
+    let low = copy.low;
+    let (absorbs, version) = (copy.edge.absorbs(), copy.edge.link_version());
+    copy.edge = Edge::new(absorbs, Some(low + 1), version, Some(Link::new(before, me)));
     (cluster, low + 5)
 }
 
@@ -425,16 +425,16 @@ fn growth_past_the_built_tree_completes_splits_near_the_parent() {
         // steps from the hinted parent to the node that holds its edge.
         let mut walks: Vec<usize> = Vec::new();
         for (p, copy) in view.copies.values().flatten() {
-            let Some(hint) = copy.parent.filter(|_| *p == copy.pc) else {
+            let Some(hint) = copy.parent.filter(|_| *p == copy.primary.pc()) else {
                 continue;
             };
             let mut at = view
                 .authoritative(hint.link.node)
                 .expect("parents are live");
             let mut steps = 0;
-            while at.range.is_right_of(copy.range.low) {
+            while at.range().is_right_of(copy.low) {
                 at = view
-                    .authoritative(at.right.expect("ends at +inf").node)
+                    .authoritative(at.edge.right().expect("ends at +inf").node)
                     .unwrap();
                 steps += 1;
             }
@@ -470,10 +470,13 @@ fn growth_past_the_built_tree_completes_splits_near_the_parent() {
             .keys()
             .filter(|id| !built.contains(id))
             .filter_map(|id| view.authoritative(*id))
-            .filter(|c| c.range.low > 0)
+            .filter(|c| c.low > 0)
             .collect();
         assert_eq!(born.len() as u64, splits, "{name}");
-        let owed: u64 = born.iter().map(|c| c.copies.len() as u64 - 1).sum();
+        let owed: u64 = born
+            .iter()
+            .map(|c| c.members.procs().len() as u64 - 1)
+            .sum();
         assert_eq!(net.kind("split.relay").remote, owed, "{name}: msgs/split");
 
         let mut expected: BTreeSet<Key> = preload.into_iter().collect();
@@ -495,11 +498,11 @@ fn a_descent_routed_by_a_non_pc_copy_leaves_the_pc_as_the_hints_home() {
     // being its primary.
     let (leaf, _) = cluster.leaves()[7];
     let (_, copy) = copies_of(&cluster, leaf)[0];
-    let (key, built) = (copy.range.low, copy.parent.expect("built with a hint"));
+    let (key, built) = (copy.low, copy.parent.expect("built with a hint"));
     let parent = built.link.node;
     let (router, pc) = copies_of(&cluster, parent)
         .into_iter()
-        .find_map(|(p, c)| (p != c.pc).then_some((p, c.pc)))
+        .find_map(|(p, c)| (p != c.primary.pc()).then_some((p, c.primary.pc())))
         .expect("three copies, one primary");
     assert_eq!(built.link.home, pc);
 
@@ -542,12 +545,12 @@ fn a_descent_that_arrived_by_a_right_link_repairs_nothing() {
         let store = &cluster.sim.proc(me).store;
         let left = store
             .iter()
-            .find(|c| c.is_leaf() && c.range.low > 0 && c.right.is_some())
+            .find(|c| c.is_leaf() && c.low > 0 && c.edge.right().is_some())
             .expect("an inner leaf");
-        let right = store.get(left.right.unwrap().node).unwrap();
+        let right = store.get(left.edge.right().unwrap().node).unwrap();
         (left.id, right.id, right.parent)
     };
-    let key = cluster.sim.proc(me).store.get(right).unwrap().range.low;
+    let key = cluster.sim.proc(me).store.get(right).unwrap().low;
     cluster
         .sim
         .proc_mut(me)
@@ -597,7 +600,7 @@ fn a_hint_naming_a_missing_parent_recovers_by_restart() {
     let leaves = cluster.leaves();
     let ((stale, stale_owner), (stuck, stuck_owner)) = (leaves[leaves.len() - 1], leaves[40]);
     let low_of = |cluster: &DbCluster, (leaf, owner): (NodeId, ProcId)| {
-        cluster.sim.proc(owner).store.get(leaf).unwrap().range.low
+        cluster.sim.proc(owner).store.get(leaf).unwrap().low
     };
     let (stale_low, stuck_low) = (
         low_of(&cluster, (stale, stale_owner)),
@@ -677,8 +680,8 @@ fn a_write_that_splits_and_completes_locally_sends_each_peer_one_message() {
     let me = ProcId(2);
     let last = {
         let mut leaves = cluster.sim.proc(me).store.iter().filter(|c| c.is_leaf());
-        let last = leaves.find(|c| c.range.high.is_none()).expect("rightmost");
-        assert_eq!((last.pc, last.copies.len()), (me, 3));
+        let last = leaves.find(|c| c.edge.high().is_none()).expect("rightmost");
+        assert_eq!((last.primary.pc(), last.members.procs().len()), (me, 3));
         last.id
     };
     cluster.submit(ClientOp {

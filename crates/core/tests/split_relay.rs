@@ -177,7 +177,10 @@ fn full_leaves(sim_cfg: SimConfig) -> (DbCluster, NodeId) {
     spec.fill = 8;
     let cluster = DbCluster::build(&spec, sim_cfg);
     let first = primary_leaves(&cluster)[0];
-    assert_eq!((first.pc, first.range.high), (ProcId(0), Some(80)));
+    assert_eq!(
+        (first.primary.pc(), first.edge.high()),
+        (ProcId(0), Some(80))
+    );
     let leaf = first.id;
     (cluster, leaf)
 }
@@ -186,9 +189,13 @@ fn full_leaves(sim_cfg: SimConfig) -> (DbCluster, NodeId) {
 fn primary_leaves(cluster: &DbCluster) -> Vec<&NodeCopy> {
     let procs = cluster.sim.procs();
     let mut leaves: Vec<&NodeCopy> = procs
-        .flat_map(|(me, p)| p.store.iter().filter(move |c| c.is_leaf() && c.pc == me))
+        .flat_map(|(me, p)| {
+            p.store
+                .iter()
+                .filter(move |c| c.is_leaf() && c.primary.pc() == me)
+        })
         .collect();
-    leaves.sort_by_key(|c| c.range.low);
+    leaves.sort_by_key(|c| c.low);
     leaves
 }
 
@@ -239,8 +246,12 @@ fn the_triggering_writes_relay_follows_the_split_relay_and_lands_where_its_key_w
         insert(&mut cluster, key);
 
         let (pc, peer) = (ProcId(0), ProcId(1));
-        let sib = copy_at(&cluster, pc, leaf).right.expect("split").node;
-        let sep = copy_at(&cluster, pc, sib).range.low;
+        let sib = copy_at(&cluster, pc, leaf)
+            .edge
+            .right()
+            .expect("split")
+            .node;
+        let sep = copy_at(&cluster, pc, sib).low;
         let channel = relays_on_channel(&cluster, pc, peer);
         // One message: the split relay carries the leaf's relay and the
         // parent's new edge.
@@ -257,7 +268,7 @@ fn the_triggering_writes_relay_follows_the_split_relay_and_lands_where_its_key_w
                 !stays,
                 "{at}, key {key}"
             );
-            assert_eq!(node.range.high, Some(sibling.range.low));
+            assert_eq!(node.edge.high(), Some(sibling.low));
         }
         for node in [leaf, sib] {
             let digests = [pc, peer].map(|at| copy_at(&cluster, at, node).digest());
@@ -279,8 +290,12 @@ fn a_split_relay_stashed_behind_its_nodes_install_still_installs_the_sibling() {
     let in_flight = cluster.sim.proc_mut(peer).store.remove(leaf).expect("held");
     insert(&mut cluster, 75);
 
-    let sib = copy_at(&cluster, pc, leaf).right.expect("split").node;
-    let sep = copy_at(&cluster, pc, sib).range.low;
+    let sib = copy_at(&cluster, pc, leaf)
+        .edge
+        .right()
+        .expect("split")
+        .node;
+    let sep = copy_at(&cluster, pc, sib).low;
     let at_peer = &cluster.sim.proc(peer);
     assert!(
         at_peer.store.contains(sib),
@@ -292,7 +307,7 @@ fn a_split_relay_stashed_behind_its_nodes_install_still_installs_the_sibling() {
     assert_eq!(stashed, [(leaf, 2)], "the shrink, then the write's relay");
 
     // The node lands as it was before the split: the stash shrinks it.
-    assert_eq!(in_flight.range.high, Some(80));
+    assert_eq!(in_flight.edge.high(), Some(80));
     cluster.sim.inject(
         peer,
         SessionMsg::Raw(Msg::InstallCopy {
@@ -304,8 +319,8 @@ fn a_split_relay_stashed_behind_its_nodes_install_still_installs_the_sibling() {
     cluster.try_run_to_quiescence().expect("run quiesces");
     assert!(cluster.sim.proc(peer).stash_view().is_empty());
     let node = copy_at(&cluster, peer, leaf);
-    assert_eq!(node.range.high, Some(sep));
-    assert_eq!(node.right.map(|l| l.node), Some(sib));
+    assert_eq!(node.edge.high(), Some(sep));
+    assert_eq!(node.edge.right().map(|l| l.node), Some(sib));
     for node in [leaf, sib] {
         let digests = [pc, peer].map(|at| copy_at(&cluster, at, node).digest());
         assert_eq!(digests[0], digests[1], "copies of {node:?} diverged");
@@ -327,8 +342,12 @@ fn a_carrying_split_relay_stashed_behind_its_nodes_install_lands_after_it_in_ord
     let in_flight = cluster.sim.proc_mut(peer).store.remove(leaf).expect("held");
     insert(&mut cluster, 75);
 
-    let sib = copy_at(&cluster, pc, leaf).right.expect("split").node;
-    let sep = copy_at(&cluster, pc, sib).range.low;
+    let sib = copy_at(&cluster, pc, leaf)
+        .edge
+        .right()
+        .expect("split")
+        .node;
+    let sep = copy_at(&cluster, pc, sib).low;
     let channel = relays_on_channel(&cluster, pc, peer);
     assert_eq!(kinds(&channel), ["split.relay"]);
     // On arrival: the sibling and the parent's edge; nothing discarded.
@@ -355,7 +374,7 @@ fn a_carrying_split_relay_stashed_behind_its_nodes_install_lands_after_it_in_ord
     assert_eq!(counted(install[0], "relays_applied"), 0);
     assert_eq!(counted(install[0], "relays_discarded"), shrunk(sep) + 1);
     assert!(cluster.sim.proc(peer).stash_view().is_empty());
-    assert_eq!(copy_at(&cluster, peer, leaf).range.high, Some(sep));
+    assert_eq!(copy_at(&cluster, peer, leaf).edge.high(), Some(sep));
     for node in [leaf, sib] {
         let digests = [pc, peer].map(|at| copy_at(&cluster, at, node).digest());
         assert_eq!(digests[0], digests[1], "copies of {node:?} diverged");
@@ -488,7 +507,11 @@ fn a_suppressed_processors_split_relay_still_leaves_and_carries_nothing() {
     let channel = relays_on_channel(&cluster, pc, peer);
     assert_eq!(kinds(&channel), ["split.relay"]);
     assert_eq!(counted(channel[0], "relays_applied"), 0);
-    let sib = copy_at(&cluster, pc, leaf).right.expect("split").node;
+    let sib = copy_at(&cluster, pc, leaf)
+        .edge
+        .right()
+        .expect("split")
+        .node;
     assert!(copy_at(&cluster, peer, sib).entries.get(&75).is_some());
     let gauges = cluster.sim.proc(pc).gauges(cluster.sim.now());
     let depth = gauges.iter().find(|(n, _)| *n == "relay.backlog_depth");
@@ -603,8 +626,8 @@ fn a_pc_crash_at_any_instant_leaves_every_right_link_on_the_true_successor() {
         assert_eq!(leaves.len(), 6, "crash at {at}");
         for pair in leaves.windows(2) {
             assert_eq!(
-                pair[0].right,
-                Some(Link::new(pair[1].id, pair[1].pc)),
+                pair[0].edge.right(),
+                Some(Link::new(pair[1].id, pair[1].primary.pc())),
                 "crash at {at}: the right link of {:?}",
                 pair[0].id
             );

@@ -14,8 +14,8 @@
 //! that it is never routed left of its range.
 
 use dbtree::{
-    build_procs, BuildSpec, ChildRef, DbProc, Entry, Intent, Key, KeyRange, Link, LinkDir, Msg,
-    NodeCopy, NodeId, OpId, Outcome, ParentHint, Stamp, TreeConfig,
+    build_procs, BuildSpec, ChildRef, DbProc, Edge, Entry, Intent, Key, KeyRange, Link, LinkDir,
+    Msg, NodeCopy, NodeId, OpId, Outcome, ParentHint, Stamp, TreeConfig,
 };
 use simnet::{Context, ProcId, Process, RunOutcome, SimConfig, Simulation};
 
@@ -288,7 +288,7 @@ impl Bed {
         let mut me = DbProc::new(ME, 4, cfg, log);
         me.store.set_root(ROOT, 2, HOME);
         let mut gone = NodeCopy::new(GONE, 0, KeyRange::new(300, Some(400)), ME);
-        gone.right = Some(Link::new(BEYOND, EAST));
+        gone.edge = Edge::new(0, Some(400), 0, Some(Link::new(BEYOND, EAST)));
         me.store.install(gone);
         let mut me = Some(Box::new(me));
         let procs = (0..4).map(|p| Probe {
@@ -339,7 +339,7 @@ impl Bed {
 /// A leaf `[low, high)` owned here, holding `KEY → 7` when it covers it.
 fn leaf(id: NodeId, low: Key, high: Key) -> NodeCopy {
     let mut copy = NodeCopy::new(id, 0, KeyRange::new(low, Some(high)), ME);
-    if copy.range.contains(KEY) {
+    if copy.range().contains(KEY) {
         let resident = Entry::Val {
             value: 7,
             stamp: Stamp::new(1, HOME),
@@ -383,7 +383,7 @@ fn doctor(branch: Branch, me: &mut DbProc) -> NodeId {
         RightChase | Zombie | ZombieRootResident => {
             let mut copy = leaf(T, 200, 250);
             if branch == RightChase {
-                copy.right = Some(Link::new(RIGHT, EAST));
+                copy.edge = Edge::new(0, Some(250), 0, Some(Link::new(RIGHT, EAST)));
             }
             if branch == ZombieRootResident {
                 store.install(NodeCopy::new(ROOT, 2, KeyRange::ALL, HOME));
@@ -476,9 +476,10 @@ fn every_kind_takes_every_branch_of_the_walk_as_pinned() {
             // its right neighbour, at its old home.
             let me = bed.me();
             for id in [T, CHILD] {
-                let covers = me.store.get(id).is_some_and(|c| c.range.contains(KEY));
+                let covers = me.store.get(id).is_some_and(|c| c.range().contains(KEY));
                 if let Some(copy) = me.store.get_mut(id).filter(|_| covers) {
-                    copy.right = Some(Link::new(RIGHT, EAST));
+                    let high = copy.edge.high();
+                    copy.edge = Edge::new(0, high, 0, Some(Link::new(RIGHT, EAST)));
                 }
             }
         }
@@ -525,7 +526,7 @@ fn every_kind_takes_every_branch_of_the_walk_as_pinned() {
             },
         };
         let before = bed.me().metrics.named();
-        let routing = bed.me().store.get(T).map(NodeCopy::as_parent_hint);
+        let routing = bed.me().store.get(T).map(|c| c.as_parent_hint());
         let held = bed.me().store.get(T).and_then(|c| c.parent);
         let (sent, outputs) = bed.deliver(arriving.clone());
         let counted = moved(&before, &bed.me().metrics.named());
@@ -604,12 +605,12 @@ fn every_kind_takes_every_branch_of_the_walk_as_pinned() {
                     }),
                     InsertAt => assert_eq!(copy.entries.get(&KEY), Some(&written), "{row}"),
                     Absorb => {
-                        assert_eq!(copy.range.high, Some(400), "{row}: range widened");
-                        assert_eq!(copy.right, Some(Link::new(BEYOND, EAST)), "{row}");
+                        assert_eq!(copy.edge.high(), Some(400), "{row}: range widened");
+                        assert_eq!(copy.edge.right(), Some(Link::new(BEYOND, EAST)), "{row}");
                     }
                     Notice => {
-                        assert_eq!(copy.right, Some(MOVED), "{row}: right link moved");
-                        assert_eq!(copy.right_link_version, 1, "{row}");
+                        assert_eq!(copy.edge.right(), Some(MOVED), "{row}: right link moved");
+                        assert_eq!(copy.edge.link_version(), 1, "{row}");
                     }
                 }
                 // Arrived, no kind sends anything here: the bed's copies

@@ -213,7 +213,7 @@ fn bootstrap(
 }
 
 impl HashCluster<HashSim> {
-    /// Bootstrap a simulated deployment (see [`bootstrap`]'s shape rules).
+    /// Bootstrap a simulated deployment (see `bootstrap`'s shape rules).
     ///
     /// A lossy network ⇒ every processor is wrapped in the reliable-delivery
     /// session layer; on a perfect network the wrapper passes messages

@@ -17,7 +17,7 @@
 //!   ([`history::check_sequences`]) after every schedule, so a protocol
 //!   bug surfaces as a typed violation no matter which interleaving
 //!   exposes it.
-//! * **Shrinker** — [`shrink`] minimizes a failing `(ops, faults,
+//! * **Shrinker** — [`shrink()`] minimizes a failing `(ops, faults,
 //!   choices)` triple by delta debugging, re-running every candidate.
 //! * **Repro files** — [`repro`] serializes the shrunk case to a
 //!   self-contained text file; replaying it reproduces the execution

@@ -256,7 +256,7 @@ pub enum SessionMsg<M> {
         /// `seen - upto`: how far past `upto` the receiver knows the stream
         /// to have got, from the frames that reached it.
         known: u32,
-        /// The newest [`WINDOW`] sequences below `seen`: bit `i` is set when
+        /// The newest `WINDOW` sequences below `seen`: bit `i` is set when
         /// `seen - 1 - i` sits in the reorder buffer, clear when it is
         /// missing (bits that would fall below `upto + run` are unused).
         held: u64,

@@ -100,7 +100,7 @@ fn dbtree_agrees_with_sequential_oracle() {
                 .filter_map(|v| v.first().map(|(_, c)| *c))
                 .filter(|c| c.is_leaf())
                 .collect();
-            leaves.sort_by_key(|c| c.range.low);
+            leaves.sort_by_key(|c| c.low);
             for leaf in leaves {
                 chain_keys.extend(leaf.entries.iter().filter_map(|(k, e)| match e {
                     Entry::Val { .. } => Some(*k),
