@@ -2,16 +2,18 @@
 //!
 //! The trace records raw and renders at export (DESIGN, "Observability"),
 //! so what these tests hold fixed is the *rendered* output: an FNV-1a
-//! digest of `trace_jsonl() + series_jsonl() + alerts_jsonl()` for two
-//! fixed-seed runs, captured from the eager `format!`-per-delivery
-//! recorder this one replaced. Any drift in a detail string, a counter
-//! delta, a sample or an alert moves a digest.
+//! digest of `trace_jsonl() + series_jsonl() + alerts_jsonl()` for three
+//! fixed-seed runs — two whose ring holds the whole run, captured from the
+//! eager `format!`-per-delivery recorder, and one whose ring wraps many
+//! times over, captured from the boxed-payload recorder. Any drift in a
+//! detail string, a counter delta, a sample, an alert, the eviction order
+//! or the `seq` gap moves a digest.
 
 mod common;
 
 use common::to_client;
-use dbtree::{BuildSpec, ClientOp, DbCluster, ProtocolKind, TreeConfig};
-use simnet::{FaultPlan, HealthConfig, Obs, SessionConfig, SimConfig};
+use dbtree::{BuildSpec, ClientOp, DbCluster, PiggybackCfg, ProtocolKind, SeededBug, TreeConfig};
+use simnet::{FaultPlan, HealthConfig, Obs, SessionConfig, SimConfig, TraceEvent};
 use workload::{KeyDist, Mix, WorkloadGen};
 
 const N_PROCS: u32 = 4;
@@ -157,4 +159,60 @@ fn take_obs_mid_run_keeps_deltas_and_details() {
         assert!(tb.contains("\"deltas\":{\""), "second capture has deltas");
         assert!(tb.contains("\"detail\":\"Raw(") || tb.contains("\"detail\":\"Data {"));
     }
+}
+
+/// The ring wraps: 256 slots against a run that records some two thousand
+/// events, with relay batches suppressed on one processor (E21's seeded
+/// fault) so that `backlog_growth` fires early. The export is the newest
+/// records, a `seq` gap at the front exactly as long as `dropped()`, and
+/// every alert — kept while the ordinary traffic around it was evicted.
+#[test]
+fn wrapped_ring_exports_are_pinned() {
+    const CAP: usize = 256;
+    const VICTIM: u32 = 2;
+    let cfg = TreeConfig {
+        fanout: 8,
+        piggyback: Some(PiggybackCfg::default()),
+        seeded: Some(SeededBug::RelaySuppress(VICTIM)),
+        ..TreeConfig::fixed_copies(ProtocolKind::SemiSync, 3)
+    };
+    let spec = BuildSpec::new((0..120).map(|k| k * 10).collect(), N_PROCS, cfg);
+    let sim_cfg = SimConfig {
+        trace_capacity: CAP,
+        sample_interval: 50,
+        health: HealthConfig::watchdogs(),
+        ..SimConfig::jittery(SEED, 2, 25)
+    };
+    let mut c = DbCluster::build(&spec, sim_cfg);
+    let stats = c.try_run_closed_loop(&ops(), 4).expect("workload drains");
+    assert_eq!(stats.records.len(), N_OPS);
+    let obs = c.take_obs();
+
+    let trace = &obs.trace;
+    assert_eq!(trace.len(), CAP);
+    assert!(trace.dropped() > 5 * CAP as u64, "{}", trace.dropped());
+    let seqs: Vec<u64> = trace.iter().map(|e| e.seq).collect();
+    assert!(seqs.windows(2).all(|w| w[0] < w[1]), "seq order");
+    assert_eq!(
+        seqs.last().map(|s| s + 1),
+        Some(trace.dropped() + CAP as u64),
+        "every record is retained or counted dropped"
+    );
+    let alerts: Vec<_> = trace.of_event(TraceEvent::Alert).collect();
+    assert!(
+        !obs.alerts.is_empty(),
+        "the suppressed backlog tripped a watchdog"
+    );
+    assert_eq!(alerts.len(), obs.alerts.len(), "every alert is retained");
+    assert!(alerts.iter().all(|e| e.kind == "backlog_growth"));
+    let oldest_other = trace.iter().find(|e| e.event != TraceEvent::Alert);
+    assert!(
+        alerts[0].seq < oldest_other.expect("traffic retained").seq,
+        "the first alert outlived the traffic recorded after it"
+    );
+    assert_eq!(
+        digest(&obs),
+        0x1ab0_58d5_6206_efbb,
+        "wrapped-ring export digest"
+    );
 }
