@@ -9,6 +9,7 @@
 use simnet::{Context, ProcId};
 
 use crate::config::{ProtocolKind, SeededBug};
+use crate::metrics::Ctr;
 use crate::msg::Msg;
 use crate::proc::{CoordOp, DbProc, ReplyInfo};
 use crate::types::{Entry, Intent, Key, Link, NodeId, OpId, Outcome, ParentHint, Stamp};
@@ -183,8 +184,8 @@ impl DbProc {
         };
         match hop {
             Hop::Down(_) => {}
-            _ if msg.is_read() => self.metrics.link_chases += 1,
-            _ => self.metrics.update_chases += 1,
+            _ if msg.is_read() => self.metrics.bump(Ctr::LinkChases, 1),
+            _ => self.metrics.bump(Ctr::UpdateChases, 1),
         }
         msg.readdress(next.node, hop);
         self.send_to_node(ctx, next.node, next.home, msg);
@@ -401,7 +402,7 @@ impl DbProc {
         };
         if let Some(aas) = copy.aas.as_mut() {
             aas.blocked.push((now, msg));
-            self.metrics.blocked_initial += 1;
+            self.metrics.bump(Ctr::BlockedInitial, 1);
             true
         } else {
             false
@@ -418,7 +419,7 @@ impl DbProc {
             .expect("caller checked lock")
             .queued
             .push((now, msg));
-        self.metrics.lock_queued += 1;
+        self.metrics.bump(Ctr::LockQueued, 1);
     }
 
     /// Split the node if it is overfull and this processor may initiate the
@@ -483,12 +484,12 @@ impl DbProc {
             // may be us) must fall through to a key-based restart, or the
             // message would loop back here forever.
             if fwd.to != self.me {
-                self.metrics.forwards_followed += 1;
+                self.metrics.bump(Ctr::ForwardsFollowed, 1);
                 ctx.send(fwd.to, msg);
                 return;
             }
         }
-        self.metrics.missing_node_recoveries += 1;
+        self.metrics.bump(Ctr::MissingNodeRecoveries, 1);
         if let Some(local) = self.store.closest_for(key) {
             msg.readdress(local, Hop::Restart);
             self.requeue(ctx, msg);
@@ -508,7 +509,7 @@ impl DbProc {
     /// when the root is resident ([`DbProc::requeue`]). Drops the action
     /// only when there is no root at all (pre-bootstrap).
     pub(crate) fn restart_at_root(&mut self, ctx: &mut Context<'_, Msg>, mut msg: Msg) {
-        self.metrics.missing_node_recoveries += 1;
+        self.metrics.bump(Ctr::MissingNodeRecoveries, 1);
         let Some(root) = self.store.root() else {
             return;
         };

@@ -273,13 +273,6 @@ pub struct NodeCopy {
     pub split_pending: bool,
     /// Available-copies lock, if held.
     pub lock: Option<LockState>,
-    /// Tick at which this resident copy last applied a relayed update — the
-    /// staleness stamp behind the `store.staleness_max` gauge. Observability
-    /// bookkeeping, not protocol state: it stays out of
-    /// [`NodeSnapshot::digest`], [`NodeCopy::fingerprint_into`] and the
-    /// snapshot, so a copy that arrives on the wire starts unstamped and the
-    /// stamp leaves with the copy.
-    pub relayed_at: Option<u64>,
 }
 
 impl std::ops::Deref for NodeCopy {
@@ -358,7 +351,6 @@ impl NodeSnapshot {
             aas: None,
             split_pending: false,
             lock: None,
-            relayed_at: None,
         }
     }
 
@@ -621,7 +613,7 @@ mod tests {
     #[test]
     fn hot_path_layouts_stay_within_their_budgets() {
         use std::mem::size_of;
-        assert!(size_of::<NodeCopy>() <= 672, "{}", size_of::<NodeCopy>());
+        assert!(size_of::<NodeCopy>() <= 656, "{}", size_of::<NodeCopy>());
         assert_eq!(size_of::<Option<NodeCopy>>(), size_of::<NodeCopy>());
         assert!(size_of::<Msg>() <= 104, "{}", size_of::<Msg>());
         let frame = size_of::<simnet::SessionMsg<Msg>>();

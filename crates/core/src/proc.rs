@@ -14,7 +14,7 @@ use parking_lot::Mutex;
 use simnet::{Context, ProcId, Process};
 
 use crate::config::{SeededBug, TreeConfig};
-use crate::metrics::ProcMetrics;
+use crate::metrics::{Ctr, ProcMetrics};
 use crate::msg::{InstallReason, Msg, RelayedItem};
 use crate::node::NodeCopy;
 use crate::relay::RelaySlot;
@@ -112,7 +112,7 @@ pub struct DbProc {
     /// One slot per destination ever relayed to, sorted by processor. (The
     /// timestamps feeding the lazy-lag gauges live with what they time — a
     /// slot's `since`, the park ticks in `parked`, the per-copy staleness
-    /// stamp [`NodeCopy::relayed_at`] — and all stay out of
+    /// stamp [`NodeStore::relayed_at`] — and all stay out of
     /// `fingerprint_into`: wall times never influence protocol behavior, and
     /// hashing them would make the model checker see every schedule as a
     /// distinct state.)
@@ -362,7 +362,7 @@ impl DbProc {
             ctx.send(home, msg);
         } else if msg.is_navigable() && self.local_steps < LOCAL_STEP_CAP {
             self.local_steps += 1;
-            self.metrics.local_steps += 1;
+            self.metrics.bump(Ctr::LocalSteps, 1);
             self.local.push_back(msg);
         } else {
             self.requeue(ctx, msg);
@@ -448,14 +448,14 @@ impl DbProc {
         self.replay_stash(ctx, id);
         match reason {
             InstallReason::Migration { from } => {
-                self.metrics.migrations_in += 1;
+                self.metrics.bump(Ctr::MigrationsIn, 1);
                 self.after_migration_in(ctx, id, from);
                 if self.cfg.variable_copies && is_leaf {
                     self.ensure_path_replication(ctx, parent, low);
                 }
             }
             InstallReason::JoinGrant => {
-                self.metrics.joins += 1;
+                self.metrics.bump(Ctr::Joins, 1);
                 // Continue joining until we hold the whole path.
                 self.continue_path(ctx, id, &join_keys);
             }
@@ -643,7 +643,7 @@ impl Process for DbProc {
         match token {
             TIMER_PIGGYBACK => {
                 self.relay_timer_armed = false;
-                self.metrics.piggyback_timer_flushes += 1;
+                self.metrics.bump(Ctr::PiggybackTimerFlushes, 1);
                 self.flush_relays(ctx);
             }
             TIMER_FORWARD_GC => {
@@ -660,7 +660,7 @@ impl Process for DbProc {
     /// copy is re-acquired from its PC through the version-numbered join
     /// protocol, which resynchronizes it exactly like a late joiner.
     fn on_restart(&mut self, ctx: &mut Context<'_, Msg>) {
-        self.metrics.recoveries += 1;
+        self.metrics.bump(Ctr::Recoveries, 1);
         // Quarantine opinions predate the crash; flush and forget them
         // (see `flush_quarantine_on_restart`).
         self.flush_quarantine_on_restart(ctx);
@@ -688,7 +688,7 @@ impl Process for DbProc {
             // A rejoin is for the node itself: its own low key never leaves
             // its range, so the grant always covers it.
             if self.note_pending_join(node, low) {
-                self.metrics.recovery_rejoins += 1;
+                self.metrics.bump(Ctr::RecoveryRejoins, 1);
                 // Relays may race ahead of the re-grant; they must stash
                 // for replay, not be discarded as post-unjoin strays.
                 self.unjoined.remove(&node);
@@ -733,6 +733,11 @@ impl Process for DbProc {
         self.metrics.named_into(out);
     }
 
+    fn take_moved(&mut self, out: Option<&mut Vec<(&'static str, u64)>>) -> bool {
+        self.metrics.take_moved(out);
+        true
+    }
+
     /// Lazy-lag level gauges, snapshotted by the sampler (never by the
     /// trace). Ages are computed against the sample time from the
     /// timestamps kept in the observability-bookkeeping fields, so an idle
@@ -744,11 +749,9 @@ impl Process for DbProc {
         let backlog_age = waiting.map(|s| s.since).min().map_or(0, age);
         let deferred: u64 = self.missed.values().map(|s| s.len() as u64).sum();
         let dwell = self.parked.iter().map(|(t, _)| *t).min().map_or(0, age);
-        // The oldest stamp among resident copies that have applied a relay;
-        // read off the store at sample time, so nothing is kept in step
-        // with it on the write path.
-        let stamps = self.store.iter().filter_map(|c| c.relayed_at);
-        let staleness = stamps.min().map_or(0, age);
+        // The oldest stamp among resident copies that have applied a relay:
+        // one scan of the store's dense stamp array at sample time.
+        let staleness = self.store.oldest_relayed_at().map_or(0, age);
         vec![
             ("proc.merge_pending", self.merge_pending.len() as u64),
             ("proc.parked_dwell", dwell),
@@ -854,10 +857,13 @@ mod tests {
         };
         // What the gauge may reflect: the oldest stamp among resident copies.
         let oldest = |p: &DbProc| {
-            let stamped = p.store.iter().filter(|c| c.relayed_at.is_some());
+            let stamped = p
+                .store
+                .iter()
+                .filter_map(|c| Some((c.id, p.store.relayed_at(c.id)?)));
             stamped
-                .min_by_key(|c| c.relayed_at)
-                .map(|c| (c.id, now.ticks() - c.relayed_at.expect("filtered")))
+                .min_by_key(|&(_, at)| at)
+                .map(|(id, at)| (id, now.ticks() - at))
         };
 
         let mut retired = 0;
@@ -880,7 +886,7 @@ mod tests {
         // ... and comes back as a snapshot (a migration or join grant):
         // unstamped, so it says nothing until a relay reaches it again.
         p.store.install(gone.snapshot().into_copy());
-        assert_eq!(p.store.get(node).expect("installed").relayed_at, None);
+        assert_eq!(p.store.relayed_at(node), None);
         assert_eq!(staleness(p), next);
     }
 }

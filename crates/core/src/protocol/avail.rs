@@ -9,6 +9,7 @@
 use history::ObserveKind;
 use simnet::{Context, ProcId};
 
+use crate::metrics::Ctr;
 use crate::msg::{LockedUpdate, Msg};
 use crate::node::LockState;
 use crate::proc::{CoordOp, DbProc, PendingLock};
@@ -298,7 +299,8 @@ impl DbProc {
             copy.lock.take().map(|l| l.queued).unwrap_or_default()
         };
         for (queued_at, msg) in queued {
-            self.metrics.blocked_ticks += now.saturating_sub(queued_at);
+            self.metrics
+                .bump(Ctr::BlockedTicks, now.saturating_sub(queued_at));
             ctx.send(self.me, msg);
         }
     }

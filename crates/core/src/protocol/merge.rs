@@ -39,6 +39,7 @@ use history::ObserveKind;
 use simnet::{Context, ProcId};
 
 use crate::config::SeededBug;
+use crate::metrics::Ctr;
 use crate::msg::{AbsorbInfo, Msg};
 use crate::proc::DbProc;
 use crate::store::ForwardAddr;
@@ -87,7 +88,7 @@ impl DbProc {
         if !self.merge_pending.insert(node) {
             return;
         }
-        self.metrics.merges_requested += 1;
+        self.metrics.bump(Ctr::MergesRequested, 1);
         let msg = Msg::MergeReq {
             node: parent.node,
             child: node,
@@ -129,7 +130,7 @@ impl DbProc {
             // The parent split; the edge lives in a right sibling now.
             match copy.edge.right() {
                 Some(right) => {
-                    self.metrics.update_chases += 1;
+                    self.metrics.bump(Ctr::UpdateChases, 1);
                     let msg = Msg::MergeReq {
                         node: right.node,
                         child,
@@ -163,7 +164,7 @@ impl DbProc {
         }
         if copy.aas.is_some() || copy.lock.is_some() {
             // Don't thread a merge through a parent mid-split.
-            self.metrics.merges_declined += 1;
+            self.metrics.bump(Ctr::MergesDeclined, 1);
             ctx.send(reply_to, Msg::MergeDecline { child });
             return;
         }
@@ -183,7 +184,7 @@ impl DbProc {
                 ctx.send(reply_to, Msg::MergeGrant { child, left });
             }
             _ => {
-                self.metrics.merges_declined += 1;
+                self.metrics.bump(Ctr::MergesDeclined, 1);
                 ctx.send(reply_to, Msg::MergeDecline { child });
             }
         }
@@ -223,7 +224,7 @@ impl DbProc {
             None => false,
         };
         if !ok {
-            self.metrics.merges_declined += 1;
+            self.metrics.bump(Ctr::MergesDeclined, 1);
             return;
         }
         let (low, parent, peers, info, version) = {
@@ -276,7 +277,7 @@ impl DbProc {
                 created_at: ctx.now().ticks(),
             },
         );
-        self.metrics.merges_completed += 1;
+        self.metrics.bump(Ctr::MergesCompleted, 1);
 
         // Tell the other copies (quarantined peers get the notice from the
         // rehabilitation push instead — `push_sync` answers for retired
@@ -327,7 +328,7 @@ impl DbProc {
         self.unjoined.insert(node);
         self.pending_joins.remove(&node);
         if self.drop_copy(node).is_some() {
-            self.metrics.retires_applied += 1;
+            self.metrics.bump(Ctr::RetiresApplied, 1);
         }
         self.store.set_forward(
             node,
@@ -354,7 +355,7 @@ impl DbProc {
                 Msg::RelayedInsert {
                     key, entry, tag, ..
                 } => {
-                    self.metrics.relays_rerouted += 1;
+                    self.metrics.bump(Ctr::RelaysRerouted, 1);
                     let msg = Msg::InsertAt {
                         node: left.node,
                         level: 0,
@@ -365,7 +366,7 @@ impl DbProc {
                     self.send_to_node(ctx, left.node, left.home, msg);
                 }
                 _ => {
-                    self.metrics.relays_discarded += 1;
+                    self.metrics.bump(Ctr::RelaysDiscarded, 1);
                 }
             }
         }
@@ -417,7 +418,7 @@ impl DbProc {
             copy.apply_absorb(&info, count);
             (count, copy.members.peers(me).collect::<Vec<_>>())
         };
-        self.metrics.absorbs_applied += 1;
+        self.metrics.bump(Ctr::AbsorbsApplied, 1);
         if let Some(mut log) = self.history() {
             log.observe_initial(node.raw(), me.0, info.tag);
             log.ordered_applied(node.raw(), me.0, "absorb", count.into());
@@ -453,7 +454,7 @@ impl DbProc {
         let me = self.me;
         let Some(copy) = self.store.get_mut(node) else {
             if self.retired.contains_key(&node) || self.unjoined.contains(&node) {
-                self.metrics.relays_discarded += 1;
+                self.metrics.bump(Ctr::RelaysDiscarded, 1);
             } else {
                 // Install in flight: replay on arrival.
                 self.stash
@@ -466,13 +467,13 @@ impl DbProc {
         if copy.edge.absorbs() >= count {
             // Duplicate: an anti-entropy snapshot already carried this
             // epoch.
-            self.metrics.relays_discarded += 1;
+            self.metrics.bump(Ctr::RelaysDiscarded, 1);
             self.observe(node, info.tag, ObserveKind::Discarded);
             return;
         }
         if copy.edge.absorbs() == count - 1 && copy.edge.high() == Some(info.low) {
             copy.apply_absorb(&info, count);
-            self.metrics.absorbs_applied += 1;
+            self.metrics.bump(Ctr::AbsorbsApplied, 1);
             if let Some(mut log) = self.history() {
                 log.observe(node.raw(), me.0, info.tag, ObserveKind::Applied);
                 log.ordered_applied(node.raw(), me.0, "absorb", count.into());
@@ -485,7 +486,7 @@ impl DbProc {
         // synced sideways past an intermediate state). One anti-entropy pull
         // heals it: the snapshot's merge is ordered by the same epoch.
         let pc = copy.primary.pc();
-        self.metrics.relays_discarded += 1;
+        self.metrics.bump(Ctr::RelaysDiscarded, 1);
         self.observe(node, info.tag, ObserveKind::Discarded);
         if pc != me {
             ctx.send(pc, Msg::SyncReq { node });

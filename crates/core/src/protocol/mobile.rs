@@ -12,6 +12,7 @@
 use history::ObserveKind;
 use simnet::{Context, ProcId};
 
+use crate::metrics::Ctr;
 use crate::msg::{InstallReason, LinkDir, Msg};
 use crate::proc::{DbProc, FORWARD_TTL, TIMER_FORWARD_GC};
 use crate::store::ForwardAddr;
@@ -52,7 +53,7 @@ impl DbProc {
             );
             ctx.set_timer(FORWARD_TTL, TIMER_FORWARD_GC);
         }
-        self.metrics.migrations_out += 1;
+        self.metrics.bump(Ctr::MigrationsOut, 1);
         ctx.send(
             dest,
             Msg::InstallCopy {
@@ -157,7 +158,7 @@ impl DbProc {
             // so a self-forward drops like a missing forward.
             match self.store.forward_for(node) {
                 Some(fwd) if fwd.to != self.me => {
-                    self.metrics.forwards_followed += 1;
+                    self.metrics.bump(Ctr::ForwardsFollowed, 1);
                     ctx.send(fwd.to, msg);
                 }
                 _ => self.observe_global(tag),
@@ -267,7 +268,7 @@ impl DbProc {
                 self.observe_global(tag);
                 return;
             };
-            self.metrics.update_chases += 1;
+            self.metrics.bump(Ctr::UpdateChases, 1);
             let msg = Msg::ChildHomeChange {
                 node: right.node,
                 sep,

@@ -13,6 +13,7 @@
 
 use simnet::Context;
 
+use crate::metrics::Ctr;
 use crate::msg::{Msg, RelayedItem, SplitInfo};
 use crate::node::NodeSnapshot;
 use crate::proc::DbProc;
@@ -53,7 +54,7 @@ impl DbProc {
         relays: Vec<RelayedItem>,
     ) {
         match self.apply_split_relay(ctx, node, &info, sibling.map(|s| *s), tag) {
-            Some(discarded) => self.metrics.relays_discarded += discarded as u64,
+            Some(discarded) => self.metrics.bump(Ctr::RelaysDiscarded, discarded as u64),
             // Departed member: discard.
             None if self.unjoined.contains(&node) => {}
             // Install in flight: preserve ordering via the stash.

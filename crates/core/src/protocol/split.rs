@@ -8,6 +8,7 @@
 
 use simnet::{Context, ProcId};
 
+use crate::metrics::Ctr;
 use crate::msg::{InstallReason, Msg, SplitInfo};
 use crate::node::{Edge, NodeCopy, NodeSnapshot, Primary};
 use crate::proc::DbProc;
@@ -99,7 +100,7 @@ impl DbProc {
         }
         let sibling = (!peers.is_empty()).then(|| Box::new(sib.snapshot()));
         self.store.install(sib);
-        self.metrics.splits_initiated += 1;
+        self.metrics.bump(Ctr::SplitsInitiated, 1);
 
         SplitOutcome {
             info,

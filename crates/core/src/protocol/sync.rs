@@ -9,6 +9,7 @@
 
 use simnet::{Context, ProcId};
 
+use crate::metrics::Ctr;
 use crate::msg::{Msg, SplitInfo};
 use crate::node::{AasState, NodeSnapshot};
 use crate::proc::DbProc;
@@ -139,7 +140,8 @@ impl DbProc {
             copy.aas.take().map(|a| a.blocked).unwrap_or_default()
         };
         for (blocked_at, msg) in blocked {
-            self.metrics.blocked_ticks += now.saturating_sub(blocked_at);
+            self.metrics
+                .bump(Ctr::BlockedTicks, now.saturating_sub(blocked_at));
             ctx.send(self.me, msg);
         }
     }

@@ -10,6 +10,7 @@
 use history::ObserveKind;
 use simnet::{Context, ProcId};
 
+use crate::metrics::Ctr;
 use crate::msg::{InstallReason, Msg};
 use crate::proc::DbProc;
 use crate::types::{Key, Link, NodeId};
@@ -155,7 +156,7 @@ impl DbProc {
         let peers: Vec<ProcId> = copy.members.peers(me).collect();
         let tag = self.issue_tag("unjoin");
         self.observe_initial(node, tag);
-        self.metrics.unjoins += 1;
+        self.metrics.bump(Ctr::Unjoins, 1);
         for p in peers {
             ctx.send(
                 p,

@@ -24,6 +24,7 @@
 
 use simnet::{Context, ProcId, TraceEvent};
 
+use crate::metrics::Ctr;
 use crate::msg::Msg;
 use crate::proc::DbProc;
 use crate::types::NodeId;
@@ -40,7 +41,7 @@ impl DbProc {
     ) {
         if !up {
             if self.quarantined.insert(peer) {
-                self.metrics.quarantines += 1;
+                self.metrics.bump(Ctr::Quarantines, 1);
                 ctx.mark(
                     TraceEvent::Quarantine,
                     "recovery.quarantine",
@@ -71,7 +72,7 @@ impl DbProc {
         };
         let snapshot = Box::new(copy.snapshot());
         let covered = self.copy_coverage(node);
-        self.metrics.sync_pushes += 1;
+        self.metrics.bump(Ctr::SyncPushes, 1);
         ctx.send(
             peer,
             Msg::SyncState {
@@ -110,7 +111,7 @@ impl DbProc {
             return;
         };
         if copy.merge_from(&snapshot) {
-            self.metrics.sync_merges += 1;
+            self.metrics.bump(Ctr::SyncMerges, 1);
         }
         // The snapshot's coverage becomes part of this copy's backwards
         // extension, exactly as a join grant's would.
@@ -150,7 +151,7 @@ impl DbProc {
         // Store iteration is hash-ordered; sends must replay identically.
         pulls.sort_unstable();
         for (node, peer) in pulls {
-            self.metrics.sync_pulls += 1;
+            self.metrics.bump(Ctr::SyncPulls, 1);
             ctx.send(peer, Msg::SyncReq { node });
         }
     }

@@ -8,7 +8,7 @@ use history::ObserveKind;
 use simnet::{Context, ProcId};
 
 use crate::config::{ProtocolKind, SeededBug};
-use crate::metrics::ProcMetrics;
+use crate::metrics::{Ctr, ProcMetrics};
 use crate::msg::{Msg, RelayedItem};
 use crate::proc::{DbProc, TIMER_PIGGYBACK};
 use crate::types::{Entry, Key, NodeId};
@@ -25,7 +25,7 @@ fn missed_if_quarantined(
     if !quarantined.contains(&peer) {
         return false;
     }
-    metrics.relays_suppressed += 1;
+    metrics.bump(Ctr::RelaysSuppressed, 1);
     missed.entry(peer).or_default().insert(node);
     true
 }
@@ -270,7 +270,7 @@ impl DbProc {
                 // semisync protocol applies to out-of-range relays. The LWW
                 // stamp keeps duplicates (several copies rerouting the same
                 // relay) idempotent.
-                self.metrics.relays_rerouted += 1;
+                self.metrics.bump(Ctr::RelaysRerouted, 1);
                 let msg = Msg::InsertAt {
                     node: left.node,
                     level: 0,
@@ -283,7 +283,7 @@ impl DbProc {
             }
             if self.unjoined.contains(&item.node) {
                 // §4.3: a departed member discards relayed actions.
-                self.metrics.relays_discarded += 1;
+                self.metrics.bump(Ctr::RelaysDiscarded, 1);
             } else {
                 // The copy's install is still in flight (sibling creation or
                 // join grant racing the relay on another channel): stash and
@@ -328,7 +328,10 @@ impl DbProc {
         // membership list and would otherwise miss it (Fig 6, which
         // `NoJoinVersionRelay` reproduces).
         let relay_to_late_joiners = !self.seeded(SeededBug::NoJoinVersionRelay);
-        let copy = self.store.get_mut(node).expect("caller ensured resident");
+        let (copy, stamp) = self
+            .store
+            .get_mut_stamp(node)
+            .expect("caller ensured resident");
         let is_pc = copy.primary.pc() == self.me;
         let in_range = copy.range().contains(key);
 
@@ -336,7 +339,7 @@ impl DbProc {
             copy.upsert(key, entry);
             // Staleness stamp: this copy is up to date with the relay
             // stream as of now.
-            copy.relayed_at = Some(ctx.now().ticks());
+            *stamp = ctx.now().ticks();
             let my_version = copy.primary.version();
             let my_epoch = copy.edge.absorbs();
             let late: Vec<_> = if is_pc && relay_to_late_joiners {
@@ -344,7 +347,7 @@ impl DbProc {
             } else {
                 Vec::new()
             };
-            self.metrics.relays_applied += 1;
+            self.metrics.bump(Ctr::RelaysApplied, 1);
             self.observe(node, tag, ObserveKind::Applied);
             for member in late {
                 if member != self.me && !self.suppress_if_quarantined(member, node) {
@@ -383,7 +386,7 @@ impl DbProc {
                         (c.edge.right(), c.level)
                     };
                     let right = right.expect("out-of-range key implies a right sibling");
-                    self.metrics.relays_forwarded += 1;
+                    self.metrics.bump(Ctr::RelaysForwarded, 1);
                     self.observe(node, tag, ObserveKind::Forwarded);
                     let msg = Msg::InsertAt {
                         node: right.node,
@@ -397,7 +400,7 @@ impl DbProc {
                 ProtocolKind::Naive => {
                     // Fig 4's bug, preserved on purpose: the PC ignores the
                     // out-of-range relayed insert and the update is lost.
-                    self.metrics.relays_discarded += 1;
+                    self.metrics.bump(Ctr::RelaysDiscarded, 1);
                     self.observe(node, tag, ObserveKind::Discarded);
                 }
                 ProtocolKind::Sync | ProtocolKind::AvailableCopies => {
@@ -405,14 +408,14 @@ impl DbProc {
                     // splits, so an out-of-range relay at the PC means its
                     // key was already re-homed by the split that the initial
                     // copy observed before relaying. Discarding is safe.
-                    self.metrics.relays_discarded += 1;
+                    self.metrics.bump(Ctr::RelaysDiscarded, 1);
                     self.observe(node, tag, ObserveKind::Discarded);
                 }
             }
         } else {
             // Non-PC copies always discard out-of-range relays: the split
             // that shrank the range carried the key's fate (§4.1 rule 3).
-            self.metrics.relays_discarded += 1;
+            self.metrics.bump(Ctr::RelaysDiscarded, 1);
             self.observe(node, tag, ObserveKind::Discarded);
         }
     }

@@ -19,6 +19,13 @@
 //!
 //! Forwarding addresses are rare and small, so they live in a compact
 //! sorted vector probed by binary search rather than a second hash table.
+//!
+//! Each slot also has a *staleness stamp* — the tick at which its copy last
+//! applied a relayed update — in a dense array beside the slab, so the
+//! `store.staleness_max` gauge scans 8 bytes per slot instead of striding
+//! the copies. It is observability bookkeeping, not node state: it stays
+//! out of the fingerprint and the snapshot, is cleared when a copy is
+//! installed or removed, and so leaves with its copy.
 
 use simnet::{FxHashMap, ProcId};
 
@@ -38,6 +45,9 @@ pub struct ForwardAddr {
     pub created_at: u64,
 }
 
+/// A slot's stamp while its copy has applied no relay since it arrived.
+const UNSTAMPED: u64 = u64::MAX;
+
 /// Slots per slab page (≈ 22 KB of copies): small enough that a sparse
 /// processor wastes little, large enough that pages are rarely allocated.
 const PAGE: usize = 32;
@@ -53,6 +63,9 @@ pub struct NodeStore {
     n_slots: u32,
     /// Free slot indices, reused LIFO.
     free: Vec<u32>,
+    /// Staleness stamp of each slot, [`UNSTAMPED`] when free or not yet
+    /// reached by a relay.
+    stamps: Vec<u64>,
     /// `NodeId -> slot` index. Lookup-only: iteration always goes through
     /// the slab in slot order, never through this map.
     index: FxHashMap<NodeId, u32>,
@@ -104,6 +117,7 @@ impl NodeStore {
                             self.pages.push(page.try_into().expect("PAGE slots"));
                         }
                         self.n_slots += 1;
+                        self.stamps.push(UNSTAMPED);
                         self.n_slots - 1
                     }
                 };
@@ -113,6 +127,7 @@ impl NodeStore {
             }
         };
         *self.slot_mut(slot) = Some(copy);
+        self.stamps[slot as usize] = UNSTAMPED;
     }
 
     /// Remove a copy, returning it.
@@ -120,6 +135,7 @@ impl NodeStore {
         let slot = self.index.remove(&id)?;
         let copy = self.slot_mut(slot).take();
         debug_assert!(copy.is_some(), "index pointed at an empty slot");
+        self.stamps[slot as usize] = UNSTAMPED;
         self.free.push(slot);
         copy
     }
@@ -136,6 +152,29 @@ impl NodeStore {
     pub fn get_mut(&mut self, id: NodeId) -> Option<&mut NodeCopy> {
         let &slot = self.index.get(&id)?;
         self.slot_mut(slot).as_mut()
+    }
+
+    /// Mutably borrow a copy a relay is about to reach, with its staleness
+    /// stamp: write the tick into it if the relay applies.
+    #[inline]
+    pub(crate) fn get_mut_stamp(&mut self, id: NodeId) -> Option<(&mut NodeCopy, &mut u64)> {
+        let slot = *self.index.get(&id)? as usize;
+        let copy = self.pages[slot / PAGE][slot % PAGE].as_mut()?;
+        Some((copy, &mut self.stamps[slot]))
+    }
+
+    /// Tick at which the resident copy of `id` last applied a relayed
+    /// update (`None` if absent or not reached by a relay since it arrived).
+    pub fn relayed_at(&self, id: NodeId) -> Option<u64> {
+        let &slot = self.index.get(&id)?;
+        Some(self.stamps[slot as usize]).filter(|&t| t != UNSTAMPED)
+    }
+
+    /// The oldest staleness stamp among resident copies — the
+    /// `store.staleness_max` gauge's one scan, over the dense stamp array.
+    pub fn oldest_relayed_at(&self) -> Option<u64> {
+        let oldest = self.stamps.iter().copied().min()?;
+        (oldest != UNSTAMPED).then_some(oldest)
     }
 
     /// Does the store hold a copy of `id`?
@@ -355,6 +394,52 @@ mod tests {
         let b = s.mint_node_id(ProcId(3));
         assert_ne!(a, b);
         assert_eq!(a.minted_by(), ProcId(3));
+    }
+
+    proptest::proptest! {
+        /// The gauge's one scan of the dense stamp array reads what a scan
+        /// of every resident copy's own stamp would (the layout before the
+        /// array): over random installs, relay applies, removes and
+        /// migrations (the copy leaves, then comes back off the wire), the
+        /// array's minimum is the minimum over resident copies, and each
+        /// copy's stamp is its own.
+        #[test]
+        fn stamp_array_min_is_the_full_store_scan(
+            ops in proptest::collection::vec((0u8..4, 0u64..12, 0u64..1_000), 0..200),
+        ) {
+            let mut s = NodeStore::new();
+            let mut stamp_of: std::collections::BTreeMap<u64, Option<u64>> = Default::default();
+            for (op, id, tick) in ops {
+                let node = NodeId(id);
+                match op {
+                    0 => {
+                        s.install(copy(id, 0, 0, None));
+                        stamp_of.insert(id, None);
+                    }
+                    1 => {
+                        if let Some((_, stamp)) = s.get_mut_stamp(node) {
+                            *stamp = tick;
+                            stamp_of.insert(id, Some(tick));
+                        }
+                    }
+                    2 => {
+                        s.remove(node);
+                        stamp_of.remove(&id);
+                    }
+                    _ => {
+                        if let Some(gone) = s.remove(node) {
+                            s.install(gone.snapshot().into_copy());
+                            stamp_of.insert(id, None);
+                        }
+                    }
+                }
+                let scan = stamp_of.values().flatten().min().copied();
+                proptest::prop_assert_eq!(s.oldest_relayed_at(), scan);
+                for (&id, &at) in &stamp_of {
+                    proptest::prop_assert_eq!(s.relayed_at(NodeId(id)), at);
+                }
+            }
+        }
     }
 
     #[test]

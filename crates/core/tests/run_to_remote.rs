@@ -692,6 +692,10 @@ fn a_write_that_splits_and_completes_locally_sends_each_peer_one_message() {
     cluster.try_run_to_quiescence().expect("drains");
     assert_eq!(cluster.sim.proc(me).metrics.splits_initiated, 1);
 
+    let peers: Vec<ProcId> = copies_of(&cluster, last)
+        .into_iter()
+        .map(|(p, _)| p)
+        .collect();
     let trace = cluster.sim.trace();
     let deliveries = || trace.of_event(simnet::TraceEvent::Deliver);
     let here: Vec<&str> = deliveries()
@@ -703,10 +707,7 @@ fn a_write_that_splits_and_completes_locally_sends_each_peer_one_message() {
         ["client"],
         "descent, write, split, parent edge: one action"
     );
-    for (peer, _) in copies_of(&cluster, last)
-        .into_iter()
-        .filter(|(p, _)| *p != me)
-    {
+    for peer in peers.into_iter().filter(|p| *p != me) {
         let sent: Vec<&str> = deliveries()
             .filter(|e| (e.from, e.to) == (me, peer))
             .map(|e| e.kind)

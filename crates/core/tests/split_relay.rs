@@ -213,7 +213,7 @@ fn copy_at(cluster: &DbCluster, at: ProcId, node: NodeId) -> &NodeCopy {
 }
 
 /// The PC → peer channel of one split action, its relay kinds only.
-fn relays_on_channel(cluster: &DbCluster, pc: ProcId, peer: ProcId) -> Vec<&TraceEntry> {
+fn relays_on_channel(cluster: &mut DbCluster, pc: ProcId, peer: ProcId) -> Vec<&TraceEntry> {
     let deliveries = cluster.sim.trace().of_event(TraceEvent::Deliver);
     deliveries
         .filter(|e| (e.from, e.to) == (pc, peer))
@@ -252,7 +252,7 @@ fn the_triggering_writes_relay_follows_the_split_relay_and_lands_where_its_key_w
             .expect("split")
             .node;
         let sep = copy_at(&cluster, pc, sib).low;
-        let channel = relays_on_channel(&cluster, pc, peer);
+        let channel = relays_on_channel(&mut cluster, pc, peer);
         // One message: the split relay carries the leaf's relay and the
         // parent's new edge.
         assert_eq!(kinds(&channel), ["split.relay"], "key {key}");
@@ -348,7 +348,7 @@ fn a_carrying_split_relay_stashed_behind_its_nodes_install_lands_after_it_in_ord
         .expect("split")
         .node;
     let sep = copy_at(&cluster, pc, sib).low;
-    let channel = relays_on_channel(&cluster, pc, peer);
+    let channel = relays_on_channel(&mut cluster, pc, peer);
     assert_eq!(kinds(&channel), ["split.relay"]);
     // On arrival: the sibling and the parent's edge; nothing discarded.
     assert_eq!(counted(channel[0], "relays_applied"), 1);
@@ -401,7 +401,7 @@ fn a_leaf_and_parent_split_in_one_action_send_each_peer_two_split_relays_the_sec
     insert(&mut cluster, 5);
     assert_eq!(cluster.sim.proc(pc).metrics.splits_initiated, 2);
 
-    let channel = relays_on_channel(&cluster, pc, peer);
+    let channel = relays_on_channel(&mut cluster, pc, peer);
     assert_eq!(kinds(&channel), ["split.relay", "split.relay"]);
     assert_eq!(counted(channel[0], "relays_applied"), 0, "the leaf's: bare");
     assert_eq!(
@@ -472,12 +472,12 @@ fn piggybacked_relays_ride_the_split_relay_and_other_slots_keep_waiting() {
 
     // P1: the split relay, carrying both writes' relays and the edge, long
     // before the timer.
-    let to_p1 = relays_on_channel(&cluster, ProcId(0), ProcId(1));
+    let to_p1 = relays_on_channel(&mut cluster, ProcId(0), ProcId(1));
     assert_eq!(kinds(&to_p1), ["split.relay"]);
     assert!(to_p1[0].at.ticks() < FLUSH, "{to_p1:?}");
     assert_eq!(counted(to_p1[0], "relays_applied"), 3);
     // P2: the first write's relay, when the timer fires.
-    let to_p2 = relays_on_channel(&cluster, ProcId(0), ProcId(2));
+    let to_p2 = relays_on_channel(&mut cluster, ProcId(0), ProcId(2));
     assert_eq!(kinds(&to_p2), ["insert.relay-batch"]);
     assert!(to_p2[0].at.ticks() >= FLUSH, "{to_p2:?}");
 
@@ -504,7 +504,7 @@ fn a_suppressed_processors_split_relay_still_leaves_and_carries_nothing() {
     let leaf = primary_leaves(&cluster)[0].id;
     insert(&mut cluster, 75);
 
-    let channel = relays_on_channel(&cluster, pc, peer);
+    let channel = relays_on_channel(&mut cluster, pc, peer);
     assert_eq!(kinds(&channel), ["split.relay"]);
     assert_eq!(counted(channel[0], "relays_applied"), 0);
     let sib = copy_at(&cluster, pc, leaf)

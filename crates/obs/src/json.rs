@@ -6,7 +6,13 @@
 //! exactly the subset the exports use (objects, arrays, strings with the
 //! escapes `json_escape_into` emits, integers, fixed-point decimals,
 //! booleans, `null`) and fails loudly on anything else, which is what a
-//! schema pin wants.
+//! schema pin wants. It is a recursive descent, so nesting is bounded
+//! ([`MAX_DEPTH`]): a hostile line of a million `[` is an error, not a
+//! stack overflow.
+
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts. Every
+/// document it is meant for nests at most 3 deep.
+pub const MAX_DEPTH: usize = 32;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -38,6 +44,7 @@ impl Json {
         let mut p = Parser {
             src: src.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -106,6 +113,8 @@ impl Json {
 struct Parser<'a> {
     src: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -134,8 +143,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -147,6 +156,21 @@ impl Parser<'_> {
             )),
             None => Err("unexpected end of input".to_string()),
         }
+    }
+
+    /// Parse an array or object one level deeper, refusing past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
@@ -325,6 +349,48 @@ mod tests {
         assert!(Json::parse("{\"a\":1} x").is_err());
         assert!(Json::parse("{\"a\"").is_err());
         assert!(Json::parse("").is_err());
+    }
+
+    /// A hostile line: a million `[` used to recurse once per level and
+    /// overflow the stack. Past [`MAX_DEPTH`] it is an error.
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let err = Json::parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        assert!(Json::parse(&"{\"a\":".repeat(100_000)).is_err());
+        let deepest = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(Json::parse(&deepest).is_ok());
+        let one_more = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&one_more).is_err());
+    }
+
+    /// A recorded export: the faulted run of the obsctl goldens.
+    const EXPORT: &str = include_str!("../tests/golden/faulted.trace.jsonl");
+
+    /// JSON's own alphabet, where arbitrary bytes find the parser's edges.
+    const ALPHABET: &[u8] = b"[]{}\":,0123456789-+.eE tfnrul\\/";
+
+    proptest::proptest! {
+        /// Whatever it is given, `parse` returns: arbitrary text, the same
+        /// bytes over JSON's alphabet, and a recorded export cut at any
+        /// byte (line by line, and whole) never make it panic.
+        #[test]
+        fn parse_never_panics(
+            bytes in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..256),
+            cut in 0usize..EXPORT.len() + 1,
+        ) {
+            let _ = Json::parse(&String::from_utf8_lossy(&bytes));
+            let json: String = bytes
+                .iter()
+                .map(|&b| ALPHABET[b as usize % ALPHABET.len()] as char)
+                .collect();
+            let _ = Json::parse(&json);
+            let prefix = String::from_utf8_lossy(&EXPORT.as_bytes()[..cut]);
+            for line in prefix.lines() {
+                let _ = Json::parse(line);
+            }
+            let _ = Json::parse(&prefix);
+        }
     }
 
     #[test]

@@ -243,14 +243,30 @@ pub trait Process {
         Vec::new()
     }
 
-    /// Append [`Process::metrics`] to `out` — what the trace calls, once per
-    /// action, with a buffer it reuses. Same names in the same order on
-    /// every call is the fast case (deltas are then taken positionally).
-    /// Override it to write the counters without building a `Vec`; a
-    /// wrapper that forwards only `metrics` stays correct through this
-    /// default.
+    /// Append [`Process::metrics`] to `out` — what the sampler calls, and
+    /// the trace when the process does not implement
+    /// [`Process::take_moved`], with a buffer it reuses. Override it to
+    /// write the counters without building a `Vec`; a wrapper that forwards
+    /// only `metrics` stays correct through this default.
     fn metrics_into(&self, out: &mut Vec<(&'static str, u64)>) {
         out.extend(self.metrics());
+    }
+
+    /// The counters that moved since the last call, for the trace's
+    /// per-action deltas: with `out`, append `(name, increase)` for each
+    /// counter that rose, in [`Process::metrics`] order; with `None`,
+    /// forget every movement so far (the process was handed out mutably,
+    /// or ran actions nobody traced). Either way the next call counts
+    /// afresh.
+    ///
+    /// Returns `false` — the default — if the process cannot tell what
+    /// moved; the trace then diffs a [`Process::metrics_into`] snapshot
+    /// taken before each action against one taken after it. A process that
+    /// keeps a touched mask beside its counters answers in time
+    /// proportional to what the action raised, not to how many counters it
+    /// has.
+    fn take_moved(&mut self, _out: Option<&mut Vec<(&'static str, u64)>>) -> bool {
+        false
     }
 
     /// Named point-in-time *level* gauges (queue depths, backlog ages,

@@ -14,8 +14,8 @@ use std::fmt::Write as _;
 
 use crate::health::{Alert, HealthConfig, HealthMonitor, HealthReport};
 use crate::json::pairs_into;
-use crate::trace::{Trace, TraceEntry, TraceEvent};
-use crate::{ProcId, Process, SimTime};
+use crate::trace::{Record, Ring, Trace, TraceEvent};
+use crate::{Payload, ProcId, Process, SimTime};
 
 /// Observability knobs, identical for both runtimes.
 #[derive(Clone, Copy, Debug, Default)]
@@ -131,20 +131,22 @@ impl Obs {
 }
 
 /// The one recording path of both runtimes: everything a run observes — an
-/// action's trace entry, a sample and the watchdog alerts it trips, an
+/// action's trace record, a sample and the watchdog alerts it trips, an
 /// output, a process's mark, a fault — is recorded here, so the two
 /// substrates cannot drift apart in what they record or in which order. The
 /// simulator holds it as a plain field; the threaded cluster shares one
 /// behind a mutex, whose acquisition order is then the trace's global `seq`
 /// order. What is read off a *process* (its counters, its gauges) is read
 /// beforehand by that processor's [`CounterTrack`], outside any lock.
-#[derive(Debug)]
-pub(crate) struct Recorder {
-    /// The trace. A runtime opens an action's entry itself, before the
-    /// handler consumes the payload ([`TraceEntry::delivery`] and friends,
-    /// on [`Trace::recycle`]d allocations), and only while it is
-    /// [`Trace::enabled`]; an output goes straight to [`Trace::output`].
-    pub(crate) trace: Trace,
+pub(crate) struct Recorder<M> {
+    /// Trace records, typed by the payload. A runtime opens an action's
+    /// record itself, before the handler consumes the payload
+    /// ([`Record::delivery`] and friends), and only while
+    /// [`Recorder::tracing`].
+    ring: Ring<M>,
+    /// What [`Recorder::trace`] has handed over of the current capture so
+    /// far, type-erased.
+    handed: Trace,
     series: Vec<ProcSample>,
     /// Online watchdogs (`None` unless [`HealthConfig::enabled`]: no monitor
     /// state is even allocated) and the alerts they have fired so far.
@@ -152,24 +154,36 @@ pub(crate) struct Recorder {
     alerts: Vec<Alert>,
 }
 
-impl Recorder {
+impl<M: Payload> Recorder<M> {
     pub(crate) fn new(trace_capacity: usize, health: HealthConfig, n_procs: usize) -> Self {
         Recorder {
-            trace: Trace::with_capacity(trace_capacity),
+            ring: Ring::new(trace_capacity),
+            handed: Trace::with_capacity(trace_capacity),
             series: Vec::new(),
             health: health.enabled.then(|| HealthMonitor::new(health, n_procs)),
             alerts: Vec::new(),
         }
     }
 
-    /// An action ran: record its entry (its deltas filled in by
-    /// [`CounterTrack::observe`]) and the sample that fell due with it. The
-    /// watchdogs see the sample first; each alert becomes a trace entry the
-    /// moment it fires, after the action's entry and before the sample
+    /// Is the trace on? Runtimes open action records only while it is.
+    #[inline]
+    pub(crate) fn tracing(&self) -> bool {
+        self.ring.enabled()
+    }
+
+    /// An action ran: record its `entry` with the counter `deltas`
+    /// [`CounterTrack::observe`] took, and the sample that fell due with
+    /// it. The watchdogs see the sample first; each alert becomes a trace
+    /// record the moment it fires, after the action's and before the sample
     /// joins the series.
-    pub(crate) fn action(&mut self, entry: Option<TraceEntry>, sample: Option<ProcSample>) {
+    pub(crate) fn action(
+        &mut self,
+        entry: Option<Record<M>>,
+        deltas: &[(&'static str, u64)],
+        sample: Option<ProcSample>,
+    ) {
         if let Some(entry) = entry {
-            self.trace.record(entry);
+            self.ring.push(entry, deltas);
         }
         let Some(sample) = sample else {
             return;
@@ -178,13 +192,20 @@ impl Recorder {
         if let Some(mon) = &mut self.health {
             for alert in mon.observe(at, proc, &sample.pairs, &sample.gauges) {
                 let event = TraceEvent::Alert;
-                if let Some(e) = self.trace.note(at, proc, proc, event, alert.rule, None) {
-                    e.set_detail(alert.detail());
-                }
+                let note = Record::note(at, proc, proc, event, alert.rule, None, alert.detail());
+                self.ring.push(note, &[]);
                 self.alerts.push(alert);
             }
         }
         self.series.push(sample);
+    }
+
+    /// `msg` left the system toward [`ProcId::EXTERNAL`]; like a delivery,
+    /// its record keeps the payload itself.
+    pub(crate) fn output(&mut self, at: SimTime, from: ProcId, span: Option<u64>, msg: &M) {
+        if self.ring.enabled() {
+            self.ring.push(Record::output(at, from, span, msg), &[]);
+        }
     }
 
     /// A process annotated its own action ([`Context::mark`](crate::Context::mark)).
@@ -197,9 +218,8 @@ impl Recorder {
         span: Option<u64>,
         detail: String,
     ) {
-        if let Some(e) = self.trace.note(at, proc, proc, event, kind, span) {
-            e.set_detail(detail);
-        }
+        let note = Record::note(at, proc, proc, event, kind, span, detail);
+        self.ring.push(note, &[]);
     }
 
     /// A fault destroyed (`Drop`) or doubled (`Duplicate`) a message of
@@ -218,24 +238,30 @@ impl Recorder {
         redelivery: bool,
         wait: u64,
     ) {
-        if let Some(e) = self.trace.note(at, from, to, event, kind, span) {
-            e.redelivery = redelivery;
-            e.wait = wait;
-            e.set_detail(flavor);
-        }
+        let note = Record::note(at, from, to, event, kind, span, flavor);
+        self.ring.push(note.with_delivery(redelivery, wait), &[]);
     }
 
     /// The fault plan crashed `proc`.
     pub(crate) fn crash(&mut self, at: SimTime, proc: ProcId) {
-        self.trace
-            .note(at, proc, proc, TraceEvent::Crash, "fault.crash", None);
+        let note = Record::note(at, proc, proc, TraceEvent::Crash, "fault.crash", None, "");
+        self.ring.push(note, &[]);
+    }
+
+    /// The capture so far as a [`Trace`]: what the ring holds is
+    /// type-erased onto what earlier calls handed over, and recording
+    /// carries on into the emptied ring.
+    pub(crate) fn trace(&mut self) -> &Trace {
+        self.ring.drain_into(&mut self.handed);
+        &self.handed
     }
 
     /// Hand over everything recorded so far, leaving fresh buffers with the
-    /// same configuration (watchdog state carries on).
+    /// same configuration (the trace's numbering restarts at 0; watchdog
+    /// state carries on).
     pub(crate) fn take(&mut self) -> Obs {
         Obs {
-            trace: self.trace.take(),
+            trace: self.ring.take(&mut self.handed),
             series: std::mem::take(&mut self.series),
             alerts: std::mem::take(&mut self.alerts),
         }
@@ -396,23 +422,39 @@ impl MetricsRegistry {
 }
 
 /// One processor's side of the [`Recorder`] — what is read off the process
-/// itself, by whoever runs its actions: its counters as of its last recorded
-/// action, the per-action deltas taken against them (**one**
-/// [`Process::metrics_into`] snapshot per recorded action into a reused
-/// buffer, compared position by position with the previous one), and its
-/// sampling cadence. An action that is neither traced nor due a sample reads
-/// nothing.
+/// itself, by whoever runs its actions: the deltas of its traced actions and
+/// its sampling cadence. An action that is neither traced nor due a sample
+/// reads nothing.
+///
+/// A traced action's deltas come from [`Process::take_moved`] — the
+/// counters the action raised, and nothing else — or, for a process that
+/// cannot tell what moved, from **one** [`Process::metrics_into`] snapshot
+/// per action into a reused buffer, compared position by position with the
+/// previous one.
 #[derive(Debug, Default)]
 pub(crate) struct CounterTrack {
+    /// How deltas are taken, once armed; `None` until the first traced
+    /// action and after [`CounterTrack::invalidate`].
+    mode: Option<Mode>,
+    /// [`Mode::Diffed`]: the counters as of the last recorded action, and
+    /// the buffer the next snapshot goes to.
     prev: Vec<(&'static str, u64)>,
     cur: Vec<(&'static str, u64)>,
-    /// `prev` is the process's current state. False until the first
-    /// [`CounterTrack::arm`] and after [`CounterTrack::invalidate`].
-    valid: bool,
+    /// The last traced action's `(name, increase)` pairs.
+    pub(crate) deltas: Vec<(&'static str, u64)>,
     /// Sample at most every this many ticks (0 = never), counted from
     /// `sampled_at`.
     interval: u64,
     sampled_at: Option<SimTime>,
+}
+
+/// Where a [`CounterTrack`] takes a traced action's deltas from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Mode {
+    /// [`Process::take_moved`]: the process says what moved.
+    Moved,
+    /// [`Process::metrics_into`] snapshots, diffed.
+    Diffed,
 }
 
 impl CounterTrack {
@@ -439,59 +481,76 @@ impl CounterTrack {
         }
     }
 
-    /// Call after an action that opened a trace `entry` or fell `due` a
-    /// sample (or both): **one** counter snapshot fills the entry's deltas
-    /// and, if due, is the sample's counters — so a sample always shows the
-    /// process as of the action it was taken at.
-    pub(crate) fn observe<P: Process>(
-        &mut self,
-        p: &P,
-        proc: ProcId,
-        now: SimTime,
-        entry: Option<&mut TraceEntry>,
-        due: bool,
-    ) -> Option<ProcSample> {
-        match entry {
-            Some(entry) => self.diff_into(p, &mut entry.deltas),
-            None => self.refresh(p),
-        }
-        due.then(|| ProcSample {
-            at: now,
-            proc,
-            pairs: self.prev.clone(),
-            gauges: p.gauges(now),
-        })
-    }
-
-    /// Call before an action that will be traced: snapshots `p` if the
-    /// counters could have moved since the last [`CounterTrack::diff_into`]
-    /// (nothing traced yet — `on_start` ran — or the process was handed out
-    /// mutably), so the action's deltas are the action's alone.
-    pub(crate) fn arm<P: Process>(&mut self, p: &P) {
-        if !self.valid {
-            self.refresh(p);
+    /// Call before an action that will be traced: if the counters could
+    /// have moved since the last traced action (nothing traced yet —
+    /// `on_start` ran — or the process was handed out mutably), forget
+    /// those movements, so the action's deltas are the action's alone.
+    pub(crate) fn arm<P: Process>(&mut self, p: &mut P) {
+        if self.mode.is_none() {
+            self.rearm(p);
         }
     }
 
-    /// Snapshot `p` without taking deltas.
-    fn refresh<P: Process>(&mut self, p: &P) {
-        self.prev.clear();
-        p.metrics_into(&mut self.prev);
-        self.valid = true;
+    /// Forget every movement so far and settle how deltas are taken.
+    fn rearm<P: Process>(&mut self, p: &mut P) {
+        let mode = if p.take_moved(None) {
+            Mode::Moved
+        } else {
+            self.prev.clear();
+            p.metrics_into(&mut self.prev);
+            Mode::Diffed
+        };
+        self.mode = Some(mode);
     }
 
     /// The counters may move outside a traced action from here on.
     pub(crate) fn invalidate(&mut self) {
-        self.valid = false;
+        self.mode = None;
     }
 
-    /// Call after the action: snapshot `p` once and leave in `out` the
-    /// `(name, increase)` of every counter the action raised. The snapshot
-    /// stays behind as `prev`.
-    fn diff_into<P: Process>(&mut self, p: &P, out: &mut Vec<(&'static str, u64)>) {
+    /// Call after an action that was `traced` (armed beforehand) or fell
+    /// `due` a sample (or both): leaves the traced action's deltas in
+    /// [`CounterTrack::deltas`] and returns the sample, which shows the
+    /// process as of this very action. An untraced sample re-arms the
+    /// track, so its action's movements are no later action's deltas.
+    pub(crate) fn observe<P: Process>(
+        &mut self,
+        p: &mut P,
+        proc: ProcId,
+        now: SimTime,
+        traced: bool,
+        due: bool,
+    ) -> Option<ProcSample> {
+        self.deltas.clear();
+        if !traced {
+            self.rearm(p);
+        } else if self.mode == Some(Mode::Moved) {
+            p.take_moved(Some(&mut self.deltas));
+        } else {
+            self.diff(p);
+        }
+        due.then(|| {
+            let pairs = if self.mode == Some(Mode::Diffed) {
+                self.prev.clone()
+            } else {
+                let mut pairs = Vec::new();
+                p.metrics_into(&mut pairs);
+                pairs
+            };
+            ProcSample {
+                at: now,
+                proc,
+                pairs,
+                gauges: p.gauges(now),
+            }
+        })
+    }
+
+    /// Snapshot `p` once and leave in `deltas` the `(name, increase)` of
+    /// every counter that rose since `prev`. The snapshot becomes `prev`.
+    fn diff<P: Process>(&mut self, p: &P) {
         self.cur.clear();
         p.metrics_into(&mut self.cur);
-        out.clear();
         // Same names in the same order (pointer-equal in practice: they are
         // literals) is the only case a run normally sees.
         let mut aligned = self.cur.len() == self.prev.len();
@@ -502,14 +561,14 @@ impl CounterTrack {
                     break;
                 }
                 if now > was {
-                    out.push((name, now - was));
+                    self.deltas.push((name, now - was));
                 }
             }
         }
         if !aligned {
             // The name set changed under us: match by name.
-            out.clear();
-            out.extend(metric_deltas(&self.prev, &self.cur));
+            self.deltas.clear();
+            self.deltas.extend(metric_deltas(&self.prev, &self.cur));
         }
         std::mem::swap(&mut self.prev, &mut self.cur);
     }
@@ -519,7 +578,7 @@ impl CounterTrack {
 /// snapshots taken around one action, matching by name. Names present only
 /// in `after` are treated as rising from 0; decreases are skipped (counters
 /// are expected to be monotone within an action). [`CounterTrack`]'s
-/// fallback when the name set changes, and the oracle its positional path is
+/// fallback when the name set changes, and the oracle both of its paths are
 /// tested against.
 pub(crate) fn metric_deltas(
     before: &[(&'static str, u64)],
@@ -617,10 +676,17 @@ mod tests {
 
     /// A process that is nothing but its counters: the first `shown` of
     /// `NAMES`, so the name set can grow (session counters appear only when
-    /// the layer is enabled) or shrink between actions.
+    /// the layer is enabled) or shrink between actions. When `tracked` it
+    /// keeps a touched mask and answers [`Process::take_moved`], the way
+    /// `ProcMetrics` does — a hidden counter reads 0 to the trace, as it
+    /// does to [`metric_deltas`].
+    #[derive(Default)]
     struct Counters {
         values: [u64; NAMES.len()],
         shown: usize,
+        tracked: bool,
+        touched: u8,
+        reported: [u64; NAMES.len()],
     }
 
     const NAMES: [&str; 5] = ["a", "b", "c", "d", "e"];
@@ -628,6 +694,29 @@ mod tests {
     #[derive(Clone, Debug)]
     struct Nil;
     impl crate::Payload for Nil {}
+
+    impl Counters {
+        /// Move the counters to `values` and show the first `shown` of
+        /// them, marking every counter that moved or appeared or vanished.
+        fn set(&mut self, values: &[u64], shown: usize) {
+            let shown = shown.min(NAMES.len());
+            for (i, &v) in values.iter().enumerate() {
+                if v != self.values[i] || (i < shown) != (i < self.shown) {
+                    self.touched |= 1 << i;
+                }
+            }
+            self.values.copy_from_slice(values);
+            self.shown = shown;
+        }
+
+        fn seen(&self, i: usize) -> u64 {
+            if i < self.shown {
+                self.values[i]
+            } else {
+                0
+            }
+        }
+    }
 
     impl Process for Counters {
         type Msg = Nil;
@@ -639,55 +728,121 @@ mod tests {
                 .take(self.shown)
                 .collect()
         }
+        fn take_moved(&mut self, out: Option<&mut Vec<(&'static str, u64)>>) -> bool {
+            if !self.tracked {
+                return false;
+            }
+            let Some(out) = out else {
+                self.reported = std::array::from_fn(|i| self.seen(i));
+                self.touched = 0;
+                return true;
+            };
+            for i in (0..NAMES.len()).filter(|i| self.touched & (1 << i) != 0) {
+                let now = self.seen(i);
+                let was = std::mem::replace(&mut self.reported[i], now);
+                if now > was {
+                    out.push((NAMES[i], now - was));
+                }
+            }
+            self.touched = 0;
+            true
+        }
+    }
+
+    /// A wrapper that forwards only [`Process::metrics`] (as perf's timing
+    /// wrapper does): deltas come from snapshots, whatever is inside.
+    struct MetricsOnly(Counters);
+
+    impl Process for MetricsOnly {
+        type Msg = Nil;
+        fn on_message(&mut self, _: &mut crate::Context<'_, Nil>, _: ProcId, _: Nil) {}
+        fn metrics(&self) -> Vec<(&'static str, u64)> {
+            self.0.metrics()
+        }
+    }
+
+    /// One action per step, each preceded — when the step says so — by
+    /// counters moved from outside any action (the process handed out
+    /// mutably, so the track is invalidated): the track's deltas for the
+    /// action are what two snapshots taken around it report, matched by
+    /// name.
+    fn track_against_oracle<P: Process>(
+        mut p: P,
+        counters: impl Fn(&mut P) -> &mut Counters,
+        steps: Vec<(Vec<u64>, usize, Option<Vec<u64>>)>,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let mut track = CounterTrack::default();
+        for (values, shown, outside) in steps {
+            if let Some(outside) = outside {
+                let c = counters(&mut p);
+                let shown = c.shown;
+                c.set(&outside, shown);
+                track.invalidate();
+            }
+            track.arm(&mut p);
+            let before = p.metrics();
+            counters(&mut p).set(&values, shown);
+            track.observe(&mut p, ProcId(0), SimTime(0), true, false);
+            proptest::prop_assert_eq!(&track.deltas, &metric_deltas(&before, &p.metrics()));
+        }
+        Ok(())
     }
 
     proptest::proptest! {
-        /// One snapshot per action, diffed positionally against the last,
-        /// reports what two snapshots matched by name report — over
-        /// arbitrary counter movements (decreases included) and a name set
-        /// that changes mid-run.
+        /// The touched-mask path ([`Process::take_moved`]) and the
+        /// snapshot fallback (a process that cannot tell what moved, and a
+        /// wrapper that forwards only `metrics`) each report what two
+        /// snapshots matched by name report — over arbitrary counter
+        /// movements (decreases included), counters moved between actions,
+        /// and a name set that changes mid-run.
         #[test]
         fn counter_track_equals_metric_deltas(
             steps in proptest::collection::vec(
-                (proptest::collection::vec(0u64..4, 5..6), 0usize..6),
+                (
+                    proptest::collection::vec(0u64..4, 5..6),
+                    0usize..6,
+                    proptest::collection::vec(0u64..4, 5..6),
+                    0u8..4,
+                ),
                 1..24,
             ),
         ) {
-            let mut p = Counters { values: [0; NAMES.len()], shown: 3 };
-            let mut track = CounterTrack::default();
-            let mut deltas = Vec::new();
-            for (values, shown) in steps {
-                track.arm(&p);
-                let before = p.metrics();
-                p.values.copy_from_slice(&values);
-                p.shown = shown.min(NAMES.len());
-                track.diff_into(&p, &mut deltas);
-                proptest::prop_assert_eq!(&deltas, &metric_deltas(&before, &p.metrics()));
-                proptest::prop_assert_eq!(&track.prev, &p.metrics());
+            let steps: Vec<_> = steps
+                .into_iter()
+                .map(|(values, shown, outside, roll)| (values, shown, (roll == 0).then_some(outside)))
+                .collect();
+            for tracked in [true, false] {
+                let p = Counters { shown: 3, tracked, ..Counters::default() };
+                track_against_oracle(p, |p| p, steps.clone())?;
             }
+            let wrapped = MetricsOnly(Counters { shown: 3, tracked: true, ..Counters::default() });
+            track_against_oracle(wrapped, |p| &mut p.0, steps)?;
         }
     }
 
     #[test]
     fn counter_track_rearms_after_invalidate() {
-        let mut p = Counters {
-            values: [1, 0, 0, 0, 0],
-            shown: 2,
-        };
-        let mut track = CounterTrack::default();
-        let mut deltas = Vec::new();
-        track.arm(&p);
-        p.values[0] = 3;
-        track.diff_into(&p, &mut deltas);
-        assert_eq!(deltas, vec![("a", 2)]);
-        // Counters moved outside an action (the process was handed out
-        // mutably): not the next action's doing.
-        p.values[1] = 10;
-        track.invalidate();
-        track.arm(&p);
-        p.values[1] = 11;
-        track.diff_into(&p, &mut deltas);
-        assert_eq!(deltas, vec![("b", 1)]);
+        for tracked in [true, false] {
+            let mut p = Counters {
+                shown: 2,
+                tracked,
+                ..Counters::default()
+            };
+            p.set(&[1, 0, 0, 0, 0], 2);
+            let mut track = CounterTrack::default();
+            track.arm(&mut p);
+            p.set(&[3, 0, 0, 0, 0], 2);
+            track.observe(&mut p, ProcId(0), SimTime(0), true, false);
+            assert_eq!(track.deltas, vec![("a", 2)]);
+            // Counters moved outside an action (the process was handed out
+            // mutably): not the next action's doing.
+            p.set(&[3, 10, 0, 0, 0], 2);
+            track.invalidate();
+            track.arm(&mut p);
+            p.set(&[3, 11, 0, 0, 0], 2);
+            track.observe(&mut p, ProcId(0), SimTime(0), true, false);
+            assert_eq!(track.deltas, vec![("b", 1)], "tracked={tracked}");
+        }
     }
 
     #[test]

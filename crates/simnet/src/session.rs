@@ -1198,6 +1198,15 @@ impl<P: Process> Process for SessionProc<P> {
         self.own_metrics(out);
     }
 
+    /// The inner process's answer while this layer shows no counters of its
+    /// own; with them on, the trace diffs snapshots instead.
+    fn take_moved(&mut self, out: Option<&mut Vec<(&'static str, u64)>>) -> bool {
+        if self.cfg.enabled || self.cfg.detector.enabled {
+            return false;
+        }
+        self.inner.take_moved(out)
+    }
+
     fn gauges(&self, now: crate::SimTime) -> Vec<(&'static str, u64)> {
         let mut g = self.inner.gauges(now);
         if self.cfg.enabled {

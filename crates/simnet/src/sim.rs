@@ -10,7 +10,7 @@ use crate::health::HealthConfig;
 use crate::obs::{CounterTrack, Recorder};
 use crate::runtime::{Poll, QuiesceError, Runtime};
 use crate::schedule::Scheduler;
-use crate::trace::{TraceEntry, TraceEvent};
+use crate::trace::{Record, TraceEvent};
 use crate::{LatencyModel, NetStats, Obs, Payload, ProcId, Process, SimTime, Trace};
 
 /// Configuration of a [`Simulation`] run.
@@ -158,7 +158,7 @@ pub struct Simulation<P: Process> {
     /// Everything the run observes is recorded here (trace, series,
     /// watchdog alerts), from what each processor's track reads off its
     /// process (untouched while tracing and sampling are both off).
-    recorder: Recorder,
+    recorder: Recorder<P::Msg>,
     counters: Vec<CounterTrack>,
     outputs: Vec<(SimTime, ProcId, P::Msg)>,
     effects_buf: Vec<Effect<P::Msg>>,
@@ -250,9 +250,11 @@ impl<P: Process> Simulation<P> {
         &self.stats
     }
 
-    /// The causal trace (empty unless `trace_capacity > 0`).
-    pub fn trace(&self) -> &Trace {
-        &self.recorder.trace
+    /// The causal trace so far (empty unless `trace_capacity > 0`). The
+    /// recorder's typed ring is handed over — type-erased — on this call,
+    /// and recording carries on.
+    pub fn trace(&mut self) -> &Trace {
+        self.recorder.trace()
     }
 
     /// Take the observability data (trace + series + alerts), leaving fresh
@@ -499,28 +501,16 @@ impl<P: Process> Simulation<P> {
         self.delivered += 1;
         // An action's trace entry is opened before the action runs — the
         // handler consumes the payload — and recorded after it.
-        let (now, wait, tracing) = (self.now, event.wait, self.recorder.trace.enabled());
+        let (now, wait, tracing) = (self.now, event.wait, self.recorder.tracing());
         match event.kind {
             EventKind::Deliver { from, msg, span } => {
-                let pending = tracing.then(|| {
-                    TraceEntry::delivery(
-                        self.recorder.trace.recycle(),
-                        now,
-                        from,
-                        to,
-                        span,
-                        &msg,
-                        wait,
-                    )
-                });
+                let pending = tracing.then(|| Record::delivery(now, from, to, span, &msg, wait));
                 self.run_action(to, span, svc, pending, |p, ctx| {
                     p.on_message(ctx, from, msg)
                 });
             }
             EventKind::Timer { token } => {
-                let pending = tracing.then(|| {
-                    TraceEntry::timer(self.recorder.trace.recycle(), now, to, token, wait)
-                });
+                let pending = tracing.then(|| Record::timer(now, to, token, wait));
                 self.run_action(to, None, svc, pending, |p, ctx| p.on_timer(ctx, token));
             }
             EventKind::Crash => {
@@ -538,8 +528,7 @@ impl<P: Process> Simulation<P> {
                 // The new incarnation's node manager starts idle.
                 self.proc_busy[to.index()] = self.now;
                 self.stats.faults_mut().restarts += 1;
-                let pending =
-                    tracing.then(|| TraceEntry::restart(self.recorder.trace.recycle(), now, to));
+                let pending = tracing.then(|| Record::restart(now, to));
                 self.run_action(to, None, 0, pending, |p, ctx| p.on_restart(ctx));
             }
             EventKind::Tombstone { .. } => unreachable!("handled above"),
@@ -588,8 +577,8 @@ impl<P: Process> Simulation<P> {
     }
 
     /// Execute one atomic action on `id`: run `f` with a [`Context`] whose
-    /// span is `span`, hand the recorder the opened trace entry `pending`
-    /// (with the action's `Process::metrics` deltas) and the time-series
+    /// span is `span`, hand the recorder the opened trace record `pending`
+    /// (with the action's counter deltas) and the time-series
     /// sample if one is due, then apply the buffered effects — so the
     /// action's entry lands in the trace *before* the entries its sends
     /// generate, keeping the trace causally ordered. Effects depart at
@@ -603,14 +592,14 @@ impl<P: Process> Simulation<P> {
         id: ProcId,
         span: Option<u64>,
         service: u64,
-        mut pending: Option<TraceEntry>,
+        pending: Option<Record<P::Msg>>,
         f: impl FnOnce(&mut P, &mut Context<'_, P::Msg>),
     ) {
         let mut p = self.procs[id.index()]
             .take()
             .expect("process is resident between events");
         if pending.is_some() {
-            self.counters[id.index()].arm(&*p);
+            self.counters[id.index()].arm(&mut *p);
         }
         debug_assert!(self.effects_buf.is_empty());
         let mut effects = std::mem::take(&mut self.effects_buf);
@@ -627,14 +616,14 @@ impl<P: Process> Simulation<P> {
         let track = &mut self.counters[id.index()];
         let due = track.due(self.now);
         if due || pending.is_some() {
-            let mut sample = track.observe(&*p, id, self.now, pending.as_mut(), due);
+            let mut sample = track.observe(&mut *p, id, self.now, pending.is_some(), due);
             if let Some(sample) = &mut sample {
                 // Runtime-level gauge: pending events across the whole cluster
                 // (simulator only — the threaded runtime has no global queue).
                 let depth = self.queue.len() as u64;
                 sample.gauges.push(("rt.event_queue_depth", depth));
             }
-            self.recorder.action(pending, sample);
+            self.recorder.action(pending, &track.deltas, sample);
         }
         self.procs[id.index()] = Some(p);
         let depart = self.now + service;
@@ -660,7 +649,7 @@ impl<P: Process> Simulation<P> {
                 if to.is_external() {
                     self.stats
                         .record_send(msg.kind(), src.index(), None, msg.size_hint(), false);
-                    self.recorder.trace.output(depart, src, span, &msg);
+                    self.recorder.output(depart, src, span, &msg);
                     self.outputs.push((depart, src, msg));
                     return;
                 }

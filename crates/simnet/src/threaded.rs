@@ -37,7 +37,7 @@ use crate::inbox::Inbox;
 pub use crate::inbox::InboxStats;
 use crate::obs::{CounterTrack, Recorder};
 use crate::runtime::{Poll, QuiesceError, Runtime};
-use crate::trace::{TraceEntry, TraceEvent};
+use crate::trace::{Record, TraceEvent};
 use crate::{Context, Obs, ObsConfig, Payload, ProcId, Process, SimTime};
 
 use rand::rngs::SmallRng;
@@ -76,10 +76,10 @@ enum Envelope<M> {
 /// lock-acquisition order *is* the global `seq` order — the trace is a
 /// linearization of what actually interleaved. `None` when observability is
 /// off.
-type SharedObs = Option<Arc<Mutex<Recorder>>>;
+type SharedObs<M> = Option<Arc<Mutex<Recorder<M>>>>;
 
 /// The shared recorder, locked.
-fn lock(obs: &SharedObs) -> Option<MutexGuard<'_, Recorder>> {
+fn lock<M>(obs: &SharedObs<M>) -> Option<MutexGuard<'_, Recorder<M>>> {
     obs.as_ref().map(|o| o.lock().expect("obs lock"))
 }
 
@@ -204,7 +204,7 @@ pub struct Cluster<P: Process> {
     next_probe: u64,
     /// Shared trace + series, `None` when observability is off (the workers
     /// then skip every recording branch — zero overhead).
-    obs: SharedObs,
+    obs: SharedObs<P::Msg>,
     /// `obs` holds a trace, so injected messages carry their queueing time.
     tracing: bool,
 }
@@ -226,7 +226,7 @@ where
         let n = procs.len();
         let epoch = Instant::now();
         let tracing = obs_cfg.trace_capacity > 0;
-        let obs: SharedObs = (tracing || obs_cfg.sample_interval > 0).then(|| {
+        let obs: SharedObs<P::Msg> = (tracing || obs_cfg.sample_interval > 0).then(|| {
             let recorder = Recorder::new(obs_cfg.trace_capacity, obs_cfg.health, n);
             Arc::new(Mutex::new(recorder))
         });
@@ -259,7 +259,6 @@ where
                 obs: obs.clone(),
                 tracing,
                 counters: CounterTrack::new(obs_cfg.sample_interval),
-                spare: None,
             };
             let handle = thread::Builder::new()
                 .name(format!("simnet-p{i}"))
@@ -531,16 +530,13 @@ struct Worker<P: Process> {
     timers: Sender<TimerCmd>,
     actions: Arc<AtomicU64>,
     pending_timers: Arc<AtomicU64>,
-    obs: SharedObs,
+    obs: SharedObs<P::Msg>,
     /// `obs` holds a trace, so actions open entries.
     tracing: bool,
-    /// What the recorder needs off this process — counter snapshots behind
-    /// action deltas and samples, and when a sample is due. Read on this
-    /// thread, never under the obs lock.
+    /// What the recorder needs off this process — action deltas, samples,
+    /// and when a sample is due. Read on this thread, never under the obs
+    /// lock.
     counters: CounterTrack,
-    /// The trace's last evicted entry, picked up while the lock was held:
-    /// the next entry is built on its allocations, outside the lock.
-    spare: Option<TraceEntry>,
 }
 
 impl<P: Process> Worker<P> {
@@ -587,17 +583,9 @@ impl<P: Process> Worker<P> {
                         }
                         // Open the entry before the payload moves into the
                         // handler.
-                        let pending = self.tracing.then(|| {
-                            TraceEntry::delivery(
-                                self.spare.take(),
-                                at,
-                                from,
-                                self.me,
-                                span,
-                                &msg,
-                                wait,
-                            )
-                        });
+                        let pending = self
+                            .tracing
+                            .then(|| Record::delivery(at, from, self.me, span, &msg, wait));
                         self.act(at, span, pending, |p, ctx| p.on_message(ctx, from, msg));
                     }
                     Envelope::Timer { token } => {
@@ -605,9 +593,7 @@ impl<P: Process> Worker<P> {
                             continue;
                         }
                         let at = self.now();
-                        let pending = self
-                            .tracing
-                            .then(|| TraceEntry::timer(self.spare.take(), at, self.me, token, 0));
+                        let pending = self.tracing.then(|| Record::timer(at, self.me, token, 0));
                         self.act(at, None, pending, |p, ctx| p.on_timer(ctx, token));
                     }
                     Envelope::Probe { token } => {
@@ -625,9 +611,7 @@ impl<P: Process> Worker<P> {
                         }
                         down = false;
                         let at = self.now();
-                        let pending = self
-                            .tracing
-                            .then(|| TraceEntry::restart(self.spare.take(), at, self.me));
+                        let pending = self.tracing.then(|| Record::restart(at, self.me));
                         self.act(at, None, pending, |p, ctx| p.on_restart(ctx));
                     }
                     Envelope::Shutdown => break 'run,
@@ -655,7 +639,7 @@ impl<P: Process> Worker<P> {
     }
 
     /// One atomic action: run the handler, record it (its opened trace
-    /// entry `pending`, a sample if due), send what it sent, count it. The
+    /// record `pending`, a sample if due), send what it sent, count it. The
     /// process is read before the lock is taken — and only if the action is
     /// traced or sampled; one acquisition covers entry and sample, so entry
     /// `seq` and sample order agree.
@@ -663,20 +647,21 @@ impl<P: Process> Worker<P> {
         &mut self,
         at: SimTime,
         span: Option<u64>,
-        mut pending: Option<TraceEntry>,
+        pending: Option<Record<P::Msg>>,
         f: impl FnOnce(&mut P, &mut Context<'_, P::Msg>),
     ) {
         if pending.is_some() {
-            self.counters.arm(&self.proc);
+            self.counters.arm(&mut self.proc);
         }
         self.dispatch(at, span, f);
         let due = self.counters.due(at);
         if due || pending.is_some() {
-            let entry = pending.as_mut();
-            let sample = self.counters.observe(&self.proc, self.me, at, entry, due);
+            let traced = pending.is_some();
+            let sample = self
+                .counters
+                .observe(&mut self.proc, self.me, at, traced, due);
             let mut rec = lock(&self.obs).expect("traced or sampled implies a recorder");
-            rec.action(pending, sample);
-            self.spare = rec.trace.recycle();
+            rec.action(pending, &self.counters.deltas, sample);
         }
         self.flush(at, span);
         // Count the action only after its sends are enqueued: the probe
@@ -695,7 +680,7 @@ impl<P: Process> Worker<P> {
                     let span = msg.span().or(action_span);
                     if to.is_external() {
                         if let Some(mut rec) = lock(&self.obs) {
-                            rec.trace.output(at, me, span, &msg);
+                            rec.output(at, me, span, &msg);
                         }
                         self.out.send(Output::At(at, me, msg));
                     } else {

@@ -13,12 +13,15 @@
 //! run needs the tail, not the head. `dropped` counts evicted entries.
 //!
 //! It is a *flight recorder*: recording keeps what happened in the cheapest
-//! form the runtime has — a delivery keeps a clone of the payload itself, a
-//! timer its token — and text is produced only when someone reads it
-//! ([`TraceEntry::detail`], [`TraceEntry::to_json`]). A long run records
-//! many times what the ring retains, so an entry that is evicted is never
-//! formatted, and the evicted entry's allocations are handed to the next
-//! one recorded (`Trace::recycle`).
+//! form the runtime has, and text is produced only when someone reads it
+//! ([`TraceEntry::detail`], [`TraceEntry::to_json`]). The recorder's ring
+//! is typed by the runtime's payload: each slot is one fixed-size record
+//! with the payload itself (a delivery's or output's message, a timer's
+//! token, a fault's static flavor) and the action's counter deltas inline,
+//! overwritten in place once the ring has wrapped. A long run records many
+//! times what the ring retains, so an entry that is evicted is never
+//! formatted, boxed or type-erased. Type erasure into [`TraceEntry`]s
+//! happens once, at hand-over, consuming the ring as it goes.
 
 use std::any::Any;
 use std::borrow::Cow;
@@ -89,14 +92,16 @@ trait Recorded: Any + fmt::Debug + Send + Sync {}
 
 impl<M: Payload> Recorded for M {}
 
-/// What an entry says beyond its fixed fields, in the form it was recorded.
-enum Detail {
+/// What an entry says beyond its fixed fields, in the form it was recorded
+/// (`P` is the payload as the ring holds it; a [`TraceEntry`] holds it
+/// boxed and type-erased).
+enum Detail<P = Box<dyn Recorded>> {
     /// A fault flavor or a process-written annotation (empty for none).
     Text(Cow<'static, str>),
     /// A timer's token; reads `token=N`.
     Token(u64),
     /// The delivered or emitted payload; reads as its `{:?}`.
-    Payload(Box<dyn Recorded>),
+    Payload(P),
 }
 
 impl fmt::Display for Detail {
@@ -164,27 +169,6 @@ impl TraceEntry {
         kind: &'static str,
         span: Option<u64>,
     ) -> Self {
-        Self::reusing(None, at, from, to, event, kind, span)
-    }
-
-    /// [`TraceEntry::new`] built on the allocations of `old`, an evicted
-    /// entry from [`Trace::recycle`]: the `deltas` capacity, and the payload
-    /// box — `old`'s detail is left in place for [`TraceEntry::set_payload`]
-    /// to overwrite, so every caller sets the detail.
-    fn reusing(
-        old: Option<TraceEntry>,
-        at: SimTime,
-        from: ProcId,
-        to: ProcId,
-        event: TraceEvent,
-        kind: &'static str,
-        span: Option<u64>,
-    ) -> Self {
-        let (detail, mut deltas) = match old {
-            Some(old) => (old.detail, old.deltas),
-            None => (Detail::Text(Cow::Borrowed("")), Vec::new()),
-        };
-        deltas.clear();
         TraceEntry {
             seq: 0,
             at,
@@ -195,49 +179,9 @@ impl TraceEntry {
             span,
             redelivery: false,
             wait: 0,
-            detail,
-            deltas,
+            detail: Detail::Text(Cow::Borrowed("")),
+            deltas: Vec::new(),
         }
-    }
-
-    /// The entry of `msg`'s delivery to `to`, opened before the action runs
-    /// (the handler consumes the payload) and recorded after it, with the
-    /// action's counter deltas. Both runtimes build action entries here.
-    pub(crate) fn delivery<M: Payload>(
-        old: Option<TraceEntry>,
-        at: SimTime,
-        from: ProcId,
-        to: ProcId,
-        span: Option<u64>,
-        msg: &M,
-        wait: u64,
-    ) -> Self {
-        let mut e = Self::reusing(old, at, from, to, TraceEvent::Deliver, msg.kind(), span);
-        e.redelivery = msg.redelivery();
-        e.wait = wait;
-        e.set_payload(msg);
-        e
-    }
-
-    /// The entry of a timer firing on `to`.
-    pub(crate) fn timer(
-        old: Option<TraceEntry>,
-        at: SimTime,
-        to: ProcId,
-        token: u64,
-        wait: u64,
-    ) -> Self {
-        let mut e = Self::reusing(old, at, to, to, TraceEvent::Timer, "timer", None);
-        e.wait = wait;
-        e.detail = Detail::Token(token);
-        e
-    }
-
-    /// The entry of `to`'s restart action.
-    pub(crate) fn restart(old: Option<TraceEntry>, at: SimTime, to: ProcId) -> Self {
-        let mut e = Self::reusing(old, at, to, to, TraceEvent::Restart, "fault.restart", None);
-        e.set_detail("");
-        e
     }
 
     /// What the entry says beyond its fixed fields, rendered now: the
@@ -252,18 +196,6 @@ impl TraceEntry {
     /// Annotate the entry with fixed or process-written text.
     pub fn set_detail(&mut self, text: impl Into<Cow<'static, str>>) {
         self.detail = Detail::Text(text.into());
-    }
-
-    /// Keep a clone of `msg` as the detail (into the box already here, when
-    /// this entry was built on an evicted one that held the same type).
-    fn set_payload<M: Payload>(&mut self, msg: &M) {
-        if let Detail::Payload(held) = &mut self.detail {
-            if let Some(slot) = (&mut **held as &mut dyn Any).downcast_mut::<M>() {
-                slot.clone_from(msg);
-                return;
-            }
-        }
-        self.detail = Detail::Payload(Box::new(msg.clone()));
     }
 
     /// One line of the JSONL schema (no trailing newline). Field set and
@@ -324,8 +256,6 @@ pub struct Trace {
     /// Retained [`TraceEvent::Alert`] entries — the eviction policy below
     /// skips them while anything else can be evicted instead.
     retained_alerts: usize,
-    /// The entry evicted last, kept for its allocations ([`Trace::recycle`]).
-    spare: Option<TraceEntry>,
 }
 
 impl Trace {
@@ -337,14 +267,7 @@ impl Trace {
             dropped: 0,
             next_seq: 0,
             retained_alerts: 0,
-            spare: None,
         }
-    }
-
-    /// Hand over what was recorded, leaving an empty trace of the same
-    /// capacity (numbering restarts at 0).
-    pub(crate) fn take(&mut self) -> Trace {
-        std::mem::replace(self, Trace::with_capacity(self.cap))
     }
 
     /// Is recording enabled at all? (`cap > 0`.)
@@ -367,72 +290,32 @@ impl Trace {
             return;
         }
         entry.seq = self.next_seq;
-        self.next_seq += 1;
+        self.admit(entry);
+    }
+
+    /// [`Trace::record`] an entry that already has its `seq` (the typed
+    /// ring numbered it when it was recorded there).
+    fn admit(&mut self, entry: TraceEntry) {
+        self.next_seq = entry.seq + 1;
         if self.entries.len() == self.cap {
-            self.spare = if self.retained_alerts == 0 {
-                self.entries.pop_front()
+            if self.retained_alerts == 0 {
+                self.entries.pop_front();
             } else if let Some(idx) = self
                 .entries
                 .iter()
                 .position(|e| e.event != TraceEvent::Alert)
             {
-                self.entries.remove(idx)
+                self.entries.remove(idx);
             } else {
                 self.retained_alerts -= 1;
-                self.entries.pop_front()
-            };
+                self.entries.pop_front();
+            }
             self.dropped += 1;
         }
         if entry.event == TraceEvent::Alert {
             self.retained_alerts += 1;
         }
         self.entries.push_back(entry);
-    }
-
-    /// Record an event that is not a process action — a fault drop or
-    /// duplicate, a crash marker, a mark, an alert — and therefore changed
-    /// no process metrics. Returns the recorded entry
-    /// (`None` while tracing is off) so the caller can set the rarer fields
-    /// (`redelivery`, `wait`, [`TraceEntry::set_detail`]).
-    pub fn note(
-        &mut self,
-        at: SimTime,
-        from: ProcId,
-        to: ProcId,
-        event: TraceEvent,
-        kind: &'static str,
-        span: Option<u64>,
-    ) -> Option<&mut TraceEntry> {
-        if !self.enabled() {
-            return None;
-        }
-        self.record(TraceEntry::new(at, from, to, event, kind, span));
-        self.entries.back_mut()
-    }
-
-    /// Record `msg` leaving the system toward [`ProcId::EXTERNAL`] (a no-op
-    /// while tracing is off); like a delivery, it keeps the payload itself.
-    pub(crate) fn output<M: Payload>(
-        &mut self,
-        at: SimTime,
-        from: ProcId,
-        span: Option<u64>,
-        msg: &M,
-    ) {
-        if self.enabled() {
-            let to = ProcId::EXTERNAL;
-            let event = TraceEvent::Output;
-            let mut e = TraceEntry::reusing(self.recycle(), at, from, to, event, msg.kind(), span);
-            e.set_payload(msg);
-            self.record(e);
-        }
-    }
-
-    /// Take the entry evicted last, to build the next one on its
-    /// allocations (`TraceEntry::delivery` and friends): with the ring full,
-    /// recording a flat payload allocates nothing.
-    pub(crate) fn recycle(&mut self) -> Option<TraceEntry> {
-        self.spare.take()
     }
 
     /// Recorded entries, oldest retained first.
@@ -497,6 +380,314 @@ impl Trace {
             out.push('\n');
         }
         out
+    }
+}
+
+/// Deltas a ring slot holds inline; an action that moves more counters
+/// keeps the rest in the ring's shared overflow. (In a traced insert
+/// stream on the three-copy test bed, 87 % of actions move at most one
+/// counter and 95 % at most two.)
+const INLINE_DELTAS: usize = 2;
+
+/// Ring slots allocated at a time: the ring grows a chunk at a time as it
+/// fills (nothing is touched up front), and hand-over frees a chunk as soon
+/// as it has been read.
+const CHUNK: usize = 1024;
+
+/// One event as a runtime records it: a [`TraceEntry`] before its `seq`,
+/// its deltas and type erasure.
+pub(crate) struct Record<M> {
+    at: SimTime,
+    from: ProcId,
+    to: ProcId,
+    event: TraceEvent,
+    redelivery: bool,
+    kind: &'static str,
+    span: Option<u64>,
+    wait: u64,
+    detail: Detail<M>,
+}
+
+impl<M: Payload> Record<M> {
+    /// An event with a fixed or process-written annotation (empty for
+    /// none): a fault, a crash marker, a mark, an alert.
+    pub(crate) fn note(
+        at: SimTime,
+        from: ProcId,
+        to: ProcId,
+        event: TraceEvent,
+        kind: &'static str,
+        span: Option<u64>,
+        detail: impl Into<Cow<'static, str>>,
+    ) -> Self {
+        Record {
+            at,
+            from,
+            to,
+            event,
+            redelivery: false,
+            kind,
+            span,
+            wait: 0,
+            detail: Detail::Text(detail.into()),
+        }
+    }
+
+    /// A fault's record: it destroyed or doubled a message that waited
+    /// `wait` and was (or was not) a `redelivery`.
+    pub(crate) fn with_delivery(mut self, redelivery: bool, wait: u64) -> Self {
+        self.redelivery = redelivery;
+        self.wait = wait;
+        self
+    }
+
+    /// `msg`'s delivery to `to`, opened before the action runs (the handler
+    /// consumes the payload, so the record keeps a clone of it) and recorded
+    /// after it, with the action's counter deltas. Both runtimes open
+    /// action records here and in [`Record::timer`] / [`Record::restart`].
+    pub(crate) fn delivery(
+        at: SimTime,
+        from: ProcId,
+        to: ProcId,
+        span: Option<u64>,
+        msg: &M,
+        wait: u64,
+    ) -> Self {
+        Record {
+            at,
+            from,
+            to,
+            event: TraceEvent::Deliver,
+            redelivery: msg.redelivery(),
+            kind: msg.kind(),
+            span,
+            wait,
+            detail: Detail::Payload(msg.clone()),
+        }
+    }
+
+    /// `msg` leaving the system toward [`ProcId::EXTERNAL`].
+    pub(crate) fn output(at: SimTime, from: ProcId, span: Option<u64>, msg: &M) -> Self {
+        Record {
+            event: TraceEvent::Output,
+            to: ProcId::EXTERNAL,
+            redelivery: false,
+            ..Record::delivery(at, from, ProcId::EXTERNAL, span, msg, 0)
+        }
+    }
+
+    /// A timer firing on `to`.
+    pub(crate) fn timer(at: SimTime, to: ProcId, token: u64, wait: u64) -> Self {
+        Record {
+            wait,
+            detail: Detail::Token(token),
+            ..Record::note(at, to, to, TraceEvent::Timer, "timer", None, "")
+        }
+    }
+
+    /// `to`'s restart action.
+    pub(crate) fn restart(at: SimTime, to: ProcId) -> Self {
+        Record::note(at, to, to, TraceEvent::Restart, "fault.restart", None, "")
+    }
+
+    /// The [`TraceEntry`] this record reads as: the payload boxed and
+    /// type-erased, the deltas collected.
+    fn erase(self, seq: u64, deltas: Vec<(&'static str, u64)>) -> TraceEntry {
+        TraceEntry {
+            seq,
+            at: self.at,
+            from: self.from,
+            to: self.to,
+            event: self.event,
+            kind: self.kind,
+            span: self.span,
+            redelivery: self.redelivery,
+            wait: self.wait,
+            detail: match self.detail {
+                Detail::Text(t) => Detail::Text(t),
+                Detail::Token(t) => Detail::Token(t),
+                Detail::Payload(m) => Detail::Payload(Box::new(m)),
+            },
+            deltas,
+        }
+    }
+}
+
+/// One slot of the ring: a record, its number and its deltas inline.
+struct Slot<M> {
+    seq: u64,
+    record: Record<M>,
+    /// How many deltas the action moved; those past [`INLINE_DELTAS`] are
+    /// in [`Ring::overflow`].
+    n_deltas: usize,
+    deltas: [(&'static str, u64); INLINE_DELTAS],
+}
+
+/// The typed flight recorder behind a [`Trace`]: the most recent `cap`
+/// records of one run, evicted exactly as [`Trace::record`] evicts —
+/// the oldest non-alert record first, the oldest alert only when nothing
+/// else is retained.
+///
+/// Alerts are rare and stay in a list of their own, so every other record
+/// leaves in arrival order: those are a FIFO over fixed-size slots, slot
+/// `p` at `chunks[p / CHUNK][p % CHUNK]`, written at `(head + len) % cap`
+/// and overwritten in place once the ring has wrapped.
+pub(crate) struct Ring<M> {
+    cap: usize,
+    chunks: Vec<Vec<Slot<M>>>,
+    head: usize,
+    len: usize,
+    /// `(head + len) % cap`: where the next record goes.
+    tail: usize,
+    /// Deltas past each slot's inline ones, in slot order.
+    overflow: VecDeque<(&'static str, u64)>,
+    /// Retained [`TraceEvent::Alert`] records with their numbers, oldest
+    /// first.
+    alerts: VecDeque<(u64, Record<M>)>,
+    next_seq: u64,
+    /// Records evicted since the last hand-over.
+    dropped: u64,
+}
+
+impl<M: Payload> Ring<M> {
+    /// An empty ring retaining at most `cap` records (0 = no tracing).
+    pub(crate) fn new(cap: usize) -> Self {
+        Ring {
+            cap,
+            chunks: Vec::new(),
+            head: 0,
+            len: 0,
+            tail: 0,
+            overflow: VecDeque::new(),
+            alerts: VecDeque::new(),
+            next_seq: 0,
+            dropped: 0,
+        }
+    }
+
+    /// Is recording enabled at all? (`cap > 0`.)
+    pub(crate) fn enabled(&self) -> bool {
+        self.cap > 0
+    }
+
+    /// Number the record, evict one to make room if the ring is full, and
+    /// store it with `deltas` (an alert carries none).
+    pub(crate) fn push(&mut self, record: Record<M>, deltas: &[(&'static str, u64)]) {
+        if self.cap == 0 {
+            return;
+        }
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        if self.len + self.alerts.len() == self.cap {
+            self.evict();
+        }
+        if record.event == TraceEvent::Alert {
+            debug_assert!(deltas.is_empty(), "an alert is no action");
+            self.alerts.push_back((seq, record));
+            return;
+        }
+        let p = self.tail;
+        self.tail = self.next(p);
+        self.len += 1;
+        let (inline, rest) = deltas.split_at(deltas.len().min(INLINE_DELTAS));
+        if !rest.is_empty() {
+            self.overflow.extend(rest);
+        }
+        if p / CHUNK == self.chunks.len() {
+            self.chunks
+                .push(Vec::with_capacity(CHUNK.min(self.cap - p)));
+        }
+        let chunk = &mut self.chunks[p / CHUNK];
+        if p % CHUNK == chunk.len() {
+            let mut slot = Slot {
+                seq,
+                record,
+                n_deltas: deltas.len(),
+                deltas: [("", 0); INLINE_DELTAS],
+            };
+            slot.deltas[..inline.len()].copy_from_slice(inline);
+            chunk.push(slot);
+        } else {
+            let slot = &mut chunk[p % CHUNK];
+            slot.seq = seq;
+            slot.record = record;
+            slot.n_deltas = deltas.len();
+            slot.deltas[..inline.len()].copy_from_slice(inline);
+        }
+    }
+
+    /// Drop the oldest non-alert record, or the oldest alert if nothing
+    /// else is retained.
+    fn evict(&mut self) {
+        self.dropped += 1;
+        if self.len == 0 {
+            self.alerts.pop_front();
+            return;
+        }
+        let slot = &self.chunks[self.head / CHUNK][self.head % CHUNK];
+        if slot.n_deltas > INLINE_DELTAS {
+            self.overflow.drain(..slot.n_deltas - INLINE_DELTAS);
+        }
+        self.head = self.next(self.head);
+        self.len -= 1;
+    }
+
+    /// The slot after `p`, wrapping.
+    #[inline]
+    fn next(&self, p: usize) -> usize {
+        if p + 1 == self.cap {
+            0
+        } else {
+            p + 1
+        }
+    }
+
+    /// Hand everything retained over to `trace`, type-erased, in `seq`
+    /// order, as if each record had gone to [`Trace::record`] (`trace`
+    /// evicts past its capacity exactly as the ring would have). The ring
+    /// is consumed as it goes — each chunk is freed once read — and starts
+    /// over empty; numbering carries on.
+    pub(crate) fn drain_into(&mut self, trace: &mut Trace) {
+        let mut chunks = std::mem::take(&mut self.chunks);
+        let mut alerts = std::mem::take(&mut self.alerts).into_iter().peekable();
+        let first = self.head / CHUNK;
+        let mut p = self.head;
+        for _ in 0..self.len {
+            let (c, o) = (p / CHUNK, p % CHUNK);
+            p = self.next(p);
+            let seq = chunks[c][o].seq;
+            while let Some((at_seq, alert)) = alerts.next_if(|(s, _)| *s < seq) {
+                trace.admit(alert.erase(at_seq, Vec::new()));
+            }
+            let slot = &mut chunks[c][o];
+            let n = slot.n_deltas;
+            let mut deltas = Vec::with_capacity(n);
+            deltas.extend_from_slice(&slot.deltas[..n.min(INLINE_DELTAS)]);
+            deltas.extend(self.overflow.drain(..n.saturating_sub(INLINE_DELTAS)));
+            // The slot is freed with its chunk; what is left in it is a
+            // payload-free stand-in.
+            let record =
+                std::mem::replace(&mut slot.record, Record::restart(SimTime::ZERO, ProcId(0)));
+            trace.admit(record.erase(seq, deltas));
+            if o + 1 == chunks[c].len() && c != first {
+                chunks[c] = Vec::new();
+            }
+        }
+        for (seq, alert) in alerts {
+            trace.admit(alert.erase(seq, Vec::new()));
+        }
+        debug_assert!(self.overflow.is_empty());
+        trace.dropped += std::mem::take(&mut self.dropped);
+        (self.head, self.len, self.tail) = (0, 0, 0);
+    }
+
+    /// Hand-over at the end of a capture: everything recorded since the
+    /// last one — `handed` plus what the ring holds — as a trace of its
+    /// own. Both start over, numbering from 0.
+    pub(crate) fn take(&mut self, handed: &mut Trace) -> Trace {
+        self.drain_into(handed);
+        self.next_seq = 0;
+        std::mem::replace(handed, Trace::with_capacity(self.cap))
     }
 }
 
@@ -645,6 +836,65 @@ mod tests {
         t.record(entry("plain2"));
         let kinds: Vec<&str> = t.iter().map(|e| e.kind).collect();
         assert_eq!(kinds, vec!["z", "plain2"]);
+    }
+
+    /// Read only through `Debug`, which renders the detail.
+    #[derive(Clone, Debug)]
+    struct Pay(#[allow(dead_code)] u64);
+    impl Payload for Pay {
+        fn kind(&self) -> &'static str {
+            "pay"
+        }
+    }
+
+    proptest::proptest! {
+        /// The typed ring, handed over at arbitrary points, retains and
+        /// numbers exactly what one [`Trace`] fed every record would: the
+        /// same entries in the same order — alerts kept under eviction,
+        /// deltas past the inline ones included — and the same `dropped()`.
+        #[test]
+        fn ring_hands_over_what_a_trace_would_retain(
+            cap in 1usize..12,
+            steps in proptest::collection::vec((0u8..8, 0usize..5), 0..80),
+        ) {
+            let mut ring: Ring<Pay> = Ring::new(cap);
+            let mut handed = Trace::with_capacity(cap);
+            let mut reference = Trace::with_capacity(cap);
+            for (i, (what, n_deltas)) in steps.into_iter().enumerate() {
+                let (at, p) = (SimTime(i as u64), ProcId(1));
+                let deltas: Vec<(&'static str, u64)> =
+                    (0..n_deltas).map(|d| (["a", "b", "c", "d", "e"][d], i as u64)).collect();
+                let mut expected = TraceEntry::new(at, p, p, TraceEvent::Deliver, "pay", None);
+                let record = match what {
+                    0 => {
+                        ring.drain_into(&mut handed);
+                        continue;
+                    }
+                    1 => {
+                        expected.event = TraceEvent::Alert;
+                        expected.kind = "alert";
+                        expected.set_detail(format!("alert {i}"));
+                        ring.push(
+                            Record::note(at, p, p, TraceEvent::Alert, "alert", None, format!("alert {i}")),
+                            &[],
+                        );
+                        reference.record(expected);
+                        continue;
+                    }
+                    _ => {
+                        expected.detail = Detail::Payload(Box::new(Pay(i as u64)));
+                        expected.deltas = deltas.clone();
+                        Record::delivery(at, p, p, None, &Pay(i as u64), 0)
+                    }
+                };
+                ring.push(record, &deltas);
+                reference.record(expected);
+            }
+            ring.drain_into(&mut handed);
+            let show = |t: &Trace| t.iter().map(TraceEntry::to_json).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(show(&handed), show(&reference));
+            proptest::prop_assert_eq!(handed.dropped(), reference.dropped());
+        }
     }
 
     #[test]
