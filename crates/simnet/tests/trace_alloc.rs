@@ -7,9 +7,9 @@
 //! * obs **off** performs exactly the allocations the same run performed
 //!   before the flight-recorder change — the untraced path gained no work;
 //! * obs **on**, ring full: a traced delivery allocates nothing in steady
-//!   state — the payload clone lands in the evicted entry's box, the
-//!   counter snapshot and the deltas in reused buffers — and exactly one
-//!   `Vec` when the process (or a wrapper around it) implements only
+//!   state — the payload is copied into the ring slot it overwrites, the
+//!   counter snapshot and the deltas go to reused buffers — and exactly
+//!   one `Vec` when the process (or a wrapper around it) implements only
 //!   `Process::metrics`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -164,9 +164,9 @@ fn allocs_of_window(sim: &mut Simulation<Ring>, from: u64, to: u64) -> u64 {
 #[test]
 fn traced_delivery_allocates_nothing_in_steady_state() {
     const CAP: usize = 256;
-    // Past the warm-up every ring slot has been through a few evictions, so
-    // each recycled entry already owns a payload box and a deltas buffer
-    // (every delivery here moves a counter).
+    // Past the warm-up every ring slot has been allocated and overwritten a
+    // few times, and the track's buffers have grown to size (every delivery
+    // here moves a counter).
     let (warm, end) = (8 * CAP as u64, 24 * CAP as u64);
     let traced = |lean| {
         let cfg = SimConfig {
