@@ -1,9 +1,10 @@
-//! Shared harness for the experiment binaries (`src/bin/e*.rs`) and the
-//! Criterion benches.
+//! Shared harness for the `experiments` binary (`src/bin/experiments/`),
+//! the `benchsuite` gate and the Criterion benches.
 //!
-//! Each experiment binary regenerates one figure or quantitative claim from
-//! the paper; see `EXPERIMENTS.md` at the repository root for the mapping
-//! and recorded results.
+//! Each experiment, E1–E21, is a module of `experiments` that regenerates
+//! one figure or quantitative claim from the paper; its `main.rs` is the
+//! registry, and `EXPERIMENTS.md` at the repository root has the mapping and
+//! recorded results.
 
 #![warn(missing_docs)]
 

@@ -1,6 +1,6 @@
-//! The E20 reclamation workloads (see `bin/e20_reclaim.rs` for the full
-//! experiment narrative), as library functions so tests can replay the
-//! exact `--smoke` configuration and pin its digest.
+//! The E20 reclamation workloads (see `bin/experiments/e20_reclaim.rs` for
+//! the full experiment narrative), as library functions so tests can replay
+//! the exact `--smoke` configuration and pin its digest.
 //!
 //! Everything here is simulator-only and seed-fixed, so each phase row —
 //! and therefore [`digest`] over the whole experiment — is bit-identical
@@ -194,7 +194,7 @@ pub fn digest(parts: &[(&str, &[Row])]) -> u64 {
     h
 }
 
-/// Replay exactly what `e20_reclaim --smoke` runs and digest it.
+/// Replay exactly what `experiments e20 --smoke` runs and digest it.
 pub fn smoke_digest() -> u64 {
     let wrap = run_wrapping(SMOKE_LAPS * DOMAIN_BANDS);
     let off = run_sliding(false, SMOKE_PHASES);

@@ -1,6 +1,6 @@
 //! Seed-determinism guards for the E20 reclamation experiment.
 //!
-//! `e20_reclaim --smoke` runs entirely on the simulator with fixed seeds,
+//! `experiments e20 --smoke` runs entirely on the simulator with fixed seeds,
 //! so every row it prints is a pure function of the code. The digest test
 //! pins the whole `--smoke` output (every field of every phase row across
 //! Part A and both Part B runs) to a single value: if it moves, a code
@@ -21,7 +21,7 @@ fn e20_smoke_digest_is_pinned() {
     assert_eq!(
         smoke_digest(),
         PINNED_SMOKE_DIGEST,
-        "the e20_reclaim --smoke rows changed; if intentional, update the pin"
+        "the experiments e20 --smoke rows changed; if intentional, update the pin"
     );
 }
 
