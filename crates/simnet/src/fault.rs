@@ -43,11 +43,10 @@ impl Partition {
 
 /// A scheduled processor crash (and optional restart).
 ///
-/// At `at` the processor goes down: every delivery and timer already in
-/// flight toward it is lost (its volatile queue), and anything arriving
-/// while it is down is dropped. At `restart_at` (if given) the processor
-/// comes back and its [`Process::on_restart`](crate::Process::on_restart)
-/// hook runs as the first action of its new incarnation.
+/// At `at` the processor goes down, losing what
+/// [`Process::on_restart`](crate::Process::on_restart) says a crash
+/// destroys. At `restart_at` (if given) it comes back and that hook runs
+/// as the first action of its new incarnation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CrashEvent {
     /// The processor to crash.

@@ -1,6 +1,5 @@
-//! The observability layer shared by both runtimes: a metrics registry
-//! (counters + log₂ histograms), periodic per-processor time-series
-//! sampling, and the [`Obs`] bundle a [`Runtime`](crate::Runtime) hands
+//! The observability layer shared by both runtimes: log₂ histograms,
+//! periodic per-processor time-series sampling, and the [`Obs`] bundle a [`Runtime`](crate::Runtime) hands
 //! back for export.
 //!
 //! Both substrates emit the same schema: the discrete-event simulator
@@ -9,7 +8,6 @@
 //! hand-rolled writers here (the vendored `serde` is a no-op stub, so the
 //! serialization is explicit and pinned by a golden-file test).
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::health::{Alert, HealthConfig, HealthMonitor, HealthReport};
@@ -376,51 +374,6 @@ impl Histogram {
     }
 }
 
-/// A named bag of counters and histograms — the aggregation point
-/// experiments use instead of ad-hoc per-bin arithmetic.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    counters: BTreeMap<&'static str, u64>,
-    histograms: BTreeMap<&'static str, Histogram>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add `n` to the named counter (created at 0).
-    pub fn inc(&mut self, name: &'static str, n: u64) {
-        *self.counters.entry(name).or_insert(0) += n;
-    }
-
-    /// Current value of a counter (0 if never incremented).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Record an observation into the named histogram (created empty).
-    pub fn observe(&mut self, name: &'static str, v: u64) {
-        self.histograms.entry(name).or_default().record(v);
-    }
-
-    /// The named histogram, if anything was observed.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// Iterate `(name, value)` over counters, in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(k, v)| (*k, *v))
-    }
-
-    /// Iterate `(name, histogram)` in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
-        self.histograms.iter().map(|(k, v)| (*k, v))
-    }
-}
-
 /// One processor's side of the [`Recorder`] — what is read off the process
 /// itself, by whoever runs its actions: the deltas of its traced actions and
 /// its sampling cadence. An action that is neither traced nor due a sample
@@ -639,20 +592,6 @@ mod tests {
         assert_eq!(a.count(), 2);
         assert_eq!(a.min(), 5);
         assert_eq!(a.max(), 50);
-    }
-
-    #[test]
-    fn registry_counts_and_observes() {
-        let mut r = MetricsRegistry::new();
-        r.inc("ops", 2);
-        r.inc("ops", 3);
-        r.observe("latency", 10);
-        r.observe("latency", 20);
-        assert_eq!(r.counter("ops"), 5);
-        assert_eq!(r.counter("missing"), 0);
-        assert_eq!(r.histogram("latency").unwrap().count(), 2);
-        assert_eq!(r.counters().count(), 1);
-        assert_eq!(r.histograms().count(), 1);
     }
 
     #[test]

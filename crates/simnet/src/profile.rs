@@ -33,7 +33,7 @@ use std::collections::BTreeMap;
 
 use crate::driver::DriverStats;
 use crate::trace::{Trace, TraceEntry, TraceEvent};
-use crate::{MetricsRegistry, ProcId, SimTime};
+use crate::{ProcId, SimTime};
 
 /// Per-processor service times, mirroring
 /// [`SimConfig`](crate::SimConfig)`::service_time` + `service_overrides` —
@@ -195,25 +195,6 @@ impl RunProfile {
     /// Number of ops whose decomposition is not exact.
     pub fn inexact(&self) -> u64 {
         self.ops.iter().filter(|o| !o.exact).count() as u64
-    }
-
-    /// Record the per-segment distributions into a [`MetricsRegistry`]:
-    /// histograms `cp.latency`, `cp.transit`, `cp.queueing`, `cp.service`,
-    /// `cp.stall`, `cp.path_hops`, `cp.offpath_actions`; counters `cp.ops`,
-    /// `cp.skipped`, `cp.inexact`.
-    pub fn record_into(&self, reg: &mut MetricsRegistry) {
-        for op in &self.ops {
-            reg.observe("cp.latency", op.latency);
-            reg.observe("cp.transit", op.transit);
-            reg.observe("cp.queueing", op.queueing);
-            reg.observe("cp.service", op.service);
-            reg.observe("cp.stall", op.stall);
-            reg.observe("cp.path_hops", op.hops.len() as u64);
-            reg.observe("cp.offpath_actions", op.off_path_actions);
-        }
-        reg.inc("cp.ops", self.ops.len() as u64);
-        reg.inc("cp.skipped", self.skipped);
-        reg.inc("cp.inexact", self.inexact());
     }
 
     /// Folded-stack export of the critical paths themselves: one line per
@@ -689,12 +670,7 @@ mod tests {
             .sum();
         assert!(degraded_q > 0, "the slow node manager builds a queue");
 
-        // Registry aggregation and folded exports stay consistent.
-        let mut reg = MetricsRegistry::new();
-        profile.record_into(&mut reg);
-        assert_eq!(reg.counter("cp.ops"), 120);
-        assert_eq!(reg.counter("cp.inexact"), 0);
-        assert_eq!(reg.histogram("cp.latency").unwrap().count(), 120);
+        // The folded export conserves what the decomposition measured.
         let folded = profile.folded_paths();
         assert!(!folded.is_empty());
         let weight_sum: u64 = folded
