@@ -147,37 +147,103 @@ impl Primary {
     }
 }
 
+/// Members a copy holds without a heap allocation: §4.1's three copies
+/// and a fourth joining. A path-replicated node's longer list spills.
+const INLINE_MEMBERS: usize = 4;
+
 /// Known replication membership (self and the PC included), each member
 /// with the node version at which it joined (§4.3; 0 = founding member).
 /// Insertion-ordered — peers are sent to in this order — and joined by
 /// union, keeping the greater join version per member. A departed member
 /// resurfacing is harmless: it discards relays addressed to it (§4.3).
 ///
-/// Two index-aligned lists rather than one list of pairs: the pairs' one
-/// allocation per copy changed how the allocator returns a dropped cluster's
-/// memory, and rebuilding a preloaded tree got slower (DESIGN § "Replicated
-/// node state" has the measurement).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Members {
-    procs: Vec<ProcId>,
-    joined: Vec<u64>,
+/// Held as two index-aligned lists (`procs`, `joined`), inline up to four
+/// members and in two `Vec`s past that; a removal that shrinks a spilled
+/// list back to four moves it back. Equality, `Debug` and the `Hash`
+/// [`NodeSnapshot`] folds in read the two lists as slices, so they do not
+/// depend on where the members live.
+#[derive(Clone)]
+pub struct Members(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// The first `len` slots of each array.
+    Inline {
+        len: u8,
+        procs: [ProcId; INLINE_MEMBERS],
+        joined: [u64; INLINE_MEMBERS],
+    },
+    /// More than [`INLINE_MEMBERS`] members.
+    Spilled {
+        procs: Vec<ProcId>,
+        joined: Vec<u64>,
+    },
+}
+
+impl Default for Members {
+    fn default() -> Self {
+        Members(Repr::Inline {
+            len: 0,
+            procs: [ProcId(0); INLINE_MEMBERS],
+            joined: [0; INLINE_MEMBERS],
+        })
+    }
+}
+
+impl PartialEq for Members {
+    fn eq(&self, other: &Self) -> bool {
+        self.proc_list() == other.proc_list() && self.joined_list() == other.joined_list()
+    }
+}
+
+impl Eq for Members {}
+
+impl std::fmt::Debug for Members {
+    /// The two lists, as the struct of two `Vec`s this replaced printed.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Members")
+            .field("procs", &self.proc_list())
+            .field("joined", &self.joined_list())
+            .finish()
+    }
 }
 
 impl Members {
+    fn proc_list(&self) -> &[ProcId] {
+        match &self.0 {
+            Repr::Inline { len, procs, .. } => &procs[..*len as usize],
+            Repr::Spilled { procs, .. } => procs,
+        }
+    }
+
+    fn joined_list(&self) -> &[u64] {
+        match &self.0 {
+            Repr::Inline { len, joined, .. } => &joined[..*len as usize],
+            Repr::Spilled { joined, .. } => joined,
+        }
+    }
+
+    fn joined_mut(&mut self) -> &mut [u64] {
+        match &mut self.0 {
+            Repr::Inline { len, joined, .. } => &mut joined[..*len as usize],
+            Repr::Spilled { joined, .. } => joined,
+        }
+    }
+
     /// Each member and its join version, in the order they joined this
     /// copy's view.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = (ProcId, u64)> + '_ {
-        self.procs().zip(self.joined.iter().copied())
+        self.procs().zip(self.joined_list().iter().copied())
     }
 
     /// The members, in the order they joined this copy's view.
     pub fn procs(&self) -> impl ExactSizeIterator<Item = ProcId> + '_ {
-        self.procs.iter().copied()
+        self.proc_list().iter().copied()
     }
 
     /// Is `p` a member?
     pub fn contains(&self, p: ProcId) -> bool {
-        self.procs.contains(&p)
+        self.proc_list().contains(&p)
     }
 
     /// Members other than `me`.
@@ -195,16 +261,35 @@ impl Members {
     /// Join one member joining at `version`. Returns `true` when `self`
     /// changed.
     pub fn offer(&mut self, member: ProcId, version: u64) -> bool {
-        match self.procs.iter().position(|&m| m == member) {
-            Some(i) if self.joined[i] >= version => false,
+        match self.proc_list().iter().position(|&m| m == member) {
+            Some(i) if self.joined_list()[i] >= version => false,
             Some(i) => {
-                self.joined[i] = version;
+                self.joined_mut()[i] = version;
                 true
             }
             None => {
-                self.procs.push(member);
-                self.joined.push(version);
+                self.push(member, version);
                 true
+            }
+        }
+    }
+
+    fn push(&mut self, member: ProcId, version: u64) {
+        match &mut self.0 {
+            Repr::Inline { len, procs, joined } if usize::from(*len) < INLINE_MEMBERS => {
+                procs[usize::from(*len)] = member;
+                joined[usize::from(*len)] = version;
+                *len += 1;
+            }
+            Repr::Inline { procs, joined, .. } => {
+                let (mut procs, mut joined) = (procs.to_vec(), joined.to_vec());
+                procs.push(member);
+                joined.push(version);
+                self.0 = Repr::Spilled { procs, joined };
+            }
+            Repr::Spilled { procs, joined } => {
+                procs.push(member);
+                joined.push(version);
             }
         }
     }
@@ -219,9 +304,23 @@ impl Members {
     /// A member leaves (§4.3 unjoin). Not a join: registered at the PC and
     /// relayed in order.
     pub fn remove(&mut self, member: ProcId) {
-        if let Some(i) = self.procs.iter().position(|&m| m == member) {
-            self.procs.remove(i);
-            self.joined.remove(i);
+        let Some(i) = self.proc_list().iter().position(|&m| m == member) else {
+            return;
+        };
+        match &mut self.0 {
+            Repr::Inline { len, procs, joined } => {
+                let n = usize::from(*len);
+                procs.copy_within(i + 1..n, i);
+                joined.copy_within(i + 1..n, i);
+                *len -= 1;
+            }
+            Repr::Spilled { procs, joined } => {
+                procs.remove(i);
+                joined.remove(i);
+                if procs.len() <= INLINE_MEMBERS {
+                    *self = self.iter().collect();
+                }
+            }
         }
     }
 }
@@ -267,12 +366,13 @@ pub struct NodeSnapshot {
 #[derive(Clone, Debug)]
 pub struct NodeCopy {
     state: NodeSnapshot,
-    /// Active split AAS, if any (§4.1.1).
-    pub aas: Option<AasState>,
+    /// Active split AAS, if any (§4.1.1). Boxed, like the lock: only the
+    /// synchronous protocols set either, and a `None` box is one word.
+    pub aas: Option<Box<AasState>>,
     /// A split became necessary while another was in flight.
     pub split_pending: bool,
     /// Available-copies lock, if held.
-    pub lock: Option<LockState>,
+    pub lock: Option<Box<LockState>>,
 }
 
 impl std::ops::Deref for NodeCopy {
@@ -555,8 +655,8 @@ impl Hash for NodeSnapshot {
         self.edge.right.hash(h);
         self.parent.hash(h);
         self.primary.pc.hash(h);
-        self.members.procs.hash(h);
-        self.members.joined.hash(h);
+        self.members.proc_list().hash(h);
+        self.members.joined_list().hash(h);
         self.edge.link_version.hash(h);
         self.edge.absorbs.hash(h);
     }
@@ -576,8 +676,8 @@ impl std::fmt::Debug for NodeSnapshot {
             .field("right", &self.edge.right)
             .field("parent", &self.parent)
             .field("pc", &self.primary.pc)
-            .field("copies", &self.members.procs)
-            .field("join_versions", &self.members.joined)
+            .field("copies", &self.members.proc_list())
+            .field("join_versions", &self.members.joined_list())
             .field("right_link_version", &self.edge.link_version);
         if self.edge.absorbs > 0 {
             d.field("absorb_count", &self.edge.absorbs);
@@ -600,8 +700,9 @@ mod tests {
 
     /// The two values the hot path moves and visits, pinned so that the next
     /// field added to either is a decision somebody made: a [`NodeCopy`] is
-    /// one slab slot (its entries inline — 11 cache lines, and the slot's
-    /// `Option` must stay free), a [`Msg`] is copied once per in-process
+    /// one slab slot (its entries and up to four members inline — 10 cache
+    /// lines, and the slot's `Option` must stay free; the synchronous
+    /// protocols' AAS and lock are boxed), a [`Msg`] is copied once per in-process
     /// step and once per send. (Field *order* is left to the compiler: a
     /// `repr(C)` hot-fields-first order was tried and measured nothing once
     /// the entries were searched by counting — CHANGES, PR 17.) And the frame
@@ -613,7 +714,7 @@ mod tests {
     #[test]
     fn hot_path_layouts_stay_within_their_budgets() {
         use std::mem::size_of;
-        assert!(size_of::<NodeCopy>() <= 656, "{}", size_of::<NodeCopy>());
+        assert!(size_of::<NodeCopy>() <= 624, "{}", size_of::<NodeCopy>());
         assert_eq!(size_of::<Option<NodeCopy>>(), size_of::<NodeCopy>());
         assert!(size_of::<Msg>() <= 104, "{}", size_of::<Msg>());
         let frame = size_of::<simnet::SessionMsg<Msg>>();
@@ -794,8 +895,97 @@ mod tests {
         let mut b = leaf(0);
         b.members.offer(ProcId(2), 5);
         b.merge_from(&a.snapshot());
-        assert_eq!(b.members.procs, vec![ProcId(0), ProcId(2), ProcId(1)]);
-        assert_eq!(b.members.joined, vec![0, 5, 2]);
+        assert_eq!(b.members.proc_list(), [ProcId(0), ProcId(2), ProcId(1)]);
+        assert_eq!(b.members.joined_list(), [0, 5, 2]);
+    }
+
+    /// A three-member copy (§4.1's test bed) and a root path-replicated on
+    /// nine processors, past the inline capacity.
+    fn pinned_copies() -> [NodeCopy; 2] {
+        let mut small = leaf(0);
+        small.upsert(4, val(40, 4));
+        small.members.offer(ProcId(2), 1);
+        small.members.offer(ProcId(1), 3);
+        let mut root = NodeCopy::new(NodeId(7), 2, KeyRange::ALL, ProcId(3));
+        for p in [5u32, 0, 8, 1, 6, 2, 4, 7] {
+            root.members.offer(ProcId(p), u64::from(p) + 1);
+        }
+        [small, root]
+    }
+
+    /// What the two-`Vec` `Members` printed and hashed, captured before the
+    /// inline form replaced it: message fingerprints, trace details and the
+    /// explorer's state fingerprints read these.
+    #[test]
+    fn inline_and_spilled_members_print_and_hash_as_two_lists_did() {
+        let pins = [
+            (
+                "NodeCopy { state: NodeSnapshot { id: n0.1, level: 0, range: [0, +inf), \
+                 version: 0, entries: [(4, Val { value: 40, stamp: 4 })], right: None, \
+                 parent: None, pc: P0, copies: [P0, P2, P1], join_versions: [0, 1, 3], \
+                 right_link_version: 0 }, aas: None, split_pending: false, lock: None }",
+                "Members { procs: [P0, P2, P1], joined: [0, 1, 3] }",
+                (0x78cefe092e1c0d9d, 0xef7ad2f9a439d612),
+            ),
+            (
+                "NodeCopy { state: NodeSnapshot { id: n0.7, level: 2, range: [0, +inf), \
+                 version: 0, entries: [], right: None, parent: None, pc: P3, \
+                 copies: [P3, P5, P0, P8, P1, P6, P2, P4, P7], \
+                 join_versions: [0, 6, 1, 9, 2, 7, 3, 5, 8], right_link_version: 0 }, \
+                 aas: None, split_pending: false, lock: None }",
+                "Members { procs: [P3, P5, P0, P8, P1, P6, P2, P4, P7], \
+                 joined: [0, 6, 1, 9, 2, 7, 3, 5, 8] }",
+                (0x87837293feb742bf, 0x88c6130ba2075e02),
+            ),
+        ];
+        for (copy, (text, members, hashes)) in pinned_copies().iter().zip(pins) {
+            assert_eq!(format!("{copy:?}"), text);
+            assert_eq!(format!("{:?}", copy.members), members);
+            let mut snapshot = simnet::FxHasher::default();
+            copy.snapshot().hash(&mut snapshot);
+            let mut fingerprint = simnet::FxHasher::default();
+            copy.fingerprint_into(&mut fingerprint);
+            assert_eq!((snapshot.finish(), fingerprint.finish()), hashes);
+        }
+    }
+
+    /// Insertion order survives growing past the inline capacity, joins on
+    /// both sides of it, and removals that cross back.
+    #[test]
+    fn members_keep_insertion_order_across_the_spill() {
+        let order = |m: &Members| m.iter().collect::<Vec<_>>();
+        let mut m = Members::default();
+        for p in 0..INLINE_MEMBERS as u32 {
+            assert!(m.offer(ProcId(9 - p), u64::from(p)));
+        }
+        assert!(matches!(m.0, Repr::Inline { .. }));
+        assert!(m.offer(ProcId(1), 7), "the fifth member spills");
+        assert!(matches!(m.0, Repr::Spilled { .. }));
+        assert!(
+            m.offer(ProcId(8), 5),
+            "a newer join version moves no member"
+        );
+        assert!(!m.offer(ProcId(1), 6));
+        let spilled = [(9, 0), (8, 5), (7, 2), (6, 3), (1, 7)].map(|(p, v)| (ProcId(p), v));
+        assert_eq!(order(&m), spilled);
+
+        // A join appends unknown members in the other side's order.
+        let mut small: Members = [(ProcId(7), 9), (ProcId(3), 1)].into_iter().collect();
+        assert!(small.join(&m));
+        let joined = [(7, 9), (3, 1), (9, 0), (8, 5), (6, 3), (1, 7)];
+        assert_eq!(order(&small), joined.map(|(p, v)| (ProcId(p), v)));
+
+        // Back under the capacity: inline again, order kept, and equal to
+        // the same list built inline.
+        m.remove(ProcId(8));
+        assert!(matches!(m.0, Repr::Inline { .. }));
+        m.remove(ProcId(9));
+        m.remove(ProcId(4)); // not a member
+        let left = [(7, 2), (6, 3), (1, 7)].map(|(p, v)| (ProcId(p), v));
+        assert_eq!(order(&m), left);
+        assert_eq!(m, left.into_iter().collect());
+        assert!(m.offer(ProcId(2), 8));
+        assert_eq!(m.procs().last(), Some(ProcId(2)));
     }
 
     #[test]

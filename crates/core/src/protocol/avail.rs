@@ -30,7 +30,7 @@ impl DbProc {
                 return;
             };
             debug_assert_eq!(copy.primary.pc(), self.me);
-            copy.lock = Some(LockState::default());
+            copy.lock = Some(Box::new(LockState::default()));
             copy.members.peers(self.me).collect()
         };
         if peers.is_empty() {
@@ -64,7 +64,7 @@ impl DbProc {
             // The PC serializes coordinated ops, so a copy is never asked to
             // lock twice concurrently.
             debug_assert!(copy.lock.is_none(), "double lock");
-            copy.lock = Some(LockState::default());
+            copy.lock = Some(Box::new(LockState::default()));
         }
         ctx.send(from, Msg::LockGrant { node, ticket });
     }

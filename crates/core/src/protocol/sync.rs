@@ -30,10 +30,10 @@ impl DbProc {
                 return;
             }
             let peers: Vec<ProcId> = copy.members.peers(me).collect();
-            copy.aas = Some(AasState {
+            copy.aas = Some(Box::new(AasState {
                 acks_pending: peers.len(),
                 blocked: Vec::new(),
-            });
+            }));
             peers
         };
         if peers.is_empty() {
@@ -58,10 +58,10 @@ impl DbProc {
             ctx.send(from, Msg::SplitAck { node });
             return;
         };
-        copy.aas = Some(AasState {
+        copy.aas = Some(Box::new(AasState {
             acks_pending: 0,
             blocked: Vec::new(),
-        });
+        }));
         ctx.send(from, Msg::SplitAck { node });
     }
 

@@ -9,13 +9,14 @@
 //! **deterministic** (slot order is a pure function of the install/remove
 //! history, never of hash seeds or capacity).
 //!
-//! A copy carries its entries inline ([`crate::Entries`]), so it is ≈ 700
-//! bytes and a slot must never move: the slab is a list of fixed-size pages
-//! ([`PAGE`] slots each), and growing it allocates one more page instead of
-//! re-copying every resident node into a doubled `Vec`. One lookup is one
-//! FxHash probe, one load of the page pointer and the copy itself — the
-//! entries a visit goes on to read lie in the same slot, not behind another
-//! pointer.
+//! A copy carries its entries and up to four members inline
+//! ([`crate::Entries`], [`crate::Members`]), so it is 624 bytes (the size
+//! `node.rs` pins) and a slot must never move: the slab is a list of
+//! fixed-size pages ([`PAGE`] slots each), and growing it allocates one
+//! more page instead of re-copying every resident node into a doubled
+//! `Vec`. One lookup is one FxHash probe, one load of the page pointer and
+//! the copy itself — the entries a visit goes on to read lie in the same
+//! slot, not behind another pointer.
 //!
 //! Forwarding addresses are rare and small, so they live in a compact
 //! sorted vector probed by binary search rather than a second hash table.

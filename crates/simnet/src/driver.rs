@@ -14,11 +14,12 @@
 //! dB-tree's `DbCluster` and the hash table's `HashCluster` are thin typed
 //! wrappers over [`Driver`].
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use crate::fx::FxHashMap;
 use crate::runtime::{Poll, QuiesceError, Runtime};
 use crate::{Histogram, Payload, ProcId, Process, SimTime};
 
@@ -104,8 +105,18 @@ pub enum Submission<Op, Scan> {
     Scan(Scan),
 }
 
-/// A workload item of protocol `C`.
-type Item<C> = Submission<<C as ClientProtocol>::Op, <C as ClientProtocol>::Scan>;
+impl<Op, Scan> Submission<Op, Scan> {
+    /// The item, borrowed.
+    fn as_ref(&self) -> Submission<&Op, &Scan> {
+        match self {
+            Submission::Op(op) => Submission::Op(op),
+            Submission::Scan(scan) => Submission::Scan(scan),
+        }
+    }
+}
+
+/// A workload item of protocol `C`, borrowed from the caller's slice.
+type ItemRef<'a, C> = Submission<&'a <C as ClientProtocol>::Op, &'a <C as ClientProtocol>::Scan>;
 
 /// Completed point-op records of protocol `C`, in completion order.
 pub type Records<C> = Vec<OpRecord<<C as ClientProtocol>::Op, <C as ClientProtocol>::Outcome>>;
@@ -423,8 +434,10 @@ const IDLE_PROBE_AFTER: u32 = 1;
 /// own the runtime, so wrappers can keep theirs public).
 pub struct Driver<C: ClientProtocol> {
     next_op: u64,
-    pending: HashMap<u64, (C::Op, SimTime)>,
-    pending_scans: HashMap<u64, (C::Scan, SimTime)>,
+    /// Live ids are minted here and the maps are never iterated, so the
+    /// fast hasher cannot reorder anything.
+    pending: FxHashMap<u64, (C::Op, SimTime)>,
+    pending_scans: FxHashMap<u64, (C::Scan, SimTime)>,
     scans: Vec<OpRecord<C::Scan, C::ScanResult>>,
     retry: RetryPolicy,
     retry_rng: SmallRng,
@@ -459,8 +472,8 @@ impl<C: ClientProtocol> Driver<C> {
     pub fn with_retry(retry: RetryPolicy) -> Self {
         Driver {
             next_op: 1,
-            pending: HashMap::new(),
-            pending_scans: HashMap::new(),
+            pending: FxHashMap::default(),
+            pending_scans: FxHashMap::default(),
             scans: Vec::new(),
             retry,
             retry_rng: SmallRng::seed_from_u64(retry.seed ^ 0x7E7A_11ED),
@@ -697,8 +710,12 @@ impl<C: ClientProtocol> Driver<C> {
         ops: &[C::Op],
         concurrency: usize,
     ) -> Result<DriverStats<C::Op, C::Outcome>, QuiesceError> {
-        let items = ops.iter().cloned().map(Submission::Op);
-        self.drive(rt, items, Release::Window(concurrency))
+        self.drive(
+            rt,
+            ops,
+            |op| Submission::Op(op),
+            Release::Window(concurrency),
+        )
     }
 
     /// Drive `ops` open-loop on the arrival schedule of `cfg`, then run to
@@ -710,8 +727,7 @@ impl<C: ClientProtocol> Driver<C> {
         ops: &[C::Op],
         cfg: &OpenLoopCfg,
     ) -> Result<DriverStats<C::Op, C::Outcome>, QuiesceError> {
-        let items = ops.iter().cloned().map(Submission::Op);
-        self.drive(rt, items, Release::Schedule(*cfg))
+        self.drive(rt, ops, |op| Submission::Op(op), Release::Schedule(*cfg))
     }
 
     /// Drive a stream of point ops and range scans, releasing items as
@@ -731,37 +747,42 @@ impl<C: ClientProtocol> Driver<C> {
         items: &[Submission<C::Op, C::Scan>],
         release: Release,
     ) -> Result<DriverStats<C::Op, C::Outcome>, QuiesceError> {
-        self.drive(rt, items.iter().cloned(), release)
+        self.drive(rt, items, Submission::as_ref, release)
     }
 
-    /// The one drive loop behind every `try_run_*` entry.
-    fn drive<R: RuntimeFor<C>, I>(
+    /// The one drive loop behind every `try_run_*` entry. It borrows the
+    /// caller's items and queues their indices, `item` viewing each one as
+    /// an op or a scan; an item is cloned only when it is submitted.
+    fn drive<R: RuntimeFor<C>, T>(
         &mut self,
         rt: &mut R,
-        items: I,
+        items: &[T],
+        item: impl Fn(&T) -> ItemRef<'_, C>,
         release: Release,
-    ) -> Result<DriverStats<C::Op, C::Outcome>, QuiesceError>
-    where
-        I: ExactSizeIterator<Item = Item<C>>,
-    {
+    ) -> Result<DriverStats<C::Op, C::Outcome>, QuiesceError> {
         let start = rt.now();
         let mut records: Records<C> = Vec::with_capacity(items.len());
-        let mut queued = Queued::<C>::new(rt.num_procs(), start, items, release);
+        let origins = items.iter().map(|x| match item(x) {
+            Submission::Op(op) => C::origin(op),
+            Submission::Scan(scan) => C::scan_origin(scan),
+        });
+        let mut queued = Queued::new(rt.num_procs(), start, origins, release);
+        let item_at = |i: usize| item(&items[i]);
         if let Release::Window(concurrency) = release {
             // Prime each origin's window.
             for origin in (0..rt.num_procs() as u32).map(ProcId) {
                 for _ in 0..concurrency.max(1) {
-                    let Some(item) = queued.pop_for(origin) else {
+                    let Some(i) = queued.pop_for(origin) else {
                         break;
                     };
-                    self.submit_item(rt, item);
+                    self.submit_item(rt, item_at(i));
                 }
             }
         }
         let mut idle = 0u32;
         loop {
-            while let Some(item) = queued.pop_due(rt.now()) {
-                self.submit_item(rt, item);
+            while let Some(i) = queued.pop_due(rt.now()) {
+                self.submit_item(rt, item_at(i));
             }
             if queued.left == 0
                 && self.pending.is_empty()
@@ -782,7 +803,7 @@ impl<C: ClientProtocol> Driver<C> {
             match rt.poll(wake) {
                 Poll::Outputs => {
                     idle = 0;
-                    self.drain_and_refill(rt, &mut queued, &mut records);
+                    self.drain_and_refill(rt, &mut queued, &mut records, item_at);
                     self.service_retries(rt);
                 }
                 Poll::Deadline => self.service_retries(rt),
@@ -791,7 +812,7 @@ impl<C: ClientProtocol> Driver<C> {
                     // were lost. Retry what the retry layer still owns;
                     // break only once it has nothing left to do and no
                     // arrival is still scheduled.
-                    self.drain_and_refill(rt, &mut queued, &mut records);
+                    self.drain_and_refill(rt, &mut queued, &mut records, item_at);
                     self.service_retries(rt);
                     if arrival.is_none() && self.next_wake().is_none() {
                         break;
@@ -806,7 +827,7 @@ impl<C: ClientProtocol> Driver<C> {
                         continue;
                     }
                     rt.settle().map_err(|e| self.stamp(e))?;
-                    let done = self.drain_and_refill(rt, &mut queued, &mut records);
+                    let done = self.drain_and_refill(rt, &mut queued, &mut records, item_at);
                     if done == 0 && arrival.is_none() {
                         break;
                     }
@@ -834,10 +855,10 @@ impl<C: ClientProtocol> Driver<C> {
     }
 
     /// Submit one workload item.
-    fn submit_item<R: RuntimeFor<C>>(&mut self, rt: &mut R, item: Item<C>) {
+    fn submit_item<R: RuntimeFor<C>>(&mut self, rt: &mut R, item: ItemRef<'_, C>) {
         match item {
-            Submission::Op(op) => self.submit(rt, op),
-            Submission::Scan(scan) => self.submit_scan(rt, scan),
+            Submission::Op(op) => self.submit(rt, op.clone()),
+            Submission::Scan(scan) => self.submit_scan(rt, scan.clone()),
         };
     }
 
@@ -845,23 +866,28 @@ impl<C: ClientProtocol> Driver<C> {
     /// same origin — closed-loop windowing: one out, one in, scans and point
     /// ops alike. (Scheduled items ignore completions; they wait for their
     /// arrival time.) Returns how many items completed.
-    fn drain_and_refill<R: RuntimeFor<C>>(
+    fn drain_and_refill<'a, R: RuntimeFor<C>>(
         &mut self,
         rt: &mut R,
-        queued: &mut Queued<C>,
+        queued: &mut Queued,
         records: &mut Records<C>,
-    ) -> usize {
+        item_at: impl Fn(usize) -> ItemRef<'a, C>,
+    ) -> usize
+    where
+        C::Op: 'a,
+        C::Scan: 'a,
+    {
         let (ops_from, scans_from) = (records.len(), self.scans.len());
         let done = self.drain_into(rt, records);
         for r in &records[ops_from..] {
-            if let Some(item) = queued.pop_for(C::origin(&r.op)) {
-                self.submit_item(rt, item);
+            if let Some(i) = queued.pop_for(C::origin(&r.op)) {
+                self.submit_item(rt, item_at(i));
             }
         }
         let scans = std::mem::take(&mut self.scans);
         for s in &scans[scans_from..] {
-            if let Some(item) = queued.pop_for(C::scan_origin(&s.op)) {
-                self.submit_item(rt, item);
+            if let Some(i) = queued.pop_for(C::scan_origin(&s.op)) {
+                self.submit_item(rt, item_at(i));
             }
         }
         self.scans = scans;
@@ -869,67 +895,71 @@ impl<C: ClientProtocol> Driver<C> {
     }
 }
 
-/// The items of one run not yet released to the runtime: in `windows` for
-/// a closed loop, in `arrivals` for an open one. The other container stays
-/// empty, so each accessor is a no-op under the policy it does not serve.
-struct Queued<C: ClientProtocol> {
-    /// Per-origin FIFO queues, indexed by processor.
-    windows: Vec<VecDeque<Item<C>>>,
-    /// Items in arrival order, each with its arrival time.
-    arrivals: VecDeque<(SimTime, Item<C>)>,
+/// The items of one run not yet released to the runtime, as indices into
+/// the caller's slice: per origin for a closed loop, in arrival order for
+/// an open one. The container the policy does not serve stays empty, so
+/// each accessor is a no-op under it.
+struct Queued {
+    /// Per-origin FIFO queues of item indices, indexed by processor.
+    windows: Vec<VecDeque<u32>>,
+    /// Arrival time of every item, in item order; `arrivals[next..]` are
+    /// still to come.
+    arrivals: Vec<SimTime>,
+    next: usize,
     /// Items held in either container: the loop's stop check reads this
     /// instead of scanning every origin's queue.
     left: usize,
 }
 
-impl<C: ClientProtocol> Queued<C> {
-    fn new<I>(n_procs: usize, start: SimTime, items: I, release: Release) -> Self
+impl Queued {
+    /// Queue `origins.len()` items, item `i` submitted at `origins[i]`.
+    fn new<I>(n_procs: usize, start: SimTime, origins: I, release: Release) -> Self
     where
-        I: ExactSizeIterator<Item = Item<C>>,
+        I: ExactSizeIterator<Item = ProcId>,
     {
+        let n = origins.len();
+        assert!(u32::try_from(n).is_ok(), "{n} items overflow a u32 index");
         let mut queued = Queued {
             windows: Vec::new(),
-            arrivals: VecDeque::new(),
-            left: items.len(),
+            arrivals: Vec::new(),
+            next: 0,
+            left: n,
         };
         match release {
             Release::Window(_) => {
                 queued.windows.resize_with(n_procs, VecDeque::new);
-                for item in items {
-                    let origin = match &item {
-                        Submission::Op(op) => C::origin(op),
-                        Submission::Scan(scan) => C::scan_origin(scan),
-                    };
-                    queued.windows[origin.index()].push_back(item);
+                for (i, origin) in origins.enumerate() {
+                    queued.windows[origin.index()].push_back(i as u32);
                 }
             }
             Release::Schedule(cfg) => {
-                let offsets = arrival_offsets(items.len(), &cfg);
-                queued.arrivals = offsets.into_iter().map(|o| start + o).zip(items).collect();
+                let offsets = arrival_offsets(n, &cfg);
+                queued.arrivals = offsets.into_iter().map(|o| start + o).collect();
             }
         }
         queued
     }
 
     /// The next item queued at `origin`, if any.
-    fn pop_for(&mut self, origin: ProcId) -> Option<Item<C>> {
-        let item = self.windows.get_mut(origin.index())?.pop_front()?;
+    fn pop_for(&mut self, origin: ProcId) -> Option<usize> {
+        let i = self.windows.get_mut(origin.index())?.pop_front()?;
         self.left -= 1;
-        Some(item)
+        Some(i as usize)
     }
 
     /// The next scheduled item, if its arrival time has come.
-    fn pop_due(&mut self, now: SimTime) -> Option<Item<C>> {
+    fn pop_due(&mut self, now: SimTime) -> Option<usize> {
         if self.next_arrival()? > now {
             return None;
         }
         self.left -= 1;
-        self.arrivals.pop_front().map(|(_, item)| item)
+        self.next += 1;
+        Some(self.next - 1)
     }
 
     /// When the next scheduled item arrives.
     fn next_arrival(&self) -> Option<SimTime> {
-        self.arrivals.front().map(|(at, _)| *at)
+        self.arrivals.get(self.next).copied()
     }
 }
 

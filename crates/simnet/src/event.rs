@@ -12,7 +12,9 @@
 //!   `pop_front` on pop — instead of the O(log n) sift a binary heap pays.
 //!   Within a bucket (one tick), entries are kept in sequence order, which
 //!   appends preserve for free because sequence numbers are allocated
-//!   monotonically;
+//!   monotonically. A bucket that drains hands its buffer to a pool the
+//!   next bucket to fill takes from, so the wheel holds buffers for the
+//!   ticks in flight, not for every tick it ever served;
 //! * an **overflow heap** holds the far future (`at ≥ base + SPAN`:
 //!   long-delay timers, fault-plan controls). When the wheel runs dry the
 //!   window re-anchors at the heap's earliest event and everything inside
@@ -158,6 +160,10 @@ pub struct EventQueue<M> {
     /// Per-tick buckets covering `[base, base + SPAN)`; bucket `t % SPAN`
     /// holds the events firing at tick `t`, sorted by seq.
     wheel: Vec<VecDeque<WheelEntry>>,
+    /// Buffers of drained buckets, handed to the next bucket that fills.
+    /// An empty bucket owns no buffer, so the wheel's memory follows the
+    /// occupied buckets and never grows past their peak count.
+    pool: Vec<VecDeque<WheelEntry>>,
     /// Occupancy bitmap over buckets (bit `b` set ⇔ `wheel[b]` non-empty),
     /// scanned to find the next firing tick without touching empty buckets.
     occ: Vec<u64>,
@@ -215,6 +221,7 @@ impl<M> EventQueue<M> {
     pub fn new() -> Self {
         EventQueue {
             wheel: (0..SPAN).map(|_| VecDeque::new()).collect(),
+            pool: Vec::new(),
             occ: vec![0; SPAN / 64],
             wheel_count: 0,
             base: 0,
@@ -295,6 +302,11 @@ impl<M> EventQueue<M> {
     fn wheel_insert(&mut self, at: SimTime, seq: u64, slot: u32) {
         let b = (at.ticks() % SPAN as u64) as usize;
         let bucket = &mut self.wheel[b];
+        if bucket.capacity() == 0 {
+            if let Some(buf) = self.pool.pop() {
+                *bucket = buf;
+            }
+        }
         let entry = WheelEntry { seq, slot };
         match bucket.back() {
             Some(last) if last.seq > seq => {
@@ -305,6 +317,16 @@ impl<M> EventQueue<M> {
         }
         self.occ[b / 64] |= 1 << (b % 64);
         self.wheel_count += 1;
+    }
+
+    /// Bucket `b` just lost an entry: if that emptied it, clear its
+    /// occupancy bit and return its buffer to the pool.
+    fn after_bucket_removal(&mut self, b: usize) {
+        self.wheel_count -= 1;
+        if self.wheel[b].is_empty() {
+            self.occ[b / 64] &= !(1 << (b % 64));
+            self.pool.push(std::mem::take(&mut self.wheel[b]));
+        }
     }
 
     /// First non-empty bucket at or after `base` (window order, wrapping).
@@ -453,10 +475,7 @@ impl<M> EventQueue<M> {
         let b = (f.at.ticks() % SPAN as u64) as usize;
         let e = self.wheel[b].pop_front().expect("front is bucketed");
         debug_assert_eq!(e.seq, f.seq, "front cache points at the bucket head");
-        if self.wheel[b].is_empty() {
-            self.occ[b / 64] &= !(1 << (b % 64));
-        }
-        self.wheel_count -= 1;
+        self.after_bucket_removal(b);
         let event = self.take_slot(e.slot);
         self.scrub();
         Some(event)
@@ -657,10 +676,7 @@ impl<M> EventQueue<M> {
             let i = bucket.partition_point(|e| e.seq < seq);
             debug_assert_eq!(bucket[i].seq, seq, "bucket is sorted by seq");
             bucket.remove(i);
-            if bucket.is_empty() {
-                self.occ[b / 64] &= !(1 << (b % 64));
-            }
-            self.wheel_count -= 1;
+            self.after_bucket_removal(b);
         } else {
             self.stale_heap += 1;
             self.maybe_compact();
@@ -910,6 +926,40 @@ mod tests {
         let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.seq).collect();
         let expected: Vec<u64> = (400..500).chain(900..1000).collect();
         assert_eq!(order, expected);
+    }
+
+    /// Entries the wheel's bucket buffers can hold, pooled ones included.
+    fn bucket_capacity<M>(q: &EventQueue<M>) -> usize {
+        let pooled = q.pool.iter().map(VecDeque::capacity).sum::<usize>();
+        q.wheel.iter().map(VecDeque::capacity).sum::<usize>() + pooled
+    }
+
+    /// A steady window of pushes and pops, 1–24 ticks ahead, sweeps the
+    /// wheel three times over. What the buckets retain must follow the
+    /// events in flight, not every tick the window has passed.
+    #[test]
+    fn bucket_buffers_follow_the_live_window() {
+        let mut q: EventQueue<u32> = EventQueue::new();
+        let mut x = 0x9E37_79B9_u64;
+        let mut peak_live = 0;
+        for now in 0..3 * SPAN as u64 + 100 {
+            for _ in 0..3 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let at = SimTime(now + 1 + (x >> 59) % 24);
+                q.push(at, ProcId(0), EventKind::Timer { token: now });
+            }
+            peak_live = peak_live.max(q.len());
+            while q.next_at().is_some_and(|t| t.ticks() <= now) {
+                q.pop();
+            }
+        }
+        let retained = bucket_capacity(&q);
+        assert!(
+            retained <= 8 * peak_live,
+            "buckets retain {retained} entries for at most {peak_live} live events"
+        );
     }
 
     #[test]
