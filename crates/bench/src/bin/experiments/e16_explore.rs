@@ -2,12 +2,13 @@
 //!
 //! §3's correctness argument quantifies over *all* schedules; the explorer
 //! searches that space. This experiment measures the search's power on the
-//! known bug (the naive protocol's lost insert, Fig 4): how big an
-//! iteration budget does it take to catch the race, how small does the
-//! shrinker make the repro, and — the control — does the oracle stack stay
-//! silent on the correct protocol under the same budgets.
+//! known bug (Fig 4's lost insert, seeded as `SeededBug::DiscardOutOfRange`
+//! on semisync): how big an iteration budget does it take to catch the
+//! race, how small does the shrinker make the repro, and — the control —
+//! does the oracle stack stay silent on the correct protocol under the same
+//! budgets.
 
-use dbtree::ProtocolKind;
+use dbtree::{ProtocolKind, SeededBug};
 use explore::{blink_scenario, explore, Budget};
 use simnet::FaultPlan;
 
@@ -28,7 +29,8 @@ pub fn run(_: &crate::Args) {
         let mut ops_sum = 0u64;
         let mut choices_sum = 0u64;
         for seed in 0..TRIALS {
-            let scenario = blink_scenario(ProtocolKind::Naive, seed, n_ops, FaultPlan::none());
+            let scenario = blink_scenario(ProtocolKind::SemiSync, seed, n_ops, FaultPlan::none())
+                .with_bug(SeededBug::DiscardOutOfRange);
             let budget = Budget {
                 iterations: MAX_ITERS,
                 ..Budget::default()

@@ -24,34 +24,34 @@ use std::fs;
 use std::path::Path;
 
 use bench::report::{note, Table};
-use bench::suite::{rows, run_cell, BenchReport, CellSpec, DriveMode, Network, Proto, Structure};
+use bench::suite::{rows, run_cell, BenchReport, CellSpec, DriveMode, Network, Structure};
 use bench::{f1, f2};
+use dbtree::{ProtocolKind, TreeConfig};
 use obs::Json;
 use simnet::ProcId;
 use workload::Mix;
 
 const SLOW: ProcId = ProcId(3);
 
-fn cell(id: &'static str, protocol: Proto) -> CellSpec {
+fn cell(id: &'static str, protocol: ProtocolKind) -> CellSpec {
     CellSpec {
         id,
-        structure: Structure::Blink,
+        structure: Structure::Blink(TreeConfig {
+            record_history: false,
+            ..TreeConfig::fixed_copies(protocol, 4)
+        }),
         drive: DriveMode::Closed(6),
         network: Network::Clean,
-        protocol,
         ops: 600,
         seed: 12,
         n_procs: 4,
         preload: 100,
-        copies: 4,
         service_time: 4,
         service_override: Some((SLOW, 80)),
         // Healthy processors only submit; P3 is the degraded replica.
         origins: 3,
         mix: Mix::INSERT_ONLY,
         key_space: 20_000,
-        merge: false,
-        fanout: 8,
         profile: true,
     }
 }
@@ -84,8 +84,8 @@ pub fn run(_: &crate::Args) {
     // Phase 1: run the cells, write the artifacts, drop everything else.
     let mut report = BenchReport::default();
     for spec in [
-        cell("e17-semisync-degraded", Proto::SemiSync),
-        cell("e17-availablecopies-degraded", Proto::AvailableCopies),
+        cell("e17-semisync-degraded", ProtocolKind::SemiSync),
+        cell("e17-availablecopies-degraded", ProtocolKind::AvailableCopies),
     ] {
         eprintln!("running {} ...", spec.id);
         let out = run_cell(&spec);

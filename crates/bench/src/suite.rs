@@ -18,8 +18,10 @@
 
 use std::fmt::Write as _;
 
-use dbtree::{BuildSpec, DbCluster, DbSubmission, Key, ScanRecord, TreeConfig};
-use dhash::{DirProtocol, HKind, HashCluster, HashConfig, HashOp, HashSpec};
+use dbtree::{
+    BuildSpec, DbCluster, DbSubmission, Key, Placement, ProtocolKind, ScanRecord, TreeConfig,
+};
+use dhash::{HKind, HashCluster, HashConfig, HashOp, HashSpec};
 use obs::Json;
 use simnet::driver::{DriverStats, OpOutcome, OpRecord};
 use simnet::{
@@ -30,20 +32,32 @@ use workload::{KeyDist, Mix, Op, OpKind, WorkloadGen};
 
 use crate::to_submission;
 
-/// Which search structure a cell exercises.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Which search structure a cell exercises, under exactly the
+/// configuration it runs.
+#[derive(Clone, Debug)]
 pub enum Structure {
     /// The replicated dB-tree (`dbtree` crate).
-    Blink,
+    Blink(TreeConfig),
     /// The lazy extendible hash table (`dhash` crate).
-    Dhash,
+    Dhash(HashConfig),
 }
 
 impl Structure {
-    fn label(self) -> &'static str {
+    fn label(&self) -> &'static str {
         match self {
-            Structure::Blink => "blink",
-            Structure::Dhash => "dhash",
+            Structure::Blink(_) => "blink",
+            Structure::Dhash(_) => "dhash",
+        }
+    }
+
+    /// The row's protocol label.
+    fn protocol_label(&self) -> &'static str {
+        match self {
+            Structure::Blink(cfg) => match cfg.protocol {
+                ProtocolKind::AvailableCopies => "availablecopies",
+                protocol => protocol.label(),
+            },
+            Structure::Dhash(cfg) => cfg.protocol.label(),
         }
     }
 }
@@ -106,46 +120,6 @@ const CHAOS_CRASH: CrashEvent = CrashEvent {
     restart_at: Some(SimTime(1_200)),
 };
 
-/// The replica-maintenance protocol under test, across both structures.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Proto {
-    /// dB-tree §4.1.2 semi-synchronous splits (the paper's lazy protocol).
-    SemiSync,
-    /// dB-tree available-copies baseline (write-all locking).
-    AvailableCopies,
-    /// Hash-table lazy directory patches.
-    Lazy,
-    /// Hash-table synchronous (ack-barrier) directory maintenance.
-    DirSync,
-}
-
-impl Proto {
-    fn label(self) -> &'static str {
-        match self {
-            Proto::SemiSync => "semisync",
-            Proto::AvailableCopies => "availablecopies",
-            Proto::Lazy => "lazy",
-            Proto::DirSync => "dirsync",
-        }
-    }
-
-    fn blink(self) -> dbtree::ProtocolKind {
-        match self {
-            Proto::SemiSync => dbtree::ProtocolKind::SemiSync,
-            Proto::AvailableCopies => dbtree::ProtocolKind::AvailableCopies,
-            _ => panic!("{self:?} is not a dB-tree protocol"),
-        }
-    }
-
-    fn dhash(self) -> DirProtocol {
-        match self {
-            Proto::Lazy => DirProtocol::Lazy,
-            Proto::DirSync => DirProtocol::Sync,
-            _ => panic!("{self:?} is not a hash-directory protocol"),
-        }
-    }
-}
-
 /// Full specification of one benchmark cell. Everything that affects the
 /// run is in here (plus the binary itself), so a cell id names a
 /// reproducible measurement.
@@ -153,14 +127,13 @@ impl Proto {
 pub struct CellSpec {
     /// Stable identifier; baselines are joined on this.
     pub id: &'static str,
-    /// Search structure.
+    /// Search structure and its configuration (protocol, placement,
+    /// fanout, merge policy).
     pub structure: Structure,
     /// Injection mode.
     pub drive: DriveMode,
     /// Network conditions.
     pub network: Network,
-    /// Maintenance protocol.
-    pub protocol: Proto,
     /// Operations injected.
     pub ops: usize,
     /// Workload + simulator seed.
@@ -169,9 +142,6 @@ pub struct CellSpec {
     pub n_procs: u32,
     /// Keys preloaded before driving.
     pub preload: u64,
-    /// Replication factor (dB-tree); the hash directory always has
-    /// `n_procs` copies.
-    pub copies: usize,
     /// Per-action service time (ticks).
     pub service_time: u64,
     /// One processor's service-time override (a degraded node manager).
@@ -183,12 +153,6 @@ pub struct CellSpec {
     /// Key space the workload draws from. Delete-churn cells shrink this
     /// to the preloaded window so deletes actually empty leaves.
     pub key_space: u64,
-    /// Enable lazy merge-at-empty (dB-tree only): emptied leaves are
-    /// retired and their arena slots freed during the drive.
-    pub merge: bool,
-    /// Node fanout (dB-tree only). The delete-churn cell shrinks it so
-    /// leaves hold few live keys and uniform deletes actually empty them.
-    pub fanout: usize,
     /// Record a causal trace and run the critical-path profiler. The scale
     /// cells still run with this off — not for its cost any more (recording
     /// keeps raw values and renders only at export: DESIGN, "Observability")
@@ -303,17 +267,20 @@ const TRACE_CAP: usize = 1 << 16;
 /// The pinned cell matrix: the ten cells `BENCH_BASELINE.json` holds, at the
 /// sizes it holds them.
 pub fn matrix() -> Vec<CellSpec> {
+    // §4.1's test bed: every node on three processors.
+    let test_bed = TreeConfig {
+        record_history: false,
+        ..TreeConfig::fixed_copies(ProtocolKind::SemiSync, 3)
+    };
     let blink = CellSpec {
         id: "",
-        structure: Structure::Blink,
+        structure: Structure::Blink(test_bed.clone()),
         drive: DriveMode::Closed(8),
         network: Network::Clean,
-        protocol: Proto::SemiSync,
         ops: 0,
         seed: 11,
         n_procs: 6,
         preload: 80,
-        copies: 3,
         service_time: 2,
         service_override: None,
         origins: 6,
@@ -322,13 +289,13 @@ pub fn matrix() -> Vec<CellSpec> {
             ..Mix::INSERT_ONLY
         },
         key_space: KEY_SPACE,
-        merge: false,
-        fanout: 8,
         profile: true,
     };
     let dhash = CellSpec {
-        structure: Structure::Dhash,
-        protocol: Proto::Lazy,
+        structure: Structure::Dhash(HashConfig {
+            record_history: false,
+            ..HashConfig::default()
+        }),
         preload: 60,
         seed: 13,
         ..blink.clone()
@@ -391,13 +358,19 @@ pub fn matrix() -> Vec<CellSpec> {
         // merge-at-empty on: deletes drain the window's leaves to all-
         // tombstone, merges retire them, and the occasional insert refills.
         // The mix is deliberately harsher than `Mix::DELETE_CHURN` (85%
-        // deletes vs 45%) and the fanout small, so leaves actually empty
-        // within the pinned op budget. `merges` and `live_nodes` are the
-        // reclamation metrics — if retirement stops committing or stops
-        // freeing arena slots, this cell's row moves. Scans ride along to
-        // exercise the leaf-chain walk across retired nodes.
+        // deletes vs 45%) and the fanout small, so leaves hold few live keys
+        // and actually empty within the pinned op budget. `merges` and
+        // `live_nodes` are the reclamation metrics — if retirement stops
+        // committing or stops freeing arena slots, this cell's row moves.
+        // Scans ride along to exercise the leaf-chain walk across retired
+        // nodes.
         CellSpec {
             id: "blink-sim-closed-deletes",
+            structure: Structure::Blink(TreeConfig {
+                merge_at_empty: true,
+                fanout: 4,
+                ..test_bed
+            }),
             ops: 200,
             seed: 19,
             mix: Mix {
@@ -406,8 +379,6 @@ pub fn matrix() -> Vec<CellSpec> {
                 scan_fraction: 0.05,
             },
             key_space: 200,
-            merge: true,
-            fanout: 4,
             profile: false,
             ..blink.clone()
         },
@@ -436,9 +407,9 @@ pub fn matrix() -> Vec<CellSpec> {
 
 /// Run one cell to completion and measure it.
 pub fn run_cell(spec: &CellSpec) -> CellOutput {
-    match spec.structure {
-        Structure::Blink => run_blink(spec),
-        Structure::Dhash => run_dhash(spec),
+    match &spec.structure {
+        Structure::Blink(cfg) => run_blink(spec, cfg),
+        Structure::Dhash(cfg) => run_dhash(spec, cfg),
     }
 }
 
@@ -505,7 +476,7 @@ fn timed<Op, O: OpOutcome>(spec: &CellSpec, s: &DriverStats<Op, O>) -> CellResul
         structure: spec.structure.label(),
         drive: spec.drive.label(),
         network: spec.network.label(),
-        protocol: spec.protocol.label(),
+        protocol: spec.structure.protocol_label(),
         n_procs: spec.n_procs as u64,
         ops: spec.ops as u64,
         completed: s.records.len() as u64,
@@ -624,17 +595,20 @@ impl Start {
     }
 }
 
-fn run_blink(spec: &CellSpec) -> CellOutput {
-    let cfg = TreeConfig {
-        record_history: false,
-        merge_at_empty: spec.merge,
-        fanout: spec.fanout,
-        ..TreeConfig::fixed_copies(spec.protocol.blink(), spec.copies)
+fn run_blink(spec: &CellSpec, cfg: &TreeConfig) -> CellOutput {
+    // The split gate prices every split at one global `copies - 1`, which
+    // only §4.1's uniform placement has.
+    let Placement::Uniform { copies } = cfg.placement else {
+        panic!(
+            "{}: a {} cell needs a per-node split gate (ROADMAP item 1)",
+            spec.id,
+            cfg.placement.label()
+        );
     };
     let keys: Vec<Key> = (0..spec.preload).map(|k| k * 10).collect();
     let (sim_cfg, session, retry) = net(spec);
-    let mut cluster =
-        DbCluster::build_with_session(&BuildSpec::new(keys, spec.n_procs, cfg), sim_cfg, session);
+    let build = BuildSpec::new(keys, spec.n_procs, cfg.clone());
+    let mut cluster = DbCluster::build_with_session(&build, sim_cfg, session);
     cluster.set_retry(retry);
     let start = Start::of(&cluster.sim);
     let items: Vec<DbSubmission> = workload_ops(spec).iter().map(to_submission).collect();
@@ -648,21 +622,17 @@ fn run_blink(spec: &CellSpec) -> CellOutput {
     // §4.1.2: a semisync split relays to the R-1 other copies; available
     // copies pays the same relay fan-out (its overhead is locking, not
     // split messages).
-    r.copies = spec.copies as u64;
+    r.copies = copies as u64;
     r.merges = crate::sum_metric(&cluster, |m| m.merges_completed);
     r.live_nodes = cluster.sim.procs().map(|(_, p)| p.store.len() as u64).sum();
     start.finish(spec, &mut cluster.sim, &stats, "split.", r)
 }
 
-fn run_dhash(spec: &CellSpec) -> CellOutput {
+fn run_dhash(spec: &CellSpec, cfg: &HashConfig) -> CellOutput {
     let hspec = HashSpec {
         preload: (0..spec.preload).map(|k| k * 7).collect(),
         n_procs: spec.n_procs,
-        cfg: HashConfig {
-            protocol: spec.protocol.dhash(),
-            record_history: false,
-            ..HashConfig::default()
-        },
+        cfg: cfg.clone(),
     };
     let (sim_cfg, session, retry) = net(spec);
     let mut cluster = HashCluster::build_with_session(&hspec, sim_cfg, session);

@@ -4,9 +4,10 @@
 //! `BENCH_BASELINE.json` is byte for byte what this build measures.
 
 use bench::suite::{
-    diff, matrix, rows, run_cell, BenchReport, CellResult, CellSpec, DriveMode, Network, Proto,
-    Structure,
+    diff, matrix, rows, run_cell, BenchReport, CellResult, CellSpec, DriveMode, Network, Structure,
 };
+use dbtree::{ProtocolKind, TreeConfig};
+use dhash::HashConfig;
 use obs::Json;
 use workload::Mix;
 
@@ -200,21 +201,31 @@ fn gate_names_every_differing_field() {
     assert_eq!(diff(&without, GOLDEN).unwrap()[0].current, "absent");
 }
 
+/// The two structures the tiny cells run: the semisync dB-tree on §4.1's
+/// test bed (every node on three processors) and the lazy hash table.
+fn structures() -> [Structure; 2] {
+    [
+        Structure::Blink(TreeConfig {
+            record_history: false,
+            ..TreeConfig::fixed_copies(ProtocolKind::SemiSync, 3)
+        }),
+        Structure::Dhash(HashConfig {
+            record_history: false,
+            ..HashConfig::default()
+        }),
+    ]
+}
+
 fn tiny_cell(structure: Structure) -> CellSpec {
     CellSpec {
         id: "tiny",
         structure,
         drive: DriveMode::Closed(4),
         network: Network::Clean,
-        protocol: match structure {
-            Structure::Blink => Proto::SemiSync,
-            Structure::Dhash => Proto::Lazy,
-        },
         ops: 60,
         seed: 21,
         n_procs: 4,
         preload: 40,
-        copies: 3,
         service_time: 2,
         service_override: None,
         origins: 4,
@@ -223,8 +234,6 @@ fn tiny_cell(structure: Structure) -> CellSpec {
             ..Mix::INSERT_ONLY
         },
         key_space: 20_000,
-        merge: false,
-        fanout: 8,
         profile: true,
     }
 }
@@ -234,7 +243,8 @@ fn tiny_cell(structure: Structure) -> CellSpec {
 /// measurements trips the gate under the changed field's name.
 #[test]
 fn real_cell_is_deterministic_and_gateable() {
-    let spec = tiny_cell(Structure::Blink);
+    let [blink, _] = structures();
+    let spec = tiny_cell(blink);
     let a = run_cell(&spec);
     let b = run_cell(&spec);
     assert_eq!(a.folded_paths, b.folded_paths);
@@ -259,10 +269,10 @@ fn real_cell_is_deterministic_and_gateable() {
 /// and therefore gate exactly like the clean cells.
 #[test]
 fn chaos_cell_is_deterministic_and_completes() {
-    for structure in [Structure::Blink, Structure::Dhash] {
+    for structure in structures() {
         let spec = CellSpec {
             network: Network::Chaos,
-            ..tiny_cell(structure)
+            ..tiny_cell(structure.clone())
         };
         let a = run_cell(&spec);
         let b = run_cell(&spec);
@@ -282,8 +292,8 @@ fn chaos_cell_is_deterministic_and_completes() {
 /// decomposes exactly, and the segment shares partition the latency.
 #[test]
 fn cell_profile_is_consistent() {
-    for structure in [Structure::Blink, Structure::Dhash] {
-        let out = run_cell(&tiny_cell(structure));
+    for structure in structures() {
+        let out = run_cell(&tiny_cell(structure.clone()));
         let r = &out.result;
         assert_eq!(r.completed, r.ops, "{structure:?}: closed loop completes");
         assert_eq!(

@@ -11,11 +11,6 @@ pub enum ProtocolKind {
     /// (re-issuing it toward the sibling). Never blocks inserts;
     /// `|copies|` messages per split (optimal).
     SemiSync,
-    /// The deliberately broken lazy protocol of Fig 4: like `SemiSync`, but
-    /// the PC **discards** out-of-range relayed inserts instead of
-    /// re-routing them. Exists to demonstrate the lost-insert problem; the
-    /// history checker flags its executions.
-    Naive,
     /// The vigorous baseline the paper argues against (\[2\]): every update to
     /// a replicated node locks all copies (write-all), blocking reads and
     /// other writes at every copy for the duration.
@@ -28,7 +23,6 @@ impl ProtocolKind {
         match self {
             ProtocolKind::Sync => "sync",
             ProtocolKind::SemiSync => "semisync",
-            ProtocolKind::Naive => "naive",
             ProtocolKind::AvailableCopies => "avail-copies",
         }
     }
@@ -82,18 +76,23 @@ impl Default for PiggybackCfg {
 }
 
 /// A deliberately broken variant of the protocol, seeded so that a checker
-/// can be *seen* to fail: the paper's own (Fig 6; Fig 4's lost insert is
-/// [`ProtocolKind::Naive`]) and the repo's later ones. At most one per run
+/// can be *seen* to fail: the paper's own (Fig 4, Fig 6) and the repo's
+/// later ones. At most one per run
 /// ([`TreeConfig::seeded`]); the node manager consults it through the one
 /// seam `DbProc::seeded`. Never set it outside the experiment that catches
 /// it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SeededBug {
+    /// Fig 4's lost insert, the paper's strawman lazy protocol: under
+    /// [`ProtocolKind::SemiSync`], the PC **discards** an out-of-range
+    /// relayed insert instead of re-routing it toward the sibling, so the
+    /// update is lost. Caught by the history checker.
+    DiscardOutOfRange,
     /// Fig 6's incomplete history: the PC does **not** re-relay an update to
     /// copies that joined after the update's version (§4.3's rule, off), so
     /// a late joiner misses it. Caught by the history checker.
     NoJoinVersionRelay,
-    /// The `Naive` analogue for the merge family: the grant-commit skips
+    /// The `DiscardOutOfRange` analogue for the merge family: the grant-commit skips
     /// the re-verification that the leaf is still empty of live values, so
     /// an insert that raced the grant is silently dropped with the retired
     /// node. Caught (and shrunk) by the explorer.
@@ -114,7 +113,7 @@ pub enum SeededBug {
 }
 
 /// Full configuration of a dB-tree deployment.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct TreeConfig {
     /// Maximum entries per node before it must split.
     pub fanout: usize,

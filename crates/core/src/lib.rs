@@ -15,11 +15,13 @@
 //!   [`ProtocolKind::Sync`] (§4.1.1 AAS splits),
 //!   [`ProtocolKind::SemiSync`] (§4.1.2 history-rewriting splits — the
 //!   paper's headline protocol),
-//!   [`ProtocolKind::Naive`] (the Fig 4 lost-insert strawman),
 //!   [`ProtocolKind::AvailableCopies`] (the vigorous baseline), plus
 //!   §4.2 single-copy mobile nodes (migration, forwarding addresses,
 //!   misnavigation recovery) and §4.3 variable copies (join/unjoin with
 //!   version numbers).
+//! * Seeded bugs ([`SeededBug`], one per run through
+//!   [`TreeConfig::seeded`]) that the checkers must catch, Fig 4's lost
+//!   insert ([`SeededBug::DiscardOutOfRange`]) among them.
 //! * End-of-run checkers ([`checker`]) and a bridge to the `history` crate's
 //!   executable correctness theory.
 //!

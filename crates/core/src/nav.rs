@@ -451,7 +451,7 @@ impl DbProc {
         }
         match self.cfg.protocol {
             ProtocolKind::Sync => self.start_sync_split(ctx, node),
-            ProtocolKind::SemiSync | ProtocolKind::Naive => self.semisync_split(ctx, node),
+            ProtocolKind::SemiSync => self.semisync_split(ctx, node),
             ProtocolKind::AvailableCopies => {
                 let replicated = self
                     .store

@@ -11,7 +11,7 @@
 //!   or [`Msg::MergeDecline`]. The grant is advisory: the child's PC
 //!   re-verifies emptiness at commit time, because any number of client
 //!   inserts can race the round trip. ([`SeededBug::MergeNoReverify`]
-//!   skips exactly that re-check, recreating the Naive protocol's
+//!   skips exactly that re-check, recreating Fig 4's
 //!   check-then-act bug for the explorer to catch.)
 //! * **Retire, don't redistribute.** The commit deletes the copy, leaves a
 //!   forwarding address, and hands the emptied range to the left sibling in

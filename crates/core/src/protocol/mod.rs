@@ -3,8 +3,8 @@
 //! * [`split`] — the half-split engine shared by every protocol (sibling
 //!   construction, split completion at the parent, root growth).
 //! * [`sync`] — §4.1.1 synchronous splits (AAS).
-//! * [`semisync`] — §4.1.2 semi-synchronous splits (and the deliberately
-//!   broken `Naive` variant's relayed-split path).
+//! * [`semisync`] — §4.1.2 semi-synchronous splits (also run by Fig 4's
+//!   seeded lost-insert bug, `SeededBug::DiscardOutOfRange`).
 //! * [`mobile`] — §4.2 single-copy mobile nodes: migration, link-changes,
 //!   forwarding addresses.
 //! * [`variable`] — §4.3 variable copies: join/unjoin with version-numbered

@@ -8,8 +8,8 @@
 //! Compatibility is restored by *rewriting history*:
 //! when a relayed insert reaches the PC after the split moved its key away,
 //! the PC re-issues it as an initial insert toward the sibling (see
-//! `relay.rs`). The `Naive` protocol shares this module's split path but
-//! omits the rewrite — reproducing the Fig 4 lost-insert bug.
+//! `relay.rs`). `SeededBug::DiscardOutOfRange` keeps this module's split
+//! path but omits the rewrite — reproducing the Fig 4 lost-insert bug.
 
 use simnet::Context;
 

@@ -374,47 +374,35 @@ impl DbProc {
         }
 
         // Out of range: the key's range has already split away from this
-        // copy.
-        if is_pc {
-            match self.cfg.protocol {
-                ProtocolKind::SemiSync => {
-                    // Rewrite history (§4.1.2): re-issue as an initial
-                    // insert toward the right neighbour, so the update lands
-                    // where the split moved its range.
-                    let (right, level) = {
-                        let c = self.store.get(node).expect("resident");
-                        (c.edge.right(), c.level)
-                    };
-                    let right = right.expect("out-of-range key implies a right sibling");
-                    self.metrics.bump(Ctr::RelaysForwarded, 1);
-                    self.observe(node, tag, ObserveKind::Forwarded);
-                    let msg = Msg::InsertAt {
-                        node: right.node,
-                        level,
-                        key,
-                        entry,
-                        tag,
-                    };
-                    self.send_to_node(ctx, right.node, right.home, msg);
-                }
-                ProtocolKind::Naive => {
-                    // Fig 4's bug, preserved on purpose: the PC ignores the
-                    // out-of-range relayed insert and the update is lost.
-                    self.metrics.bump(Ctr::RelaysDiscarded, 1);
-                    self.observe(node, tag, ObserveKind::Discarded);
-                }
-                ProtocolKind::Sync | ProtocolKind::AvailableCopies => {
-                    // The synchronizing protocols order inserts before
-                    // splits, so an out-of-range relay at the PC means its
-                    // key was already re-homed by the split that the initial
-                    // copy observed before relaying. Discarding is safe.
-                    self.metrics.bump(Ctr::RelaysDiscarded, 1);
-                    self.observe(node, tag, ObserveKind::Discarded);
-                }
-            }
+        // copy. Only a semisync PC keeps the update. A non-PC copy discards
+        // it: the split that shrank the range carried the key's fate (§4.1
+        // rule 3). So does a sync or available-copies PC: those protocols
+        // order inserts before splits, so the key was already re-homed by
+        // the split the initial copy observed before relaying. Fig 4's
+        // seeded bug discards at a semisync PC too, and loses the update.
+        let rewrite = is_pc
+            && self.cfg.protocol == ProtocolKind::SemiSync
+            && !self.seeded(SeededBug::DiscardOutOfRange);
+        if rewrite {
+            // Rewrite history (§4.1.2): re-issue as an initial insert
+            // toward the right neighbour, so the update lands where the
+            // split moved its range.
+            let (right, level) = {
+                let c = self.store.get(node).expect("resident");
+                (c.edge.right(), c.level)
+            };
+            let right = right.expect("out-of-range key implies a right sibling");
+            self.metrics.bump(Ctr::RelaysForwarded, 1);
+            self.observe(node, tag, ObserveKind::Forwarded);
+            let msg = Msg::InsertAt {
+                node: right.node,
+                level,
+                key,
+                entry,
+                tag,
+            };
+            self.send_to_node(ctx, right.node, right.home, msg);
         } else {
-            // Non-PC copies always discard out-of-range relays: the split
-            // that shrank the range carried the key's fate (§4.1 rule 3).
             self.metrics.bump(Ctr::RelaysDiscarded, 1);
             self.observe(node, tag, ObserveKind::Discarded);
         }

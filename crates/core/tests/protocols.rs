@@ -6,7 +6,9 @@ mod common;
 use std::collections::BTreeSet;
 
 use common::{assert_clean, run_workload};
-use dbtree::{checker, BuildSpec, ClientOp, DbCluster, Intent, ProtocolKind, TreeConfig};
+use dbtree::{
+    checker, BuildSpec, ClientOp, DbCluster, Intent, ProtocolKind, SeededBug, TreeConfig,
+};
 use simnet::{ProcId, SimConfig};
 use workload::Mix;
 
@@ -135,26 +137,27 @@ fn semisync_never_blocks_initial_inserts() {
 }
 
 // ---------------------------------------------------------------------------
-// Fig 4 — the naive protocol loses inserts; semisync does not
+// Fig 4 — the seeded lost-insert bug loses inserts; semisync does not
 // ---------------------------------------------------------------------------
 
 #[test]
 fn naive_protocol_loses_keys_semisync_does_not() {
     let mut naive_lost_total = 0usize;
     for seed in 0..10 {
-        let run = |protocol| {
+        let run = |seeded| {
             let cfg = TreeConfig {
                 fanout: 6,
-                ..TreeConfig::fixed_copies(protocol, 3)
+                seeded,
+                ..TreeConfig::fixed_copies(ProtocolKind::SemiSync, 3)
             };
             let (mut cluster, expected) = run_workload(cfg, 4, 30, 500, Mix::INSERT_ONLY, seed);
             cluster.record_final_digests();
             let violations = checker::check_keys(&cluster.sim, &expected);
             violations.len()
         };
-        let semisync_lost = run(ProtocolKind::SemiSync);
+        let semisync_lost = run(None);
         assert_eq!(semisync_lost, 0, "semisync loses nothing (seed {seed})");
-        naive_lost_total += run(ProtocolKind::Naive);
+        naive_lost_total += run(Some(SeededBug::DiscardOutOfRange));
     }
     assert!(
         naive_lost_total > 0,

@@ -11,7 +11,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use dbtree::{
     BuildSpec, ClientOp, DbCluster, DbSubmission, Edge, Intent, Key, Link, Msg, NodeId, OpId,
-    ProtocolKind, ScanSpec, TreeConfig, LOCAL_STEP_CAP,
+    ProtocolKind, ScanSpec, SeededBug, TreeConfig, LOCAL_STEP_CAP,
 };
 use simnet::{ProcId, QuiesceError, Release, SessionMsg, SimConfig};
 
@@ -137,7 +137,8 @@ impl Model {
     }
 }
 
-/// (b) Mixed insert/delete/search/scan streams, all four protocol kinds.
+/// (b) Mixed insert/delete/search/scan streams, all three protocol kinds
+/// and Fig 4's seeded lost-insert bug.
 /// Each origin works its own residue class of the key space with one op
 /// outstanding, so per key the acknowledged results have exactly one legal
 /// sequential explanation — while the origins race each other through
@@ -147,14 +148,20 @@ impl Model {
 #[test]
 fn mixed_streams_agree_with_the_sequential_reference() {
     const P: u32 = 4;
-    for (protocol, merge) in [
-        (ProtocolKind::SemiSync, true),
-        (ProtocolKind::Sync, true),
-        (ProtocolKind::AvailableCopies, false),
-        (ProtocolKind::Naive, false),
+    for (label, protocol, merge, seeded) in [
+        ("semisync", ProtocolKind::SemiSync, true, None),
+        ("sync", ProtocolKind::Sync, true, None),
+        ("avail-copies", ProtocolKind::AvailableCopies, false, None),
+        (
+            "naive",
+            ProtocolKind::SemiSync,
+            false,
+            Some(SeededBug::DiscardOutOfRange),
+        ),
     ] {
         let cfg = TreeConfig {
             merge_at_empty: merge,
+            seeded,
             ..TreeConfig::with_protocol(protocol)
         };
         let preload: Vec<Key> = (0..240).map(|k| k * 4).collect();
@@ -168,7 +175,7 @@ fn mixed_streams_agree_with_the_sequential_reference() {
             model.tree.insert(k, k);
         }
 
-        let mut rng = 0xD1CE ^ protocol.label().len() as u64;
+        let mut rng = 0xD1CE ^ label.len() as u64;
         let items: Vec<DbSubmission> = (0..1600u32)
             .map(|i| {
                 let origin = ProcId(i % P);
@@ -204,11 +211,7 @@ fn mixed_streams_agree_with_the_sequential_reference() {
             .try_run_mixed(&items, Release::Window(1))
             .expect("stream drains");
         let scans = cluster.take_scans();
-        assert_eq!(
-            stats.records.len() + scans.len(),
-            items.len(),
-            "{protocol:?}"
-        );
+        assert_eq!(stats.records.len() + scans.len(), items.len(), "{label}");
 
         // Driver ids are minted at submission, and an origin's next item is
         // released by its previous completion: id order is a legal
@@ -224,7 +227,7 @@ fn mixed_streams_agree_with_the_sequential_reference() {
             match done {
                 Done::Op(r) => {
                     let want = model.apply(&r.op);
-                    assert_eq!(r.outcome.found, want, "{protocol:?} op {id}: {:?}", r.op);
+                    assert_eq!(r.outcome.found, want, "{label} op {id}: {:?}", r.op);
                 }
                 Done::Scan(r) => {
                     let items = &r.outcome.items;
@@ -239,7 +242,7 @@ fn mixed_streams_agree_with_the_sequential_reference() {
                         .filter(|(k, _)| k % P as u64 == r.op.origin.0 as u64)
                         .collect();
                     let want = model.owned(r.op.origin.0, P, r.op.from, to);
-                    assert_eq!(got, want, "{protocol:?} scan {id}: {:?}", r.op);
+                    assert_eq!(got, want, "{label} scan {id}: {:?}", r.op);
                 }
             }
         }
@@ -248,7 +251,7 @@ fn mixed_streams_agree_with_the_sequential_reference() {
             .procs()
             .map(|(_, p)| p.metrics.local_steps)
             .sum();
-        assert!(steps > 0, "{protocol:?}: no step ever ran in-process");
+        assert!(steps > 0, "{label}: no step ever ran in-process");
     }
 }
 

@@ -198,7 +198,7 @@ pub struct CheckReport {
 /// table has no independence theory to reduce with), and no timed
 /// partitions (not schedulable as choices).
 pub fn supports(scenario: &Scenario) -> bool {
-    matches!(scenario.proto, Proto::Blink { .. }) && scenario.faults.partitions.is_empty()
+    matches!(scenario.proto, Proto::Blink(_)) && scenario.faults.partitions.is_empty()
 }
 
 /// In-memory frame: [`FrameState`] plus the cached enabled set (refreshed
@@ -313,15 +313,10 @@ fn run_one(
     prefix: Vec<u64>,
     sleep: Vec<Choice>,
 ) -> RunOutcome {
-    let Proto::Blink {
-        protocol,
-        fanout,
-        merge,
-    } = scenario.proto
-    else {
+    let Proto::Blink(cfg) = &scenario.proto else {
         unreachable!("check() rejects unsupported scenarios up front");
     };
-    let mut cluster = build_blink(scenario, protocol, fanout, merge, 0);
+    let mut cluster = build_blink(scenario, cfg, 0);
     let log = Rc::new(RefCell::new(RunLog::default()));
     cluster.sim.set_scheduler(Box::new(Driver {
         prefix,
@@ -642,7 +637,8 @@ pub fn check(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{merge_race_scenario, wedged_merge_scenario, MergeMode};
+    use crate::scenario::merge_race_scenario;
+    use dbtree::SeededBug;
     use simnet::ProcId;
 
     fn choice(seq: u64, to: u32, kind: ChoiceKind, label: &'static str) -> Choice {
@@ -744,7 +740,7 @@ mod tests {
     /// it stopped without redoing schedules.
     #[test]
     fn safe_scenario_checks_clean_and_resumes() {
-        let scenario = merge_race_scenario(MergeMode::Safe);
+        let scenario = merge_race_scenario();
         let opts = CheckOptions {
             depth: 6,
             max_schedules: 40,
@@ -783,7 +779,7 @@ mod tests {
     /// schedule and the failure shrinks to a pure-delete repro.
     #[test]
     fn wedged_scenario_trips_liveness_and_shrinks() {
-        let scenario = wedged_merge_scenario();
+        let scenario = merge_race_scenario().with_bug(SeededBug::MergeWedgeGrants);
         let opts = CheckOptions {
             depth: 4,
             max_schedules: 5,
@@ -810,7 +806,7 @@ mod tests {
     /// enumeration on the same bound, and still catch the unsafe-merge bug.
     #[test]
     fn dpor_reduces_and_still_catches_the_bug() {
-        let scenario = merge_race_scenario(MergeMode::Unsafe);
+        let scenario = merge_race_scenario().with_bug(SeededBug::MergeNoReverify);
         let base = CheckOptions {
             depth: 5,
             max_schedules: 2_000,

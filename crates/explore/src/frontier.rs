@@ -165,7 +165,8 @@ pub fn save(path: &Path, id: u64, state: &CheckState) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{merge_race_scenario, MergeMode};
+    use crate::scenario::merge_race_scenario;
+    use dbtree::SeededBug;
 
     fn sample() -> CheckState {
         CheckState {
@@ -206,8 +207,8 @@ mod tests {
 
     #[test]
     fn id_covers_scenario_and_bounds() {
-        let a = merge_race_scenario(MergeMode::Safe);
-        let b = merge_race_scenario(MergeMode::Unsafe);
+        let a = merge_race_scenario();
+        let b = merge_race_scenario().with_bug(SeededBug::MergeNoReverify);
         let opts = CheckOptions::default();
         assert_ne!(scenario_id(&a, &opts), scenario_id(&b, &opts));
         let deeper = CheckOptions {

@@ -47,8 +47,7 @@ pub use explorer::{explore, splitmix64, Budget, Report};
 pub use repro::{emit_test, format_repro, format_repro_lossy, parse_repro, run_repro};
 pub use scenario::{
     blink_scenario, crash_faults, hash_scenario, light_faults, merge_race_scenario, merge_scenario,
-    replay_run, replay_traced, run_recorded, run_under, wedged_merge_scenario, ExKind, ExOp,
-    MergeMode, Proto, RunReport, Scenario,
+    replay_run, replay_traced, run_recorded, run_under, ExKind, ExOp, Proto, RunReport, Scenario,
 };
 pub use sched::{Recording, Replay, Strategy};
 pub use shrink::{shrink, Failure, ShrinkStats};

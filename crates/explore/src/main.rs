@@ -15,11 +15,11 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use dbtree::ProtocolKind;
+use dbtree::{ProtocolKind, SeededBug};
 use explore::{
     blink_scenario, check, crash_faults, dpor, emit_test, explore, format_repro_lossy, frontier,
-    hash_scenario, light_faults, merge_race_scenario, merge_scenario, wedged_merge_scenario,
-    Budget, CheckOptions, CheckState, MergeMode, Scenario,
+    hash_scenario, light_faults, merge_race_scenario, merge_scenario, Budget, CheckOptions,
+    CheckState, Scenario,
 };
 use simnet::FaultPlan;
 
@@ -105,8 +105,9 @@ fn usage_missing(name: &str) -> ! {
     usage();
 }
 
-/// The scenario matrix. `naive` is the deliberately-broken Fig 4 protocol —
-/// useful for watching the explorer catch and shrink a real bug.
+/// The scenario matrix. `naive` seeds Fig 4's lost-insert bug
+/// (`SeededBug::DiscardOutOfRange`) — useful for watching the explorer
+/// catch and shrink a real bug.
 fn scenarios(which: &str, seed: u64, ops: usize) -> Vec<(&'static str, Scenario)> {
     let mut out: Vec<(&'static str, Scenario)> = Vec::new();
     let blink = |p, f| blink_scenario(p, seed, ops, f);
@@ -129,7 +130,8 @@ fn scenarios(which: &str, seed: u64, ops: usize) -> Vec<(&'static str, Scenario)
             out.push(("hash-crash", hash_scenario(seed, ops, crash_faults(1))));
         }
         "naive" => {
-            out.push(("naive", blink(ProtocolKind::Naive, FaultPlan::none())));
+            let naive = blink(ProtocolKind::SemiSync, FaultPlan::none());
+            out.push(("naive", naive.with_bug(SeededBug::DiscardOutOfRange)));
         }
         "merge" => {
             out.push((
@@ -144,12 +146,14 @@ fn scenarios(which: &str, seed: u64, ops: usize) -> Vec<(&'static str, Scenario)
         "unsafe-merge" => {
             // The injected check-then-act bug — like `naive`, exists to
             // watch the explorer catch and shrink a real violation.
-            out.push(("unsafe-merge", merge_race_scenario(MergeMode::Unsafe)));
+            let scenario = merge_race_scenario().with_bug(SeededBug::MergeNoReverify);
+            out.push(("unsafe-merge", scenario));
         }
         "wedged" => {
             // The injected liveness bug: every schedule that empties a leaf
             // wedges its merge forever — the liveness oracle's test dummy.
-            out.push(("wedged", wedged_merge_scenario()));
+            let scenario = merge_race_scenario().with_bug(SeededBug::MergeWedgeGrants);
+            out.push(("wedged", scenario));
         }
         "all" => {
             out.push((

@@ -37,37 +37,80 @@
 
 use std::fmt::Write as _;
 
-use dbtree::ProtocolKind;
+use dbtree::{ProtocolKind, SeededBug, TreeConfig};
 use simnet::{CrashEvent, FaultPlan, ProcId, SimTime};
 
-use crate::scenario::{replay_run, ExKind, ExOp, MergeMode, Proto, RunReport, Scenario};
+use crate::scenario::{replay_run, ExKind, ExOp, Proto, RunReport, Scenario};
 use crate::shrink::Failure;
 
 const HEADER: &str = "# explore repro v1";
 
-fn protocol_name(p: ProtocolKind) -> &'static str {
-    match p {
-        ProtocolKind::Sync => "sync",
-        ProtocolKind::SemiSync => "semisync",
-        ProtocolKind::Naive => "naive",
-        ProtocolKind::AvailableCopies => "available-copies",
-    }
+/// The largest `n-procs` a file may name: the simulator keeps per-channel
+/// state, quadratic in the processor count.
+const MAX_PROCS: u32 = 1024;
+
+/// The dB-tree configuration a blink file's `protocol`, `fanout` and
+/// `merge` lines state (`merge` is `None` when the line is absent). A file
+/// always runs §4.1's test bed, every node on three processors. `protocol
+/// naive` is semisync with Fig 4's seeded bug, and `merge unsafe|wedged`
+/// seed the merge family's two, so naming both is an error: a run carries
+/// at most one seeded bug.
+fn blink_config(protocol: &str, fanout: usize, merge: Option<&str>) -> Result<TreeConfig, String> {
+    let (protocol, naive) = match protocol {
+        "sync" => (ProtocolKind::Sync, false),
+        "semisync" => (ProtocolKind::SemiSync, false),
+        "naive" => (ProtocolKind::SemiSync, true),
+        "available-copies" => (ProtocolKind::AvailableCopies, false),
+        _ => return Err(format!("unknown protocol {protocol:?}")),
+    };
+    let merge_bug = match merge {
+        None | Some("safe") => None,
+        Some("unsafe") => Some(SeededBug::MergeNoReverify),
+        Some("wedged") => Some(SeededBug::MergeWedgeGrants),
+        Some(other) => return Err(format!("merge wants `safe|unsafe|wedged`: {other:?}")),
+    };
+    let seeded = match (naive, merge_bug) {
+        (true, Some(_)) => {
+            return Err("`protocol naive` and `merge unsafe|wedged` name two seeded bugs".into())
+        }
+        (true, None) => Some(SeededBug::DiscardOutOfRange),
+        (false, bug) => bug,
+    };
+    Ok(TreeConfig {
+        fanout,
+        merge_at_empty: merge.is_some(),
+        seeded,
+        ..TreeConfig::fixed_copies(protocol, 3)
+    })
 }
 
-fn protocol_from_name(s: &str) -> Option<ProtocolKind> {
-    Some(match s {
-        "sync" => ProtocolKind::Sync,
-        "semisync" => ProtocolKind::SemiSync,
-        "naive" => ProtocolKind::Naive,
-        "available-copies" => ProtocolKind::AvailableCopies,
-        _ => return None,
-    })
+/// The inverse of [`blink_config`]: the `protocol` and `merge` values that
+/// state `cfg` (with its `fanout`), or `Err` when no lines can — another
+/// placement, piggybacking or seeded bug, say.
+fn blink_lines(cfg: &TreeConfig) -> Result<(&'static str, Option<&'static str>), String> {
+    let protocols = ["sync", "semisync", "naive", "available-copies"];
+    let merges = [None, Some("safe"), Some("unsafe"), Some("wedged")];
+    protocols
+        .into_iter()
+        .flat_map(|p| merges.map(|m| (p, m)))
+        .find(|&(p, m)| blink_config(p, cfg.fanout, m).as_ref() == Ok(cfg))
+        .ok_or_else(|| format!("repro format cannot state the dB-tree config {cfg:?}"))
+}
+
+/// `rest` as a probability: a number in [0, 1].
+fn parse_prob(rest: &str, what: &str) -> Result<f64, String> {
+    rest.parse()
+        .ok()
+        .filter(|p| (0.0..=1.0).contains(p))
+        .ok_or(format!("{what} wants a probability in [0, 1]: {rest:?}"))
 }
 
 /// Serialize a failure to repro-file text.
 ///
 /// Timed partitions are not representable (the explorer never generates
-/// them); a plan carrying any is rejected rather than silently truncated.
+/// them), nor is a dB-tree config the `protocol`, `fanout` and `merge`
+/// lines cannot state (path placement, say); such a failure is rejected
+/// rather than silently truncated.
 pub fn format_repro(failure: &Failure) -> Result<String, String> {
     let s = &failure.scenario;
     if !s.faults.partitions.is_empty() {
@@ -78,27 +121,15 @@ pub fn format_repro(failure: &Failure) -> Result<String, String> {
     let _ = writeln!(out, "strategy {}", failure.strategy);
     let _ = writeln!(out, "sched-seed {}", failure.sched_seed);
     match &s.proto {
-        Proto::Blink {
-            protocol,
-            fanout,
-            merge,
-        } => {
+        Proto::Blink(cfg) => {
+            let (protocol, merge) = blink_lines(cfg)?;
             let _ = writeln!(out, "proto blink");
-            let _ = writeln!(out, "protocol {}", protocol_name(*protocol));
-            let _ = writeln!(out, "fanout {fanout}");
+            let _ = writeln!(out, "protocol {protocol}");
+            let _ = writeln!(out, "fanout {}", cfg.fanout);
             // Only a non-default merge mode is written, so pre-merge repro
             // files stay canonical byte-for-byte.
-            match merge {
-                MergeMode::Off => {}
-                MergeMode::Safe => {
-                    let _ = writeln!(out, "merge safe");
-                }
-                MergeMode::Unsafe => {
-                    let _ = writeln!(out, "merge unsafe");
-                }
-                MergeMode::Wedged => {
-                    let _ = writeln!(out, "merge wedged");
-                }
+            if let Some(merge) = merge {
+                let _ = writeln!(out, "merge {merge}");
             }
         }
         Proto::Hash { capacity } => {
@@ -183,10 +214,9 @@ pub fn parse_repro(text: &str) -> Result<Failure, String> {
     let mut strategy: &'static str = "replay";
     let mut sched_seed = 0u64;
     let mut proto: Option<&str> = None;
-    let mut protocol = None;
+    let mut protocol: Option<&str> = None;
     let mut fanout = 4usize;
-    let mut merge = MergeMode::Off;
-    let mut saw_merge = false;
+    let mut merge: Option<&str> = None;
     let mut capacity = 4usize;
     let mut n_procs = 0u32;
     let mut seed = 0u64;
@@ -216,26 +246,15 @@ pub fn parse_repro(text: &str) -> Result<Failure, String> {
                 };
             }
             "sched-seed" => sched_seed = rest.parse().map_err(|_| "bad sched-seed")?,
-            "proto" => proto = Some(if rest == "hash" { "hash" } else { "blink" }),
-            "protocol" => {
-                protocol =
-                    Some(protocol_from_name(rest).ok_or(format!("unknown protocol {rest:?}"))?)
-            }
+            "proto" => proto = Some(rest),
+            "protocol" => protocol = Some(rest),
             "fanout" => fanout = rest.parse().map_err(|_| "bad fanout")?,
-            "merge" => {
-                merge = match rest {
-                    "safe" => MergeMode::Safe,
-                    "unsafe" => MergeMode::Unsafe,
-                    "wedged" => MergeMode::Wedged,
-                    _ => return Err(format!("merge wants `safe|unsafe|wedged`: {line:?}")),
-                };
-                saw_merge = true;
-            }
-            "capacity" => capacity = rest.parse().map_err(|_| "bad capacity")?,
+            "merge" => merge = Some(rest),
+            "capacity" => capacity = rest.parse().ok().filter(|&c| c > 0).ok_or("bad capacity")?,
             "n-procs" => n_procs = rest.parse().map_err(|_| "bad n-procs")?,
             "seed" => seed = rest.parse().map_err(|_| "bad seed")?,
-            "drop" => faults.drop_prob = rest.parse().map_err(|_| "bad drop")?,
-            "dup" => faults.dup_prob = rest.parse().map_err(|_| "bad dup")?,
+            "drop" => faults.drop_prob = parse_prob(rest, "drop")?,
+            "dup" => faults.dup_prob = parse_prob(rest, "dup")?,
             "crash" => {
                 let parts: Vec<&str> = rest.split_whitespace().collect();
                 if parts.len() != 3 {
@@ -278,23 +297,26 @@ pub fn parse_repro(text: &str) -> Result<Failure, String> {
         }
     }
 
+    let blink = protocol
+        .map(|protocol| blink_config(protocol, fanout, merge))
+        .transpose()?;
     let proto = match proto.ok_or("missing proto line")? {
         "hash" => {
-            if saw_merge {
+            if merge.is_some() {
                 // Accepting it would parse, then re-format without the line —
                 // breaking the format's canonical round-trip.
                 return Err("merge is a blink setting; hash repros may not carry it".into());
             }
             Proto::Hash { capacity }
         }
-        _ => Proto::Blink {
-            protocol: protocol.ok_or("blink repro missing protocol line")?,
-            fanout,
-            merge,
-        },
+        "blink" => Proto::Blink(blink.ok_or("blink repro missing protocol line")?),
+        other => return Err(format!("proto wants `blink|hash`: {other:?}")),
     };
-    if n_procs == 0 {
-        return Err("missing or zero n-procs".into());
+    if n_procs == 0 || n_procs > MAX_PROCS {
+        return Err(format!("n-procs wants 1..={MAX_PROCS}, got {n_procs}"));
+    }
+    if let Some(c) = faults.crashes.iter().find(|c| c.proc.0 >= n_procs) {
+        return Err(format!("crash names processor {} of {n_procs}", c.proc.0));
     }
     Ok(Failure {
         scenario: Scenario {
@@ -345,11 +367,11 @@ mod tests {
     fn sample_failure() -> Failure {
         Failure {
             scenario: Scenario {
-                proto: Proto::Blink {
-                    protocol: ProtocolKind::Naive,
+                proto: Proto::Blink(TreeConfig {
                     fanout: 4,
-                    merge: MergeMode::Off,
-                },
+                    seeded: Some(SeededBug::DiscardOutOfRange),
+                    ..TreeConfig::fixed_copies(ProtocolKind::SemiSync, 3)
+                }),
                 n_procs: 3,
                 seed: 42,
                 preload: vec![0, 10, 20],
@@ -378,16 +400,17 @@ mod tests {
         }
     }
 
-    /// The three merge modes round-trip, and the model checker's strategy
+    /// The wedged merge round-trips, and the model checker's strategy
     /// names survive a reparse instead of degrading to `replay`.
     #[test]
     fn wedged_mode_and_checker_strategies_round_trip() {
         let mut failure = sample_failure();
         failure.strategy = "dpor";
-        let Proto::Blink { merge, .. } = &mut failure.scenario.proto else {
+        let Proto::Blink(cfg) = &mut failure.scenario.proto else {
             unreachable!()
         };
-        *merge = MergeMode::Wedged;
+        cfg.merge_at_empty = true;
+        cfg.seeded = Some(SeededBug::MergeWedgeGrants);
         let text = format_repro(&failure).expect("representable");
         assert!(text.contains("merge wedged"));
         assert!(text.contains("strategy dpor"));
@@ -400,29 +423,41 @@ mod tests {
 
     /// Regression: a liveness failure whose fault plan carries a timed
     /// partition is not representable as a replayable repro — the CLI used
-    /// to panic on it mid-report. The lossy formatter must always return
-    /// bytes that carry the violations, and those bytes must *not* parse
-    /// back as a replayable file.
+    /// to panic on it mid-report. Nor is a path-placed dB-tree, which the
+    /// `protocol`, `fanout` and `merge` lines cannot state. The lossy
+    /// formatter must always return bytes that carry the violations, and
+    /// those bytes must *not* parse back as a replayable file.
     #[test]
     fn lossy_formatter_degrades_unrepresentable_failures() {
-        let mut failure = sample_failure();
-        failure.violations = vec!["liveness: proc 1 holds 1 merge request(s) pending forever \
+        let mut partitioned = sample_failure();
+        partitioned.violations = vec!["liveness: proc 1 holds 1 merge request(s) pending forever \
              (no grant or decline ever arrived)"
             .into()];
-        failure.scenario.faults = failure.scenario.faults.with_partition(simnet::Partition {
-            start: SimTime(100),
-            end: SimTime(200),
-            side_a: vec![ProcId(0)],
-            side_b: vec![ProcId(1)],
-        });
-        assert!(format_repro(&failure).is_err(), "still unrepresentable");
-        let lossy = format_repro_lossy(&failure);
-        assert!(lossy.contains("NOT replayable"));
-        assert!(lossy.contains("liveness: proc 1"));
-        assert!(
-            parse_repro(&lossy).is_err(),
-            "must not masquerade as a repro"
-        );
+        let mut path_placed = partitioned.clone();
+        partitioned.scenario.faults =
+            partitioned
+                .scenario
+                .faults
+                .with_partition(simnet::Partition {
+                    start: SimTime(100),
+                    end: SimTime(200),
+                    side_a: vec![ProcId(0)],
+                    side_b: vec![ProcId(1)],
+                });
+        let Proto::Blink(cfg) = &mut path_placed.scenario.proto else {
+            unreachable!()
+        };
+        cfg.placement = dbtree::Placement::PathReplication;
+        for failure in [partitioned, path_placed] {
+            assert!(format_repro(&failure).is_err(), "still unrepresentable");
+            let lossy = format_repro_lossy(&failure);
+            assert!(lossy.contains("NOT replayable"));
+            assert!(lossy.contains("liveness: proc 1"));
+            assert!(
+                parse_repro(&lossy).is_err(),
+                "must not masquerade as a repro"
+            );
+        }
         // And on a representable failure the lossy path is the real format.
         let ok = sample_failure();
         assert_eq!(format_repro_lossy(&ok), format_repro(&ok).unwrap());
@@ -450,11 +485,12 @@ mod tests {
     #[test]
     fn merge_and_delete_round_trip() {
         let mut failure = sample_failure();
-        failure.scenario.proto = Proto::Blink {
-            protocol: ProtocolKind::SemiSync,
+        failure.scenario.proto = Proto::Blink(TreeConfig {
             fanout: 4,
-            merge: MergeMode::Unsafe,
-        };
+            merge_at_empty: true,
+            seeded: Some(SeededBug::MergeNoReverify),
+            ..TreeConfig::fixed_copies(ProtocolKind::SemiSync, 3)
+        });
         failure.scenario.ops.push(ExOp {
             origin: 1,
             key: 10,
@@ -470,23 +506,43 @@ mod tests {
 
     #[test]
     fn merge_off_is_not_written_and_old_files_still_parse() {
-        // The sample is MergeMode::Off: the line must be absent, and a file
-        // written before the merge family existed parses to Off.
+        // The sample does not merge: the line must be absent, and a file
+        // written before the merge family existed parses to merging off.
         let text = format_repro(&sample_failure()).unwrap();
         assert!(!text.contains("merge "));
         match parse_repro(&text).unwrap().scenario.proto {
-            Proto::Blink { merge, .. } => assert_eq!(merge, MergeMode::Off),
+            Proto::Blink(cfg) => assert!(!cfg.merge_at_empty),
             other => panic!("expected blink, got {other:?}"),
         }
         // And a hash repro smuggling a merge line is rejected outright.
         assert!(parse_repro("# explore repro v1\nproto hash\nmerge safe\nn-procs 3\n").is_err());
     }
 
+    /// Files the parser cannot replay are an `Err`, not a silent default
+    /// or a panic at replay. Each hostile line is appended to a valid file
+    /// (a later line overrides an earlier one).
     #[test]
     fn rejects_garbage() {
         assert!(parse_repro("not a repro").is_err());
         assert!(parse_repro("# explore repro v1\nfrobnicate 3").is_err());
         assert!(parse_repro("# explore repro v1\nproto blink\nn-procs 3").is_err());
+        let valid = format_repro(&sample_failure()).unwrap();
+        assert!(parse_repro(&valid).is_ok());
+        for line in [
+            "proto frobnicate",
+            "n-procs 100000",
+            "proto hash\ncapacity 0",
+            "crash 9 10 20",
+            "drop 2.5",
+            "dup -0.1",
+            "dup NaN",
+            // Two seeded bugs: `protocol naive` already seeds Fig 4's.
+            "merge unsafe",
+            "merge wedged",
+        ] {
+            let text = format!("{valid}{line}\n");
+            assert!(parse_repro(&text).is_err(), "accepted {line:?}");
+        }
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Scenarios: the replayable unit of exploration.
 //!
 //! A [`Scenario`] pins everything about one run *except* the schedule: the
-//! protocol under test, the deployment shape, the preloaded keys, the
-//! client operations, the fault plan, and the simulator seed (which fixes
-//! every latency and fault-RNG draw). Running a scenario under a
+//! structure's configuration (for the dB-tree, the [`TreeConfig`] it runs:
+//! protocol, placement, fanout, merge policy and any seeded bug), the
+//! deployment size, the preloaded keys, the client operations, the fault
+//! plan, and the simulator seed (which fixes every latency and fault-RNG
+//! draw). Running a scenario under a
 //! [`simnet::Scheduler`] then makes the schedule itself the only free
 //! variable, so a `(scenario, choice string)` pair identifies an execution
 //! byte-for-byte — the property the shrinker and the repro files rely on.
@@ -35,19 +37,12 @@ use simnet::{CrashEvent, FaultPlan, ProcId, Scheduler, SessionConfig, SimConfig,
 
 use crate::sched::{Recording, Replay, Strategy};
 
-/// Which search structure (and which of its protocol variants) a scenario
+/// Which search structure (and which of its configurations) a scenario
 /// exercises.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Proto {
-    /// The dB-tree under one of its replica-maintenance protocols.
-    Blink {
-        /// Replica-maintenance protocol variant.
-        protocol: ProtocolKind,
-        /// Node fanout (small values force splits early).
-        fanout: usize,
-        /// Lazy merge-at-empty policy (off, safe, or deliberately broken).
-        merge: MergeMode,
-    },
+    /// The dB-tree, run under exactly this configuration.
+    Blink(TreeConfig),
     /// The lazy-directory distributed hash table.
     Hash {
         /// Bucket capacity before a split.
@@ -83,26 +78,6 @@ pub struct ExOp {
     pub kind: ExKind,
 }
 
-/// Whether (and how honestly) a blink scenario runs lazy merge-at-empty.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MergeMode {
-    /// Merging disabled — the paper's never-merge baseline.
-    Off,
-    /// Merging with the commit-time emptiness re-verify (the shipped
-    /// protocol).
-    Safe,
-    /// Merging with the re-verify skipped: the injected check-then-act bug
-    /// (an insert that raced the grant round-trip dies with the node),
-    /// there for the explorer to catch and shrink.
-    Unsafe,
-    /// Merging with every `MergeReq` silently dropped by the parent: the
-    /// injected *liveness* bug (`SeededBug::MergeWedgeGrants`). A quiescent
-    /// all-tombstone leaf keeps its merge pending forever and leaf writes
-    /// park behind the grant that never comes — there for the liveness
-    /// oracle to catch and shrink.
-    Wedged,
-}
-
 /// Everything about a run except the schedule. See the module docs.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Scenario {
@@ -131,6 +106,21 @@ pub struct RunReport {
 }
 
 impl Scenario {
+    /// This scenario with `bug` seeded into its dB-tree configuration: how
+    /// the explorer's must-catch scenarios (`naive`, `unsafe-merge`,
+    /// `wedged`) are made from the canned ones.
+    ///
+    /// # Panics
+    ///
+    /// On a hash scenario: seeded bugs are dB-tree settings.
+    pub fn with_bug(mut self, bug: SeededBug) -> Scenario {
+        let Proto::Blink(cfg) = &mut self.proto else {
+            panic!("seeded bugs are dB-tree settings");
+        };
+        cfg.seeded = Some(bug);
+        self
+    }
+
     fn sim_cfg(&self, trace_capacity: usize) -> SimConfig {
         SimConfig {
             seed: self.seed,
@@ -178,12 +168,8 @@ fn run_traced(
     inspect: &mut dyn FnMut(&Trace),
 ) -> RunReport {
     match &scenario.proto {
-        Proto::Blink {
-            protocol,
-            fanout,
-            merge,
-        } => {
-            let mut cluster = build_blink(scenario, *protocol, *fanout, *merge, trace_capacity);
+        Proto::Blink(cfg) => {
+            let mut cluster = build_blink(scenario, cfg, trace_capacity);
             cluster.sim.set_scheduler(scheduler);
             let report = finish_blink(scenario, &mut cluster);
             inspect(cluster.sim.trace());
@@ -233,22 +219,10 @@ pub fn replay_traced(
 /// state fingerprints.
 pub(crate) fn build_blink(
     scenario: &Scenario,
-    protocol: ProtocolKind,
-    fanout: usize,
-    merge: MergeMode,
+    cfg: &TreeConfig,
     trace_capacity: usize,
 ) -> DbCluster {
-    let cfg = TreeConfig {
-        fanout,
-        merge_at_empty: merge != MergeMode::Off,
-        seeded: match merge {
-            MergeMode::Unsafe => Some(SeededBug::MergeNoReverify),
-            MergeMode::Wedged => Some(SeededBug::MergeWedgeGrants),
-            MergeMode::Off | MergeMode::Safe => None,
-        },
-        ..TreeConfig::fixed_copies(protocol, 3)
-    };
-    let spec = BuildSpec::new(scenario.preload.clone(), scenario.n_procs, cfg);
+    let spec = BuildSpec::new(scenario.preload.clone(), scenario.n_procs, cfg.clone());
     let sim_cfg = scenario.sim_cfg(trace_capacity);
     let mut cluster = DbCluster::build_with_session(&spec, sim_cfg, scenario.session());
 
@@ -478,6 +452,16 @@ fn check_completion(scenario: &Scenario, completed: usize, violations: &mut Vec<
     }
 }
 
+/// The configuration the canned dB-tree scenarios run: §4.1's test bed
+/// (every node on three processors) at fanout 4, so small workloads split.
+fn test_bed(protocol: ProtocolKind, merge_at_empty: bool) -> Proto {
+    Proto::Blink(TreeConfig {
+        fanout: 4,
+        merge_at_empty,
+        ..TreeConfig::fixed_copies(protocol, 3)
+    })
+}
+
 /// A canned dB-tree scenario: a small tree (low fanout) with an insert/
 /// search mix clustered tightly enough to force splits and split races.
 /// Deterministic in its arguments.
@@ -512,11 +496,7 @@ pub fn blink_scenario(
         })
         .collect();
     Scenario {
-        proto: Proto::Blink {
-            protocol,
-            fanout: 4,
-            merge: MergeMode::Off,
-        },
+        proto: test_bed(protocol, false),
         n_procs,
         seed,
         preload,
@@ -571,11 +551,7 @@ pub fn merge_scenario(
         })
         .collect();
     Scenario {
-        proto: Proto::Blink {
-            protocol,
-            fanout: 4,
-            merge: MergeMode::Safe,
-        },
+        proto: test_bed(protocol, true),
         n_procs,
         seed,
         preload,
@@ -588,12 +564,16 @@ pub fn merge_scenario(
 /// one root over leaves `[0,20)` and `[20,∞)` — siblings under the *same*
 /// parent, so the right one is grantable (a leftmost child never is). The
 /// two deletes empty the right leaf while one insert targets a key inside
-/// it. Under [`MergeMode::Unsafe`] the commit skips the emptiness
-/// re-verify, so a schedule that lands the insert inside the grant round
-/// trip loses it — the check-then-act bug the explorer must catch and
-/// shrink. The same scenario under [`MergeMode::Safe`] must survive every
-/// schedule.
-pub fn merge_race_scenario(merge: MergeMode) -> Scenario {
+/// it. The scenario must survive every schedule. With
+/// [`SeededBug::MergeNoReverify`] (`unsafe-merge`) the commit skips the
+/// emptiness re-verify, so a schedule that lands the insert inside the
+/// grant round trip loses it — the check-then-act bug the explorer must
+/// catch and shrink. With [`SeededBug::MergeWedgeGrants`] (`wedged`) the
+/// parent drops every `MergeReq`: any schedule that empties the right leaf
+/// leaves its merge pending forever, and the insert into its range parks
+/// behind the grant that never comes — what the liveness oracles must
+/// catch.
+pub fn merge_race_scenario() -> Scenario {
     let preload: Vec<u64> = (0..4).map(|k| k * 10).collect();
     let ops = vec![
         ExOp {
@@ -618,28 +598,13 @@ pub fn merge_race_scenario(merge: MergeMode) -> Scenario {
         },
     ];
     Scenario {
-        proto: Proto::Blink {
-            protocol: ProtocolKind::SemiSync,
-            fanout: 4,
-            merge,
-        },
+        proto: test_bed(ProtocolKind::SemiSync, true),
         n_procs: 3,
         seed: 5,
         preload,
         ops,
         faults: FaultPlan::none(),
     }
-}
-
-/// The seeded livelock: the [`merge_race_scenario`] shape under
-/// [`MergeMode::Wedged`], where the parent silently drops every `MergeReq`.
-/// Any schedule that empties the right leaf leaves its `merge_pending` bit
-/// set forever, and the insert into that leaf's range parks behind the
-/// never-granted merge — exactly what the liveness oracles exist to catch.
-/// The checker must flag it on every such schedule and shrink the repro to
-/// the two deletes (plus the insert for the parked-write variant).
-pub fn wedged_merge_scenario() -> Scenario {
-    merge_race_scenario(MergeMode::Wedged)
 }
 
 /// A canned hash-table scenario: small buckets, keys spread over preloaded

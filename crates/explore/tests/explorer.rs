@@ -1,19 +1,20 @@
 //! The explorer's own acceptance suite: determinism of the exploration
 //! loop, oracle validation over >1000 schedules with faults enabled, and
-//! the catch-and-shrink path on the deliberately broken Naive protocol.
+//! the catch-and-shrink path on Fig 4's seeded lost-insert bug.
 
-use dbtree::ProtocolKind;
+use dbtree::{ProtocolKind, SeededBug};
 use explore::{
     blink_scenario, crash_faults, emit_test, explore, format_repro, hash_scenario, light_faults,
-    merge_race_scenario, merge_scenario, run_repro, Budget, MergeMode, Proto,
+    merge_race_scenario, merge_scenario, run_repro, Budget, Proto,
 };
 use simnet::FaultPlan;
 
-/// The broken-protocol scenario: Naive (Fig 4) discards relayed inserts
-/// that arrive out of a copy's key range, so an insert racing a split is
-/// silently lost under the right interleaving.
+/// The broken-protocol scenario: with `DiscardOutOfRange` seeded (Fig 4)
+/// the PC discards relayed inserts that arrive out of its key range, so an
+/// insert racing a split is silently lost under the right interleaving.
 fn naive_scenario() -> explore::Scenario {
-    blink_scenario(ProtocolKind::Naive, 3, 16, FaultPlan::none())
+    blink_scenario(ProtocolKind::SemiSync, 3, 16, FaultPlan::none())
+        .with_bug(SeededBug::DiscardOutOfRange)
 }
 
 /// Acceptance: same seed, same budget → identical schedule digest,
@@ -156,7 +157,7 @@ fn safe_merge_survives_the_race_schedules() {
     // relay-ahead-of-its-absorb divergence for a whole release (it sat at
     // schedule 107 of seed 0; see `tests/regressions.rs`).
     for seed in 0..8 {
-        assert_clean(&merge_race_scenario(MergeMode::Safe), seed, 500);
+        assert_clean(&merge_race_scenario(), seed, 500);
     }
 }
 
@@ -166,7 +167,7 @@ fn safe_merge_survives_the_race_schedules() {
 /// violation.
 #[test]
 fn unsafe_merge_race_is_caught_and_shrunk() {
-    let scenario = merge_race_scenario(MergeMode::Unsafe);
+    let scenario = merge_race_scenario().with_bug(SeededBug::MergeNoReverify);
     let budget = Budget {
         iterations: 200,
         ..Budget::default()
@@ -186,11 +187,9 @@ fn unsafe_merge_race_is_caught_and_shrunk() {
     );
     assert!(
         matches!(
-            failure.scenario.proto,
-            Proto::Blink {
-                merge: MergeMode::Unsafe,
-                ..
-            }
+            &failure.scenario.proto,
+            Proto::Blink(cfg)
+                if cfg.merge_at_empty && cfg.seeded == Some(SeededBug::MergeNoReverify)
         ),
         "shrinking must not change the merge mode under test"
     );
@@ -230,13 +229,10 @@ fn naive_split_race_is_caught_and_shrunk() {
     );
     assert!(
         matches!(
-            failure.scenario.proto,
-            Proto::Blink {
-                protocol: ProtocolKind::Naive,
-                ..
-            }
+            &failure.scenario.proto,
+            Proto::Blink(cfg) if cfg.seeded == Some(SeededBug::DiscardOutOfRange)
         ),
-        "shrinking must not change the protocol under test"
+        "shrinking must not change the seeded bug under test"
     );
     let stats = &report.shrink_stats[0];
     assert!(stats.accepted > 0, "shrinker found no reduction at all");

@@ -13,8 +13,35 @@
 //! failed on it, and it reads the trace to show that the reordering it is
 //! named after really happens.
 
-use explore::{parse_repro, replay_traced, run_repro};
+use explore::{format_repro, parse_repro, replay_traced, run_repro};
 use simnet::{ProcId, TraceEvent};
+
+/// Every committed file is in the format's canonical form: with the `#`
+/// comment lines below its header dropped, it is what formatting its own
+/// parse writes. A change to the format that would reword an existing file
+/// fails here.
+#[test]
+fn committed_repros_are_canonical() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/repros");
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("tests/repros")
+        .map(|entry| entry.expect("dir entry").path())
+        .collect();
+    files.sort();
+    assert!(!files.is_empty(), "no repro files under {}", dir.display());
+    for path in files {
+        let text = std::fs::read_to_string(&path).expect("readable");
+        let uncommented: String = text
+            .lines()
+            .enumerate()
+            .filter(|&(i, line)| i == 0 || !line.starts_with('#'))
+            .map(|(_, line)| format!("{line}\n"))
+            .collect();
+        let failure = parse_repro(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let formatted = format_repro(&failure).expect("representable");
+        assert_eq!(formatted, uncommented, "{}", path.display());
+    }
+}
 
 fn assert_replays_clean(name: &str, repro: &str) {
     let report = run_repro(repro).unwrap_or_else(|e| panic!("{name}: repro does not parse: {e}"));

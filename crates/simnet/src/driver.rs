@@ -500,11 +500,6 @@ impl<C: ClientProtocol> Driver<C> {
         self.pending.len() + self.pending_scans.len() + self.backlog.len()
     }
 
-    /// Origins the retry layer currently suspects down.
-    pub fn suspected_origins(&self) -> Vec<ProcId> {
-        self.suspects.iter().copied().collect()
-    }
-
     /// Completed scans (drained).
     pub fn take_scans(&mut self) -> Vec<OpRecord<C::Scan, C::ScanResult>> {
         std::mem::take(&mut self.scans)
@@ -1335,7 +1330,7 @@ mod tests {
         assert_eq!(stats.retries, 4, "2 resubmissions per op");
         assert_eq!(stats.redirects, 0, "a 1-proc wire has nowhere to go");
         assert_eq!(driver.pending_ops(), 0, "no op left in flight or backlog");
-        assert_eq!(driver.suspected_origins(), vec![ProcId(0)]);
+        assert_eq!(driver.suspects, BTreeSet::from([ProcId(0)]));
     }
 
     /// Redirection picks the nearest processor on the wire that is *not*

@@ -338,9 +338,8 @@ impl<P: Process> Simulation<P> {
     }
 
     /// Has the run limit already been crossed? `None` means the simulation
-    /// may keep stepping. Callers that drive [`Simulation::step`] in their
-    /// own loop should consult this so `max_events` is not silently ignored.
-    pub fn limit_exceeded(&self) -> Option<QuiesceError> {
+    /// may keep stepping.
+    fn limit_exceeded(&self) -> Option<QuiesceError> {
         let delivered = self.delivered;
         (delivered >= self.max_events).then_some(QuiesceError::EventLimit { delivered })
     }
@@ -465,7 +464,6 @@ impl<P: Process> Simulation<P> {
                     self.now, from, to, drop, "crash", kind, span, redelivery, wait,
                 );
             }
-            self.stats.observe_inflight(self.queue.len());
             return;
         }
         // Stale epochs cannot reach here — the crash already tombstoned
@@ -533,7 +531,6 @@ impl<P: Process> Simulation<P> {
             }
             EventKind::Tombstone { .. } => unreachable!("handled above"),
         }
-        self.stats.observe_inflight(self.queue.len());
     }
 
     /// Run until quiescence or a limit is hit.
@@ -569,11 +566,6 @@ impl<P: Process> Simulation<P> {
             .into_iter()
             .map(|p| *p.expect("process is resident between events"))
             .collect()
-    }
-
-    /// Per-processor service time after overrides (0 = infinitely fast).
-    pub fn service_of(&self, id: ProcId) -> u64 {
-        self.service[id.index()]
     }
 
     /// Execute one atomic action on `id`: run `f` with a [`Context`] whose
@@ -1166,8 +1158,7 @@ mod tests {
                 Fwd { next: None },
             ],
         );
-        assert_eq!(sim.service_of(ProcId(0)), 2);
-        assert_eq!(sim.service_of(ProcId(1)), 50);
+        assert_eq!(sim.service, [2, 50], "service time after overrides");
         sim.inject_at(SimTime(1), ProcId(0), Msg::Ping(0));
         sim.run();
         assert_eq!(sim.outputs()[0].0, SimTime(63));

@@ -37,7 +37,6 @@ pub struct NetStats {
     last_kind: usize,
     per_proc_sent: Vec<u64>,
     per_proc_received: Vec<u64>,
-    max_inflight: usize,
     faults: FaultStats,
     /// Counters that went *backwards* between the snapshots of a
     /// [`NetStats::delta_since`] — see [`NetStats::underflowed`]. Always
@@ -52,7 +51,6 @@ impl NetStats {
             last_kind: 0,
             per_proc_sent: vec![0; n_procs],
             per_proc_received: vec![0; n_procs],
-            max_inflight: 0,
             faults: FaultStats::default(),
             underflow: Vec::new(),
         }
@@ -115,10 +113,6 @@ impl NetStats {
         &mut self.by_kind[idx].1
     }
 
-    pub(crate) fn observe_inflight(&mut self, inflight: usize) {
-        self.max_inflight = self.max_inflight.max(inflight);
-    }
-
     /// All messages sent, local and remote, across all kinds.
     pub fn total_messages(&self) -> u64 {
         self.by_kind.iter().map(|(_, v)| v.total()).sum()
@@ -130,7 +124,7 @@ impl NetStats {
     }
 
     /// Remote bytes (sum of payload size hints).
-    pub fn remote_bytes(&self) -> u64 {
+    fn remote_bytes(&self) -> u64 {
         self.by_kind.iter().map(|(_, v)| v.remote_bytes).sum()
     }
 
@@ -167,11 +161,6 @@ impl NetStats {
     /// Messages received per processor.
     pub fn per_proc_received(&self) -> &[u64] {
         &self.per_proc_received
-    }
-
-    /// High-water mark of simultaneously in-flight events.
-    pub fn max_inflight(&self) -> usize {
-        self.max_inflight
     }
 
     /// Difference from a prior snapshot: counters in `self` minus `earlier`.
@@ -381,13 +370,5 @@ mod tests {
         s.record_send("split.end", 0, None, 0, false);
         s.record_send("insert", 0, None, 0, false);
         assert_eq!(s.remote_matching(|k| k.starts_with("split")), 2);
-    }
-
-    #[test]
-    fn inflight_high_water() {
-        let mut s = NetStats::new(0);
-        s.observe_inflight(3);
-        s.observe_inflight(1);
-        assert_eq!(s.max_inflight(), 3);
     }
 }

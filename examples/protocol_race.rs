@@ -4,13 +4,16 @@
 //! both, two nearly-full leaves under one replicated parent), triggers
 //! simultaneous splits, and prints the delivery trace at each parent copy —
 //! showing the *same* updates applied in *different orders*, converging
-//! under semisync and losing a key under the naive protocol.
+//! under semisync and losing a key under Fig 4's seeded bug
+//! (`SeededBug::DiscardOutOfRange`).
 //!
 //! ```sh
 //! cargo run -p dbtree --example protocol_race
 //! ```
 
-use dbtree::{checker, BuildSpec, ClientOp, DbCluster, Intent, ProtocolKind, TreeConfig};
+use dbtree::{
+    checker, BuildSpec, ClientOp, DbCluster, Intent, ProtocolKind, SeededBug, TreeConfig,
+};
 use simnet::{ProcId, SimConfig};
 use std::collections::BTreeSet;
 
@@ -84,7 +87,8 @@ fn main() {
     for seed in 0..50 {
         let cfg = TreeConfig {
             fanout: 4,
-            ..TreeConfig::fixed_copies(ProtocolKind::Naive, 2)
+            seeded: Some(SeededBug::DiscardOutOfRange),
+            ..TreeConfig::fixed_copies(ProtocolKind::SemiSync, 2)
         };
         let spec = BuildSpec {
             keys: vec![10, 20, 30, 40],

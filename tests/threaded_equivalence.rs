@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 
 use dbtree::{
-    record_final_digests_from, BuildSpec, DbCluster, DbProc, GlobalView, ProtocolKind,
+    record_final_digests_from, BuildSpec, DbCluster, DbProc, GlobalView, ProtocolKind, SeededBug,
     ThreadedDbCluster, TreeConfig,
 };
 use simnet::{ProcId, SessionProc, SimConfig};
@@ -106,14 +106,16 @@ fn available_copies_equivalent_across_runtimes() {
     );
 }
 
-/// Naive drops inserts that race a split (Fig 4) — *which* inserts depends
-/// on the schedule, so equivalence only holds on a split-free workload:
-/// with fanout 1024 nothing splits and Naive behaves like the others.
+/// `DiscardOutOfRange` drops inserts that race a split (Fig 4) — *which*
+/// inserts depends on the schedule, so equivalence only holds on a
+/// split-free workload: with fanout 1024 nothing splits and the seeded bug
+/// behaves like the others.
 #[test]
 fn naive_equivalent_across_runtimes_without_splits() {
     let cfg = TreeConfig {
         fanout: 1024,
-        ..TreeConfig::fixed_copies(ProtocolKind::Naive, 3)
+        seeded: Some(SeededBug::DiscardOutOfRange),
+        ..TreeConfig::fixed_copies(ProtocolKind::SemiSync, 3)
     };
     check_equivalence(cfg, 60);
 }
