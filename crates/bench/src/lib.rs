@@ -1,5 +1,5 @@
-//! Shared harness for the `experiments` binary (`src/bin/experiments/`),
-//! the `benchsuite` gate and the Criterion benches.
+//! Shared harness for the `experiments` binary (`src/bin/experiments/`)
+//! and the `benchsuite` gate.
 //!
 //! Each experiment, E1–E21, is a module of `experiments` that regenerates
 //! one figure or quantitative claim from the paper; its `main.rs` is the

@@ -13,9 +13,7 @@ pub type Value = u64;
 ///
 /// Encodes the allocating processor in the high bits so processors can mint
 /// ids without coordination: `NodeId = proc << 40 | counter`.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u64);
 
 impl NodeId {
@@ -43,14 +41,12 @@ impl fmt::Debug for NodeId {
 }
 
 /// Identifier of a client operation. Minted by the driver.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct OpId(pub u64);
 
 /// A routable reference to another node: its id plus a processor known to
 /// hold a copy (the copy's primary, kept fresh by link-change actions).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Link {
     /// The target node.
     pub node: NodeId,
@@ -73,7 +69,7 @@ impl Link {
 /// so every offer has `low` ≤ the copy's own low key: the greatest is the
 /// closest safe place to start an upward action from, and anything smaller
 /// only lengthens the walk along the parent level's right links.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct ParentHint {
     /// The parent node and its primary copy — joins are registered at the PC
     /// whichever copy did the routing.
@@ -116,7 +112,7 @@ impl ParentHint {
 }
 
 /// An interior node's routing entry for one child.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct ChildRef {
     /// The child node.
     pub node: NodeId,
@@ -141,7 +137,7 @@ pub struct ChildRef {
 /// [`TreeConfig::merge_at_empty`](crate::TreeConfig::merge_at_empty) an
 /// all-tombstone leaf is lazily retired and its range absorbed by the left
 /// sibling (the `protocol::merge` action family).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Entry {
     /// Leaf payload with its update stamp.
     Val {
@@ -217,7 +213,7 @@ impl Entry {
 }
 
 /// The purpose of a descent through the index.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Intent {
     /// Point lookup; report the value found.
     Search,
@@ -229,7 +225,7 @@ pub enum Intent {
 }
 
 /// Outcome of a completed client operation.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Outcome {
     /// The operation.
     pub op: OpId,

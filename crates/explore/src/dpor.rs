@@ -154,7 +154,7 @@ pub struct FrameState {
 }
 
 /// The resumable search frontier: everything [`check`] needs to continue
-/// where a previous session stopped. Serialized by [`crate::frontier`].
+/// where a previous session stopped. Written and read by [`crate::frontier`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CheckState {
     /// The DFS stack of choice points (root first).

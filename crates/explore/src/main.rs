@@ -16,6 +16,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use dbtree::{ProtocolKind, SeededBug};
+use explore::repro::MAX_PROCS;
 use explore::{
     blink_scenario, check, crash_faults, dpor, emit_test, explore, format_repro_lossy, frontier,
     hash_scenario, light_faults, merge_race_scenario, merge_scenario, Budget, CheckOptions,
@@ -55,7 +56,8 @@ fn usage() -> ! {
          --depth N             choice-point depth bound (default 12)\n\
          --max-schedules N     schedule budget per scenario (default 5000)\n\
          --frontier FILE       persist/resume the search frontier\n\
-         --procs N             override the scenario's processor count"
+         --procs N             override the scenario's processor count\n\
+                               (1..={MAX_PROCS}, as in a repro file)"
     );
     std::process::exit(2);
 }
@@ -92,7 +94,13 @@ fn parse_args() -> Args {
                 args.max_schedules = val("--max-schedules").parse().unwrap_or_else(|_| usage())
             }
             "--frontier" => args.frontier = Some(PathBuf::from(val("--frontier"))),
-            "--procs" => args.procs = Some(val("--procs").parse().unwrap_or_else(|_| usage())),
+            "--procs" => {
+                let p = val("--procs").parse().unwrap_or_else(|_| usage());
+                if !(1..=MAX_PROCS).contains(&p) {
+                    usage();
+                }
+                args.procs = Some(p);
+            }
             "--help" | "-h" => usage(),
             _ => usage(),
         }
@@ -280,7 +288,6 @@ fn run_exhaustive(args: &Args, matrix: Vec<(&'static str, Scenario)>) -> usize {
             }
         });
         if let Some(p) = args.procs {
-            let p = p.max(1);
             scenario.n_procs = p;
             // Scenarios script their ops and crashes against their native
             // processor count; fold both into the override so no op targets

@@ -45,9 +45,9 @@ use crate::shrink::Failure;
 
 const HEADER: &str = "# explore repro v1";
 
-/// The largest `n-procs` a file may name: the simulator keeps per-channel
-/// state, quadratic in the processor count.
-const MAX_PROCS: u32 = 1024;
+/// The largest `n-procs` a file (or `explore --procs`) may name: the
+/// simulator keeps per-channel state, quadratic in the processor count.
+pub const MAX_PROCS: u32 = 1024;
 
 /// The dB-tree configuration a blink file's `protocol`, `fanout` and
 /// `merge` lines state (`merge` is `None` when the line is absent). A file
@@ -105,7 +105,7 @@ fn parse_prob(rest: &str, what: &str) -> Result<f64, String> {
         .ok_or(format!("{what} wants a probability in [0, 1]: {rest:?}"))
 }
 
-/// Serialize a failure to repro-file text.
+/// Render a failure as repro-file text.
 ///
 /// Timed partitions are not representable (the explorer never generates
 /// them), nor is a dB-tree config the `protocol`, `fanout` and `merge`

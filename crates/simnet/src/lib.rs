@@ -49,8 +49,8 @@
 
 mod context;
 pub mod driver;
-// Public (but doc-hidden) so the event-queue microbench can drive it;
-// not part of the supported API surface.
+// Public (but doc-hidden) so the perf ledger's `event.ns_per_push_pop` rung
+// can drive it; not part of the supported API surface.
 #[doc(hidden)]
 #[allow(missing_docs)]
 pub mod event;
@@ -95,9 +95,7 @@ use std::fmt;
 ///
 /// Processors are dense small integers, assigned in the order the process
 /// objects are handed to [`Simulation::new`].
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcId(pub u32);
 
 impl ProcId {

@@ -8,9 +8,7 @@ use std::ops::{Add, AddAssign, Sub};
 /// The unit is arbitrary; the default latency model charges 1 tick for a
 /// local hand-off and 10 ticks for a remote hop, so tick counts read roughly
 /// like microseconds on a fast LAN.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
 impl SimTime {

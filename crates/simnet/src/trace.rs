@@ -339,21 +339,6 @@ impl Trace {
         self.dropped
     }
 
-    /// Entries of one payload kind, in order.
-    pub fn of_kind<'a>(&'a self, kind: &'a str) -> impl Iterator<Item = &'a TraceEntry> + 'a {
-        self.entries.iter().filter(move |e| e.kind == kind)
-    }
-
-    /// Entries attributed to one span, in causal order — the end-to-end
-    /// anatomy of a single operation.
-    ///
-    /// This scans the whole trace: O(n) per call. Callers that look up many
-    /// spans (the critical-path profiler visits every op) should build a
-    /// [`Trace::span_index`] once and query that instead.
-    pub fn of_span(&self, span: u64) -> impl Iterator<Item = &TraceEntry> + '_ {
-        self.entries.iter().filter(move |e| e.span == Some(span))
-    }
-
     /// Build a span → entries index in one pass over the trace. Entries per
     /// span keep their trace (seq) order. The index borrows the trace, so
     /// build it after recording is done.
@@ -692,7 +677,8 @@ impl<M: Payload> Ring<M> {
 }
 
 /// A prebuilt span → entries index over a [`Trace`], answering per-span
-/// lookups in O(log #spans) instead of [`Trace::of_span`]'s O(n) scan.
+/// lookups in O(log #spans) instead of an O(n) scan of the trace per span
+/// (the critical-path profiler looks up every op's span).
 #[derive(Debug, Default)]
 pub struct SpanIndex<'a> {
     by_span: BTreeMap<u64, Vec<&'a TraceEntry>>,
@@ -768,9 +754,6 @@ mod tests {
         b.event = TraceEvent::Output;
         t.record(b);
         t.record(entry("a"));
-        assert_eq!(t.of_kind("a").count(), 2);
-        assert_eq!(t.of_kind("b").count(), 1);
-        assert_eq!(t.of_span(7).count(), 1);
         assert_eq!(t.of_event(TraceEvent::Output).count(), 1);
         assert_eq!(t.of_event(TraceEvent::Deliver).count(), 2);
     }
@@ -787,7 +770,11 @@ mod tests {
         let idx = t.span_index();
         assert!(!idx.is_empty());
         for span in 0..6u64 {
-            let linear: Vec<u64> = t.of_span(span).map(|e| e.seq).collect();
+            let linear: Vec<u64> = t
+                .iter()
+                .filter(|e| e.span == Some(span))
+                .map(|e| e.seq)
+                .collect();
             let indexed: Vec<u64> = idx.of_span(span).iter().map(|e| e.seq).collect();
             assert_eq!(linear, indexed, "span {span}");
         }

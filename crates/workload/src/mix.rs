@@ -2,12 +2,11 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::dist::KeyDist;
 
 /// The kind of a client operation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OpKind {
     /// Point lookup.
     Search,
@@ -21,7 +20,7 @@ pub enum OpKind {
 }
 
 /// One client operation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Op {
     /// What to do.
     pub kind: OpKind,
@@ -37,15 +36,13 @@ pub struct Op {
 /// search → delete → scan → insert, so a mix with zero delete and scan
 /// fractions generates the byte-identical stream it did before those kinds
 /// existed (same RNG consumption, same boundaries).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Mix {
     /// Probability an operation is a search.
     pub search_fraction: f64,
     /// Probability an operation is a delete (the merge-at-empty driver).
-    #[serde(default)]
     pub delete_fraction: f64,
     /// Probability an operation is a range scan.
-    #[serde(default)]
     pub scan_fraction: f64,
 }
 
