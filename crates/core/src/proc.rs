@@ -630,6 +630,12 @@ impl DbProc {
 impl Process for DbProc {
     type Msg = Msg;
 
+    /// The shared history log is a processor's only state outside itself,
+    /// and it is touched only while history is recorded.
+    fn isolated(&self) -> bool {
+        !self.cfg.record_history
+    }
+
     fn on_message(&mut self, ctx: &mut Context<'_, Msg>, from: ProcId, msg: Msg) {
         // Only message handlers take navigable steps, so only they drain.
         debug_assert!(self.local.is_empty(), "a step outlived its action");

@@ -1,7 +1,7 @@
 //! The per-action handle a [`Process`](crate::Process) uses to interact with
-//! the world: send messages, set timers, read the clock, draw randomness.
-
-use rand::rngs::SmallRng;
+//! the world: send messages, set timers, read the clock and its span.
+//! Nothing else: a handler reaches its own process and this handle, which is
+//! what lets the simulator run a tick's actions on several cores.
 
 use crate::trace::TraceEvent;
 use crate::{ProcId, SimTime};
@@ -36,7 +36,6 @@ pub struct Context<'a, M> {
     pub(crate) me: ProcId,
     pub(crate) now: SimTime,
     pub(crate) effects: &'a mut Vec<Effect<M>>,
-    pub(crate) rng: &'a mut SmallRng,
     /// Span of the action being executed (the delivered message's span, or
     /// the sending action's span it inherited). Everything this action sends
     /// inherits it unless the payload carries its own.
@@ -79,13 +78,6 @@ impl<'a, M> Context<'a, M> {
             kind,
             detail,
         });
-    }
-
-    /// Deterministic per-run randomness (shared stream; do not assume
-    /// per-processor independence).
-    #[inline]
-    pub fn rng(&mut self) -> &mut SmallRng {
-        self.rng
     }
 
     /// The operation span this action runs on behalf of, if any. Sends from

@@ -667,11 +667,6 @@ impl<P: Process> SessionProc<P> {
         }
     }
 
-    /// Wrap `inner` with the session layer switched off (pure pass-through).
-    pub fn passthrough(inner: P) -> Self {
-        SessionProc::new(inner, SessionConfig::default())
-    }
-
     /// The wrapped process.
     pub fn inner(&self) -> &P {
         &self.inner
@@ -711,7 +706,6 @@ impl<P: Process> SessionProc<P> {
                 me: ctx.me,
                 now: ctx.now,
                 effects: &mut inner_effects,
-                rng: &mut *ctx.rng,
                 // The inner action runs on behalf of the same operation.
                 span: ctx.span,
             };
@@ -1076,6 +1070,11 @@ impl<P: Process> DerefMut for SessionProc<P> {
 impl<P: Process> Process for SessionProc<P> {
     type Msg = SessionMsg<P::Msg>;
 
+    /// The session's state is its own; the inner process says the rest.
+    fn isolated(&self) -> bool {
+        self.inner.isolated()
+    }
+
     fn on_start(&mut self, ctx: &mut Context<'_, Self::Msg>) {
         self.with_inner(ctx, |p, c| p.on_start(c));
     }
@@ -1424,10 +1423,11 @@ mod tests {
         let wrapped = {
             let procs = (0..2)
                 .map(|_| {
-                    SessionProc::passthrough(Streamer {
+                    let inner = Streamer {
                         count: 40,
                         seen: vec![],
-                    })
+                    };
+                    SessionProc::new(inner, SessionConfig::default())
                 })
                 .collect();
             let mut sim = Simulation::new(SimConfig::seeded(9), procs);

@@ -39,9 +39,6 @@ use crate::runtime::{Poll, QuiesceError, Runtime};
 use crate::trace::{Record, TraceEvent};
 use crate::{Context, Obs, ObsConfig, Payload, ProcId, Process, SimTime};
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-
 enum Envelope<M> {
     Msg {
         from: ProcId,
@@ -140,11 +137,7 @@ pub struct Cluster<P: Process> {
     tracing: bool,
 }
 
-impl<P> Cluster<P>
-where
-    P: Process + Send + 'static,
-    P::Msg: Send + 'static,
-{
+impl<P: Process> Cluster<P> {
     /// Spawn one thread per process, with observability off.
     pub fn spawn(procs: Vec<P>) -> Self {
         Self::spawn_with(procs, ObsConfig::default())
@@ -170,7 +163,6 @@ where
             let worker = Worker {
                 me: ProcId(i as u32),
                 proc,
-                rng: SmallRng::seed_from_u64(0x5EED ^ i as u64),
                 effects: Vec::new(),
                 epoch,
                 peers: Arc::clone(&peers),
@@ -352,11 +344,7 @@ where
     }
 }
 
-impl<P> Runtime for Cluster<P>
-where
-    P: Process + Send + 'static,
-    P::Msg: Send + 'static,
-{
+impl<P: Process> Runtime for Cluster<P> {
     type Proc = P;
 
     fn num_procs(&self) -> usize {
@@ -438,7 +426,6 @@ where
 struct Worker<P: Process> {
     me: ProcId,
     proc: P,
-    rng: SmallRng,
     effects: Vec<Effect<P::Msg>>,
     epoch: Instant,
     peers: Peers<P::Msg>,
@@ -563,7 +550,6 @@ impl<P: Process> Worker<P> {
             me: self.me,
             now: at,
             effects: &mut self.effects,
-            rng: &mut self.rng,
             span,
         };
         f(&mut self.proc, &mut ctx);
