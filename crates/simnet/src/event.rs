@@ -486,6 +486,24 @@ impl<M> EventQueue<M> {
         self.front.map(|f| f.at)
     }
 
+    /// The events of the earliest tick, in the order [`EventQueue::pop`]
+    /// will return them, without popping any — `None` when that tick is
+    /// not bucketed yet (it is in the overflow heap until the first pop
+    /// reaches it). Pushes may still append to the tick.
+    pub fn front_tick(&self) -> Option<impl ExactSizeIterator<Item = &Event<M>>> {
+        let f = self.front?;
+        if self.wheel_count == 0 {
+            return None;
+        }
+        let bucket = &self.wheel[(f.at.ticks() % SPAN as u64) as usize];
+        debug_assert_eq!(bucket.front().map(|e| e.seq), Some(f.seq));
+        Some(bucket.iter().map(|e| {
+            self.slots[e.slot as usize]
+                .as_ref()
+                .expect("wheel entries are live")
+        }))
+    }
+
     /// Number of pending events (tombstones included until they fire).
     pub fn len(&self) -> usize {
         self.live
@@ -717,6 +735,30 @@ mod tests {
             })
             .collect();
         assert_eq!(tokens, (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn front_tick_lists_the_earliest_ticks_events_in_pop_order() {
+        let mut q: EventQueue<u32> = EventQueue::new();
+        let far = SPAN as u64 * 2;
+        q.push(SimTime(far), ProcId(3), EventKind::Timer { token: 0 });
+        // Only the overflow heap holds events: not bucketed yet.
+        assert!(q.front_tick().is_none());
+        q.push(SimTime(9), ProcId(1), EventKind::Timer { token: 1 });
+        q.push(SimTime(5), ProcId(2), EventKind::Timer { token: 2 });
+        q.push(SimTime(5), ProcId(0), EventKind::Timer { token: 3 });
+        let front: Vec<(u64, ProcId)> = q
+            .front_tick()
+            .expect("tick 5 is bucketed")
+            .map(|e| (e.seq, e.to))
+            .collect();
+        assert_eq!(front, vec![(2, ProcId(2)), (3, ProcId(0))]);
+        let popped: Vec<(u64, ProcId)> = (0..2)
+            .map(|_| q.pop().expect("queued"))
+            .map(|e| (e.seq, e.to))
+            .collect();
+        assert_eq!(popped, front);
+        assert_eq!(q.front_tick().map(|f| f.len()), Some(1));
     }
 
     #[test]
