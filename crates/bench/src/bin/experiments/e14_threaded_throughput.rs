@@ -2,12 +2,13 @@
 //!
 //! The simulator experiments (E1–E13) measure virtual-tick costs; this one
 //! runs the *same* protocol state machines on `simnet::threaded::Cluster` —
-//! one OS thread per processor, one inbox each, a wall-clock timer
-//! thread — through the same `DbCluster` facade and closed-loop driver, and
-//! reports real operations per second, with the wake-ups and parks the
-//! inboxes paid per operation (`Cluster::inbox_stats`). The point is not the absolute
-//! numbers (this is a message-passing toy, not a tuned server) but that
-//! the protocol ranking survives the move to real concurrency: lazy
+//! processor 0 on the driver's thread, one OS thread per other processor,
+//! one inbox each — through the same `DbCluster` facade and closed-loop
+//! driver, and reports real operations per second, with the wake-ups and
+//! parks the inboxes paid per operation (`Cluster::inbox_stats`; processor
+//! 0's parks are the driver's). The point is not the absolute numbers (this
+//! is a message-passing toy, not a tuned server) but that the protocol
+//! ranking survives the move to real concurrency: lazy
 //! protocols never block operations on replica maintenance, so semisync
 //! keeps its lead over sync splits and available-copies locking when the
 //! nondeterminism is real.

@@ -227,7 +227,9 @@ fn threaded() {
         for op in during {
             cluster.submit(*op);
         }
-        std::thread::sleep(std::time::Duration::from_millis(30));
+        // 30 ms of outage, with processor 0 running on this thread.
+        let outage = std::time::Duration::from_millis(30);
+        cluster.sim.run_until(std::time::Instant::now() + outage);
         cluster.sim.restart(CRASHED);
         records.extend(cluster.try_run_to_quiescence().expect("run quiesces"));
         let stats = cluster

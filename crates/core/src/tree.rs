@@ -31,8 +31,9 @@ use crate::types::{Intent, Key, NodeId, OpId, Outcome, Value};
 /// unchanged.
 pub type DbSim = Simulation<SessionProc<DbProc>>;
 
-/// The threaded runtime for the same processes: one OS thread per
-/// processor, ticks are wall-clock microseconds.
+/// The threaded runtime for the same processes: processor 0 on the
+/// caller's thread, one OS thread per other processor, ticks are wall-clock
+/// microseconds.
 pub type ThreadedDbRuntime = threaded::Cluster<SessionProc<DbProc>>;
 
 /// A dB-tree deployment on real threads (see [`DbCluster::build_threaded`]).

@@ -277,13 +277,15 @@ fn threaded_chaos(detector: bool) {
 
     // Crash, then submit straight into the outage. Injections into the dead
     // processor are its lost volatile queue; only the retry layer gets them
-    // answered. The sleep keeps the outage real on a wall clock: long
-    // enough for the peers' detectors to suspect the silence.
+    // answered. `run_until` keeps the outage real on a wall clock — long
+    // enough for the peers' detectors to suspect the silence — while the
+    // caller-hosted processor 0 keeps running.
     cluster.sim.crash(CRASHED);
     for op in during {
         cluster.submit(*op);
     }
-    std::thread::sleep(std::time::Duration::from_millis(30));
+    let outage = std::time::Duration::from_millis(30);
+    cluster.sim.run_until(std::time::Instant::now() + outage);
     cluster.sim.restart(CRASHED);
     records.extend(cluster.try_run_to_quiescence().expect("run quiesces"));
 

@@ -10,8 +10,9 @@
 //!   seed, so protocol races are reproducible and property-testable. The
 //!   actions of a busy tick may execute on two cores
 //!   ([`Process::isolated`]); their effects commit in sequence order on one.
-//! * [`threaded::Cluster`] — the same processes driven by real OS threads,
-//!   each behind its own inbox, for wall-clock parallelism.
+//! * [`threaded::Cluster`] — the same processes driven by real OS threads
+//!   (processor 0 by the caller's), each behind its own inbox, for
+//!   wall-clock parallelism.
 //!
 //! Both implement the [`Runtime`] trait, and the generic workload driver in
 //! [`driver`] (op-id allocation, pending-op tracking, closed- and open-loop

@@ -7,8 +7,9 @@
 //!
 //! * [`Simulation`](crate::Simulation) — deterministic discrete events on a
 //!   virtual clock;
-//! * [`threaded::Cluster`](crate::threaded::Cluster) — one OS thread per
-//!   processor, wall-clock microseconds as ticks.
+//! * [`threaded::Cluster`](crate::threaded::Cluster) — processor 0 on the
+//!   caller's thread and one OS thread per other processor, wall-clock
+//!   microseconds as ticks.
 //!
 //! The generic workload driver ([`crate::driver`]) is written against this
 //! trait only, which is what lets every protocol run — and be measured —

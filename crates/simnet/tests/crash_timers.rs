@@ -59,17 +59,42 @@ fn a_crash_cancels_armed_timers_on_the_simulator() {
     assert_eq!(sim.proc(ProcId(0)).fired, [AFTER_RESTART]);
 }
 
-#[test]
-fn a_crash_cancels_armed_timers_on_threads() {
-    let mut cluster = Cluster::spawn(vec![Armer::default()]);
-    cluster.inject(ProcId(0), Arm);
+/// Processor `crashed` of a `procs`-processor cluster arms a far timer,
+/// crashes and restarts: only the timer its `on_restart` armed fires, and no
+/// other processor fires any. Processor 0 runs on the caller, every other
+/// one on its own thread, so the two crash paths differ.
+fn crash_on_threads(procs: usize, crashed: ProcId) {
+    let mut cluster = Cluster::spawn((0..procs).map(|_| Armer::default()).collect());
+    cluster.inject(crashed, Arm);
     cluster
         .recv_output_timeout(Duration::from_secs(10))
         .expect("armed before the crash");
-    cluster.crash(ProcId(0));
-    cluster.restart(ProcId(0));
+    cluster.crash(crashed);
+    cluster.restart(crashed);
     // `settle` returns only once no timer is armed anywhere, so a pre-crash
     // timer that outlived the crash would have fired by then.
     cluster.settle().expect("settles");
-    assert_eq!(cluster.shutdown()[0].fired, [AFTER_RESTART]);
+    for (i, p) in cluster.shutdown().iter().enumerate() {
+        let want: &[u64] = if i == crashed.index() {
+            &[AFTER_RESTART]
+        } else {
+            &[]
+        };
+        assert_eq!(p.fired, want, "processor {i}");
+    }
+}
+
+#[test]
+fn a_crash_cancels_armed_timers_on_threads() {
+    crash_on_threads(1, ProcId(0));
+}
+
+#[test]
+fn a_crash_of_the_caller_hosted_processor_cancels_its_timers() {
+    crash_on_threads(2, ProcId(0));
+}
+
+#[test]
+fn a_crash_of_a_worker_thread_cancels_its_timers() {
+    crash_on_threads(2, ProcId(1));
 }

@@ -41,7 +41,7 @@ fn main() {
     };
     let spec = BuildSpec::new((0..2_000u64).map(|k| k * 3).collect(), n_procs, cfg);
 
-    println!("spawning {n_procs} dB-tree processors as OS threads...");
+    println!("spawning {n_procs} dB-tree processors: 0 on this thread, the rest on their own...");
     let mut cluster = ThreadedDbCluster::build_threaded(&spec);
 
     let total_ops = 4_000u64;
